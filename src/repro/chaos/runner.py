@@ -63,7 +63,9 @@ class NeuteredFailLockTable(FailLockTable):
                 clear_mask |= self._bit_of[site]
         count = 0
         for item in written_items:
-            self._masks[item] = self._mask(item) & ~clear_mask
+            old = self._mask(item)
+            if old & clear_mask:
+                self._store(item, old, old & ~clear_mask)
             count += operations
         return count
 
@@ -75,7 +77,9 @@ class NeuteredFailLockTable(FailLockTable):
             recipient_mask = 0
             for site in recipients:
                 recipient_mask |= self._bit(site)
-            self._masks[item] = self._mask(item) & ~recipient_mask
+            old = self._mask(item)
+            if old & recipient_mask:
+                self._store(item, old, old & ~recipient_mask)
             count += len(self.site_ids)
         return count
 

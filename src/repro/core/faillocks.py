@@ -10,6 +10,15 @@ The paper implements the table as a bit map per data item sized by the
 number of sites, "allowing the fail-lock operations to be performed very
 quickly" — we keep exactly that representation (a Python int used as a bit
 mask per item).
+
+Recovery asks the transposed question — *which items are stale for site k?*
+— once per batch, so the table also keeps, per site, the set of items whose
+bit is set.  Every mask mutator moves the item between those sets for
+exactly the bits it changed (``set_lock`` / ``clear_lock`` inline, the
+multi-bit writers through :meth:`FailLockTable._store`), so ``count_for``
+is O(1) and ``locked_items_for`` touches only that site's stale items.
+The index is derived state: it is not part of ``snapshot()``,
+``signature()`` or ``==``.
 """
 
 from __future__ import annotations
@@ -23,12 +32,16 @@ from repro.core.sessions import NominalSessionVector, SiteState
 class FailLockTable:
     """Fail-lock bit maps for every data item, as kept by one site."""
 
-    __slots__ = ("site_ids", "_bit_of", "_masks")
+    __slots__ = ("site_ids", "_bit_of", "_masks", "_stale")
 
     def __init__(self, site_ids: Iterable[int], item_ids: Iterable[int]) -> None:
         self.site_ids = sorted(site_ids)
+        # Bit k belongs to the k-th site in sorted order; NominalSessionVector
+        # lays out operational_mask() the same way.
         self._bit_of = {site: 1 << index for index, site in enumerate(self.site_ids)}
         self._masks: dict[int, int] = {item: 0 for item in item_ids}
+        # bit -> items whose mask has that bit set (the per-site stale index)
+        self._stale: dict[int, set[int]] = {bit: set() for bit in self._bit_of.values()}
 
     # -- bit bookkeeping -----------------------------------------------------
 
@@ -44,10 +57,35 @@ class FailLockTable:
         except KeyError:
             raise FailLockError(f"unknown item {item_id}") from None
 
+    def _store(self, item_id: int, old: int, new: int) -> None:
+        """Replace ``item_id``'s mask ``old`` by ``new`` and re-index it.
+
+        Callers skip it when nothing changed, so the steady state (no
+        failures) never reaches here.
+        """
+        self._masks[item_id] = new
+        changed = old ^ new
+        while changed:
+            bit = changed & -changed
+            changed ^= bit
+            if new & bit:
+                self._stale[bit].add(item_id)
+            else:
+                self._stale[bit].discard(item_id)
+
     @property
     def item_ids(self) -> list[int]:
         """All item ids tracked, sorted."""
         return sorted(self._masks)
+
+    @property
+    def item_count(self) -> int:
+        """Number of items tracked."""
+        return len(self._masks)
+
+    def tracks(self, item_id: int) -> bool:
+        """Whether ``item_id`` has a fail-lock bit map here."""
+        return item_id in self._masks
 
     def add_item(self, item_id: int) -> None:
         """Track a new item (type-3 control transaction support)."""
@@ -59,11 +97,19 @@ class FailLockTable:
 
     def set_lock(self, item_id: int, site_id: int) -> None:
         """Mark ``site_id``'s copy of ``item_id`` out-of-date."""
-        self._masks[item_id] = self._mask(item_id) | self._bit(site_id)
+        old = self._mask(item_id)
+        bit = self._bit(site_id)
+        if not old & bit:
+            self._masks[item_id] = old | bit
+            self._stale[bit].add(item_id)
 
     def clear_lock(self, item_id: int, site_id: int) -> None:
         """Mark ``site_id``'s copy of ``item_id`` refreshed."""
-        self._masks[item_id] = self._mask(item_id) & ~self._bit(site_id)
+        old = self._mask(item_id)
+        bit = self._bit(site_id)
+        if old & bit:
+            self._masks[item_id] = old & ~bit
+            self._stale[bit].discard(item_id)
 
     def is_locked(self, item_id: int, site_id: int) -> bool:
         """Whether ``site_id``'s copy of ``item_id`` is out-of-date."""
@@ -115,7 +161,10 @@ class FailLockTable:
                 set_mask |= self._bit_of[site]
         count = 0
         for item in written_items:
-            self._masks[item] = (self._mask(item) | set_mask) & ~clear_mask
+            old = self._mask(item)
+            new = (old | set_mask) & ~clear_mask
+            if new != old:
+                self._store(item, old, new)
             count += operations
         return count
 
@@ -150,7 +199,10 @@ class FailLockTable:
                 recipient_mask |= bit_of[site] if site in bit_of else self._bit(site)
             # The written value is now THE copy: exactly the non-recipients
             # are stale, whatever the previous mask said.
-            masks[item] = all_mask & ~recipient_mask
+            old = masks[item]
+            new = all_mask & ~recipient_mask
+            if new != old:
+                self._store(item, old, new)
             count += sites
         return count
 
@@ -158,22 +210,24 @@ class FailLockTable:
 
     def locked_items_for(self, site_id: int) -> list[int]:
         """Items whose copy on ``site_id`` is out-of-date, sorted."""
-        bit = self._bit(site_id)
-        return sorted(item for item, mask in self._masks.items() if mask & bit)
+        return sorted(self._stale[self._bit(site_id)])
 
     def count_for(self, site_id: int) -> int:
         """Number of out-of-date copies on ``site_id``."""
-        bit = self._bit(site_id)
-        return sum(1 for mask in self._masks.values() if mask & bit)
+        return len(self._stale[self._bit(site_id)])
 
     def total_locks(self) -> int:
         """Total set bits across all items (system-wide inconsistency)."""
-        return sum(mask.bit_count() for mask in self._masks.values())
+        return sum(len(items) for items in self._stale.values())
 
-    def up_to_date_sites(self, item_id: int) -> list[int]:
-        """Sites whose copy of ``item_id`` is current, sorted."""
-        mask = self._mask(item_id)
-        return [s for s in self.site_ids if not mask & self._bit_of[s]]
+    def up_to_date_sites(self, item_id: int, among: int = -1) -> list[int]:
+        """Sites whose copy of ``item_id`` is current, sorted.
+
+        ``among`` restricts the answer to the sites of a bit mask in this
+        table's layout (``NominalSessionVector.operational_mask()``).
+        """
+        mask = among & ~self._mask(item_id)
+        return [site for site, bit in self._bit_of.items() if mask & bit]
 
     # -- replication of the table itself ---------------------------------------
 
@@ -187,16 +241,29 @@ class FailLockTable:
         The recovering site has been away; the peer's table is strictly
         better informed, so this replaces rather than merges.
         """
-        for item in masks:
-            if item not in self._masks:
-                raise FailLockError(f"unknown item {item} in installed table")
+        self._check_peer_masks(masks)
         for item, mask in masks.items():
-            self._masks[item] = mask
+            old = self._masks[item]
+            if mask != old:
+                self._store(item, old, mask)
 
     def merge(self, masks: dict[int, int]) -> None:
         """OR a peer's table into this one (conservative union)."""
+        self._check_peer_masks(masks)
         for item, mask in masks.items():
-            self._masks[item] = self._mask(item) | mask
+            old = self._masks[item]
+            if mask & ~old:
+                self._store(item, old, old | mask)
+
+    def _check_peer_masks(self, masks: dict[int, int]) -> None:
+        """Reject a peer table naming items or sites this one does not
+        track, before any of it is applied."""
+        sites = len(self.site_ids)
+        for item, mask in masks.items():
+            if item not in self._masks:
+                raise FailLockError(f"unknown item {item} in peer table")
+            if mask < 0 or mask >> sites:
+                raise FailLockError(f"item {item}: mask {mask:#b} names unknown sites")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FailLockTable):

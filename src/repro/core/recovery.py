@@ -100,7 +100,7 @@ class RecoveryManager:
 
     def stale_fraction(self) -> float:
         """Fraction of all items still fail-locked for the owner."""
-        total = len(self.faillocks.item_ids)
+        total = self.faillocks.item_count
         if total == 0:
             return 0.0
         return self.stale_count / total

@@ -49,41 +49,36 @@ class RowaaPlanner:
         faillocks: FailLockTable,
         catalog: ReplicationCatalog,
     ) -> None:
+        if vector.site_ids != faillocks.site_ids:
+            # up_to_date_sources() intersects their bit masks.
+            raise ValueError("session vector and fail-lock table disagree on sites")
         self.owner = owner
         self.vector = vector
         self.faillocks = faillocks
         self.catalog = catalog
 
-    def up_to_date_source(self, item_id: int, exclude_owner: bool = True) -> int:
-        """An operational site holding a current copy of ``item_id``.
-
-        Returns the lowest such site id, or -1 if none exists — the
-        situation that forces a transaction abort in the paper's scenario 1.
-        """
-        current = set(self.faillocks.up_to_date_sites(item_id))
-        for site in self.vector.operational_sites():
-            if exclude_owner and site == self.owner:
-                continue
-            if site in current and self.catalog.holds(site, item_id):
-                return site
-        return -1
-
     def up_to_date_sources(self, item_id: int, exclude_owner: bool = True) -> list[int]:
         """All operational sites holding a current copy of ``item_id``.
 
-        Sorted ascending (operational_sites() order); empty when no donor
-        exists.  The multi-donor generalisation of
-        :meth:`up_to_date_source`, used by donor spreading and the
-        parallel recovery partition planner.
+        Sorted ascending; empty when no donor exists.  Answered from bit
+        masks — not fail-locked AND believed up — then filtered by the
+        catalog's holder set.
         """
-        current = set(self.faillocks.up_to_date_sites(item_id))
-        sources = []
-        for site in self.vector.operational_sites():
-            if exclude_owner and site == self.owner:
-                continue
-            if site in current and self.catalog.holds(site, item_id):
-                sources.append(site)
-        return sources
+        current = self.faillocks.up_to_date_sites(
+            item_id, among=self.vector.operational_mask()
+        )
+        holders = self.catalog.holders_view(item_id)
+        return [
+            site for site in current
+            if site in holders and not (exclude_owner and site == self.owner)
+        ]
+
+    def up_to_date_source(self, item_id: int, exclude_owner: bool = True) -> int:
+        """The lowest site of :meth:`up_to_date_sources`, or -1 if none —
+        the situation that forces a transaction abort in the paper's
+        scenario 1."""
+        sources = self.up_to_date_sources(item_id, exclude_owner)
+        return sources[0] if sources else -1
 
     def plan_read(self, item_id: int) -> ReadPlan:
         """Decide how a read of ``item_id`` at the owner is satisfied."""

@@ -44,7 +44,7 @@ class SessionRecord:
 class NominalSessionVector:
     """One site's array of :class:`SessionRecord`, one per system site."""
 
-    __slots__ = ("owner", "_records", "_site_ids")
+    __slots__ = ("owner", "_records", "_site_ids", "_up_mask")
 
     def __init__(self, owner: int, site_ids: list[int]) -> None:
         if owner not in site_ids:
@@ -56,6 +56,9 @@ class NominalSessionVector:
         # The site set is fixed for the life of the vector; keep the sorted
         # ids (and the records in that order) precomputed.
         self._site_ids: list[int] = list(self._records)
+        # Cached operational_mask(); -1 = stale.  _transition() and install()
+        # reset it — nothing else may assign SessionRecord.state.
+        self._up_mask = -1
 
     # -- basic access --------------------------------------------------------
 
@@ -87,7 +90,7 @@ class NominalSessionVector:
     @property
     def my_session(self) -> int:
         """The owner's own session number."""
-        return self.record(self.owner).session
+        return self._records[self.owner].session
 
     # -- queries the protocol needs -------------------------------------------
 
@@ -102,6 +105,22 @@ class NominalSessionVector:
             return self._records[site_id].state is SiteState.UP
         except KeyError:
             raise SessionError(f"site {site_id} not in session vector") from None
+
+    def operational_mask(self) -> int:
+        """Bit ``k`` set iff the ``k``-th site (sorted) is believed UP.
+
+        The same bit layout as :class:`~repro.core.faillocks.FailLockTable`
+        masks, so ROWAA planning can intersect the two with one ``&``.
+        """
+        mask = self._up_mask
+        if mask < 0:
+            up = SiteState.UP
+            mask = 0
+            for index, record in enumerate(self._records.values()):
+                if record.state is up:
+                    mask |= 1 << index
+            self._up_mask = mask
+        return mask
 
     def operational_sites(self) -> list[int]:
         """All sites the owner believes are up (including itself if up)."""
@@ -124,9 +143,14 @@ class NominalSessionVector:
 
     # -- transitions -----------------------------------------------------------
 
+    def _transition(self, record: SessionRecord, state: SiteState) -> None:
+        """The one place a record's state changes; drops the cached mask."""
+        record.state = state
+        self._up_mask = -1
+
     def mark_down(self, site_id: int) -> None:
         """Record that ``site_id`` has failed (type-2 control transaction)."""
-        self.record(site_id).state = SiteState.DOWN
+        self._transition(self.record(site_id), SiteState.DOWN)
 
     def mark_recovering(self, site_id: int, session: int) -> None:
         """Record that ``site_id`` announced recovery with a new session."""
@@ -137,7 +161,7 @@ class NominalSessionVector:
                 f"(perceived {record.session})"
             )
         record.session = session
-        record.state = SiteState.RECOVERING
+        self._transition(record, SiteState.RECOVERING)
 
     def mark_up(self, site_id: int, session: int | None = None) -> None:
         """Record that ``site_id`` is operational (after type-1 completes)."""
@@ -149,23 +173,24 @@ class NominalSessionVector:
                     f"(perceived {record.session})"
                 )
             record.session = session
-        record.state = SiteState.UP
+        self._transition(record, SiteState.UP)
 
     def mark_terminating(self, site_id: int) -> None:
         """Record an orderly shutdown in progress."""
-        self.record(site_id).state = SiteState.TERMINATING
+        self._transition(self.record(site_id), SiteState.TERMINATING)
 
     def begin_new_session(self) -> int:
         """Owner starts a new session (on recovery); returns its number."""
         record = self.record(self.owner)
         record.session += 1
-        record.state = SiteState.RECOVERING
+        self._transition(record, SiteState.RECOVERING)
         return record.session
 
     def install(self, records: list[SessionRecord]) -> None:
         """Adopt a peer's vector (type-1 reply), keeping the owner's own
         entry — the recovering site knows its own state best."""
         own = self.record(self.owner)
+        self._up_mask = -1
         for incoming in records:
             if incoming.site_id == self.owner:
                 continue

@@ -235,9 +235,10 @@ def run_chunked(
     parts = min(len(work), jobs * max(1, chunks_per_worker))
     chunks = _chunked(work, parts)
     _chunks_dispatched += len(chunks)
-    futures = [pool.submit(_run_chunk, kind, shared, chunk) for chunk in chunks]
     results: list[Any] = []
     try:
+        # submit() itself raises once an earlier chunk has killed a worker.
+        futures = [pool.submit(_run_chunk, kind, shared, chunk) for chunk in chunks]
         for future in futures:
             results.extend(future.result())
     except BrokenProcessPool as exc:

@@ -97,7 +97,10 @@ def run_recovery_cell(
         txn_count=2,
         policy=Weighted(weights),
         until_recovered=(0,),
-        max_txns=200,
+        # A backstop, not a budget: until_recovered ends the run first.
+        # It grows with the stale set because on_demand refreshes only
+        # what transactions touch, so its tail needs many of them.
+        max_txns=max(200, 16 * stale_items),
     )
     scenario.add_action(1, FailSite(0))
     scenario.add_action(2, RecoverSite(0))

@@ -25,6 +25,7 @@ def plan_partitions(
     item_ids: Iterable[int],
     exclude: Iterable[int] = (),
     max_donors: int = 0,
+    batch_size: int = 0,
 ) -> dict[int, list[int]]:
     """Shard ``item_ids`` across up-to-date donor sites.
 
@@ -38,21 +39,43 @@ def plan_partitions(
     many *distinct* donors the plan may open; once the cap is reached,
     items whose donor sets do not intersect the opened set are deferred to
     a later round rather than over-committing.
+
+    ``batch_size`` > 0 keeps only the first ``batch_size`` items of every
+    shard — all one round can send — and stops planning once every donor
+    that could still be chosen is that loaded.  Items come in ascending
+    order and a shard only ever grows at its tail, so nothing after that
+    point could land inside any donor's first ``batch_size``: the result
+    equals the unbounded plan cut to ``batch_size`` per donor, at a cost
+    proportional to what is sent rather than to the whole stale set.
     """
     excluded = frozenset(exclude)
     shards: dict[int, list[int]] = {}
     loads: dict[int, int] = {}
+    # Every donor a later item could still go to: the operational peers not
+    # excluded, or — once ``max_donors`` shards are open — just those.
+    choosable = sum(
+        1 for site in planner.vector.operational_sites()
+        if site != planner.owner and site not in excluded
+    )
+    if max_donors > 0:
+        choosable = min(choosable, max_donors)
+    full = 0
     for item in sorted(item_ids):
-        donors = [
-            d for d in planner.up_to_date_sources(item) if d not in excluded
-        ]
-        if not donors:
-            continue
-        if max_donors > 0 and len(loads) >= max_donors:
-            donors = [d for d in donors if d in loads]
-            if not donors:
+        if batch_size > 0 and full >= choosable:
+            break
+        capped = max_donors > 0 and len(loads) >= max_donors
+        best, best_load = -1, 0
+        for donor in planner.up_to_date_sources(item):  # ascending: ties go low
+            if donor in excluded or (capped and donor not in loads):
                 continue
-        best = min(donors, key=lambda d: (loads.get(d, 0), d))
-        shards.setdefault(best, []).append(item)
-        loads[best] = loads.get(best, 0) + 1
+            load = loads.get(donor, 0)
+            if best < 0 or load < best_load:
+                best, best_load = donor, load
+        if best < 0:
+            continue
+        loads[best] = best_load + 1
+        if batch_size <= 0 or best_load < batch_size:
+            shards.setdefault(best, []).append(item)
+            if best_load + 1 == batch_size:
+                full += 1
     return shards

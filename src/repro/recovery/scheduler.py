@@ -9,11 +9,14 @@ with enough cores, each donor formats its COPY_RESP concurrently and
 recovery time is governed by the largest shard, not the whole stale set.
 
 Incremental catch-up is structural rather than event-driven: ``pump()``
-re-reads the *current* stale set and donor picture every time it runs
+plans from the *current* stale set and donor picture every time it runs
 (at recovery start, after every commit that cleared locks, after every
 batch response, after a donor bounce or denial), so shards shrink as
 transaction writes refresh copies, and work re-routes when a donor fails
-mid-recovery.
+mid-recovery.  That is cheap because nothing is scanned: the stale set
+comes from the fail-lock table's per-site index, and the planner stops
+as soon as every free donor holds the one batch this round can send it
+(see "Planning cost" in docs/RECOVERY.md).
 
 Determinism: no RNG, no wall-clock; everything derives from the site's
 protocol state.  The only scheduler-private state is the denied-donor set
@@ -109,14 +112,13 @@ class ParallelCopierScheduler:
             remaining,
             exclude=set(pending) | self._denied,
             max_donors=slots,
+            batch_size=recovery.batch_size,
         )
         if not shards:
             return
         ctx.charge(site.costs.recovery_plan_cost)
         batch_txn = _batch_txn_id()
-        batch_size = recovery.batch_size
-        for donor, items in sorted(shards.items()):
-            batch = items[:batch_size]
+        for donor, batch in sorted(shards.items()):
             pending[donor] = batch
             ctx.charge(site.costs.copy_request_cost)
             ctx.send(

@@ -227,9 +227,10 @@ class DatabaseSite(Endpoint):
             faillocks = self.faillocks
             site_id = self.site_id
             refreshed = 0
-            for item in written_items:
-                if faillocks.is_locked(item, site_id):
-                    refreshed += 1
+            if faillocks.count_for(site_id):  # O(1); zero in steady state
+                for item in written_items:
+                    if faillocks.is_locked(item, site_id):
+                        refreshed += 1
             ctx.cost += self.costs.faillock_maintenance_cost(
                 len(written_items), self.nsv.num_sites
             )
@@ -739,7 +740,7 @@ class DatabaseSite(Endpoint):
         ctx.charge(self.costs.create_copy_cost)
         self.db.create_item(item, msg.payload["value"], msg.payload["version"], ctx.now)
         self.catalog.add_copy(item, self.site_id)
-        if item not in self.faillocks.item_ids:
+        if not self.faillocks.tracks(item):
             self.faillocks.add_item(item)
         ctx.send(msg.src, MessageType.CREATE_COPY_ACK, {"item": item})
 

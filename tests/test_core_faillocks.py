@@ -150,3 +150,101 @@ def test_update_with_recipients_multiple_items(table):
 def test_update_with_recipients_validates_item(table):
     with pytest.raises(FailLockError):
         table.update_with_recipients({99: [0]})
+
+
+# -- the per-site stale index ----------------------------------------------------
+
+
+def _assert_index_matches_scan(table):
+    """count_for / locked_items_for / total_locks vs a scan of snapshot()."""
+    masks = table.snapshot()
+    for index, site in enumerate(table.site_ids):
+        scanned = sorted(item for item, mask in masks.items() if mask >> index & 1)
+        assert table.locked_items_for(site) == scanned
+        assert table.count_for(site) == len(scanned)
+    assert table.total_locks() == sum(mask.bit_count() for mask in masks.values())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_index_matches_brute_force_scan_under_every_mutator(seed):
+    import random
+
+    from repro.chaos.runner import NeuteredFailLockTable
+    from repro.core.sessions import NominalSessionVector
+
+    rng = random.Random(seed)
+    sites = [0, 1, 2, 5, 7]  # gaps: a bit index is not a site id
+    items = list(range(24))
+    table = FailLockTable(sites, items)
+    peer = FailLockTable(sites, items)
+    nsv = NominalSessionVector(owner=0, site_ids=sites)
+    transitions = (nsv.mark_down, nsv.mark_up, nsv.mark_terminating)
+
+    def some_items():
+        return rng.sample(items, rng.randint(1, 6))
+
+    def step(target):
+        op = rng.randrange(8)
+        if op == 0:
+            target.set_lock(rng.choice(items), rng.choice(sites))
+        elif op == 1:
+            target.clear_lock(rng.choice(items), rng.choice(sites))
+        elif op == 2:
+            rng.choice(transitions)(rng.choice(sites[1:]))
+            target.update_on_commit(some_items(), nsv)
+        elif op == 3:
+            target.update_with_recipients(
+                {i: rng.sample(sites, rng.randint(0, len(sites))) for i in some_items()}
+            )
+        elif op == 4 and target is table:
+            table.install(peer.snapshot())
+        elif op == 5 and target is table:
+            table.merge(peer.snapshot())
+        elif op == 6:
+            new_item = len(items)
+            items.append(new_item)
+            table.add_item(new_item)
+            peer.add_item(new_item)
+        elif op == 7 and target is table:
+            # chaos mutation mode swaps the class of a live table, both ways
+            table.__class__ = (
+                FailLockTable if type(table) is NeuteredFailLockTable
+                else NeuteredFailLockTable
+            )
+
+    for _ in range(400):
+        step(rng.choice((table, table, peer)))
+        _assert_index_matches_scan(table)
+        _assert_index_matches_scan(peer)
+
+
+def test_index_is_not_part_of_identity(table):
+    other = FailLockTable(site_ids=[0, 1, 2, 3], item_ids=range(5))
+    # Same masks reached by different histories: equal, same signature.
+    table.set_lock(2, 1)
+    other.update_with_recipients({2: [0, 2, 3]})
+    other.set_lock(4, 0)
+    other.clear_lock(4, 0)
+    assert other == table
+    assert other.signature() == table.signature() == ((2, 0b0010),)
+    assert table.snapshot() == {0: 0, 1: 0, 2: 0b0010, 3: 0, 4: 0}
+
+
+def test_install_and_merge_reject_bits_of_unknown_sites(table):
+    with pytest.raises(FailLockError):
+        table.install({0: 1 << 4})
+    with pytest.raises(FailLockError):
+        table.merge({0: 1 << 4})
+    assert table.total_locks() == 0
+
+
+def test_item_count_and_tracks(table):
+    assert table.item_count == 5
+    assert table.tracks(4) and not table.tracks(5)
+    table.add_item(5)
+    assert table.item_count == 6 and table.tracks(5)
+
+
+def test_up_to_date_sites_among_mask(table):
+    table.set_lock(2, 1)
+    assert table.up_to_date_sites(2, among=0b1010) == [3]

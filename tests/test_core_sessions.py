@@ -98,3 +98,81 @@ def test_snapshot_is_deep(nsv):
 def test_unknown_site_raises(nsv):
     with pytest.raises(SessionError):
         nsv.record(42)
+
+
+# -- operational mask (cached; ROWAA planning intersects it with fail-locks) ----
+
+
+def _scanned_mask(nsv):
+    return sum(
+        1 << index
+        for index, site in enumerate(nsv.site_ids)
+        if nsv.state_of(site) is SiteState.UP
+    )
+
+
+def test_operational_mask_layout_matches_sorted_sites():
+    nsv = NominalSessionVector(owner=5, site_ids=[9, 5, 2])
+    assert nsv.operational_mask() == 0b111
+    nsv.mark_down(5)  # the middle site in sorted order is bit 1
+    assert nsv.operational_mask() == 0b101
+
+
+@pytest.mark.parametrize(
+    "transition",
+    [
+        lambda v: v.mark_down(1),
+        lambda v: v.mark_recovering(2, 2),
+        lambda v: v.mark_terminating(3),
+        lambda v: v.begin_new_session(),
+        lambda v: (v.mark_down(1), v.operational_mask(), v.mark_up(1, 2)),
+        lambda v: v.install(
+            [
+                SessionRecord(site_id=1, session=4, state=SiteState.DOWN),
+                SessionRecord(site_id=2, session=2, state=SiteState.RECOVERING),
+            ]
+        ),
+    ],
+    ids=["mark_down", "mark_recovering", "mark_terminating", "begin_new_session",
+         "mark_up", "install"],
+)
+def test_operational_mask_cache_dropped_by_every_transition(nsv, transition):
+    before = nsv.operational_mask()  # fills the cache
+    assert before == _scanned_mask(nsv) == 0b1111
+    transition(nsv)
+    assert nsv.operational_mask() == _scanned_mask(nsv)
+    assert nsv.operational_sites() == [
+        s for i, s in enumerate(nsv.site_ids) if nsv.operational_mask() >> i & 1
+    ]
+
+
+def test_operational_mask_survives_failed_install(nsv):
+    nsv.operational_mask()
+    bad = [SessionRecord(site_id=1, state=SiteState.DOWN), SessionRecord(site_id=42)]
+    with pytest.raises(SessionError):
+        nsv.install(bad)
+    # Site 1 was adopted before the unknown site raised: no stale cache.
+    assert nsv.operational_mask() == _scanned_mask(nsv)
+
+
+def test_only_sessions_module_assigns_record_state():
+    # The cache is safe because every state change goes through the
+    # vector's transitions; keep it that way.
+    import re
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    assign = re.compile(r"\.state\s*=[^=]")
+    offenders = [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        if path.name != "sessions.py"
+        and any(
+            assign.search(line) and "self.state" not in line
+            for line in path.read_text(encoding="utf-8").splitlines()
+        )
+    ]
+    assert offenders == [], (
+        "`<obj>.state = ...` outside core/sessions.py; if it is a SessionRecord, "
+        f"use a NominalSessionVector transition instead: {offenders}"
+    )

@@ -88,6 +88,90 @@ def test_plan_partitions_is_deterministic():
     assert first == second
 
 
+def _random_planner(rng, sites, items):
+    """A planner over a random catalog, fail-lock table and session view."""
+    from repro.core.faillocks import FailLockTable
+    from repro.core.rowaa import RowaaPlanner
+    from repro.core.sessions import NominalSessionVector
+    from repro.storage.catalog import ReplicationCatalog
+
+    catalog = ReplicationCatalog(items, sites)
+    for item in items:
+        # Partial replication: some donors hold few (or no) eligible items.
+        for site in rng.sample(sites, rng.randint(1, len(sites))):
+            catalog.add_copy(item, site)
+    locks = FailLockTable(sites, items)
+    for item in items:
+        for site in sites[1:]:
+            if rng.random() < 0.25:
+                locks.set_lock(item, site)
+    nsv = NominalSessionVector(owner=sites[0], site_ids=sites)
+    for site in sites[1:]:
+        if rng.random() < 0.2:
+            nsv.mark_down(site)
+    return RowaaPlanner(sites[0], nsv, locks, catalog)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bounded_plan_is_the_unbounded_plan_cut_per_donor(seed):
+    import random
+
+    rng = random.Random(seed)
+    sites = list(range(rng.randint(2, 7)))
+    items = list(range(rng.randint(1, 60)))
+    planner = _random_planner(rng, sites, items)
+    stale = rng.sample(items, rng.randint(1, len(items)))  # any order
+    for _ in range(12):
+        exclude = rng.sample(sites, rng.randint(0, len(sites) - 1))
+        max_donors = rng.randint(0, len(sites))
+        batch_size = rng.randint(1, 8)
+        full = plan_partitions(planner, stale, exclude=exclude, max_donors=max_donors)
+        bounded = plan_partitions(
+            planner, stale, exclude=exclude, max_donors=max_donors,
+            batch_size=batch_size,
+        )
+        assert bounded == {d: shard[:batch_size] for d, shard in full.items()}
+
+
+def test_bounded_plan_stops_reading_once_every_donor_is_full():
+    planner = _fresh_planner()
+    asked = []
+    sources = planner.up_to_date_sources
+    planner.up_to_date_sources = lambda item: asked.append(item) or sources(item)
+    shards = plan_partitions(planner, range(12), batch_size=2)
+    assert shards == {1: [0, 3], 2: [1, 4], 3: [2, 5]}
+    assert asked == [0, 1, 2, 3, 4, 5]  # 3 donors x 2, not the 12 stale items
+    # A fan-out cap shrinks the set of donors that have to fill up.
+    asked.clear()
+    assert plan_partitions(planner, range(12), max_donors=1, batch_size=2) == {1: [0, 1]}
+    assert asked == [0, 1]
+
+
+def test_bounded_plan_reads_on_while_some_donor_cannot_fill():
+    planner = _fresh_planner()
+    # Donor 3 is current for item 11 only: it can never hold a full
+    # batch, so the planner has to read the whole list to find that out.
+    for item in range(11):
+        planner.faillocks.set_lock(item, 3)
+    bounded = plan_partitions(planner, range(12), batch_size=2)
+    assert bounded == {1: [0, 2], 2: [1, 3], 3: [11]}
+
+
+def test_planner_rejects_mismatched_site_sets():
+    from repro.core.faillocks import FailLockTable
+    from repro.core.rowaa import RowaaPlanner
+    from repro.core.sessions import NominalSessionVector
+    from repro.storage.catalog import ReplicationCatalog
+
+    with pytest.raises(ValueError):
+        RowaaPlanner(
+            0,
+            NominalSessionVector(owner=0, site_ids=[0, 1, 2]),
+            FailLockTable([0, 1], [0]),
+            ReplicationCatalog.fully_replicated([0], [0, 1, 2]),
+        )
+
+
 # -- donor spreading (satellite: choose_copier_source) -------------------------
 
 
@@ -294,6 +378,15 @@ def test_recovery_cell_measures_full_stale_set():
     assert cell.initial_stale == 16
     assert cell.recovery_ms > 0
     assert cell.refreshed_by_copier + cell.refreshed_by_write >= 16
+
+
+def test_on_demand_cell_closes_at_256_stale_items():
+    # on_demand refreshes only what transactions touch, so its tail needs
+    # far more than the 200 transactions every cell used to be capped at.
+    cell = run_recovery_cell("on_demand", 1, 256)
+    assert cell.initial_stale == 256
+    assert cell.copier_requests == 0
+    assert cell.refreshed_by_write == 256
 
 
 def test_recovery_cell_rejects_bad_shapes():
