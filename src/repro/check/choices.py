@@ -44,7 +44,9 @@ class Decision:
     choice* together with the choice kind and candidate labels; the
     explorer uses it for visited-state pruning, so it must be stable
     across processes (labels exclude process-local ids like
-    ``Message.msg_id``).
+    ``Message.msg_id``).  A decision carries a fingerprint iff the caller
+    asked for that index; everywhere else it is ``""``, which the
+    explorer refuses to read.
     """
 
     kind: str                      # "order" | "fate" | "fault"
@@ -60,18 +62,22 @@ class Decision:
 class ChoiceController:
     """Threads one decision vector through one simulation run.
 
-    ``state_fn`` (optional) returns a stable digest of the cluster state;
-    when set, every recorded :class:`Decision` carries a fingerprint of
-    (state, kind, labels) — the identity of the choice point itself.
+    ``state_fn`` returns a stable digest of the cluster state.  It is
+    called only at the choice points whose encounter index is in
+    ``fingerprint_at``: those decisions carry a fingerprint of (state,
+    kind, labels) — the identity of the choice point itself — and no
+    other decision does.  The default asks for none.
     """
 
     def __init__(
         self,
         advice: Optional[Sequence[int]] = None,
         state_fn: Optional[Callable[[], str]] = None,
+        fingerprint_at: range = range(0),
     ) -> None:
         self.advice: list[int] = list(advice or [])
         self.state_fn = state_fn
+        self.fingerprint_at = fingerprint_at
         self.trace: list[Decision] = []
 
     def choose(
@@ -94,7 +100,7 @@ class ChoiceController:
             if 0 <= want < arity:
                 chosen = want
         fingerprint = ""
-        if self.state_fn is not None:
+        if self.state_fn is not None and index in self.fingerprint_at:
             raw = "|".join((self.state_fn(), kind, "\x1f".join(labels)))
             fingerprint = hashlib.blake2b(
                 raw.encode(), digest_size=12

@@ -5,10 +5,17 @@ stack of decision-vector prefixes.  Popping a prefix re-executes the
 whole run (cheap — these are small configurations by design), then
 expands every *new* branch point the run encountered past its prefix:
 
-* **Visited-state pruning** — each :class:`Decision` carries a
+* **Visited-state pruning** — a :class:`Decision` can carry a
   fingerprint of (cluster state, choice kind, candidate labels).  Two
   runs that arrive at the same fingerprint face the same subtree, so the
-  alternatives at it are expanded once, ever.
+  alternatives at it are expanded once, ever.  Fingerprints are taken
+  on demand: a decision carries one iff the caller asked for that index,
+  and the run steered by ``prefix`` is asked for exactly the indices
+  :func:`_read_window` names, ``[len(prefix), max_depth)`` — a branch
+  point inside the steering prefix was fingerprinted (and expanded) by
+  the ancestor run that opened it, and one at or past ``max_depth`` is
+  never opened.  The explorer is the only reader; every other caller of
+  ``run_schedule`` takes none.
 * **Sleep-set-style pruning** (heuristic, on by default) — at an order
   point, the alternative "fire the delivery to site X first" is skipped
   when every candidate ahead of it is a delivery to a *different* site:
@@ -37,6 +44,7 @@ from typing import Optional
 
 from repro.check.choices import Decision
 from repro.check.runner import CheckConfig, CheckRunResult, run_schedule
+from repro.errors import CheckError
 from repro.metrics.records import ViolationRecord
 
 __all__ = ["ExplorationStats", "ExplorationResult", "explore", "explore_parallel"]
@@ -92,6 +100,15 @@ def _sleep_prunable(decision: Decision, alt: int) -> bool:
     return True
 
 
+def _read_window(prefix: list[int], max_depth: int) -> range:
+    """Decision indices the search reads from the run steered by ``prefix``.
+
+    The one definition shared by the request (``run_schedule``'s
+    ``fingerprint_at``) and the reader (:func:`_expand_children`).
+    """
+    return range(len(prefix), max_depth)
+
+
 def _expand_children(
     run: CheckRunResult,
     prefix: list[int],
@@ -101,13 +118,22 @@ def _expand_children(
     max_depth: int,
     sleep_sets: bool,
 ) -> list[tuple[int, int, list[int]]]:
-    """New branch alternatives below ``prefix``, as (priority, depth, vector)."""
+    """New branch alternatives below ``prefix``, as (priority, depth, vector).
+
+    Decisions before the window are fixed by the prefix and were expanded
+    by an ancestor.  A decision inside it without a fingerprint means the
+    run was not asked for this window; pruning on ``""`` would silently
+    collapse every later branch point onto the first, so it raises.
+    """
     children: list[tuple[int, int, list[int]]] = []
-    for index, decision in enumerate(run.decisions):
-        if index < len(prefix):
-            continue  # fixed by the prefix; expanded by an ancestor
-        if index >= max_depth:
-            break
+    window = _read_window(prefix, max_depth)
+    for index in range(window.start, min(window.stop, len(run.decisions))):
+        decision = run.decisions[index]
+        if not decision.fingerprint:
+            raise CheckError(
+                f"decision {index} of the run steered by {prefix} carries no "
+                f"fingerprint; run_schedule was not asked for {window}"
+            )
         if decision.arity < 2:
             continue
         if decision.fingerprint in expanded:
@@ -147,7 +173,9 @@ def _search(
             stats.budget_exhausted = True
             break
         prefix = frontier.pop()
-        run = run_schedule(config, prefix)
+        run = run_schedule(
+            config, prefix, fingerprint_at=_read_window(prefix, max_depth)
+        )
         stats.runs += 1
 
         if run.violations:
@@ -276,7 +304,7 @@ def explore_parallel(
 
     stats = ExplorationStats()
     result = ExplorationResult(config=config, stats=stats)
-    root = run_schedule(config, [])
+    root = run_schedule(config, [], fingerprint_at=_read_window([], max_depth))
     stats.runs = 1
     if root.violations:
         stats.violations_found = 1

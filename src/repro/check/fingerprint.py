@@ -126,7 +126,8 @@ def pending_signature(cluster: "Cluster") -> tuple:
         if entry[2] is None and entry[3].cancelled:
             continue
         sigs.append(_entry_signature(entry, now))
-    sigs.sort(key=repr)
+    if len(sigs) > 1:  # the common 0 or 1 entries need no repr to order
+        sigs.sort(key=repr)
     return tuple(sigs)
 
 

@@ -116,6 +116,8 @@ def run_schedule(
     config: CheckConfig,
     advice: Sequence[int] = (),
     trace: Optional["TraceSink"] = None,
+    *,
+    fingerprint_at: range = range(0),
 ) -> CheckRunResult:
     """Execute one run of ``config`` steered by ``advice``.
 
@@ -124,6 +126,13 @@ def run_schedule(
     integer vector is a well-defined run (the property delta-debugging
     relies on).  Pass an enabled :class:`~repro.obs.sink.TraceSink` to
     capture the run for export; tracing is pure observation.
+
+    ``fingerprint_at`` is the half-open window of choice-point indices
+    whose :class:`Decision` gets a state fingerprint; a decision carries
+    one iff its index is in it.  Fingerprinting never steers the run, so
+    the window changes nothing else in the result.  Only the explorer
+    reads fingerprints and only it passes a window; shrink, replay,
+    export and the self-test take none.
     """
     sys_config = SystemConfig(
         db_size=config.db_size,
@@ -139,7 +148,9 @@ def run_schedule(
         neuter_faillocks(cluster)
 
     controller = ChoiceController(
-        advice, state_fn=lambda: cluster_fingerprint(cluster)
+        advice,
+        state_fn=lambda: cluster_fingerprint(cluster),
+        fingerprint_at=fingerprint_at,
     )
     if config.explore_order:
         cluster.scheduler.tie_breaker = OrderChoiceHook(

@@ -415,8 +415,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     problems = validate_simcore_doc(simcore) + validate_sweep_doc(sweep)
     if args.check:
-        from repro.perf.bench import check_parallel_floor
-
         try:
             with open("BENCH_simcore.json", encoding="utf-8") as fh:
                 committed = json.load(fh)
@@ -440,7 +438,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"committed BENCH_sweep.json: {p}"
                 for p in validate_sweep_doc(committed_sweep)
             ]
-            problems += check_parallel_floor(committed_sweep, sweep)
     if args.write:
         write_bench_files(simcore, sweep)
         print("wrote BENCH_simcore.json, BENCH_sweep.json")

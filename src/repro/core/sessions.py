@@ -44,7 +44,7 @@ class SessionRecord:
 class NominalSessionVector:
     """One site's array of :class:`SessionRecord`, one per system site."""
 
-    __slots__ = ("owner", "_records", "_site_ids", "_up_mask")
+    __slots__ = ("owner", "_records", "_site_ids", "_up_mask", "_signature")
 
     def __init__(self, owner: int, site_ids: list[int]) -> None:
         if owner not in site_ids:
@@ -56,9 +56,12 @@ class NominalSessionVector:
         # The site set is fixed for the life of the vector; keep the sorted
         # ids (and the records in that order) precomputed.
         self._site_ids: list[int] = list(self._records)
-        # Cached operational_mask(); -1 = stale.  _transition() and install()
-        # reset it — nothing else may assign SessionRecord.state.
+        # Cached operational_mask() (-1 = stale) and signature() (None =
+        # stale).  _transition() and install() reset both — nothing else
+        # may assign SessionRecord.state, and every SessionRecord.session
+        # assignment is followed by a _transition().
         self._up_mask = -1
+        self._signature: tuple | None = None
 
     # -- basic access --------------------------------------------------------
 
@@ -144,9 +147,10 @@ class NominalSessionVector:
     # -- transitions -----------------------------------------------------------
 
     def _transition(self, record: SessionRecord, state: SiteState) -> None:
-        """The one place a record's state changes; drops the cached mask."""
+        """The one place a record's state changes; drops the two caches."""
         record.state = state
         self._up_mask = -1
+        self._signature = None
 
     def mark_down(self, site_id: int) -> None:
         """Record that ``site_id`` has failed (type-2 control transaction)."""
@@ -191,6 +195,7 @@ class NominalSessionVector:
         entry — the recovering site knows its own state best."""
         own = self.record(self.owner)
         self._up_mask = -1
+        self._signature = None
         for incoming in records:
             if incoming.site_id == self.owner:
                 continue
@@ -205,10 +210,13 @@ class NominalSessionVector:
 
     def signature(self) -> tuple:
         """Hashable snapshot of the whole vector (``repro.check``)."""
-        return tuple(
-            (r.site_id, r.session, r.state.value)
-            for r in (self._records[s] for s in self._site_ids)
-        )
+        signature = self._signature
+        if signature is None:
+            signature = self._signature = tuple(
+                (r.site_id, r.session, r.state.value)
+                for r in (self._records[s] for s in self._site_ids)
+            )
+        return signature
 
     def __repr__(self) -> str:
         parts = ", ".join(

@@ -46,11 +46,16 @@ def test_empty_vector_is_the_unperturbed_run():
 
 def test_same_vector_same_run():
     # Bit-level determinism within one process: decisions (including the
-    # state fingerprints at each choice point) and outcomes are equal.
+    # state fingerprints at each choice point the caller asked for) and
+    # outcomes are equal.  Models the explorer popping prefix [1, 0, 1]
+    # at max_depth 40: it reads the fingerprints at indices [3, 40).
     config = CheckConfig()
-    first = run_schedule(config, [1, 0, 1])
-    second = run_schedule(config, [1, 0, 1])
+    first = run_schedule(config, [1, 0, 1], fingerprint_at=range(3, 40))
+    second = run_schedule(config, [1, 0, 1], fingerprint_at=range(3, 40))
     assert first.decisions == second.decisions
+    assert [bool(d.fingerprint) for d in first.decisions[:4]] == [
+        False, False, False, True,
+    ]
     assert first.events_fired == second.events_fired
     assert first.commits == second.commits
     assert first.sim_time_ms == second.sim_time_ms
@@ -78,7 +83,10 @@ def test_steering_changes_the_schedule():
 
 
 def test_choice_points_record_kind_arity_and_labels():
-    result = run_schedule(CheckConfig(), [])
+    # Models the explorer's root run: empty prefix, so the fingerprint
+    # window opens at choice point 0 and every decision carries one.
+    result = run_schedule(CheckConfig(), [], fingerprint_at=range(0, 40))
+    assert len(result.decisions) <= 40
     kinds = {d.kind for d in result.decisions}
     assert kinds <= {"order", "fate", "fault"}
     assert "fault" in kinds  # explore_faults default on

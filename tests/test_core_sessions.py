@@ -111,6 +111,10 @@ def _scanned_mask(nsv):
     )
 
 
+def _scanned_signature(nsv):
+    return tuple((r.site_id, r.session, r.state.value) for r in nsv.snapshot())
+
+
 def test_operational_mask_layout_matches_sorted_sites():
     nsv = NominalSessionVector(owner=5, site_ids=[9, 5, 2])
     assert nsv.operational_mask() == 0b111
@@ -139,8 +143,11 @@ def test_operational_mask_layout_matches_sorted_sites():
 def test_operational_mask_cache_dropped_by_every_transition(nsv, transition):
     before = nsv.operational_mask()  # fills the cache
     assert before == _scanned_mask(nsv) == 0b1111
+    signature = nsv.signature()  # fills the other one (repro.check reads it)
+    assert nsv.signature() is signature == _scanned_signature(nsv)
     transition(nsv)
     assert nsv.operational_mask() == _scanned_mask(nsv)
+    assert nsv.signature() == _scanned_signature(nsv) != signature
     assert nsv.operational_sites() == [
         s for i, s in enumerate(nsv.site_ids) if nsv.operational_mask() >> i & 1
     ]
@@ -155,24 +162,36 @@ def test_operational_mask_survives_failed_install(nsv):
     assert nsv.operational_mask() == _scanned_mask(nsv)
 
 
+def test_signature_cache_survives_failed_transitions(nsv):
+    # mark_up / mark_recovering reject a stale session before assigning
+    # anything, so the cached signature they leave behind is still true.
+    nsv.mark_recovering(2, 3)
+    signature = nsv.signature()
+    for stale in (lambda: nsv.mark_up(2, 1), lambda: nsv.mark_recovering(2, 2)):
+        with pytest.raises(SessionError):
+            stale()
+        assert nsv.signature() == _scanned_signature(nsv) == signature
+
+
 def test_only_sessions_module_assigns_record_state():
-    # The cache is safe because every state change goes through the
-    # vector's transitions; keep it that way.
+    # The caches are safe because every state change goes through the
+    # vector's transitions (and every session change is followed by
+    # one); keep it that way.
     import re
     from pathlib import Path
 
     src = Path(__file__).resolve().parent.parent / "src" / "repro"
-    assign = re.compile(r"\.state\s*=[^=]")
+    assign = re.compile(r"\.(state|session)\s*[-+]?=[^=]")
     offenders = [
         str(path.relative_to(src))
         for path in sorted(src.rglob("*.py"))
         if path.name != "sessions.py"
         and any(
-            assign.search(line) and "self.state" not in line
+            assign.search(line) and not re.search(r"self\.(state|session)\b", line)
             for line in path.read_text(encoding="utf-8").splitlines()
         )
     ]
     assert offenders == [], (
-        "`<obj>.state = ...` outside core/sessions.py; if it is a SessionRecord, "
+        "`<obj>.state/.session = ...` outside core/sessions.py; if it is a SessionRecord, "
         f"use a NominalSessionVector transition instead: {offenders}"
     )

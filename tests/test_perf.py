@@ -22,7 +22,6 @@ from repro.soak.engine import SoakConfig, run_soak
 from repro.soak.report import build_report
 from repro.perf.bench import (
     BENCH_SCHEMA,
-    check_parallel_floor,
     check_regression,
     run_simcore_bench,
     run_sweep_bench,
@@ -220,28 +219,6 @@ def test_validate_sweep_rejects_divergence():
     assert any("diverged" in p for p in validate_sweep_doc(doc))
 
 
-def _sweep_doc(speedup, jobs=2, cpus=2):
-    return {"jobs": jobs, "cpus": cpus, "speedup": speedup}
-
-
-def test_parallel_floor_gated_on_hardware():
-    committed = _sweep_doc(1.5)
-    # One core, or a serial run: a >1x speedup is physically impossible,
-    # so the gate must report nothing rather than fail unconditionally.
-    assert check_parallel_floor(committed, _sweep_doc(0.9, cpus=1)) == []
-    assert check_parallel_floor(committed, _sweep_doc(0.9, jobs=1)) == []
-
-
-def test_parallel_floor_names_numbers():
-    committed = _sweep_doc(1.61)
-    problems = check_parallel_floor(committed, _sweep_doc(0.95))
-    assert len(problems) == 1
-    assert "0.95x" in problems[0]   # fresh speedup
-    assert "1.2x" in problems[0]    # the floor
-    assert "1.61x" in problems[0]   # committed speedup, for contrast
-    assert check_parallel_floor(committed, _sweep_doc(1.4)) == []
-
-
 # -- experiment replication fan-out ------------------------------------------
 
 
@@ -264,18 +241,20 @@ def test_cli_bench_write_then_check(tmp_path, monkeypatch, capsys):
     sweep = json.loads((tmp_path / "BENCH_sweep.json").read_text())
     assert validate_sweep_doc(sweep) == []
     # ``--check`` against those artifacts, with the measurement replaced by
-    # canned documents: re-measuring a ~100 ms sweep here would be a
-    # wall-clock assertion (the 1.2x parallel floor trips wherever a pool
-    # cannot amortise it).  The CI ``bench`` job owns the live measurement.
+    # canned documents: re-measuring here would be a wall-clock assertion
+    # (the events/sec tolerance).  The CI ``bench`` job owns the live
+    # measurement.  A sub-1x parallel speedup is not a failure — a ~100 ms
+    # sweep is nothing a pool can amortise — but a parallel run that
+    # diverges from the serial one is.
     from repro.perf import bench
 
-    fresh_sweep = dict(sweep, jobs=2, cpus=2, speedup=1.5)
+    fresh_sweep = dict(sweep, jobs=2, cpus=2, speedup=0.9)
     monkeypatch.setattr(bench, "run_simcore_bench", lambda **_: doc)
     monkeypatch.setattr(bench, "run_sweep_bench", lambda **_: fresh_sweep)
     assert main(["bench", "--quick", "--check"]) == 0
-    fresh_sweep["speedup"] = 0.9
+    fresh_sweep["identical"] = False
     assert main(["bench", "--quick", "--check"]) == 1
-    assert "below the 1.2x floor" in capsys.readouterr().err
+    assert "diverged" in capsys.readouterr().err
 
 
 def test_cli_bench_check_missing_artifact(tmp_path, monkeypatch, capsys):
