@@ -74,7 +74,7 @@ class SiteLockService:
         site = self.site
         while parked.remaining:
             item, mode = parked.remaining[0]
-            ctx.charge(site.costs.lock_request_cost)
+            ctx.cost += site.costs.lock_request_cost
             grant = self.manager.request(parked.txn_id, item, mode)
             if grant.granted:
                 parked.remaining.pop(0)
@@ -107,7 +107,7 @@ class SiteLockService:
 
     def release(self, ctx: HandlerContext, txn_id: int) -> None:
         """Strict release at commit/abort; resumes newly granted waiters."""
-        ctx.charge(self.site.costs.lock_release_cost)
+        ctx.cost += self.site.costs.lock_release_cost
         granted = self.manager.release_all(txn_id)
         self._parked.pop(txn_id, None)
         resumed: set[int] = set()
@@ -123,7 +123,7 @@ class SiteLockService:
         if not parked.remaining:
             return
         head_item, mode = parked.remaining[0]
-        held = self.manager.holders_of(head_item).get(waiter)
+        held = self.manager.held_mode(waiter, head_item)
         granted = held is LockMode.EXCLUSIVE or (
             mode is LockMode.SHARED and held is LockMode.SHARED
         )

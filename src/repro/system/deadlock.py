@@ -15,8 +15,62 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.errors import LockError
 from repro.net.endpoint import HandlerContext
-from repro.txn.deadlock import WaitsForGraph, find_cycle_in
+
+
+def find_cycle(edges: dict[int, tuple[int, ...]]) -> list[int]:
+    """A deadlock cycle in a waits-for mapping, or ``[]`` if none.
+
+    ``edges`` maps each waiter to its blockers in *ascending* order (the
+    detector keeps them that way, see ``_reunion``).  Iterative DFS with
+    colouring; roots ascending, successors ascending, first back edge
+    wins — so which cycle is reported, and hence which victim dies, is
+    reproducible.  A node with no outgoing edges lies on no cycle and is
+    finished the moment it is seen.
+    """
+    GREY, BLACK = 1, 2
+    # Unvisited nodes are simply absent (the classic WHITE colour).
+    colour: dict[int, int] = {}
+    colour_get = colour.get
+    edges_get = edges.get
+    for start in sorted(edges):
+        if start in colour:
+            continue
+        colour[start] = GREY
+        # The grey path and, beside it, each path node's successor
+        # iterator (resuming one costs nothing).
+        path = [start]
+        pending = [iter(edges[start])]
+        while path:
+            for nxt in pending[-1]:
+                seen = colour_get(nxt)
+                if seen == GREY:
+                    # Back edge: the cycle is the path from ``nxt`` on.
+                    return path[path.index(nxt):]
+                if seen is None:
+                    out = edges_get(nxt)
+                    if out:
+                        colour[nxt] = GREY
+                        path.append(nxt)
+                        pending.append(iter(out))
+                        break
+                    colour[nxt] = BLACK
+            else:
+                colour[path.pop()] = BLACK
+                pending.pop()
+    return []
+
+
+def choose_victim(cycle: list[int]) -> int:
+    """Pick the youngest (highest-id) transaction in the cycle.
+
+    Transaction ids are issued in start order, so the highest id has
+    done the least work — the conventional cheap victim.
+    """
+    if not cycle:
+        raise LockError("cannot choose a victim from an empty cycle")
+    return max(cycle)
 
 
 class GlobalDeadlockDetector:
@@ -26,7 +80,8 @@ class GlobalDeadlockDetector:
         "_waits",
         "_union",
         "_abort_fns",
-        "_dirty",
+        "_suspects",
+        "_waited_on",
         "deadlocks_found",
         "victims",
     )
@@ -34,16 +89,23 @@ class GlobalDeadlockDetector:
     def __init__(self) -> None:
         # waiter -> site -> blockers at that site.
         self._waits: dict[int, dict[int, tuple[int, ...]]] = {}
-        # waiter -> union of its blockers across sites, maintained
-        # incrementally so detection never rebuilds the whole graph.
-        self._union: dict[int, set[int]] = {}
+        # waiter -> union of its blockers across sites, ascending; rebuilt
+        # (and sorted) only when that waiter's waits change, so detection
+        # never rebuilds the graph and the search never sorts.
+        self._union: dict[int, tuple[int, ...]] = {}
         # txn -> callable(ctx) that aborts the transaction at its
         # coordinator; registered when the coordinator starts the txn.
         self._abort_fns: dict[int, Callable[[HandlerContext], None]] = {}
-        # True when the last detection aborted a victim: a second,
-        # disjoint cycle may have survived (the detector reports at most
-        # one cycle per block), so the next detection must scan globally.
-        self._dirty = False
+        # Waiters that blocked since the graph was last known acyclic.
+        # Invariant: every cycle passes through a member (edges are only
+        # ever added by ``block(waiter)``, and only out of ``waiter``), so
+        # empty means acyclic and "is there a cycle?" is "does a member
+        # reach itself?" — never a scan of the whole graph.
+        self._suspects: set[int] = set()
+        # txn -> how many waiters' unions contain it (absent = none).  A
+        # txn nobody waits on lies on no cycle, so it needs no search —
+        # the usual case: a txn blocking on its first lock holds nothing.
+        self._waited_on: dict[int, int] = {}
         self.deadlocks_found = 0
         self.victims: list[int] = []
 
@@ -55,17 +117,37 @@ class GlobalDeadlockDetector:
 
     def forget(self, txn_id: int) -> None:
         """A transaction finished (commit or abort): drop all its state."""
-        self._waits.pop(txn_id, None)
-        self._union.pop(txn_id, None)
+        if self._waits.pop(txn_id, None) is not None:
+            self._reunion(txn_id, {})
         self._abort_fns.pop(txn_id, None)
 
     # -- wait bookkeeping ----------------------------------------------------------
 
     def _reunion(self, waiter: int, sites: dict[int, tuple[int, ...]]) -> None:
+        """Re-derive ``waiter``'s union and move the in-degree counts from
+        the old one to the new.  With no ``sites`` left the waiter leaves
+        the graph, and the suspects with it: it lies on no cycle."""
         union: set[int] = set()
         for blockers in sites.values():
             union.update(blockers)
-        self._union[waiter] = union
+        new = tuple(sorted(union))
+        old = self._union.get(waiter, ())
+        if new == old:
+            return
+        if new:
+            self._union[waiter] = new
+        else:
+            del self._union[waiter]
+            self._suspects.discard(waiter)
+        waited_on = self._waited_on
+        for blocker in old:
+            left = waited_on[blocker] - 1
+            if left:
+                waited_on[blocker] = left
+            else:
+                del waited_on[blocker]
+        for blocker in new:
+            waited_on[blocker] = waited_on.get(blocker, 0) + 1
 
     def block(
         self,
@@ -91,100 +173,52 @@ class GlobalDeadlockDetector:
         sites = self._waits.get(waiter)
         if sites is not None:
             sites.pop(site_id, None)
+            self._reunion(waiter, sites)
             if not sites:
                 del self._waits[waiter]
-                self._union.pop(waiter, None)
-            else:
-                self._reunion(waiter, sites)
 
     def edges(self) -> list[tuple[int, int]]:
         """The current global waits-for edges, sorted."""
-        out = set()
-        for waiter, sites in self._waits.items():
-            for blockers in sites.values():
-                for blocker in blockers:
-                    out.add((waiter, blocker))
-        return sorted(out)
+        return sorted(
+            (waiter, blocker)
+            for waiter, blockers in self._union.items()
+            for blocker in blockers
+        )
 
     # -- detection -----------------------------------------------------------------
 
     def _detect(self, ctx: HandlerContext, waiter: int) -> None:
-        # Cheap existence test first; only a genuine cycle pays for the
-        # deterministic full-graph DFS whose traversal order fixes which
-        # cycle is reported and which victim dies.  The DFS runs directly
-        # over the incrementally-maintained union adjacency — detection
-        # never materializes a graph object.
+        # Existence first, through the suspects alone (whether a cycle
+        # exists is traversal-order independent).  A suspect that does
+        # not reach itself lies on no cycle and can only join one through
+        # its own next block(), which re-adds it.  Only a genuine cycle
+        # pays for the deterministic search that fixes which cycle is
+        # reported and which victim dies.
         edges = self._union
-        was_dirty = self._dirty
-        if was_dirty:
-            # Existence first, order-sensitive traversal only on a hit:
-            # whether a cycle exists is traversal-order independent, so
-            # the boolean check can skip the sorted() calls that make
-            # ``find_cycle_in`` deterministic.  Only a genuine cycle pays
-            # for the deterministic DFS that fixes which cycle is
-            # reported and which victim dies.
-            if not self._has_cycle(edges):
-                self._dirty = False
-                return
-            cycle = find_cycle_in(edges)
+        suspects = self._suspects
+        waited_on = self._waited_on
+        suspects.add(waiter)
+        for suspect in tuple(suspects):
+            if suspect in waited_on and self._reaches(edges, suspect):
+                break
+            suspects.discard(suspect)
         else:
-            if not self._reaches(edges, waiter):
-                # The graph was acyclic before this block(), so any new
-                # cycle passes through ``waiter``; none does.
-                return
-            cycle = find_cycle_in(edges)
-            if not cycle:
-                return
+            return
         self.deadlocks_found += 1
-        victim = WaitsForGraph.choose_victim(cycle)
+        victim = choose_victim(find_cycle(edges))
         self.victims.append(victim)
         abort_fn = self._abort_fns.get(victim)
+        # Breaking one cycle may leave another, but only through a
+        # surviving suspect.  Forgetting the victim drops it from the
+        # set: when the waiter is itself the victim (the youngest txn in
+        # the cycle is often the latest blocker) nothing is left to
+        # re-check.
         self.forget(victim)
-        # Breaking one cycle may leave another; rescan globally next time.
-        # Exception: on the clean path every cycle ran through ``waiter``
-        # (the graph was acyclic before this block), so aborting the
-        # waiter itself severs all of them — no rescan needed.  Victims
-        # are the youngest txn in the cycle and the latest blocker is
-        # often exactly that, so this skips most global scans.
-        self._dirty = was_dirty or victim != waiter
         if abort_fn is not None:
             abort_fn(ctx)
 
     @staticmethod
-    def _has_cycle(edges: dict[int, set[int]]) -> bool:
-        """Whether any cycle exists (pure existence check — traversal
-        order never leaks into the result, so no sorting is needed)."""
-        GREY, BLACK = 1, 2
-        colour: dict[int, int] = {}
-        colour_get = colour.get
-        edges_get = edges.get
-        for start in edges:
-            if start in colour:
-                continue
-            colour[start] = GREY
-            stack = [(start, iter(edges[start]))]
-            while stack:
-                node, successors = stack[-1]
-                advanced = False
-                for nxt in successors:
-                    seen = colour_get(nxt)
-                    if seen == GREY:
-                        return True
-                    if seen is None:
-                        out = edges_get(nxt)
-                        if out:
-                            colour[nxt] = GREY
-                            stack.append((nxt, iter(out)))
-                            advanced = True
-                            break
-                        colour[nxt] = BLACK
-                if not advanced:
-                    colour[node] = BLACK
-                    stack.pop()
-        return False
-
-    @staticmethod
-    def _reaches(edges: dict[int, set[int]], waiter: int) -> bool:
+    def _reaches(edges: dict[int, tuple[int, ...]], waiter: int) -> bool:
         """Whether ``waiter`` can reach itself (pure existence check —
         traversal order never leaks into the result)."""
         stack = list(edges.get(waiter, ()))

@@ -77,6 +77,11 @@ class LockManager:
         entry = self._table.get(item_id)
         return dict(entry.holders) if entry is not None else {}
 
+    def held_mode(self, txn_id: int, item_id: int) -> LockMode | None:
+        """The mode ``txn_id`` holds on ``item_id``, or ``None``."""
+        entry = self._table.get(item_id)
+        return entry.holders.get(txn_id) if entry is not None else None
+
     def waiters_of(self, item_id: int) -> list[int]:
         """Queued transactions on ``item_id``, FIFO order."""
         entry = self._table.get(item_id)

@@ -8,7 +8,7 @@ from repro.core.sessions import NominalSessionVector, SiteState
 from repro.metrics.stats import mean, median, percentile, stddev
 from repro.replication import QuorumStrategy, RowaStrategy, RowaaStrategy
 from repro.sim.scheduler import EventScheduler
-from repro.txn.deadlock import WaitsForGraph
+from repro.system.deadlock import find_cycle
 from repro.txn.locks import LockManager, LockMode
 
 
@@ -109,13 +109,10 @@ def test_lock_manager_never_violates_compatibility(ops):
 @given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), max_size=30))
 def test_waits_for_graph_cycle_iff_model_cycle(edges):
     """find_cycle() agrees with a brute-force reachability check."""
-    graph = WaitsForGraph()
-    model: set[tuple[int, int]] = set()
-    for a, b in edges:
-        if a == b:
-            continue
-        graph.add_waits(a, [b])
-        model.add((a, b))
+    model = {(a, b) for a, b in edges if a != b}
+    graph = {
+        a: tuple(sorted(y for x, y in model if x == a)) for a, _b in model
+    }
 
     def reachable(start, goal):
         seen, stack = set(), [start]
@@ -130,7 +127,7 @@ def test_waits_for_graph_cycle_iff_model_cycle(edges):
         return False
 
     has_cycle = any(reachable(b, a) for a, b in model)
-    cycle = graph.find_cycle()
+    cycle = find_cycle(graph)
     assert bool(cycle) == has_cycle
     if cycle:
         # The returned cycle is a real cycle in the model.

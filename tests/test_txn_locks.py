@@ -27,6 +27,20 @@ def test_shared_locks_coexist(lm):
     assert set(lm.holders_of(0)) == {1, 2}
 
 
+def test_held_mode_reads_without_copy(lm):
+    lm.request(1, 0, S)
+    lm.request(2, 1, X)
+    lm.request(1, 1, S)  # queued behind 2, not held
+    assert lm.held_mode(1, 0) is S
+    assert lm.held_mode(2, 1) is X
+    assert lm.held_mode(1, 1) is None
+    assert lm.held_mode(1, 99) is None  # no entry for the item, none made
+    assert lm.signature() == ((0, ((1, "S"),), ()), (1, ((2, "X"),), ((1, "S"),)))
+    # holders_of still hands out a copy the caller may mutate.
+    lm.holders_of(0).clear()
+    assert lm.held_mode(1, 0) is S
+
+
 def test_exclusive_blocks_shared(lm):
     assert lm.request(1, 0, X).granted
     grant = lm.request(2, 0, S)
