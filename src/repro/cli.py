@@ -11,7 +11,6 @@ Commands map one-to-one onto the paper's artifacts:
 ``concurrent``   the "complete RAID" open-loop sweep (A8)
 ``chaos``        randomized fault injection + invariant audit seed sweep
 ``trace``        record/inspect structured run traces (repro.obs)
-``bench``        simulator benchmark harness (repro.perf)
 ``report``       regenerate EXPERIMENTS.md (everything above)
 ===============  =======================================================
 
@@ -331,120 +330,19 @@ def _cmd_trace_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from repro.experiments.report import generate_report
 
-    content = generate_report(seed=args.seed, jobs=args.jobs)
+    # The SVGs go beside the report, not wherever the command was run from.
+    content = generate_report(
+        seed=args.seed,
+        figures_dir=Path(args.output).parent / "figures",
+        jobs=args.jobs,
+    )
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(content)
     print(f"wrote {args.output}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.perf.bench import (
-        check_regression,
-        render_bench_table,
-        run_simcore_bench,
-        run_sweep_bench,
-        validate_simcore_doc,
-        validate_sweep_doc,
-        write_bench_files,
-    )
-    from repro.perf.soakbench import (
-        render_soak_bench,
-        run_soak_bench,
-        validate_soak_bench_doc,
-        write_soak_bench,
-    )
-
-    if args.soak:
-        # The soak flatness gate is its own (subprocess-heavy) measurement;
-        # run it alone rather than on every bench invocation.
-        doc = run_soak_bench(quick=args.quick, seed=args.seed)
-        print(render_soak_bench(doc))
-        problems = validate_soak_bench_doc(doc)
-        if args.write:
-            write_soak_bench(doc)
-            print("wrote BENCH_soak.json")
-        if problems:
-            for problem in problems:
-                print(f"BENCH: {problem}", file=sys.stderr)
-            return 1
-        return 0
-
-    if args.recovery:
-        from repro.recovery.bench import (
-            check_recovery_regression,
-            render_recovery_bench,
-            run_recovery_bench,
-            validate_recovery_bench_doc,
-            write_recovery_bench,
-        )
-
-        doc = run_recovery_bench(quick=args.quick, seed=args.seed)
-        print(render_recovery_bench(doc))
-        problems = validate_recovery_bench_doc(doc)
-        if args.check:
-            try:
-                with open("BENCH_recovery.json", encoding="utf-8") as fh:
-                    committed = json.load(fh)
-            except OSError as exc:
-                problems.append(f"BENCH_recovery.json: {exc}")
-            else:
-                problems += [
-                    f"committed BENCH_recovery.json: {p}"
-                    for p in validate_recovery_bench_doc(committed)
-                ]
-                problems += check_recovery_regression(
-                    committed, doc, tolerance=args.tolerance
-                )
-        if args.write:
-            write_recovery_bench(doc)
-            print("wrote BENCH_recovery.json")
-        if problems:
-            for problem in problems:
-                print(f"BENCH: {problem}", file=sys.stderr)
-            return 1
-        return 0
-
-    simcore = run_simcore_bench(quick=args.quick)
-    sweep = run_sweep_bench(quick=args.quick, jobs=args.jobs)
-    print(render_bench_table(simcore, sweep))
-
-    problems = validate_simcore_doc(simcore) + validate_sweep_doc(sweep)
-    if args.check:
-        try:
-            with open("BENCH_simcore.json", encoding="utf-8") as fh:
-                committed = json.load(fh)
-        except OSError as exc:
-            problems.append(f"BENCH_simcore.json: {exc}")
-        else:
-            problems += [
-                f"committed BENCH_simcore.json: {p}"
-                for p in validate_simcore_doc(committed)
-            ]
-            problems += check_regression(
-                committed, simcore, tolerance=args.tolerance
-            )
-        try:
-            with open("BENCH_sweep.json", encoding="utf-8") as fh:
-                committed_sweep = json.load(fh)
-        except OSError as exc:
-            problems.append(f"BENCH_sweep.json: {exc}")
-        else:
-            problems += [
-                f"committed BENCH_sweep.json: {p}"
-                for p in validate_sweep_doc(committed_sweep)
-            ]
-    if args.write:
-        write_bench_files(simcore, sweep)
-        print("wrote BENCH_simcore.json, BENCH_sweep.json")
-    if problems:
-        for problem in problems:
-            print(f"BENCH: {problem}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -1257,44 +1155,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak_validate.add_argument("--file", required=True,
                                help="report file from soak run --out")
     soak_validate.set_defaults(fn=_cmd_soak_validate)
-
-    bench = sub.add_parser(
-        "bench", help="simulator benchmark harness (repro.perf)"
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="smaller workloads (CI smoke); still best-of-3 timing",
-    )
-    bench.add_argument(
-        "--write", action="store_true",
-        help="write BENCH_simcore.json and BENCH_sweep.json",
-    )
-    bench.add_argument(
-        "--check", action="store_true",
-        help="fail (exit 1) on schema problems or a >tolerance events/sec "
-        "regression vs the committed BENCH_simcore.json",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.30,
-        help="allowed fractional events/sec drop for --check",
-    )
-    bench.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the sweep benchmark",
-    )
-    bench.add_argument(
-        "--soak", action="store_true",
-        help="run the soak memory-flatness gate instead (short vs 20x "
-        "soak in fresh subprocesses; exit 1 unless peaks stay flat)",
-    )
-    bench.add_argument(
-        "--recovery", action="store_true",
-        help="run the recovery benchmark instead: deterministic "
-        "two_step-vs-parallel recovery times (exact-match gate + the "
-        "1.5x speedup floor) and matrix events/sec vs "
-        "BENCH_recovery.json",
-    )
-    bench.set_defaults(fn=_cmd_bench)
 
     recovery = sub.add_parser(
         "recovery",

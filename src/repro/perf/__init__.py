@@ -1,7 +1,7 @@
-"""Performance tooling: parallel sweep execution and the benchmark harness.
+"""Performance tooling: the persistent worker pool and parallel sweeps.
 
-Two concerns live here, both downstream of the fast-path work documented
-in docs/PERFORMANCE.md:
+Both are downstream of the fast-path work documented in
+docs/PERFORMANCE.md:
 
 * :mod:`repro.perf.pool` — the persistent worker pool: one long-lived,
   fork-where-available process pool per interpreter, fed compact
@@ -12,26 +12,8 @@ in docs/PERFORMANCE.md:
   deterministic, input-ordered merge.  Parallel results are *identical*
   to serial ones, not just statistically equivalent: every unit of work
   is a pure function of its arguments.
-* :mod:`repro.perf.bench` — the continuous benchmark harness behind
-  ``repro bench``.  It times fixed simulation presets (events/sec,
-  wall-clock, peak RSS), writes schema-stable JSON artifacts
-  (``BENCH_simcore.json``, ``BENCH_sweep.json``), and gates regressions
-  in CI.
-* :mod:`repro.perf.soakbench` — the soak memory-flatness gate behind
-  ``repro bench --soak``: a short and a 20x-longer soak run in fresh
-  subprocesses must show near-identical memory peaks
-  (``BENCH_soak.json``), proving the streaming-metrics O(1) claim.
 """
 
-from repro.perf.bench import (
-    BENCH_SCHEMA,
-    check_regression,
-    render_bench_table,
-    run_simcore_bench,
-    run_sweep_bench,
-    validate_simcore_doc,
-    validate_sweep_doc,
-)
 from repro.perf.parallel import (
     parallel_map,
     run_parallel_seed_sweep,
@@ -43,28 +25,13 @@ from repro.perf.pool import (
     run_chunked,
     shutdown_pool,
 )
-from repro.perf.soakbench import (
-    render_soak_bench,
-    run_soak_bench,
-    validate_soak_bench_doc,
-)
 
 __all__ = [
-    "BENCH_SCHEMA",
     "WorkerPoolError",
-    "check_regression",
     "parallel_map",
     "pool_stats",
-    "render_bench_table",
-    "render_soak_bench",
     "run_chunked",
     "run_parallel_seed_sweep",
     "run_parallel_soak_sweep",
-    "run_simcore_bench",
-    "run_soak_bench",
-    "run_sweep_bench",
     "shutdown_pool",
-    "validate_simcore_doc",
-    "validate_soak_bench_doc",
-    "validate_sweep_doc",
 ]

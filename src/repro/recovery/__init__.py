@@ -17,9 +17,7 @@ This package provides:
 - :mod:`repro.recovery.experiment` — the recovery-time experiment family
   (time-to-last-faillock-clear vs. stale size vs. donor count vs. policy);
 - :mod:`repro.recovery.report` — the byte-deterministic ``repro.recovery/1``
-  report with ASCII/SVG charts;
-- :mod:`repro.recovery.bench` — the ``repro bench --recovery`` regression
-  gate behind ``BENCH_recovery.json``.
+  report with ASCII/SVG charts.
 
 See docs/RECOVERY.md.
 """

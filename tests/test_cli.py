@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -52,10 +54,21 @@ def test_fig1_runs_with_seed(capsys):
     assert "txns to recover" in out
 
 
-def test_report_writes_file(tmp_path, capsys):
-    out_file = tmp_path / "EXP.md"
+def test_report_writes_file(tmp_path, monkeypatch):
+    """The report and its three figures are pure functions of the seed:
+    a fresh run equals the committed EXPERIMENTS.md and figure SVGs byte
+    for byte, and the SVGs land beside ``--output`` — run from a scratch
+    working directory, the command must leave nothing there."""
+    repo = Path(__file__).resolve().parents[1]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    out_file = out_dir / "EXP.md"
     assert main(["report", "--output", str(out_file)]) == 0
-    content = out_file.read_text()
-    assert "paper vs. measured" in content
-    assert "Figure 1" in content
-    assert "Experiment 3" in content
+    assert out_file.read_bytes() == (repo / "EXPERIMENTS.md").read_bytes()
+    for name in ("figure1.svg", "figure2.svg", "figure3.svg"):
+        written = out_dir / "figures" / name
+        assert written.read_bytes() == (repo / "figures" / name).read_bytes()
+    assert list(cwd.iterdir()) == []

@@ -1,15 +1,14 @@
-"""repro.perf: the persistent pool, parallel determinism, and the bench.
+"""repro.perf: the persistent pool and parallel determinism.
 
 The load-bearing property is the first test: a parallel sweep is *equal*
 to a serial one — full dataclass equality over every per-seed result,
 not a statistical resemblance — and it holds through the *persistent*
 worker pool, across pool reuse, for every sweep kind (chaos, lossy-core,
-soak) and for parallel ``repro.check`` frontier expansion.  Everything
-else (bench schema, the CI regression gates, CLI wiring) rides on top.
+soak) and for parallel ``repro.check`` frontier expansion.  The CLI
+wiring (``--jobs``, ``--profile``) rides on top.
 """
 
 import dataclasses
-import json
 import os
 
 import pytest
@@ -20,14 +19,6 @@ from repro.check.runner import CheckConfig
 from repro.cli import main
 from repro.soak.engine import SoakConfig, run_soak
 from repro.soak.report import build_report
-from repro.perf.bench import (
-    BENCH_SCHEMA,
-    check_regression,
-    run_simcore_bench,
-    run_sweep_bench,
-    validate_simcore_doc,
-    validate_sweep_doc,
-)
 from repro.perf.parallel import (
     parallel_map,
     run_parallel_seed_sweep,
@@ -124,101 +115,6 @@ def test_explore_parallel_deterministic_merge():
     assert first.stats == second.stats
 
 
-# -- benchmark harness -------------------------------------------------------
-
-
-def test_simcore_bench_schema():
-    doc = run_simcore_bench(quick=True)
-    assert validate_simcore_doc(doc) == []
-    assert doc["quick"] is True
-    for entry in doc["presets"].values():
-        assert entry["speedup"] > 0
-
-
-def test_sweep_bench_schema_and_determinism():
-    doc = run_sweep_bench(quick=True, jobs=2)
-    assert validate_sweep_doc(doc) == []
-    assert doc["identical"] is True
-    assert doc["jobs"] == 2
-    # Warm vs cold: the headline wall is the warm-pool one; the cold wall
-    # (pool creation charged) rides along as an additive field.
-    assert doc["parallel_wall_s"] == doc["parallel_warm_wall_s"]
-    assert doc["parallel_cold_wall_s"] > 0
-    assert doc["cold_speedup"] > 0
-    assert doc["cpus"] >= 1
-    # Additive fields are validated when present...
-    bad = dict(doc)
-    bad["parallel_cold_wall_s"] = -1.0
-    assert any("parallel_cold_wall_s" in p for p in validate_sweep_doc(bad))
-    # ...but an older artifact without them still reads clean.
-    old = {k: v for k, v in doc.items() if "cold" not in k and "warm" not in k}
-    del old["cpus"]
-    assert validate_sweep_doc(old) == []
-
-
-def _simcore_doc(events_per_sec):
-    return {
-        "schema": BENCH_SCHEMA,
-        "kind": "simcore",
-        "quick": True,
-        "presets": {
-            name: {
-                "events": 1000,
-                "wall_s": 1000 / eps,
-                "events_per_sec": eps,
-                "peak_rss_kb": 50000,
-                "baseline_events_per_sec": eps / 2,
-                "speedup": 2.0,
-            }
-            for name, eps in events_per_sec.items()
-        },
-    }
-
-
-def test_check_regression_flags_only_big_drops():
-    committed = _simcore_doc(
-        {"concurrent": 100.0, "chaos": 100.0, "serial": 100.0}
-    )
-    fine = _simcore_doc({"concurrent": 80.0, "chaos": 71.0, "serial": 400.0})
-    assert check_regression(committed, fine, tolerance=0.30) == []
-    regressed = _simcore_doc(
-        {"concurrent": 60.0, "chaos": 100.0, "serial": 100.0}
-    )
-    problems = check_regression(committed, regressed, tolerance=0.30)
-    assert len(problems) == 1
-    # The failure must name the preset AND the metric, with both numbers.
-    assert problems[0].startswith("preset 'concurrent': metric events_per_sec")
-    assert "40%" in problems[0]
-    assert "fresh 60" in problems[0] and "committed 100" in problems[0]
-
-
-def test_check_regression_names_missing_preset():
-    committed = _simcore_doc(
-        {"concurrent": 100.0, "chaos": 100.0, "serial": 100.0}
-    )
-    partial = _simcore_doc({"concurrent": 100.0, "chaos": 100.0, "serial": 100.0})
-    del partial["presets"]["serial"]
-    problems = check_regression(committed, partial, tolerance=0.30)
-    assert problems == [
-        "preset 'serial': metric events_per_sec missing from fresh measurement"
-    ]
-
-
-def test_validate_simcore_rejects_garbage():
-    assert validate_simcore_doc([]) == ["expected a JSON object"]
-    doc = _simcore_doc({"concurrent": 100.0, "chaos": 100.0, "serial": 100.0})
-    doc["presets"]["chaos"]["events"] = 0
-    assert any("chaos.events" in p for p in validate_simcore_doc(doc))
-    del doc["presets"]["serial"]
-    assert any("serial: missing" in p for p in validate_simcore_doc(doc))
-
-
-def test_validate_sweep_rejects_divergence():
-    doc = run_sweep_bench(quick=True, jobs=2)
-    doc["identical"] = False
-    assert any("diverged" in p for p in validate_sweep_doc(doc))
-
-
 # -- experiment replication fan-out ------------------------------------------
 
 
@@ -231,36 +127,6 @@ def test_replicate_parallel_matches_serial():
 
 
 # -- CLI wiring --------------------------------------------------------------
-
-
-def test_cli_bench_write_then_check(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert main(["bench", "--quick", "--write"]) == 0
-    doc = json.loads((tmp_path / "BENCH_simcore.json").read_text())
-    assert validate_simcore_doc(doc) == []
-    sweep = json.loads((tmp_path / "BENCH_sweep.json").read_text())
-    assert validate_sweep_doc(sweep) == []
-    # ``--check`` against those artifacts, with the measurement replaced by
-    # canned documents: re-measuring here would be a wall-clock assertion
-    # (the events/sec tolerance).  The CI ``bench`` job owns the live
-    # measurement.  A sub-1x parallel speedup is not a failure — a ~100 ms
-    # sweep is nothing a pool can amortise — but a parallel run that
-    # diverges from the serial one is.
-    from repro.perf import bench
-
-    fresh_sweep = dict(sweep, jobs=2, cpus=2, speedup=0.9)
-    monkeypatch.setattr(bench, "run_simcore_bench", lambda **_: doc)
-    monkeypatch.setattr(bench, "run_sweep_bench", lambda **_: fresh_sweep)
-    assert main(["bench", "--quick", "--check"]) == 0
-    fresh_sweep["identical"] = False
-    assert main(["bench", "--quick", "--check"]) == 1
-    assert "diverged" in capsys.readouterr().err
-
-
-def test_cli_bench_check_missing_artifact(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert main(["bench", "--quick", "--check"]) == 1
-    assert "BENCH_simcore.json" in capsys.readouterr().err
 
 
 def test_cli_chaos_jobs(capsys):

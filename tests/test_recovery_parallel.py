@@ -1,6 +1,8 @@
 """repro.recovery: partition planner, parallel scheduler, recovery-window
 edges (flapping, partition mid-recovery, donor crash mid-fan-out), and
-the experiment/report/bench stack."""
+the experiment/report stack."""
+
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.recovery.report import (
     render_recovery_text,
     validate_recovery_report,
     write_recovery_report,
+    write_recovery_svg,
 )
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
@@ -24,6 +27,8 @@ from repro.system.scenario import FailSite, RecoverSite, Scenario, Weighted
 from repro.workload.uniform import UniformWorkload
 
 from conftest import make_scenario, run_cluster
+
+FIGURES = Path(__file__).resolve().parents[1] / "figures"
 
 
 def parallel_config(**kw):
@@ -370,7 +375,7 @@ def test_check_schedule_files_roundtrip_recovery_policy():
     assert CheckConfig.from_dict(legacy).recovery_policy == "on_demand"
 
 
-# -- experiment / report / bench ----------------------------------------------
+# -- experiment / report ------------------------------------------------------
 
 
 def test_recovery_cell_measures_full_stale_set():
@@ -425,62 +430,27 @@ def test_recovery_report_validation_catches_corruption():
     assert any("schema" in p for p in validate_recovery_report(doc2))
 
 
-def test_recovery_bench_gate_logic():
-    from repro.recovery.bench import (
-        check_recovery_regression,
-        validate_recovery_bench_doc,
+def test_committed_recovery_artifact_regenerates_byte_for_byte(tmp_path):
+    """All 24 cells of figures/recovery_time.json are exact simulated
+    milliseconds (the 4-donor x 64-stale gate cell, 1245.15 vs 558.15 ms,
+    among them): any drift in the cost model, the planner or the scheduler
+    moves a byte here."""
+    doc = build_recovery_report(
+        run_recovery_matrix(
+            donor_counts=(1, 2, 4, 6), stale_sizes=(16, 32, 64), seed=42
+        ),
+        seed=42,
     )
-
-    doc = {
-        "schema": "repro.bench.recovery/1",
-        "quick": True,
-        "seed": 42,
-        "gate": {
-            "donors": 4, "stale_items": 64,
-            "two_step_ms": 1000.0, "parallel_ms": 500.0,
-            "speedup": 2.0, "min_speedup": 1.5,
-        },
-        "throughput": {"events": 1000, "wall_s": 0.1,
-                       "events_per_sec": 10000.0},
-    }
-    assert validate_recovery_bench_doc(doc) == []
-    slow = {**doc, "gate": {**doc["gate"], "speedup": 1.2}}
-    assert any("floor" in p for p in validate_recovery_bench_doc(slow))
-    drifted = {**doc, "gate": {**doc["gate"], "parallel_ms": 501.0}}
-    assert any(
-        "drifted" in p for p in check_recovery_regression(doc, drifted)
-    )
-    regressed = {
-        **doc,
-        "throughput": {**doc["throughput"], "events_per_sec": 5000.0},
-    }
-    assert any(
-        "below committed" in p
-        for p in check_recovery_regression(doc, regressed)
-    )
-    assert check_recovery_regression(doc, doc) == []
-
-
-def test_committed_bench_recovery_artifact_is_valid():
-    import json
-    from pathlib import Path
-
-    from repro.recovery.bench import validate_recovery_bench_doc
-
-    artifact = Path(__file__).resolve().parents[1] / "BENCH_recovery.json"
-    doc = json.loads(artifact.read_text())
-    assert validate_recovery_bench_doc(doc) == []
-    assert doc["gate"]["speedup"] >= 1.5
+    report = write_recovery_report(doc, tmp_path / "recovery_time.json")
+    svg = write_recovery_svg(doc, tmp_path / "recovery_time.svg")
+    assert report.read_bytes() == (FIGURES / report.name).read_bytes()
+    assert svg.read_bytes() == (FIGURES / svg.name).read_bytes()
 
 
 def test_committed_recovery_report_meets_acceptance():
     import json
-    from pathlib import Path
 
-    artifact = (
-        Path(__file__).resolve().parents[1] / "figures" / "recovery_time.json"
-    )
-    doc = json.loads(artifact.read_text())
+    doc = json.loads((FIGURES / "recovery_time.json").read_text())
     assert validate_recovery_report(doc) == []
     assert doc["speedup"]["min_at_4plus_donors"] >= 1.5
 

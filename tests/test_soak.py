@@ -5,10 +5,15 @@ streaming sink, report build/validate, byte-determinism.  The crash/REDO
 unit tests pin the 2PC stable-log semantics the soak's consistency audit
 depends on: a coordinator that crashed mid-phase-2 must replay its own
 logged commit at recovery (see the `slow` regression at the bottom for
-the schedule that catches it end to end).
+the schedule that catches it end to end).  The other `slow` test is the
+memory-flatness gate: a 20x-longer soak must not use more memory.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -260,3 +265,90 @@ def test_redo_regression_seed42(monkeypatch):
     monkeypatch.setattr(CoordinatorRole, "redo_after_crash", lambda self, ctx: 0)
     with pytest.raises(SimulationError, match="consistency violated"):
         run_soak(config())
+
+
+# -- memory flatness: a 20x-longer run must not use more memory ---------------
+
+# Long-run peaks must stay within these factors of the short run's.
+# Traced peak gets a slightly looser allowance: it resolves growth RSS
+# can't see (so it is the gate that catches a reintroduced per-txn
+# list: 8.1x traced, 1.3x RSS), but that same sharpness picks up bounded
+# log-ish residue — quantile-sketch buckets widening with rare tail
+# latencies, GC timing at peak — worth tolerating.
+RSS_FLATNESS_RATIO = 1.5
+TRACED_FLATNESS_RATIO = 1.75
+
+# The short run must already be at memory steady state — every bounded
+# structure (decision-log tails, redo-log windows, the windowed series)
+# filled to its cap — or the comparison measures caps filling rather
+# than growth.  With the cap below, steady state is reached well before
+# SHORT_TXNS transactions.
+SCALE = 20
+SHORT_TXNS = 1000
+
+# The soak default targets 240 series points; the children use a smaller
+# target so even the short run saturates its series (the series is
+# bounded by construction — the gate is about per-transaction state).
+FLATNESS_MAX_WINDOWS = 48
+
+# Runs one soak and prints its peaks as JSON.  Executed via ``python -c``
+# so every measurement starts from a cold interpreter: ``ru_maxrss`` is a
+# process-lifetime high-water mark, so measured in-process the long run
+# would inherit the short run's (or vice versa).
+_FLATNESS_CHILD = """\
+import json, resource, sys, tracemalloc
+from repro.soak import SoakConfig, run_soak
+
+txns, seed, max_windows = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+tracemalloc.start()
+result = run_soak(SoakConfig(seed=seed, txns=txns, max_windows=max_windows))
+_, traced_peak = tracemalloc.get_traced_memory()
+tracemalloc.stop()
+print(json.dumps({
+    "txns": result.txns,
+    "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "traced_peak_kb": round(traced_peak / 1024.0, 1),
+}))
+"""
+
+
+def _measure_soak_child(txns: int) -> dict:
+    """Run one seed-42 soak in a fresh interpreter; return its memory peaks."""
+    src_root = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FLATNESS_CHILD, str(txns), "42",
+         str(FLATNESS_MAX_WINDOWS)],
+        capture_output=True,
+        text=True,
+        env={
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src_root, inherited))),
+        },
+    )
+    assert proc.returncode == 0, (
+        f"soak child ({txns} txns) failed:\n{proc.stderr.strip()}"
+    )
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.slow
+def test_memory_stays_flat_over_20x_longer_run():
+    """The soak engine's whole point is O(1)-memory streaming.  A truly
+    O(n) structure (one TxnRecord retained per transaction in the sink)
+    measures 8.1x traced; streaming aggregates land near 1.0."""
+    short = _measure_soak_child(SHORT_TXNS)
+    long_run = _measure_soak_child(SHORT_TXNS * SCALE)
+    assert long_run["txns"] == short["txns"] * SCALE
+    rss_ratio = long_run["peak_rss_kb"] / short["peak_rss_kb"]
+    traced_ratio = long_run["traced_peak_kb"] / short["traced_peak_kb"]
+    assert (
+        rss_ratio <= RSS_FLATNESS_RATIO
+        and traced_ratio <= TRACED_FLATNESS_RATIO
+    ), (
+        f"memory grew with run length: rss {short['peak_rss_kb']} -> "
+        f"{long_run['peak_rss_kb']} kB (x{rss_ratio:.2f}, allowed "
+        f"{RSS_FLATNESS_RATIO}), traced {short['traced_peak_kb']} -> "
+        f"{long_run['traced_peak_kb']} kB (x{traced_ratio:.2f}, allowed "
+        f"{TRACED_FLATNESS_RATIO})"
+    )

@@ -1,8 +1,6 @@
-"""The soak and bench --soak command-line surface.
+"""The soak command-line surface.
 
-In-process ``main([...])`` invocations with a small run; the heavy
-flatness benchmark itself is not run here (it spawns subprocesses), only
-its document validation and rendering.
+In-process ``main([...])`` invocations with a small run.
 """
 
 import json
@@ -10,13 +8,6 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.perf.soakbench import (
-    RSS_FLATNESS_RATIO,
-    SCALE,
-    TRACED_FLATNESS_RATIO,
-    render_soak_bench,
-    validate_soak_bench_doc,
-)
 
 SMALL = ["soak", "run", "--txns", "300", "--rate", "40"]
 
@@ -94,62 +85,3 @@ def test_soak_validate_flags_bad_file(tmp_path, capsys):
     assert main(["soak", "validate", "--file", str(bad)]) == 1
     assert "INVALID" in capsys.readouterr().err
 
-
-# -- bench --soak document ----------------------------------------------------
-
-
-def fake_bench_doc(**overrides):
-    short = {"txns": 1000, "commits": 900, "events": 50_000,
-             "wall_s": 2.0, "peak_rss_kb": 30_000, "traced_peak_kb": 1500.0}
-    long_run = dict(short, txns=1000 * SCALE, commits=900 * SCALE,
-                    wall_s=40.0, traced_peak_kb=1800.0)
-    doc = {
-        "schema": "repro.bench/1",
-        "kind": "soak",
-        "quick": True,
-        "seed": 42,
-        "scale": SCALE,
-        "short": short,
-        "long": long_run,
-        "rss_ratio": 1.0,
-        "traced_ratio": 1.2,
-        "rss_allowed": RSS_FLATNESS_RATIO,
-        "traced_allowed": TRACED_FLATNESS_RATIO,
-        "flat": True,
-    }
-    doc.update(overrides)
-    return doc
-
-
-def test_bench_doc_validates_clean():
-    assert validate_soak_bench_doc(fake_bench_doc()) == []
-
-
-def test_bench_doc_flags_problems():
-    assert any(
-        "flat" in p for p in validate_soak_bench_doc(fake_bench_doc(flat=False))
-    )
-    assert any(
-        "long.txns" in p
-        for p in validate_soak_bench_doc(
-            fake_bench_doc(long=dict(fake_bench_doc()["long"], txns=123))
-        )
-    )
-    assert validate_soak_bench_doc({"schema": "repro.bench/1", "kind": "exp1"})
-    missing = fake_bench_doc()
-    del missing["short"]
-    assert any("short" in p for p in validate_soak_bench_doc(missing))
-
-
-def test_bench_render_names_the_verdict():
-    text = render_soak_bench(fake_bench_doc())
-    assert "FLAT" in text
-    assert "scale 20x" in text
-    not_flat = render_soak_bench(fake_bench_doc(flat=False))
-    assert "NOT FLAT" in not_flat
-
-
-def test_parser_bench_soak_flag():
-    args = build_parser().parse_args(["bench", "--quick", "--soak"])
-    assert args.quick is True
-    assert args.soak is True
