@@ -283,34 +283,17 @@ def run_seed_sweep(
 ) -> ChaosSweepReport:
     """Run :func:`run_chaos_seed` for every seed; aggregate the results.
 
-    ``jobs`` > 1 fans the seeds across worker processes (each seed is a
-    pure function of its arguments, so the report is identical to the
-    serial one — see :mod:`repro.perf.parallel`).
+    ``jobs`` > 1 fans the seeds across the worker pool; ``None`` or 1 runs
+    them in-process.  Each seed is a pure function of its arguments, so
+    the report is the same either way — see :mod:`repro.perf.pool`.
     """
-    if jobs is not None and jobs > 1:
-        from repro.perf.parallel import run_parallel_seed_sweep
+    # Imported here so that building a sweep's inputs does not pay for
+    # ``concurrent.futures``.
+    from repro.perf.pool import run_chunked
 
-        return run_parallel_seed_sweep(
-            seeds,
-            sites=sites,
-            db_size=db_size,
-            txns=txns,
-            plan=plan,
-            mutate=mutate,
-            jobs=jobs,
-        )
     if plan is None:
         plan = FaultPlan()
     report = ChaosSweepReport(plan=plan, mutated=mutate)
-    for seed in seeds:
-        report.results.append(
-            run_chaos_seed(
-                seed,
-                sites=sites,
-                db_size=db_size,
-                txns=txns,
-                plan=plan,
-                mutate=mutate,
-            )
-        )
+    shared = (sites, db_size, txns, plan, mutate)
+    report.results.extend(run_chunked("chaos-seed", shared, seeds, jobs=jobs))
     return report

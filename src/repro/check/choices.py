@@ -43,10 +43,9 @@ class Decision:
     ``fingerprint`` hashes the cluster state *at the moment of the
     choice* together with the choice kind and candidate labels; the
     explorer uses it for visited-state pruning, so it must be stable
-    across processes (labels exclude process-local ids like
-    ``Message.msg_id``).  A decision carries a fingerprint iff the caller
-    asked for that index; everywhere else it is ``""``, which the
-    explorer refuses to read.
+    across processes (labels carry no process-local ids).  A decision
+    carries a fingerprint iff the caller asked for that index; everywhere
+    else it is ``""``, which the explorer refuses to read.
     """
 
     kind: str                      # "order" | "fate" | "fault"

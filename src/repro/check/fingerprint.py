@@ -13,10 +13,9 @@ the protocol-visible state —
   due time, action, and a stable payload summary.
 
 — and excludes everything that is history, not state: metrics, logs,
-absolute timestamps, and process-local identifiers (``Message.msg_id``
-is a process-global counter and would poison cross-process stability;
-so would Python's built-in ``hash()`` for strings, which is
-``PYTHONHASHSEED``-randomized — hence :mod:`hashlib`).
+and absolute timestamps.  Nothing process-local may enter it either
+(Python's built-in ``hash()`` for strings is ``PYTHONHASHSEED``-randomized
+and would poison cross-process stability — hence :mod:`hashlib`).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ __all__ = ["cluster_fingerprint", "message_signature", "pending_signature"]
 
 
 def message_signature(msg: Message) -> tuple:
-    """Stable identity of an in-flight message (no ``msg_id``, no times)."""
+    """Stable identity of an in-flight message (no times)."""
     return (
         "msg",
         msg.src,

@@ -29,7 +29,27 @@ of one transaction), ``list`` (per-transaction run summary), ``cat``
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import sys
+
+
+def _unreadable_input_is_exit_2(fn):
+    """A missing run directory or report file, or one that is not JSON, is
+    ``error: ...`` on stderr and exit 2 — not a traceback, and not exit 1,
+    which means "read it, and it is invalid"."""
+
+    @functools.wraps(fn)
+    def run(args: argparse.Namespace) -> int:
+        try:
+            return fn(args)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+        except json.JSONDecodeError as exc:
+            print(f"error: input is not JSON: {exc}", file=sys.stderr)
+        return 2
+
+    return run
 
 
 def _cmd_exp1(args: argparse.Namespace) -> int:
@@ -263,6 +283,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     return 0
 
 
+@_unreadable_input_is_exit_2
 def _cmd_trace_show(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -272,6 +293,7 @@ def _cmd_trace_show(args: argparse.Namespace) -> int:
     return 0
 
 
+@_unreadable_input_is_exit_2
 def _cmd_trace_list(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -281,6 +303,7 @@ def _cmd_trace_list(args: argparse.Namespace) -> int:
     return 0
 
 
+@_unreadable_input_is_exit_2
 def _cmd_trace_cat(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -301,6 +324,7 @@ def _cmd_trace_cat(args: argparse.Namespace) -> int:
     return 0
 
 
+@_unreadable_input_is_exit_2
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -738,7 +762,6 @@ def _soak_trace_exemplars(config, result, out_dir: str) -> int:
     exemplar txn ids sampled by the first run name the same transactions
     in the traced run — no need to pay tracing overhead while sampling.
     """
-    import json as _json
     from pathlib import Path
 
     from repro.obs.export import export_run
@@ -765,7 +788,7 @@ def _soak_trace_exemplars(config, result, out_dir: str) -> int:
         sim_time_ms=traced.elapsed_ms,
     )
     (out / "exemplars.json").write_text(
-        _json.dumps({"txns": exemplar_ids}, indent=2) + "\n",
+        json.dumps({"txns": exemplar_ids}, indent=2) + "\n",
         encoding="utf-8",
     )
     from repro.obs.timeline import build_timelines
@@ -782,14 +805,13 @@ def _soak_trace_exemplars(config, result, out_dir: str) -> int:
     return 0
 
 
+@_unreadable_input_is_exit_2
 def _cmd_soak_validate(args: argparse.Namespace) -> int:
     """Schema-check a soak report written by ``repro soak run --out``."""
-    import json as _json
-
     from repro.soak import validate_soak_report
 
     with open(args.file, "r", encoding="utf-8") as fh:
-        doc = _json.load(fh)
+        doc = json.load(fh)
     problems = validate_soak_report(doc)
     for problem in problems:
         print(f"INVALID: {problem}", file=sys.stderr)

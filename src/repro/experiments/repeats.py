@@ -7,7 +7,8 @@ confidence intervals instead of single draws — and giving tests a way to
 assert that the headline results are stable properties, not lucky seeds.
 
 Each replication takes a ``jobs`` parameter: ``jobs > 1`` fans the seeds
-across worker processes (:func:`repro.perf.parallel.parallel_map`).  The
+across worker processes (``run_chunked("call", ...)`` of
+:mod:`repro.perf.pool`; ``None`` or 1 runs in-process).  The
 per-seed workers are module-level functions returning plain floats, so
 they pickle cheaply, and results are merged in seed order — the summary
 is identical to a serial run's.
@@ -23,7 +24,7 @@ from repro.experiments.exp1 import run_faillock_overhead
 from repro.experiments.exp2 import run_figure1
 from repro.experiments.exp3 import run_scenario1, run_scenario2
 from repro.metrics.stats import mean, stddev
-from repro.perf.parallel import parallel_map
+from repro.perf.pool import run_chunked
 
 
 @dataclass(slots=True)
@@ -88,8 +89,8 @@ def replicate_figure1(
 ) -> dict[str, Replicated]:
     """Figure 1 headline numbers across seeds."""
     peaks, recoveries, copiers, aborts = [], [], [], []
-    for peak, recovery, copier, abort in parallel_map(
-        _figure1_stats, seeds, jobs=jobs
+    for peak, recovery, copier, abort in run_chunked(
+        "call", _figure1_stats, seeds, jobs=jobs
     ):
         peaks.append(peak)
         recoveries.append(recovery)
@@ -109,7 +110,8 @@ def replicate_scenario1(
 ) -> Replicated:
     """Scenario 1's abort count across seeds (paper's single draw: 13)."""
     return Replicated(
-        "scenario 1 aborts", parallel_map(_scenario1_aborts, seeds, jobs=jobs)
+        "scenario 1 aborts",
+        run_chunked("call", _scenario1_aborts, seeds, jobs=jobs),
     )
 
 
@@ -119,7 +121,8 @@ def replicate_scenario2(
 ) -> Replicated:
     """Scenario 2's abort count across seeds (paper: 0, structurally)."""
     return Replicated(
-        "scenario 2 aborts", parallel_map(_scenario2_aborts, seeds, jobs=jobs)
+        "scenario 2 aborts",
+        run_chunked("call", _scenario2_aborts, seeds, jobs=jobs),
     )
 
 
@@ -129,7 +132,9 @@ def replicate_faillock_overhead(
 ) -> dict[str, Replicated]:
     """Experiment 1's fail-lock overhead percentages across seeds."""
     coord, part = [], []
-    for coord_pct, part_pct in parallel_map(_faillock_pcts, seeds, jobs=jobs):
+    for coord_pct, part_pct in run_chunked(
+        "call", _faillock_pcts, seeds, jobs=jobs
+    ):
         coord.append(coord_pct)
         part.append(part_pct)
     return {

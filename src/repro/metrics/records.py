@@ -10,8 +10,12 @@ series plotted in Figures 1–3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.txn.transaction import AbortReason
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.net.message import Message
 
 
 @dataclass(slots=True)
@@ -32,6 +36,36 @@ class TxnRecord:
     participant_elapsed: dict[int, float] = field(default_factory=dict)
     copiers_requested: int = 0
     clear_notices_sent: int = 0
+
+    @classmethod
+    def from_done(
+        cls,
+        msg: "Message",
+        *,
+        seq: int,
+        submitted_at: float,
+        finished_at: float,
+        participant_elapsed: dict[int, float],
+    ) -> "TxnRecord":
+        """The record of the outcome a coordinator reported in its
+        ``MGR_TXN_DONE``; the driver supplies what only it knows."""
+        payload = msg.payload
+        return cls(
+            txn_id=msg.txn_id,
+            seq=seq,
+            coordinator=msg.src,
+            committed=payload["committed"],
+            abort_reason=AbortReason(payload["reason"]),
+            size=payload["size"],
+            items_read=payload["items_read"],
+            items_written=payload["items_written"],
+            submitted_at=submitted_at,
+            finished_at=finished_at,
+            coordinator_elapsed=payload["coordinator_elapsed"],
+            participant_elapsed=participant_elapsed,
+            copiers_requested=payload["copiers"],
+            clear_notices_sent=payload["clear_notices"],
+        )
 
     @property
     def elapsed(self) -> float:

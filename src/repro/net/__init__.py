@@ -5,12 +5,13 @@ reordering, no corruption.  This package provides exactly that — FIFO
 channels between registered endpoints — plus the pieces the paper's testbed
 had implicitly: a latency/cost model for each communication (measured at
 9 ms per inter-site message in mini-RAID), partition injection for the
-network-partition scenarios the protocol is designed to survive, and a
-message trace for debugging and metrics.  The network also owns the run's
-structured-trace sink (:class:`repro.obs.sink.TraceSink`, off by
-default): with ``cluster.obs.enabled = True`` every send, delivery, drop,
-and handler activation is recorded with causal parent links — see
-:mod:`repro.obs` and docs/OBSERVABILITY.md.
+network-partition scenarios the protocol is designed to survive.  The
+network keeps three counters (sent, delivered, undeliverable) and owns the
+run's structured-trace sink (:class:`repro.obs.sink.TraceSink`, off by
+default), which is the one per-message record: with
+``cluster.obs.enabled = True`` every send, delivery, drop, and handler
+activation is recorded with causal parent links — see :mod:`repro.obs` and
+docs/OBSERVABILITY.md ("Counting messages").
 
 When the network itself is allowed to lose messages (the chaos layer's
 ``lossy_core`` mode), :mod:`repro.net.reliable` rebuilds the reliable
@@ -25,7 +26,6 @@ from repro.net.endpoint import Endpoint, HandlerContext
 from repro.net.network import Network
 from repro.net.partition import PartitionManager
 from repro.net.reliable import ReliableDelivery, ReliableStats, RetransmitPolicy
-from repro.net.trace import MessageTrace, TraceEntry
 
 __all__ = [
     "Message",
@@ -40,6 +40,4 @@ __all__ = [
     "ReliableDelivery",
     "ReliableStats",
     "RetransmitPolicy",
-    "MessageTrace",
-    "TraceEntry",
 ]

@@ -8,7 +8,6 @@ messages that stand in for the managing site's "interactive control".
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -59,9 +58,6 @@ class MessageType(enum.Enum):
         return self.value
 
 
-_msg_ids = itertools.count(1)
-
-
 @dataclass(slots=True)
 class Message:
     """A single inter-site message.
@@ -78,9 +74,7 @@ class Message:
     payload: dict[str, Any] = field(default_factory=dict)
     txn_id: int = -1
     session: int = -1
-    msg_id: int = field(default_factory=_msg_ids.__next__)
     send_time: float = -1.0
-    deliver_time: float = -1.0
     # Per-channel sequence number stamped by the reliable-delivery
     # sublayer (repro.net.reliable); -1 means the message is untracked
     # (reliability disabled, or transport-internal traffic).
@@ -92,6 +86,6 @@ class Message:
 
     def __repr__(self) -> str:
         return (
-            f"Message(#{self.msg_id} {self.mtype.value} {self.src}->{self.dst} "
+            f"Message({self.mtype.value} {self.src}->{self.dst} "
             f"txn={self.txn_id})"
         )

@@ -8,8 +8,11 @@ Responsibilities:
   outgoing messages when the work completes;
 * drop messages to down or partitioned-away sites and notify the sender
   after a failure-detection delay (the paper's reliable transport plus the
-  "transaction ... knows that a particular site k is down" machinery);
-* record every message in the :class:`~repro.net.trace.MessageTrace`.
+  "transaction ... knows that a particular site k is down" machinery).
+
+What the network carried is counted in ``messages_sent`` /
+``messages_delivered`` / ``messages_undeliverable``; the per-message
+account is the ``msg.*`` events of :mod:`repro.obs`, when enabled.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from repro.net.endpoint import Endpoint, HandlerContext
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.message import Message, MessageType
 from repro.net.partition import PartitionManager
-from repro.net.trace import MessageTrace
 from repro.obs.events import EventKind
 from repro.obs.sink import TraceSink
 from repro.sim.cpu import CpuResource
@@ -84,7 +86,6 @@ class Network:
         msg_send_cost: float = 4.5,
         msg_recv_cost: float = 4.5,
         failure_detect_delay: float = 0.0,
-        trace: Optional[MessageTrace] = None,
     ) -> None:
         self.scheduler = scheduler
         self.cpu = cpu
@@ -118,7 +119,6 @@ class Network:
         # Observers invoked for every successfully delivered message, in
         # delivery order (online invariant auditing).
         self.delivery_probes: list[Callable[[Message], None]] = []
-        self.trace = trace if trace is not None else MessageTrace()
         # Structured tracing (repro.obs).  Disabled by default: every emit
         # site guards on ``obs.enabled``, and tracing never touches the
         # scheduler, CPU, or RNG, so enabling it cannot change a run.
@@ -252,7 +252,6 @@ class Network:
         exempt = msg.src in self.partition_exempt or msg.dst in self.partition_exempt
         if not exempt and not self.partitions.connected(msg.src, msg.dst):
             self.messages_undeliverable += 1
-            self.trace.record(msg, delivered=False, reason="partitioned")
             self._obs_drop(msg, "partitioned")
             # A partition is a *detectable* severance: stop any
             # retransmission and unblock the channel slot.
@@ -271,10 +270,8 @@ class Network:
                 # True message loss: nobody learns anything.  Only the
                 # retransmission sublayer can recover the message — silent
                 # drops are only injected when it is installed.
-                self.trace.record(msg, delivered=False, reason="chaos-drop-silent")
                 self._obs_drop(msg, "chaos-drop-silent")
                 return
-            self.trace.record(msg, delivered=False, reason="chaos-drop")
             self._obs_drop(msg, "chaos-drop")
             if self.reliable is not None:
                 self.reliable.cancel(msg)
@@ -301,7 +298,6 @@ class Network:
             if last > deliver_at:
                 deliver_at = last
             fifo_last[channel] = deliver_at
-        msg.deliver_time = deliver_at
         self.scheduler.post_at(deliver_at, self._deliver, (msg,))
         if fate is not None and fate.duplicate:
             self._transmit_duplicate(msg, release_time, deliver_at + fate.duplicate_gap)
@@ -348,7 +344,6 @@ class Network:
         channel = (dup.src, dup.dst)
         deliver_at = max(deliver_at, self._fifo_last.get(channel, 0.0))
         self._fifo_last[channel] = deliver_at
-        dup.deliver_time = deliver_at
         self.scheduler.post_at(deliver_at, self._deliver, (dup,))
 
     def _deliver(self, msg: Message) -> None:
@@ -358,16 +353,13 @@ class Network:
             # surfaced to the endpoint.  An ack to a dead sender is moot.
             if not endpoint.alive or self.reliable is None:
                 self.messages_undeliverable += 1
-                self.trace.record(msg, delivered=False, reason="site down")
                 self._obs_drop(msg, "site-down")
                 return
             self.messages_delivered += 1
-            self.trace.record(msg, delivered=True)
             self.reliable.on_ack(msg)
             return
         if not endpoint.alive and msg.mtype not in _DELIVER_WHEN_DOWN:
             self.messages_undeliverable += 1
-            self.trace.record(msg, delivered=False, reason="site down")
             self._obs_drop(msg, "site-down")
             if self.reliable is not None:
                 self.reliable.cancel(msg)
@@ -377,7 +369,6 @@ class Network:
             deliverable, status = self.reliable.on_arrival(msg)
             if status == "dup":
                 self.messages_undeliverable += 1
-                self.trace.record(msg, delivered=False, reason="transport-dedup")
                 if self.obs.enabled:
                     self.obs.emit(
                         self.scheduler.now,
@@ -400,12 +391,10 @@ class Network:
         if not endpoint.alive and msg.mtype not in _DELIVER_WHEN_DOWN:
             # The site died while the message sat in the reorder buffer.
             self.messages_undeliverable += 1
-            self.trace.record(msg, delivered=False, reason="site down")
             self._obs_drop(msg, "site-down")
             self._notify_sender_failure(msg)
             return
         self.messages_delivered += 1
-        self.trace.record(msg, delivered=True)
         obs = self.obs
         if obs.enabled:
             # The receive event scopes the delivery probes and the whole

@@ -1,24 +1,16 @@
-"""Performance tooling: the persistent worker pool and parallel sweeps.
+"""Performance tooling: the persistent worker pool.
 
-Both are downstream of the fast-path work documented in
-docs/PERFORMANCE.md:
-
-* :mod:`repro.perf.pool` — the persistent worker pool: one long-lived,
-  fork-where-available process pool per interpreter, fed compact
-  ``(kind, shared, seeds)`` specs in contiguous chunks and merged in
-  input order.  Every sweep in the process reuses the same warm workers.
-* :mod:`repro.perf.parallel` — the sweep-facing API on top of the pool
-  (chaos seeds, soak seeds, experiment replications) with a
-  deterministic, input-ordered merge.  Parallel results are *identical*
-  to serial ones, not just statistically equivalent: every unit of work
-  is a pure function of its arguments.
+:mod:`repro.perf.pool` is the one front-end for process-level fan-out:
+one long-lived, fork-where-available process pool per interpreter, fed
+compact ``(kind, shared, items)`` specs in contiguous chunks and merged
+in input order.  Chaos seed sweeps, experiment replications and
+``repro.check`` frontier expansion call :func:`run_chunked` directly;
+every sweep in the process reuses the same warm workers, and parallel
+results are *identical* to serial ones, not just statistically
+equivalent, because every unit of work is a pure function of its
+arguments (see docs/PERFORMANCE.md).
 """
 
-from repro.perf.parallel import (
-    parallel_map,
-    run_parallel_seed_sweep,
-    run_parallel_soak_sweep,
-)
 from repro.perf.pool import (
     WorkerPoolError,
     pool_stats,
@@ -28,10 +20,7 @@ from repro.perf.pool import (
 
 __all__ = [
     "WorkerPoolError",
-    "parallel_map",
     "pool_stats",
     "run_chunked",
-    "run_parallel_seed_sweep",
-    "run_parallel_soak_sweep",
     "shutdown_pool",
 ]

@@ -29,8 +29,8 @@ Every unit of work must remain a pure function of its spec: it builds
 its own cluster, scheduler, and named RNG streams from the seed and
 shares no mutable state with any other unit.  That property (pinned by
 ``tests/test_perf.py``) is what makes reusing one pool across chaos
-sweeps, soak sweeps, report generation, and ``repro.check`` frontier
-expansion safe.
+sweeps, experiment replications, and ``repro.check`` frontier expansion
+safe.
 
 Worker crashes do not hang the sweep: a dead worker surfaces as
 :class:`WorkerPoolError` naming the task kind, and the broken pool is
@@ -90,7 +90,6 @@ def _init_worker() -> None:
     """
     import repro.chaos.runner  # noqa: F401
     import repro.check.explorer  # noqa: F401
-    import repro.soak.engine  # noqa: F401
 
 
 def _run_chunk(kind: str, shared: Any, items: list) -> list:
@@ -113,23 +112,11 @@ def _chaos_seed_task(shared: tuple, seed: int) -> Any:
     )
 
 
-@task("soak-report")
-def _soak_report_task(shared: dict, seed: int) -> dict:
-    """One soak sweep unit: a SoakConfig field delta + seed -> report dict.
-
-    The worker returns the *report* (plain data) rather than the
-    :class:`SoakResult`: it is what sweeps aggregate, and it keeps the
-    response small and trivially picklable.
-    """
-    from repro.soak.engine import SoakConfig, run_soak
-    from repro.soak.report import build_report
-
-    return build_report(run_soak(SoakConfig(seed=seed, **shared)))
-
-
 @task("call")
 def _call_task(fn: Callable[[Any], Any], item: Any) -> Any:
-    """Generic ``fn(item)`` unit backing :func:`repro.perf.parallel.parallel_map`."""
+    """Generic ``fn(item)`` unit: ``run_chunked("call", fn, items)`` is a
+    parallel map.  ``fn`` must be module-level (it is pickled by import
+    path) and crosses the pipe once per chunk, not once per item."""
     return fn(item)
 
 

@@ -360,24 +360,15 @@ class SoakManager(Endpoint):
             self.metrics.pop_participants(msg.txn_id)
             return
         _coordinator, submitted_at, _size = entry
-        payload = msg.payload
-        record = TxnRecord(
-            txn_id=msg.txn_id,
-            seq=msg.txn_id,
-            coordinator=msg.src,
-            committed=payload["committed"],
-            abort_reason=AbortReason(payload["reason"]),
-            size=payload["size"],
-            items_read=payload["items_read"],
-            items_written=payload["items_written"],
-            submitted_at=submitted_at,
-            finished_at=ctx.now,
-            coordinator_elapsed=payload["coordinator_elapsed"],
-            participant_elapsed=self.metrics.pop_participants(msg.txn_id),
-            copiers_requested=payload["copiers"],
-            clear_notices_sent=payload["clear_notices"],
+        self.metrics.record_txn(
+            TxnRecord.from_done(
+                msg,
+                seq=msg.txn_id,
+                submitted_at=submitted_at,
+                finished_at=ctx.now,
+                participant_elapsed=self.metrics.pop_participants(msg.txn_id),
+            )
         )
-        self.metrics.record_txn(record)
         self._note_done()
 
     def on_delivery_failed(self, ctx: HandlerContext, msg: Message) -> None:
@@ -472,17 +463,15 @@ def run_soak(config: Optional[SoakConfig] = None, trace=None) -> SoakResult:
     cluster_metrics.txn_sink = sink
 
     # O(1)-memory mode: the diagnostic logs that experiments keep in full
-    # are bounded for a soak.  The message trace is dropped entirely (the
-    # paper experiments count messages from it; a soak does not), each
-    # site's redo log keeps a fixed window, and the 2PC decision logs
-    # keep a generous tail — cooperative-termination inquiries only ever
-    # concern transactions still blocked somewhere, i.e. at most a few
-    # timeout-windows of history.
+    # are bounded for a soak.  Each site's redo log keeps a fixed window,
+    # and the 2PC decision logs keep a generous tail —
+    # cooperative-termination inquiries only ever concern transactions
+    # still blocked somewhere, i.e. at most a few timeout-windows of
+    # history.
     # At soak rates a blocked transaction resolves within ~2s (vote,
     # commit-retry, and status-inquiry timeouts), during which one site
     # decides at most a few dozen transactions — 128 retained decisions
     # is several times that horizon.
-    cluster.network.trace.capacity = 0
     for site in cluster.sites:
         site.db.log.capacity = 256
         site.coordinator.decision_log_cap = 128

@@ -29,9 +29,9 @@ class RedoLog:
     """Append-only per-site redo log.
 
     ``capacity`` bounds retention for long soak runs (the lsn keeps
-    counting, further records are dropped and tallied — same contract as
-    :class:`repro.net.trace.MessageTrace`); ``None`` retains everything,
-    which is what the tests and recovery audits rely on.
+    counting, further records are dropped and tallied in
+    ``dropped_records``); ``None`` retains everything, which is what the
+    tests and recovery audits rely on.
     """
 
     def __init__(self, capacity: int | None = None) -> None:

@@ -54,9 +54,7 @@ class Cluster:
         if self.config.reliable_delivery:
             from repro.net.reliable import ReliableDelivery
 
-            self.network.reliable = ReliableDelivery(
-                self.network, self.config.retransmit_policy()
-            )
+            self.network.reliable = ReliableDelivery(self.network)
         self.catalog = (
             catalog
             if catalog is not None

@@ -106,15 +106,12 @@ class SystemConfig:
 
     # Reliable-delivery sublayer (repro.net.reliable): per-channel
     # sequence numbers, receiver-side dedup/ordering, ack-tracked
-    # retransmission with exponential backoff.  Off by default — the stock
-    # network already is the paper's reliable FIFO transport, and leaving
-    # the layer out keeps existing seeds byte-identical.  Required for any
-    # fault mode that drops messages silently (chaos ``lossy_core``).
+    # retransmission with exponential backoff (timer constants:
+    # ``RetransmitPolicy``).  Off by default — the stock network already
+    # is the paper's reliable FIFO transport, and leaving the layer out
+    # keeps existing seeds byte-identical.  Required for any fault mode
+    # that drops messages silently (chaos ``lossy_core``).
     reliable_delivery: bool = False
-    net_rto_ms: float = 60.0
-    net_rto_backoff: float = 2.0
-    net_rto_max_ms: float = 480.0
-    net_max_retries: int = 8
 
     # Protocol-level timeouts (2PC termination).  Off by default for the
     # same byte-identical-replay reason.  When enabled: a coordinator that
@@ -188,19 +185,6 @@ class SystemConfig:
             raise ConfigurationError(
                 f"commit_max_retries must be >= 1: {self.commit_max_retries}"
             )
-        self.retransmit_policy().validate()
-
-    def retransmit_policy(self):
-        """The :class:`~repro.net.reliable.RetransmitPolicy` these knobs
-        describe (used by the cluster builder when ``reliable_delivery``)."""
-        from repro.net.reliable import RetransmitPolicy
-
-        return RetransmitPolicy(
-            rto_ms=self.net_rto_ms,
-            backoff=self.net_rto_backoff,
-            rto_max_ms=self.net_rto_max_ms,
-            max_retries=self.net_max_retries,
-        )
 
     @classmethod
     def paper_experiment1(cls, **overrides) -> "SystemConfig":

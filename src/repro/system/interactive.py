@@ -20,7 +20,6 @@ from repro.system.cluster import Cluster
 from repro.system.config import FailureDetection, SystemConfig
 from repro.core.control import FailureAnnouncement
 from repro.txn.operations import Operation
-from repro.txn.transaction import AbortReason
 from repro.workload.base import WorkloadGenerator
 from repro.workload.uniform import UniformWorkload
 
@@ -62,23 +61,13 @@ class InteractiveDriver(Endpoint):
 
     def handle(self, ctx: HandlerContext, msg: Message) -> None:
         if msg.mtype is MessageType.MGR_TXN_DONE:
-            payload = msg.payload
             self._seq += 1
-            record = TxnRecord(
-                txn_id=msg.txn_id,
+            record = TxnRecord.from_done(
+                msg,
                 seq=self._seq,
-                coordinator=msg.src,
-                committed=payload["committed"],
-                abort_reason=AbortReason(payload["reason"]),
-                size=payload["size"],
-                items_read=payload["items_read"],
-                items_written=payload["items_written"],
-                submitted_at=payload["submitted_at"],
+                submitted_at=msg.payload["submitted_at"],
                 finished_at=ctx.now,
-                coordinator_elapsed=payload["coordinator_elapsed"],
                 participant_elapsed=self.metrics.pop_participants(msg.txn_id),
-                copiers_requested=payload["copiers"],
-                clear_notices_sent=payload["clear_notices"],
             )
             self.metrics.record_txn(record)
             self._sample(ctx.now)

@@ -32,7 +32,6 @@ from repro.system.scenario import (
     RecoverSite,
     Scenario,
 )
-from repro.txn.transaction import AbortReason
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.system.cluster import Cluster
@@ -186,22 +185,12 @@ class ManagingSite(Endpoint):
         if msg.txn_id != self._in_flight_txn:
             return  # a straggler from an aborted run
         self._in_flight_txn = None
-        payload = msg.payload
-        record = TxnRecord(
-            txn_id=msg.txn_id,
+        record = TxnRecord.from_done(
+            msg,
             seq=self._seq,
-            coordinator=msg.src,
-            committed=payload["committed"],
-            abort_reason=AbortReason(payload["reason"]),
-            size=payload["size"],
-            items_read=payload["items_read"],
-            items_written=payload["items_written"],
-            submitted_at=payload["submitted_at"],
+            submitted_at=msg.payload["submitted_at"],
             finished_at=ctx.now,
-            coordinator_elapsed=payload["coordinator_elapsed"],
             participant_elapsed=self.metrics.pop_participants(msg.txn_id),
-            copiers_requested=payload["copiers"],
-            clear_notices_sent=payload["clear_notices"],
         )
         self.metrics.record_txn(record)
         self._sample_faillocks(ctx.now)

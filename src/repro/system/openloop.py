@@ -130,22 +130,14 @@ class OpenLoopManager(Endpoint):
     def handle(self, ctx: HandlerContext, msg: Message) -> None:
         if msg.mtype is not MessageType.MGR_TXN_DONE:
             raise ProtocolError(f"open-loop manager: unexpected message {msg}")
-        payload = msg.payload
-        record = TxnRecord(
-            txn_id=msg.txn_id,
+        record = TxnRecord.from_done(
+            msg,
             seq=msg.txn_id,
-            coordinator=msg.src,
-            committed=payload["committed"],
-            abort_reason=AbortReason(payload["reason"]),
-            size=payload["size"],
-            items_read=payload["items_read"],
-            items_written=payload["items_written"],
-            submitted_at=self._submit_times.get(msg.txn_id, payload["submitted_at"]),
+            submitted_at=self._submit_times.get(
+                msg.txn_id, msg.payload["submitted_at"]
+            ),
             finished_at=ctx.now,
-            coordinator_elapsed=payload["coordinator_elapsed"],
             participant_elapsed=self.metrics.pop_participants(msg.txn_id),
-            copiers_requested=payload["copiers"],
-            clear_notices_sent=payload["clear_notices"],
         )
         self.metrics.record_txn(record)
         if (

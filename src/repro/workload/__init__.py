@@ -8,7 +8,7 @@ from the frequently-referenced portion of the database (§1.2).  That is
 
 The paper's §5 discussion and future work motivate the rest: a tunable
 read/write ratio ("studies have shown that typically reads are far more
-common than writes"), a skewed hot set, and the ET1 (DebitCredit) and
+common than writes"), Zipf-skewed popularity, and the ET1 (DebitCredit) and
 Wisconsin benchmarks the authors planned to repeat the experiments with.
 """
 
@@ -16,7 +16,6 @@ from repro.workload.base import WorkloadGenerator
 from repro.workload.uniform import UniformWorkload
 from repro.workload.readwrite import ReadWriteWorkload
 from repro.workload.zipf import ZipfGenerator, ZipfWorkload
-from repro.workload.hotset import ZipfHotSetWorkload
 from repro.workload.et1 import Et1Workload
 from repro.workload.wisconsin import WisconsinWorkload
 from repro.workload.shapes import (
@@ -37,7 +36,6 @@ __all__ = [
     "ReadWriteWorkload",
     "ZipfGenerator",
     "ZipfWorkload",
-    "ZipfHotSetWorkload",
     "Et1Workload",
     "WisconsinWorkload",
     "DebitCreditWorkload",

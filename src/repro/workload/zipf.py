@@ -1,12 +1,11 @@
 """First-class seeded Zipf item selection.
 
-Zipf popularity used to live as a private detail of
-:class:`repro.workload.hotset.ZipfHotSetWorkload`; the soak engine's
-hot-key storms need the same skewed picker over arbitrary item sets, so
-it is promoted here.  :class:`ZipfGenerator` is the picker (one
-``rng.random()`` per draw, byte-compatible with the hot-set scan it
-replaces) and :class:`ZipfWorkload` is a full workload generator over a
-whole item range — the "what if popularity is skewed across the entire
+The paper argues (§5) that modelling only the frequently-referenced subset
+with equal probabilities is adequate; skewed popularity probes that
+assumption.  :class:`ZipfGenerator` is the picker (one ``rng.random()``
+per draw; the soak engine's hot-key storms use it over arbitrary item
+sets) and :class:`ZipfWorkload` is a full workload generator over a whole
+item range — the "what if popularity is skewed across the entire
 database" counterpart to :class:`repro.workload.uniform.UniformWorkload`.
 """
 
@@ -28,9 +27,9 @@ class ZipfGenerator:
     Rank 1 (the first item) is the most popular; weight of rank ``r`` is
     ``1 / r**skew``.  ``skew=0`` degenerates to uniform.  Each ``pick``
     consumes exactly one ``rng.random()`` and returns the first rank
-    whose CDF value reaches the draw — identical semantics (and identical
-    bytes on the same stream) as the linear scan previously embedded in
-    ``ZipfHotSetWorkload``, but via bisection so large item sets stay fast.
+    whose CDF value reaches the draw — the semantics of a linear CDF scan
+    (``tests/test_workload_zipf.py`` keeps one as the reference), found by
+    bisection so large item sets stay fast.
     """
 
     __slots__ = ("items", "skew", "_cdf")

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.net.message import MessageType
+from repro.net.network import Network
+from repro.obs.events import EventKind, TraceEvent
 from repro.sim.cpu import CpuResource
 from repro.sim.rng import DeterministicRng
 from repro.sim.scheduler import EventScheduler
@@ -58,8 +61,35 @@ def make_scenario(config: SystemConfig, txn_count: int, **kwargs) -> Scenario:
     )
 
 
-def run_cluster(config: SystemConfig, scenario: Scenario) -> Cluster:
-    """Build a cluster, run the scenario, return the cluster."""
+def run_cluster(config: SystemConfig, scenario: Scenario, obs: bool = False) -> Cluster:
+    """Build a cluster, run the scenario, return the cluster.  ``obs``
+    records the run's trace events, for :func:`messages`."""
     cluster = Cluster(config)
+    cluster.obs.enabled = obs
     cluster.run(scenario)
     return cluster
+
+
+# A message's fate is settled by exactly one of these (transport acks
+# excepted: a delivered NET_ACK is consumed without an event).
+SETTLED = (EventKind.MSG_RECV, EventKind.MSG_DROP, EventKind.MSG_DUP)
+
+
+def messages(
+    cluster: Cluster | Network,
+    mtype: MessageType | None = None,
+    txn: int | None = None,
+    kinds: tuple[EventKind, ...] = (EventKind.MSG_SEND,),
+) -> list[TraceEvent]:
+    """What the network carried, from ``cluster.obs``: the ``msg.*`` events
+    of ``kinds`` (by default one per message sent), narrowed to one message
+    type and/or one transaction.  Enable ``cluster.obs`` (or a bare
+    network's ``obs``) before the run."""
+    assert cluster.obs.enabled, "set cluster.obs.enabled = True before running"
+    return [
+        event
+        for event in cluster.obs.events
+        if event.kind in kinds
+        and (mtype is None or event.args["mtype"] == mtype.value)
+        and (txn is None or event.txn == txn)
+    ]

@@ -4,8 +4,8 @@ The hard guarantee under test (satellite of the repro.check issue): a
 shrunk schedule file replayed in two FRESH processes fires the same
 events, flags the same violation, and exports byte-identical obs
 artifacts.  Anything process-local leaking into a fingerprint, a
-signature, or an export (builtin ``hash``, ``Message.msg_id``, wall
-clocks, memory addresses) breaks this test.
+signature, or an export (builtin ``hash``, wall clocks, memory
+addresses) breaks this test.
 """
 
 import json

@@ -72,3 +72,23 @@ def test_report_writes_file(tmp_path, monkeypatch):
         written = out_dir / "figures" / name
         assert written.read_bytes() == (repo / "figures" / name).read_bytes()
     assert list(cwd.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "show", "1", "--dir", "{missing}"],
+        ["trace", "list", "--dir", "{missing}"],
+        ["trace", "cat", "--dir", "{missing}"],
+        ["trace", "diff", "{missing}", "{missing}"],
+    ],
+    ids=["show", "list", "cat", "diff"],
+)
+def test_trace_readers_report_a_missing_run_directory(argv, tmp_path, capsys):
+    """No run directory is exit 2 and one ``error:`` line — not a
+    traceback, and not the exit 1 that means "the runs differ"."""
+    missing = str(tmp_path / "no-such-run")
+    assert main([arg.format(missing=missing) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no-such-run" in err
+    assert "Traceback" not in err

@@ -7,7 +7,7 @@ from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.scenario import FixedSite, RoundRobin
 
-from conftest import make_scenario, run_cluster
+from conftest import make_scenario, messages, run_cluster
 
 
 def test_all_commit_when_healthy(small_config):
@@ -52,11 +52,12 @@ def test_read_only_txn_commits_without_participants(small_config):
     from repro.system.scenario import Scenario
 
     cluster = Cluster(small_config)
+    cluster.obs.enabled = True
     metrics = cluster.run(Scenario(workload=ReadOnly(), txn_count=3))
     assert metrics.counters["commits"] == 3
     # No phase-1/phase-2 messages at all.
-    assert cluster.network.trace.count(mtype=MessageType.VOTE_REQ) == 0
-    assert cluster.network.trace.count(mtype=MessageType.COMMIT) == 0
+    assert messages(cluster, MessageType.VOTE_REQ) == []
+    assert messages(cluster, MessageType.COMMIT) == []
 
 
 def test_write_txn_message_shape(small_config):
@@ -70,12 +71,12 @@ def test_write_txn_message_shape(small_config):
             return [Operation(OpKind.WRITE, 1)]
 
     cluster = Cluster(small_config)
+    cluster.obs.enabled = True
     cluster.run(Scenario(workload=OneWrite(), txn_count=1, policy=FixedSite(0)))
-    trace = cluster.network.trace
-    assert trace.count(mtype=MessageType.VOTE_REQ, txn_id=1) == 2
-    assert trace.count(mtype=MessageType.VOTE_ACK, txn_id=1) == 2
-    assert trace.count(mtype=MessageType.COMMIT, txn_id=1) == 2
-    assert trace.count(mtype=MessageType.COMMIT_ACK, txn_id=1) == 2
+    assert len(messages(cluster, MessageType.VOTE_REQ, txn=1)) == 2
+    assert len(messages(cluster, MessageType.VOTE_ACK, txn=1)) == 2
+    assert len(messages(cluster, MessageType.COMMIT, txn=1)) == 2
+    assert len(messages(cluster, MessageType.COMMIT_ACK, txn=1)) == 2
 
 
 def test_coordinator_times_recorded(small_config):

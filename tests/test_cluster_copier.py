@@ -9,7 +9,7 @@ from repro.system.scenario import FailSite, RecoverSite, Scenario, Weighted
 from repro.txn.operations import OpKind, Operation
 from repro.workload.base import WorkloadGenerator
 
-from conftest import make_scenario, run_cluster
+from conftest import make_scenario, messages, run_cluster
 
 
 class Scripted(WorkloadGenerator):
@@ -43,6 +43,7 @@ def copier_setup(mode=ClearNoticeMode.SPECIAL_TXN):
     scenario.add_action(1, FailSite(2))
     scenario.add_action(4, RecoverSite(2))
     cluster = Cluster(config)
+    cluster.obs.enabled = True
     metrics = cluster.run(scenario)
     return cluster, metrics
 
@@ -70,11 +71,10 @@ def test_copier_refreshes_stale_read():
 
 def test_copier_messages_flow():
     cluster, _metrics = copier_setup()
-    trace = cluster.network.trace
-    assert trace.count(mtype=MessageType.COPY_REQ) == 1
-    assert trace.count(mtype=MessageType.COPY_RESP) == 1
+    assert len(messages(cluster, MessageType.COPY_REQ)) == 1
+    assert len(messages(cluster, MessageType.COPY_RESP)) == 1
     # Special transactions to the two peers.
-    assert trace.count(mtype=MessageType.CLEAR_FAILLOCKS) == 2
+    assert len(messages(cluster, MessageType.CLEAR_FAILLOCKS)) == 2
 
 
 def test_copier_clears_faillock_everywhere():
@@ -102,9 +102,9 @@ def test_embedded_mode_sends_no_special_txn():
     scenario.add_action(1, FailSite(2))
     scenario.add_action(4, RecoverSite(2))
     cluster = Cluster(config)
+    cluster.obs.enabled = True
     metrics = cluster.run(scenario)
-    trace = cluster.network.trace
-    assert trace.count(mtype=MessageType.CLEAR_FAILLOCKS) == 0
+    assert messages(cluster, MessageType.CLEAR_FAILLOCKS) == []
     assert metrics.counters["copiers"] == 1
     # After txn 5's phase one, the clears have propagated everywhere.
     for site in cluster.sites:

@@ -9,7 +9,7 @@ from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, FixedSite, RecoverSite, Scenario, Weighted
 from repro.workload.uniform import UniformWorkload
 
-from conftest import make_scenario, run_cluster
+from conftest import make_scenario, messages, run_cluster
 
 
 def failure_scenario(config, txn_count=40, fail_at=1, recover_at=21, site=0, **kw):
@@ -84,10 +84,11 @@ def test_faillocks_cleared_by_writes(small_config):
 
 
 def test_type1_control_messages_flow(small_config):
-    cluster = run_cluster(small_config, failure_scenario(small_config, site=1))
-    trace = cluster.network.trace
-    assert trace.count(mtype=MessageType.RECOVERY_ANNOUNCE) >= 2
-    assert trace.count(mtype=MessageType.RECOVERY_STATE) == 1
+    cluster = run_cluster(
+        small_config, failure_scenario(small_config, site=1), obs=True
+    )
+    assert len(messages(cluster, MessageType.RECOVERY_ANNOUNCE)) >= 2
+    assert len(messages(cluster, MessageType.RECOVERY_STATE)) == 1
     assert cluster.metrics.counters["control_type1"] >= 1
 
 

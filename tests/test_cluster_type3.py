@@ -11,6 +11,8 @@ from repro.system.scenario import Scenario
 from repro.txn.operations import OpKind, Operation
 from repro.workload.base import WorkloadGenerator
 
+from conftest import messages
+
 
 def partial_cluster():
     """3 sites; item 0 everywhere, item 1 only on sites 0 and 1, item 2
@@ -34,6 +36,7 @@ def test_partial_catalog_shapes_databases():
 
 def test_type3_creates_backup_copy():
     cluster = partial_cluster()
+    cluster.obs.enabled = True
     site0 = cluster.site(0)
     site0.db.apply_write(5, 2, 555, 5, time=0.0)
     cluster.network.spawn(site0, lambda ctx: site0.initiate_backup(ctx, 2, 2))
@@ -41,7 +44,7 @@ def test_type3_creates_backup_copy():
     assert cluster.catalog.holds(2, 2)
     assert cluster.site(2).db.read(2) == 555
     assert cluster.site(2).db.version(2) == 5
-    assert cluster.network.trace.count(mtype=MessageType.CREATE_COPY) == 1
+    assert len(messages(cluster, MessageType.CREATE_COPY)) == 1
     assert cluster.metrics.counters["control_type3"] == 1
 
 

@@ -4,15 +4,16 @@ from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, RecoverSite
 
-from conftest import make_scenario
+from conftest import make_scenario, messages
 
 
-def run_once(seed=31):
+def run_once(seed=31, obs=False):
     config = SystemConfig(db_size=20, num_sites=3, max_txn_size=5, seed=seed)
     scenario = make_scenario(config, 40)
     scenario.add_action(5, FailSite(1))
     scenario.add_action(25, RecoverSite(1))
     cluster = Cluster(config)
+    cluster.obs.enabled = obs
     metrics = cluster.run(scenario)
     return cluster, metrics
 
@@ -42,13 +43,12 @@ def test_different_seed_differs():
 
 
 def test_message_trace_identical():
-    c1, _ = run_once()
-    c2, _ = run_once()
-    t1 = [(e.mtype, e.src, e.dst, e.send_time, e.deliver_time, e.delivered)
-          for e in c1.network.trace.entries]
-    t2 = [(e.mtype, e.src, e.dst, e.send_time, e.deliver_time, e.delivered)
-          for e in c2.network.trace.entries]
-    assert t1 == t2
+    """Every traced event — each message's send, receive or drop with its
+    times and causal parent, and every protocol step between — repeats."""
+    c1, _ = run_once(obs=True)
+    c2, _ = run_once(obs=True)
+    assert messages(c1) and c1.obs.dropped_events == 0
+    assert list(c1.obs.events) == list(c2.obs.events)
 
 
 def test_experiment_runners_are_deterministic():

@@ -18,6 +18,8 @@ from repro.system.scenario import FixedSite, Scenario
 from repro.txn.operations import OpKind, Operation
 from repro.workload.base import WorkloadGenerator
 
+from conftest import SETTLED, messages
+
 
 class OneWrite(WorkloadGenerator):
     def generate(self, txn_seq, rng):
@@ -33,17 +35,18 @@ def build(seed=1):
         detection=FailureDetection.TIMEOUT,
     )
     cluster = Cluster(config)
+    cluster.obs.enabled = True
     scenario = Scenario(workload=OneWrite(), txn_count=3, policy=FixedSite(0))
     return cluster, scenario
 
 
 def kill_when(cluster, site_id, mtype, nth=1):
-    """Mark ``site_id`` dead the instant the ``nth`` ``mtype`` message is
-    recorded in the trace (polled every simulated 0.1 ms)."""
+    """Mark ``site_id`` dead the instant the ``nth`` ``mtype`` message has
+    been delivered or dropped (polled every simulated 0.1 ms)."""
     site = cluster.site(site_id)
 
     def poll():
-        if cluster.network.trace.count(mtype=mtype) >= nth:
+        if len(messages(cluster, mtype, kinds=SETTLED)) >= nth:
             site.alive = False
             return
         cluster.scheduler.schedule(0.1, poll)

@@ -1,4 +1,4 @@
-"""Message, latency models, partitions, and the trace."""
+"""Message, latency models, and partitions."""
 
 import random
 
@@ -8,16 +8,9 @@ from repro.errors import NetworkError
 from repro.net.latency import ConstantLatency, UniformLatency
 from repro.net.message import Message, MessageType
 from repro.net.partition import PartitionManager
-from repro.net.trace import MessageTrace
 
 
 # -- messages -----------------------------------------------------------------
-
-
-def test_message_ids_are_unique():
-    a = Message(src=0, dst=1, mtype=MessageType.COMMIT)
-    b = Message(src=0, dst=1, mtype=MessageType.COMMIT)
-    assert a.msg_id != b.msg_id
 
 
 def test_message_defaults():
@@ -103,42 +96,3 @@ def test_repartition_replaces():
     pm.partition([[0, 1], [2]])
     assert pm.connected(0, 1)
     assert not pm.connected(1, 2)
-
-
-# -- trace ------------------------------------------------------------------------
-
-
-def _msg(mtype=MessageType.COMMIT, txn=5):
-    return Message(src=0, dst=1, mtype=mtype, txn_id=txn)
-
-
-def test_trace_records_and_counts():
-    trace = MessageTrace()
-    trace.record(_msg(), delivered=True)
-    trace.record(_msg(MessageType.VOTE_REQ), delivered=False, reason="down")
-    assert len(trace) == 2
-    assert trace.count(mtype=MessageType.COMMIT) == 1
-    assert trace.count(delivered=False) == 1
-    assert trace.count(txn_id=5) == 2
-
-
-def test_trace_for_txn():
-    trace = MessageTrace()
-    trace.record(_msg(txn=1), delivered=True)
-    trace.record(_msg(txn=2), delivered=True)
-    assert [e.txn_id for e in trace.for_txn(2)] == [2]
-
-
-def test_trace_capacity():
-    trace = MessageTrace(capacity=2)
-    for _ in range(5):
-        trace.record(_msg(), delivered=True)
-    assert len(trace) == 2
-    assert trace.dropped_entries == 3
-
-
-def test_trace_clear():
-    trace = MessageTrace()
-    trace.record(_msg(), delivered=True)
-    trace.clear()
-    assert len(trace) == 0

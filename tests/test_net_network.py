@@ -1,5 +1,8 @@
 """Network delivery semantics: activations, FIFO, down sites, partitions."""
 
+import gc
+from collections import deque
+
 import pytest
 
 from repro.errors import NetworkError, UnknownSiteError
@@ -7,9 +10,13 @@ from repro.net.endpoint import Endpoint, HandlerContext
 from repro.net.latency import ConstantLatency
 from repro.net.message import Message, MessageType
 from repro.net.network import Network
+from repro.obs.events import EventKind
 from repro.sim.cpu import CpuResource
 from repro.sim.rng import DeterministicRng
 from repro.sim.scheduler import EventScheduler
+from repro.system.config import SystemConfig
+
+from conftest import make_scenario, messages, run_cluster
 
 
 class Recorder(Endpoint):
@@ -190,11 +197,42 @@ def test_wire_latency_applies():
 
 def test_message_counters():
     sched, net, a, b = build_net()
+    net.obs.enabled = True
     send_from(net, a, 1)
     sched.run()
     assert net.messages_sent == 1
     assert net.messages_delivered == 1
-    assert net.trace.count(delivered=True) == 1
+    assert len(messages(net, kinds=(EventKind.MSG_RECV,))) == 1
+
+
+def _retained_by(network) -> int:
+    """Objects the network itself keeps alive: whatever is reachable from
+    it through builtin containers and ``repro.net`` instances (its
+    endpoints, scheduler and trace sink are other layers' to account for)."""
+    seen = {id(network)}
+    stack = [network]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            kind = type(ref)
+            if id(ref) not in seen and (
+                kind in (list, dict, tuple, set, frozenset, deque)
+                or kind.__module__.startswith("repro.net")
+            ):
+                seen.add(id(ref))
+                stack.append(ref)
+    return len(seen)
+
+
+def test_network_keeps_nothing_per_message():
+    """With ``obs`` off (the default) a delivered message leaves only the
+    three counters behind: a run three times as long retains no more."""
+    retained = {}
+    for txns in (100, 300):
+        config = SystemConfig(db_size=20, num_sites=4, max_txn_size=5, seed=3)
+        cluster = run_cluster(config, make_scenario(config, txns))
+        assert cluster.network.messages_sent > 10 * txns
+        retained[txns] = _retained_by(cluster.network)
+    assert retained[300] == retained[100]
 
 
 def test_failure_notice_ignored_for_dead_sender():

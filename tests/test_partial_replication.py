@@ -12,7 +12,7 @@ from repro.system.costs import CostModel
 from repro.system.scenario import Scenario
 from repro.workload.uniform import UniformWorkload
 
-from conftest import make_scenario
+from conftest import make_scenario, messages
 
 
 @st.composite
@@ -79,6 +79,7 @@ def test_remote_read_returns_current_value():
 
     config = SystemConfig(db_size=2, num_sites=2, max_txn_size=2, seed=4)
     cluster = Cluster(config, catalog=catalog)
+    cluster.obs.enabled = True
     metrics = cluster.run(
         Scenario(workload=Script(), txn_count=2, policy=Policy())
     )
@@ -88,9 +89,7 @@ def test_remote_read_returns_current_value():
     # The remote read used a COPY_REQ exchange.
     from repro.net.message import MessageType
 
-    assert cluster.network.trace.count(
-        mtype=MessageType.COPY_REQ, txn_id=read_txn.txn_id
-    ) == 1
+    assert len(messages(cluster, MessageType.COPY_REQ, txn=read_txn.txn_id)) == 1
 
 
 def test_remote_read_unavailable_when_holder_down():

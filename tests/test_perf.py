@@ -4,11 +4,10 @@ The load-bearing property is the first test: a parallel sweep is *equal*
 to a serial one — full dataclass equality over every per-seed result,
 not a statistical resemblance — and it holds through the *persistent*
 worker pool, across pool reuse, for every sweep kind (chaos, lossy-core,
-soak) and for parallel ``repro.check`` frontier expansion.  The CLI
-wiring (``--jobs``, ``--profile``) rides on top.
+experiment replication) and for parallel ``repro.check`` frontier
+expansion.  The CLI wiring (``--jobs``, ``--profile``) rides on top.
 """
 
-import dataclasses
 import os
 
 import pytest
@@ -17,26 +16,19 @@ from repro.chaos import FaultPlan, run_seed_sweep
 from repro.check.explorer import explore_parallel
 from repro.check.runner import CheckConfig
 from repro.cli import main
-from repro.soak.engine import SoakConfig, run_soak
-from repro.soak.report import build_report
-from repro.perf.parallel import (
-    parallel_map,
-    run_parallel_seed_sweep,
-    run_parallel_soak_sweep,
-)
-from repro.perf.pool import WorkerPoolError, pool_stats, shutdown_pool
+from repro.perf.pool import WorkerPoolError, pool_stats, run_chunked, shutdown_pool
 
 
 # -- parallel executor -------------------------------------------------------
 
 
 def test_parallel_map_serial_fallback():
-    assert parallel_map(str, range(5)) == ["0", "1", "2", "3", "4"]
-    assert parallel_map(str, range(5), jobs=1) == ["0", "1", "2", "3", "4"]
+    assert run_chunked("call", str, range(5)) == ["0", "1", "2", "3", "4"]
+    assert run_chunked("call", str, range(5), jobs=1) == ["0", "1", "2", "3", "4"]
 
 
 def test_parallel_map_preserves_input_order():
-    assert parallel_map(str, range(8), jobs=3) == [str(i) for i in range(8)]
+    assert run_chunked("call", str, range(8), jobs=3) == [str(i) for i in range(8)]
 
 
 def test_parallel_sweep_identical_to_serial():
@@ -56,12 +48,6 @@ def test_parallel_sweep_lossy_core_identical():
     serial = run_seed_sweep(range(7, 10), txns=15, plan=plan)
     parallel = run_seed_sweep(range(7, 10), txns=15, plan=plan, jobs=2)
     assert parallel.results == serial.results
-
-
-def test_run_parallel_seed_sweep_direct():
-    report = run_parallel_seed_sweep(range(42, 44), txns=10, jobs=2)
-    assert report.seeds == [42, 43]
-    assert not report.mutated
 
 
 # -- persistent worker pool --------------------------------------------------
@@ -84,23 +70,13 @@ def test_pool_reused_across_sweeps():
     assert after["chunks_dispatched"] > before["chunks_dispatched"]
 
 
-def test_soak_sweep_parallel_matches_serial():
-    config = SoakConfig(txns=300, rate_tps=40.0)
-    serial = [
-        build_report(run_soak(dataclasses.replace(config, seed=seed)))
-        for seed in (3, 4)
-    ]
-    parallel = run_parallel_soak_sweep([3, 4], config, jobs=2)
-    assert parallel == serial
-
-
 def test_worker_crash_surfaces_clear_error():
     with pytest.raises(WorkerPoolError) as excinfo:
-        parallel_map(_kill_worker, range(4), jobs=2)
+        run_chunked("call", _kill_worker, range(4), jobs=2)
     assert "call" in str(excinfo.value)
     # The broken pool was torn down, so the next dispatch transparently
     # builds a fresh one instead of failing forever.
-    assert parallel_map(str, range(4), jobs=2) == ["0", "1", "2", "3"]
+    assert run_chunked("call", str, range(4), jobs=2) == ["0", "1", "2", "3"]
 
 
 def test_explore_parallel_deterministic_merge():

@@ -8,6 +8,8 @@ from repro.net.message import Message, MessageType
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 
+from conftest import messages
+
 
 @pytest.fixture
 def cluster():
@@ -66,12 +68,9 @@ def test_commit_for_unstaged_txn_still_acked(cluster):
     """A COMMIT without prior staging (should not happen serially) is
     acknowledged so the coordinator does not hang."""
     site = cluster.site(1)
+    cluster.obs.enabled = True
     deliver(cluster, site, MessageType.COMMIT, txn_id=55, src=0)
-    acks = [
-        e for e in cluster.network.trace.entries
-        if e.mtype is MessageType.COMMIT_ACK and e.txn_id == 55
-    ]
-    assert len(acks) == 1
+    assert len(messages(cluster, MessageType.COMMIT_ACK, txn=55)) == 1
 
 
 def test_abort_without_staging_is_noop(cluster):
@@ -107,12 +106,9 @@ def test_copy_request_for_unheld_item_denied():
     catalog.add_copy(0, 1)
     catalog.add_copy(1, 0)  # item 1 only on site 0
     cluster = Cluster(config, catalog=catalog)
+    cluster.obs.enabled = True
     site1 = cluster.site(1)
     deliver(
         cluster, site1, MessageType.COPY_REQ, payload={"items": [1]}, src=0
     )
-    denied = [
-        e for e in cluster.network.trace.entries
-        if e.mtype is MessageType.COPY_DENIED
-    ]
-    assert len(denied) == 1
+    assert len(messages(cluster, MessageType.COPY_DENIED)) == 1

@@ -458,25 +458,6 @@ def test_committed_recovery_report_meets_acceptance():
 # -- metrics surfacing ---------------------------------------------------------
 
 
-def test_recovery_periods_csv_exports_records():
-    from repro.analysis.export import recovery_periods_csv
-
-    config = parallel_config()
-    scenario = make_scenario(config, 16)
-    scenario.add_action(3, FailSite(0))
-    scenario.add_action(8, RecoverSite(0))
-    scenario.until_recovered = (0,)
-    scenario.max_txns = 1000
-    cluster = run_cluster(config, scenario)
-    rows = recovery_periods_csv(cluster.metrics)
-    assert rows[0][0] == "site_id"
-    assert len(rows) >= 2
-    body = rows[1]
-    assert body[0] == "0"
-    assert body[1] == "parallel"
-    assert body[10] == "0"  # not interrupted
-
-
 def test_soak_report_gains_recoveries_only_for_non_default_policy():
     from repro.soak import SoakConfig, build_report, run_soak
 

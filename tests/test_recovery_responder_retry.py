@@ -4,11 +4,12 @@ import pytest
 
 from repro.core.sessions import SiteState
 from repro.net.message import MessageType
+from repro.obs.events import EventKind
 from repro.system.cluster import Cluster
 from repro.system.config import FailureDetection, SystemConfig
 from repro.system.scenario import FailSite, RecoverSite
 
-from conftest import make_scenario, run_cluster
+from conftest import make_scenario, messages, run_cluster
 
 
 def test_recovery_retries_next_candidate():
@@ -23,6 +24,7 @@ def test_recovery_retries_next_candidate():
         detection=FailureDetection.TIMEOUT,
     )
     cluster = Cluster(config)
+    cluster.obs.enabled = True
     scenario = make_scenario(config, 20)
     scenario.add_action(2, FailSite(0))
     scenario.add_action(4, FailSite(1))
@@ -34,12 +36,10 @@ def test_recovery_retries_next_candidate():
     # It learned site 1 is down during the retry.
     assert site0.nsv.state_of(1) is SiteState.DOWN
     # A RECOVERY_STATE did arrive (from site 2).
-    state_msgs = [
-        e
-        for e in cluster.network.trace.entries
-        if e.mtype is MessageType.RECOVERY_STATE and e.delivered
-    ]
-    assert state_msgs and state_msgs[-1].src == 2
+    state_msgs = messages(
+        cluster, MessageType.RECOVERY_STATE, kinds=(EventKind.MSG_RECV,)
+    )
+    assert state_msgs and state_msgs[-1].args["src"] == 2
 
 
 def test_solo_recovery_when_every_peer_is_down():

@@ -10,6 +10,8 @@ from repro.txn.operations import OpKind, Operation
 from repro.txn.transaction import AbortReason
 from repro.workload.base import WorkloadGenerator
 
+from conftest import messages
+
 
 class OneWrite(WorkloadGenerator):
     def generate(self, txn_seq, rng):
@@ -19,6 +21,7 @@ class OneWrite(WorkloadGenerator):
 def build():
     config = SystemConfig(db_size=4, num_sites=3, max_txn_size=2, seed=2)
     cluster = Cluster(config)
+    cluster.obs.enabled = True
     scenario = Scenario(workload=OneWrite(), txn_count=1, policy=FixedSite(0))
     return cluster, scenario
 
@@ -34,7 +37,7 @@ def test_stale_coordinator_session_is_nacked():
     txn = metrics.txns[0]
     assert not txn.committed
     assert txn.abort_reason is AbortReason.SESSION_CHANGED
-    assert cluster.network.trace.count(mtype=MessageType.VOTE_NACK) == 1
+    assert len(messages(cluster, MessageType.VOTE_NACK)) == 1
     # Nothing was committed anywhere.
     for site in cluster.sites:
         assert site.db.version(1) == 0
@@ -56,7 +59,7 @@ def test_matching_sessions_commit_normally():
     cluster, scenario = build()
     metrics = cluster.run(scenario)
     assert metrics.txns[0].committed
-    assert cluster.network.trace.count(mtype=MessageType.VOTE_NACK) == 0
+    assert messages(cluster, MessageType.VOTE_NACK) == []
 
 
 def test_nack_discards_other_participants_staging():

@@ -85,3 +85,14 @@ def test_soak_validate_flags_bad_file(tmp_path, capsys):
     assert main(["soak", "validate", "--file", str(bad)]) == 1
     assert "INVALID" in capsys.readouterr().err
 
+
+
+def test_soak_validate_reports_an_unreadable_file(tmp_path, capsys):
+    """A missing or non-JSON file is exit 2 with an ``error:`` line —
+    distinguishable from exit 1, "read it, and the report is invalid"."""
+    assert main(["soak", "validate", "--file", str(tmp_path / "absent.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    assert main(["soak", "validate", "--file", str(garbled)]) == 2
+    assert capsys.readouterr().err.startswith("error: input is not JSON")

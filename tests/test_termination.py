@@ -18,6 +18,8 @@ from repro.system.scenario import FixedSite, Scenario
 from repro.txn.operations import OpKind, Operation
 from repro.workload.base import WorkloadGenerator
 
+from conftest import SETTLED, messages
+
 
 class OneWrite(WorkloadGenerator):
     def generate(self, txn_seq, rng):
@@ -54,17 +56,18 @@ def build(txns=3, seed=1):
         status_inquiry_ms=120.0,
     )
     cluster = Cluster(config)
+    cluster.obs.enabled = True
     scenario = Scenario(workload=OneWrite(), txn_count=txns, policy=FixedSite(0))
     return cluster, scenario
 
 
 def kill_when(cluster, site_id, mtype, nth=1):
-    """Mark ``site_id`` dead the instant the ``nth`` ``mtype`` message is
-    recorded in the trace (polled every simulated 0.1 ms)."""
+    """Mark ``site_id`` dead the instant the ``nth`` ``mtype`` message has
+    been delivered or dropped (polled every simulated 0.1 ms)."""
     site = cluster.site(site_id)
 
     def poll():
-        if cluster.network.trace.count(mtype=mtype) >= nth:
+        if len(messages(cluster, mtype, kinds=SETTLED)) >= nth:
             site.alive = False
             return
         cluster.scheduler.schedule(0.1, poll)
@@ -182,6 +185,6 @@ def test_status_inquiry_bounce_advances_to_next_candidate() -> None:
     kill_when(cluster, 0, MessageType.COMMIT, nth=2)
     with pytest.raises(SimulationError):
         cluster.run(scenario)
-    bounced = cluster.network.trace.count(mtype=MessageType.TXN_STATUS_REQ)
+    bounced = len(messages(cluster, MessageType.TXN_STATUS_REQ))
     assert bounced >= 2, "expected an inquiry to the dead coordinator too"
     assert cluster.metrics.counters.get("termination_committed") == 1

@@ -1,8 +1,8 @@
 """First-class Zipf selection (repro.workload.zipf).
 
-ZipfGenerator replaced the linear CDF scan inside ZipfHotSetWorkload; the
-draw-for-draw equivalence test here is what makes that refactor safe for
-seeded reproducibility.
+ZipfGenerator picks by bisection; the draw-for-draw equivalence test here
+keeps the linear CDF scan it replaced as the reference, which is what
+makes seeded runs reproducible across that change.
 """
 
 import random
@@ -13,7 +13,6 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.txn.operations import OpKind
-from repro.workload.hotset import ZipfHotSetWorkload
 from repro.workload.zipf import ZipfGenerator, ZipfWorkload
 
 
@@ -93,25 +92,6 @@ def test_generator_rejects_bad_args():
         ZipfGenerator([], skew=1.0)
     with pytest.raises(WorkloadError):
         ZipfGenerator([1, 2], skew=-0.1)
-
-
-def test_hotset_workload_draws_through_promoted_generator():
-    """ZipfHotSetWorkload delegates to ZipfGenerator: the same seeded
-    stream produces the same items whether picked via the workload's
-    hot path or via an identically-configured generator."""
-    hot = [3, 1, 4, 1, 5][:4]  # arbitrary ranked order
-    workload = ZipfHotSetWorkload(hot, max_txn_size=1, skew=1.2,
-                                  write_probability=0.0)
-    standalone = ZipfGenerator(hot, skew=1.2)
-    rng_a, rng_b = random.Random(2024), random.Random(2024)
-    for seq in range(300):
-        ops = workload.generate(seq, rng_a)
-        rng_b.randint(1, 1)  # mirror the workload's size draw
-        expected = standalone.pick(rng_b)
-        rng_b.random()  # mirror the workload's read/write draw
-        assert len(ops) == 1
-        assert ops[0].item_id == expected
-        assert ops[0].kind is OpKind.READ
 
 
 # -- ZipfWorkload -------------------------------------------------------------

@@ -7,11 +7,11 @@ import pytest
 from repro.errors import WorkloadError
 from repro.txn.operations import OpKind
 from repro.workload.et1 import Et1Workload
-from repro.workload.hotset import ZipfHotSetWorkload
 from repro.workload.readwrite import ReadWriteWorkload
 from repro.workload.shapes import DebitCreditWorkload, WisconsinMixWorkload
 from repro.workload.uniform import UniformWorkload
 from repro.workload.wisconsin import WisconsinWorkload
+from repro.workload.zipf import ZipfWorkload
 
 
 @pytest.fixture
@@ -58,7 +58,7 @@ def test_readwrite_validation():
 
 
 def test_zipf_skews_to_low_ranks(rng):
-    wl = ZipfHotSetWorkload(ITEMS, max_txn_size=4, skew=1.5)
+    wl = ZipfWorkload(ITEMS, max_txn_size=4, skew=1.5)
     counts = {}
     for seq in range(2000):
         for op in wl.generate(seq, rng):
@@ -69,7 +69,7 @@ def test_zipf_skews_to_low_ranks(rng):
 
 
 def test_zipf_zero_skew_roughly_uniform(rng):
-    wl = ZipfHotSetWorkload(ITEMS, max_txn_size=4, skew=0.0)
+    wl = ZipfWorkload(ITEMS, max_txn_size=4, skew=0.0)
     counts = dict.fromkeys(ITEMS, 0)
     for seq in range(3000):
         for op in wl.generate(seq, rng):
@@ -79,22 +79,11 @@ def test_zipf_zero_skew_roughly_uniform(rng):
     assert values[-1] < 3 * values[0]
 
 
-def test_zipf_cold_accesses(rng):
-    cold = list(range(100, 110))
-    wl = ZipfHotSetWorkload(
-        ITEMS, max_txn_size=4, cold_items=cold, cold_probability=0.5
-    )
-    touched = set()
-    for seq in range(300):
-        touched.update(op.item_id for op in wl.generate(seq, rng))
-    assert touched & set(cold)
-
-
 def test_zipf_validation():
     with pytest.raises(WorkloadError):
-        ZipfHotSetWorkload([], 5)
+        ZipfWorkload([], 5)
     with pytest.raises(WorkloadError):
-        ZipfHotSetWorkload(ITEMS, 5, cold_probability=0.5)  # no cold items
+        ZipfWorkload(ITEMS, 5, skew=-1.0)
 
 
 def test_et1_shape(rng):
@@ -156,7 +145,7 @@ def test_describe_strings():
     assert "uniform" in UniformWorkload(ITEMS, 5).describe()
     assert "et1" in Et1Workload(ITEMS).describe()
     assert "wisconsin" in WisconsinWorkload(ITEMS).describe()
-    assert "zipf" in ZipfHotSetWorkload(ITEMS, 5).describe()
+    assert "zipf" in ZipfWorkload(ITEMS, 5).describe()
 
 
 # -- soak-selectable benchmark mixes (shapes.py presets) ---------------------
