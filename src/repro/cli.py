@@ -29,27 +29,10 @@ of one transaction), ``list`` (per-transaction run summary), ``cat``
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
-
-def _unreadable_input_is_exit_2(fn):
-    """A missing run directory or report file, or one that is not JSON, is
-    ``error: ...`` on stderr and exit 2 — not a traceback, and not exit 1,
-    which means "read it, and it is invalid"."""
-
-    @functools.wraps(fn)
-    def run(args: argparse.Namespace) -> int:
-        try:
-            return fn(args)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-        except json.JSONDecodeError as exc:
-            print(f"error: input is not JSON: {exc}", file=sys.stderr)
-        return 2
-
-    return run
+from repro.errors import CheckError, ConfigurationError, WorkloadError
 
 
 def _cmd_exp1(args: argparse.Namespace) -> int:
@@ -199,7 +182,6 @@ def _cmd_concurrent(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import FaultPlan, format_sweep_report, run_seed_sweep
-    from repro.errors import ConfigurationError
 
     plan = {
         "default": FaultPlan,
@@ -222,11 +204,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         plan.crash_rate = args.crash_rate
     if args.partition_rate is not None:
         plan.partition_rate = args.partition_rate
-    try:
-        plan.validate()
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    plan.validate()
     seeds = range(args.seed, args.seed + args.seeds)
     report = run_seed_sweep(
         seeds,
@@ -254,25 +232,20 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_trace_record(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.errors import ConfigurationError
     from repro.obs import record_chaos, record_experiment
 
     out = Path(args.out)
-    try:
-        if args.chaos_seed is not None:
-            manifest = record_chaos(
-                args.chaos_seed,
-                out_dir=out,
-                sites=args.sites,
-                db_size=args.db,
-                txns=args.txns,
-                lossy_core=args.lossy_core,
-            )
-        else:
-            manifest = record_experiment(args.exp, seed=args.seed, out_dir=out)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.chaos_seed is not None:
+        manifest = record_chaos(
+            args.chaos_seed,
+            out_dir=out,
+            sites=args.sites,
+            db_size=args.db,
+            txns=args.txns,
+            lossy_core=args.lossy_core,
+        )
+    else:
+        manifest = record_experiment(args.exp, seed=args.seed, out_dir=out)
     print(
         f"recorded {manifest['scenario']} (seed {manifest['seed']}): "
         f"{manifest['events']} events, {len(manifest['transactions'])} txns, "
@@ -283,7 +256,6 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     return 0
 
 
-@_unreadable_input_is_exit_2
 def _cmd_trace_show(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -293,7 +265,6 @@ def _cmd_trace_show(args: argparse.Namespace) -> int:
     return 0
 
 
-@_unreadable_input_is_exit_2
 def _cmd_trace_list(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -303,7 +274,6 @@ def _cmd_trace_list(args: argparse.Namespace) -> int:
     return 0
 
 
-@_unreadable_input_is_exit_2
 def _cmd_trace_cat(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -324,7 +294,6 @@ def _cmd_trace_cat(args: argparse.Namespace) -> int:
     return 0
 
 
-@_unreadable_input_is_exit_2
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -500,13 +469,8 @@ def _cmd_check_replay(args: argparse.Namespace) -> int:
         load_schedule,
         run_schedule,
     )
-    from repro.errors import CheckError
 
-    try:
-        doc = load_schedule(Path(args.file))
-    except CheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    doc = load_schedule(Path(args.file))
     config = CheckConfig.from_dict(doc["config"])
     if args.export:
         _manifest, result = export_counterexample(
@@ -555,15 +519,10 @@ def _cmd_check_shrink(args: argparse.Namespace) -> int:
         save_schedule,
         shrink,
     )
-    from repro.errors import CheckError
 
-    try:
-        doc = load_schedule(Path(args.file))
-        config = CheckConfig.from_dict(doc["config"])
-        result = shrink(config, doc["decisions"])
-    except CheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    doc = load_schedule(Path(args.file))
+    config = CheckConfig.from_dict(doc["config"])
+    result = shrink(config, doc["decisions"])
     print(
         f"shrunk {doc['decisions']} -> {result.vector} "
         f"({result.removed} deviations removed, {result.tests_run} test runs, "
@@ -587,13 +546,8 @@ def _cmd_check_stats(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.check import load_schedule
-    from repro.errors import CheckError
 
-    try:
-        doc = load_schedule(Path(args.file))
-    except CheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    doc = load_schedule(Path(args.file))
     config = doc["config"]
     decisions = doc["decisions"]
     print(f"schedule {args.file} ({doc['schema']})")
@@ -805,7 +759,6 @@ def _soak_trace_exemplars(config, result, out_dir: str) -> int:
     return 0
 
 
-@_unreadable_input_is_exit_2
 def _cmd_soak_validate(args: argparse.Namespace) -> int:
     """Schema-check a soak report written by ``repro soak run --out``."""
     from repro.soak import validate_soak_report
@@ -1217,18 +1170,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
-    args = build_parser().parse_args(argv)
-    if args.profile:
-        import cProfile
-        import pstats
+    """CLI entry point.
 
-        profiler = cProfile.Profile()
-        rc = profiler.runcall(args.fn, args)
-        stats = pstats.Stats(profiler, stream=sys.stdout)
-        stats.strip_dirs().sort_stats("cumulative").print_stats(25)
-        return rc
-    return args.fn(args)
+    A bad argument or an unreadable input — whichever command met it — is
+    one ``error: ...`` line on stderr and exit 2: not a traceback, and not
+    exit 1, which means "violations found" / "runs differ" / "report
+    invalid".  A ``SimulationError`` (a stalled run) keeps its traceback.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        if args.profile:
+            import cProfile
+            import pstats
+
+            profiler = cProfile.Profile()
+            rc = profiler.runcall(args.fn, args)
+            stats = pstats.Stats(profiler, stream=sys.stdout)
+            stats.strip_dirs().sort_stats("cumulative").print_stats(25)
+            return rc
+        return args.fn(args)
+    except json.JSONDecodeError as exc:
+        print(f"error: input is not JSON: {exc}", file=sys.stderr)
+    except (ConfigurationError, CheckError, WorkloadError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

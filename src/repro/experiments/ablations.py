@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.recovery import RecoveryPolicy
-from repro.metrics.availability import availability_of
+from repro.experiments.exp2 import run_figure1
+from repro.experiments.exp3 import run_scenario2
 from repro.metrics.stats import mean
 from repro.system.cluster import Cluster
 from repro.system.config import (
@@ -61,28 +62,18 @@ def run_two_step_recovery(
     configs = [("on_demand", RecoveryPolicy.ON_DEMAND, 0.0)]
     configs += [("two_step", RecoveryPolicy.TWO_STEP, t) for t in thresholds]
     for name, policy, threshold in configs:
-        config = SystemConfig.paper_experiment2(
-            seed=seed, recovery_policy=policy, batch_threshold=threshold
+        result = run_figure1(
+            config=SystemConfig.paper_experiment2(
+                seed=seed, recovery_policy=policy, batch_threshold=threshold
+            )
         )
-        cluster = Cluster(config)
-        scenario = Scenario(
-            workload=UniformWorkload(config.item_ids, config.max_txn_size),
-            txn_count=100,
-            policy=Weighted({0: 0.05, 1: 0.95}),
-            until_recovered=(0,),
-            max_txns=2000,
-        )
-        scenario.add_action(1, FailSite(0))
-        scenario.add_action(101, RecoverSite(0))
-        metrics = cluster.run(scenario)
-        report = availability_of(metrics.faillock_samples, 0, config.db_size)
         results.append(
             RecoveryPolicyResult(
                 policy=name,
                 threshold=threshold,
-                txns_to_recover=report.txns_to_recover,
-                copiers=metrics.counters.get("copiers"),
-                batch_copiers=metrics.counters.get("batch_copiers"),
+                txns_to_recover=result.report.txns_to_recover,
+                copiers=result.copiers,
+                batch_copiers=result.metrics.counters.get("batch_copiers"),
             )
         )
     return results
@@ -150,25 +141,18 @@ def run_read_write_ratio(
     results = []
     for wp in write_probs:
         config = SystemConfig.paper_experiment2(seed=seed, write_probability=wp)
-        cluster = Cluster(config)
-        workload = ReadWriteWorkload(config.item_ids, config.max_txn_size, wp)
-        scenario = Scenario(
-            workload=workload,
-            txn_count=100,
-            policy=Weighted({0: 0.5, 1: 0.5}),
-            until_recovered=(0,),
+        result = run_figure1(
+            recovering_share=0.5,
+            workload=ReadWriteWorkload(config.item_ids, config.max_txn_size, wp),
             max_txns=4000,
+            config=config,
         )
-        scenario.add_action(1, FailSite(0))
-        scenario.add_action(101, RecoverSite(0))
-        metrics = cluster.run(scenario)
-        report = availability_of(metrics.faillock_samples, 0, config.db_size)
         results.append(
             ReadWriteResult(
                 write_probability=wp,
-                peak_locks=report.peak_locks,
-                txns_to_recover=report.txns_to_recover,
-                copiers=metrics.counters.get("copiers"),
+                peak_locks=result.report.peak_locks,
+                txns_to_recover=result.report.txns_to_recover,
+                copiers=result.copiers,
             )
         )
     return results
@@ -201,28 +185,18 @@ def run_strategy_comparison(seed: int = 42) -> list[StrategyResult]:
         CopyControlStrategy.ROWA,
         CopyControlStrategy.QUORUM,
     ):
-        config = SystemConfig.paper_experiment3_scenario2(
-            seed=seed, strategy=strategy
+        result = run_scenario2(
+            settle=False,
+            config=SystemConfig.paper_experiment3_scenario2(
+                seed=seed, strategy=strategy
+            ),
         )
-        cluster = Cluster(config)
-        scenario = Scenario(
-            workload=UniformWorkload(config.item_ids, config.max_txn_size),
-            txn_count=160,
-        )
-        for site in range(4):
-            scenario.add_action(25 * site + 1, FailSite(site))
-            scenario.add_action(25 * (site + 1) + 1, RecoverSite(site))
-        metrics = cluster.run(scenario)
-        reasons: dict[str, int] = {}
-        for record in metrics.aborted:
-            key = record.abort_reason.value
-            reasons[key] = reasons.get(key, 0) + 1
         results.append(
             StrategyResult(
                 strategy=strategy.value,
-                commits=metrics.counters.get("commits"),
-                aborts=metrics.counters.get("aborts"),
-                abort_reasons=reasons,
+                commits=result.commits,
+                aborts=result.aborts,
+                abort_reasons=result.abort_reasons,
             )
         )
     return results
@@ -250,24 +224,18 @@ def run_failure_detection(seed: int = 42) -> list[DetectionResult]:
     """
     results = []
     for detection in (FailureDetection.ANNOUNCED, FailureDetection.TIMEOUT):
-        config = SystemConfig.paper_experiment3_scenario2(
-            seed=seed, detection=detection
+        result = run_scenario2(
+            settle=False,
+            config=SystemConfig.paper_experiment3_scenario2(
+                seed=seed, detection=detection
+            ),
         )
-        cluster = Cluster(config)
-        scenario = Scenario(
-            workload=UniformWorkload(config.item_ids, config.max_txn_size),
-            txn_count=160,
-        )
-        for site in range(4):
-            scenario.add_action(25 * site + 1, FailSite(site))
-            scenario.add_action(25 * (site + 1) + 1, RecoverSite(site))
-        metrics = cluster.run(scenario)
         results.append(
             DetectionResult(
                 detection=detection.value,
-                commits=metrics.counters.get("commits"),
-                aborts=metrics.counters.get("aborts"),
-                type2_controls=metrics.counters.get("control_type2"),
+                commits=result.commits,
+                aborts=result.aborts,
+                type2_controls=result.metrics.counters.get("control_type2"),
             )
         )
     return results
@@ -297,25 +265,14 @@ def run_benchmark_workloads(seed: int = 42) -> list[WorkloadResult]:
     ]
     results = []
     for workload in workloads:
-        cluster = Cluster(SystemConfig.paper_experiment2(seed=seed))
-        scenario = Scenario(
-            workload=workload,
-            txn_count=100,
-            policy=Weighted({0: 0.05, 1: 0.95}),
-            until_recovered=(0,),
-            max_txns=4000,
-        )
-        scenario.add_action(1, FailSite(0))
-        scenario.add_action(101, RecoverSite(0))
-        metrics = cluster.run(scenario)
-        report = availability_of(metrics.faillock_samples, 0, config.db_size)
+        result = run_figure1(seed=seed, workload=workload, max_txns=4000)
         results.append(
             WorkloadResult(
                 workload=workload.describe(),
-                peak_locks=report.peak_locks,
-                txns_to_recover=report.txns_to_recover,
-                copiers=metrics.counters.get("copiers"),
-                aborts=metrics.counters.get("aborts"),
+                peak_locks=result.report.peak_locks,
+                txns_to_recover=result.report.txns_to_recover,
+                copiers=result.copiers,
+                aborts=result.aborts,
             )
         )
     return results
@@ -344,25 +301,17 @@ def run_crash_models(seed: int = 42) -> list[CrashModelResult]:
     """
     results = []
     for name, cold in (("warm", False), ("cold", True)):
-        config = SystemConfig.paper_experiment2(seed=seed, cold_recovery=cold)
-        cluster = Cluster(config)
-        scenario = Scenario(
-            workload=UniformWorkload(config.item_ids, config.max_txn_size),
-            txn_count=30,
-            policy=Weighted({0: 0.05, 1: 0.95}),
-            until_recovered=(0,),
+        result = run_figure1(
+            down_txns=30,
             max_txns=4000,
+            config=SystemConfig.paper_experiment2(seed=seed, cold_recovery=cold),
         )
-        scenario.add_action(1, FailSite(0))
-        scenario.add_action(31, RecoverSite(0))
-        metrics = cluster.run(scenario)
-        report = availability_of(metrics.faillock_samples, 0, config.db_size)
         results.append(
             CrashModelResult(
                 model=name,
-                initial_stale=report.peak_locks,
-                txns_to_recover=report.txns_to_recover,
-                copiers=metrics.counters.get("copiers"),
+                initial_stale=result.report.peak_locks,
+                txns_to_recover=result.report.txns_to_recover,
+                copiers=result.copiers,
             )
         )
     return results
@@ -520,28 +469,15 @@ def run_submission_bias(
     """
     results = []
     for share in shares:
-        config = SystemConfig.paper_experiment2(seed=seed)
-        cluster = Cluster(config)
-        scenario = Scenario(
-            workload=UniformWorkload(config.item_ids, config.max_txn_size),
-            txn_count=100,
-            policy=Weighted({0: share, 1: 1.0 - share}) if share > 0
-            else Weighted({1: 1.0}),
-            until_recovered=(0,),
-            max_txns=4000,
-        )
-        scenario.add_action(1, FailSite(0))
-        scenario.add_action(101, RecoverSite(0))
-        metrics = cluster.run(scenario)
-        report = availability_of(metrics.faillock_samples, 0, config.db_size)
-        stats = cluster.site(0).recovery.stats
+        result = run_figure1(seed=seed, recovering_share=share, max_txns=4000)
+        (period,) = result.metrics.recoveries  # site 0 recovers once
         results.append(
             SubmissionBiasResult(
                 recovering_share=share,
-                txns_to_recover=report.txns_to_recover,
-                copiers=metrics.counters.get("copiers"),
-                refreshed_by_copier=stats.refreshed_by_copier,
-                refreshed_by_write=stats.refreshed_by_write,
+                txns_to_recover=result.report.txns_to_recover,
+                copiers=result.copiers,
+                refreshed_by_copier=period.refreshed_by_copier,
+                refreshed_by_write=period.refreshed_by_write,
             )
         )
     return results

@@ -74,9 +74,15 @@ def run_figure1(
     workload: WorkloadGenerator | None = None,
     down_txns: int = 100,
     max_txns: int = 2000,
+    config: SystemConfig | None = None,
 ) -> Figure1Result:
-    """Run the §3.1 scenario and return the Figure 1 series."""
-    config = SystemConfig.paper_experiment2(seed=seed)
+    """Run the §3.1 scenario and return the Figure 1 series.
+
+    ``config`` replaces the paper's Experiment 2 configuration (and then
+    carries the seed itself) — the ablations vary one field of it at a time.
+    """
+    if config is None:
+        config = SystemConfig.paper_experiment2(seed=seed)
     cluster = Cluster(config)
     if workload is None:
         workload = UniformWorkload(config.item_ids, config.max_txn_size)

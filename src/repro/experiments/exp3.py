@@ -99,9 +99,16 @@ def run_scenario1(seed: int = 42, settle: bool = True) -> ScenarioResult:
     return _run(config, scenario, "Figure 2: database inconsistency (scenario 1)")
 
 
-def run_scenario2(seed: int = 42, settle: bool = True) -> ScenarioResult:
-    """Figure 3: four sites failing singly in succession."""
-    config = SystemConfig.paper_experiment3_scenario2(seed=seed)
+def run_scenario2(
+    seed: int = 42, settle: bool = True, config: SystemConfig | None = None
+) -> ScenarioResult:
+    """Figure 3: four sites failing singly in succession.
+
+    ``config`` replaces the paper's configuration (and then carries the
+    seed itself) — the ablations vary its strategy and detection mode.
+    """
+    if config is None:
+        config = SystemConfig.paper_experiment3_scenario2(seed=seed)
     scenario = Scenario(
         workload=UniformWorkload(config.item_ids, config.max_txn_size),
         txn_count=160,

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.experiments.exp1 import run_faillock_overhead
 from repro.experiments.exp2 import run_figure1
 from repro.experiments.exp3 import run_scenario1, run_scenario2
 from repro.metrics.stats import mean, stddev
@@ -78,11 +77,6 @@ def _scenario2_aborts(seed: int) -> float:
     return float(run_scenario2(seed=seed, settle=False).aborts)
 
 
-def _faillock_pcts(seed: int) -> tuple[float, float]:
-    result = run_faillock_overhead(seed=seed, txns=150)
-    return (result.coord_overhead_pct, result.part_overhead_pct)
-
-
 def replicate_figure1(
     seeds: tuple[int, ...] = tuple(range(1, 11)),
     jobs: Optional[int] = None,
@@ -125,19 +119,3 @@ def replicate_scenario2(
         run_chunked("call", _scenario2_aborts, seeds, jobs=jobs),
     )
 
-
-def replicate_faillock_overhead(
-    seeds: tuple[int, ...] = tuple(range(1, 6)),
-    jobs: Optional[int] = None,
-) -> dict[str, Replicated]:
-    """Experiment 1's fail-lock overhead percentages across seeds."""
-    coord, part = [], []
-    for coord_pct, part_pct in run_chunked(
-        "call", _faillock_pcts, seeds, jobs=jobs
-    ):
-        coord.append(coord_pct)
-        part.append(part_pct)
-    return {
-        "coord_pct": Replicated("coordinator overhead %", coord),
-        "part_pct": Replicated("participant overhead %", part),
-    }

@@ -6,10 +6,7 @@ Two estimators back the soak engine's latency reporting:
   Values land in geometric buckets sized so every bucket midpoint is
   within a configurable *relative* error ``rel_err`` of any value in the
   bucket.  Memory is bounded by the dynamic range of the data (one
-  integer per occupied bucket), not by the sample count, and two
-  sketches merge by adding bucket counts — an exactly associative and
-  commutative operation, so sharded collection order cannot change a
-  quantile estimate.
+  integer per occupied bucket), not by the sample count.
 
 * :class:`P2Quantile` — the classic Jain & Chlamtac P² estimator: five
   markers tracking one target quantile in strictly O(1) memory.  It is
@@ -36,7 +33,7 @@ __all__ = ["P2Quantile", "QuantileSketch"]
 
 
 class QuantileSketch:
-    """Mergeable log-bucket quantile sketch for non-negative values."""
+    """Log-bucket quantile sketch for non-negative values."""
 
     __slots__ = ("rel_err", "_gamma", "_ln_gamma", "_buckets", "_zero",
                  "count", "total", "minimum", "maximum")
@@ -99,38 +96,6 @@ class QuantileSketch:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold ``other`` into ``self`` (bucket-count addition) and return self.
-
-        Quantile estimates of a merged sketch depend only on the integer
-        bucket counts, so merging is exactly associative and commutative
-        for every ``quantile()`` query (``total`` is a float sum and may
-        differ in the last ulp across merge orders).
-        """
-        if other.rel_err != self.rel_err:
-            raise ValueError(
-                f"cannot merge sketches with different rel_err: "
-                f"{self.rel_err} vs {other.rel_err}"
-            )
-        for index, n in other._buckets.items():
-            self._buckets[index] = self._buckets.get(index, 0) + n
-        self._zero += other._zero
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        return self
-
-    def copy(self) -> "QuantileSketch":
-        dup = QuantileSketch(self.rel_err)
-        dup._buckets = dict(self._buckets)
-        dup._zero = self._zero
-        dup.count = self.count
-        dup.total = self.total
-        dup.minimum = self.minimum
-        dup.maximum = self.maximum
-        return dup
 
     @property
     def bucket_count(self) -> int:

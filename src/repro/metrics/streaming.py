@@ -5,7 +5,7 @@ one :class:`TxnRecord` per transaction) grows linearly with run length,
 which caps the §3 availability experiments at toy transaction counts.
 This module provides the aggregation sink the soak engine uses instead:
 
-* :class:`StreamingStats` — Welford mean/variance plus min/max, mergeable;
+* :class:`StreamingStats` — Welford mean/variance plus min/max;
 * :class:`LatencyDigest` — stats + a :class:`QuantileSketch` for
   p50/p95/p99 with a documented relative-error bound;
 * :class:`ReservoirSample` — Algorithm-R uniform sample of exemplar
@@ -68,26 +68,6 @@ class StreamingStats:
     def stddev(self) -> float:
         return math.sqrt(self.variance)
 
-    def merge(self, other: "StreamingStats") -> "StreamingStats":
-        """Chan's parallel-variance combine; returns self."""
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            return self
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.mean += delta * other.count / total
-        self.count = total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        return self
-
     def __repr__(self) -> str:
         return f"StreamingStats(n={self.count}, mean={self.mean:.3f})"
 
@@ -111,11 +91,6 @@ class LatencyDigest:
 
     def quantile(self, p: float) -> float:
         return self.sketch.quantile(p)
-
-    def merge(self, other: "LatencyDigest") -> "LatencyDigest":
-        self.stats.merge(other.stats)
-        self.sketch.merge(other.sketch)
-        return self
 
     def to_summary(self) -> Summary:
         """A :class:`Summary` shaped like :func:`summarize` — median and

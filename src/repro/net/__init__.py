@@ -3,9 +3,10 @@
 The paper assumes (its §1.2 assumption 1) a reliable transport: no loss, no
 reordering, no corruption.  This package provides exactly that — FIFO
 channels between registered endpoints — plus the pieces the paper's testbed
-had implicitly: a latency/cost model for each communication (measured at
-9 ms per inter-site message in mini-RAID), partition injection for the
-network-partition scenarios the protocol is designed to survive.  The
+had implicitly: a fixed wire latency and a CPU cost for each communication
+(measured at 9 ms per inter-site message in mini-RAID), and partition
+injection for the network-partition scenarios the protocol is designed to
+survive.  The
 network keeps three counters (sent, delivered, undeliverable) and owns the
 run's structured-trace sink (:class:`repro.obs.sink.TraceSink`, off by
 default), which is the one per-message record: with
@@ -21,7 +22,6 @@ retransmission — all driven by the deterministic event scheduler.
 """
 
 from repro.net.message import Message, MessageType
-from repro.net.latency import ConstantLatency, UniformLatency, LatencyModel
 from repro.net.endpoint import Endpoint, HandlerContext
 from repro.net.network import Network
 from repro.net.partition import PartitionManager
@@ -30,9 +30,6 @@ from repro.net.reliable import ReliableDelivery, ReliableStats, RetransmitPolicy
 __all__ = [
     "Message",
     "MessageType",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
     "Endpoint",
     "HandlerContext",
     "Network",

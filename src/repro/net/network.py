@@ -25,13 +25,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.errors import NetworkError, UnknownSiteError
 from repro.net.endpoint import Endpoint, HandlerContext
-from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.message import Message, MessageType
 from repro.net.partition import PartitionManager
 from repro.obs.events import EventKind
 from repro.obs.sink import TraceSink
 from repro.sim.cpu import CpuResource
-from repro.sim.rng import DeterministicRng
 from repro.sim.scheduler import EventScheduler
 
 # Messages that must reach a site even while it is marked down.  A down
@@ -81,25 +79,23 @@ class Network:
         self,
         scheduler: EventScheduler,
         cpu: CpuResource,
-        rng: DeterministicRng,
-        latency_model: Optional[LatencyModel] = None,
+        wire_latency_ms: float = 0.0,
         msg_send_cost: float = 4.5,
         msg_recv_cost: float = 4.5,
         failure_detect_delay: float = 0.0,
     ) -> None:
         self.scheduler = scheduler
         self.cpu = cpu
-        self.latency_model = latency_model if latency_model is not None else ConstantLatency(0.0)
-        # Constant-latency fast path: ConstantLatency.sample consumes no
-        # randomness, so the per-message polymorphic call can be skipped
-        # without perturbing any RNG stream.
-        self._fixed_latency: Optional[float] = (
-            self.latency_model.latency_ms
-            if type(self.latency_model) is ConstantLatency
-            else None
-        )
+        if wire_latency_ms < 0:
+            raise NetworkError(f"latency must be non-negative: {wire_latency_ms}")
         if msg_send_cost < 0 or msg_recv_cost < 0:
             raise NetworkError("message costs must be non-negative")
+        # In mini-RAID all sites lived on one machine, so the 9 ms per
+        # communication was interprocess *processing* cost and is charged
+        # as CPU; wire latency is for the "complete RAID" configuration
+        # (separate machines), where messages spend real time in flight
+        # while CPUs stay free.
+        self.wire_latency_ms = float(wire_latency_ms)
         self.msg_send_cost = msg_send_cost
         self.msg_recv_cost = msg_recv_cost
         self.failure_detect_delay = failure_detect_delay
@@ -124,7 +120,6 @@ class Network:
         # scheduler, CPU, or RNG, so enabling it cannot change a run.
         self.obs = TraceSink()
         self._endpoints: dict[int, Endpoint] = {}
-        self._latency_rng = rng.stream("net.latency")
         self._fifo_last: dict[tuple[int, int], float] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -277,10 +272,7 @@ class Network:
                 self.reliable.cancel(msg)
             self._notify_sender_failure(msg)
             return
-        if self._fixed_latency is not None:
-            latency = self._fixed_latency
-        else:
-            latency = self.latency_model.sample(msg.src, msg.dst, self._latency_rng)
+        latency = self.wire_latency_ms
         if fate is not None:
             latency += fate.delay
         deliver_at = release_time + latency

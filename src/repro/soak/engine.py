@@ -29,16 +29,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ConfigurationError, ProtocolError, SimulationError
-from repro.core.control import FailureAnnouncement
 from repro.core.recovery import RecoveryPolicy
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.records import TxnRecord
 from repro.metrics.streaming import StreamingTxnSink, Window
-from repro.net.endpoint import Endpoint, HandlerContext
+from repro.net.endpoint import HandlerContext
 from repro.net.message import Message, MessageType
 from repro.system.cluster import Cluster
 from repro.system.config import FailureDetection, SystemConfig
-from repro.system.deadlock import GlobalDeadlockDetector
+from repro.system.managing import ControlPlane
 from repro.txn.transaction import AbortReason
 from repro.workload.base import WorkloadGenerator
 from repro.workload.shapes import (
@@ -275,7 +274,7 @@ class SoakResult:
         return self.aborts / self.txns if self.txns else 0.0
 
 
-class SoakManager(Endpoint):
+class SoakManager(ControlPlane):
     """Open-loop source that survives coordinator crashes.
 
     Tracks which sites it believes operational, routes new transactions
@@ -292,21 +291,16 @@ class SoakManager(Endpoint):
         sink: StreamingTxnSink,
         txn_count: int,
     ) -> None:
-        super().__init__(cluster.config.manager_id)
-        self.cluster = cluster
-        self.config = cluster.config
-        self.metrics = cluster.metrics
+        super().__init__(cluster, "soak")
         self.workload = workload
         self.shape = shape
         self.sink = sink
-        self._rng = cluster.rng.stream("soak")
         self._expected = txn_count
         self._submitted = 0
         self._done = 0
         self.finished = False
         # txn -> (coordinator, submitted_at, op count); O(in-flight).
         self.outstanding: dict[int, tuple[int, float, int]] = {}
-        self.believed_up: set[int] = set(self.config.site_ids)
         self.lost = 0
         self.late_done = 0
         self.faults: list[FaultEvent] = []
@@ -325,16 +319,11 @@ class SoakManager(Endpoint):
             ops = self.workload.generate_at(seq, self._rng, ctx.now)
         else:
             ops = self.workload.generate(seq, self._rng)
-        up = sorted(self.believed_up)
+        up = self.up_sites
         dst = up[self._rng.randrange(len(up))]
         self.outstanding[seq] = (dst, ctx.now, len(ops))
         self.sink.note_arrival(ctx.now)
-        ctx.send(
-            dst,
-            MessageType.MGR_SUBMIT_TXN,
-            {"ops": [(op.kind, op.item_id) for op in ops]},
-            txn_id=seq,
-        )
+        self.submit(ctx, seq, ops, dst, seq)
         if self._submitted < self._expected:
             gap = next_arrival_ms(self.shape, self._rng, ctx.now) - ctx.now
             self.cluster.network.spawn(self, self._arrive, delay=gap)
@@ -343,8 +332,7 @@ class SoakManager(Endpoint):
 
     def handle(self, ctx: HandlerContext, msg: Message) -> None:
         if msg.mtype is MessageType.MGR_RECOVER_DONE:
-            site = msg.payload["site"]
-            self.believed_up.add(site)
+            site = self.recover_done(msg)
             for fault in self.faults:
                 if fault.site == site and fault.recover_done_ms is None:
                     fault.recover_done_ms = ctx.now
@@ -360,15 +348,7 @@ class SoakManager(Endpoint):
             self.metrics.pop_participants(msg.txn_id)
             return
         _coordinator, submitted_at, _size = entry
-        self.metrics.record_txn(
-            TxnRecord.from_done(
-                msg,
-                seq=msg.txn_id,
-                submitted_at=submitted_at,
-                finished_at=ctx.now,
-                participant_elapsed=self.metrics.pop_participants(msg.txn_id),
-            )
-        )
+        self.settle(ctx, msg, msg.txn_id, submitted_at)
         self._note_done()
 
     def on_delivery_failed(self, ctx: HandlerContext, msg: Message) -> None:
@@ -410,20 +390,11 @@ class SoakManager(Endpoint):
 
     def fail_site(self, ctx: HandlerContext, fault: FaultEvent) -> None:
         site_id = fault.site
-        if site_id not in self.believed_up or len(self.believed_up) <= 1:
+        if site_id not in self._believed_up or len(self._believed_up) <= 1:
             return  # already down, or it is the last site standing
-        ctx.send(site_id, MessageType.MGR_FAIL, {})
-        self.believed_up.discard(site_id)
+        self.fail(ctx, site_id)
         fault.failed_at_ms = ctx.now
         self.faults.append(fault)
-        if self.config.detection is FailureDetection.ANNOUNCED:
-            announcement = FailureAnnouncement(
-                announcer=self.site_id, failed_sites=[site_id]
-            )
-            for peer in sorted(self.believed_up):
-                ctx.send(
-                    peer, MessageType.FAILURE_ANNOUNCE, announcement.to_payload()
-                )
         # Transactions coordinated by the failed site die with it.
         for txn_id in sorted(
             t for t, (coord, _at, _n) in self.outstanding.items()
@@ -433,9 +404,8 @@ class SoakManager(Endpoint):
             fault.lost_txns += 1
 
     def recover_site(self, ctx: HandlerContext, site_id: int) -> None:
-        if site_id in self.believed_up:
-            return
-        ctx.send(site_id, MessageType.MGR_RECOVER, {})
+        if site_id not in self._believed_up:
+            self.recover(ctx, site_id)
 
 
 def run_soak(config: Optional[SoakConfig] = None, trace=None) -> SoakResult:
@@ -477,10 +447,7 @@ def run_soak(config: Optional[SoakConfig] = None, trace=None) -> SoakResult:
         site.coordinator.decision_log_cap = 128
         site.participant.decision_log_cap = 128
 
-    detector = GlobalDeadlockDetector()
-    for site in cluster.sites:
-        assert site.lock_service is not None
-        site.lock_service.detector = detector
+    detector = cluster.install_deadlock_detector()
 
     manager = SoakManager(
         cluster, config.build_workload(system), config.build_shape(), sink,
@@ -523,9 +490,6 @@ def run_soak(config: Optional[SoakConfig] = None, trace=None) -> SoakResult:
     if problems:
         raise SimulationError(f"consistency violated: {problems[:3]}")
 
-    parks = sum(
-        site.lock_service.parks for site in cluster.sites if site.lock_service
-    )
     return SoakResult(
         config=config,
         sink=sink,
@@ -534,7 +498,7 @@ def run_soak(config: Optional[SoakConfig] = None, trace=None) -> SoakResult:
         lost=manager.lost,
         elapsed_ms=cluster.now,
         events_fired=cluster.scheduler.fired,
-        lock_parks=parks,
+        lock_parks=cluster.lock_parks(),
         deadlocks_detected=detector.deadlocks_found,
         status_inquiries=cluster.metrics.counters.get("status_inquiries"),
         fault=manager.faults[0] if manager.faults else fault,

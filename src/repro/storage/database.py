@@ -2,8 +2,10 @@
 
 Phase one of the commit protocol ships copy updates that a participant must
 hold without applying until the commit indication arrives (Appendix A:
-"discard the copy updates" on abort).  ``stage`` / ``commit_staged`` /
-``abort_staged`` model exactly that buffer.
+"discard the copy updates" on abort).  ``stage`` / ``abort_staged`` model
+exactly that buffer; at the commit point the participant discards its
+staged entry and applies the writes through ``apply_write``, the path the
+coordinator's local commit also takes.
 """
 
 from __future__ import annotations
@@ -78,20 +80,6 @@ class SiteDatabase:
     def has_staged(self, txn_id: int) -> bool:
         """Whether ``txn_id`` has buffered updates on this site."""
         return txn_id in self._staged
-
-    def commit_staged(self, txn_id: int, time: float) -> list[int]:
-        """Apply ``txn_id``'s buffered updates; returns written item ids."""
-        try:
-            updates = self._staged.pop(txn_id)
-        except KeyError:
-            raise StorageError(
-                f"site {self.site_id}: no staged updates for txn {txn_id}"
-            ) from None
-        written = []
-        for item_id, value, version in updates:
-            self._apply(txn_id, item_id, value, version, time)
-            written.append(item_id)
-        return written
 
     def abort_staged(self, txn_id: int) -> None:
         """Discard ``txn_id``'s buffered updates (no-op if none)."""

@@ -12,7 +12,6 @@ from typing import Optional
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.metrics.collector import MetricsCollector
-from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.site.site import DatabaseSite
 from repro.sim.cpu import CpuResource
@@ -21,6 +20,7 @@ from repro.sim.rng import DeterministicRng
 from repro.sim.scheduler import EventScheduler
 from repro.storage.catalog import ReplicationCatalog
 from repro.system.config import SystemConfig
+from repro.system.deadlock import GlobalDeadlockDetector
 from repro.system.managing import ManagingSite
 from repro.system.scenario import Scenario
 
@@ -45,8 +45,7 @@ class Cluster:
         self.network = Network(
             scheduler=self.scheduler,
             cpu=self.cpu,
-            rng=self.rng,
-            latency_model=ConstantLatency(self.config.wire_latency_ms),
+            wire_latency_ms=self.config.wire_latency_ms,
             msg_send_cost=self.config.costs.msg_send_cost,
             msg_recv_cost=self.config.costs.msg_recv_cost,
             failure_detect_delay=self.config.failure_detect_delay_ms,
@@ -116,6 +115,24 @@ class Cluster:
         for site in self.sites:
             site.probe = probe
         self.network.delivery_probes.append(probe.on_message)
+
+    def install_deadlock_detector(self) -> GlobalDeadlockDetector:
+        """Give every site's lock service one shared detector (concurrent
+        mode: the waits-for graph is the union over sites)."""
+        if not self.config.concurrency_control:
+            raise ConfigurationError(
+                "concurrent runs need SystemConfig(concurrency_control=True)"
+            )
+        detector = GlobalDeadlockDetector()
+        for site in self.sites:
+            site.lock_service.detector = detector
+        return detector
+
+    def lock_parks(self) -> int:
+        """Lock requests that had to wait, summed over sites."""
+        return sum(
+            site.lock_service.parks for site in self.sites if site.lock_service
+        )
 
     # -- running --------------------------------------------------------------------
 

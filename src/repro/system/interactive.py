@@ -13,34 +13,28 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import ConfigurationError, ProtocolError
-from repro.metrics.records import FailLockSample, TxnRecord
-from repro.net.endpoint import Endpoint, HandlerContext
+from repro.metrics.records import TxnRecord
+from repro.net.endpoint import HandlerContext
 from repro.net.message import Message, MessageType
 from repro.system.cluster import Cluster
-from repro.system.config import FailureDetection, SystemConfig
-from repro.core.control import FailureAnnouncement
+from repro.system.config import SystemConfig
+from repro.system.managing import ControlPlane
 from repro.txn.operations import Operation
 from repro.workload.base import WorkloadGenerator
 from repro.workload.uniform import UniformWorkload
 
 
-class InteractiveDriver(Endpoint):
+class InteractiveDriver(ControlPlane):
     """A managing site driven one action at a time."""
 
     def __init__(self, cluster: Cluster, workload: Optional[WorkloadGenerator] = None):
-        super().__init__(cluster.config.manager_id)
-        self.cluster = cluster
-        self.config = cluster.config
-        self.metrics = cluster.metrics
+        super().__init__(cluster, "interactive")
         self.workload = workload if workload is not None else UniformWorkload(
             cluster.config.item_ids, cluster.config.max_txn_size
         )
-        self._rng = cluster.rng.stream("interactive")
-        self._believed_up = set(cluster.config.site_ids)
         self._next_txn_id = 0
         self._seq = 0
         self._last_outcome: Optional[TxnRecord] = None
-        self._recovery_done: Optional[int] = None
         cluster.network.replace_endpoint(self)
 
     @classmethod
@@ -62,42 +56,21 @@ class InteractiveDriver(Endpoint):
     def handle(self, ctx: HandlerContext, msg: Message) -> None:
         if msg.mtype is MessageType.MGR_TXN_DONE:
             self._seq += 1
-            record = TxnRecord.from_done(
-                msg,
-                seq=self._seq,
-                submitted_at=msg.payload["submitted_at"],
-                finished_at=ctx.now,
-                participant_elapsed=self.metrics.pop_participants(msg.txn_id),
+            self._last_outcome = self.settle(
+                ctx, msg, self._seq, msg.payload["submitted_at"]
             )
-            self.metrics.record_txn(record)
-            self._sample(ctx.now)
-            self._last_outcome = record
+            self.sample_faillocks(self._seq, ctx.now)
         elif msg.mtype is MessageType.MGR_RECOVER_DONE:
-            self._recovery_done = msg.payload.get("site")
+            self.recover_done(msg)
         else:
             raise ProtocolError(f"interactive driver: unexpected message {msg}")
 
-    def _sample(self, time: float) -> None:
-        observer = self.cluster.observer_site()
-        if observer is None:
-            return
-        self.metrics.record_faillock_sample(
-            FailLockSample(
-                seq=self._seq,
-                time=time,
-                locks_per_site={
-                    s: observer.faillocks.count_for(s)
-                    for s in self.config.site_ids
-                },
-            )
-        )
-
     # -- actions -----------------------------------------------------------------
 
-    @property
-    def up_sites(self) -> list[int]:
-        """Sites the driver believes up, sorted."""
-        return sorted(self._believed_up)
+    def _run(self, action) -> None:
+        """One step: run ``action`` as an activation, then to quiescence."""
+        self.cluster.network.spawn(self, action)
+        self.cluster.scheduler.run()
 
     def submit_txn(
         self, site: Optional[int] = None, ops: Optional[list[Operation]] = None
@@ -114,17 +87,7 @@ class InteractiveDriver(Endpoint):
         self._next_txn_id += 1
         txn_id = self._next_txn_id
         self._last_outcome = None
-
-        def go(ctx: HandlerContext) -> None:
-            ctx.send(
-                site,
-                MessageType.MGR_SUBMIT_TXN,
-                {"ops": [(op.kind, op.item_id) for op in ops]},
-                txn_id=txn_id,
-            )
-
-        self.cluster.network.spawn(self, go)
-        self.cluster.scheduler.run()
+        self._run(lambda ctx: self.submit(ctx, txn_id, ops, site, self._seq + 1))
         if self._last_outcome is None:
             raise ProtocolError(f"transaction {txn_id} never completed")
         return self._last_outcome
@@ -138,34 +101,15 @@ class InteractiveDriver(Endpoint):
         site effectively did)."""
         if site not in self._believed_up:
             raise ConfigurationError(f"site {site} is already down")
-        self._believed_up.discard(site)
-
-        def go(ctx: HandlerContext) -> None:
-            ctx.send(site, MessageType.MGR_FAIL, {})
-            if self.config.detection is FailureDetection.ANNOUNCED:
-                announcement = FailureAnnouncement(
-                    announcer=self.site_id, failed_sites=[site]
-                )
-                for peer in self.up_sites:
-                    ctx.send(
-                        peer, MessageType.FAILURE_ANNOUNCE, announcement.to_payload()
-                    )
-
-        self.cluster.network.spawn(self, go)
-        self.cluster.scheduler.run()
+        self._run(lambda ctx: self.fail(ctx, site))
 
     def recover_site(self, site: int) -> None:
         """Recover ``site`` (runs the type-1 control transaction)."""
         if site in self._believed_up:
             raise ConfigurationError(f"site {site} is already up")
-        self._recovery_done = None
-        self.cluster.network.spawn(
-            self, lambda ctx: ctx.send(site, MessageType.MGR_RECOVER, {})
-        )
-        self.cluster.scheduler.run()
-        if self._recovery_done != site:
+        self._run(lambda ctx: self.recover(ctx, site))
+        if site not in self._believed_up:
             raise ProtocolError(f"site {site} recovery did not complete")
-        self._believed_up.add(site)
 
     # -- inspection ------------------------------------------------------------------
 

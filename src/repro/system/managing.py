@@ -10,6 +10,12 @@ actions, then generates the transaction, submits it to the coordinator the
 submission policy picks, and — when the outcome comes back — records the
 measurement row and samples the fail-lock tables (the instrumentation the
 paper's figures are drawn from).
+
+The paper has one managing site; this repo drives clusters four ways
+(serial scenarios here, :mod:`repro.system.openloop`,
+:mod:`repro.soak.engine`, :mod:`repro.system.interactive`).  What they
+all do — submit, fail, recover, settle — is :class:`ControlPlane`; each
+driver subclasses it and adds only its arrival policy.
 """
 
 from __future__ import annotations
@@ -37,28 +43,120 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.system.cluster import Cluster
 
 
-class ManagingSite(Endpoint):
-    """Drives scenarios: failures, recoveries, and serial transactions."""
+class ControlPlane(Endpoint):
+    """The managing site's verbs, shared by every driver.
 
-    def __init__(self, cluster: "Cluster") -> None:
+    Subclasses decide *when* to submit, fail and recover and implement
+    ``handle``; what each verb puts on the wire and into the metrics is
+    said here once.
+    """
+
+    def __init__(self, cluster: "Cluster", rng_stream: str) -> None:
         super().__init__(cluster.config.manager_id)
         self.cluster = cluster
         self.config: SystemConfig = cluster.config
         self.metrics: MetricsCollector = cluster.metrics
-        self._rng = cluster.rng.stream("manager")
+        self._rng = cluster.rng.stream(rng_stream)
+        # The manager's own view of which sites it has failed/recovered.
+        # Site objects flip their ``alive`` flag only when the MGR_FAIL /
+        # MGR_RECOVER message is *delivered*, which is after the current
+        # activation — so a driver must not read ``site.alive`` when
+        # choosing a coordinator in the same breath as a failure action.
+        self._believed_up: set[int] = set(self.config.site_ids)
+
+    @property
+    def up_sites(self) -> list[int]:
+        """Database sites the manager believes up, sorted."""
+        return sorted(self._believed_up)
+
+    def submit(
+        self, ctx: HandlerContext, txn_id: int, ops, coordinator: int, seq: int
+    ) -> None:
+        """Hand transaction ``txn_id`` to ``coordinator``."""
+        obs = self.cluster.network.obs
+        if obs.enabled:
+            obs.emit(
+                ctx.now,
+                EventKind.TXN_SUBMIT,
+                site=self.site_id,
+                txn=txn_id,
+                seq=seq,
+                coordinator=coordinator,
+            )
+        # "coordinator" repeats the destination; no site reads it, but
+        # repro.check hashes in-flight payloads into its pinned fingerprints.
+        ctx.send(
+            coordinator,
+            MessageType.MGR_SUBMIT_TXN,
+            {"ops": [(op.kind, op.item_id) for op in ops], "coordinator": coordinator},
+            txn_id=txn_id,
+        )
+
+    def fail(self, ctx: HandlerContext, site_id: int) -> None:
+        """Fail a site; under ANNOUNCED detection, also play the type-2
+        announcer so survivors learn immediately (see DESIGN.md)."""
+        ctx.send(site_id, MessageType.MGR_FAIL, {})
+        self._believed_up.discard(site_id)
+        if self.config.detection is FailureDetection.ANNOUNCED:
+            announcement = FailureAnnouncement(
+                announcer=self.site_id, failed_sites=[site_id]
+            )
+            for peer in self.up_sites:
+                ctx.send(
+                    peer, MessageType.FAILURE_ANNOUNCE, announcement.to_payload()
+                )
+
+    def recover(self, ctx: HandlerContext, site_id: int) -> None:
+        """Start ``site_id``'s recovery; it stays believed down until
+        :meth:`recover_done` sees its ``MGR_RECOVER_DONE``."""
+        ctx.send(site_id, MessageType.MGR_RECOVER, {})
+
+    def recover_done(self, msg: Message) -> int:
+        """Re-admit the site a ``MGR_RECOVER_DONE`` names; returns it."""
+        site_id = msg.payload["site"]
+        self._believed_up.add(site_id)
+        return site_id
+
+    def settle(
+        self, ctx: HandlerContext, msg: Message, seq: int, submitted_at: float
+    ) -> TxnRecord:
+        """Record the outcome a ``MGR_TXN_DONE`` reports."""
+        record = TxnRecord.from_done(
+            msg,
+            seq=seq,
+            submitted_at=submitted_at,
+            finished_at=ctx.now,
+            participant_elapsed=self.metrics.pop_participants(msg.txn_id),
+        )
+        self.metrics.record_txn(record)
+        return record
+
+    def sample_faillocks(self, seq: int, time: float) -> None:
+        """Record every site's fail-lock count, as seen by the best-informed
+        table (the lowest-id operational site)."""
+        observer = self.cluster.observer_site()
+        if observer is None:
+            return
+        locks = {
+            site: observer.faillocks.count_for(site)
+            for site in self.config.site_ids
+        }
+        self.metrics.record_faillock_sample(
+            FailLockSample(seq=seq, time=time, locks_per_site=locks)
+        )
+
+
+class ManagingSite(ControlPlane):
+    """Drives scenarios: failures, recoveries, and serial transactions."""
+
+    def __init__(self, cluster: "Cluster") -> None:
+        super().__init__(cluster, "manager")
         self._scenario: Optional[Scenario] = None
         self._seq = 0               # 1-based sequence of the *next* txn
         self._next_txn_id = 0
         self._pending_actions: list[Action] = []
         self._waiting_recovery: Optional[int] = None
         self._in_flight_txn: Optional[int] = None
-        self._txn_sizes: dict[int, int] = {}
-        # The manager's own view of which sites it has failed/recovered.
-        # Site objects flip their ``alive`` flag only when the MGR_FAIL /
-        # MGR_RECOVER message is *delivered*, which is after the current
-        # activation — so the manager must not read ``site.alive`` when
-        # choosing a coordinator in the same breath as a failure action.
-        self._believed_up: set[int] = set(self.config.site_ids)
         self.finished = False
         self.on_finish: Optional[Callable[[], None]] = None
 
@@ -73,11 +171,6 @@ class ManagingSite(Endpoint):
         self._seq = 1
         self.finished = False
         self.cluster.network.spawn(self, self._start_next_txn)
-
-    @property
-    def up_sites(self) -> list[int]:
-        """Database sites the manager believes up, sorted."""
-        return sorted(self._believed_up)
 
     # -- message handling ---------------------------------------------------------
 
@@ -107,9 +200,10 @@ class ManagingSite(Endpoint):
         while self._pending_actions:
             action = self._pending_actions.pop(0)
             if isinstance(action, FailSite):
-                self._do_fail(ctx, action.site_id)
+                self.fail(ctx, action.site_id)
             elif isinstance(action, RecoverSite):
-                self._do_recover(ctx, action.site_id)
+                self._waiting_recovery = action.site_id
+                self.recover(ctx, action.site_id)
                 return  # resume when MGR_RECOVER_DONE arrives
             elif isinstance(action, PartitionNetwork):
                 self.cluster.network.partitions.partition(
@@ -119,29 +213,10 @@ class ManagingSite(Endpoint):
                 self.cluster.network.partitions.heal()
         self._submit(ctx)
 
-    def _do_fail(self, ctx: HandlerContext, site_id: int) -> None:
-        """Fail a site; under ANNOUNCED detection, also play the type-2
-        announcer so survivors learn immediately (see DESIGN.md)."""
-        ctx.send(site_id, MessageType.MGR_FAIL, {})
-        self._believed_up.discard(site_id)
-        if self.config.detection is FailureDetection.ANNOUNCED:
-            announcement = FailureAnnouncement(
-                announcer=self.site_id, failed_sites=[site_id]
-            )
-            for peer in self.up_sites:
-                if peer != site_id:
-                    ctx.send(
-                        peer, MessageType.FAILURE_ANNOUNCE, announcement.to_payload()
-                    )
-
-    def _do_recover(self, ctx: HandlerContext, site_id: int) -> None:
-        self._waiting_recovery = site_id
-        ctx.send(site_id, MessageType.MGR_RECOVER, {})
-
     def _on_recover_done(self, ctx: HandlerContext, msg: Message) -> None:
         if msg.payload.get("site") != self._waiting_recovery:
             return  # a recovery we did not initiate (or a duplicate)
-        self._believed_up.add(msg.payload["site"])
+        self.recover_done(msg)
         self._waiting_recovery = None
         self._drain_actions(ctx)
 
@@ -162,54 +237,17 @@ class ManagingSite(Endpoint):
         self._next_txn_id += 1
         txn_id = self._next_txn_id
         self._in_flight_txn = txn_id
-        self._txn_sizes[txn_id] = len(ops)
-        obs = self.cluster.network.obs
-        if obs.enabled:
-            obs.emit(
-                ctx.now,
-                EventKind.TXN_SUBMIT,
-                site=self.site_id,
-                txn=txn_id,
-                seq=self._seq,
-                coordinator=coordinator,
-            )
         ctx.charge(self.config.costs.manager_cost)
-        ctx.send(
-            coordinator,
-            MessageType.MGR_SUBMIT_TXN,
-            {"ops": [(op.kind, op.item_id) for op in ops], "coordinator": coordinator},
-            txn_id=txn_id,
-        )
+        self.submit(ctx, txn_id, ops, coordinator, self._seq)
 
     def _on_txn_done(self, ctx: HandlerContext, msg: Message) -> None:
         if msg.txn_id != self._in_flight_txn:
             return  # a straggler from an aborted run
         self._in_flight_txn = None
-        record = TxnRecord.from_done(
-            msg,
-            seq=self._seq,
-            submitted_at=msg.payload["submitted_at"],
-            finished_at=ctx.now,
-            participant_elapsed=self.metrics.pop_participants(msg.txn_id),
-        )
-        self.metrics.record_txn(record)
-        self._sample_faillocks(ctx.now)
+        self.settle(ctx, msg, self._seq, msg.payload["submitted_at"])
+        self.sample_faillocks(self._seq, ctx.now)
         self._seq += 1
         self._start_next_txn(ctx)
-
-    def _sample_faillocks(self, time: float) -> None:
-        """Record every site's fail-lock count, as seen by the best-informed
-        table (the lowest-id operational site)."""
-        observer = self.cluster.observer_site()
-        if observer is None:
-            return
-        locks = {
-            site: observer.faillocks.count_for(site)
-            for site in self.config.site_ids
-        }
-        self.metrics.record_faillock_sample(
-            FailLockSample(seq=self._seq, time=time, locks_per_site=locks)
-        )
 
     # -- stopping -------------------------------------------------------------------
 

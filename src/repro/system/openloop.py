@@ -21,11 +21,11 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.records import TxnRecord
 from repro.metrics.stats import Summary, summarize
 from repro.metrics.streaming import StreamingTxnSink
-from repro.net.endpoint import Endpoint, HandlerContext
+from repro.net.endpoint import HandlerContext
 from repro.net.message import Message, MessageType
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
-from repro.system.deadlock import GlobalDeadlockDetector
+from repro.system.managing import ControlPlane
 from repro.txn.transaction import AbortReason
 from repro.workload.base import WorkloadGenerator
 
@@ -59,16 +59,12 @@ class OpenLoopResult:
         return self.aborts / self.txn_count if self.txn_count else 0.0
 
 
-class OpenLoopManager(Endpoint):
+class OpenLoopManager(ControlPlane):
     """Submits transactions at Poisson arrivals; collects outcomes."""
 
     def __init__(self, cluster: Cluster, deadlock_retries: int = 0,
                  retry_backoff_ms: float = 50.0) -> None:
-        super().__init__(cluster.config.manager_id)
-        self.cluster = cluster
-        self.config = cluster.config
-        self.metrics = cluster.metrics
-        self._rng = cluster.rng.stream("openloop")
+        super().__init__(cluster, "openloop")
         self.finished = False
         self.deadlock_retries = deadlock_retries
         self.retry_backoff_ms = retry_backoff_ms
@@ -120,26 +116,17 @@ class OpenLoopManager(Endpoint):
 
     def _submit(self, ctx: HandlerContext, seq: int, ops, dst: int) -> None:
         self._submit_times[seq] = ctx.now
-        ctx.send(
-            dst,
-            MessageType.MGR_SUBMIT_TXN,
-            {"ops": [(op.kind, op.item_id) for op in ops]},
-            txn_id=seq,
-        )
+        self.submit(ctx, seq, ops, dst, seq)
 
     def handle(self, ctx: HandlerContext, msg: Message) -> None:
         if msg.mtype is not MessageType.MGR_TXN_DONE:
             raise ProtocolError(f"open-loop manager: unexpected message {msg}")
-        record = TxnRecord.from_done(
+        record = self.settle(
+            ctx,
             msg,
-            seq=msg.txn_id,
-            submitted_at=self._submit_times.get(
-                msg.txn_id, msg.payload["submitted_at"]
-            ),
-            finished_at=ctx.now,
-            participant_elapsed=self.metrics.pop_participants(msg.txn_id),
+            msg.txn_id,
+            self._submit_times.get(msg.txn_id, msg.payload["submitted_at"]),
         )
-        self.metrics.record_txn(record)
         if (
             not record.committed
             and record.abort_reason is AbortReason.LOCK_DEADLOCK
@@ -178,7 +165,7 @@ def run_open_loop(
 ) -> OpenLoopResult:
     """Run a concurrent open-loop workload and return its statistics.
 
-    ``config.concurrency_control`` is forced on; without locks, concurrent
+    ``config.concurrency_control`` must be on; without locks, concurrent
     2PC interleavings would not be serializable.
 
     ``keep_records=False`` routes every transaction outcome through a
@@ -190,10 +177,6 @@ def run_open_loop(
     """
     if config is None:
         config = SystemConfig()
-    if not config.concurrency_control:
-        raise ConfigurationError(
-            "open-loop runs need SystemConfig(concurrency_control=True)"
-        )
     sink: Optional[StreamingTxnSink] = None
     if keep_records:
         cluster = Cluster(config)
@@ -202,10 +185,7 @@ def run_open_loop(
         cluster = Cluster(
             config, metrics=MetricsCollector(txn_sink=sink, retain_txns=False)
         )
-    detector = GlobalDeadlockDetector()
-    for site in cluster.sites:
-        assert site.lock_service is not None
-        site.lock_service.detector = detector
+    detector = cluster.install_deadlock_detector()
 
     # Replace the serial managing site with the open-loop source.
     manager = OpenLoopManager(cluster, deadlock_retries=deadlock_retries)
@@ -231,9 +211,6 @@ def run_open_loop(
     else:
         latency = sink.latency_committed.to_summary()
         deadlock_aborts = sink.abort_count(AbortReason.LOCK_DEADLOCK.value)
-    parks = sum(
-        site.lock_service.parks for site in cluster.sites if site.lock_service
-    )
     consistency = cluster.audit_consistency()
     if consistency:
         raise SimulationError(f"consistency violated: {consistency[:3]}")
@@ -245,7 +222,7 @@ def run_open_loop(
         deadlocks_detected=detector.deadlocks_found,
         elapsed_ms=cluster.now,
         latency=latency,
-        lock_parks=parks,
+        lock_parks=cluster.lock_parks(),
         retries=manager.retries_issued,
         events_fired=cluster.scheduler.fired,
         records=metrics.txns,

@@ -92,3 +92,21 @@ def test_trace_readers_report_a_missing_run_directory(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no-such-run" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recovery", "--donors", "0"],
+        ["concurrent", "--rates", "0"],
+        ["check", "explore", "--sites", "0"],
+        ["trace", "record", "--out", "/proc/nope/x"],
+    ],
+    ids=["recovery", "concurrent", "check-explore", "trace-record"],
+)
+def test_a_bad_argument_is_an_error_line_and_exit_2(argv, capsys):
+    """Decided once, in ``main``: no traceback, and not the exit 1 that
+    means "violations found"."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

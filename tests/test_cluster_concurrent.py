@@ -105,14 +105,11 @@ def test_write_hotspot_serializes():
             return [Operation(OpKind.WRITE, 0)]
 
     from repro.system.cluster import Cluster
-    from repro.system.deadlock import GlobalDeadlockDetector
     from repro.system.openloop import OpenLoopManager
 
     config = concurrent_config(seed=5)
     cluster = Cluster(config)
-    detector = GlobalDeadlockDetector()
-    for site in cluster.sites:
-        site.lock_service.detector = detector
+    detector = cluster.install_deadlock_detector()
     manager = OpenLoopManager(cluster)
     cluster.network.replace_endpoint(manager)
     manager.launch(

@@ -117,51 +117,6 @@ def test_empty_sketch_quantile_is_zero():
     assert QuantileSketch().quantile(50.0) == 0.0
 
 
-# -- merge properties ---------------------------------------------------------
-
-
-def test_merge_equals_direct_feed(rng):
-    """Bucket counts are additive, so merging two sketches gives exactly
-    the sketch of the concatenated stream — not just approximately."""
-    a_values = [rng.uniform(1.0, 100.0) for _ in range(800)]
-    b_values = [rng.uniform(50.0, 5000.0) for _ in range(800)]
-    merged = build(a_values).merge(build(b_values))
-    direct = build(a_values + b_values)
-    for p in PERCENTILES:
-        assert merged.quantile(p) == direct.quantile(p)
-    assert merged.count == direct.count
-
-
-def test_merge_is_associative(rng):
-    """(a + b) + c and a + (b + c) agree on every quantile query."""
-    chunks = [
-        [rng.uniform(1.0, 10.0) for _ in range(300)],
-        [rng.paretovariate(1.5) for _ in range(300)],
-        [rng.uniform(100.0, 200.0) for _ in range(300)],
-    ]
-    a, b, c = (build(chunk) for chunk in chunks)
-    left = a.copy().merge(b.copy()).merge(c.copy())
-    right = a.copy().merge(b.copy().merge(c.copy()))
-    for p in PERCENTILES:
-        assert left.quantile(p) == right.quantile(p)
-    assert left.count == right.count
-    assert left.minimum == right.minimum
-    assert left.maximum == right.maximum
-
-
-def test_merge_rejects_mismatched_rel_err():
-    with pytest.raises(ValueError):
-        QuantileSketch(rel_err=0.01).merge(QuantileSketch(rel_err=0.02))
-
-
-def test_copy_is_independent():
-    sketch = build([1.0, 2.0, 3.0])
-    clone = sketch.copy()
-    clone.add(1000.0)
-    assert sketch.count == 3
-    assert clone.count == 4
-
-
 # -- P2 (per-window p95) ------------------------------------------------------
 
 

@@ -52,37 +52,6 @@ def test_streaming_stats_empty_and_singleton():
     assert stats.variance == 0.0  # population variance undefined-as-zero
 
 
-def test_streaming_stats_merge_matches_combined_feed(rng):
-    a_values = [rng.gauss(10.0, 3.0) for _ in range(700)]
-    b_values = [rng.gauss(90.0, 15.0) for _ in range(1300)]
-    a = StreamingStats()
-    for v in a_values:
-        a.add(v)
-    b = StreamingStats()
-    for v in b_values:
-        b.add(v)
-    a.merge(b)
-    combined = a_values + b_values
-    assert a.count == len(combined)
-    assert a.mean == pytest.approx(statistics.fmean(combined))
-    assert a.stddev == pytest.approx(statistics.pstdev(combined))
-    assert a.minimum == min(combined)
-    assert a.maximum == max(combined)
-
-
-def test_streaming_stats_merge_with_empty_sides():
-    filled = StreamingStats()
-    for v in (1.0, 2.0, 3.0):
-        filled.add(v)
-    # empty.merge(filled) adopts, filled.merge(empty) is a no-op.
-    empty = StreamingStats()
-    empty.merge(filled)
-    assert empty.count == 3 and empty.mean == pytest.approx(2.0)
-    before = (filled.count, filled.mean, filled.variance)
-    filled.merge(StreamingStats())
-    assert (filled.count, filled.mean, filled.variance) == before
-
-
 # -- LatencyDigest ------------------------------------------------------------
 
 

@@ -1,13 +1,13 @@
-"""Message, latency models, and partitions."""
-
-import random
+"""Message, wire latency, and partitions."""
 
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.latency import ConstantLatency, UniformLatency
 from repro.net.message import Message, MessageType
+from repro.net.network import Network
 from repro.net.partition import PartitionManager
+from repro.sim.cpu import CpuResource
+from repro.sim.scheduler import EventScheduler
 
 
 # -- messages -----------------------------------------------------------------
@@ -23,26 +23,10 @@ def test_message_defaults():
 # -- latency ---------------------------------------------------------------------
 
 
-def test_constant_latency():
-    model = ConstantLatency(9.0)
-    assert model.sample(0, 1, random.Random(1)) == 9.0
-
-
 def test_constant_latency_rejects_negative():
+    sched = EventScheduler()
     with pytest.raises(NetworkError):
-        ConstantLatency(-1.0)
-
-
-def test_uniform_latency_within_bounds():
-    model = UniformLatency(2.0, 5.0)
-    rng = random.Random(3)
-    for _ in range(100):
-        assert 2.0 <= model.sample(0, 1, rng) <= 5.0
-
-
-def test_uniform_latency_rejects_bad_range():
-    with pytest.raises(NetworkError):
-        UniformLatency(5.0, 2.0)
+        Network(scheduler=sched, cpu=CpuResource(sched), wire_latency_ms=-1.0)
 
 
 # -- partitions --------------------------------------------------------------------

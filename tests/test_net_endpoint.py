@@ -3,11 +3,9 @@
 import pytest
 
 from repro.net.endpoint import Endpoint, HandlerContext
-from repro.net.latency import ConstantLatency
 from repro.net.message import MessageType
 from repro.net.network import Network
 from repro.sim.cpu import CpuResource
-from repro.sim.rng import DeterministicRng
 from repro.sim.scheduler import EventScheduler
 
 
@@ -22,8 +20,7 @@ def ctx():
     net = Network(
         scheduler=sched,
         cpu=CpuResource(sched),
-        rng=DeterministicRng(0),
-        latency_model=ConstantLatency(0.0),
+        wire_latency_ms=0.0,
     )
     endpoint = Nop(0)
     net.register(endpoint)

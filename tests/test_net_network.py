@@ -7,12 +7,10 @@ import pytest
 
 from repro.errors import NetworkError, UnknownSiteError
 from repro.net.endpoint import Endpoint, HandlerContext
-from repro.net.latency import ConstantLatency
 from repro.net.message import Message, MessageType
 from repro.net.network import Network
 from repro.obs.events import EventKind
 from repro.sim.cpu import CpuResource
-from repro.sim.rng import DeterministicRng
 from repro.sim.scheduler import EventScheduler
 from repro.system.config import SystemConfig
 
@@ -43,8 +41,7 @@ def build_net(cores=1, latency=0.0, send=4.5, recv=4.5):
     net = Network(
         scheduler=sched,
         cpu=cpu,
-        rng=DeterministicRng(1),
-        latency_model=ConstantLatency(latency),
+        wire_latency_ms=latency,
         msg_send_cost=send,
         msg_recv_cost=recv,
     )

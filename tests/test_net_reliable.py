@@ -10,12 +10,10 @@ import pytest
 from repro.chaos import FaultInjector, FaultPlan, build_chaos_scenario
 from repro.errors import ConfigurationError
 from repro.net.endpoint import Endpoint, HandlerContext
-from repro.net.latency import ConstantLatency
 from repro.net.message import Message, MessageType
 from repro.net.network import MessageFate, Network
 from repro.net.reliable import ReliableDelivery, RetransmitPolicy
 from repro.sim.cpu import CpuResource
-from repro.sim.rng import DeterministicRng
 from repro.sim.scheduler import EventScheduler
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
@@ -41,8 +39,7 @@ def build_net(policy=None, latency=1.0):
     net = Network(
         scheduler=sched,
         cpu=CpuResource(sched, cores=1),
-        rng=DeterministicRng(1),
-        latency_model=ConstantLatency(latency),
+        wire_latency_ms=latency,
         msg_send_cost=0.5,
         msg_recv_cost=0.5,
     )

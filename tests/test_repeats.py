@@ -9,7 +9,6 @@ import pytest
 
 from repro.experiments.repeats import (
     Replicated,
-    replicate_faillock_overhead,
     replicate_figure1,
     replicate_scenario1,
     replicate_scenario2,
@@ -61,10 +60,3 @@ def test_scenario2_never_aborts():
     aborts = replicate_scenario2(seeds=SEEDS)
     assert aborts.high == 0.0         # structural, not statistical
 
-
-def test_faillock_overhead_stable():
-    stats = replicate_faillock_overhead(seeds=tuple(range(1, 4)))
-    assert 3.0 < stats["coord_pct"].mean < 10.0
-    assert 3.0 < stats["part_pct"].mean < 10.0
-    # Tight across seeds: the overhead is mechanical, not noisy.
-    assert stats["coord_pct"].high - stats["coord_pct"].low < 5.0

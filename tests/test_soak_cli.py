@@ -96,3 +96,18 @@ def test_soak_validate_reports_an_unreadable_file(tmp_path, capsys):
     garbled.write_text("{not json")
     assert main(["soak", "validate", "--file", str(garbled)]) == 2
     assert capsys.readouterr().err.startswith("error: input is not JSON")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--txns", "0"],
+        ["--fail-site", "9"],
+        ["--recover-at-ms", "1", "--fail-at-ms", "5"],
+    ],
+    ids=["txns", "fail-site", "recover-before-fail"],
+)
+def test_soak_run_rejects_a_bad_argument_with_exit_2(flags, capsys):
+    assert main(["soak", "run", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -29,17 +29,10 @@ def test_contains(db):
     assert 9 not in db
 
 
-def test_stage_then_commit_applies(db):
-    db.stage(7, [(1, 111, 7), (2, 222, 7)])
-    assert db.read(1) == 0  # staged, not visible
-    written = db.commit_staged(7, time=10.0)
-    assert written == [1, 2]
-    assert db.read(1) == 111
-    assert db.version(2) == 7
-
-
 def test_stage_then_abort_discards(db):
     db.stage(7, [(1, 111, 7)])
+    assert db.has_staged(7)
+    assert db.read(1) == 0  # staged, not visible
     db.abort_staged(7)
     assert db.read(1) == 0
     assert not db.has_staged(7)
@@ -53,11 +46,6 @@ def test_double_stage_rejected(db):
     db.stage(7, [(1, 111, 7)])
     with pytest.raises(StorageError):
         db.stage(7, [(2, 222, 7)])
-
-
-def test_commit_without_stage_raises(db):
-    with pytest.raises(StorageError):
-        db.commit_staged(7, time=0.0)
 
 
 def test_stage_validates_items(db):
