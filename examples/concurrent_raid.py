@@ -13,34 +13,25 @@ Usage::
     python examples/concurrent_raid.py
 """
 
+from repro.experiments.ablations import run_concurrent_sweep
 from repro.experiments.report import format_table
-from repro.system.config import SystemConfig
-from repro.system.openloop import run_open_loop
 
 
 def main() -> None:
-    rows = []
-    for rate in (1.0, 3.0, 6.0, 12.0, 24.0):
-        config = SystemConfig(
-            db_size=50,
-            num_sites=4,
-            max_txn_size=5,
-            seed=42,
-            concurrency_control=True,
-            cores=5,               # one per site plus the driver
-            wire_latency_ms=9.0,   # the paper's measured communication time
+    sweep = run_concurrent_sweep(
+        seed=42, rates=(1.0, 3.0, 6.0, 12.0, 24.0), txns=400
+    )
+    rows = [
+        (
+            f"{rate:.0f}",
+            f"{result.throughput_tps:.1f}",
+            f"{result.latency.mean:.0f} ms",
+            f"{result.latency.p95:.0f} ms",
+            result.lock_parks,
+            result.deadlock_aborts,
         )
-        result = run_open_loop(config, txn_count=400, arrival_rate_tps=rate)
-        rows.append(
-            (
-                f"{rate:.0f}",
-                f"{result.throughput_tps:.1f}",
-                f"{result.latency.mean:.0f} ms",
-                f"{result.latency.p95:.0f} ms",
-                result.lock_parks,
-                result.deadlock_aborts,
-            )
-        )
+        for rate, result in sweep.items()
+    ]
     print("Open-loop sweep: 4 sites, db=50, max txn size 5, strict 2PL\n")
     print(
         format_table(

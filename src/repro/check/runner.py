@@ -23,7 +23,7 @@ the explorer finds real bugs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Optional, Sequence, TYPE_CHECKING
 
 from repro.chaos.invariants import InvariantAuditor
@@ -32,8 +32,9 @@ from repro.check.choices import ChoiceController, Decision
 from repro.check.fingerprint import cluster_fingerprint
 from repro.check.hooks import FateChoiceHook, FaultChoiceHook, OrderChoiceHook
 from repro.core.recovery import RecoveryPolicy
-from repro.errors import SimulationError
+from repro.errors import CheckError, SimulationError
 from repro.metrics.records import ViolationRecord
+from repro.obs import schema
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.scenario import RoundRobin, Scenario
@@ -79,8 +80,23 @@ class CheckConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CheckConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        """Build from a schedule file's ``config`` object.
+
+        Absent fields take their defaults and unknown keys are ignored (so
+        old and new schedule files both load); a field of the wrong JSON
+        type is a :class:`~repro.errors.CheckError`.
+        """
+        problems = schema.check(data, CONFIG_SPEC, "config")
+        if problems:
+            raise CheckError("; ".join(problems))
+        return cls(**{k: data[k] for k in cls.__dataclass_fields__ if k in data})
+
+
+# Every field optional, typed as the dataclass declares it.
+CONFIG_SPEC = {
+    f"{f.name}?": {"int": int, "bool": bool, "str": str}[f.type]
+    for f in fields(CheckConfig)
+}
 
 
 @dataclass(slots=True)

@@ -9,9 +9,10 @@ everything a fresh process needs to reproduce the run exactly:
 * what the recording process observed (violation, events fired, commits)
   so a replay can *verify* rather than trust.
 
-Serialization is ``json.dumps(..., sort_keys=True)`` over plain data
-with no wall-clock anywhere, so the same schedule saved twice — by any
-process — is byte-identical (pinned by ``tests/test_check_replay.py``).
+Serialization is :func:`repro.obs.schema.write_json` with sorted keys
+over plain data with no wall-clock anywhere, so the same schedule saved
+twice — by any process — is byte-identical (pinned by
+``tests/test_check_replay.py``).
 
 :func:`export_counterexample` additionally re-runs the schedule with an
 enabled :class:`~repro.obs.sink.TraceSink` and ships the full
@@ -27,8 +28,14 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from repro.check.runner import CheckConfig, CheckRunResult, run_schedule
+from repro.check.runner import (
+    CONFIG_SPEC,
+    CheckConfig,
+    CheckRunResult,
+    run_schedule,
+)
 from repro.errors import CheckError
+from repro.obs import schema
 
 __all__ = [
     "SCHEDULE_SCHEMA",
@@ -39,6 +46,22 @@ __all__ = [
 ]
 
 SCHEDULE_SCHEMA = "repro.check/1"
+
+SCHEDULE_SPEC = {
+    "schema": SCHEDULE_SCHEMA,
+    "config": CONFIG_SPEC,
+    "decisions": [int],
+    "note?": str,
+    "observed?": {
+        "events_fired": int,
+        "commits": int,
+        "aborts": int,
+        "stalled": bool,
+        "sim_time_ms": float,
+        "choice_points": int,
+        "violations": [{"invariant": str, "time": float, "description": str}],
+    },
+}
 
 
 def build_schedule_doc(
@@ -69,11 +92,7 @@ def build_schedule_doc(
 
 def save_schedule(path: Path, doc: dict[str, Any]) -> None:
     """Write a schedule document, byte-deterministically."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    schema.write_json(doc, path, sort_keys=True)
 
 
 def load_schedule(path: Path) -> dict[str, Any]:
@@ -82,18 +101,12 @@ def load_schedule(path: Path) -> dict[str, Any]:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckError(f"cannot read schedule file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEDULE_SCHEMA:
+    problems = schema.check(doc, SCHEDULE_SPEC)
+    if problems:
         raise CheckError(
-            f"{path}: not a {SCHEDULE_SCHEMA} schedule file "
-            f"(schema={doc.get('schema') if isinstance(doc, dict) else None!r})"
+            f"{path}: invalid {SCHEDULE_SCHEMA} schedule file: "
+            + "; ".join(problems)
         )
-    decisions = doc.get("decisions")
-    if not isinstance(decisions, list) or not all(
-        isinstance(v, int) for v in decisions
-    ):
-        raise CheckError(f"{path}: decisions must be a list of integers")
-    if not isinstance(doc.get("config"), dict):
-        raise CheckError(f"{path}: config must be an object")
     return doc
 
 

@@ -1,17 +1,21 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands map one-to-one onto the paper's artifacts:
+The first six commands print their section of EXPERIMENTS.md — the same
+``repro.experiments.report`` functions ``report`` joins — for ``--seed``:
 
 ===============  =======================================================
 ``exp1``         §2 overhead tables (fail-locks, control txns, copiers)
-``fig1``         §3 Figure 1 with the availability analysis
-``fig2``         §4.2.1 Figure 2 (scenario 1)
-``fig3``         §4.2.2 Figure 3 (scenario 2)
-``ablations``    A1-A6 design-choice studies
+``fig1``         §3 availability table and Figure 1
+``fig2``         §4.2.1 scenario 1 table and Figure 2
+``fig3``         §4.2.2 scenario 2 table and Figure 3
+``ablations``    A1-A6 and A8-A12 design-choice studies
 ``concurrent``   the "complete RAID" open-loop sweep (A8)
 ``chaos``        randomized fault injection + invariant audit seed sweep
 ``trace``        record/inspect structured run traces (repro.obs)
-``report``       regenerate EXPERIMENTS.md (everything above)
+``check``        deterministic schedule-space exploration (repro.check)
+``soak``         heavy-traffic soak through a fail/recover cycle
+``recovery``     recovery-time family: policy x donors x stale size
+``report``       regenerate EXPERIMENTS.md (every section, joined)
 ===============  =======================================================
 
 The global ``--profile`` flag wraps any command in :mod:`cProfile` and
@@ -35,149 +39,18 @@ import sys
 from repro.errors import CheckError, ConfigurationError, WorkloadError
 
 
-def _cmd_exp1(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        run_control_overhead,
-        run_copier_overhead,
-        run_faillock_overhead,
-    )
-    from repro.experiments.report import format_table
+def _cmd_section(args: argparse.Namespace, **kwargs: object) -> int:
+    """Print one section of EXPERIMENTS.md — the function of
+    :mod:`repro.experiments.report` the subparser named — for ``--seed``."""
+    from repro.experiments import report
 
-    fl = run_faillock_overhead(seed=args.seed)
-    print("Fail-locks maintenance (§2.2.1):")
-    print(
-        format_table(
-            ["role", "without", "paper", "with", "paper"],
-            [
-                (r, f"{a:.0f} ms", f"{b:.0f} ms", f"{c:.0f} ms", f"{d:.0f} ms")
-                for r, a, b, c, d in fl.rows()
-            ],
-        )
-    )
-    ctrl = run_control_overhead(seed=args.seed)
-    print("\nControl transactions (§2.2.2):")
-    print(
-        format_table(
-            ["control transaction", "measured", "paper"],
-            [(n, f"{m:.0f} ms", f"{p:.0f} ms") for n, m, p in ctrl.rows()],
-        )
-    )
-    cop = run_copier_overhead(seed=args.seed)
-    print("\nCopier transactions (§2.2.3):")
-    print(
-        format_table(
-            ["measurement", "measured", "paper"],
-            [(n, f"{m:.0f} ms", f"{p:.0f} ms") for n, m, p in cop.rows()],
-        )
-    )
-    print(
-        f"\ncopier increase: +{cop.increase_pct:.0f} % (paper: +45 %), "
-        f"clearing share: {cop.clearing_share_pct:.0f} pts (paper: ~30 pts)"
-    )
-    return 0
-
-
-def _cmd_fig1(args: argparse.Namespace) -> int:
-    from repro.experiments import run_figure1
-
-    result = run_figure1(seed=args.seed)
-    print(result.chart())
-    report = result.report
-    print(
-        f"\npeak {report.peak_locks}/50 fail-locked; "
-        f"{report.txns_to_recover} txns to recover; "
-        f"{result.copiers} copiers; {result.aborts} aborts"
-    )
-    return 0
-
-
-def _cmd_fig2(args: argparse.Namespace) -> int:
-    from repro.experiments import run_scenario1
-
-    result = run_scenario1(seed=args.seed)
-    print(result.chart())
-    print(f"\naborts: {result.aborts} (paper: 13) — {result.abort_reasons}")
-    return 0
-
-
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    from repro.experiments import run_scenario2
-
-    result = run_scenario2(seed=args.seed)
-    print(result.chart())
-    print(f"\naborts: {result.aborts} (paper: 0)")
-    return 0
-
-
-def _cmd_ablations(args: argparse.Namespace) -> int:
-    from repro.experiments import ablations
-    from repro.experiments.report import format_table
-
-    print("A1 two-step recovery:")
-    print(
-        format_table(
-            ["policy", "threshold", "txns to recover", "copiers"],
-            [
-                (r.policy, r.threshold, r.txns_to_recover, r.copiers)
-                for r in ablations.run_two_step_recovery(seed=args.seed)
-            ],
-        )
-    )
-    print("\nA4 strategy comparison:")
-    print(
-        format_table(
-            ["strategy", "commits", "aborts"],
-            [
-                (r.strategy, r.commits, r.aborts)
-                for r in ablations.run_strategy_comparison(seed=args.seed)
-            ],
-        )
-    )
-    print("\nA5 failure detection:")
-    print(
-        format_table(
-            ["detection", "commits", "aborts"],
-            [
-                (r.detection, r.commits, r.aborts)
-                for r in ablations.run_failure_detection(seed=args.seed)
-            ],
-        )
-    )
+    section = getattr(report, args.section)
+    print(section(seed=args.seed, **args.section_args, **kwargs))
     return 0
 
 
 def _cmd_concurrent(args: argparse.Namespace) -> int:
-    from repro.experiments.report import format_table
-    from repro.system.config import SystemConfig
-    from repro.system.openloop import run_open_loop
-
-    rows = []
-    for rate in args.rates:
-        config = SystemConfig(
-            seed=args.seed,
-            concurrency_control=True,
-            cores=5,
-            wire_latency_ms=9.0,
-            max_txn_size=5,
-        )
-        result = run_open_loop(config, txn_count=args.txns, arrival_rate_tps=rate)
-        rows.append(
-            (
-                rate,
-                f"{result.throughput_tps:.1f}",
-                f"{result.latency.mean:.0f} ms",
-                result.lock_parks,
-                result.deadlock_aborts,
-            )
-        )
-    print(
-        format_table(
-            ["arrival (tps)", "throughput", "mean latency", "lock waits",
-             "deadlock aborts"],
-            rows,
-        )
-    )
-    return 0
+    return _cmd_section(args, rates=args.rates, txns=args.txns)
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -339,6 +212,30 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_invalid(problems: list[str]) -> int:
+    """Report a validator's findings; the exit code (1 = invalid)."""
+    for problem in problems:
+        print(f"INVALID: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+def _emit_report(doc, validate, render, write_svg, args) -> int:
+    """A finished report's way out, shared by ``soak run`` and
+    ``recovery``: validate, print, then ``--out`` and ``--svg``."""
+    from repro.obs.schema import write_json
+
+    if _print_invalid(validate(doc)):
+        return 1
+    print(render(doc))
+    if args.out:
+        write_json(doc, args.out)
+        print(f"report -> {args.out}")
+    if args.svg:
+        write_svg(doc, args.svg)
+        print(f"figure -> {args.svg}")
+    return 0
+
+
 def _cmd_recovery(args: argparse.Namespace) -> int:
     """Run the recovery-time experiment family and emit the
     byte-deterministic repro.recovery/1 report (repro.recovery)."""
@@ -347,7 +244,6 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
         render_recovery_text,
         run_recovery_matrix,
         validate_recovery_report,
-        write_recovery_report,
         write_recovery_svg,
     )
 
@@ -361,19 +257,10 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
     doc = build_recovery_report(
         cells, seed=args.seed, wire_latency_ms=args.wire_ms
     )
-    problems = validate_recovery_report(doc)
-    if problems:
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
-        return 1
-    print(render_recovery_text(doc))
-    if args.out:
-        write_recovery_report(doc, args.out)
-        print(f"report -> {args.out}")
-    if args.svg:
-        write_recovery_svg(doc, args.svg)
-        print(f"figure -> {args.svg}")
-    return 0
+    return _emit_report(
+        doc, validate_recovery_report, render_recovery_text,
+        write_recovery_svg, args,
+    )
 
 
 def _check_config_from_args(args: argparse.Namespace) -> "object":
@@ -545,23 +432,23 @@ def _cmd_check_shrink(args: argparse.Namespace) -> int:
 def _cmd_check_stats(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.check import load_schedule
+    from repro.check import CheckConfig, load_schedule
 
     doc = load_schedule(Path(args.file))
-    config = doc["config"]
+    config = CheckConfig.from_dict(doc["config"])
     decisions = doc["decisions"]
     print(f"schedule {args.file} ({doc['schema']})")
     print(
-        f"  system: {config['sites']} sites, {config['db_size']} items, "
-        f"{config['txns']} txns, seed {config['seed']}"
-        f"{', MUTATED' if config.get('mutate') else ''}"
+        f"  system: {config.sites} sites, {config.db_size} items, "
+        f"{config.txns} txns, seed {config.seed}"
+        f"{', MUTATED' if config.mutate else ''}"
     )
     kinds = [
         kind
         for kind, on in (
-            ("order", config.get("explore_order")),
-            ("fates", config.get("explore_fates")),
-            ("faults", config.get("explore_faults")),
+            ("order", config.explore_order),
+            ("fates", config.explore_fates),
+            ("faults", config.explore_faults),
         )
         if on
     ]
@@ -684,28 +571,18 @@ def _cmd_soak_run(args: argparse.Namespace) -> int:
         render_soak_text,
         run_soak,
         validate_soak_report,
-        write_report,
         write_soak_svg,
     )
 
     config = _soak_config_from_args(args)
     result = run_soak(config)
-    doc = build_report(result)
-    problems = validate_soak_report(doc)
-    if problems:
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
-        return 1
-    print(render_soak_text(doc))
-    if args.out:
-        write_report(doc, args.out)
-        print(f"report -> {args.out}")
-    if args.svg:
-        write_soak_svg(doc, args.svg)
-        print(f"figure -> {args.svg}")
-    if args.trace_exemplars:
+    rc = _emit_report(
+        build_report(result), validate_soak_report, render_soak_text,
+        write_soak_svg, args,
+    )
+    if rc == 0 and args.trace_exemplars:
         return _soak_trace_exemplars(config, result, args.trace_exemplars)
-    return 0
+    return rc
 
 
 def _soak_trace_exemplars(config, result, out_dir: str) -> int:
@@ -719,6 +596,7 @@ def _soak_trace_exemplars(config, result, out_dir: str) -> int:
     from pathlib import Path
 
     from repro.obs.export import export_run
+    from repro.obs.schema import write_json
     from repro.obs.sink import TraceSink
     from repro.soak import run_soak
 
@@ -741,10 +619,7 @@ def _soak_trace_exemplars(config, result, out_dir: str) -> int:
         db_size=config.db_size,
         sim_time_ms=traced.elapsed_ms,
     )
-    (out / "exemplars.json").write_text(
-        json.dumps({"txns": exemplar_ids}, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_json({"txns": exemplar_ids}, out / "exemplars.json")
     from repro.obs.timeline import build_timelines
 
     # A reservoir exemplar can be a transaction the fail window settled
@@ -765,17 +640,15 @@ def _cmd_soak_validate(args: argparse.Namespace) -> int:
 
     with open(args.file, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    problems = validate_soak_report(doc)
-    for problem in problems:
-        print(f"INVALID: {problem}", file=sys.stderr)
-    if not problems:
-        totals = doc["totals"]
-        print(
-            f"valid soak report ({doc['schema']}): {totals['txns']} txns, "
-            f"{totals['commits']} commits, {len(doc['windows']['series'])} "
-            f"windows"
-        )
-    return 1 if problems else 0
+    if _print_invalid(validate_soak_report(doc)):
+        return 1
+    totals = doc["totals"]
+    print(
+        f"valid soak report ({doc['schema']}): {totals['txns']} txns, "
+        f"{totals['commits']} commits, {len(doc['windows']['series'])} "
+        f"windows"
+    )
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -793,20 +666,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("exp1", help="§2 overhead tables").set_defaults(fn=_cmd_exp1)
-    sub.add_parser("fig1", help="§3 Figure 1").set_defaults(fn=_cmd_fig1)
-    sub.add_parser("fig2", help="§4 Figure 2").set_defaults(fn=_cmd_fig2)
-    sub.add_parser("fig3", help="§4 Figure 3").set_defaults(fn=_cmd_fig3)
-    sub.add_parser("ablations", help="design-choice studies").set_defaults(
-        fn=_cmd_ablations
-    )
+    # Each prints the section of EXPERIMENTS.md that `repro report` joins.
+    for command, help_text, section, section_args in (
+        ("exp1", "§2 overhead tables (E1-T1..T3)", "exp1_section", {}),
+        ("fig1", "§3 availability table and Figure 1", "figure1_section", {}),
+        ("fig2", "§4 scenario 1 table and Figure 2", "experiment3_section",
+         {"scenarios": (1,)}),
+        ("fig3", "§4 scenario 2 table and Figure 3", "experiment3_section",
+         {"scenarios": (2,)}),
+        ("ablations", "design-choice studies A1-A6, A8-A12",
+         "ablations_section", {}),
+    ):
+        sub.add_parser(command, help=help_text).set_defaults(
+            fn=_cmd_section, section=section, section_args=section_args
+        )
 
-    concurrent = sub.add_parser("concurrent", help="complete-RAID sweep")
-    concurrent.add_argument("--txns", type=int, default=300)
-    concurrent.add_argument(
-        "--rates", type=float, nargs="+", default=[2.0, 6.0, 12.0]
+    concurrent = sub.add_parser(
+        "concurrent", help="complete-RAID arrival-rate sweep (A8)"
     )
-    concurrent.set_defaults(fn=_cmd_concurrent)
+    concurrent.add_argument("--txns", type=int, default=300,
+                            help="transactions per arrival rate")
+    concurrent.add_argument(
+        "--rates", type=float, nargs="+", default=[2.0, 6.0, 12.0],
+        help="arrival rates (txns/sec) to sweep",
+    )
+    concurrent.set_defaults(
+        fn=_cmd_concurrent, section="concurrent_section", section_args={}
+    )
 
     chaos = sub.add_parser(
         "chaos",

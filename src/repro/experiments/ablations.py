@@ -15,11 +15,14 @@ sections (§2.2.3, §3.2, §5) or conclusions:
   detection and the aborts the latter costs.
 * **benchmark workloads** (§5 future work): the Figure 1 scenario under
   ET1 and Wisconsin-shaped transaction mixes.
+* **concurrent mode** (§5 future work): the "complete RAID" open-loop
+  arrival-rate sweep under strict 2PL.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.recovery import RecoveryPolicy
 from repro.experiments.exp2 import run_figure1
@@ -32,6 +35,7 @@ from repro.system.config import (
     FailureDetection,
     SystemConfig,
 )
+from repro.system.openloop import OpenLoopResult, run_open_loop
 from repro.system.scenario import FailSite, RecoverSite, Scenario, Weighted
 from repro.workload.base import WorkloadGenerator
 from repro.workload.et1 import Et1Workload
@@ -276,6 +280,31 @@ def run_benchmark_workloads(seed: int = 42) -> list[WorkloadResult]:
             )
         )
     return results
+
+
+# -- A8: the "complete RAID" concurrent mode (§5 future work) ---------------------------
+
+
+def run_concurrent_sweep(
+    seed: int = 42,
+    rates: Sequence[float] = (2.0, 6.0, 12.0),
+    txns: int = 300,
+) -> dict[float, OpenLoopResult]:
+    """Open-loop Poisson arrivals at each rate over the multi-machine
+    deployment: four sites with a core each plus the driver's, the paper's
+    measured 9 ms wire latency, strict 2PL with global deadlock detection.
+    Returns ``{arrival rate (tps): result}`` in the order given."""
+    config = SystemConfig(
+        seed=seed,
+        max_txn_size=5,
+        concurrency_control=True,
+        cores=5,
+        wire_latency_ms=9.0,
+    )
+    return {
+        rate: run_open_loop(config, txn_count=txns, arrival_rate_tps=rate)
+        for rate in rates
+    }
 
 
 # -- A9: warm vs cold recovery (crash model) -------------------------------------------

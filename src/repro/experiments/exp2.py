@@ -25,15 +25,9 @@ from repro.metrics.collector import MetricsCollector
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, RecoverSite, Scenario, Weighted
-from repro.viz.ascii_chart import render_series
+from repro.viz.ascii_chart import render_series, site_series
 from repro.workload.base import WorkloadGenerator
 from repro.workload.uniform import UniformWorkload
-
-PAPER_PEAK_FRACTION = 0.90          # ">90% of the copies"
-PAPER_TXNS_TO_RECOVER = 160.0
-PAPER_COPIERS = 2
-PAPER_FIRST_BUCKET_TXNS = 6         # first 10 fail-locks cleared in 6 txns
-PAPER_LAST_BUCKET_TXNS = 106        # last 10 took 106
 
 
 @dataclass(slots=True)
@@ -51,20 +45,15 @@ class Figure1Result:
     def peak_fraction(self) -> float:
         return self.report.peak_locks / self.report.db_size
 
-    def chart(self, width: int = 72, height: int = 18) -> str:
+    def chart(self) -> str:
         """Render the figure as an ASCII chart."""
-        named = {
-            f"site {site}": [(float(x), float(y)) for x, y in points]
-            for site, points in self.series.items()
-        }
         return render_series(
-            named,
+            site_series(self.series),
             title=(
                 "Figure 1: data availability during failure and recovery "
-                f"(db=50, max txn size=5)"
+                "(db=50, max txn size=5)"
             ),
-            width=width,
-            height=height,
+            height=18,
         )
 
 

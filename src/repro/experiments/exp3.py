@@ -23,11 +23,8 @@ from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, RecoverSite, Scenario
 from repro.txn.transaction import AbortReason
-from repro.viz.ascii_chart import render_series
+from repro.viz.ascii_chart import render_series, site_series
 from repro.workload.uniform import UniformWorkload
-
-PAPER_SCENARIO1_ABORTS = 13
-PAPER_SCENARIO2_ABORTS = 0
 
 
 @dataclass(slots=True)
@@ -48,16 +45,11 @@ class ScenarioResult:
         points = self.series.get(site, [])
         return max((v for _s, v in points), default=0)
 
-    def chart(self, width: int = 72, height: int = 18) -> str:
-        named = {
-            f"site {site}": [(float(x), float(y)) for x, y in points]
-            for site, points in self.series.items()
-        }
+    def chart(self) -> str:
         return render_series(
-            named,
+            site_series(self.series),
             title=f"{self.name} (db=50, max txn size=5)",
-            width=width,
-            height=height,
+            height=18,
         )
 
 

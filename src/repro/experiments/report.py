@@ -1,9 +1,12 @@
-"""Experiment report generation.
+"""Experiment report: every table of the paper, stated once.
 
-``generate_report()`` runs every table/figure reproduction plus the
-ablations and renders a single markdown document (EXPERIMENTS.md) with
-paper-vs-measured values.  ``format_table`` is the shared plain-text table
-renderer used by the example scripts too.
+Each ``*_section`` function runs one experiment and returns its markdown —
+heading, paper-vs-measured tables, charts — without a blank line at
+either end.  ``generate_report()`` joins all of them into EXPERIMENTS.md,
+and ``repro exp1 | fig1 | fig2 | fig3 | ablations | concurrent`` print
+theirs, so the command line and the committed report cannot drift apart.
+``format_table`` is the shared plain-text table renderer used by the
+example scripts too.
 """
 
 from __future__ import annotations
@@ -11,8 +14,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from repro.experiments import exp1, exp2, exp3
-from repro.experiments import ablations
+from repro.experiments import ablations, exp1, exp2, exp3
+
+_join = "\n\n".join
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -33,20 +37,313 @@ def _ms(value: float) -> str:
     return f"{value:.0f} ms"
 
 
-def _save_figure_svg(series: dict[int, list[tuple[int, int]]], title: str,
-                     filename: str, figures_dir: str | Path | None) -> None:
-    """Save a fail-lock series as an SVG figure, if a directory is given."""
-    if figures_dir is None:
-        return
-    from repro.viz.svg_chart import figure_svg
+def _sub(title: str, headers: Sequence[str], rows: Sequence[Sequence[object]],
+         *notes: str) -> str:
+    """One ``###`` subsection: title, table, trailing remarks."""
+    return _join([f"### {title}", format_table(headers, rows), *notes])
 
-    directory = Path(figures_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    named = {
-        f"site {site}": [(float(x), float(y)) for x, y in points]
-        for site, points in series.items()
-    }
-    figure_svg(named, title=title, path=directory / filename)
+
+def _figure(result, svg_title: str, filename: str,
+            figures_dir: str | Path | None) -> str:
+    """A result's fenced ASCII chart; also its SVG, if a directory is given."""
+    if figures_dir is not None:
+        from repro.viz import figure_svg, site_series
+
+        figure_svg(
+            site_series(result.series), title=svg_title,
+            path=Path(figures_dir) / filename,
+        )
+    return f"```\n{result.chart()}\n```"
+
+
+def exp1_section(seed: int | None = None) -> str:
+    """§2's three overhead tables.  ``seed=None`` keeps each runner's own
+    default seed (11 / 13 / 17), which is what EXPERIMENTS.md reports."""
+    kw = {} if seed is None else {"seed": seed}
+    fl = exp1.run_faillock_overhead(**kw)
+    ctrl = exp1.run_control_overhead(**kw)
+    cop = exp1.run_copier_overhead(**kw)
+    return _join([
+        "## Experiment 1 — overhead measurements (paper §2)",
+        _sub(
+            "§2.2.1 Fail-locks maintenance (E1-T1)",
+            ["transaction time", "measured w/o fail-locks", "paper w/o",
+             "measured with", "paper with"],
+            [(role, _ms(m0), _ms(p0), _ms(m1), _ms(p1))
+             for role, m0, p0, m1, p1 in fl.rows()],
+            f"Measured overhead: coordinator +{fl.coord_overhead_pct:.1f} %, "
+            f"participant +{fl.part_overhead_pct:.1f} % "
+            "(paper: \"a slight increase\", ≈ +6 % / +8 %).",
+        ),
+        _sub(
+            "§2.2.2 Control transactions (E1-T2)",
+            ["control transaction", "measured", "paper"],
+            [(name, _ms(m), _ms(p)) for name, m, p in ctrl.rows()],
+        ),
+        _sub(
+            "§2.2.3 Copier transactions (E1-T3)",
+            ["measurement", "measured", "paper"],
+            [(name, _ms(m), _ms(p)) for name, m, p in cop.rows()],
+            "Copier transactions increase the (size-matched) transaction "
+            f"time by {cop.increase_pct:.0f} % (paper: 45 %); the "
+            "clear-fail-locks special transactions account for "
+            f"≈{cop.clearing_share_pct:.0f} percentage points of that "
+            "(paper: ≈30 %).",
+        ),
+    ])
+
+
+def figure1_section(seed: int = 42,
+                    figures_dir: str | Path | None = None) -> str:
+    """Experiment 2: the availability table and Figure 1."""
+    f1 = exp2.run_figure1(seed=seed)
+    buckets = f1.report.clearing_buckets
+    return _join([
+        "## Experiment 2 — data availability on a recovering site (Figure 1)",
+        format_table(
+            ["quantity", "measured", "paper"],
+            [
+                ("peak fail-locks on site 0",
+                 f"{f1.report.peak_locks}/50 ({100 * f1.peak_fraction:.0f} %)",
+                 "> 90 %"),
+                ("transactions to full recovery", f1.report.txns_to_recover,
+                 "≈ 160"),
+                ("copier transactions requested", f1.copiers, "2"),
+                ("aborted transactions", f1.aborts, "0"),
+                ("txns to clear first 10 fail-locks",
+                 buckets[0][1] if buckets else -1, "6"),
+                ("txns to clear last 10 fail-locks",
+                 buckets[-1][1] if buckets else -1, "106"),
+            ],
+        ),
+        _figure(
+            f1, "Figure 1: data availability during failure and recovery",
+            "figure1.svg", figures_dir,
+        ),
+    ])
+
+
+# scenario -> (runner, paper's aborts, paper's abort cause, SVG file)
+_SCENARIOS = {
+    1: (exp3.run_scenario1, "13", "copy unavailable", "figure2.svg"),
+    2: (exp3.run_scenario2, "0", "-", "figure3.svg"),
+}
+
+
+def experiment3_section(
+    seed: int = 42,
+    figures_dir: str | Path | None = None,
+    scenarios: Sequence[int] = (1, 2),
+) -> str:
+    """Experiment 3: one measured/paper column pair and one figure
+    (Figure 2, Figure 3) per scenario."""
+    runs = [(n, _SCENARIOS[n][0](seed=seed)) for n in scenarios]
+    rows = [["aborted transactions"], ["abort cause"],
+            ["consistency violations at end"]]
+    for n, run in runs:
+        _runner, paper_aborts, paper_cause, _svg = _SCENARIOS[n]
+        rows[0] += [run.aborts, paper_aborts]
+        rows[1] += ["/".join(sorted(run.abort_reasons)) or "-", paper_cause]
+        rows[2] += [len(run.consistency_violations), "0"]
+    figures = "-".join(str(n + 1) for n in scenarios)
+    return _join([
+        "## Experiment 3 — consistency of replicated copies "
+        f"(Figure{'s' if len(runs) > 1 else ''} {figures})",
+        format_table(
+            ["quantity"] + [
+                f"scenario {n} {column}"
+                for n in scenarios for column in ("measured", "paper")
+            ],
+            rows,
+        ),
+        "\n\n\n".join(
+            _figure(run, run.name, _SCENARIOS[n][3], figures_dir)
+            for n, run in runs
+        ),
+    ])
+
+
+def concurrent_section(
+    seed: int = 42,
+    rates: Sequence[float] = (2.0, 6.0, 12.0),
+    txns: int = 300,
+) -> str:
+    """A8: the open-loop arrival-rate sweep of the concurrent mode."""
+    sweep = ablations.run_concurrent_sweep(seed=seed, rates=rates, txns=txns)
+    return _sub(
+        "A8 — \"complete RAID\" concurrent mode (§5 future work)",
+        ["arrival (tps)", "throughput (tps)", "mean latency", "p95",
+         "lock waits", "deadlock aborts"],
+        [(rate, f"{r.throughput_tps:.1f}", _ms(r.latency.mean),
+          _ms(r.latency.p95), r.lock_parks, r.deadlock_aborts)
+         for rate, r in sweep.items()],
+    )
+
+
+def ablations_section(seed: int = 42) -> str:
+    """A1-A6 and A8-A12, in EXPERIMENTS.md order (A2 and A10 measure costs
+    on their own fixed seeds, like Experiment 1)."""
+    return _join([
+        "## Ablations (the paper's proposals and discussion points)",
+        _sub(
+            "A1 — two-step recovery (§3.2 proposal)",
+            ["policy", "threshold", "txns to recover", "copiers (batch)"],
+            [(r.policy, r.threshold, r.txns_to_recover,
+              f"{r.copiers} ({r.batch_copiers})")
+             for r in ablations.run_two_step_recovery(seed=seed)],
+        ),
+        _sub(
+            "A2 — embedding clear-fail-locks in 2PC (§2.2.3 suggestion)",
+            ["clear-notice mode", "txn with one copier", "samples"],
+            [(r.mode, _ms(r.txn_with_copier), r.samples)
+             for r in ablations.run_embedded_clearing()],
+        ),
+        _sub(
+            "A3 — read/write ratio (§5 discussion)",
+            ["write probability", "peak fail-locks", "txns to recover",
+             "copiers"],
+            [(r.write_probability, r.peak_locks, r.txns_to_recover, r.copiers)
+             for r in ablations.run_read_write_ratio(seed=seed)],
+        ),
+        _sub(
+            "A4 — ROWAA vs strict ROWA vs quorum (scenario-2 script)",
+            ["strategy", "commits", "aborts", "abort reasons"],
+            [(r.strategy, r.commits, r.aborts,
+              ", ".join(f"{k}={v}" for k, v in sorted(r.abort_reasons.items()))
+              or "-")
+             for r in ablations.run_strategy_comparison(seed=seed)],
+        ),
+        _sub(
+            "A5 — failure detection: announced vs timeout (Appendix A)",
+            ["detection", "commits", "aborts", "type-2 control txns"],
+            [(r.detection, r.commits, r.aborts, r.type2_controls)
+             for r in ablations.run_failure_detection(seed=seed)],
+        ),
+        _sub(
+            "A6 — benchmark workloads (§5 future work: ET1, Wisconsin)",
+            ["workload", "peak fail-locks", "txns to recover", "copiers",
+             "aborts"],
+            [(r.workload, r.peak_locks, r.txns_to_recover, r.copiers, r.aborts)
+             for r in ablations.run_benchmark_workloads(seed=seed)],
+        ),
+        concurrent_section(seed),
+        _sub(
+            "A9 — crash model: warm (mini-RAID) vs cold",
+            ["crash model", "stale copies at recovery", "txns to recover",
+             "copiers"],
+            [(r.model, r.initial_stale, r.txns_to_recover, r.copiers)
+             for r in ablations.run_crash_models(seed=seed)],
+        ),
+        _sub(
+            "A10 — §2.2.2 scaling claims",
+            ["sites", "db size", "type-1 recovering", "type-1 operational",
+             "type-2"],
+            [(r.num_sites, r.db_size, _ms(r.type1_recovering),
+              _ms(r.type1_operational), _ms(r.type2))
+             for r in ablations.run_control_scaling()],
+            "All three of the paper's claims hold: the recovering side grows "
+            "with the site count, the operational side is flat in sites but "
+            "grows with the database, and type 2 is constant.",
+        ),
+        _sub(
+            "A11 — partitions: ROWAA anomaly vs quorum safety",
+            ["strategy", "commits during 3-1 partition",
+             "aborts during partition", "divergent copies after heal"],
+            [(r.strategy, r.commits_during_partition,
+              r.aborts_during_partition, r.divergent_items)
+             for r in ablations.run_partition_anomaly(seed=seed)],
+            "ROWAA with timeout detection keeps both halves available and "
+            "diverges; majority quorum idles the minority half and stays "
+            "consistent — the classical trade the paper's §1.1 partition "
+            "remark points at.",
+        ),
+        _sub(
+            "A12 — submission bias during recovery",
+            ["recovering site's share", "txns to recover", "copiers",
+             "refreshed by copier", "refreshed by write"],
+            [(r.recovering_share, r.txns_to_recover, r.copiers,
+              r.refreshed_by_copier, r.refreshed_by_write)
+             for r in ablations.run_submission_bias(seed=seed)],
+            "At a ≤5 % share the run produces the paper's \"only two copier "
+            "transactions\" regime; a 50/50 split produces an order of "
+            "magnitude more — the basis for DESIGN.md's Experiment 2 "
+            "submission-policy choice.",
+        ),
+    ])
+
+
+def recovery_section(seed: int = 42) -> str:
+    """The recovery-time family's speedup table (repro.recovery)."""
+    from repro.recovery import build_recovery_report, run_recovery_matrix
+
+    speedup = build_recovery_report(
+        run_recovery_matrix(
+            donor_counts=(1, 2, 4, 6), stale_sizes=(16, 64), seed=seed
+        ),
+        seed=seed,
+    )["speedup"]
+    return _join([
+        "## Recovery-time family (repro.recovery)",
+        "Time from type-1 completion to the last fail-lock clearing at a "
+        "cold-crashed site, as a function of donor count, stale-data size, "
+        "and recovery policy (`repro recovery`; byte-deterministic "
+        "`repro.recovery/1` report in `figures/recovery_time.json`).  "
+        "`two_step` runs with `batch_threshold=1.0` — the sequential "
+        "single-donor batch chain of the paper's §3.2 proposal; `parallel` "
+        "shards the same stale set across every up-to-date donor.",
+        format_table(
+            ["donors", "stale items", "two_step", "parallel", "speedup"],
+            [(p["donors"], p["stale_items"], _ms(p["two_step_ms"]),
+              _ms(p["parallel_ms"]), f"{p['speedup']:.2f}x")
+             for p in speedup["pairs"]],
+        ),
+        f"Worst case at 4+ donors: {speedup['min_at_4plus_donors']:.2f}x — "
+        "fan-out keeps paying "
+        "as donors are added because each donor's COPY_RESP formatting "
+        "overlaps on its own CPU, while the sequential chain serializes "
+        "them (`docs/RECOVERY.md`).",
+    ])
+
+
+def stability_section(jobs: int | None = None) -> str:
+    """The headline results across seeds 1-6 (``jobs`` > 1 fans the
+    replications across worker processes; same output)."""
+    from repro.experiments import repeats
+
+    seeds = tuple(range(1, 7))
+    fig1 = repeats.replicate_figure1(seeds=seeds, jobs=jobs)
+    stats = (
+        (fig1["peak_pct"], "> 90"),
+        (fig1["txns_to_recover"], "~160"),
+        (fig1["copiers"], "2"),
+        (repeats.replicate_scenario1(seeds=seeds, jobs=jobs), "13"),
+        (repeats.replicate_scenario2(seeds=seeds, jobs=jobs), "0"),
+    )
+    return _join([
+        "## Stability across seeds",
+        "The paper reports averages over repeated runs; the headline "
+        "results here hold across seeds (mean ± 95 % CI, min..max over "
+        "6 seeds):",
+        format_table(
+            ["statistic", "mean ± 95 % CI", "range", "paper"],
+            [(stat.name, f"{stat.mean:.1f} ± {stat.ci95_half_width:.1f}",
+              f"{stat.low:.0f}..{stat.high:.0f}", paper)
+             for stat, paper in stats],
+        ),
+    ])
+
+
+_PREAMBLE = (
+    "# EXPERIMENTS — paper vs. measured\n\n"
+    "Every number below is regenerated by the code in this repository "
+    "(`python -m repro.experiments.report` rewrites this file; "
+    "`tests/test_experiments.py` and `tests/test_ablations.py` assert "
+    "the same runners on every test run).\n\n"
+    "Absolute milliseconds are *simulated* time under the calibrated "
+    "cost model (see `repro/system/costs.py`); per the paper, \"the "
+    "comparison of average times is of more interest than the numerical "
+    "value of each average time\"."
+)
 
 
 def generate_report(
@@ -60,350 +357,15 @@ def generate_report(
     Figures 1-3; pass None to skip writing files.  ``jobs`` > 1 fans the
     stability replications across worker processes (same output).
     """
-    sections: list[str] = []
-    sections.append(
-        "# EXPERIMENTS — paper vs. measured\n\n"
-        "Every number below is regenerated by the code in this repository "
-        "(`python -m repro.experiments.report` rewrites this file; "
-        "`tests/test_experiments.py` and `tests/test_ablations.py` assert "
-        "the same runners on every test run).\n\n"
-        "Absolute milliseconds are *simulated* time under the calibrated "
-        "cost model (see `repro/system/costs.py`); per the paper, \"the "
-        "comparison of average times is of more interest than the numerical "
-        "value of each average time\".\n"
-    )
-
-    # -- Experiment 1 -----------------------------------------------------------
-    fl = exp1.run_faillock_overhead()
-    sections.append("## Experiment 1 — overhead measurements (paper §2)\n")
-    sections.append("### §2.2.1 Fail-locks maintenance (E1-T1)\n")
-    sections.append(
-        format_table(
-            ["transaction time", "measured w/o fail-locks", "paper w/o",
-             "measured with", "paper with"],
-            [
-                (role, _ms(m0), _ms(p0), _ms(m1), _ms(p1))
-                for role, m0, p0, m1, p1 in fl.rows()
-            ],
-        )
-    )
-    sections.append(
-        f"\nMeasured overhead: coordinator +{fl.coord_overhead_pct:.1f} %, "
-        f"participant +{fl.part_overhead_pct:.1f} % "
-        "(paper: \"a slight increase\", ≈ +6 % / +8 %).\n"
-    )
-
-    ctrl = exp1.run_control_overhead()
-    sections.append("### §2.2.2 Control transactions (E1-T2)\n")
-    sections.append(
-        format_table(
-            ["control transaction", "measured", "paper"],
-            [(name, _ms(m), _ms(p)) for name, m, p in ctrl.rows()],
-        )
-    )
-
-    cop = exp1.run_copier_overhead()
-    sections.append("\n### §2.2.3 Copier transactions (E1-T3)\n")
-    sections.append(
-        format_table(
-            ["measurement", "measured", "paper"],
-            [(name, _ms(m), _ms(p)) for name, m, p in cop.rows()],
-        )
-    )
-    sections.append(
-        f"\nCopier transactions increase the (size-matched) transaction time "
-        f"by {cop.increase_pct:.0f} % (paper: 45 %); the clear-fail-locks "
-        f"special transactions account for ≈{cop.clearing_share_pct:.0f} "
-        "percentage points of that (paper: ≈30 %).\n"
-    )
-
-    # -- Experiment 2 / Figure 1 ---------------------------------------------------
-    f1 = exp2.run_figure1(seed=seed)
-    sections.append("## Experiment 2 — data availability on a recovering site (Figure 1)\n")
-    buckets = f1.report.clearing_buckets
-    first_bucket = buckets[0][1] if buckets else -1
-    last_bucket = buckets[-1][1] if buckets else -1
-    sections.append(
-        format_table(
-            ["quantity", "measured", "paper"],
-            [
-                ("peak fail-locks on site 0",
-                 f"{f1.report.peak_locks}/50 ({100 * f1.peak_fraction:.0f} %)",
-                 "> 90 %"),
-                ("transactions to full recovery", f1.report.txns_to_recover, "≈ 160"),
-                ("copier transactions requested", f1.copiers, "2"),
-                ("aborted transactions", f1.aborts, "0"),
-                ("txns to clear first 10 fail-locks", first_bucket, "6"),
-                ("txns to clear last 10 fail-locks", last_bucket, "106"),
-            ],
-        )
-    )
-    sections.append("\n```\n" + f1.chart() + "\n```\n")
-    _save_figure_svg(
-        f1.series, "Figure 1: data availability during failure and recovery",
-        "figure1.svg", figures_dir,
-    )
-
-    # -- Experiment 3 / Figures 2-3 ---------------------------------------------------
-    s1 = exp3.run_scenario1(seed=seed)
-    s2 = exp3.run_scenario2(seed=seed)
-    _save_figure_svg(
-        s1.series, "Figure 2: database inconsistency (scenario 1)",
-        "figure2.svg", figures_dir,
-    )
-    _save_figure_svg(
-        s2.series, "Figure 3: database inconsistency (scenario 2)",
-        "figure3.svg", figures_dir,
-    )
-    sections.append("## Experiment 3 — consistency of replicated copies (Figures 2-3)\n")
-    sections.append(
-        format_table(
-            ["quantity", "scenario 1 measured", "scenario 1 paper",
-             "scenario 2 measured", "scenario 2 paper"],
-            [
-                ("aborted transactions", s1.aborts, "13", s2.aborts, "0"),
-                ("abort cause",
-                 "/".join(sorted(s1.abort_reasons)) or "-", "copy unavailable",
-                 "/".join(sorted(s2.abort_reasons)) or "-", "-"),
-                ("consistency violations at end",
-                 len(s1.consistency_violations), "0",
-                 len(s2.consistency_violations), "0"),
-            ],
-        )
-    )
-    sections.append("\n```\n" + s1.chart() + "\n```\n")
-    sections.append("\n```\n" + s2.chart() + "\n```\n")
-
-    # -- Ablations -----------------------------------------------------------------
-    sections.append("## Ablations (the paper's proposals and discussion points)\n")
-
-    sections.append("### A1 — two-step recovery (§3.2 proposal)\n")
-    sections.append(
-        format_table(
-            ["policy", "threshold", "txns to recover", "copiers (batch)"],
-            [
-                (r.policy, r.threshold, r.txns_to_recover,
-                 f"{r.copiers} ({r.batch_copiers})")
-                for r in ablations.run_two_step_recovery(seed=seed)
-            ],
-        )
-    )
-
-    sections.append("\n### A2 — embedding clear-fail-locks in 2PC (§2.2.3 suggestion)\n")
-    sections.append(
-        format_table(
-            ["clear-notice mode", "txn with one copier", "samples"],
-            [
-                (r.mode, _ms(r.txn_with_copier), r.samples)
-                for r in ablations.run_embedded_clearing()
-            ],
-        )
-    )
-
-    sections.append("\n### A3 — read/write ratio (§5 discussion)\n")
-    sections.append(
-        format_table(
-            ["write probability", "peak fail-locks", "txns to recover", "copiers"],
-            [
-                (r.write_probability, r.peak_locks, r.txns_to_recover, r.copiers)
-                for r in ablations.run_read_write_ratio(seed=seed)
-            ],
-        )
-    )
-
-    sections.append("\n### A4 — ROWAA vs strict ROWA vs quorum (scenario-2 script)\n")
-    sections.append(
-        format_table(
-            ["strategy", "commits", "aborts", "abort reasons"],
-            [
-                (r.strategy, r.commits, r.aborts,
-                 ", ".join(f"{k}={v}" for k, v in sorted(r.abort_reasons.items())) or "-")
-                for r in ablations.run_strategy_comparison(seed=seed)
-            ],
-        )
-    )
-
-    sections.append("\n### A5 — failure detection: announced vs timeout (Appendix A)\n")
-    sections.append(
-        format_table(
-            ["detection", "commits", "aborts", "type-2 control txns"],
-            [
-                (r.detection, r.commits, r.aborts, r.type2_controls)
-                for r in ablations.run_failure_detection(seed=seed)
-            ],
-        )
-    )
-
-    sections.append("\n### A6 — benchmark workloads (§5 future work: ET1, Wisconsin)\n")
-    sections.append(
-        format_table(
-            ["workload", "peak fail-locks", "txns to recover", "copiers", "aborts"],
-            [
-                (r.workload, r.peak_locks, r.txns_to_recover, r.copiers, r.aborts)
-                for r in ablations.run_benchmark_workloads(seed=seed)
-            ],
-        )
-    )
-
-    sections.append("\n### A8 — \"complete RAID\" concurrent mode (§5 future work)\n")
-    from repro.system.config import SystemConfig
-    from repro.system.openloop import run_open_loop
-
-    rows = []
-    for rate in (2.0, 6.0, 12.0):
-        config = SystemConfig(
-            seed=seed,
-            max_txn_size=5,
-            concurrency_control=True,
-            cores=5,
-            wire_latency_ms=9.0,
-        )
-        result = run_open_loop(config, txn_count=300, arrival_rate_tps=rate)
-        rows.append(
-            (rate, f"{result.throughput_tps:.1f}",
-             f"{result.latency.mean:.0f} ms", f"{result.latency.p95:.0f} ms",
-             result.lock_parks, result.deadlock_aborts)
-        )
-    sections.append(
-        format_table(
-            ["arrival (tps)", "throughput (tps)", "mean latency", "p95",
-             "lock waits", "deadlock aborts"],
-            rows,
-        )
-    )
-
-    sections.append("\n### A9 — crash model: warm (mini-RAID) vs cold\n")
-    sections.append(
-        format_table(
-            ["crash model", "stale copies at recovery", "txns to recover", "copiers"],
-            [
-                (r.model, r.initial_stale, r.txns_to_recover, r.copiers)
-                for r in ablations.run_crash_models(seed=seed)
-            ],
-        )
-    )
-
-    sections.append("\n### A10 — §2.2.2 scaling claims\n")
-    sections.append(
-        format_table(
-            ["sites", "db size", "type-1 recovering", "type-1 operational", "type-2"],
-            [
-                (r.num_sites, r.db_size, f"{r.type1_recovering:.0f} ms",
-                 f"{r.type1_operational:.0f} ms", f"{r.type2:.0f} ms")
-                for r in ablations.run_control_scaling()
-            ],
-        )
-    )
-    sections.append(
-        "\nAll three of the paper's claims hold: the recovering side grows "
-        "with the site count, the operational side is flat in sites but "
-        "grows with the database, and type 2 is constant.\n"
-    )
-
-    sections.append("### A11 — partitions: ROWAA anomaly vs quorum safety\n")
-    sections.append(
-        format_table(
-            ["strategy", "commits during 3-1 partition",
-             "aborts during partition", "divergent copies after heal"],
-            [
-                (r.strategy, r.commits_during_partition,
-                 r.aborts_during_partition, r.divergent_items)
-                for r in ablations.run_partition_anomaly(seed=seed)
-            ],
-        )
-    )
-    sections.append(
-        "\nROWAA with timeout detection keeps both halves available and "
-        "diverges; majority quorum idles the minority half and stays "
-        "consistent — the classical trade the paper's §1.1 partition "
-        "remark points at.\n"
-    )
-
-    sections.append("### A12 — submission bias during recovery\n")
-    sections.append(
-        format_table(
-            ["recovering site's share", "txns to recover", "copiers",
-             "refreshed by copier", "refreshed by write"],
-            [
-                (r.recovering_share, r.txns_to_recover, r.copiers,
-                 r.refreshed_by_copier, r.refreshed_by_write)
-                for r in ablations.run_submission_bias(seed=seed)
-            ],
-        )
-    )
-    sections.append(
-        "\nAt a ≤5 % share the run produces the paper's \"only two copier "
-        "transactions\" regime; a 50/50 split produces an order of "
-        "magnitude more — the basis for DESIGN.md's Experiment 2 "
-        "submission-policy choice.\n"
-    )
-
-    # -- Recovery-time family (repro.recovery) -----------------------------------------
-    from repro.recovery import build_recovery_report, run_recovery_matrix
-
-    recovery_doc = build_recovery_report(
-        run_recovery_matrix(
-            donor_counts=(1, 2, 4, 6), stale_sizes=(16, 64), seed=seed
-        ),
-        seed=seed,
-    )
-    sections.append("## Recovery-time family (repro.recovery)\n")
-    sections.append(
-        "Time from type-1 completion to the last fail-lock clearing at a "
-        "cold-crashed site, as a function of donor count, stale-data size, "
-        "and recovery policy (`repro recovery`; byte-deterministic "
-        "`repro.recovery/1` report in `figures/recovery_time.json`).  "
-        "`two_step` runs with `batch_threshold=1.0` — the sequential "
-        "single-donor batch chain of the paper's §3.2 proposal; `parallel` "
-        "shards the same stale set across every up-to-date donor.\n"
-    )
-    sections.append(
-        format_table(
-            ["donors", "stale items", "two_step", "parallel", "speedup"],
-            [
-                (p["donors"], p["stale_items"], _ms(p["two_step_ms"]),
-                 _ms(p["parallel_ms"]), f"{p['speedup']:.2f}x")
-                for p in recovery_doc["speedup"]["pairs"]
-            ],
-        )
-    )
-    floor = recovery_doc["speedup"]["min_at_4plus_donors"]
-    sections.append(
-        f"\nWorst case at 4+ donors: {floor:.2f}x — fan-out keeps paying "
-        "as donors are added because each donor's COPY_RESP formatting "
-        "overlaps on its own CPU, while the sequential chain serializes "
-        "them (`docs/RECOVERY.md`).\n"
-    )
-
-    # -- Stability across seeds --------------------------------------------------------
-    from repro.experiments import repeats
-
-    sections.append("## Stability across seeds\n")
-    sections.append(
-        "The paper reports averages over repeated runs; the headline "
-        "results here hold across seeds (mean ± 95 % CI, min..max over "
-        "6 seeds):\n"
-    )
-    fig1_stats = repeats.replicate_figure1(seeds=tuple(range(1, 7)), jobs=jobs)
-    s1_stats = repeats.replicate_scenario1(seeds=tuple(range(1, 7)), jobs=jobs)
-    s2_stats = repeats.replicate_scenario2(seeds=tuple(range(1, 7)), jobs=jobs)
-    rows = []
-    for stat, paper in (
-        (fig1_stats["peak_pct"], "> 90"),
-        (fig1_stats["txns_to_recover"], "~160"),
-        (fig1_stats["copiers"], "2"),
-        (s1_stats, "13"),
-        (s2_stats, "0"),
-    ):
-        rows.append(
-            (stat.name, f"{stat.mean:.1f} ± {stat.ci95_half_width:.1f}",
-             f"{stat.low:.0f}..{stat.high:.0f}", paper)
-        )
-    sections.append(
-        format_table(["statistic", "mean ± 95 % CI", "range", "paper"], rows)
-    )
-    sections.append("")
-    return "\n".join(sections)
+    return _join([
+        _PREAMBLE,
+        exp1_section(),
+        figure1_section(seed, figures_dir),
+        experiment3_section(seed, figures_dir),
+        ablations_section(seed),
+        recovery_section(seed),
+        stability_section(jobs),
+    ]) + "\n"
 
 
 def main() -> None:

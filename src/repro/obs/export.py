@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Iterable, Optional
 
 from repro.obs.events import EventKind, TraceEvent
-from repro.obs.schema import RUN_SCHEMA_ID
+from repro.obs.schema import RUN_SCHEMA_ID, write_json
 from repro.obs.sink import TraceSink
 from repro.obs.timeline import build_timelines, derive_txn_summaries
 
@@ -56,7 +56,6 @@ def export_run(
 ) -> dict[str, Any]:
     """Write run.json + events.jsonl + trace.json; returns the manifest."""
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     events = list(sink)
 
     counters: dict[str, int] = {}
@@ -77,10 +76,7 @@ def export_run(
         "violations": list(violations or []),
     }
 
-    (run_dir / "run.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_json(manifest, run_dir / "run.json", sort_keys=True)
     with (run_dir / "events.jsonl").open("w", encoding="utf-8") as fh:
         for event in events:
             fh.write(_dumps(event.to_wire()))

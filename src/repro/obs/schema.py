@@ -1,39 +1,169 @@
-"""Schema validation for exported trace artifacts.
+"""The document kit: one declarative checker, one JSON writer.
 
-The exporters (``repro.obs.export``) write three files per run directory:
+Every JSON artifact this repo writes — ``repro.soak/1``,
+``repro.recovery/1``, ``repro.check/1``, and the ``repro.obs.run/1``
+manifest with its ``events.jsonl`` stream — is guarded by a *spec table*
+kept beside its builder and checked by :func:`check`; every indented
+document is written by :func:`write_json`.  A validator is ``check(doc,
+SPEC)`` plus the cross-field rules a table cannot say (sums, orderings),
+and those run only on a document whose types are already clean, so no
+validator raises on any decoded JSON value.  docs/OBSERVABILITY.md,
+"Documents", lists the five schemas.
 
-* ``run.json`` — run manifest (schema id ``repro.obs.run/1``),
-* ``events.jsonl`` — one :class:`~repro.obs.events.TraceEvent` wire dict
-  per line, ``seq``-ordered,
-* ``trace.json`` — Chrome ``trace_event`` format for Perfetto.
+A spec is plain data:
 
-This module validates the first two with plain Python (no external
-dependencies are available in this environment) and is what CI's
-``repro trace validate`` smoke runs against.  Each problem is reported as
-a human-readable string; an empty list means the artifact is valid.
+==================  ==================================================
+``int`` ``str`` …   that JSON type (``float`` takes any number; ``bool``
+                    is never a number)
+``"literal"``       exactly that string (schema ids)
+``frozenset``       one of these strings
+:class:`Num`        a number inside a closed or half-open interval
+``(spec, None)``    ``spec`` or null
+``[spec]``          an array of ``spec``
+``{key: spec}``     an object; ``"key?"`` marks an optional key, and an
+                    :class:`Exact` table also rejects unnamed keys
+==================  ==================================================
+
+The rest of this module validates the three files of a run directory
+(``run.json``, ``events.jsonl``, ``trace.json``) and is what
+``repro trace validate`` runs.  Each problem is a human-readable string
+that starts with the path it is about; an empty list means valid.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.obs.events import KIND_BY_VALUE
 
 RUN_SCHEMA_ID = "repro.obs.run/1"
 
-# Exact key set of one events.jsonl record (TraceEvent.to_wire()).
-_EVENT_KEYS = {"seq", "t", "kind", "site", "txn", "parent", "args"}
+_TYPE_NAMES = {
+    int: "int", float: "number", str: "str", bool: "bool",
+    dict: "object", list: "list",
+}
 
-# Required manifest keys and their expected types.
-_RUN_KEYS: dict[str, type | tuple[type, ...]] = {
-    "schema": str,
+
+class Exact(dict):
+    """An object spec that also rejects keys it does not name."""
+
+
+class Num(NamedTuple):
+    """A number in ``[lo, hi]`` — ``(lo, hi]`` when ``lo_open``."""
+
+    kind: type = float
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = False
+
+
+def _has_type(value: Any, kind: type) -> bool:
+    if kind is float:
+        kind = (int, float)
+    elif kind is not int:
+        return isinstance(value, kind)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check(doc: Any, spec: Any, where: str = "") -> list[str]:
+    """Problems with ``doc`` under ``spec`` (empty = valid); never raises."""
+    problems: list[str] = []
+    _walk(doc, spec, where, problems)
+    return problems
+
+
+def _expected(kind: type, value: Any, where: str) -> str:
+    return (
+        f"{where or 'document'}: expected {_TYPE_NAMES[kind]}, "
+        f"got {type(value).__name__}"
+    )
+
+
+def _walk(value: Any, spec: Any, where: str, problems: list[str]) -> None:
+    if isinstance(spec, Num):
+        if not _has_type(value, spec.kind):
+            problems.append(_expected(spec.kind, value, where))
+            return
+        above = value > spec.lo if spec.lo_open else value >= spec.lo
+        if not (above and value <= spec.hi):  # NaN compares false: rejected
+            problems.append(
+                f"{where}: {value} outside "
+                f"{'(' if spec.lo_open else '['}{spec.lo}, {spec.hi}]"
+            )
+    elif isinstance(spec, tuple):
+        if value is not None:
+            _walk(value, spec[0], where, problems)
+    elif isinstance(spec, str):
+        if value != spec:
+            problems.append(f"{where}: expected {spec!r}, got {value!r}")
+    elif isinstance(spec, frozenset):
+        if not isinstance(value, str) or value not in spec:
+            problems.append(f"{where}: unknown value {value!r}")
+    elif isinstance(spec, list):
+        if not isinstance(value, list):
+            problems.append(_expected(list, value, where))
+            return
+        for index, item in enumerate(value):
+            _walk(item, spec[0], f"{where}[{index}]", problems)
+    elif isinstance(spec, dict):
+        if not isinstance(value, dict):
+            problems.append(_expected(dict, value, where))
+            return
+        prefix = f"{where}." if where else ""
+        named = set()
+        for key, sub in spec.items():
+            name = key.removesuffix("?")
+            named.add(name)
+            if name in value:
+                _walk(value[name], sub, prefix + name, problems)
+            elif name == key:
+                problems.append(f"{prefix}{name}: missing")
+        if isinstance(spec, Exact):
+            problems += [
+                f"{prefix}{key}: unexpected key"
+                for key in sorted(value.keys() - named)
+            ]
+    elif not _has_type(value, spec):
+        problems.append(_expected(spec, value, where))
+
+
+def write_json(doc: Any, path: str | Path, *, sort_keys: bool = False) -> Path:
+    """Write ``doc`` as indented JSON with a trailing newline.
+
+    The one formatting every document shares: fixed indentation, no
+    wall-clock, key order either the builder's insertion order or sorted —
+    so the same document always serializes to the same bytes.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8"
+    )
+    return path
+
+
+# One events.jsonl record (TraceEvent.to_wire()).
+EVENT_SPEC = Exact({
+    "seq": Num(int, lo=0),
+    "t": Num(float, lo=0),
+    "kind": frozenset(KIND_BY_VALUE),
+    "site": int,
+    "txn": int,
+    "parent": Num(int, lo=-1),
+    "args": dict,
+})
+
+# The run.json manifest (export.export_run).
+RUN_SPEC = {
+    "schema": RUN_SCHEMA_ID,
     "scenario": str,
     "seed": int,
     "sites": int,
     "db_size": int,
-    "sim_time_ms": (int, float),
+    "sim_time_ms": float,
     "events": int,
     "dropped_events": int,
     "counters": dict,
@@ -44,40 +174,18 @@ _RUN_KEYS: dict[str, type | tuple[type, ...]] = {
 
 def validate_event(obj: Any, prev_seq: int = -1) -> list[str]:
     """Problems with one decoded events.jsonl record (empty = valid)."""
-    problems: list[str] = []
-    if not isinstance(obj, dict):
-        return [f"event is not an object: {type(obj).__name__}"]
-    keys = set(obj)
-    if keys != _EVENT_KEYS:
-        missing = sorted(_EVENT_KEYS - keys)
-        extra = sorted(keys - _EVENT_KEYS)
-        if missing:
-            problems.append(f"missing keys: {missing}")
-        if extra:
-            problems.append(f"unexpected keys: {extra}")
+    problems = check(obj, EVENT_SPEC)
+    if problems:
         return problems
-    if not isinstance(obj["seq"], int) or obj["seq"] < 0:
-        problems.append(f"seq must be a non-negative int: {obj['seq']!r}")
-    elif obj["seq"] <= prev_seq:
+    if obj["seq"] <= prev_seq:
         problems.append(
             f"seq not strictly increasing: {obj['seq']} after {prev_seq}"
         )
-    if not isinstance(obj["t"], (int, float)) or obj["t"] < 0:
-        problems.append(f"t must be a non-negative number: {obj['t']!r}")
-    if obj["kind"] not in KIND_BY_VALUE:
-        problems.append(f"unknown event kind: {obj['kind']!r}")
-    for key in ("site", "txn"):
-        if not isinstance(obj[key], int):
-            problems.append(f"{key} must be an int: {obj[key]!r}")
-    parent = obj["parent"]
-    if not isinstance(parent, int) or parent < -1:
-        problems.append(f"parent must be an int >= -1: {parent!r}")
-    elif isinstance(obj["seq"], int) and parent >= obj["seq"]:
+    if obj["parent"] >= obj["seq"]:
         problems.append(
-            f"parent must reference an earlier event: {parent} >= {obj['seq']}"
+            "parent must reference an earlier event: "
+            f"{obj['parent']} >= {obj['seq']}"
         )
-    if not isinstance(obj["args"], dict):
-        problems.append(f"args must be an object: {obj['args']!r}")
     return problems
 
 
@@ -96,28 +204,16 @@ def validate_events_jsonl(path: Path) -> list[str]:
             except json.JSONDecodeError as exc:
                 problems.append(f"line {lineno}: invalid JSON ({exc})")
                 continue
-            for problem in validate_event(obj, prev_seq):
-                problems.append(f"line {lineno}: {problem}")
-            if isinstance(obj, dict) and isinstance(obj.get("seq"), int):
+            found = validate_event(obj, prev_seq)
+            problems += [f"line {lineno}: {problem}" for problem in found]
+            if not found:
                 prev_seq = obj["seq"]
     return problems
 
 
 def validate_run_manifest(obj: Any) -> list[str]:
     """Problems with a decoded run.json manifest (empty = valid)."""
-    problems: list[str] = []
-    if not isinstance(obj, dict):
-        return [f"manifest is not an object: {type(obj).__name__}"]
-    for key, expected in _RUN_KEYS.items():
-        if key not in obj:
-            problems.append(f"missing key: {key}")
-        elif not isinstance(obj[key], expected):
-            problems.append(
-                f"{key} has wrong type: {type(obj[key]).__name__}"
-            )
-    if obj.get("schema") not in (None, RUN_SCHEMA_ID):
-        problems.append(f"unknown schema id: {obj.get('schema')!r}")
-    return problems
+    return check(obj, RUN_SPEC)
 
 
 def validate_run_dir(run_dir: Path) -> list[str]:
@@ -142,17 +238,18 @@ def validate_run_dir(run_dir: Path) -> list[str]:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         return [f"run.json: invalid JSON ({exc})"]
-    problems += [f"run.json: {p}" for p in validate_run_manifest(manifest)]
+    manifest_problems = validate_run_manifest(manifest)
+    problems += [f"run.json: {p}" for p in manifest_problems]
 
     event_problems = validate_events_jsonl(events_path)
     problems += [f"events.jsonl: {p}" for p in event_problems]
-    if not event_problems and isinstance(manifest, dict):
+    if not event_problems and not manifest_problems:
         with events_path.open("r", encoding="utf-8") as fh:
             n_events = sum(1 for _ in fh)
-        if manifest.get("events") != n_events:
+        if manifest["events"] != n_events:
             problems.append(
                 "run.json: events count mismatch "
-                f"(manifest {manifest.get('events')}, stream {n_events})"
+                f"(manifest {manifest['events']}, stream {n_events})"
             )
 
     try:
@@ -160,6 +257,7 @@ def validate_run_dir(run_dir: Path) -> list[str]:
     except json.JSONDecodeError as exc:
         problems.append(f"trace.json: invalid JSON ({exc})")
     else:
-        if not isinstance(chrome, dict) or "traceEvents" not in chrome:
-            problems.append("trace.json: missing traceEvents array")
+        problems += [
+            f"trace.json: {p}" for p in check(chrome, {"traceEvents": list})
+        ]
     return problems

@@ -35,7 +35,6 @@ __all__ = [
     "build_recovery_report",
     "validate_recovery_report",
     "render_recovery_text",
-    "write_recovery_report",
     "write_recovery_svg",
 ]
 
@@ -53,7 +52,6 @@ def __getattr__(name: str):
         "build_recovery_report",
         "validate_recovery_report",
         "render_recovery_text",
-        "write_recovery_report",
         "write_recovery_svg",
     ):
         from repro.recovery import report

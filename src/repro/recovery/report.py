@@ -1,4 +1,4 @@
-"""Byte-deterministic recovery-time report: build, validate, render, write.
+"""Byte-deterministic recovery-time report: build, validate, render.
 
 Schema ``repro.recovery/1``.  Same discipline as ``repro.soak/1``: every
 number derives from the seeded simulation, floats are rounded to fixed
@@ -9,10 +9,10 @@ comparing artifacts.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.errors import ConfigurationError
+from repro.obs.schema import Num, check
 from repro.recovery.experiment import RecoveryCell
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "build_recovery_report",
     "validate_recovery_report",
     "render_recovery_text",
-    "write_recovery_report",
     "write_recovery_svg",
 ]
 
@@ -100,63 +99,62 @@ def build_recovery_report(
     }
 
 
+RECOVERY_SPEC = {
+    "schema": RECOVERY_SCHEMA,
+    "config": {
+        "seed": int,
+        "wire_latency_ms": float,
+        "donor_counts": [int],
+        "stale_sizes": [int],
+        "policies": [str],
+    },
+    "cells": [{
+        "policy": str,
+        "donors": int,
+        "stale_items": int,
+        "recovery_ms": Num(float, lo=0, lo_open=True),
+        "initial_stale": int,
+        "copier_requests": int,
+        "batch_copier_requests": int,
+        "refreshed_by_write": int,
+        "refreshed_by_copier": int,
+    }],
+    "speedup": {
+        "pairs": [{
+            "donors": int,
+            "stale_items": int,
+            "two_step_ms": float,
+            "parallel_ms": float,
+            "speedup": float,
+        }],
+        "min_at_4plus_donors": (float, None),
+    },
+}
+
+
 def validate_recovery_report(doc: dict) -> list[str]:
     """Structural validation; returns a list of problems (empty = valid)."""
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if doc.get("schema") != RECOVERY_SCHEMA:
-        problems.append(
-            f"schema: expected {RECOVERY_SCHEMA!r}, got {doc.get('schema')!r}"
-        )
-    for section, kind in (("config", dict), ("cells", list), ("speedup", dict)):
-        if not isinstance(doc.get(section), kind):
-            problems.append(f"doc.{section}: expected {kind.__name__}")
+    problems = check(doc, RECOVERY_SPEC)
     if problems:
         return problems
     if not doc["cells"]:
         problems.append("cells: empty matrix")
     for i, cell in enumerate(doc["cells"]):
-        where = f"cells[{i}]"
-        if not isinstance(cell, dict):
-            problems.append(f"{where}: expected object")
-            continue
-        for key in ("policy", "donors", "stale_items", "recovery_ms",
-                    "initial_stale", "refreshed_by_copier"):
-            if key not in cell:
-                problems.append(f"{where}: missing key {key!r}")
-        recovery_ms = cell.get("recovery_ms")
-        if isinstance(recovery_ms, (int, float)) and recovery_ms <= 0:
-            problems.append(f"{where}.recovery_ms not positive: {recovery_ms}")
-        initial = cell.get("initial_stale")
-        stale = cell.get("stale_items")
-        if (
-            isinstance(initial, int)
-            and isinstance(stale, int)
-            and initial != stale
-        ):
+        if cell["initial_stale"] != cell["stale_items"]:
             # A cold crash stales the full database at the riser; a
             # mismatch means the cell measured something else.
             problems.append(
-                f"{where}: initial_stale {initial} != stale_items {stale}"
+                f"cells[{i}]: initial_stale {cell['initial_stale']} != "
+                f"stale_items {cell['stale_items']}"
             )
-    speedup = doc["speedup"]
-    if not isinstance(speedup.get("pairs"), list):
-        problems.append("speedup.pairs: expected list")
-        return problems
-    for i, pair in enumerate(speedup["pairs"]):
-        where = f"speedup.pairs[{i}]"
-        two_step = pair.get("two_step_ms")
-        parallel = pair.get("parallel_ms")
-        ratio = pair.get("speedup")
-        if not all(
-            isinstance(v, (int, float)) for v in (two_step, parallel, ratio)
-        ):
-            problems.append(f"{where}: missing or non-numeric timings")
-            continue
-        if parallel > 0 and abs(ratio - two_step / parallel) > 0.01:
+    for i, pair in enumerate(doc["speedup"]["pairs"]):
+        parallel = pair["parallel_ms"]
+        if parallel > 0 and abs(
+            pair["speedup"] - pair["two_step_ms"] / parallel
+        ) > 0.01:
             problems.append(
-                f"{where}: speedup {ratio} inconsistent with timings"
+                f"speedup.pairs[{i}]: speedup {pair['speedup']} "
+                "inconsistent with timings"
             )
     return problems
 
@@ -172,12 +170,12 @@ def _series_by_policy(doc: dict, stale_items: int) -> dict[str, list]:
         )
     for points in series.values():
         points.sort()
-    return series
+    return dict(sorted(series.items()))
 
 
 def render_recovery_text(doc: dict) -> str:
     """Human-readable report: matrix table, speedups, ASCII chart."""
-    from repro.viz.ascii_chart import AsciiChart
+    from repro.viz.ascii_chart import render_series
 
     config = doc["config"]
     lines = [
@@ -213,43 +211,29 @@ def render_recovery_text(doc: dict) -> str:
     largest = max(config["stale_sizes"])
     series = _series_by_policy(doc, largest)
     if series:
-        chart = AsciiChart(
-            height=10,
-            title=f"recovery time vs donors (stale={largest})",
-            x_label="donors",
-        )
-        for policy in sorted(series):
-            chart.add_series(policy, series[policy])
         lines.append("")
-        lines.append(chart.render())
+        lines.append(
+            render_series(
+                series,
+                title=f"recovery time vs donors (stale={largest})",
+                height=10,
+                x_label="donors",
+            )
+        )
     return "\n".join(lines)
-
-
-def write_recovery_report(doc: dict, path: str | Path) -> Path:
-    """Write the report with fixed formatting (byte-deterministic)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def write_recovery_svg(doc: dict, path: str | Path) -> Path:
     """Figure hook: recovery time vs donor count, one line per policy,
     at the largest stale size in the matrix."""
-    from repro.viz.svg_chart import SvgChart
+    from repro.viz.svg_chart import figure_svg
 
     largest = max(doc["config"]["stale_sizes"])
-    series = _series_by_policy(doc, largest)
-    if not series:
-        raise ConfigurationError("recovery report has no plottable series")
-    chart = SvgChart(
+    figure_svg(
+        _series_by_policy(doc, largest),
         title=f"recovery time vs donor count (stale={largest} items)",
+        path=path,
         x_label="donor count",
         y_label="recovery time (ms)",
     )
-    for policy in sorted(series):
-        chart.add_series(policy, series[policy])
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(chart.render(), encoding="utf-8")
-    return path
+    return Path(path)

@@ -17,7 +17,6 @@ from repro.soak.report import (
     build_report,
     render_soak_text,
     validate_soak_report,
-    write_report,
     write_soak_svg,
 )
 
@@ -29,6 +28,5 @@ __all__ = [
     "build_report",
     "validate_soak_report",
     "render_soak_text",
-    "write_report",
     "write_soak_svg",
 ]

@@ -1,4 +1,4 @@
-"""Byte-deterministic soak report: build, validate, render, write.
+"""Byte-deterministic soak report: build, validate, render.
 
 Schema ``repro.soak/1``.  Every number in the document derives from the
 seeded simulation (no wall-clock, no environment), floats are rounded to
@@ -9,11 +9,10 @@ comparing artifacts.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Optional
 
-from repro.errors import ConfigurationError
+from repro.obs.schema import Num, check
 from repro.soak.engine import SoakResult
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "build_report",
     "validate_soak_report",
     "render_soak_text",
-    "write_report",
     "write_soak_svg",
 ]
 
@@ -221,76 +219,58 @@ def build_report(result: SoakResult) -> dict:
     return doc
 
 
+# What a reader of ``repro.soak/1`` may rely on: the keys `repro soak
+# validate` and the cross-field rules below read (build_report writes more).
+SOAK_SPEC = {
+    "schema": SOAK_SCHEMA,
+    "config": {"txns": int},
+    "totals": {
+        "txns": int, "commits": int, "aborts": int, "lost": int,
+        "events_fired": int,
+    },
+    "latency_ms": dict,
+    "latency_all_ms": dict,
+    "windows": {
+        "series": [{
+            "t_ms": float, "arrivals": float, "commits": float,
+            "aborts": float, "availability?": (Num(float, 0.0, 1.0), None),
+        }],
+    },
+    "availability": dict,
+    "exemplars?": list,
+}
+
+
 def validate_soak_report(doc: dict) -> list[str]:
     """Structural validation; returns a list of problems (empty = valid)."""
-    problems: list[str] = []
-
-    def need(container: dict, key: str, kinds, where: str) -> bool:
-        if key not in container:
-            problems.append(f"{where}: missing key {key!r}")
-            return False
-        if kinds is not None and not isinstance(container[key], kinds):
-            problems.append(
-                f"{where}.{key}: expected {kinds}, got "
-                f"{type(container[key]).__name__}"
-            )
-            return False
-        return True
-
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if doc.get("schema") != SOAK_SCHEMA:
-        problems.append(f"schema: expected {SOAK_SCHEMA!r}, got {doc.get('schema')!r}")
-    for section in ("config", "totals", "latency_ms", "latency_all_ms",
-                    "windows", "availability"):
-        need(doc, section, dict, "doc")
-    if "exemplars" in doc and not isinstance(doc["exemplars"], list):
-        problems.append("doc.exemplars: expected list")
+    problems = check(doc, SOAK_SPEC)
     if problems:
         return problems
-
     totals = doc["totals"]
-    for key in ("txns", "commits", "aborts", "lost", "events_fired"):
-        need(totals, key, int, "totals")
-    if not problems and totals["commits"] + totals["aborts"] != totals["txns"]:
+    if totals["commits"] + totals["aborts"] != totals["txns"]:
         problems.append(
             f"totals: commits + aborts != txns "
             f"({totals['commits']} + {totals['aborts']} != {totals['txns']})"
         )
-    if not problems and totals["txns"] != doc["config"].get("txns"):
+    if totals["txns"] != doc["config"]["txns"]:
         problems.append(
             f"totals.txns {totals['txns']} != config.txns "
-            f"{doc['config'].get('txns')}"
+            f"{doc['config']['txns']}"
         )
-
-    windows = doc["windows"]
-    if need(windows, "series", list, "windows"):
-        last_t = -1.0
-        for i, window in enumerate(windows["series"]):
-            where = f"windows.series[{i}]"
-            if not isinstance(window, dict):
-                problems.append(f"{where}: expected object")
-                continue
-            for key in ("t_ms", "arrivals", "commits", "aborts"):
-                need(window, key, (int, float), where)
-            availability = window.get("availability")
-            if availability is not None and not 0.0 <= availability <= 1.0:
-                problems.append(f"{where}.availability out of [0,1]: {availability}")
-            t = window.get("t_ms", last_t)
-            if isinstance(t, (int, float)):
-                if t <= last_t:
-                    problems.append(f"{where}.t_ms not increasing: {t}")
-                last_t = t
-        done = sum(
-            w.get("commits", 0) + w.get("aborts", 0)
-            for w in windows["series"]
-            if isinstance(w, dict)
-        )
-        if done != totals["txns"]:
+    series = doc["windows"]["series"]
+    last_t = -1.0
+    for i, window in enumerate(series):
+        if window["t_ms"] <= last_t:
             problems.append(
-                f"windows account for {done} completions, totals say "
-                f"{totals['txns']}"
+                f"windows.series[{i}].t_ms not increasing: {window['t_ms']}"
             )
+        last_t = window["t_ms"]
+    done = sum(w["commits"] + w["aborts"] for w in series)
+    if done != totals["txns"]:
+        problems.append(
+            f"windows account for {done} completions, totals say "
+            f"{totals['txns']}"
+        )
     return problems
 
 
@@ -304,12 +284,7 @@ def _series_points(doc: dict, key: str) -> list[tuple[float, float]]:
 
 def render_soak_text(doc: dict) -> str:
     """Human-readable report: totals, fault timeline, ASCII charts."""
-    from repro.viz.ascii_chart import AsciiChart
-
-    def _chart(name: str, points: list[tuple[float, float]], title: str) -> str:
-        chart = AsciiChart(height=10, title=title, x_label="time (ms)")
-        chart.add_series(name, points)
-        return chart.render()
+    from repro.viz.ascii_chart import render_series
 
     totals = doc["totals"]
     latency = doc["latency_ms"]
@@ -357,51 +332,37 @@ def render_soak_text(doc: dict) -> str:
                 f"({r['refreshed_by_copier']} by copier, "
                 f"{r['refreshed_by_write']} by write)"
             )
-    chart_avail = _series_points(doc, "availability")
-    if chart_avail:
-        lines.append("")
-        lines.append(
-            _chart("availability", chart_avail, "availability per window")
-        )
-    chart_p95 = _series_points(doc, "p95_ms")
-    if chart_p95:
-        lines.append("")
-        lines.append(
-            _chart("p95 latency (ms)", chart_p95, "latency p95 per window")
-        )
+    for key, name, title in (
+        ("availability", "availability", "availability per window"),
+        ("p95_ms", "p95 latency (ms)", "latency p95 per window"),
+    ):
+        points = _series_points(doc, key)
+        if points:
+            lines.append("")
+            lines.append(
+                render_series(
+                    {name: points}, title=title, height=10, x_label="time (ms)"
+                )
+            )
     return "\n".join(lines)
-
-
-def write_report(doc: dict, path: str | Path) -> Path:
-    """Write the report with fixed formatting (byte-deterministic)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def write_soak_svg(doc: dict, path: str | Path) -> Path:
     """Figure hook: availability + p95 latency series as one SVG."""
-    from repro.viz.svg_chart import SvgChart
+    from repro.viz.svg_chart import figure_svg
 
-    series = {}
-    avail = _series_points(doc, "availability")
-    if avail:
-        # Scale availability to percent so both series share an axis range.
-        series["availability (%)"] = [(t, v * 100.0) for t, v in avail]
-    p95 = _series_points(doc, "p95_ms")
-    if p95:
-        series["p95 latency (ms)"] = p95
-    if not series:
-        raise ConfigurationError("soak report has no plottable series")
-    chart = SvgChart(
+    series = {
+        # Availability in percent, so both series share an axis range.
+        "availability (%)": [
+            (t, v * 100.0) for t, v in _series_points(doc, "availability")
+        ],
+        "p95 latency (ms)": _series_points(doc, "p95_ms"),
+    }
+    figure_svg(
+        {name: points for name, points in series.items() if points},
         title="soak: availability and latency",
+        path=path,
         x_label="time (ms)",
         y_label="availability (%) / p95 latency (ms)",
     )
-    for name, points in series.items():
-        chart.add_series(name, points)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(chart.render(), encoding="utf-8")
-    return path
+    return Path(path)

@@ -128,12 +128,7 @@ class InteractiveDriver(ControlPlane):
 
     def chart(self) -> str:
         """ASCII chart of the fail-lock history so far."""
-        from repro.viz.ascii_chart import render_series
+        from repro.viz.ascii_chart import render_series, site_series
 
-        series = {
-            f"site {s}": [
-                (float(x), float(y)) for x, y in self.metrics.faillock_series(s)
-            ]
-            for s in self.config.site_ids
-        }
-        return render_series(series, title="fail-locks so far")
+        series = {s: self.metrics.faillock_series(s) for s in self.config.site_ids}
+        return render_series(site_series(series), title="fail-locks so far")

@@ -86,14 +86,23 @@ class AsciiChart:
         return self.render()
 
 
+def site_series(series: dict[int, list]) -> dict[str, list]:
+    """Name per-site series the way the paper's legends do (``site 0``)."""
+    return {f"site {site}": points for site, points in series.items()}
+
+
 def render_series(
     series: dict[str, list[tuple[float, float]]],
     title: str = "",
     width: int = 72,
     height: int = 20,
+    **labels: str,
 ) -> str:
-    """One-call helper: ``{name: [(x, y), ...]}`` to an ASCII chart."""
-    chart = AsciiChart(width=width, height=height, title=title)
+    """One-call helper: ``{name: [(x, y), ...]}`` to an ASCII chart.
+
+    ``labels`` are the chart's ``x_label`` / ``y_label``.
+    """
+    chart = AsciiChart(width=width, height=height, title=title, **labels)
     for name in series:
         chart.add_series(name, series[name])
     return chart.render()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 
 # Dash patterns cycled per series, echoing the paper's line styles.
 _DASHES = ["", "6,3", "2,3", "8,3,2,3", "4,2", "1,2"]
@@ -162,12 +162,6 @@ class SvgChart:
         parts.append("</svg>")
         return "\n".join(parts)
 
-    def save(self, path: str | Path) -> Path:
-        """Write the SVG to ``path``; returns the path."""
-        path = Path(path)
-        path.write_text(self.render(), encoding="utf-8")
-        return path
-
 
 def _esc(text: str) -> str:
     return (
@@ -179,12 +173,21 @@ def figure_svg(
     series: dict[str, list[tuple[float, float]]],
     title: str = "",
     path: str | Path | None = None,
+    **labels: str,
 ) -> str:
-    """One-call helper: render (and optionally save) a figure."""
-    chart = SvgChart(title=title)
+    """One-call helper: render (and optionally save) a figure.
+
+    ``labels`` are the chart's ``x_label`` / ``y_label``.  A figure with
+    nothing to plot is an error, not an empty frame.
+    """
+    if not series:
+        raise ConfigurationError(f"{title}: no plottable series")
+    chart = SvgChart(title=title, **labels)
     for name in series:
         chart.add_series(name, series[name])
     svg = chart.render()
     if path is not None:
-        Path(path).write_text(svg, encoding="utf-8")
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(svg, encoding="utf-8")
     return svg

@@ -16,7 +16,6 @@ from repro.replication import QuorumStrategy, RowaStrategy, RowaaStrategy
 from repro.storage.catalog import ReplicationCatalog
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
-from repro.system.openloop import run_open_loop
 from repro.system.scenario import FailSite, FixedSite, Scenario
 from repro.txn.operations import OpKind, Operation
 from repro.workload.base import WorkloadGenerator
@@ -157,19 +156,9 @@ def test_a7_backup_copy_keeps_the_item_readable():
 
 @pytest.fixture(scope="module")
 def rate_sweep():
-    def at(rate):
-        config = SystemConfig(
-            db_size=50,
-            num_sites=4,
-            max_txn_size=5,
-            seed=42,
-            concurrency_control=True,
-            cores=5,
-            wire_latency_ms=9.0,
-        )
-        return run_open_loop(config, txn_count=300, arrival_rate_tps=rate)
-
-    return at(2.0), at(6.0), at(12.0)
+    sweep = ablations.run_concurrent_sweep()
+    assert list(sweep) == [2.0, 6.0, 12.0]
+    return tuple(sweep.values())
 
 
 def test_a8_throughput_tracks_offered_load(rate_sweep):

@@ -96,6 +96,23 @@ def test_replay_rejects_garbage_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_mistyped_config_field_is_an_error_line_and_exit_2(tmp_path, capsys):
+    """``"sites": "three"`` used to reach the cluster builder and die in a
+    TypeError traceback; a schedule file is outside input."""
+    schedule = tmp_path / "schedule.json"
+    assert main(["check", "explore", "--mutate", "--max-runs", "60",
+                 "--out", str(schedule)]) == 0
+    doc = json.loads(schedule.read_text())
+    doc["config"]["sites"] = "three"
+    schedule.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command in ("replay", "shrink", "stats"):
+        assert main(["check", command, "--file", str(schedule)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "config.sites: expected int, got str" in err
+
+
 def test_explore_rejects_unknown_choice_kind(capsys):
     try:
         main(["check", "explore", "--explore", "order,quantum"])

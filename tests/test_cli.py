@@ -36,22 +36,66 @@ def test_concurrent_flags():
 def test_fig2_runs(capsys):
     assert main(["fig2"]) == 0
     out = capsys.readouterr().out
-    assert "Figure 2" in out
-    assert "aborts:" in out
+    assert "Figure 2" in out and "Figure 3" not in out
+    assert "| aborted transactions" in out and "scenario 1 paper" in out
 
 
 def test_fig3_runs(capsys):
     assert main(["fig3"]) == 0
     out = capsys.readouterr().out
-    assert "Figure 3" in out
-    assert "(paper: 0)" in out
+    assert "Figure 3" in out and "Figure 2" not in out
+    assert "scenario 2 paper" in out
 
 
 def test_fig1_runs_with_seed(capsys):
     assert main(["--seed", "7", "fig1"]) == 0
     out = capsys.readouterr().out
     assert "Figure 1" in out
-    assert "txns to recover" in out
+    assert "transactions to full recovery" in out
+
+
+def _report_section(heading: str) -> str:
+    """The committed EXPERIMENTS.md from ``heading`` up to the next
+    heading of the same or a higher level."""
+    text = (Path(__file__).resolve().parents[1] / "EXPERIMENTS.md").read_text()
+    level = heading.split(" ", 1)[0]
+    start = text.index(heading)
+    ends = [
+        text.find(f"\n{'#' * n} ", start + 1)
+        for n in range(2, len(level) + 1)
+    ]
+    end = min([e for e in ends if e != -1], default=len(text))
+    return text[start:end].strip("\n")
+
+
+@pytest.mark.parametrize(
+    "argv, heading",
+    [
+        (["fig1"], "## Experiment 2"),
+        (["ablations"], "## Ablations"),
+        (["concurrent"], "### A8"),
+    ],
+    ids=["fig1", "ablations", "concurrent"],
+)
+def test_a_command_prints_its_section_of_the_report(argv, heading, capsys):
+    """One statement of each table: what ``repro <cmd>`` prints at the
+    default seed is, byte for byte, its section of EXPERIMENTS.md — all
+    eleven ablations, under the report's own headers."""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == _report_section(heading) + "\n"
+
+
+def test_exp1_keeps_its_seed_flag(capsys):
+    """EXPERIMENTS.md reports Experiment 1 at the runners' own seeds
+    (11 / 13 / 17); on the command line ``--seed`` still reaches all three
+    runners, as it always has."""
+    from repro.experiments.report import exp1_section
+
+    assert exp1_section() == _report_section("## Experiment 1")
+    assert main(["--seed", "11", "exp1"]) == 0
+    out = capsys.readouterr().out
+    fl_table = _report_section("### §2.2.1")
+    assert fl_table in out and out != exp1_section() + "\n"
 
 
 def test_report_writes_file(tmp_path, monkeypatch):

@@ -130,6 +130,52 @@ def test_figure1_site1_never_locked(figure1):
     assert all(v == 0 for _s, v in figure1.series[1])
 
 
+def test_figure1_matches_its_closed_form():
+    """An oracle that shares no code with the simulator (ROADMAP 1(d)).
+
+    Figure 1 is a coupon collector: D = 50 items, transaction sizes uniform
+    on 1..5, each operation a write with probability 1/2 on a uniform item,
+    so one transaction writes a given item with probability
+    q = 1 - E[(1 - 0.5/D)^s].  A fail-lock on the down site is set by the
+    first write of its item and, after recovery, cleared by the next, hence
+
+    * expected peak after 100 down transactions: D (1 - (1 - q)^100);
+    * expected locks left k transactions after recovery: peak (1 - q)^k;
+    * expected transactions to the last clear (the maximum of ``peak``
+      geometric waits): sum over j >= 0 of 1 - (1 - (1 - q)^j)^peak,
+      about H(peak) / q.
+
+    Copier transactions (the recovering site coordinates 5 % of the
+    traffic and refreshes what it reads) only shorten the tail, so the
+    measured mean may sit below the closed form, never far above it.
+    """
+    import math
+
+    from repro.experiments import repeats
+
+    db = 50
+    q = 1 - sum((1 - 0.5 / db) ** size for size in range(1, 6)) / 5
+    peak = db * (1 - (1 - q) ** 100)
+    to_last_clear = sum(
+        1 - (1 - (1 - q) ** j) ** peak for j in range(5000)
+    )
+    assert 100 * peak / db == pytest.approx(95.0, abs=0.1)
+    assert to_last_clear == pytest.approx(148.6, abs=0.1)
+    # The paper's own reading of its curve: "the first 10 fail-locks were
+    # cleared in only 6 transactions and the last 10 ... in 106".
+    first_10 = math.log((peak - 10) / peak) / math.log(1 - q)
+    last_10 = sum(1 - (1 - (1 - q) ** j) ** 10 for j in range(5000))
+    assert 6 <= first_10 <= 9 and 90 <= last_10 <= 110
+
+    stats = repeats.replicate_figure1(seeds=tuple(range(1, 21)))
+    for name, expected in (
+        ("peak_pct", 100 * peak / db), ("txns_to_recover", to_last_clear),
+    ):
+        stat = stats[name]
+        slack = max(stat.ci95_half_width, 0.15 * expected)
+        assert abs(stat.mean - expected) <= slack, (str(stat), expected)
+
+
 # -- Experiment 3 / Figures 2-3 -----------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from repro.chaos.runner import run_seed_sweep
 from repro.check import CheckConfig, explore
 from repro.core.copier import choose_copier_source
 from repro.core.recovery import RecoveryPolicy
+from repro.obs.schema import write_json
 from repro.recovery import plan_partitions
 from repro.recovery.experiment import run_recovery_cell, run_recovery_matrix
 from repro.recovery.report import (
@@ -18,7 +19,6 @@ from repro.recovery.report import (
     build_recovery_report,
     render_recovery_text,
     validate_recovery_report,
-    write_recovery_report,
     write_recovery_svg,
 )
 from repro.system.cluster import Cluster
@@ -411,12 +411,12 @@ def test_recovery_report_builds_validates_and_is_deterministic(tmp_path):
     assert doc["speedup"]["min_at_4plus_donors"] is not None
     text = render_recovery_text(doc)
     assert "speedup" in text
-    path_a = write_recovery_report(doc, tmp_path / "a.json")
+    path_a = write_json(doc, tmp_path / "a.json")
     again = build_recovery_report(
         run_recovery_matrix(donor_counts=(2, 4), stale_sizes=(16,), seed=5),
         seed=5,
     )
-    path_b = write_recovery_report(again, tmp_path / "b.json")
+    path_b = write_json(again, tmp_path / "b.json")
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
@@ -424,10 +424,37 @@ def test_recovery_report_validation_catches_corruption():
     cells = run_recovery_matrix(donor_counts=(2,), stale_sizes=(16,), seed=5)
     doc = build_recovery_report(cells, seed=5)
     doc["cells"][0]["recovery_ms"] = -1.0
-    assert any("not positive" in p for p in validate_recovery_report(doc))
+    assert any(
+        p.startswith("cells[0].recovery_ms: -1.0 outside (0")
+        for p in validate_recovery_report(doc)
+    )
     doc2 = build_recovery_report(cells, seed=5)
     doc2["schema"] = "bogus"
     assert any("schema" in p for p in validate_recovery_report(doc2))
+
+
+def test_recovery_report_validation_never_raises_or_passes_garbage():
+    """Three holes of the hand-rolled validator: a non-object pair raised
+    AttributeError, ``"recovery_ms": "fast"`` passed, and ``"config": {}``
+    passed only for ``render_recovery_text`` to KeyError on it."""
+    cells = run_recovery_matrix(donor_counts=(2,), stale_sizes=(16,), seed=5)
+
+    def problems_after(corrupt):
+        doc = build_recovery_report(cells, seed=5)
+        corrupt(doc)
+        return validate_recovery_report(doc)
+
+    assert problems_after(lambda d: d["speedup"]["pairs"].__setitem__(0, 7)) == [
+        "speedup.pairs[0]: expected object, got int"
+    ]
+    assert problems_after(
+        lambda d: d["cells"][0].__setitem__("recovery_ms", "fast")
+    ) == ["cells[0].recovery_ms: expected number, got str"]
+    assert problems_after(lambda d: d.__setitem__("config", {})) == [
+        f"config.{key}: missing"
+        for key in ("seed", "wire_latency_ms", "donor_counts", "stale_sizes",
+                    "policies")
+    ]
 
 
 def test_committed_recovery_artifact_regenerates_byte_for_byte(tmp_path):
@@ -441,7 +468,7 @@ def test_committed_recovery_artifact_regenerates_byte_for_byte(tmp_path):
         ),
         seed=42,
     )
-    report = write_recovery_report(doc, tmp_path / "recovery_time.json")
+    report = write_json(doc, tmp_path / "recovery_time.json")
     svg = write_recovery_svg(doc, tmp_path / "recovery_time.svg")
     assert report.read_bytes() == (FIGURES / report.name).read_bytes()
     assert svg.read_bytes() == (FIGURES / svg.name).read_bytes()

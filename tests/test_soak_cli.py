@@ -87,6 +87,33 @@ def test_soak_validate_flags_bad_file(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize(
+    "key, value, complaint",
+    [
+        ("availability", "high", "expected number, got str"),
+        ("commits", "3", "expected number, got str"),
+        ("t_ms", None, "expected number, got NoneType"),
+        ("availability", 1.5, "1.5 outside [0.0, 1.0]"),
+    ],
+)
+def test_soak_validate_names_a_mistyped_window_field(
+    key, value, complaint, tmp_path, capsys
+):
+    """A window value of the wrong JSON type is one ``INVALID:`` line
+    naming the path and exit 1 — the first two used to be a traceback out
+    of the range check and the windows-sum rule."""
+    report = tmp_path / "soak.json"
+    assert main(["--seed", "3", *SMALL, "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    doc["windows"]["series"][0][key] = value
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["soak", "validate", "--file", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        f"INVALID: windows.series[0].{key}: {complaint}\n"
+    )
+
+
 def test_soak_validate_reports_an_unreadable_file(tmp_path, capsys):
     """A missing or non-JSON file is exit 2 with an ``error:`` line —
     distinguishable from exit 1, "read it, and the report is invalid"."""
