@@ -111,6 +111,17 @@ def _entry_signature(entry: tuple, now: float) -> tuple:
     )
 
 
+def _live_entries(scheduler: Any) -> list[tuple]:
+    """Everything still due to fire: the heap and the same-instant
+    now-queue (``EventScheduler.run`` parks zero-delay posts there when no
+    ``tie_breaker`` is installed), cancelled timers excepted."""
+    return [
+        entry
+        for entry in (*scheduler._heap, *scheduler._nowq)
+        if entry[2] is not None or not entry[3].cancelled
+    ]
+
+
 def pending_signature(cluster: "Cluster") -> tuple:
     """Signatures of all live pending events, sorted for stability.
 
@@ -120,21 +131,52 @@ def pending_signature(cluster: "Cluster") -> tuple:
     """
     scheduler = cluster.scheduler
     now = scheduler.clock._now
-    sigs = []
-    for entry in scheduler._heap:
-        if entry[2] is None and entry[3].cancelled:
-            continue
-        sigs.append(_entry_signature(entry, now))
+    sigs = [_entry_signature(entry, now) for entry in _live_entries(scheduler)]
     if len(sigs) > 1:  # the common 0 or 1 entries need no repr to order
         sigs.sort(key=repr)
     return tuple(sigs)
 
 
-def cluster_fingerprint(cluster: "Cluster") -> str:
-    """Digest of the whole protocol-visible cluster state."""
-    signature = (
-        tuple(site.signature() for site in cluster.sites),
-        cluster.manager.signature(),
-        pending_signature(cluster),
+def _is_activation(entry: tuple) -> bool:
+    """Whether a pending entry is one of the network's four callbacks —
+    the only ones known to change a site solely inside an activation."""
+    func = getattr(entry[2], "__func__", None)
+    return (
+        func is Network._deliver
+        or func is Network._run_activation
+        or func is Network._release_activation
+        or func is Network._run_failure_notice
     )
-    return hashlib.blake2b(repr(signature).encode(), digest_size=16).hexdigest()
+
+
+def cluster_fingerprint(cluster: "Cluster") -> str:
+    """Digest of the whole protocol-visible cluster state.
+
+    The hashed text is ``repr((sites, manager, pending))``, assembled from
+    each site's ``repr(site.signature())``.  A site changes state only in
+    its own activations, and ``Network.endpoint_memo`` drops a site's
+    entry when one ends — so a site's text is rebuilt only if it ran since
+    the last fingerprint.  What that rule cannot vouch for re-signs every
+    site: a network nobody armed, the first fingerprint of a run, a
+    ``concurrency_control`` cluster (the shared deadlock detector calls a
+    victim's abort hook from another site's activation), a pending foreign
+    callback.  The from-scratch reference lives in ``tests/``.
+    """
+    armed = cluster.network.endpoint_memo
+    vouched = (
+        armed is not None
+        and not cluster.config.concurrency_control
+        and all(map(_is_activation, _live_entries(cluster.scheduler)))
+    )
+    if armed and not vouched:
+        armed.clear()  # and nothing signed now is kept for the next one
+    memo = armed if vouched else {}
+    sites = cluster.sites
+    for site in sites:
+        if site not in memo:
+            memo[site] = repr(site.signature())
+    text = ", ".join([memo[site] for site in sites])
+    if len(sites) == 1:
+        text += ","  # repr((x,))
+    text = f"(({text}), {cluster.manager.signature()!r}, {pending_signature(cluster)!r})"
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()

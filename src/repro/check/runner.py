@@ -158,6 +158,9 @@ def run_schedule(
         recovery_policy=RecoveryPolicy(config.recovery_policy),
     )
     cluster = Cluster(sys_config)
+    # Arm the signature memo cluster_fingerprint keeps; it dies with the
+    # cluster at the end of this run.
+    cluster.network.endpoint_memo = {}
     if trace is not None:
         cluster.network.obs = trace
     if config.mutate:

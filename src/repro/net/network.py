@@ -119,6 +119,11 @@ class Network:
         # site guards on ``obs.enabled``, and tracing never touches the
         # scheduler, CPU, or RNG, so enabling it cannot change a run.
         self.obs = TraceSink()
+        # Optional per-endpoint memo for an observer (repro.check.fingerprint
+        # keeps each site's signature text here).  An endpoint's entry is
+        # dropped whenever one of its activations ends or its completions
+        # run — the only times its state changes.  None: nothing recorded.
+        self.endpoint_memo: Optional[dict[Endpoint, object]] = None
         self._endpoints: dict[int, Endpoint] = {}
         self._fifo_last: dict[tuple[int, int], float] = {}
         self.messages_sent = 0
@@ -198,6 +203,8 @@ class Network:
             scope = self.obs.scope
             for msg in outbox:
                 msg.trace_ref = scope
+        if self.endpoint_memo is not None:
+            self.endpoint_memo.pop(ctx.endpoint, None)
         self.cpu.execute(
             total,
             self._release_activation,
@@ -224,6 +231,8 @@ class Network:
         if completions:
             for done_fn in completions:
                 done_fn()
+            if self.endpoint_memo is not None:
+                self.endpoint_memo.pop(endpoint, None)
 
     # -- transmission ------------------------------------------------------
 

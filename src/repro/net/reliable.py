@@ -26,10 +26,13 @@ Mechanics, all driven by the one deterministic event scheduler:
   the coordinator's type-2 fallback) already consume.
 
 State here is transport state, not site state: it survives the crash of
-the endpoints it serves (like a NIC's counters), and a bounced message —
-destination down or partitioned away — cancels its tracking and *skips*
-its sequence number at the receiver so later traffic is never wedged
-behind a message that can no longer arrive.
+the endpoints it serves (like a NIC's counters).  A sequence number that
+can no longer arrive is *skipped* at the receiver so later traffic is
+never wedged behind it, in each of the three ways that happens: a
+bounced message (destination down or partitioned away, :meth:`cancel`),
+a transmission given up on after ``max_retries``, and a sender that dies
+with a transmission unacked — it retransmits nothing, but once recovered
+it numbers on from where it stopped.
 """
 
 from __future__ import annotations
@@ -215,8 +218,11 @@ class ReliableDelivery:
         msg = pending.msg
         sender = self.network._endpoints.get(msg.src)
         if sender is None or not sender.alive:
-            # A dead sender retransmits nothing; its state is gone.
+            # A dead sender retransmits nothing; its state is gone.  If the
+            # transmission never arrived, its slot must not park the
+            # channel once the sender recovers and numbers on.
             self._pending.pop(key, None)
+            self._skip_at_receiver(msg)
             return
         obs = self.network.obs
         if pending.attempts >= self.policy.max_retries:

@@ -84,8 +84,9 @@ class EventScheduler:
         # populated while the hot loop is draining (``_batching``); the
         # loop's ``finally`` flushes any leftovers back into the heap, so
         # outside :meth:`run` the queue is always empty and every other
-        # method (``step``, ``run_until``, fingerprinting) sees the whole
-        # schedule in ``_heap``.
+        # method (``step``, ``run_until``) sees the whole schedule in
+        # ``_heap``.  A reader called from *inside* a handler must read
+        # both (``repro.check.fingerprint`` does).
         self._nowq: deque[tuple[float, int, Optional[Callable[..., None]], Any]] = deque()
         self._batching = False
         self._seq = 0

@@ -318,6 +318,24 @@ def test_lossy_core_survives_the_full_fault_model() -> None:
     assert result.fault_stats.reordered > 0
 
 
+@pytest.mark.parametrize(
+    "seed",
+    [455410715, 455409212, 455411281, 455411646, 455412862,
+     1000898, 1002073, 1004057],
+)
+def test_lossy_seeds_that_wedged_a_channel_behind_a_dead_sender(seed) -> None:
+    """All eight dirty seeds of a 13,000-seed lossy sweep at the bench
+    shape, one root cause: a sender crashed with a transmission unacked,
+    its slot was never skipped, and after recovery the channel acked
+    everything and delivered nothing (docs/PROTOCOL.md, fault model)."""
+    result = run_chaos_seed(
+        seed, sites=4, db_size=32, txns=80, plan=FaultPlan.lossy()
+    )
+    assert result.violations == []
+    assert not result.stalled
+    assert result.commits + result.aborts == 80
+
+
 def test_lossy_core_report_adds_transport_summary() -> None:
     report = run_seed_sweep(range(42, 44), txns=25, plan=FaultPlan.lossy())
     assert report.stalled_seeds == []

@@ -6,6 +6,8 @@ assumes — without changing what the endpoints observe on a loss-free run.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import FaultInjector, FaultPlan, build_chaos_scenario
 from repro.errors import ConfigurationError
@@ -211,6 +213,114 @@ def test_cancel_at_window_head_releases_buffered_successors() -> None:
     r.cancel(m0)
     sched.run()
     assert [m.mtype for m in b.received] == [MessageType.RECOVERY_STATE]
+
+
+def _send(net, src, mtype, txn_id):
+    net.spawn(src, lambda ctx: ctx.send(1, mtype, {}, txn_id=txn_id))
+
+
+def test_sender_dying_with_an_undelivered_transmission_frees_its_slot() -> None:
+    """Regression (lossy seed 455410715): seq k is lost, the sender dies
+    before its retransmission timer and is later revived.  It numbers on
+    from k+1, so the receiver must skip slot k — otherwise every later
+    message on the channel is acked and parked, never delivered."""
+    sched, net, a, b = build_net(RetransmitPolicy(rto_ms=10.0))
+    net.interposer = DropMatching(lambda m: m.mtype is MessageType.COMMIT, limit=1)
+    _send(net, a, MessageType.COMMIT, 1)  # seq 0, silently lost
+    sched.run_until(lambda: net.interposer.dropped == 1)
+    a.alive = False
+    sched.run()  # the timer finds a dead sender: nothing is retransmitted
+    assert net.reliable.stats.retransmissions == 0 and net.reliable.in_flight == 0
+    a.alive = True
+    _send(net, a, MessageType.ABORT, 2)  # seq 1
+    sched.run()
+    assert [(m.mtype, m.seq) for m in b.received] == [(MessageType.ABORT, 1)]
+    assert net.reliable._receivers[(0, 1)].buffer == {}
+    assert net.reliable.stats.buffered_out_of_order == 0
+
+
+def test_sender_dying_with_only_the_ack_lost_delivers_nothing_twice() -> None:
+    """The other way into the same branch: seq k arrived, its ack was lost,
+    the sender died.  Skipping an already-delivered slot is a no-op."""
+    sched, net, a, b = build_net(RetransmitPolicy(rto_ms=10.0))
+    net.interposer = DropMatching(lambda m: m.mtype is MessageType.NET_ACK, limit=1)
+    _send(net, a, MessageType.COMMIT, 1)
+    sched.run_until(lambda: net.interposer.dropped == 1)
+    assert [m.mtype for m in b.received] == [MessageType.COMMIT]
+    a.alive = False
+    sched.run()
+    a.alive = True
+    _send(net, a, MessageType.ABORT, 2)
+    sched.run()
+    assert [(m.mtype, m.seq) for m in b.received] == [
+        (MessageType.COMMIT, 0), (MessageType.ABORT, 1)
+    ]
+    receiver = net.reliable._receivers[(0, 1)]
+    assert receiver.buffer == {} and receiver.skipped == set() and receiver.next_seq == 2
+    assert net.reliable.stats.duplicates_suppressed == 0
+
+
+_ENDPOINT = st.integers(min_value=0, max_value=1)
+_STEP = st.one_of(
+    st.tuples(st.just("send"), _ENDPOINT, st.sampled_from(["", "data", "ack"])),
+    st.tuples(st.just("crash"), _ENDPOINT, st.just("")),
+    st.tuples(st.just("recover"), _ENDPOINT, st.just("")),
+    st.tuples(st.just("run_ms"), st.sampled_from([1, 4, 15, 40]), st.just("")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_STEP, max_size=25))
+@example(  # the wedge of lossy seed 455410715, in five steps
+    [("send", 0, "data"), ("crash", 0, ""), ("run_ms", 40, ""),
+     ("recover", 0, ""), ("send", 0, "")]
+)
+@example(  # ... behind traffic that did arrive, and with the ack lost instead
+    [("send", 1, "data"), ("send", 1, ""), ("run_ms", 4, ""), ("crash", 1, ""),
+     ("run_ms", 40, ""), ("recover", 1, ""), ("send", 1, "ack"), ("send", 1, "")]
+)
+def test_no_channel_stays_parked_behind_a_slot_nobody_will_fill(steps):
+    """Any interleaving of sends, silent losses, crashes and recoveries of
+    two endpoints: once the scheduler drains, a receiver still buffering
+    traffic must be waiting on something — a dead sender, or one that
+    still has a transmission pending on that channel."""
+    sched, net, a, b = build_net(RetransmitPolicy(rto_ms=10.0, max_retries=3))
+    to_lose: set[tuple[bool, int]] = set()  # (is_ack, txn_id), first copy only
+
+    def first_copy_of_a_lost_one(msg) -> bool:
+        key = (msg.mtype is MessageType.NET_ACK, msg.txn_id)
+        lost = key in to_lose
+        to_lose.discard(key)
+        return lost
+
+    net.interposer = DropMatching(first_copy_of_a_lost_one)
+    ends = (a, b)
+    for txn, (op, arg, lose) in enumerate(steps):
+        if op == "send" and ends[arg].alive:
+            if lose:
+                to_lose.add((lose == "ack", txn))
+            net.spawn(
+                ends[arg],
+                lambda ctx, dst=1 - arg, txn=txn: ctx.send(
+                    dst, MessageType.COMMIT, {}, txn_id=txn
+                ),
+            )
+        elif op == "crash":
+            ends[arg].alive = False
+        elif op == "recover":
+            ends[arg].alive = True
+        elif op == "run_ms":
+            until = sched.now + arg
+            sched.run_until(lambda: sched.now >= until)
+    sched.run()
+    for (src, dst), receiver in net.reliable._receivers.items():
+        if receiver.buffer:
+            waiting_on = [k for k in net.reliable._pending if k[:2] == (src, dst)]
+            assert not ends[src].alive or waiting_on, (src, dst, receiver.buffer)
+    # Exactly-once, in order, whatever happened on the way.
+    for end in ends:
+        seqs = [m.seq for m in end.received]
+        assert seqs == sorted(set(seqs))
 
 
 def test_transport_acks_and_manager_traffic_are_untracked() -> None:
