@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""ROWAA vs strict ROWA vs quorum consensus vs primary copy.
+"""ROWAA vs strict ROWA vs quorum consensus.
 
-Two views of the availability trade-off the paper's introduction frames:
+Two views of the availability trade-off the paper's introduction frames,
+both from the strategy objects the cluster runs (``repro.core.strategy``):
 
 1. *Simulated*: the Experiment 3 scenario-2 failure script run under each
-   strategy the cluster supports, counting commits and aborts.
-2. *Analytic*: closed-form read/write availability for each strategy when
-   every site is independently up with probability p.
+   strategy, counting commits and aborts.
+2. *Analytic*: closed-form read/write availability of the same predicates
+   when every site is independently up with probability p.
 
 Usage::
 
@@ -15,12 +16,7 @@ Usage::
 
 from repro.experiments.ablations import run_strategy_comparison
 from repro.experiments.report import format_table
-from repro.replication import (
-    PrimaryCopyStrategy,
-    QuorumStrategy,
-    RowaStrategy,
-    RowaaStrategy,
-)
+from repro.core.strategy import COPY_CONTROL
 
 
 def main() -> None:
@@ -33,26 +29,21 @@ def main() -> None:
     print(format_table(["strategy", "commits", "aborts", "abort reasons"], rows))
 
     print("\nAnalytic: operation availability over 4 sites, site-up probability p\n")
-    strategies = [
-        RowaaStrategy(4),
-        RowaStrategy(4),
-        QuorumStrategy(4),
-        PrimaryCopyStrategy(4),
-    ]
-    header = ["p", *(f"{s.name} read" for s in strategies),
-              *(f"{s.name} write" for s in strategies)]
+    strategies = {s.value: control(4) for s, control in COPY_CONTROL.items()}
+    header = ["p", *(f"{name} read" for name in strategies),
+              *(f"{name} write" for name in strategies)]
     table = []
     for p in (0.90, 0.95, 0.99):
         row: list[object] = [p]
-        row += [f"{s.read_availability(p):.6f}" for s in strategies]
-        row += [f"{s.write_availability(p):.6f}" for s in strategies]
+        row += [f"{s.read_availability(p):.6f}" for s in strategies.values()]
+        row += [f"{s.write_availability(p):.6f}" for s in strategies.values()]
         table.append(row)
     print(format_table(header, table))
     print(
         "\nROWAA keeps writes available whenever *any* copy survives — the "
         "availability the paper buys with fail-locks; strict ROWA loses "
-        "writes to every single-site failure, quorum tolerates a minority "
-        "of failures, and primary copy is hostage to one site."
+        "writes to every single-site failure, and quorum tolerates a "
+        "minority of failures."
     )
 
 

@@ -9,18 +9,24 @@ proposes a two-step scheme (§3.2): refresh on demand while many items are
 locked, then switch to issuing *batch* copier transactions once the locked
 fraction drops below a threshold, hastening the tail.
 
-:class:`RecoveryManager` tracks one site's recovery period and implements
-both the paper's measured on-demand policy and the proposed two-step
-policy.
+:class:`RecoveryManager` tracks one site's recovery period.  Each
+:class:`RecoveryPolicy` is one object deciding which batch copiers to send:
+:class:`OnDemandRecovery`, :class:`TwoStepRecovery` and
+``repro.recovery.scheduler.ParallelCopierScheduler``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, TYPE_CHECKING
 
+from repro.core.copier import choose_copier_source
 from repro.core.faillocks import FailLockTable
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.net.endpoint import HandlerContext
+    from repro.site.site import DatabaseSite
 
 
 class RecoveryPolicy(enum.Enum):
@@ -135,31 +141,72 @@ class RecoveryManager:
             if self.on_period_end is not None:
                 self.on_period_end(self.stats, False)
 
-    # -- the two-step policy (§3.2) --------------------------------------------
-
-    def wants_batch_copier(self) -> bool:
-        """Whether proactive batch copiers should be issued now.
-
-        TWO_STEP waits until the stale fraction drops below the threshold
-        (§3.2's step two); PARALLEL wants them for the whole recovery
-        period — the parallel scheduler partitions the stale set across
-        donors from the first instant.
-        """
-        if not self.in_recovery or self.stale_count == 0:
-            return False
-        if self.policy is RecoveryPolicy.PARALLEL:
-            return True
-        if self.policy is not RecoveryPolicy.TWO_STEP:
-            return False
-        return self.stale_fraction() <= self.batch_threshold
-
-    def next_batch(self) -> list[int]:
-        """The next ``batch_size`` stale items to refresh proactively."""
-        return self.stale_items()[: self.batch_size]
-
     def __repr__(self) -> str:
         phase = "recovering" if self.in_recovery else "steady"
         return (
             f"RecoveryManager(site={self.owner}, {phase}, "
             f"stale={self.stale_count}, policy={self.policy.value})"
         )
+
+
+class OnDemandRecovery:
+    """The paper's measured policy: stale copies refresh only by writes and
+    by the copiers reads demand.  The other policies add batch copiers."""
+
+    __slots__ = ("site",)
+
+    def __init__(self, site: "DatabaseSite") -> None:
+        self.site = site
+
+    def pump(self, ctx: "HandlerContext") -> dict[int, list[int]]:
+        """The batch copiers to send now, ``{donor: items}``."""
+        return {}
+
+    def note_denied(self, donor: int) -> bool:
+        """A batch COPY_REQ to ``donor`` came back COPY_DENIED; returns
+        whether to re-plan at once."""
+        return False
+
+    def crash_reset(self) -> None:
+        """The owning site crashed: drop volatile policy state."""
+
+    def signature(self) -> tuple:
+        """What the policy appends to the site's signature (``repro.check``):
+        empty unless it keeps protocol-visible state of its own."""
+        return ()
+
+
+class TwoStepRecovery(OnDemandRecovery):
+    """The §3.2 proposal: once the stale fraction is at or below the
+    threshold, one batch copier in flight."""
+
+    __slots__ = ()
+
+    def wants_batch_copier(self) -> bool:
+        """Whether the recovery period has reached step two."""
+        recovery = self.site.recovery
+        return (
+            recovery.in_recovery
+            and recovery.stale_count > 0
+            and recovery.stale_fraction() <= recovery.batch_threshold
+        )
+
+    def next_batch(self) -> list[int]:
+        """The next ``batch_size`` stale items to refresh proactively."""
+        recovery = self.site.recovery
+        return recovery.stale_items()[: recovery.batch_size]
+
+    def pump(self, ctx: "HandlerContext") -> dict[int, list[int]]:
+        site = self.site
+        if site._batch_pending or not self.wants_batch_copier():
+            return {}
+        items = self.next_batch()
+        sources = choose_copier_source(
+            site.planner, items, spread=site.config.spread_copier_sources
+        )
+        by_source: dict[int, list[int]] = {}
+        for item in items:
+            source = sources[item]
+            if source >= 0:
+                by_source.setdefault(source, []).append(item)
+        return by_source

@@ -184,11 +184,7 @@ def run_strategy_comparison(seed: int = 42) -> list[StrategyResult]:
     collapse below quorum with two failures.
     """
     results = []
-    for strategy in (
-        CopyControlStrategy.ROWAA,
-        CopyControlStrategy.ROWA,
-        CopyControlStrategy.QUORUM,
-    ):
+    for strategy in CopyControlStrategy:
         result = run_scenario2(
             settle=False,
             config=SystemConfig.paper_experiment3_scenario2(

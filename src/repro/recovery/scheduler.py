@@ -28,10 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core import copier as copier_mod
-from repro.core.recovery import RecoveryPolicy
-from repro.metrics.records import CopierRecord
-from repro.net.message import MessageType
+from repro.core.recovery import OnDemandRecovery
 from repro.recovery.partition import plan_partitions
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,27 +36,20 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.site.site import DatabaseSite
 
 
-def _batch_txn_id() -> int:
-    # Imported lazily: repro.site.site constructs this scheduler, so a
-    # module-level import back into it would be circular.
-    from repro.site.site import BATCH_COPIER_TXN
-
-    return BATCH_COPIER_TXN
-
-
-class ParallelCopierScheduler:
-    """Fan-out batch-copier engine for one recovering site.
+class ParallelCopierScheduler(OnDemandRecovery):
+    """Fan-out batch-copier policy for one recovering site.
 
     Owned by a :class:`~repro.site.site.DatabaseSite` whose configured
-    recovery policy is PARALLEL; shares the site's ``_batch_pending``
-    in-flight map so the existing response/denial/bounce plumbing (and the
-    site signature) sees parallel shards exactly like two-step batches.
+    recovery policy is PARALLEL.  It plans against the site's
+    ``_batch_pending`` in-flight map, which the site's one send loop fills,
+    so the response/denial/bounce plumbing (and the site signature) sees
+    parallel shards exactly like two-step batches.
     """
 
-    __slots__ = ("site", "_denied", "_epoch")
+    __slots__ = ("_denied", "_epoch")
 
     def __init__(self, site: "DatabaseSite") -> None:
-        self.site = site
+        super().__init__(site)
         # Donors that answered COPY_DENIED this recovery epoch: our
         # fail-lock view said they were current but theirs disagreed.
         # Excluded from re-planning until the next epoch so a stale view
@@ -72,23 +62,22 @@ class ParallelCopierScheduler:
         self._denied.clear()
         self._epoch = -1.0
 
-    def note_denied(self, donor: int) -> None:
-        """A batch COPY_REQ to ``donor`` came back COPY_DENIED."""
+    def note_denied(self, donor: int) -> bool:
+        """Exclude a denying donor for this epoch; re-plan its shard at once."""
         self._denied.add(donor)
+        return True
 
-    def pump(self, ctx: "HandlerContext") -> None:
-        """(Re-)plan and issue batch copiers for every free donor.
+    def pump(self, ctx: "HandlerContext") -> dict[int, list[int]]:
+        """(Re-)plan one batch for every free donor.
 
-        Safe to call at any point; does nothing unless the site is in a
-        PARALLEL recovery period with stale items not already in flight.
+        Safe to call at any point; plans nothing unless the site is in a
+        recovery period with stale items not already in flight.  A plan
+        charges ``recovery_plan_cost`` before the site sends it.
         """
         site = self.site
         recovery = site.recovery
-        if (
-            recovery.policy is not RecoveryPolicy.PARALLEL
-            or not recovery.in_recovery
-        ):
-            return
+        if not recovery.in_recovery:
+            return {}
         if self._epoch != recovery.stats.started_at:
             # New recovery period: denials from the previous epoch are
             # stale knowledge (the donor may have recovered since).
@@ -100,13 +89,13 @@ class ParallelCopierScheduler:
             in_flight.update(items)
         remaining = [i for i in recovery.stale_items() if i not in in_flight]
         if not remaining:
-            return
+            return {}
         fanout = site.config.recovery_fanout
         slots = 0
         if fanout > 0:
             slots = fanout - len(pending)
             if slots <= 0:
-                return
+                return {}
         shards = plan_partitions(
             site.planner,
             remaining,
@@ -114,36 +103,13 @@ class ParallelCopierScheduler:
             max_donors=slots,
             batch_size=recovery.batch_size,
         )
-        if not shards:
-            return
-        ctx.charge(site.costs.recovery_plan_cost)
-        batch_txn = _batch_txn_id()
-        for donor, batch in sorted(shards.items()):
-            pending[donor] = batch
-            ctx.charge(site.costs.copy_request_cost)
-            ctx.send(
-                donor,
-                MessageType.COPY_REQ,
-                copier_mod.build_copy_request(batch),
-                txn_id=batch_txn,
-                session=site.nsv.my_session,
-            )
-            recovery.note_copier_request(batch=True)
-            site.metrics.record_copier(
-                CopierRecord(
-                    txn_id=batch_txn,
-                    requester=site.site_id,
-                    source=donor,
-                    items=len(batch),
-                    batch=True,
-                    started_at=ctx.now,
-                    finished_at=ctx.now,
-                )
-            )
+        if shards:
+            ctx.charge(site.costs.recovery_plan_cost)
+        return shards
 
     def signature(self) -> tuple:
         """Scheduler-private protocol-visible state (``repro.check``)."""
-        return (tuple(sorted(self._denied)), self._epoch != -1.0)
+        return ((tuple(sorted(self._denied)), self._epoch != -1.0),)
 
     def __repr__(self) -> str:
         return (

@@ -25,7 +25,7 @@ from repro.metrics.records import CopierRecord
 from repro.net.endpoint import HandlerContext
 from repro.net.message import Message, MessageType
 from repro.obs.events import EventKind
-from repro.system.config import ClearNoticeMode, CopyControlStrategy
+from repro.system.config import ClearNoticeMode
 from repro.txn.locks import LockMode
 from repro.txn.transaction import AbortReason, Transaction
 from repro.txn.twophase import CommitPhase, CoordinatorState
@@ -232,13 +232,21 @@ class CoordinatorRole:
                 site=site.site_id,
                 txn=txn.txn_id,
             )
-        reason = self._strategy_blocks(txn)
-        if reason is not AbortReason.NONE:
-            self._abort(ctx, state, reason)
-            return
+        copy_control = site.copy_control
+        if copy_control.refusal is not None:
+            # The strategy's availability precondition: a writer needs a
+            # write quorum (which, in every strategy, implies a read one).
+            up = len(site.nsv.operational_sites())
+            if not (
+                copy_control.can_write(up)
+                if txn.write_items
+                else copy_control.can_read(up)
+            ):
+                self._abort(ctx, state, copy_control.refusal)
+                return
 
-        if site.config.strategy is CopyControlStrategy.QUORUM:
-            # Quorum reads are resolved during voting (peers return their
+        if copy_control.votes_on_reads:
+            # Reads are resolved during voting (peers return their
             # versions); no fail-lock/copier machinery is involved.
             self._execute_and_vote(ctx, state)
             return
@@ -267,20 +275,6 @@ class CoordinatorRole:
             return
         self._execute_and_vote(ctx, state)
 
-    def _strategy_blocks(self, txn: Transaction) -> AbortReason:
-        """Availability preconditions of the configured strategy."""
-        site = self.site
-        strategy = site.config.strategy
-        if strategy is CopyControlStrategy.ROWA and txn.write_items:
-            # Strict write-ALL: every copy must be reachable.
-            if len(site.nsv.operational_sites()) < len(site.nsv.site_ids):
-                return AbortReason.WRITE_ALL_BLOCKED
-        if strategy is CopyControlStrategy.QUORUM:
-            majority = len(site.nsv.site_ids) // 2 + 1
-            if len(site.nsv.operational_sites()) < majority:
-                return AbortReason.QUORUM_UNAVAILABLE
-        return AbortReason.NONE
-
     # -- copier transactions (Appendix A step 1) ---------------------------------
 
     def _issue_copiers(
@@ -288,7 +282,6 @@ class CoordinatorRole:
         ctx: HandlerContext,
         state: CoordinatorState,
         stale_reads: list[tuple[int, int]],
-        batch: bool = False,
     ) -> None:
         site = self.site
         txn_id = state.txn.txn_id
@@ -306,7 +299,7 @@ class CoordinatorRole:
                 txn=txn_id,
                 sources=sorted(by_source),
                 items=len(stale_reads),
-                batch=batch,
+                batch=False,
             )
         records = self._copier_records.setdefault(txn_id, [])
         for source, items in sorted(by_source.items()):
@@ -319,14 +312,14 @@ class CoordinatorRole:
                 session=site.nsv.my_session,
             )
             state.copiers_requested += 1
-            site.recovery.note_copier_request(batch=batch)
+            site.recovery.note_copier_request()
             records.append(
                 CopierRecord(
                     txn_id=txn_id,
                     requester=site.site_id,
                     source=source,
                     items=len(items),
-                    batch=batch,
+                    batch=False,
                     started_at=ctx.now,
                 )
             )
@@ -441,11 +434,13 @@ class CoordinatorRole:
             item: site.planner.write_sites(item) for item in txn.write_items
         }
 
-        participants = site.planner.participants_for(txn.write_items)
-        if site.config.strategy is CopyControlStrategy.QUORUM:
-            # Quorum voting involves every operational peer (reads need
-            # version answers even when nothing is written).
+        votes_on_reads = site.copy_control.votes_on_reads
+        if votes_on_reads:
+            # Every operational peer votes (reads need version answers
+            # even when nothing is written).
             participants = site.nsv.operational_peers()
+        else:
+            participants = site.planner.participants_for(txn.write_items)
         obs = site.network.obs
         if obs.enabled:
             obs.emit(
@@ -462,7 +457,7 @@ class CoordinatorRole:
 
         state.begin_voting(participants)
         payload: dict = {"updates": state.updates, "recipients": state.recipients}
-        if site.config.strategy is CopyControlStrategy.QUORUM:
+        if votes_on_reads:
             payload["read_items"] = txn.read_items
         if self._pending_embedded_clears:
             payload["cleared_faillocks"] = {

@@ -18,10 +18,17 @@ from repro.core.control import (
     RecoveryState,
 )
 from repro.core.faillocks import FailLockTable
-from repro.core.recovery import RecoveryManager, RecoveryPolicy, RecoveryStats
+from repro.core.recovery import (
+    OnDemandRecovery,
+    RecoveryManager,
+    RecoveryPolicy,
+    RecoveryStats,
+    TwoStepRecovery,
+)
 from repro.core.rowaa import RowaaPlanner
 from repro.core.sessions import NominalSessionVector, SiteState
-from repro.errors import ProtocolError
+from repro.core.strategy import COPY_CONTROL
+from repro.errors import ConfigurationError, ProtocolError
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.records import ControlRecord, CopierRecord, RecoveryPeriodRecord
 from repro.net.endpoint import Endpoint, HandlerContext
@@ -29,6 +36,7 @@ from repro.net.message import Message, MessageType
 from repro.net.network import Network
 from repro.obs.events import EventKind
 from repro.obs.sink import TraceSink
+from repro.recovery.scheduler import ParallelCopierScheduler
 from repro.sim.logical import LogicalClock
 from repro.site.coordinator import CoordinatorRole
 from repro.site.participant import ParticipantRole
@@ -38,9 +46,16 @@ from repro.system.config import SystemConfig
 from repro.txn.operations import Operation
 from repro.txn.transaction import Transaction
 
-# Sentinel transaction id for batch copier exchanges (two-step recovery),
-# which are not tied to any database transaction.
+# Sentinel transaction id for batch copier exchanges (two-step and
+# parallel recovery), which are not tied to any database transaction.
 BATCH_COPIER_TXN = -2
+
+# One object per recovery policy: which batch copiers to send, and when.
+RECOVERY_POLICIES = {
+    RecoveryPolicy.ON_DEMAND: OnDemandRecovery,
+    RecoveryPolicy.TWO_STEP: TwoStepRecovery,
+    RecoveryPolicy.PARALLEL: ParallelCopierScheduler,
+}
 
 
 class DatabaseSite(Endpoint):
@@ -72,6 +87,15 @@ class DatabaseSite(Endpoint):
         )
         self.recovery.on_period_end = self._on_recovery_period_end
         self.planner = RowaaPlanner(site_id, self.nsv, self.faillocks, self.catalog)
+        self.copy_control = COPY_CONTROL[config.strategy](config.num_sites)
+        if self.copy_control.votes_on_reads and not catalog.is_fully_replicated():
+            # Version votes count sites, not copies: over a partial catalog
+            # a majority of sites is no quorum of an item's copies.
+            raise ConfigurationError(
+                f"strategy={config.strategy.value} needs a fully replicated "
+                f"catalog; this catalog is partial"
+            )
+        self.recovery_policy = RECOVERY_POLICIES[config.recovery_policy](self)
         self.coordinator = CoordinatorRole(self)
         self.participant = ParticipantRole(self)
         if config.concurrency_control:
@@ -80,14 +104,6 @@ class DatabaseSite(Endpoint):
             self.lock_service: Optional[SiteLockService] = SiteLockService(self)
         else:
             self.lock_service = None
-        if config.recovery_policy is RecoveryPolicy.PARALLEL:
-            from repro.recovery.scheduler import ParallelCopierScheduler
-
-            self.parallel_recovery: Optional[ParallelCopierScheduler] = (
-                ParallelCopierScheduler(self)
-            )
-        else:
-            self.parallel_recovery = None
         self.network: Network = None  # type: ignore[assignment] # set by attach()
         # Optional audit probe (repro.chaos.invariants): notified of commit
         # applications and coordinator aborts so protocol invariants can be
@@ -152,11 +168,7 @@ class DatabaseSite(Endpoint):
     def _on_copy_denied(self, ctx: HandlerContext, msg: Message) -> None:
         if msg.txn_id == BATCH_COPIER_TXN:
             self._batch_pending.pop(msg.src, None)
-            if self.parallel_recovery is not None:
-                # The donor's own fail-lock view disagreed with ours:
-                # exclude it for this recovery epoch and re-plan the shard
-                # onto the remaining donors.
-                self.parallel_recovery.note_denied(msg.src)
+            if self.recovery_policy.note_denied(msg.src):
                 self._maybe_issue_batch_copiers(ctx)
         else:
             self.coordinator.on_copy_denied(ctx, msg)
@@ -288,28 +300,11 @@ class DatabaseSite(Endpoint):
                 items=len(msg.payload.get("items", ())),
             )
 
-    # -- batch copiers (two-step recovery, §3.2 proposal) -------------------------------
+    # -- batch copiers (two-step and parallel recovery) ---------------------------------
 
     def _maybe_issue_batch_copiers(self, ctx: HandlerContext) -> None:
-        if self.parallel_recovery is not None:
-            # PARALLEL policy: the partitioned fan-out scheduler owns
-            # batch-copier issue (multiple shards in flight at once).
-            self.parallel_recovery.pump(ctx)
-            return
-        if not self.recovery.wants_batch_copier() or self._batch_pending:
-            return
-        items = self.recovery.next_batch()
-        sources = copier_mod.choose_copier_source(
-            self.planner, items, spread=self.config.spread_copier_sources
-        )
-        by_source: dict[int, list[int]] = {}
-        for item in items:
-            source = sources[item]
-            if source >= 0:
-                by_source.setdefault(source, []).append(item)
-        if not by_source:
-            return
-        for source, batch_items in sorted(by_source.items()):
+        """Send the batch copiers the recovery policy plans now."""
+        for source, batch_items in sorted(self.recovery_policy.pump(ctx).items()):
             self._batch_pending[source] = batch_items
             ctx.charge(self.costs.copy_request_cost)
             ctx.send(
@@ -468,8 +463,7 @@ class DatabaseSite(Endpoint):
         if self.lock_service is not None:
             self.lock_service.wipe()
         self._batch_pending.clear()
-        if self.parallel_recovery is not None:
-            self.parallel_recovery.crash_reset()
+        self.recovery_policy.crash_reset()
         self._recovery_candidates = []
         obs = self.network.obs
         if obs.enabled:
@@ -786,7 +780,7 @@ class DatabaseSite(Endpoint):
         fingerprint must identify states that *behave* identically, not
         states reached at the same instant.
         """
-        sig = (
+        return (
             self.site_id,
             self.alive,
             self.nsv.signature(),
@@ -803,12 +797,7 @@ class DatabaseSite(Endpoint):
             self.lock_service.manager.signature()
             if self.lock_service is not None
             else None,
-        )
-        if self.parallel_recovery is not None:
-            # Appended only under the PARALLEL policy so fingerprints of
-            # every pre-existing configuration keep their exact shape.
-            sig = sig + (self.parallel_recovery.signature(),)
-        return sig
+        ) + self.recovery_policy.signature()
 
     def __repr__(self) -> str:
         return (

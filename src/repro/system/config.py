@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.core.recovery import RecoveryPolicy
+from repro.core.strategy import CopyControlStrategy
 from repro.system.costs import CostModel
 
 
@@ -45,14 +46,6 @@ class ClearNoticeMode(enum.Enum):
 
     SPECIAL_TXN = "special_txn"
     EMBEDDED = "embedded"
-
-
-class CopyControlStrategy(enum.Enum):
-    """Replicated-copy-control strategy run by the cluster."""
-
-    ROWAA = "rowaa"     # the paper's protocol
-    ROWA = "rowa"       # strict read-one/write-ALL: any down site blocks writes
-    QUORUM = "quorum"   # majority quorum consensus (El Abbadi et al. family)
 
 
 @dataclass(slots=True)

@@ -11,8 +11,8 @@ is the repo benchmark's to measure (`chaos.invariants.self_share`,
 import pytest
 
 from repro.chaos import FaultPlan, build_chaos_scenario, run_chaos_seed
+from repro.core.strategy import QuorumStrategy, RowaStrategy, RowaaStrategy
 from repro.experiments import ablations
-from repro.replication import QuorumStrategy, RowaStrategy, RowaaStrategy
 from repro.storage.catalog import ReplicationCatalog
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig

@@ -1,9 +1,16 @@
 """Cluster integration: ROWA / quorum baselines and detection modes."""
 
+import functools
+
 import pytest
 
+import repro.chaos.runner
+from repro.chaos import FaultPlan, run_chaos_seed
+from repro.errors import ConfigurationError
+from repro.storage.catalog import ReplicationCatalog
 from repro.system.cluster import Cluster
 from repro.system.config import CopyControlStrategy, FailureDetection, SystemConfig
+from repro.system.costs import CostModel
 from repro.system.scenario import FailSite, FixedSite, RecoverSite, Scenario
 from repro.txn.operations import OpKind, Operation
 from repro.workload.base import WorkloadGenerator
@@ -118,6 +125,87 @@ def test_quorum_reads_resolve_newest_version():
     assert cluster.site(2).db.version(1) == 0
     # ... and the up-to-date sites have the write.
     assert cluster.site(0).db.version(1) == 1
+
+
+def test_quorum_over_a_partial_catalog_is_rejected():
+    """Version votes count sites, not copies: with items 0-2 on site 0 only,
+    a majority of sites is no quorum of their copies (and a voter would
+    report versions of items it does not hold)."""
+    catalog = ReplicationCatalog(range(6), range(3))
+    for item in range(3):
+        catalog.add_copy(item, 0)
+    for item in range(3, 6):
+        for site in range(3):
+            catalog.add_copy(item, site)
+    config = SystemConfig(
+        db_size=6, num_sites=3, max_txn_size=3, seed=1,
+        costs=CostModel.free(), strategy=CopyControlStrategy.QUORUM,
+    )
+    with pytest.raises(ConfigurationError, match="strategy=quorum.*catalog"):
+        Cluster(config, catalog=catalog)
+
+
+# -- the strategies under the auditor -----------------------------------------------
+
+
+@pytest.fixture(
+    params=[CopyControlStrategy.ROWA, CopyControlStrategy.QUORUM],
+    ids=lambda s: s.value,
+)
+def chaos_strategy(request, monkeypatch):
+    """Every chaos cluster built in the test runs ``request.param``."""
+    monkeypatch.setattr(
+        repro.chaos.runner,
+        "SystemConfig",
+        functools.partial(SystemConfig, strategy=request.param),
+    )
+    return request.param
+
+
+def assert_clean(plan: FaultPlan, seeds: range, txns: int) -> None:
+    for seed in seeds:
+        result = run_chaos_seed(seed, txns=txns, plan=plan)
+        assert result.clean and not result.stalled, (seed, result.violations)
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [FaultPlan(), FaultPlan.lossy(), FaultPlan.correlated(),
+     FaultPlan.flapping(), FaultPlan.partition_recovery()],
+    ids=["default", "lossy", "correlated", "flapping", "partition_recovery"],
+)
+def test_strategy_survives_randomized_faults(chaos_strategy, plan):
+    assert_clean(plan, range(10), txns=40)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "plan, seeds, txns",
+    [
+        (FaultPlan(), 150, 60),
+        (FaultPlan.lossy(), 150, 60),
+        (FaultPlan.correlated(), 60, 40),
+        (FaultPlan.flapping(), 60, 40),
+        (FaultPlan.partition_recovery(), 60, 40),
+        (FaultPlan.aggressive(), 60, 40),
+    ],
+    ids=["default", "lossy", "correlated", "flapping", "partition_recovery",
+         "aggressive"],
+)
+def test_strategy_survives_the_wider_sweep(chaos_strategy, plan, seeds, txns):
+    assert_clean(plan, range(seeds), txns=txns)
+
+
+def test_the_planted_mutation_is_still_caught_under_quorum(monkeypatch):
+    monkeypatch.setattr(
+        repro.chaos.runner,
+        "SystemConfig",
+        functools.partial(SystemConfig, strategy=CopyControlStrategy.QUORUM),
+    )
+    result = run_chaos_seed(3, txns=40, mutate=True)
+    assert {v.invariant for v in result.violations} == {
+        "convergence", "faillock-coverage",
+    }
 
 
 # -- timeout detection ----------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Every script under ``examples/`` runs to completion.
 
-Nothing else executes them, and ``strategy_comparison.py`` is one of the
-two consumers of :mod:`repro.replication`.
+Nothing else executes them.
 """
 
 import runpy

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from repro.core.faillocks import FailLockTable
 from repro.core.sessions import NominalSessionVector, SiteState
+from repro.core.strategy import QuorumStrategy, RowaStrategy, RowaaStrategy
 from repro.metrics.stats import mean, median, percentile, stddev
-from repro.replication import QuorumStrategy, RowaStrategy, RowaaStrategy
 from repro.sim.scheduler import EventScheduler
 from repro.system.deadlock import find_cycle
 from repro.txn.locks import LockManager, LockMode

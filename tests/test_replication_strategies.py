@@ -1,61 +1,42 @@
-"""Replication strategy predicates and analytic availability."""
+"""Copy-control strategy predicates, their analytic availability, and the
+cluster enforcing exactly those predicates."""
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.replication import (
-    PrimaryCopyStrategy,
+from repro.core.strategy import (
+    COPY_CONTROL,
+    CopyControlStrategy,
     QuorumStrategy,
     RowaStrategy,
     RowaaStrategy,
 )
+from repro.errors import ConfigurationError
+from repro.system.cluster import Cluster
+from repro.system.config import SystemConfig
+from repro.system.costs import CostModel
+from repro.system.scenario import FailSite, FixedSite, Scenario
+from repro.txn.operations import OpKind, Operation
+from repro.workload.base import WorkloadGenerator
 
 
 def test_rowaa_available_with_one_site():
     s = RowaaStrategy(4)
-    assert s.can_read({2})
-    assert s.can_write({2})
-    assert not s.can_write(set())
+    assert s.can_read(1)
+    assert s.can_write(1)
+    assert not s.can_write(0)
 
 
 def test_rowa_write_needs_all():
     s = RowaStrategy(4)
-    assert s.can_read({0})
-    assert s.can_write({0, 1, 2, 3})
-    assert not s.can_write({0, 1, 2})
+    assert s.can_read(1)
+    assert s.can_write(4)
+    assert not s.can_write(3)
 
 
 def test_quorum_majority_default():
     s = QuorumStrategy(4)
-    assert s.read_quorum == 3 and s.write_quorum == 3
-    assert s.can_write({0, 1, 2})
-    assert not s.can_write({0, 1})
-
-
-def test_quorum_custom_rw():
-    s = QuorumStrategy(5, read_quorum=2, write_quorum=4)
-    assert s.can_read({0, 1})
-    assert not s.can_read({0})
-    assert s.can_write({0, 1, 2, 3})
-
-
-def test_quorum_rejects_non_intersecting():
-    with pytest.raises(ConfigurationError):
-        QuorumStrategy(4, read_quorum=2, write_quorum=2)  # r+w <= n
-    with pytest.raises(ConfigurationError):
-        QuorumStrategy(5, read_quorum=4, write_quorum=2)  # 2w <= n
-
-
-def test_primary_copy_write_needs_primary():
-    s = PrimaryCopyStrategy(3, primary=1)
-    assert s.can_write({1})
-    assert not s.can_write({0, 2})
-    assert s.can_read({0})
-
-
-def test_primary_out_of_range():
-    with pytest.raises(ConfigurationError):
-        PrimaryCopyStrategy(3, primary=3)
+    assert s.can_read(3) and s.can_write(3)
+    assert not s.can_read(2) and not s.can_write(2)
 
 
 # -- analytic availability ---------------------------------------------------------
@@ -81,10 +62,6 @@ def test_rowaa_availability_closed_form():
     assert s.write_availability(p) == pytest.approx(1 - (1 - p) ** 4)
 
 
-def test_primary_write_availability_is_p():
-    assert PrimaryCopyStrategy(5).write_availability(0.93) == pytest.approx(0.93)
-
-
 def test_quorum_availability_between_rowa_and_rowaa():
     p = 0.9
     quorum = QuorumStrategy(5).write_availability(p)
@@ -103,6 +80,33 @@ def test_bad_probability_rejected():
         RowaaStrategy(2).read_availability(1.5)
 
 
-def test_names():
-    assert RowaaStrategy(2).name == "rowaa"
-    assert QuorumStrategy(3).name == "quorum"
+# -- the cluster runs the same predicates ------------------------------------------
+
+
+class WriteThenRead(WorkloadGenerator):
+    """One write-only transaction, then one read-only transaction."""
+
+    def generate(self, txn_seq, rng):
+        kind = OpKind.WRITE if txn_seq % 2 else OpKind.READ
+        return [Operation(kind, txn_seq % 2)]
+
+
+@pytest.mark.parametrize("down", [0, 1, 2, 3])
+@pytest.mark.parametrize("strategy", list(CopyControlStrategy), ids=lambda s: s.value)
+def test_the_coordinator_refuses_exactly_what_the_predicates_refuse(strategy, down):
+    config = SystemConfig(
+        db_size=4, num_sites=4, max_txn_size=1, seed=1,
+        costs=CostModel.free(), strategy=strategy,
+    )
+    cluster = Cluster(config)
+    scenario = Scenario(workload=WriteThenRead(), txn_count=2, policy=FixedSite(3))
+    for site in range(down):
+        scenario.add_action(1, FailSite(site))
+    cluster.run(scenario)
+
+    control = COPY_CONTROL[strategy](config.num_sites)
+    up = config.num_sites - down
+    refused = [not control.can_write(up), not control.can_read(up)]
+    assert cluster.metrics.counters.get("aborts") == sum(refused)
+    reasons = {r.abort_reason for r in cluster.metrics.txns if not r.committed}
+    assert reasons == ({control.refusal} if any(refused) else set())

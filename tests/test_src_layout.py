@@ -1,4 +1,5 @@
-"""No module under ``src/repro`` whose only importers are tests.
+"""No module under ``src/repro`` whose only importers are tests, and one
+statement of each copy-control strategy and recovery policy.
 
 ROADMAP axis 2, made executable: every module must be imported by the
 program itself — another ``src/repro`` module or the benchmark under
@@ -27,13 +28,8 @@ SRC = REPO / "src"
 # Started by a user, not imported by the program.
 ENTRY_POINTS = {"repro.__main__", "repro.cli", "repro.console"}
 
-ALLOWED = {
-    # Analytic strategy predicates with no runtime caller: the reference
-    # A4 compares against (tests/test_ablations.py).  ROADMAP's strategy-seam
-    # item decides between making one alternative executable and deleting
-    # the package with its test and example; until then it stays.
-    "repro.replication",
-}
+# Modules excused from the rule (none today); each entry must excuse one.
+ALLOWED: set[str] = set()
 
 
 def _module_name(path: Path) -> str:
@@ -132,3 +128,43 @@ def test_every_module_is_imported_by_the_program():
     }
     assert sorted(set(unimported) - set().union(*excused.values())) == []
     assert all(excused.values()), f"an ALLOWED entry excuses nothing: {excused}"
+
+
+# -- one statement of each strategy and policy -------------------------------
+
+ENUMS = {"CopyControlStrategy", "RecoveryPolicy"}
+COMPARISONS = (ast.Is, ast.IsNot, ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+
+
+def _members(node: ast.AST):
+    """``CopyControlStrategy.X`` / ``RecoveryPolicy.X`` in a comparison
+    operand, including inside a tuple, list or set literal."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            owner = ast.unparse(sub.value)
+            if owner.rsplit(".", 1)[-1] in ENUMS:
+                yield f"{owner}.{sub.attr}"
+
+
+def _member_comparisons(root: Path) -> list[str]:
+    found = []
+    for path in sorted(root.glob("repro/**/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(op, COMPARISONS) for op in node.ops
+            ):
+                for operand in (node.left, *node.comparators):
+                    for member in _members(operand):
+                        found.append(
+                            f"{path.relative_to(root)}:{node.lineno}: {member}"
+                        )
+    return found
+
+
+def test_no_module_branches_on_a_strategy_or_policy_member():
+    """Each strategy and each recovery policy is one object, chosen by table
+    lookup when a site is built (``repro.core.strategy.COPY_CONTROL``,
+    ``repro.site.site.RECOVERY_POLICIES``); code asks the object and never
+    compares the configured enum member again."""
+    assert _member_comparisons(SRC) == []
