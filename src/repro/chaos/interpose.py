@@ -35,7 +35,7 @@ class FaultInjector:
         self.intercepted = 0
 
     def intercept(self, msg: Message) -> Optional[MessageFate]:
-        """The network's interposition hook (see ``Network._transmit``)."""
+        """The network's interposition hook (see ``Network._release_activation``)."""
         plan = self.plan
         rng = self._rng
         self.intercepted += 1

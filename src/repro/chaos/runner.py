@@ -49,8 +49,10 @@ class NeuteredFailLockTable(FailLockTable):
     # the live ``__class__`` swap requires.
     __slots__ = ()
 
-    def set_lock(self, item_id: int, site_id: int) -> None:
-        self._mask(item_id)  # keep validation, skip the write
+    def set_locks(self, item_ids: Iterable[int], site_id: int) -> None:
+        # ``set_lock`` delegates here too.  Keep validation, skip the write.
+        self._bit(site_id)
+        self._known(item_ids)
 
     def update_on_commit(
         self, written_items: Iterable[int], vector: NominalSessionVector

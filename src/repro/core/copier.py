@@ -65,11 +65,12 @@ def apply_copy_response(
     Returns the item ids actually refreshed (a copy already newer locally is
     left alone but its fail-lock is still cleared — the copy is current).
     """
-    refreshed = []
-    for item_id, value, version in copies:
-        if db.install_copy(item_id, value, version, time):
-            refreshed.append(item_id)
-        faillocks.clear_lock(item_id, owner)
+    refreshed = [
+        item_id
+        for item_id, value, version in copies
+        if db.install_copy(item_id, value, version, time)
+    ]
+    faillocks.clear_locks([item_id for item_id, _value, _version in copies], owner)
     return refreshed
 
 
@@ -81,10 +82,4 @@ def build_clear_notice(owner: int, item_ids: list[int]) -> dict:
 
 def apply_clear_notice(faillocks: FailLockTable, payload: dict) -> int:
     """A peer clears the announced fail-lock bits; returns bits cleared."""
-    site = payload["site"]
-    cleared = 0
-    for item in payload["items"]:
-        if faillocks.is_locked(item, site):
-            faillocks.clear_lock(item, site)
-            cleared += 1
-    return cleared
+    return faillocks.clear_locks(payload["items"], payload["site"])

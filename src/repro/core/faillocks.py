@@ -14,9 +14,10 @@ mask per item).
 Recovery asks the transposed question — *which items are stale for site k?*
 — once per batch, so the table also keeps, per site, the set of items whose
 bit is set.  Every mask mutator moves the item between those sets for
-exactly the bits it changed (``set_lock`` / ``clear_lock`` inline, the
-multi-bit writers through :meth:`FailLockTable._store`), so ``count_for``
-is O(1) and ``locked_items_for`` touches only that site's stale items.
+exactly the bits it changed (``set_locks`` / ``clear_locks`` by one set
+update per call, the multi-bit writers through
+:meth:`FailLockTable._store`), so ``count_for`` is O(1) and
+``locked_items_for`` touches only that site's stale items.
 The index is derived state: it is not part of ``snapshot()``,
 ``signature()`` or ``==``.
 """
@@ -39,7 +40,7 @@ class FailLockTable:
         # Bit k belongs to the k-th site in sorted order; NominalSessionVector
         # lays out operational_mask() the same way.
         self._bit_of = {site: 1 << index for index, site in enumerate(self.site_ids)}
-        self._masks: dict[int, int] = {item: 0 for item in item_ids}
+        self._masks: dict[int, int] = dict.fromkeys(item_ids, 0)
         # bit -> items whose mask has that bit set (the per-site stale index)
         self._stale: dict[int, set[int]] = {bit: set() for bit in self._bit_of.values()}
 
@@ -93,23 +94,49 @@ class FailLockTable:
             raise FailLockError(f"item {item_id} already tracked")
         self._masks[item_id] = 0
 
-    # -- single-bit operations -------------------------------------------------
+    # -- one site's bit ---------------------------------------------------------
 
     def set_lock(self, item_id: int, site_id: int) -> None:
         """Mark ``site_id``'s copy of ``item_id`` out-of-date."""
-        old = self._mask(item_id)
-        bit = self._bit(site_id)
-        if not old & bit:
-            self._masks[item_id] = old | bit
-            self._stale[bit].add(item_id)
+        self.set_locks((item_id,), site_id)
 
     def clear_lock(self, item_id: int, site_id: int) -> None:
         """Mark ``site_id``'s copy of ``item_id`` refreshed."""
-        old = self._mask(item_id)
+        self.clear_locks((item_id,), site_id)
+
+    def set_locks(self, item_ids: Iterable[int], site_id: int) -> None:
+        """Mark ``site_id``'s copies of every item in ``item_ids`` out-of-date.
+
+        All items are checked before any bit changes, so an unknown item
+        leaves the table untouched.
+        """
         bit = self._bit(site_id)
-        if old & bit:
-            self._masks[item_id] = old & ~bit
-            self._stale[bit].discard(item_id)
+        masks = self._masks
+        items = self._known(item_ids)
+        for item in items:
+            masks[item] |= bit
+        self._stale[bit].update(items)
+
+    def clear_locks(self, item_ids: Iterable[int], site_id: int) -> int:
+        """Mark ``site_id``'s copies of ``item_ids`` refreshed; returns how
+        many bits were set before (duplicates count once)."""
+        bit = self._bit(site_id)
+        masks = self._masks
+        items = self._known(item_ids)
+        stale = self._stale[bit]
+        before = len(stale)
+        clear = ~bit
+        for item in items:
+            masks[item] &= clear
+        stale.difference_update(items)
+        return before - len(stale)
+
+    def _known(self, item_ids: Iterable[int]) -> set[int]:
+        """``item_ids`` as a set, every one tracked here."""
+        items = set(item_ids)
+        if not items <= self._masks.keys():
+            raise FailLockError(f"unknown item {min(items - self._masks.keys())}")
+        return items
 
     def is_locked(self, item_id: int, site_id: int) -> bool:
         """Whether ``site_id``'s copy of ``item_id`` is out-of-date."""
@@ -208,9 +235,11 @@ class FailLockTable:
 
     # -- recovery-side queries ----------------------------------------------------
 
-    def locked_items_for(self, site_id: int) -> list[int]:
-        """Items whose copy on ``site_id`` is out-of-date, sorted."""
-        return sorted(self._stale[self._bit(site_id)])
+    def locked_items_for(self, site_id: int, exclude: Iterable[int] = ()) -> list[int]:
+        """Items whose copy on ``site_id`` is out-of-date, sorted, less
+        ``exclude`` (a set difference on the index, not a filtered scan)."""
+        stale = self._stale[self._bit(site_id)]
+        return sorted(stale.difference(exclude) if exclude else stale)
 
     def count_for(self, site_id: int) -> int:
         """Number of out-of-date copies on ``site_id``."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, Iterable, Optional, TYPE_CHECKING
 
 from repro.core.copier import choose_copier_source
 from repro.core.faillocks import FailLockTable
@@ -111,9 +111,9 @@ class RecoveryManager:
             return 0.0
         return self.stale_count / total
 
-    def stale_items(self) -> list[int]:
-        """The owner's out-of-date items, sorted."""
-        return self.faillocks.locked_items_for(self.owner)
+    def stale_items(self, exclude: Iterable[int] = ()) -> list[int]:
+        """The owner's out-of-date items, sorted, less ``exclude``."""
+        return self.faillocks.locked_items_for(self.owner, exclude)
 
     # -- progress notifications ------------------------------------------------
 
@@ -170,6 +170,13 @@ class OnDemandRecovery:
     def crash_reset(self) -> None:
         """The owning site crashed: drop volatile policy state."""
 
+    def in_flight(self) -> set[int]:
+        """Items the site's outstanding batch copiers already cover."""
+        items: set[int] = set()
+        for batch in self.site._batch_pending.values():
+            items.update(batch)
+        return items
+
     def signature(self) -> tuple:
         """What the policy appends to the site's signature (``repro.check``):
         empty unless it keeps protocol-visible state of its own."""
@@ -192,9 +199,9 @@ class TwoStepRecovery(OnDemandRecovery):
         )
 
     def next_batch(self) -> list[int]:
-        """The next ``batch_size`` stale items to refresh proactively."""
+        """The next ``batch_size`` stale items not already in flight."""
         recovery = self.site.recovery
-        return recovery.stale_items()[: recovery.batch_size]
+        return recovery.stale_items(self.in_flight())[: recovery.batch_size]
 
     def pump(self, ctx: "HandlerContext") -> dict[int, list[int]]:
         site = self.site

@@ -26,10 +26,14 @@ class HandlerContext:
 
     __slots__ = ("network", "endpoint", "cost", "outbox", "timers", "completions")
 
-    def __init__(self, network: "Network", endpoint: "Endpoint") -> None:
+    def __init__(
+        self, network: "Network", endpoint: "Endpoint", cost: float = 0.0
+    ) -> None:
         self.network = network
         self.endpoint = endpoint
-        self.cost = 0.0
+        # A delivery starts at the receive cost, validated non-negative
+        # when the network was built.
+        self.cost = cost
         self.outbox: list[Message] = []
         # Lazily allocated: most activations set no timers or completions,
         # and a context is created for every delivered message.
@@ -56,13 +60,14 @@ class HandlerContext:
         session: int = -1,
     ) -> Message:
         """Queue a message; it leaves when this activation's work finishes."""
+        # Positional: one Message per send.
         msg = Message(
-            src=self.endpoint.site_id,
-            dst=dst,
-            mtype=mtype,
-            payload=payload if payload is not None else {},
-            txn_id=txn_id,
-            session=session,
+            self.endpoint.site_id,
+            dst,
+            mtype,
+            payload if payload is not None else {},
+            txn_id,
+            session,
         )
         self.outbox.append(msg)
         return msg

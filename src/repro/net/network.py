@@ -18,12 +18,13 @@ account is the ``msg.*`` events of :mod:`repro.obs`, when enabled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, TYPE_CHECKING
+from heapq import heappush
+from typing import Callable, Optional, Protocol, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.reliable import ReliableDelivery
 
-from repro.errors import NetworkError, UnknownSiteError
+from repro.errors import NetworkError, SimulationError, UnknownSiteError
 from repro.net.endpoint import Endpoint, HandlerContext
 from repro.net.message import Message, MessageType
 from repro.net.partition import PartitionManager
@@ -190,10 +191,18 @@ class Network:
             obs.scope = -1
 
     def _finish_activation(self, ctx: HandlerContext) -> None:
+        """Run the activation's work on the CPU and queue its release.
+
+        One of these runs per activation, so ``CpuResource.execute`` and
+        ``EventScheduler.post_at`` are inlined: the same core choice, the
+        same accounting, the same ``(time, seq)`` entry.
+        """
         # The context dies here, so its lists transfer to the release step
         # without copying.
         outbox = ctx.outbox
-        total = ctx.cost + len(outbox) * self.msg_send_cost
+        duration = ctx.cost + len(outbox) * self.msg_send_cost
+        if duration < 0:
+            raise SimulationError(f"negative work duration: {duration}")
         # Causality: everything this activation queued — messages released
         # later, timers firing later — is caused by the activation's scope
         # event, which must be captured *now* (release runs after the CPU
@@ -205,27 +214,140 @@ class Network:
                 msg.trace_ref = scope
         if self.endpoint_memo is not None:
             self.endpoint_memo.pop(ctx.endpoint, None)
-        self.cpu.execute(
-            total,
+        cpu = self.cpu
+        free_at = cpu._free_at
+        scheduler = self.scheduler
+        now = scheduler.clock._now
+        # Single-CPU mini-RAID is the overwhelmingly common case.
+        core = 0 if len(free_at) == 1 else free_at.index(min(free_at))
+        start = free_at[core]
+        if now > start:
+            start = now
+        done = start + duration
+        free_at[core] = done
+        cpu.busy_ms += duration
+        cpu.jobs += 1
+        seq = scheduler._seq
+        scheduler._seq = seq + 1
+        entry = (
+            done,
+            seq,
             self._release_activation,
-            args=(ctx.endpoint, outbox, ctx.timers, ctx.completions, scope),
+            (ctx.endpoint, outbox, ctx.timers, ctx.completions, scope),
         )
+        if done == now and scheduler._batching:
+            scheduler._nowq.append(entry)
+        else:
+            heappush(scheduler._heap, entry)
 
     def _release_activation(
         self,
-        endpoint: Endpoint,
-        outbox: list[Message],
+        endpoint: Optional[Endpoint],
+        outbox: Sequence[Message],
         timers: Optional[list[tuple[float, Callable[[HandlerContext], None]]]],
         completions: Optional[list[Callable[[], None]]],
         scope: int,
     ) -> None:
-        """The activation's CPU work is done: release its queued effects."""
-        release_time = self.scheduler.clock._now
-        for msg in outbox:
-            self._transmit(msg, release_time)
+        """The activation's CPU work is done: transmit its messages, arm
+        its timers, run its completions.
+
+        The transmit loop is the network's one send path (see
+        :meth:`_transmit`).  Each message is routed through the optional
+        layers that are installed — partitions, the reliable sublayer, the
+        fault interposer, tracing — and then queued for :meth:`_deliver`
+        at its FIFO-respecting arrival time (``post_at`` inlined).
+        """
+        scheduler = self.scheduler
+        now = scheduler.clock._now
+        if outbox:
+            endpoints = self._endpoints
+            obs = self.obs
+            partitions = self.partitions
+            exempt_sites = self.partition_exempt
+            reliable = self.reliable
+            interposer = self.interposer
+            fifo_last = self._fifo_last
+            deliver = self._deliver
+            for msg in outbox:
+                msg.send_time = now
+                self.messages_sent += 1
+                src = msg.src
+                dst = msg.dst
+                if dst not in endpoints:
+                    raise UnknownSiteError(f"message to unregistered site {dst}: {msg}")
+                if obs.enabled:
+                    # The send event becomes the message's causal handle:
+                    # the receive (or drop) it leads to parents itself here.
+                    msg.trace_ref = obs.emit(
+                        now,
+                        EventKind.MSG_SEND,
+                        site=src,
+                        txn=msg.txn_id,
+                        parent=msg.trace_ref,
+                        mtype=msg.mtype.value,
+                        dst=dst,
+                    )
+                exempt = src in exempt_sites or dst in exempt_sites
+                if (
+                    partitions._active
+                    and not exempt
+                    and not partitions.connected(src, dst)
+                ):
+                    self.messages_undeliverable += 1
+                    self._obs_drop(msg, "partitioned")
+                    # A partition is a *detectable* severance: stop any
+                    # retransmission and unblock the channel slot.
+                    if reliable is not None:
+                        reliable.cancel(msg)
+                    self._notify_sender_failure(msg)
+                    continue
+                if reliable is not None and msg.seq < 0 and reliable.tracks(msg):
+                    reliable.track(msg)
+                latency = self.wire_latency_ms
+                fate = None
+                if interposer is not None and not exempt:
+                    fate = interposer.intercept(msg)
+                    if fate is not None:
+                        if fate.drop:
+                            self.messages_undeliverable += 1
+                            if fate.silent:
+                                # True message loss: nobody learns anything.
+                                # Only the retransmission sublayer can
+                                # recover the message — silent drops are
+                                # only injected when it is installed.
+                                self._obs_drop(msg, "chaos-drop-silent")
+                                continue
+                            self._obs_drop(msg, "chaos-drop")
+                            if reliable is not None:
+                                reliable.cancel(msg)
+                            self._notify_sender_failure(msg)
+                            continue
+                        latency += fate.delay
+                deliver_at = now + latency
+                channel = (src, dst)
+                if fate is not None and fate.reorder:
+                    # Injected reorder: allow delivery before earlier
+                    # same-channel traffic, but never before the send instant.
+                    deliver_at = max(now, deliver_at - fate.reorder_shift)
+                    fifo_last[channel] = max(fifo_last.get(channel, 0.0), deliver_at)
+                else:
+                    # Reliable FIFO per (src, dst): never deliver before an
+                    # earlier message on the same channel.
+                    last = fifo_last.get(channel, 0.0)
+                    if last > deliver_at:
+                        deliver_at = last
+                    fifo_last[channel] = deliver_at
+                seq = scheduler._seq
+                scheduler._seq = seq + 1
+                if deliver_at == now and scheduler._batching:
+                    scheduler._nowq.append((deliver_at, seq, deliver, (msg,)))
+                else:
+                    heappush(scheduler._heap, (deliver_at, seq, deliver, (msg,)))
+                if fate is not None and fate.duplicate:
+                    self._transmit_duplicate(msg, now, deliver_at + fate.duplicate_gap)
         if timers:
             for delay, timer_fn in timers:
-                self.scheduler.post(
+                scheduler.post(
                     delay, self._run_activation, (endpoint, timer_fn, scope)
                 )
         if completions:
@@ -236,72 +358,10 @@ class Network:
 
     # -- transmission ------------------------------------------------------
 
-    def _transmit(self, msg: Message, release_time: float) -> None:
-        msg.send_time = release_time
-        self.messages_sent += 1
-        if msg.dst not in self._endpoints:
-            raise UnknownSiteError(f"message to unregistered site {msg.dst}: {msg}")
-        if self.obs.enabled:
-            # The send event becomes the message's causal handle: the
-            # receive (or drop) it leads to parents itself here.
-            msg.trace_ref = self.obs.emit(
-                release_time,
-                EventKind.MSG_SEND,
-                site=msg.src,
-                txn=msg.txn_id,
-                parent=msg.trace_ref,
-                mtype=msg.mtype.value,
-                dst=msg.dst,
-            )
-        exempt = msg.src in self.partition_exempt or msg.dst in self.partition_exempt
-        if not exempt and not self.partitions.connected(msg.src, msg.dst):
-            self.messages_undeliverable += 1
-            self._obs_drop(msg, "partitioned")
-            # A partition is a *detectable* severance: stop any
-            # retransmission and unblock the channel slot.
-            if self.reliable is not None:
-                self.reliable.cancel(msg)
-            self._notify_sender_failure(msg)
-            return
-        if self.reliable is not None and msg.seq < 0 and self.reliable.tracks(msg):
-            self.reliable.track(msg)
-        fate = None
-        if self.interposer is not None and not exempt:
-            fate = self.interposer.intercept(msg)
-        if fate is not None and fate.drop:
-            self.messages_undeliverable += 1
-            if fate.silent:
-                # True message loss: nobody learns anything.  Only the
-                # retransmission sublayer can recover the message — silent
-                # drops are only injected when it is installed.
-                self._obs_drop(msg, "chaos-drop-silent")
-                return
-            self._obs_drop(msg, "chaos-drop")
-            if self.reliable is not None:
-                self.reliable.cancel(msg)
-            self._notify_sender_failure(msg)
-            return
-        latency = self.wire_latency_ms
-        if fate is not None:
-            latency += fate.delay
-        deliver_at = release_time + latency
-        # Reliable FIFO per (src, dst): never deliver before an earlier
-        # message on the same channel.
-        channel = (msg.src, msg.dst)
-        fifo_last = self._fifo_last
-        if fate is not None and fate.reorder:
-            # Injected reorder: allow delivery before earlier same-channel
-            # traffic, but never before the send instant.
-            deliver_at = max(release_time, deliver_at - fate.reorder_shift)
-            fifo_last[channel] = max(fifo_last.get(channel, 0.0), deliver_at)
-        else:
-            last = fifo_last.get(channel, 0.0)
-            if last > deliver_at:
-                deliver_at = last
-            fifo_last[channel] = deliver_at
-        self.scheduler.post_at(deliver_at, self._deliver, (msg,))
-        if fate is not None and fate.duplicate:
-            self._transmit_duplicate(msg, release_time, deliver_at + fate.duplicate_gap)
+    def _transmit(self, msg: Message) -> None:
+        """Send ``msg`` now, outside any activation (the reliable
+        sublayer's retransmissions and acks)."""
+        self._release_activation(None, (msg,), None, None, -1)
 
     def _obs_drop(self, msg: Message, reason: str) -> None:
         """Emit the msg.drop trace event for an undeliverable message."""
@@ -347,27 +407,40 @@ class Network:
         self._fifo_last[channel] = deliver_at
         self.scheduler.post_at(deliver_at, self._deliver, (dup,))
 
-    def _deliver(self, msg: Message) -> None:
+    def _deliver(self, msg: Message, released: bool = False) -> None:
+        """Hand an arrived message to its endpoint as one activation.
+
+        The scheduler fires this for every arrival.  The reliable sublayer
+        calls it with ``released`` for a message its reorder buffer lets
+        go: that one was acknowledged and ordered when it arrived, so only
+        the destination's liveness is checked again.
+        """
         endpoint = self._endpoints[msg.dst]
-        if msg.mtype is MessageType.NET_ACK:
+        mtype = msg.mtype
+        reliable = self.reliable
+        if not endpoint.alive and mtype not in _DELIVER_WHEN_DOWN:
+            # A down destination (or one that died while the message sat
+            # in the reorder buffer).  An ack to a dead sender is moot.
+            self.messages_undeliverable += 1
+            self._obs_drop(msg, "site-down")
+            if mtype is MessageType.NET_ACK:
+                return
+            if reliable is not None and not released:
+                reliable.cancel(msg)
+            self._notify_sender_failure(msg)
+            return
+        if mtype is MessageType.NET_ACK:
             # Transport-internal: consumed by the reliable layer, never
-            # surfaced to the endpoint.  An ack to a dead sender is moot.
-            if not endpoint.alive or self.reliable is None:
+            # surfaced to the endpoint.
+            if reliable is None:
                 self.messages_undeliverable += 1
                 self._obs_drop(msg, "site-down")
                 return
             self.messages_delivered += 1
-            self.reliable.on_ack(msg)
+            reliable.on_ack(msg)
             return
-        if not endpoint.alive and msg.mtype not in _DELIVER_WHEN_DOWN:
-            self.messages_undeliverable += 1
-            self._obs_drop(msg, "site-down")
-            if self.reliable is not None:
-                self.reliable.cancel(msg)
-            self._notify_sender_failure(msg)
-            return
-        if self.reliable is not None and msg.seq >= 0:
-            deliverable, status = self.reliable.on_arrival(msg)
+        if reliable is not None and msg.seq >= 0 and not released:
+            deliverable, status = reliable.on_arrival(msg)
             if status == "dup":
                 self.messages_undeliverable += 1
                 if self.obs.enabled:
@@ -377,23 +450,11 @@ class Network:
                         site=msg.dst,
                         txn=msg.txn_id,
                         parent=msg.trace_ref,
-                        mtype=msg.mtype.value,
+                        mtype=mtype.value,
                         seq=msg.seq,
                     )
             for ready in deliverable:
-                self._deliver_to_endpoint(ready)
-            return
-        self._deliver_to_endpoint(msg, endpoint)
-
-    def _deliver_to_endpoint(self, msg: Message, endpoint: Endpoint | None = None) -> None:
-        """Hand a (logically deliverable) message to its endpoint."""
-        if endpoint is None:
-            endpoint = self._endpoints[msg.dst]
-        if not endpoint.alive and msg.mtype not in _DELIVER_WHEN_DOWN:
-            # The site died while the message sat in the reorder buffer.
-            self.messages_undeliverable += 1
-            self._obs_drop(msg, "site-down")
-            self._notify_sender_failure(msg)
+                self._deliver(ready, True)
             return
         self.messages_delivered += 1
         obs = self.obs
@@ -407,15 +468,12 @@ class Network:
                 site=msg.dst,
                 txn=msg.txn_id,
                 parent=msg.trace_ref,
-                mtype=msg.mtype.value,
+                mtype=mtype.value,
                 src=msg.src,
             )
         for probe in self.delivery_probes:
             probe(msg)
-        ctx = HandlerContext(self, endpoint)
-        # Fresh context: assigning is charge() without the call (the cost
-        # was validated non-negative at construction).
-        ctx.cost = self.msg_recv_cost
+        ctx = HandlerContext(self, endpoint, self.msg_recv_cost)
         endpoint.handle(ctx, msg)
         self._finish_activation(ctx)
         if obs.enabled:

@@ -269,7 +269,7 @@ class ReliableDelivery:
             )
         pending.msg = clone
         self._arm_timer(pending)
-        self.network._transmit(clone, self.network.scheduler.now)
+        self.network._transmit(clone)
 
     def on_ack(self, ack: Message) -> None:
         """A ``NET_ACK`` arrived at the original sender: stop retransmitting."""
@@ -299,7 +299,7 @@ class ReliableDelivery:
                 # recovered, parked behind a message that bounced while it
                 # was down): deliver them now.
                 for ready in receiver.advance():
-                    self.network._deliver_to_endpoint(ready)
+                    self.network._deliver(ready, True)
 
     # -- receiver side -----------------------------------------------------
 
@@ -340,7 +340,7 @@ class ReliableDelivery:
             # Trace the ack as caused by the send it acknowledges.
             trace_ref=msg.trace_ref,
         )
-        self.network._transmit(ack, self.network.scheduler.now)
+        self.network._transmit(ack)
 
     # -- introspection -----------------------------------------------------
 

@@ -84,10 +84,7 @@ class ParallelCopierScheduler(OnDemandRecovery):
             self._epoch = recovery.stats.started_at
             self._denied.clear()
         pending = site._batch_pending
-        in_flight: set[int] = set()
-        for items in pending.values():
-            in_flight.update(items)
-        remaining = [i for i in recovery.stale_items() if i not in in_flight]
+        remaining = recovery.stale_items(self.in_flight())
         if not remaining:
             return {}
         fanout = site.config.recovery_fanout

@@ -49,7 +49,8 @@ class CpuResource:
         """Run ``duration`` ms of work on the least-loaded core.
 
         ``on_done(*args)`` fires when the work completes.  Returns the
-        absolute completion time.
+        absolute completion time.  ``Network._finish_activation`` inlines
+        this body (one runs per activation); keep the two in step.
         """
         if duration < 0:
             raise SimulationError(f"negative work duration: {duration}")

@@ -335,8 +335,9 @@ class DatabaseSite(Endpoint):
         )
         self.recovery.note_refreshed_by_copier(len(copies), ctx.now)
         self._batch_pending.pop(msg.src, None)
-        cleared = sorted(item for item, _v, _ver in copies)
-        payload = copier_mod.build_clear_notice(self.site_id, cleared)
+        payload = copier_mod.build_clear_notice(
+            self.site_id, [item for item, _v, _ver in copies]
+        )
         for peer in self.nsv.operational_peers():
             ctx.charge(self.costs.clear_notice_format_cost)
             ctx.send(peer, MessageType.CLEAR_FAILLOCKS, payload, txn_id=BATCH_COPIER_TXN)
@@ -374,11 +375,10 @@ class DatabaseSite(Endpoint):
                     role="announcer",
                 )
         stale_items = sorted(stale_items or [])
-        if self.config.faillocks_enabled:
+        if self.config.faillocks_enabled and stale_items:
             for site in failed_sites:
-                for item in stale_items:
-                    self.faillocks.set_lock(item, site)
-            if obs.enabled and stale_items:
+                self.faillocks.set_locks(stale_items, site)
+            if obs.enabled:
                 obs.emit(
                     ctx.now,
                     EventKind.FAILLOCK_SET,
@@ -412,11 +412,10 @@ class DatabaseSite(Endpoint):
                     peer=failed,
                     role="operational",
                 )
-        if self.config.faillocks_enabled:
+        if self.config.faillocks_enabled and announcement.stale_items:
             for failed in announcement.failed_sites:
-                for item in announcement.stale_items:
-                    self.faillocks.set_lock(item, failed)
-            if obs.enabled and announcement.stale_items:
+                self.faillocks.set_locks(announcement.stale_items, failed)
+            if obs.enabled:
                 obs.emit(
                     ctx.now,
                     EventKind.FAILLOCK_SET,
@@ -547,8 +546,7 @@ class DatabaseSite(Endpoint):
             # Cold crash: every copy the site holds is now out of date.
             items = self.catalog.items_on(announcement.site_id)
             ctx.charge(self.costs.faillock_bit_cost * len(items))
-            for item in items:
-                self.faillocks.set_lock(item, announcement.site_id)
+            self.faillocks.set_locks(items, announcement.site_id)
         if msg.payload.get("respond") == self.site_id:
             started = ctx.now
             ctx.charge(self.costs.control1_format_cost(len(self.db)))

@@ -19,6 +19,10 @@ class ReplicationCatalog:
     def __init__(self, item_ids: Iterable[int], site_ids: Iterable[int]) -> None:
         self.site_ids = sorted(site_ids)
         self._holders: dict[int, set[int]] = {item: set() for item in item_ids}
+        # site -> its items, sorted; built on first ask, dropped by the
+        # copy mutators (every site is built from it, and every cold
+        # recovery announce asks again).
+        self._items_on: dict[int, tuple[int, ...]] = {}
 
     @classmethod
     def fully_replicated(
@@ -60,14 +64,20 @@ class ReplicationCatalog:
             raise StorageError(f"unknown item {item_id}") from None
 
     def items_on(self, site_id: int) -> list[int]:
-        """All items a site holds, sorted."""
-        return sorted(i for i, sites in self._holders.items() if site_id in sites)
+        """All items a site holds, sorted (a fresh list)."""
+        items = self._items_on.get(site_id)
+        if items is None:
+            items = self._items_on[site_id] = tuple(
+                sorted([i for i, sites in self._holders.items() if site_id in sites])
+            )
+        return list(items)
 
     def add_copy(self, item_id: int, site_id: int) -> None:
         """Record a new copy (type-3 control transaction)."""
         if site_id not in self.site_ids:
             raise StorageError(f"unknown site {site_id}")
         self._holders[item_id].add(site_id)
+        self._items_on.pop(site_id, None)
 
     def remove_copy(self, item_id: int, site_id: int) -> None:
         """Record removal of a copy."""
@@ -77,6 +87,7 @@ class ReplicationCatalog:
         if len(holders) == 1:
             raise StorageError(f"refusing to remove the last copy of item {item_id}")
         holders.remove(site_id)
+        self._items_on.pop(site_id, None)
 
     def is_fully_replicated(self) -> bool:
         """True if every site holds every item."""

@@ -22,9 +22,10 @@ class SiteDatabase:
 
     def __init__(self, site_id: int, item_ids: Iterable[int]) -> None:
         self.site_id = site_id
-        self._items: dict[int, DataItem] = {
-            item_id: DataItem(item_id=item_id) for item_id in item_ids
-        }
+        # Built positionally through ``map``: this runs once per copy per
+        # site build, the bulk of a cluster's construction.
+        item_ids = tuple(item_ids)
+        self._items: dict[int, DataItem] = dict(zip(item_ids, map(DataItem, item_ids)))
         self._staged: dict[int, list[tuple[int, int, int]]] = {}
         self.log = RedoLog()
 
@@ -91,7 +92,7 @@ class SiteDatabase:
         self, txn_id: int, item_id: int, value: int, version: int, time: float
     ) -> None:
         """Apply one committed write immediately (no staging)."""
-        self._apply(txn_id, item_id, value, version, time)
+        self._apply(txn_id, self.get(item_id), value, version, time)
 
     def install_copy(
         self, item_id: int, value: int, version: int, time: float, source_txn: int = -1
@@ -104,7 +105,7 @@ class SiteDatabase:
         local = self.get(item_id)
         if local.version >= version:
             return False
-        self._apply(source_txn, item_id, value, version, time)
+        self._apply(source_txn, local, value, version, time)
         return True
 
     def create_item(self, item_id: int, value: int, version: int, time: float) -> None:
@@ -113,9 +114,7 @@ class SiteDatabase:
             raise StorageError(
                 f"site {self.site_id} already holds a copy of item {item_id}"
             )
-        self._items[item_id] = DataItem(
-            item_id=item_id, value=value, version=version, committed_at=time
-        )
+        self._items[item_id] = DataItem(item_id, value, version, time)
 
     def drop_item(self, item_id: int) -> None:
         """Remove a copy (the cleanup cost the paper notes for type 3)."""
@@ -126,17 +125,10 @@ class SiteDatabase:
         del self._items[item_id]
 
     def _apply(
-        self, txn_id: int, item_id: int, value: int, version: int, time: float
+        self, txn_id: int, item: DataItem, value: int, version: int, time: float
     ) -> None:
-        item = self.get(item_id)
         self.log.append(
-            txn_id=txn_id,
-            item_id=item_id,
-            old_value=item.value,
-            new_value=value,
-            old_version=item.version,
-            new_version=version,
-            time=time,
+            txn_id, item.item_id, item.value, value, item.version, version, time
         )
         item.value = value
         item.version = version

@@ -15,7 +15,7 @@ from repro.chaos import (
     run_seed_sweep,
 )
 from repro.cli import main
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FailLockError
 from repro.net.message import Message, MessageType
 from repro.sim.rng import DeterministicRng
 from repro.system.cluster import Cluster
@@ -247,8 +247,22 @@ def test_neutered_table_never_sets_locks() -> None:
     table = cluster.site(0).faillocks
     table.set_lock(0, 1)
     assert not table.is_locked(0, 1)
+    table.set_locks([0, 1, 1], 1)  # the bulk setter is neutered too
+    assert table.total_locks() == 0
+    with pytest.raises(FailLockError):
+        table.set_locks([0, 99], 1)  # validation is kept
     table.update_with_recipients({0: [0]})
     assert not table.is_locked(0, 1)  # non-recipient NOT locked (the bug)
+
+
+def test_mutation_mode_flags_exactly_the_expected_invariants() -> None:
+    """Mutation at seed 3 is caught by the two invariants a missing lock
+    breaks — and by nothing else (no crash, no unrelated violation)."""
+    result = run_chaos_seed(3, mutate=True)
+    assert {v.invariant for v in result.violations} == {
+        "convergence",
+        "faillock-coverage",
+    }
 
 
 def test_sweep_replays_byte_identically() -> None:

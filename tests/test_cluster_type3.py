@@ -97,3 +97,16 @@ def test_partial_replication_transactions_route_writes_to_holders():
     assert len(cluster.site(2).db.log) == 0
     assert cluster.site(0).db.version(1) == 3
     assert cluster.site(1).db.version(1) == 3
+
+
+def test_items_on_follows_type3_create_and_drop():
+    cluster = partial_cluster()
+    catalog = cluster.catalog
+    assert catalog.items_on(2) == [0]  # cached by the site build
+    site0 = cluster.site(0)
+    cluster.network.spawn(site0, lambda ctx: site0.initiate_backup(ctx, 2, 2))
+    cluster.scheduler.run()
+    assert catalog.items_on(2) == [0, 2]
+    cluster.site(2).drop_backup_copy(2)
+    assert catalog.items_on(2) == [0]
+    assert catalog.items_on(0) == [0, 1, 2]  # other sites unaffected

@@ -183,8 +183,12 @@ def test_index_matches_brute_force_scan_under_every_mutator(seed):
     def some_items():
         return rng.sample(items, rng.randint(1, 6))
 
+    def some_items_or_none():
+        # repeats and the empty list are both legal bulk inputs
+        return [rng.choice(items) for _ in range(rng.randint(0, 6))]
+
     def step(target):
-        op = rng.randrange(8)
+        op = rng.randrange(10)
         if op == 0:
             target.set_lock(rng.choice(items), rng.choice(sites))
         elif op == 1:
@@ -211,11 +215,60 @@ def test_index_matches_brute_force_scan_under_every_mutator(seed):
                 FailLockTable if type(table) is NeuteredFailLockTable
                 else NeuteredFailLockTable
             )
+        elif op == 8:
+            target.set_locks(some_items_or_none(), rng.choice(sites))
+        elif op == 9:
+            site = rng.choice(sites)
+            chosen = some_items_or_none()
+            was = sum(target.is_locked(item, site) for item in set(chosen))
+            assert target.clear_locks(chosen, site) == was
 
     for _ in range(400):
         step(rng.choice((table, table, peer)))
         _assert_index_matches_scan(table)
         _assert_index_matches_scan(peer)
+
+
+def test_bulk_mutators_match_the_per_bit_ones(table):
+    bulk = FailLockTable(site_ids=[0, 1, 2, 3], item_ids=range(5))
+    for item in (3, 1, 3, 4):
+        table.set_lock(item, 2)
+    bulk.set_locks([3, 1, 3, 4], 2)  # a repeat sets its bit once
+    assert bulk == table
+    assert bulk.locked_items_for(2) == [1, 3, 4]
+    bulk.set_locks([1], 2)  # already set: no change
+    bulk.set_locks([], 2)
+    assert bulk == table
+    assert bulk.count_for(2) == 3
+
+
+def test_clear_locks_counts_bits_that_were_set(table):
+    table.set_locks([0, 2, 4], 1)
+    table.set_lock(2, 3)
+    # 2 and 4 were set; 1 was already clear; 4 repeats; site 3 untouched
+    assert table.clear_locks([2, 1, 4, 4], 1) == 2
+    assert table.locked_items_for(1) == [0]
+    assert table.is_locked(2, 3)
+    assert table.clear_locks([2, 4], 1) == 0
+    assert table.clear_locks([], 1) == 0
+    _assert_index_matches_scan(table)
+
+
+@pytest.mark.parametrize("mutator", ["set_locks", "clear_locks"])
+def test_bulk_mutators_reject_unknown_items_before_any_change(table, mutator):
+    table.set_locks([0, 1], 2)
+    before = (table.snapshot(), table.locked_items_for(2), table.count_for(2))
+    with pytest.raises(FailLockError, match="unknown item 99"):
+        getattr(table, mutator)([3, 0, 99, 1], 2)
+    assert (table.snapshot(), table.locked_items_for(2), table.count_for(2)) == before
+    with pytest.raises(FailLockError, match="unknown site"):
+        getattr(table, mutator)([0], 9)
+
+
+def test_locked_items_for_excludes_by_set_difference(table):
+    table.set_locks([4, 0, 2, 3], 1)
+    assert table.locked_items_for(1, {2, 7}) == [0, 3, 4]
+    assert table.locked_items_for(1, ()) == [0, 2, 3, 4]
 
 
 def test_index_is_not_part_of_identity(table):

@@ -137,7 +137,7 @@ def test_double_delivery_is_invisible_for_every_type(mtype) -> None:
         payload=dict(first.payload), txn_id=first.txn_id,
         session=first.session, seq=first.seq,
     )
-    net._transmit(clone, sched.now)
+    net._transmit(clone)
     sched.run()
 
     assert len(b.received) == 1, f"{mtype}: duplicate reached the endpoint"

@@ -2,6 +2,9 @@
 edges (flapping, partition mid-recovery, donor crash mid-fan-out), and
 the experiment/report stack."""
 
+import hashlib
+import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -553,3 +556,21 @@ def test_cli_soak_trace_exemplars_roundtrip(tmp_path, capsys):
     exemplars = json.loads((out / "exemplars.json").read_text())
     assert exemplars["txns"] == sorted(exemplars["txns"])
     assert exemplars["txns"]
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [(42, "0aa64f312cada17457b3c201305613c6"), (7, "ba4419fe7922fd7ebc6fb246473757fe")],
+)
+def test_recovery_matrix_digest_is_pinned(seed, digest):
+    """The recovery round trip is host-only work: a faster fail-lock table,
+    re-plan or message fabric must leave every cell's numbers (sim-ms,
+    copier and refresh counts) exactly where they were."""
+    cells = run_recovery_matrix(
+        donor_counts=(1, 4),
+        stale_sizes=(64,),
+        policies=("two_step", "parallel"),
+        seed=seed,
+    )
+    raw = json.dumps([asdict(c) for c in cells], sort_keys=True, separators=(",", ":"))
+    assert hashlib.blake2b(raw.encode(), digest_size=16).hexdigest() == digest

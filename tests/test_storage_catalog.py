@@ -62,3 +62,9 @@ def test_holders_returns_copy():
     holders = catalog.holders(0)
     holders.clear()
     assert catalog.holders(0) == {0, 1}
+
+
+def test_items_on_returns_copy_of_its_cache():
+    catalog = ReplicationCatalog.fully_replicated(range(3), range(2))
+    catalog.items_on(1).clear()
+    assert catalog.items_on(1) == [0, 1, 2]
