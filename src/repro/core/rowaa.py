@@ -94,6 +94,29 @@ class RowaaPlanner:
             return ReadPlan(item_id=item_id, source=ReadSource.UNAVAILABLE)
         return ReadPlan(item_id=item_id, source=ReadSource.REMOTE, site_id=source)
 
+    def plan_reads(self, item_ids: list[int]) -> list[ReadPlan]:
+        """The reads of one transaction that need more than the local copy.
+
+        :meth:`plan_read` of each item in order, less the LOCAL plans, and
+        ending at the first UNAVAILABLE one (the transaction aborts there).
+        In the steady state — the owner holds every item and none of its
+        copies is fail-locked — every read is LOCAL, which the stale index
+        and the catalog answer in one step each.
+        """
+        owner = self.owner
+        if not self.faillocks.count_for(owner) and self.catalog.holds_all(
+            owner, item_ids
+        ):
+            return []
+        plans = []
+        for item in item_ids:
+            plan = self.plan_read(item)
+            if plan.source is not ReadSource.LOCAL:
+                plans.append(plan)
+                if plan.source is ReadSource.UNAVAILABLE:
+                    break
+        return plans
+
     def write_sites(self, item_id: int) -> list[int]:
         """All operational sites holding a copy of ``item_id`` (sorted).
 
@@ -101,12 +124,12 @@ class RowaaPlanner:
         copy it believes reachable, and fail-locks cover the rest.
         """
         holders = self.catalog.holders_view(item_id)
-        return [s for s in self.vector.operational_sites() if s in holders]
+        return [s for s in self.vector.up_sites() if s in holders]
 
     def participants_for(self, written_items: list[int]) -> list[int]:
         """Operational peers that must receive phase-1 copy updates."""
-        sites: set[int] = set()
+        holders: set[int] = set()
         for item in written_items:
-            sites.update(self.write_sites(item))
-        sites.discard(self.owner)
-        return sorted(sites)
+            holders |= self.catalog.holders_view(item)
+        owner = self.owner
+        return [s for s in self.vector.up_sites() if s in holders and s != owner]

@@ -44,7 +44,7 @@ class SessionRecord:
 class NominalSessionVector:
     """One site's array of :class:`SessionRecord`, one per system site."""
 
-    __slots__ = ("owner", "_records", "_site_ids", "_up_mask", "_signature")
+    __slots__ = ("owner", "_records", "_site_ids", "_up_mask", "_up", "_signature")
 
     def __init__(self, owner: int, site_ids: list[int]) -> None:
         if owner not in site_ids:
@@ -56,11 +56,12 @@ class NominalSessionVector:
         # The site set is fixed for the life of the vector; keep the sorted
         # ids (and the records in that order) precomputed.
         self._site_ids: list[int] = list(self._records)
-        # Cached operational_mask() (-1 = stale) and signature() (None =
-        # stale).  _transition() and install() reset both — nothing else
-        # may assign SessionRecord.state, and every SessionRecord.session
-        # assignment is followed by a _transition().
+        # Cached operational_mask() (-1 = stale), up_sites() and signature()
+        # (None = stale).  _transition() and install() reset all three —
+        # nothing else may assign SessionRecord.state, and every
+        # SessionRecord.session assignment is followed by a _transition().
         self._up_mask = -1
+        self._up: tuple[int, ...] | None = None
         self._signature: tuple | None = None
 
     # -- basic access --------------------------------------------------------
@@ -125,19 +126,25 @@ class NominalSessionVector:
             self._up_mask = mask
         return mask
 
+    def up_sites(self) -> tuple[int, ...]:
+        """The sites the owner believes are up, sorted (cached; immutable)."""
+        sites = self._up
+        if sites is None:
+            # Records were built in sorted order, so iteration is sorted.
+            up = SiteState.UP
+            sites = self._up = tuple(
+                [s for s, r in self._records.items() if r.state is up]
+            )
+        return sites
+
     def operational_sites(self) -> list[int]:
         """All sites the owner believes are up (including itself if up)."""
-        # Records were built in sorted order, so iteration is sorted.
-        up = SiteState.UP
-        return [s for s, r in self._records.items() if r.state is up]
+        return list(self.up_sites())
 
     def operational_peers(self) -> list[int]:
         """Operational sites other than the owner."""
-        up = SiteState.UP
         owner = self.owner
-        return [
-            s for s, r in self._records.items() if r.state is up and s != owner
-        ]
+        return [s for s in self.up_sites() if s != owner]
 
     def down_sites(self) -> list[int]:
         """Sites perceived DOWN."""
@@ -147,9 +154,10 @@ class NominalSessionVector:
     # -- transitions -----------------------------------------------------------
 
     def _transition(self, record: SessionRecord, state: SiteState) -> None:
-        """The one place a record's state changes; drops the two caches."""
+        """The one place a record's state changes; drops the caches."""
         record.state = state
         self._up_mask = -1
+        self._up = None
         self._signature = None
 
     def mark_down(self, site_id: int) -> None:
@@ -195,6 +203,7 @@ class NominalSessionVector:
         entry — the recovering site knows its own state best."""
         own = self.record(self.owner)
         self._up_mask = -1
+        self._up = None
         self._signature = None
         for incoming in records:
             if incoming.site_id == self.owner:

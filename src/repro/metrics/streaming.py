@@ -113,7 +113,8 @@ class ReservoirSample:
 
     Draws come from an injected :class:`RandomStream` (one ``randrange``
     per item past the first ``k``), so a seeded run samples the same
-    exemplars every time.
+    exemplars every time.  ``offer(item, build)`` keeps ``build(item)``
+    and calls ``build`` only for an item the reservoir keeps.
     """
 
     __slots__ = ("k", "_rng", "items", "seen")
@@ -126,16 +127,16 @@ class ReservoirSample:
         self.items: list = []
         self.seen = 0
 
-    def offer(self, item) -> None:
+    def offer(self, item, build: Optional[Callable] = None) -> None:
         self.seen += 1
         if self.k == 0:
             return
         if len(self.items) < self.k:
-            self.items.append(item)
+            self.items.append(item if build is None else build(item))
             return
         slot = self._rng.randrange(self.seen)
         if slot < self.k:
-            self.items[slot] = item
+            self.items[slot] = item if build is None else build(item)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -247,9 +248,7 @@ class StreamingTxnSink:
         self.abort_reasons: dict[str, int] = {}
         self.commit_sizes = StreamingStats()
         self.windows = WindowedSeries(window_ms, on_open=on_window_open)
-        self.exemplars = ReservoirSample(
-            exemplar_k, exemplar_rng if exemplar_rng is not None else None
-        )
+        self.exemplars = ReservoirSample(exemplar_k, exemplar_rng)
 
     def __call__(self, record: TxnRecord) -> None:
         elapsed = record.elapsed
@@ -262,7 +261,7 @@ class StreamingTxnSink:
             self.abort_reasons[reason] = self.abort_reasons.get(reason, 0) + 1
         self.windows.note_done(record.finished_at, record.committed, elapsed)
         if self.exemplars.k:
-            self.exemplars.offer(_exemplar_of(record))
+            self.exemplars.offer(record, _exemplar_of)
 
     def note_arrival(self, t_ms: float) -> None:
         self.windows.note_arrival(t_ms)

@@ -24,13 +24,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 class HandlerContext:
     """Per-activation scratchpad: accumulated cost, outbox, timers."""
 
-    __slots__ = ("network", "endpoint", "cost", "outbox", "timers", "completions")
+    __slots__ = (
+        "network", "endpoint", "now", "cost", "outbox", "timers", "completions"
+    )
 
     def __init__(
         self, network: "Network", endpoint: "Endpoint", cost: float = 0.0
     ) -> None:
         self.network = network
         self.endpoint = endpoint
+        # Simulated time at which this activation began.  An activation
+        # runs within one instant and no code keeps its context, so the
+        # clock is read once.
+        self.now: float = network.scheduler.clock._now
         # A delivery starts at the receive cost, validated non-negative
         # when the network was built.
         self.cost = cost
@@ -39,11 +45,6 @@ class HandlerContext:
         # and a context is created for every delivered message.
         self.timers: Optional[list[tuple[float, Callable[["HandlerContext"], None]]]] = None
         self.completions: Optional[list[Callable[[], None]]] = None
-
-    @property
-    def now(self) -> float:
-        """Simulated time at which this activation began."""
-        return self.network.scheduler.clock._now
 
     def charge(self, milliseconds: float) -> None:
         """Add processing cost to this activation."""

@@ -268,9 +268,9 @@ class Network:
             interposer = self.interposer
             fifo_last = self._fifo_last
             deliver = self._deliver
+            self.messages_sent += len(outbox)
             for msg in outbox:
                 msg.send_time = now
-                self.messages_sent += 1
                 src = msg.src
                 dst = msg.dst
                 if dst not in endpoints:
@@ -287,7 +287,10 @@ class Network:
                         mtype=msg.mtype.value,
                         dst=dst,
                     )
-                exempt = src in exempt_sites or dst in exempt_sites
+                # Only partitions and the interposer read the exemption.
+                exempt = True
+                if partitions._active or interposer is not None:
+                    exempt = src in exempt_sites or dst in exempt_sites
                 if (
                     partitions._active
                     and not exempt
@@ -471,8 +474,9 @@ class Network:
                 mtype=mtype.value,
                 src=msg.src,
             )
-        for probe in self.delivery_probes:
-            probe(msg)
+        if self.delivery_probes:
+            for probe in self.delivery_probes:
+                probe(msg)
         ctx = HandlerContext(self, endpoint, self.msg_recv_cost)
         endpoint.handle(ctx, msg)
         self._finish_activation(ctx)

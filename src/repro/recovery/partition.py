@@ -54,7 +54,7 @@ def plan_partitions(
     # Every donor a later item could still go to: the operational peers not
     # excluded, or — once ``max_donors`` shards are open — just those.
     choosable = sum(
-        1 for site in planner.vector.operational_sites()
+        1 for site in planner.vector.up_sites()
         if site != planner.owner and site not in excluded
     )
     if max_donors > 0:

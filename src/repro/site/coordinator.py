@@ -236,7 +236,7 @@ class CoordinatorRole:
         if copy_control.refusal is not None:
             # The strategy's availability precondition: a writer needs a
             # write quorum (which, in every strategy, implies a read one).
-            up = len(site.nsv.operational_sites())
+            up = len(site.nsv.up_sites())
             if not (
                 copy_control.can_write(up)
                 if txn.write_items
@@ -256,20 +256,20 @@ class CoordinatorRole:
         # travel over the same exchange (fetched but not installed).
         stale_reads = []
         spread = site.config.spread_copier_sources
-        for item in txn.read_items:
-            plan = site.planner.plan_read(item)
+        for plan in site.planner.plan_reads(txn.read_items):
             if plan.source is ReadSource.UNAVAILABLE:
                 self._abort(ctx, state, AbortReason.COPY_UNAVAILABLE)
                 return
-            if plan.source in (ReadSource.COPIER_NEEDED, ReadSource.REMOTE):
-                source = plan.site_id
-                if spread:
-                    # Donor spreading: round-robin by item id across all
-                    # up-to-date sources instead of always the lowest.
-                    source = copier_mod.choose_copier_source(
-                        site.planner, [item], spread=True
-                    )[item]
-                stale_reads.append((item, source))
+            # COPIER_NEEDED or REMOTE: plan_reads leaves out the LOCAL ones.
+            item = plan.item_id
+            source = plan.site_id
+            if spread:
+                # Donor spreading: round-robin by item id across all
+                # up-to-date sources instead of always the lowest.
+                source = copier_mod.choose_copier_source(
+                    site.planner, [item], spread=True
+                )[item]
+            stale_reads.append((item, source))
         if stale_reads:
             self._issue_copiers(ctx, state, stale_reads)
             return

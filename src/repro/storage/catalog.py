@@ -19,10 +19,12 @@ class ReplicationCatalog:
     def __init__(self, item_ids: Iterable[int], site_ids: Iterable[int]) -> None:
         self.site_ids = sorted(site_ids)
         self._holders: dict[int, set[int]] = {item: set() for item in item_ids}
-        # site -> its items, sorted; built on first ask, dropped by the
-        # copy mutators (every site is built from it, and every cold
-        # recovery announce asks again).
-        self._items_on: dict[int, tuple[int, ...]] = {}
+        # site -> the items it holds no copy of; built on first ask,
+        # dropped by the copy mutators (every site is built from it, every
+        # cold recovery announce asks again, and every transaction's reads
+        # are planned against it).  Empty under full replication, so it
+        # costs no memory in the paper's configuration.
+        self._lacking: dict[int, frozenset[int]] = {}
 
     @classmethod
     def fully_replicated(
@@ -65,19 +67,29 @@ class ReplicationCatalog:
 
     def items_on(self, site_id: int) -> list[int]:
         """All items a site holds, sorted (a fresh list)."""
-        items = self._items_on.get(site_id)
-        if items is None:
-            items = self._items_on[site_id] = tuple(
-                sorted([i for i, sites in self._holders.items() if site_id in sites])
+        return sorted(self._holders.keys() - self._lacks(site_id))
+
+    def holds_all(self, site_id: int, item_ids: list[int]) -> bool:
+        """Whether ``site_id`` holds a copy of every item in ``item_ids``
+        (False if any of them is unknown here)."""
+        return all(map(self._holders.__contains__, item_ids)) and self._lacks(
+            site_id
+        ).isdisjoint(item_ids)
+
+    def _lacks(self, site_id: int) -> frozenset[int]:
+        lacks = self._lacking.get(site_id)
+        if lacks is None:
+            lacks = self._lacking[site_id] = frozenset(
+                [i for i, sites in self._holders.items() if site_id not in sites]
             )
-        return list(items)
+        return lacks
 
     def add_copy(self, item_id: int, site_id: int) -> None:
         """Record a new copy (type-3 control transaction)."""
         if site_id not in self.site_ids:
             raise StorageError(f"unknown site {site_id}")
         self._holders[item_id].add(site_id)
-        self._items_on.pop(site_id, None)
+        self._lacking.pop(site_id, None)
 
     def remove_copy(self, item_id: int, site_id: int) -> None:
         """Record removal of a copy."""
@@ -87,7 +99,7 @@ class ReplicationCatalog:
         if len(holders) == 1:
             raise StorageError(f"refusing to remove the last copy of item {item_id}")
         holders.remove(site_id)
-        self._items_on.pop(site_id, None)
+        self._lacking.pop(site_id, None)
 
     def is_fully_replicated(self) -> bool:
         """True if every site holds every item."""

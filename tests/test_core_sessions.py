@@ -195,3 +195,71 @@ def test_only_sessions_module_assigns_record_state():
         "`<obj>.state/.session = ...` outside core/sessions.py; if it is a SessionRecord, "
         f"use a NominalSessionVector transition instead: {offenders}"
     )
+
+
+# -- the cached up-set behind every write set ----------------------------------
+
+
+def _scanned_up(nsv):
+    return [s for s in nsv.site_ids if nsv.state_of(s) is SiteState.UP]
+
+
+def _write_set_answers(nsv, planner, items):
+    """Every answer the coordinator builds from the up-set: operational
+    sites and peers, each item's write set, the phase-1 participants and
+    the strategy refusal count (ROWA / QUORUM)."""
+    return (
+        nsv.operational_sites(),
+        nsv.operational_peers(),
+        [planner.write_sites(item) for item in items],
+        planner.participants_for(items),
+        len(nsv.up_sites()),
+    )
+
+
+def _scanned_answers(nsv, catalog, items):
+    up = _scanned_up(nsv)
+    writes = [[s for s in up if catalog.holds(s, item)] for item in items]
+    peers = sorted({s for sites in writes for s in sites} - {nsv.owner})
+    return (up, [s for s in up if s != nsv.owner], writes, peers, len(up))
+
+
+@pytest.mark.parametrize(
+    "transition",
+    [
+        lambda v: v.mark_down(1),
+        lambda v: v.mark_recovering(2, 2),
+        lambda v: (v.mark_down(3), v.operational_sites(), v.mark_up(3, 2)),
+        lambda v: v.mark_terminating(3),
+        lambda v: v.install(
+            [
+                SessionRecord(site_id=1, session=4, state=SiteState.DOWN),
+                SessionRecord(site_id=2, session=2, state=SiteState.RECOVERING),
+            ]
+        ),
+    ],
+    ids=["mark_down", "mark_recovering", "mark_up", "mark_terminating", "install"],
+)
+def test_up_set_cache_dropped_by_every_transition(nsv, transition):
+    from repro.core.faillocks import FailLockTable
+    from repro.core.rowaa import RowaaPlanner
+    from repro.storage.catalog import ReplicationCatalog
+
+    sites, items = nsv.site_ids, [0, 1, 2]
+    catalog = ReplicationCatalog(items, sites)
+    for item, holders in zip(items, ([0, 1, 2, 3], [1, 3], [0, 2])):
+        for site in holders:
+            catalog.add_copy(item, site)
+    planner = RowaaPlanner(0, nsv, FailLockTable(sites, items), catalog)
+    before = _write_set_answers(nsv, planner, items)  # fills the cache
+    assert before == _scanned_answers(nsv, catalog, items)
+    transition(nsv)
+    after = _write_set_answers(nsv, planner, items)
+    assert after == _scanned_answers(nsv, catalog, items)
+    # Each call hands out a fresh list: a caller mutating it changes
+    # nothing the next caller sees.
+    for answer in after[:2] + (after[2][0], after[3]):
+        answer.append(99)
+    assert _write_set_answers(nsv, planner, items) == _scanned_answers(
+        nsv, catalog, items
+    )

@@ -231,6 +231,52 @@ def test_sink_exemplars_are_bounded_and_compact():
     assert exemplar["abort_reason"] is None  # NONE renders as null
 
 
+@pytest.mark.parametrize("k", [0, 1, 5, 20])
+def test_reservoir_builds_only_what_it_keeps(k):
+    # offer(item, build) must sample exactly as offering build(item) does:
+    # the same draws in the same order, the same items kept.
+    built = []
+
+    def build(item):
+        built.append(item)
+        return ("built", item)
+
+    eager = ReservoirSample(k, random.Random(31))
+    lazy = ReservoirSample(k, random.Random(31))
+    for i in range(2_000):
+        eager.offer(("built", i))
+        lazy.offer(i, build)
+    assert lazy.items == eager.items
+    assert lazy.seen == eager.seen == 2_000
+    assert lazy._rng.getstate() == eager._rng.getstate()
+    # Each item that entered the reservoir was built once; no other was.
+    replay = random.Random(31)
+    entered = list(range(k)) + [
+        i for i in range(k, 2_000) if k and replay.randrange(i + 1) < k
+    ]
+    assert built == entered
+
+
+def test_sink_exemplars_match_eager_sampling():
+    from repro.metrics.streaming import _exemplar_of
+
+    records = [
+        _record(i, committed=i % 3 != 0, submitted_at=i * 10.0,
+                finished_at=i * 10.0 + 4.0 + i % 7,
+                reason=AbortReason.NONE if i % 3 else AbortReason.COPY_UNAVAILABLE)
+        for i in range(1_000)
+    ]
+    sink = StreamingTxnSink(
+        window_ms=100.0, exemplar_k=20, exemplar_rng=random.Random(42)
+    )
+    eager = ReservoirSample(20, random.Random(42))
+    for record in records:
+        sink(record)
+        eager.offer(_exemplar_of(record))
+    assert sink.exemplars.items == eager.items
+    assert sink.exemplars._rng.getstate() == eager._rng.getstate()
+
+
 def test_sink_requires_rng_when_sampling():
     with pytest.raises(ValueError):
         StreamingTxnSink(exemplar_k=5)

@@ -68,3 +68,19 @@ def test_items_on_returns_copy_of_its_cache():
     catalog = ReplicationCatalog.fully_replicated(range(3), range(2))
     catalog.items_on(1).clear()
     assert catalog.items_on(1) == [0, 1, 2]
+
+
+def test_holds_all_follows_copy_changes():
+    catalog = ReplicationCatalog(range(3), range(2))
+    for item in range(3):
+        catalog.add_copy(item, 0)
+    catalog.add_copy(0, 1)
+    assert catalog.holds_all(0, [2, 0, 1])
+    assert not catalog.holds_all(1, [0, 1])  # fills site 1's cache
+    assert catalog.holds_all(1, [])
+    assert not catalog.holds_all(0, [0, 7])  # an unknown item is not held
+    catalog.add_copy(1, 1)
+    assert catalog.holds_all(1, [0, 1])
+    catalog.remove_copy(1, 0)
+    assert not catalog.holds_all(0, [0, 1])
+    assert catalog.holds_all(0, [0, 2])
