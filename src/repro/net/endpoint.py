@@ -29,14 +29,18 @@ class HandlerContext:
     )
 
     def __init__(
-        self, network: "Network", endpoint: "Endpoint", cost: float = 0.0
+        self,
+        network: "Network",
+        endpoint: "Endpoint",
+        cost: float = 0.0,
+        now: Optional[float] = None,
     ) -> None:
         self.network = network
         self.endpoint = endpoint
         # Simulated time at which this activation began.  An activation
         # runs within one instant and no code keeps its context, so the
-        # clock is read once.
-        self.now: float = network.scheduler.clock._now
+        # clock is read once — by the caller, when it has it at hand.
+        self.now: float = network.scheduler.clock._now if now is None else now
         # A delivery starts at the receive cost, validated non-negative
         # when the network was built.
         self.cost = cost

@@ -18,7 +18,7 @@ account is the ``msg.*`` events of :mod:`repro.obs`, when enabled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappush
+from heapq import heappush, heapreplace
 from typing import Callable, Optional, Protocol, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -126,6 +126,8 @@ class Network:
         # run — the only times its state changes.  None: nothing recorded.
         self.endpoint_memo: Optional[dict[Endpoint, object]] = None
         self._endpoints: dict[int, Endpoint] = {}
+        # (src, dst) -> latest delivery time on that channel; empty until
+        # an interposer is first installed (see _release_activation).
         self._fifo_last: dict[tuple[int, int], float] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -218,13 +220,11 @@ class Network:
         free_at = cpu._free_at
         scheduler = self.scheduler
         now = scheduler.clock._now
-        # Single-CPU mini-RAID is the overwhelmingly common case.
-        core = 0 if len(free_at) == 1 else free_at.index(min(free_at))
-        start = free_at[core]
+        start = free_at[0]
         if now > start:
             start = now
         done = start + duration
-        free_at[core] = done
+        heapreplace(free_at, done)
         cpu.busy_ms += duration
         cpu.jobs += 1
         seq = scheduler._seq
@@ -327,19 +327,27 @@ class Network:
                             continue
                         latency += fate.delay
                 deliver_at = now + latency
-                channel = (src, dst)
-                if fate is not None and fate.reorder:
-                    # Injected reorder: allow delivery before earlier
-                    # same-channel traffic, but never before the send instant.
-                    deliver_at = max(now, deliver_at - fate.reorder_shift)
-                    fifo_last[channel] = max(fifo_last.get(channel, 0.0), deliver_at)
-                else:
-                    # Reliable FIFO per (src, dst): never deliver before an
-                    # earlier message on the same channel.
-                    last = fifo_last.get(channel, 0.0)
-                    if last > deliver_at:
-                        deliver_at = last
-                    fifo_last[channel] = deliver_at
+                # Without fates every channel is FIFO by itself (constant
+                # latency, send instants never decrease), so the map only
+                # starts with the first interposer.  Entries it missed were
+                # all due by ``now + latency`` and could never bind.
+                if interposer is not None or fifo_last:
+                    channel = (src, dst)
+                    if fate is not None and fate.reorder:
+                        # Injected reorder: allow delivery before earlier
+                        # same-channel traffic, but never before the send
+                        # instant.
+                        deliver_at = max(now, deliver_at - fate.reorder_shift)
+                        fifo_last[channel] = max(
+                            fifo_last.get(channel, 0.0), deliver_at
+                        )
+                    else:
+                        # Reliable FIFO per (src, dst): never deliver before
+                        # an earlier message on the same channel.
+                        last = fifo_last.get(channel, 0.0)
+                        if last > deliver_at:
+                            deliver_at = last
+                        fifo_last[channel] = deliver_at
                 seq = scheduler._seq
                 scheduler._seq = seq + 1
                 if deliver_at == now and scheduler._batching:
@@ -460,13 +468,14 @@ class Network:
                 self._deliver(ready, True)
             return
         self.messages_delivered += 1
+        now = self.scheduler.clock._now
         obs = self.obs
         if obs.enabled:
             # The receive event scopes the delivery probes and the whole
             # handler activation: every event emitted (and message queued)
             # inside them parents here.
             obs.scope = obs.emit(
-                self.scheduler.now,
+                now,
                 EventKind.MSG_RECV,
                 site=msg.dst,
                 txn=msg.txn_id,
@@ -477,7 +486,7 @@ class Network:
         if self.delivery_probes:
             for probe in self.delivery_probes:
                 probe(msg)
-        ctx = HandlerContext(self, endpoint, self.msg_recv_cost)
+        ctx = HandlerContext(self, endpoint, self.msg_recv_cost, now)
         endpoint.handle(ctx, msg)
         self._finish_activation(ctx)
         if obs.enabled:

@@ -13,6 +13,7 @@ work where each site has its own machine.
 
 from __future__ import annotations
 
+from heapq import heapreplace
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -30,7 +31,11 @@ class CpuResource:
         if cores < 1:
             raise SimulationError(f"need at least one core, got {cores}")
         self._scheduler = scheduler
-        # Earliest time each core becomes free.
+        # Earliest time each core becomes free, kept as a min-heap: the
+        # root is the core the next piece of work lands on.  Cores with
+        # equal free times are interchangeable, so only the multiset of
+        # free times matters, and the heap evolves it exactly as a scan
+        # for the first least-loaded core would.
         self._free_at = [0.0] * cores
         self.busy_ms = 0.0
         self.jobs = 0
@@ -55,21 +60,12 @@ class CpuResource:
         if duration < 0:
             raise SimulationError(f"negative work duration: {duration}")
         free_at = self._free_at
+        start = free_at[0]
         now = self._scheduler.clock._now
-        if len(free_at) == 1:
-            # Single-CPU mini-RAID: the overwhelmingly common case.
-            start = free_at[0]
-            if now > start:
-                start = now
-            done = start + duration
-            free_at[0] = done
-        else:
-            core = free_at.index(min(free_at))
-            start = free_at[core]
-            if now > start:
-                start = now
-            done = start + duration
-            free_at[core] = done
+        if now > start:
+            start = now
+        done = start + duration
+        heapreplace(free_at, done)
         self.busy_ms += duration
         self.jobs += 1
         self._scheduler.post_at(done, on_done, args)

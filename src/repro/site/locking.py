@@ -14,7 +14,8 @@ centralized waits-for service.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.net.endpoint import HandlerContext
@@ -63,45 +64,73 @@ class SiteLockService:
         """Acquire ``requests`` (in item order) then run ``continuation``.
 
         If every lock is free the continuation runs synchronously within
-        the current activation (the fast path — no extra latency).  On
-        conflict the request parks; the continuation later runs in a fresh
-        activation once the final lock is granted.
+        the current activation (the fast path — no extra latency, and no
+        parked state allocated).  On conflict the request parks; the
+        continuation later runs in a fresh activation once the final lock
+        is granted.
         """
-        ordered = sorted(requests, key=lambda r: r[0])
-        self._try_acquire(ctx, _Parked(txn_id, ordered, continuation), first=True)
+        ordered = sorted(requests, key=itemgetter(0))
+        request = self.manager.request
+        cost = self.site.costs.lock_request_cost
+        for index, (item, mode) in enumerate(ordered):
+            ctx.cost += cost
+            grant = request(txn_id, item, mode)
+            if not grant.granted:
+                self.parks += 1
+                parked = _Parked(txn_id, ordered[index:], continuation)
+                self._block(ctx, parked, item, grant.waiting_for)
+                return
+        self._proceed(ctx, txn_id, continuation)
 
-    def _try_acquire(self, ctx: HandlerContext, parked: _Parked, first: bool) -> None:
-        site = self.site
-        while parked.remaining:
-            item, mode = parked.remaining[0]
-            ctx.cost += site.costs.lock_request_cost
+    def _try_acquire(self, ctx: HandlerContext, parked: _Parked) -> None:
+        """Carry a resumed acquisition on from its next request."""
+        remaining = parked.remaining
+        while remaining:
+            item, mode = remaining[0]
+            ctx.cost += self.site.costs.lock_request_cost
             grant = self.manager.request(parked.txn_id, item, mode)
             if grant.granted:
-                parked.remaining.pop(0)
+                remaining.pop(0)
                 continue
-            # Blocked: park and tell the global detector.
-            self._parked[parked.txn_id] = parked
-            if first:
-                self.parks += 1
-            obs = site.network.obs
-            if obs.enabled:
-                obs.emit(
-                    ctx.now,
-                    EventKind.LOCK_BLOCK,
-                    site=site.site_id,
-                    txn=parked.txn_id,
-                    item=item,
-                    waiting_for=sorted(grant.waiting_for),
-                )
-            if self.detector is not None:
-                self.detector.block(
-                    ctx, site.site_id, parked.txn_id, grant.waiting_for
-                )
+            self._block(ctx, parked, item, grant.waiting_for)
             return
-        self._parked.pop(parked.txn_id, None)
+        self._proceed(ctx, parked.txn_id, parked.continuation)
+
+    def _block(
+        self,
+        ctx: HandlerContext,
+        parked: _Parked,
+        item: int,
+        waiting_for: tuple[int, ...],
+    ) -> None:
+        """Park ``parked`` (its head is the blocked request) and tell the
+        global detector."""
+        site = self.site
+        self._parked[parked.txn_id] = parked
+        obs = site.network.obs
+        if obs.enabled:
+            obs.emit(
+                ctx.now,
+                EventKind.LOCK_BLOCK,
+                site=site.site_id,
+                txn=parked.txn_id,
+                item=item,
+                waiting_for=sorted(waiting_for),
+            )
         if self.detector is not None:
-            self.detector.unblock(self.site.site_id, parked.txn_id)
-        parked.continuation(ctx)
+            self.detector.block(ctx, site.site_id, parked.txn_id, waiting_for)
+
+    def _proceed(
+        self,
+        ctx: HandlerContext,
+        txn_id: int,
+        continuation: Callable[[HandlerContext], None],
+    ) -> None:
+        """Every lock is held: nothing waits any more, run the step."""
+        self._parked.pop(txn_id, None)
+        if self.detector is not None:
+            self.detector.unblock(self.site.site_id, txn_id)
+        continuation(ctx)
 
     # -- release -------------------------------------------------------------------
 
@@ -110,6 +139,8 @@ class SiteLockService:
         ctx.cost += self.site.costs.lock_release_cost
         granted = self.manager.release_all(txn_id)
         self._parked.pop(txn_id, None)
+        if not granted:
+            return
         resumed: set[int] = set()
         for newly in granted.values():
             resumed.update(newly)
@@ -138,7 +169,7 @@ class SiteLockService:
             parked.in_flight = False
             if parked.cancelled:
                 return
-            self._try_acquire(ctx, parked, first=False)
+            self._try_acquire(ctx, parked)
 
         self.site.network.spawn(self.site, go)
 

@@ -116,7 +116,8 @@ class ParticipantRole:
             if msg.session > perceived:
                 site.nsv.mark_up(msg.src, msg.session)
         # Under partial replication, buffer only the items we hold.
-        updates = [tuple(u) for u in msg.payload["updates"] if u[0] in site.db]
+        held = site.db._items
+        updates = [tuple(u) for u in msg.payload["updates"] if u[0] in held]
         started = ctx.now
         if site.lock_service is not None and updates:
             from repro.txn.locks import LockMode

@@ -218,14 +218,9 @@ class DatabaseSite(Endpoint):
         """
         # Under partial replication a transaction may write items this
         # site holds no copy of; only local copies are applied.
-        db = self.db
-        updates = [u for u in updates if u[0] in db]
-        ctx.cost += self.costs.commit_apply_cost * len(updates)
         now = ctx.now
-        written_items = []
-        for item_id, value, version in updates:
-            db.apply_write(txn_id, item_id, value, version, now)
-            written_items.append(item_id)
+        written_items = self.db.apply_writes(txn_id, updates, now)
+        ctx.cost += self.costs.commit_apply_cost * len(written_items)
         obs = self.network.obs
         if obs.enabled and written_items:
             obs.emit(
@@ -247,8 +242,9 @@ class DatabaseSite(Endpoint):
                 len(written_items), self.nsv.num_sites
             )
             if recipients is not None:
+                shipped_to = recipients.get
                 self.faillocks.update_with_recipients(
-                    {item: recipients.get(item, []) for item in written_items}
+                    {item: shipped_to(item, []) for item in written_items}
                 )
             else:
                 self.faillocks.update_on_commit(written_items, self.nsv)
@@ -303,7 +299,10 @@ class DatabaseSite(Endpoint):
     # -- batch copiers (two-step and parallel recovery) ---------------------------------
 
     def _maybe_issue_batch_copiers(self, ctx: HandlerContext) -> None:
-        """Send the batch copiers the recovery policy plans now."""
+        """Send the batch copiers the recovery policy plans now.  Outside a
+        recovery period no policy plans any."""
+        if not self.recovery.in_recovery:
+            return
         for source, batch_items in sorted(self.recovery_policy.pump(ctx).items()):
             self._batch_pending[source] = batch_items
             ctx.charge(self.costs.copy_request_cost)

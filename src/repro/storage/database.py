@@ -4,7 +4,7 @@ Phase one of the commit protocol ships copy updates that a participant must
 hold without applying until the commit indication arrives (Appendix A:
 "discard the copy updates" on abort).  ``stage`` / ``abort_staged`` model
 exactly that buffer; at the commit point the participant discards its
-staged entry and applies the writes through ``apply_write``, the path the
+staged entry and applies the writes through ``apply_writes``, the path the
 coordinator's local commit also takes.
 """
 
@@ -88,11 +88,31 @@ class SiteDatabase:
 
     # -- direct writes (coordinator local commit, copier refresh) ----------
 
-    def apply_write(
-        self, txn_id: int, item_id: int, value: int, version: int, time: float
-    ) -> None:
-        """Apply one committed write immediately (no staging)."""
-        self._apply(txn_id, self.get(item_id), value, version, time)
+    def apply_writes(
+        self,
+        txn_id: int,
+        updates: Iterable[tuple[int, int, int]],
+        time: float,
+    ) -> list[int]:
+        """Apply committed ``(item_id, value, version)`` writes immediately
+        (no staging), in order, to the copies this site holds.
+
+        Under partial replication a transaction may write items this site
+        holds no copy of; those are skipped.  Returns the ids applied.
+        """
+        items = self._items
+        append = self.log.append
+        applied = []
+        for item_id, value, version in updates:
+            item = items.get(item_id)
+            if item is None:
+                continue
+            append(txn_id, item_id, item.value, value, item.version, version, time)
+            item.value = value
+            item.version = version
+            item.committed_at = time
+            applied.append(item_id)
+        return applied
 
     def install_copy(
         self, item_id: int, value: int, version: int, time: float, source_txn: int = -1
@@ -102,10 +122,9 @@ class SiteDatabase:
         Refuses to go backwards: if the local copy is already at least as
         new, nothing changes.  Returns True if the copy was installed.
         """
-        local = self.get(item_id)
-        if local.version >= version:
+        if self.get(item_id).version >= version:
             return False
-        self._apply(source_txn, local, value, version, time)
+        self.apply_writes(source_txn, ((item_id, value, version),), time)
         return True
 
     def create_item(self, item_id: int, value: int, version: int, time: float) -> None:
@@ -123,16 +142,6 @@ class SiteDatabase:
                 f"site {self.site_id} holds no copy of item {item_id}"
             )
         del self._items[item_id]
-
-    def _apply(
-        self, txn_id: int, item: DataItem, value: int, version: int, time: float
-    ) -> None:
-        self.log.append(
-            txn_id, item.item_id, item.value, value, item.version, version, time
-        )
-        item.value = value
-        item.version = version
-        item.committed_at = time
 
     def drop_staged(self) -> None:
         """Lose every pre-commit buffer (a warm crash): committed copies

@@ -8,6 +8,7 @@ semantics (a refreshed copy's version) are externally checkable.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 
@@ -28,17 +29,31 @@ class LogRecord:
 class RedoLog:
     """Append-only per-site redo log.
 
-    ``capacity`` bounds retention for long soak runs (the lsn keeps
-    counting, further records are dropped and tallied in
-    ``dropped_records``); ``None`` retains everything, which is what the
-    tests and recovery audits rely on.
+    ``capacity`` bounds retention for long soak runs: the log keeps the
+    newest ``capacity`` records, the lsn keeps counting, and every older
+    record is dropped and tallied in ``dropped_records``.  ``None`` retains
+    everything, which is what the tests and recovery audits rely on.
+    Records are kept as plain tuples in :class:`LogRecord` field order and
+    materialised only when read.
     """
 
     def __init__(self, capacity: int | None = None) -> None:
-        self.capacity = capacity
-        self.dropped_records = 0
         self._lsn = 0
-        self._records: list[LogRecord] = []
+        self._records: deque[tuple] = deque(maxlen=capacity)
+
+    @property
+    def capacity(self) -> int | None:
+        return self._records.maxlen
+
+    @capacity.setter
+    def capacity(self, capacity: int | None) -> None:
+        # Shrinking drops the oldest records (and tallies them).
+        self._records = deque(self._records, maxlen=capacity)
+
+    @property
+    def dropped_records(self) -> int:
+        """Records appended but no longer retained."""
+        return self._lsn - len(self._records)
 
     def append(
         self,
@@ -49,37 +64,26 @@ class RedoLog:
         old_version: int,
         new_version: int,
         time: float,
-    ) -> LogRecord:
-        """Record one write; returns the new record."""
-        self._lsn += 1
-        record = LogRecord(
-            self._lsn,
-            txn_id,
-            item_id,
-            old_value,
-            new_value,
-            old_version,
-            new_version,
-            time,
+    ) -> int:
+        """Record one write; returns its lsn."""
+        lsn = self._lsn = self._lsn + 1
+        self._records.append(
+            (lsn, txn_id, item_id, old_value, new_value, old_version, new_version, time)
         )
-        if self.capacity is not None and len(self._records) >= self.capacity:
-            self.dropped_records += 1
-        else:
-            self._records.append(record)
-        return record
+        return lsn
 
     @property
     def records(self) -> list[LogRecord]:
-        """All records, oldest first (do not mutate)."""
-        return self._records
+        """The retained records, oldest first."""
+        return [LogRecord(*r) for r in self._records]
 
     def for_txn(self, txn_id: int) -> list[LogRecord]:
-        """Records written on behalf of ``txn_id``."""
-        return [r for r in self._records if r.txn_id == txn_id]
+        """Retained records written on behalf of ``txn_id``."""
+        return [LogRecord(*r) for r in self._records if r[1] == txn_id]
 
     def for_item(self, item_id: int) -> list[LogRecord]:
-        """Records that touched ``item_id``."""
-        return [r for r in self._records if r.item_id == item_id]
+        """Retained records that touched ``item_id``."""
+        return [LogRecord(*r) for r in self._records if r[2] == item_id]
 
     def __len__(self) -> int:
         return len(self._records)

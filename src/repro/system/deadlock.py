@@ -169,13 +169,14 @@ class GlobalDeadlockDetector:
 
     def unblock(self, site_id: int, waiter: int) -> None:
         """``waiter`` stopped waiting at ``site_id`` (other sites may still
-        hold it blocked)."""
+        hold it blocked).  Every completed lock acquisition reports here,
+        and most never waited: then there is nothing to change."""
         sites = self._waits.get(waiter)
-        if sites is not None:
-            sites.pop(site_id, None)
-            self._reunion(waiter, sites)
-            if not sites:
-                del self._waits[waiter]
+        if sites is None or sites.pop(site_id, None) is None:
+            return
+        self._reunion(waiter, sites)
+        if not sites:
+            del self._waits[waiter]
 
     def edges(self) -> list[tuple[int, int]]:
         """The current global waits-for edges, sorted."""

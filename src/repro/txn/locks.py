@@ -66,12 +66,6 @@ class LockManager:
         self.grants = 0
         self.waits = 0
 
-    def _entry(self, item_id: int) -> _LockEntry:
-        entry = self._table.get(item_id)
-        if entry is None:
-            entry = self._table[item_id] = _LockEntry()
-        return entry
-
     def holders_of(self, item_id: int) -> dict[int, LockMode]:
         """Current holders of ``item_id`` (copy)."""
         entry = self._table.get(item_id)
@@ -112,7 +106,10 @@ class LockManager:
         requester is the sole holder, otherwise it queues.  A queued request
         returns the holder set it waits for (feeding the waits-for graph).
         """
-        entry = self._entry(item_id)
+        table = self._table
+        entry = table.get(item_id)
+        if entry is None:
+            entry = table[item_id] = _LockEntry()
         holders = entry.holders
         held = holders.get(txn_id)
         SHARED = LockMode.SHARED

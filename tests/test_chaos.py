@@ -173,7 +173,7 @@ def test_auditor_flags_missing_faillock_coverage() -> None:
 def test_auditor_quiescence_flags_unlocked_stale_copy() -> None:
     cluster = _bare_cluster()
     auditor = InvariantAuditor(cluster)
-    cluster.site(0).db.apply_write(1, 0, 777, 5, 0.0)  # site 1 stays at v0
+    cluster.site(0).db.apply_writes(1, [(0, 777, 5)], 0.0)  # site 1 stays at v0
     findings = auditor.check_quiescence()
     assert any(
         v.invariant == "convergence" and v.site_id == 1 for v in findings

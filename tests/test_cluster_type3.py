@@ -38,7 +38,7 @@ def test_type3_creates_backup_copy():
     cluster = partial_cluster()
     cluster.obs.enabled = True
     site0 = cluster.site(0)
-    site0.db.apply_write(5, 2, 555, 5, time=0.0)
+    site0.db.apply_writes(5, [(2, 555, 5)], time=0.0)
     cluster.network.spawn(site0, lambda ctx: site0.initiate_backup(ctx, 2, 2))
     cluster.scheduler.run()
     assert cluster.catalog.holds(2, 2)

@@ -45,7 +45,7 @@ def test_request_payload_sorted():
 
 def test_response_payload_carries_snapshots(world):
     _nsv, _locks, db, _planner = world
-    db.apply_write(5, 1, 77, 5, time=1.0)
+    db.apply_writes(5, [(1, 77, 5)], time=1.0)
     payload = copier.build_copy_response(db, [1, 0])
     assert payload["copies"] == [(0, 0, 0), (1, 77, 5)]
 
@@ -64,7 +64,7 @@ def test_apply_response_installs_and_clears(world):
 def test_apply_response_clears_even_if_local_newer(world):
     _nsv, locks, db, _planner = world
     locks.set_lock(1, 0)
-    db.apply_write(9, 1, 100, 9, time=1.0)
+    db.apply_writes(9, [(1, 100, 9)], time=1.0)
     refreshed = copier.apply_copy_response(
         db, locks, owner=0, copies=[(1, 50, 5)], time=2.0
     )

@@ -1,8 +1,12 @@
 """CpuResource: serialization on one core, parallelism on many."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.net.endpoint import Endpoint, HandlerContext
+from repro.net.network import Network
 from repro.sim.cpu import CpuResource
 from repro.sim.scheduler import EventScheduler
 
@@ -87,3 +91,98 @@ def test_least_loaded_core_chosen():
     sched.run()
     # The third job lands on the core freed at t=1, not behind the 10ms job.
     assert ("short2", 2.0) in done
+
+
+# -- the heap-ordered bank against the list it replaced ------------------------
+
+
+def reference_bank(cores, jobs):
+    """The list-based bank: each job takes the first least-loaded core.
+    Also counts the jobs that found several cores tied for least loaded."""
+    free_at = [0.0] * cores
+    starts, dones = [], []
+    busy_ms = 0.0
+    ties = 0
+    for now, duration in jobs:
+        ties += free_at.count(min(free_at)) > 1
+        core = free_at.index(min(free_at))
+        start = free_at[core]
+        if now > start:
+            start = now
+        done = start + duration
+        free_at[core] = done
+        busy_ms += duration
+        starts.append(start)
+        dones.append(done)
+    return starts, dones, busy_ms, len(jobs), sorted(free_at), ties
+
+
+def job_stream(seed, count=400):
+    """``(submit time, duration)`` pairs, submit times non-decreasing.
+
+    Small multiples of 0.5 make equal free times common, and keep every
+    sum exact, so ``done - duration`` recovers a job's start bit for bit.
+    """
+    rng = random.Random(seed)
+    now = 0.0
+    jobs = []
+    for _ in range(count):
+        now += rng.choice((0.0, 0.0, 0.0, 0.5, 1.0, 2.5))
+        jobs.append((now, rng.choice((0.0, 0.5, 1.0, 1.0, 2.0, 4.5))))
+    return jobs
+
+
+def run_execute(cores, jobs):
+    """``jobs`` through ``CpuResource.execute``, each submitted at its time."""
+    sched = EventScheduler()
+    cpu = CpuResource(sched, cores=cores)
+    dones = [None] * len(jobs)
+
+    def submit(index, duration):
+        dones[index] = cpu.execute(duration, lambda: None)
+
+    for index, (now, duration) in enumerate(jobs):
+        sched.post_at(now, submit, (index, duration))
+    sched.run()
+    return dones, cpu
+
+
+class _Idle(Endpoint):
+    def handle(self, ctx, msg):  # pragma: no cover - never sent anything
+        raise AssertionError(msg)
+
+
+def run_activations(cores, jobs):
+    """``jobs`` as activations through ``Network._finish_activation``; a
+    job's done time is when its release runs."""
+    sched = EventScheduler()
+    cpu = CpuResource(sched, cores=cores)
+    network = Network(sched, cpu)
+    endpoint = _Idle(0)
+    network.register(endpoint)
+    dones = [None] * len(jobs)
+
+    def submit(index, duration):
+        ctx = HandlerContext(network, endpoint, duration)
+        ctx.on_done(lambda: dones.__setitem__(index, sched.now))
+        network._finish_activation(ctx)
+
+    for index, (now, duration) in enumerate(jobs):
+        sched.post_at(now, submit, (index, duration))
+    sched.run()
+    return dones, cpu
+
+
+@pytest.mark.parametrize("cores", range(1, 7))
+@pytest.mark.parametrize("seed", range(5))
+def test_heap_bank_matches_the_list_bank(cores, seed):
+    jobs = job_stream(1000 * cores + seed)
+    starts, dones, busy_ms, count, free_at, ties = reference_bank(cores, jobs)
+    # Cores tied for least loaded are common, not an edge case.
+    assert cores == 1 or ties > len(jobs) // 20
+    for run in (run_execute, run_activations):
+        got, cpu = run(cores, jobs)
+        assert got == dones
+        assert [done - d for done, (_now, d) in zip(got, jobs)] == starts
+        assert (cpu.busy_ms, cpu.jobs) == (busy_ms, count)
+        assert sorted(cpu._free_at) == free_at

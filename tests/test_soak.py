@@ -224,7 +224,7 @@ def test_redo_is_idempotent_against_newer_copies(crashed_site):
     version, REDO must not regress it (install_copy refuses)."""
     coordinator = crashed_site.coordinator
     db = crashed_site.db
-    db.apply_write(txn_id=90, item_id=3, value=999, version=9, time=50.0)
+    db.apply_writes(txn_id=90, updates=[(3, 999, 9)], time=50.0)
     coordinator._redo_pending[50] = [(3, 555, 7)]
     assert coordinator.redo_after_crash(SimpleNamespace(now=123.0)) == 1
     assert db.read(3) == 999

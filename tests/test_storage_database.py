@@ -54,9 +54,19 @@ def test_stage_validates_items(db):
 
 
 def test_apply_write_direct(db):
-    db.apply_write(5, 3, 42, 5, time=1.0)
+    assert db.apply_writes(5, [(3, 42, 5)], time=1.0) == [3]
     assert db.read(3) == 42
     assert db.version(3) == 5
+    assert db.get(3).committed_at == 1.0
+
+
+def test_apply_writes_skips_items_not_held(db):
+    # Partial replication: a transaction may write items this site lacks.
+    updates = [(9, 1, 5), (1, 11, 5), (7, 1, 5), (0, 10, 5)]
+    assert db.apply_writes(5, updates, time=1.0) == [1, 0]
+    dump = db.dump()
+    assert (dump[1], dump[0]) == ((11, 5), (10, 5))
+    assert [r.item_id for r in db.log.records] == [1, 0]
 
 
 def test_install_copy_advances_version(db):
@@ -65,13 +75,13 @@ def test_install_copy_advances_version(db):
 
 
 def test_install_copy_refuses_stale(db):
-    db.apply_write(9, 2, 100, 9, time=1.0)
+    db.apply_writes(9, [(2, 100, 9)], time=1.0)
     assert not db.install_copy(2, 55, 4, time=2.0)
     assert db.read(2) == 100  # unchanged
 
 
 def test_install_copy_refuses_equal_version(db):
-    db.apply_write(4, 2, 100, 4, time=1.0)
+    db.apply_writes(4, [(2, 100, 4)], time=1.0)
     assert not db.install_copy(2, 55, 4, time=2.0)
 
 
@@ -93,8 +103,8 @@ def test_drop_missing_item_rejected(db):
 
 
 def test_redo_log_records_writes(db):
-    db.apply_write(5, 1, 10, 5, time=1.0)
-    db.apply_write(6, 1, 20, 6, time=2.0)
+    db.apply_writes(5, [(1, 10, 5)], time=1.0)
+    db.apply_writes(6, [(1, 20, 6)], time=2.0)
     records = db.log.for_item(1)
     assert len(records) == 2
     assert records[0].old_value == 0 and records[0].new_value == 10
@@ -104,7 +114,7 @@ def test_redo_log_records_writes(db):
 
 
 def test_dump_snapshot(db):
-    db.apply_write(3, 0, 7, 3, time=1.0)
+    db.apply_writes(3, [(0, 7, 3)], time=1.0)
     dump = db.dump()
     assert dump[0] == (7, 3)
     assert dump[4] == (0, 0)
