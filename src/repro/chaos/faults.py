@@ -309,8 +309,11 @@ class FaultStats:
     def note(self, kind: str, mtype: MessageType) -> None:
         """Record one injected fault of ``kind`` on a ``mtype`` message."""
         setattr(self, kind, getattr(self, kind) + 1)
-        key = f"{kind}:{mtype.value}"
-        self.by_type[key] = self.by_type.get(key, 0) + 1
+        # ``_value_`` is the member's plain attribute; ``.value`` is a
+        # Python-level property.
+        key = kind + ":" + mtype._value_
+        by_type = self.by_type
+        by_type[key] = by_type.get(key, 0) + 1
 
     @property
     def total(self) -> int:

@@ -141,22 +141,24 @@ class InvariantAuditor:
         if recipients is None or not site.config.faillocks_enabled:
             return
         # Coverage: whoever did not receive this update must now be locked.
+        holders_view = site.catalog.holders_view
+        is_locked = site.faillocks.is_locked
         for item in written_items:
-            got_it = set(recipients.get(item, []))
-            for holder in sorted(site.catalog.holders_view(item)):
-                self.checks += 1
-                if holder in got_it:
-                    continue
-                if not site.faillocks.is_locked(item, holder):
-                    self._flag(
-                        "faillock-coverage",
-                        f"site {site.site_id}: txn {txn_id} wrote item {item} "
-                        f"past site {holder}, but {holder}'s copy is not "
-                        f"fail-locked",
-                        txn_id=txn_id,
-                        site_id=holder,
-                        item_id=item,
-                    )
+            holders = holders_view(item)
+            got = recipients.get(item, ())
+            self.checks += len(holders)
+            missed = [h for h in holders if h not in got and not is_locked(item, h)]
+            # Only the misses are sorted, so violations keep holder order.
+            for holder in sorted(missed):
+                self._flag(
+                    "faillock-coverage",
+                    f"site {site.site_id}: txn {txn_id} wrote item {item} "
+                    f"past site {holder}, but {holder}'s copy is not "
+                    f"fail-locked",
+                    txn_id=txn_id,
+                    site_id=holder,
+                    item_id=item,
+                )
 
     def on_coordinator_abort(self, site_id: int, txn_id: int, reason) -> None:
         """A coordinator aborted a transaction."""

@@ -39,6 +39,9 @@ from repro.sim.scheduler import EventScheduler
 # initiated from the managing site").
 _DELIVER_WHEN_DOWN = frozenset({MessageType.MGR_RECOVER})
 
+# Bound once: reading a member off an Enum class runs Python-level code.
+_NET_ACK = MessageType.NET_ACK
+
 
 @dataclass(slots=True)
 class MessageFate:
@@ -287,9 +290,10 @@ class Network:
                         mtype=msg.mtype.value,
                         dst=dst,
                     )
-                # Only partitions and the interposer read the exemption.
+                # Partitions, the reliable sublayer and the interposer read
+                # the exemption; with none of them there is nothing to test.
                 exempt = True
-                if partitions._active or interposer is not None:
+                if reliable is not None or partitions._active or interposer is not None:
                     exempt = src in exempt_sites or dst in exempt_sites
                 if (
                     partitions._active
@@ -304,7 +308,15 @@ class Network:
                         reliable.cancel(msg)
                     self._notify_sender_failure(msg)
                     continue
-                if reliable is not None and msg.seq < 0 and reliable.tracks(msg):
+                # ReliableDelivery.tracks(msg), inlined to reuse the
+                # exemption: keep the two in step (test_reliable_fast_path::
+                # test_tracked_equals_first_transmissions_tracks_accepts).
+                if (
+                    reliable is not None
+                    and msg.seq < 0
+                    and not exempt
+                    and msg.mtype is not _NET_ACK
+                ):
                     reliable.track(msg)
                 latency = self.wire_latency_ms
                 fate = None
@@ -434,13 +446,13 @@ class Network:
             # in the reorder buffer).  An ack to a dead sender is moot.
             self.messages_undeliverable += 1
             self._obs_drop(msg, "site-down")
-            if mtype is MessageType.NET_ACK:
+            if mtype is _NET_ACK:
                 return
             if reliable is not None and not released:
                 reliable.cancel(msg)
             self._notify_sender_failure(msg)
             return
-        if mtype is MessageType.NET_ACK:
+        if mtype is _NET_ACK:
             # Transport-internal: consumed by the reliable layer, never
             # surfaced to the endpoint.
             if reliable is None:
@@ -464,9 +476,15 @@ class Network:
                         mtype=mtype.value,
                         seq=msg.seq,
                     )
-            for ready in deliverable:
-                self._deliver(ready, True)
-            return
+            # A lone deliverable is ``msg`` itself, arriving in order (the
+            # head slot is never a skipped one: _skip_at_receiver advances
+            # past it at once).  It is handed over below without
+            # re-entering; liveness was checked above, and on_arrival only
+            # queues an ack.
+            if len(deliverable) != 1 or deliverable[0] is not msg:
+                for ready in deliverable:
+                    self._deliver(ready, True)
+                return
         self.messages_delivered += 1
         now = self.scheduler.clock._now
         obs = self.obs
@@ -493,7 +511,7 @@ class Network:
             obs.scope = -1
 
     def _notify_sender_failure(self, msg: Message) -> None:
-        if msg.mtype is MessageType.NET_ACK:
+        if msg.mtype is _NET_ACK:
             return
         sender = self._endpoints.get(msg.src)
         if sender is None or not sender.alive:

@@ -37,26 +37,25 @@ it numbers on from where it stopped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.net.message import Message, MessageType
+from repro.net.message import Message
+from repro.net.network import _NET_ACK, Network
 from repro.obs.events import EventKind
 from repro.sim.events import Event
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.net.network import Network
 
-
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RetransmitPolicy:
     """Timer constants of the reliable-delivery sublayer.
 
     ``rto_ms`` is the initial retransmission timeout; each unacknowledged
     attempt multiplies it by ``backoff`` up to ``rto_max_ms``.  After
     ``max_retries`` transmissions without an ack the destination is
-    declared unreachable.
+    declared unreachable.  Frozen: :class:`ReliableDelivery` tabulates
+    the per-attempt timeouts once, at construction.
     """
 
     rto_ms: float = 60.0
@@ -161,12 +160,20 @@ class ReliableDelivery:
     this module, which is what keeps the paper-experiment seeds stable.
     """
 
-    __slots__ = ("network", "policy", "stats", "_next_seq", "_pending", "_receivers")
+    __slots__ = (
+        "network", "policy", "stats", "_rto", "_next_seq", "_pending", "_receivers"
+    )
 
     def __init__(self, network: "Network", policy: Optional[RetransmitPolicy] = None) -> None:
         self.network = network
         self.policy = policy if policy is not None else RetransmitPolicy()
         self.policy.validate()
+        # _rto[attempt - 1]: the timeout armed after transmission ``attempt``;
+        # its length is the retry limit the timer path enforces.
+        self._rto = tuple(
+            self.policy.rto_for_attempt(attempt)
+            for attempt in range(1, self.policy.max_retries + 1)
+        )
         self.stats = ReliableStats()
         self._next_seq: dict[tuple[int, int], int] = {}
         self._pending: dict[tuple[int, int, int], _Pending] = {}
@@ -180,9 +187,10 @@ class ReliableDelivery:
         Transport acks are never tracked (no ack-of-ack), and the managing
         site's control plane is exempt for the same reason it is exempt
         from partitions and fault interposition: it is the experimenter's
-        harness, not the network under test.
+        harness, not the network under test.  ``Network._release_activation``
+        inlines this test, reusing the exemption it has already computed.
         """
-        if msg.mtype is MessageType.NET_ACK:
+        if msg.mtype is _NET_ACK:
             return False
         exempt = self.network.partition_exempt
         return msg.src not in exempt and msg.dst not in exempt
@@ -192,23 +200,23 @@ class ReliableDelivery:
     def track(self, msg: Message) -> None:
         """Stamp a first transmission with its sequence number and arm its
         retransmission timer (retransmissions re-arm from the timer path)."""
-        channel = (msg.src, msg.dst)
-        msg.seq = self._next_seq.get(channel, 0)
-        self._next_seq[channel] = msg.seq + 1
+        src = msg.src
+        dst = msg.dst
+        channel = (src, dst)
+        seq = self._next_seq.get(channel, 0)
+        self._next_seq[channel] = seq + 1
+        msg.seq = seq
         self.stats.tracked += 1
-        pending = _Pending(msg=msg)
-        self._pending[(msg.src, msg.dst, msg.seq)] = pending
-        self._arm_timer(pending)
+        key = (src, dst, seq)
+        pending = self._pending[key] = _Pending(msg)
+        self._arm_timer(key, pending)
 
-    def _arm_timer(self, pending: _Pending) -> None:
-        msg = pending.msg
-        key = (msg.src, msg.dst, msg.seq)
-        delay = self.policy.rto_for_attempt(pending.attempts)
+    def _arm_timer(self, key: tuple[int, int, int], pending: _Pending) -> None:
         # Pre-bound method + args tuple + static label: this is the heap's
         # highest-churn producer (most timers are cancelled by an ack), so
         # per-timer closures and f-string labels would dominate its cost.
         pending.timer = self.network.scheduler.schedule(
-            delay, self._on_timer, label="rto", args=(key,)
+            self._rto[pending.attempts - 1], self._on_timer, "rto", (key,)
         )
 
     def _on_timer(self, key: tuple[int, int, int]) -> None:
@@ -225,7 +233,7 @@ class ReliableDelivery:
             self._skip_at_receiver(msg)
             return
         obs = self.network.obs
-        if pending.attempts >= self.policy.max_retries:
+        if pending.attempts >= len(self._rto):
             # The destination has ignored every attempt: report it
             # genuinely unreachable through the ordinary failure-notice
             # path (the protocol's Appendix-A branches take it from here).
@@ -268,7 +276,7 @@ class ReliableDelivery:
                 attempt=pending.attempts,
             )
         pending.msg = clone
-        self._arm_timer(pending)
+        self._arm_timer(key, pending)
         self.network._transmit(clone)
 
     def on_ack(self, ack: Message) -> None:
@@ -290,7 +298,10 @@ class ReliableDelivery:
         self._skip_at_receiver(msg)
 
     def _skip_at_receiver(self, msg: Message) -> None:
-        receiver = self._receivers.setdefault((msg.src, msg.dst), _ChannelReceiver())
+        channel = (msg.src, msg.dst)
+        receiver = self._receivers.get(channel)
+        if receiver is None:
+            receiver = self._receivers[channel] = _ChannelReceiver()
         if msg.seq >= receiver.next_seq and msg.seq not in receiver.buffer:
             receiver.skipped.add(msg.seq)
             if receiver.next_seq in receiver.skipped:
@@ -313,32 +324,34 @@ class ReliableDelivery:
         ``"dup"`` (already seen).  Every arrival is acknowledged, repeats
         included, so a lost ack cannot wedge the sender.
         """
-        receiver = self._receivers.setdefault((msg.src, msg.dst), _ChannelReceiver())
+        channel = (msg.src, msg.dst)
+        receiver = self._receivers.get(channel)
+        if receiver is None:
+            receiver = self._receivers[channel] = _ChannelReceiver()
         self._send_ack(msg)
-        if (
-            msg.seq < receiver.next_seq
-            or msg.seq in receiver.buffer
-            or msg.seq in receiver.skipped
-        ):
+        seq = msg.seq
+        next_seq = receiver.next_seq
+        buffer = receiver.buffer
+        if seq == next_seq and not buffer and not receiver.skipped:
+            # In order with nothing parked: exactly what advance() returns.
+            receiver.next_seq = seq + 1
+            return [msg], "ready"
+        if seq < next_seq or seq in buffer or seq in receiver.skipped:
             self.stats.duplicates_suppressed += 1
             return [], "dup"
-        if msg.seq > receiver.next_seq:
-            receiver.buffer[msg.seq] = msg
+        buffer[seq] = msg
+        if seq > next_seq:
             self.stats.buffered_out_of_order += 1
             return [], "held"
-        receiver.buffer[msg.seq] = msg
         return receiver.advance(), "ready"
 
     def _send_ack(self, msg: Message) -> None:
         self.stats.acks_sent += 1
+        # Positional: src, dst, mtype, payload, txn_id, session, send_time,
+        # seq, and the trace_ref of the send it acknowledges (its cause).
         ack = Message(
-            src=msg.dst,
-            dst=msg.src,
-            mtype=MessageType.NET_ACK,
-            payload={"seq": msg.seq},
-            txn_id=msg.txn_id,
-            # Trace the ack as caused by the send it acknowledges.
-            trace_ref=msg.trace_ref,
+            msg.dst, msg.src, _NET_ACK, {"seq": msg.seq}, msg.txn_id, -1, -1.0, -1,
+            msg.trace_ref,
         )
         self.network._transmit(ack)
 

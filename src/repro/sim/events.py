@@ -61,10 +61,6 @@ class Event:
             if self._scheduler is not None:
                 self._scheduler._note_cancel()
 
-    def fire(self) -> None:
-        """Run the event's action (the scheduler calls this)."""
-        self.action(*self.args)
-
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else ""
         return f"Event(t={self.time:.3f}, seq={self.seq}, {self.label!r}{state})"

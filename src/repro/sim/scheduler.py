@@ -175,14 +175,7 @@ class EventScheduler:
             raise SchedulerError(f"cannot schedule in the past: delay={delay}")
         seq = self._seq
         self._seq = seq + 1
-        event = Event(
-            time=self.clock._now + delay,
-            seq=seq,
-            action=action,
-            args=args,
-            label=label,
-            scheduler=self,
-        )
+        event = Event(self.clock._now + delay, seq, action, args, label, self)
         if delay == 0.0 and self._batching:
             self._nowq.append((event.time, seq, _CANCELLABLE, event))
         else:
@@ -203,9 +196,7 @@ class EventScheduler:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(
-            time=time, seq=seq, action=action, args=args, label=label, scheduler=self
-        )
+        event = Event(time, seq, action, args, label, self)
         if time == self.clock._now and self._batching:
             self._nowq.append((time, seq, _CANCELLABLE, event))
         else:
@@ -289,7 +280,7 @@ class EventScheduler:
             return self._run_choosing(max_events)
         self._running = True
         self._batching = True
-        # The hot loop: locals for everything, no step()/fire() dispatch.
+        # The hot loop: locals for everything, no step() dispatch.
         # Handlers push into the same heap list and now-queue; _compact
         # mutates both in place, so the local bindings stay correct.
         heap = self._heap
