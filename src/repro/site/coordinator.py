@@ -17,7 +17,9 @@ commit still completes among the survivors (Appendix A).
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+import enum
+from dataclasses import dataclass, field
+from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.core import copier as copier_mod
 from repro.core.rowaa import ReadSource
@@ -28,7 +30,6 @@ from repro.obs.events import EventKind
 from repro.system.config import ClearNoticeMode
 from repro.txn.locks import LockMode
 from repro.txn.transaction import AbortReason, Transaction
-from repro.txn.twophase import CommitPhase, CoordinatorState
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.site.site import DatabaseSite
@@ -43,23 +44,147 @@ def write_value(txn_id: int, item_id: int) -> int:
     return txn_id * 100_000 + item_id
 
 
+class CommitPhase(enum.Enum):
+    """Where a coordinated transaction currently stands."""
+
+    EXECUTING = "executing"        # local reads/writes, copiers if needed
+    COPIER_WAIT = "copier_wait"    # waiting for COPY_RESP
+    VOTING = "voting"              # phase 1: waiting for VOTE_ACKs
+    COMMITTING = "committing"      # phase 2: waiting for COMMIT_ACKs
+    DONE = "done"
+
+
+# The coordinator's protocol timers, as inputs of the phase table.
+VOTE_TIMEOUT = "vote_timeout"
+COMMIT_TIMEOUT = "commit_timeout"
+
+# Appendix A.1 as the coordinator runs it: (phase, input, handler) — the
+# messages and timers each phase accepts, and the method that takes them.
+# An input for a transaction in any other phase, or no longer active, is
+# a leftover of an earlier round and is ignored; that test is made once,
+# in CoordinatorRole._accepting, and nowhere else.
+PHASE_TABLE = (
+    (CommitPhase.COPIER_WAIT, MessageType.COPY_RESP, "on_copy_resp"),
+    (CommitPhase.COPIER_WAIT, MessageType.COPY_DENIED, "on_copy_denied"),
+    (CommitPhase.VOTING, MessageType.VOTE_ACK, "on_vote_ack"),
+    (CommitPhase.VOTING, MessageType.VOTE_NACK, "on_vote_nack"),
+    (CommitPhase.VOTING, VOTE_TIMEOUT, "_on_vote_timeout"),
+    (CommitPhase.COMMITTING, MessageType.COMMIT_ACK, "on_commit_ack"),
+    (CommitPhase.COMMITTING, COMMIT_TIMEOUT, "_on_commit_timeout"),
+)
+
+
+@dataclass(slots=True)
+class CoordinatorState:
+    """Everything the coordinator tracks for one in-flight transaction."""
+
+    txn: Transaction
+    phase: CommitPhase = CommitPhase.EXECUTING
+    participants: list[int] = field(default_factory=list)
+    pending_votes: set[int] = field(default_factory=set)
+    pending_commit_acks: set[int] = field(default_factory=set)
+    updates: list[tuple[int, int, int]] = field(default_factory=list)
+    # Per written item, the sites that receive the update (the coordinator's
+    # write-all-available set); drives exact fail-lock maintenance.
+    recipients: dict[int, list[int]] = field(default_factory=dict)
+    commit_version: int = -1
+    copier_items: list[int] = field(default_factory=list)
+    copier_source: int = -1
+    copiers_requested: int = 0
+    started_at: float = 0.0
+    # Phase-2 termination: how many times the commit timer has re-sent the
+    # COMMIT to silent participants (escalates to the type-2 path past
+    # ``commit_max_retries``).
+    commit_retries: int = 0
+
+    def drop_participant(self, site_id: int) -> None:
+        """Remove a participant the coordinator has stopped waiting on.
+
+        Reached from both detection paths: a delivery-failure notice (the
+        network reports the site down or unreachable) and a protocol
+        timeout (phase-1 votes or phase-2 acks overdue past the configured
+        retry budget).  Dropping the site lets the protocol complete among
+        the remainder, per Appendix A."""
+        if site_id in self.participants:
+            self.participants.remove(site_id)
+        self.pending_votes.discard(site_id)
+        self.pending_commit_acks.discard(site_id)
+
+    def signature(self) -> tuple:
+        """Hashable snapshot of the protocol-visible state (``repro.check``).
+
+        Excludes ``started_at`` (wall-clock of the sim, not protocol
+        state); vote/ack *sets* are sorted because their membership, not
+        arrival order, drives the protocol.
+        """
+        return (
+            self.phase.value,
+            tuple(self.participants),
+            tuple(sorted(self.pending_votes)),
+            tuple(sorted(self.pending_commit_acks)),
+            tuple(self.updates),
+            tuple(
+                (item, tuple(sites))
+                for item, sites in sorted(self.recipients.items())
+            ),
+            self.commit_version,
+            tuple(self.copier_items),
+            self.copier_source,
+            self.copiers_requested,
+            self.commit_retries,
+        )
+
+
+class DecisionLog:
+    """One role's stable 2PC log: txn_id -> ("committed"|"aborted",
+    version), kept to answer TXN_STATUS_REQ inquiries from blocked
+    participants after the in-flight record is gone.  It survives a crash.
+
+    ``cap`` of ``None`` keeps every outcome (the experiments' default —
+    also what ``repro.check`` state signatures expect).  Soak runs set a
+    cap and the oldest entries are truncated, like a real 2PC log:
+    inquiries only ever concern transactions still blocked somewhere,
+    which at soak timeouts is a few seconds of history, far inside any
+    reasonable cap.
+    """
+
+    __slots__ = ("outcomes", "cap")
+
+    def __init__(self) -> None:
+        self.outcomes: dict[int, tuple[str, int]] = {}
+        self.cap: int | None = None
+
+    def note(self, txn_id: int, outcome: tuple[str, int]) -> None:
+        """Record an outcome, truncating the oldest entries past the cap."""
+        outcomes = self.outcomes
+        outcomes[txn_id] = outcome
+        cap = self.cap
+        if cap is not None:
+            while len(outcomes) > cap:
+                del outcomes[next(iter(outcomes))]
+
+    def get(self, txn_id: int) -> tuple[str, int]:
+        """The logged outcome, or ``("unknown", -1)``."""
+        return self.outcomes.get(txn_id, ("unknown", -1))
+
+    def signature(self) -> tuple:
+        return tuple(sorted(self.outcomes.items()))
+
+
 class CoordinatorRole:
     """Coordinator-side protocol logic for one site."""
 
     def __init__(self, site: "DatabaseSite") -> None:
         self.site = site
         self.active: dict[int, CoordinatorState] = {}
-        # Outcomes of finished transactions, kept so TXN_STATUS_REQ
-        # inquiries from blocked participants can be answered after the
-        # active record is gone: txn_id -> ("committed"|"aborted", version).
-        self._decided: dict[int, tuple[str, int]] = {}
-        # Decision-log retention: ``None`` keeps every outcome (the
-        # experiments' default — also what ``repro.check`` state
-        # signatures expect).  Soak runs set a cap and the oldest entries
-        # are truncated, like a real 2PC log: inquiries only ever concern
-        # transactions still blocked somewhere, which at soak timeouts is
-        # a few seconds of history, far inside any reasonable cap.
-        self.decision_log_cap: int | None = None
+        # Outcomes of finished transactions.
+        self.decisions = DecisionLog()
+        # PHASE_TABLE, bound: input -> the handler behind its phase test.
+        # The site dispatches the messages through it; timers fire it.
+        self.accept: dict[MessageType | str, Callable] = {
+            key: self._accepting(phase, getattr(self, name), isinstance(key, str))
+            for phase, key, name in PHASE_TABLE
+        }
         # Copier exchanges in flight: txn_id -> {source site: [item ids]}.
         self._copier_pending: dict[int, dict[int, list[int]]] = {}
         self._copier_records: dict[int, list[CopierRecord]] = {}
@@ -73,12 +198,43 @@ class CoordinatorRole:
         # by :meth:`redo_after_crash` at recovery: txn -> stamped updates.
         self._redo_pending: dict[int, list[tuple[int, int, int]]] = {}
 
+    def _accepting(
+        self, phase: CommitPhase, handler: Callable, timer: bool
+    ) -> Callable:
+        """``handler`` behind one PHASE_TABLE row's test: it runs only
+        while the input's transaction is active and in ``phase`` (and, for
+        a timer, while this site is up — timers outlive a crash)."""
+        active = self.active
+        if timer:
+            site = self.site
+
+            def on_timer(ctx: HandlerContext, txn_id: int) -> None:
+                if site.alive:
+                    state = active.get(txn_id)
+                    if state is not None and state.phase is phase:
+                        handler(ctx, state)
+
+            return on_timer
+
+        def on_message(ctx: HandlerContext, msg: Message) -> None:
+            state = active.get(msg.txn_id)
+            if state is not None and state.phase is phase:
+                handler(ctx, state, msg)
+
+        return on_message
+
+    def _arm(self, ctx: HandlerContext, delay: float, timer: str, txn_id: int) -> None:
+        """Fire the phase table's ``timer`` input for ``txn_id`` after
+        ``delay`` ms."""
+        fire = self.accept[timer]
+        ctx.after(delay, lambda ctx2: fire(ctx2, txn_id))
+
     def crash_reset(self) -> None:
         """Crash: drop all volatile coordinator state.
 
         In-flight 2PC state, copier exchanges, and staged clear notices
         die with the site.  Two things survive, modelling the 2PC stable
-        log: ``_decided`` (outcomes already reported), and — for
+        log: ``decisions`` (outcomes already reported), and — for
         transactions in phase two at the instant of the crash — the
         commit record itself.  Real presumed-abort 2PC force-writes the
         commit record *before* sending COMMITs, so a coordinator that
@@ -92,7 +248,7 @@ class CoordinatorRole:
         for txn_id, state in sorted(self.active.items()):
             if state.phase is CommitPhase.COMMITTING and state.updates:
                 version = state.commit_version
-                self._note_decided(txn_id, ("committed", version))
+                self.decisions.note(txn_id, ("committed", version))
                 self._redo_pending[txn_id] = [
                     (item, value, version) for item, value, _v in state.updates
                 ]
@@ -116,15 +272,6 @@ class CoordinatorRole:
         self._redo_pending.clear()
         return replayed
 
-    def _note_decided(self, txn_id: int, outcome: tuple[str, int]) -> None:
-        """Record an outcome, truncating the oldest entries past the cap."""
-        decided = self._decided
-        decided[txn_id] = outcome
-        cap = self.decision_log_cap
-        if cap is not None:
-            while len(decided) > cap:
-                del decided[next(iter(decided))]
-
     def signature(self) -> tuple:
         """Hashable snapshot of coordinator 2PC state (``repro.check``).
 
@@ -136,7 +283,7 @@ class CoordinatorRole:
                 (txn_id, state.signature())
                 for txn_id, state in sorted(self.active.items())
             ),
-            tuple(sorted(self._decided.items())),
+            self.decisions.signature(),
             tuple(
                 (
                     txn,
@@ -324,17 +471,16 @@ class CoordinatorRole:
                 )
             )
 
-    def on_copy_resp(self, ctx: HandlerContext, msg: Message) -> None:
+    def on_copy_resp(
+        self, ctx: HandlerContext, state: CoordinatorState, msg: Message
+    ) -> None:
         """A source site returned good copies."""
         site = self.site
         txn_id = msg.txn_id
-        state = self.active.get(txn_id)
-        if state is None or state.phase is not CommitPhase.COPIER_WAIT:
-            return  # stale response for an already-resolved transaction
         copies = msg.payload["copies"]
         ctx.charge(site.costs.copy_install_cost * len(copies))
         local = [c for c in copies if c[0] in site.db]
-        refreshed = copier_mod.apply_copy_response(
+        copier_mod.apply_copy_response(
             site.db, site.faillocks, site.site_id, local, ctx.now
         )
         if local:
@@ -350,15 +496,13 @@ class CoordinatorRole:
         for record in self._copier_records.get(txn_id, []):
             if record.source == msg.src and record.finished_at < 0:
                 record.finished_at = ctx.now
-        del refreshed  # bookkeeping above is what matters
         if not pending:
             self._copiers_complete(ctx, state)
 
-    def on_copy_denied(self, ctx: HandlerContext, msg: Message) -> None:
+    def on_copy_denied(
+        self, ctx: HandlerContext, state: CoordinatorState, msg: Message
+    ) -> None:
         """The source no longer has a good copy — abort (Appendix A)."""
-        state = self.active.get(msg.txn_id)
-        if state is None or state.phase is not CommitPhase.COPIER_WAIT:
-            return
         self._copier_pending.pop(msg.txn_id, None)
         self._abort(ctx, state, AbortReason.COPY_UNAVAILABLE)
 
@@ -450,12 +594,13 @@ class CoordinatorRole:
                 txn=txn.txn_id,
                 participants=sorted(participants),
             )
+        state.participants = list(participants)
+        state.pending_votes = set(participants)
+        state.phase = CommitPhase.VOTING
         if not participants:
-            state.begin_voting([])
             self._local_commit(ctx, state)
             return
 
-        state.begin_voting(participants)
         payload: dict = {"updates": state.updates, "recipients": state.recipients}
         if votes_on_reads:
             payload["read_items"] = txn.read_items
@@ -473,13 +618,9 @@ class CoordinatorRole:
                 session=site.nsv.my_session,
             )
         if site.config.timeouts_enabled:
-            txn_id = txn.txn_id
-            ctx.after(
-                site.config.vote_timeout_ms,
-                lambda ctx2: self._on_vote_timeout(ctx2, txn_id),
-            )
+            self._arm(ctx, site.config.vote_timeout_ms, VOTE_TIMEOUT, txn.txn_id)
 
-    def _on_vote_timeout(self, ctx: HandlerContext, txn_id: int) -> None:
+    def _on_vote_timeout(self, ctx: HandlerContext, state: CoordinatorState) -> None:
         """Phase-1 votes never (all) arrived: abort and tell everyone.
 
         Appendix A treats a missing vote as a participant failure; with
@@ -487,14 +628,8 @@ class CoordinatorRole:
         participant is not answering", so the transaction aborts without a
         type-2 announcement — no site is declared down on a timeout alone.
         """
-        site = self.site
-        if not site.alive:
-            return
-        state = self.active.get(txn_id)
-        if state is None or state.phase is not CommitPhase.VOTING:
-            return  # resolved before the timer fired
         silent = sorted(state.pending_votes)
-        site.metrics.counters.incr("timeout_vote_aborts")
+        self.site.metrics.counters.incr("timeout_vote_aborts")
         for peer in silent:
             state.drop_participant(peer)
         # The silent voters may well have staged the updates (their ack,
@@ -503,46 +638,52 @@ class CoordinatorRole:
             ctx, state, AbortReason.PARTICIPANT_TIMEOUT, extra_targets=silent
         )
 
-    def on_vote_ack(self, ctx: HandlerContext, msg: Message) -> None:
-        """Phase-one ack from a participant."""
-        site = self.site
-        state = self.active.get(msg.txn_id)
-        if state is None or state.phase is not CommitPhase.VOTING:
-            return
+    def on_vote_ack(
+        self, ctx: HandlerContext, state: CoordinatorState, msg: Message
+    ) -> None:
+        """Phase-one ack from a participant; the last one starts phase two."""
         if "read_versions" in msg.payload:
             self._merge_quorum_reads(state, msg.payload["read_versions"])
-        if state.record_vote(msg.src):
-            state.begin_commit()
-            version = self._commit_version(state)
-            obs = site.network.obs
-            if obs.enabled:
-                obs.emit(
-                    ctx.now,
-                    EventKind.PHASE2_BEGIN,
-                    site=site.site_id,
-                    txn=msg.txn_id,
-                    version=version,
-                )
-            for peer in state.participants:
-                ctx.send(
-                    peer,
-                    MessageType.COMMIT,
-                    {"version": version},
-                    txn_id=msg.txn_id,
-                    session=site.nsv.my_session,
-                )
-            if not state.participants:
-                self._local_commit(ctx, state)
-            elif site.config.timeouts_enabled:
-                self._arm_commit_timer(ctx, msg.txn_id)
+        state.pending_votes.discard(msg.src)
+        if state.pending_votes:
+            return
+        site = self.site
+        state.pending_commit_acks = set(state.participants)
+        state.phase = CommitPhase.COMMITTING
+        version = self._commit_version(state)
+        obs = site.network.obs
+        if obs.enabled:
+            obs.emit(
+                ctx.now,
+                EventKind.PHASE2_BEGIN,
+                site=site.site_id,
+                txn=msg.txn_id,
+                version=version,
+            )
+        self._send_commit(ctx, state, state.participants)
+        if not state.participants:
+            self._local_commit(ctx, state)
+        elif site.config.timeouts_enabled:
+            self._arm(ctx, site.config.commit_retry_ms, COMMIT_TIMEOUT, msg.txn_id)
 
-    def _arm_commit_timer(self, ctx: HandlerContext, txn_id: int) -> None:
-        ctx.after(
-            self.site.config.commit_retry_ms,
-            lambda ctx2: self._on_commit_timeout(ctx2, txn_id),
-        )
+    def _send_commit(
+        self, ctx: HandlerContext, state: CoordinatorState, peers: list[int]
+    ) -> None:
+        """Ship the commit indication, with the version stamped on entry
+        to phase two, to ``peers``."""
+        version = state.commit_version
+        nsv = self.site.nsv
+        txn_id = state.txn.txn_id
+        for peer in peers:
+            ctx.send(
+                peer,
+                MessageType.COMMIT,
+                {"version": version},
+                txn_id=txn_id,
+                session=nsv.my_session,
+            )
 
-    def _on_commit_timeout(self, ctx: HandlerContext, txn_id: int) -> None:
+    def _on_commit_timeout(self, ctx: HandlerContext, state: CoordinatorState) -> None:
         """Phase-2 acks are overdue.  The decision is commit, so there is
         nothing to abort: re-send the COMMIT to the silent participants,
         persistently.  The type-2 corrective path is reserved for
@@ -553,30 +694,14 @@ class CoordinatorRole:
         ever producing such a report.
         """
         site = self.site
-        if not site.alive:
-            return
-        state = self.active.get(txn_id)
-        if state is None or state.phase is not CommitPhase.COMMITTING:
-            return  # all acks arrived before the timer fired
         pending = sorted(state.pending_commit_acks)
         if state.commit_retries < site.config.commit_max_retries:
             state.commit_retries += 1
             site.metrics.counters.incr("commit_retransmits")
-            version = self._commit_version(state)
-            for peer in pending:
-                ctx.send(
-                    peer,
-                    MessageType.COMMIT,
-                    {"version": version},
-                    txn_id=txn_id,
-                    session=site.nsv.my_session,
-                )
-            self._arm_commit_timer(ctx, txn_id)
+            self._send_commit(ctx, state, pending)
+            self._arm(ctx, site.config.commit_retry_ms, COMMIT_TIMEOUT, state.txn.txn_id)
             return
-        for peer in pending:
-            self._commit_participant_unreachable(ctx, state, peer)
-        if state.phase is CommitPhase.COMMITTING and not state.pending_commit_acks:
-            self._local_commit(ctx, state)
+        self._drop_commit_peers(ctx, state, pending)
 
     def _merge_quorum_reads(
         self, state: CoordinatorState, versions: list[tuple[int, int, int]]
@@ -588,21 +713,20 @@ class CoordinatorRole:
             if version > local_version and item in txn.reads:
                 txn.reads[item] = value
 
-    def on_vote_nack(self, ctx: HandlerContext, msg: Message) -> None:
+    def on_vote_nack(
+        self, ctx: HandlerContext, state: CoordinatorState, msg: Message
+    ) -> None:
         """A participant refused phase one (stale session): the system's
         view of this site changed mid-transaction, so abort (§1.1)."""
-        state = self.active.get(msg.txn_id)
-        if state is None or state.phase is not CommitPhase.VOTING:
-            return
         state.drop_participant(msg.src)
         self._abort(ctx, state, AbortReason.SESSION_CHANGED)
 
-    def on_commit_ack(self, ctx: HandlerContext, msg: Message) -> None:
-        """Phase-two ack from a participant."""
-        state = self.active.get(msg.txn_id)
-        if state is None or state.phase is not CommitPhase.COMMITTING:
-            return
-        if state.record_commit_ack(msg.src):
+    def on_commit_ack(
+        self, ctx: HandlerContext, state: CoordinatorState, msg: Message
+    ) -> None:
+        """Phase-two ack from a participant; the last one commits locally."""
+        state.pending_commit_acks.discard(msg.src)
+        if not state.pending_commit_acks:
             self._local_commit(ctx, state)
 
     # -- completion ------------------------------------------------------------------
@@ -623,7 +747,7 @@ class CoordinatorRole:
         txn = state.txn
         version = self._commit_version(state)
         updates = [(item, value, version) for item, value, _v in state.updates]
-        site.commit_writes(ctx, txn.txn_id, updates, recipients=state.recipients)
+        site.commit_writes(ctx, txn.txn_id, updates, state.recipients)
         txn.mark_committed(ctx.now)
         obs = site.network.obs
         if obs.enabled:
@@ -634,8 +758,8 @@ class CoordinatorRole:
                 txn=txn.txn_id,
                 version=version,
             )
-        self._note_decided(txn.txn_id, ("committed", version))
-        state.finish()
+        self.decisions.note(txn.txn_id, ("committed", version))
+        state.phase = CommitPhase.DONE
         if site.lock_service is not None:
             site.lock_service.release(ctx, txn.txn_id)
             if site.lock_service.detector is not None:
@@ -673,8 +797,8 @@ class CoordinatorRole:
                 txn=txn.txn_id,
                 reason=reason.value,
             )
-        self._note_decided(txn.txn_id, ("aborted", -1))
-        state.finish()
+        self.decisions.note(txn.txn_id, ("aborted", -1))
+        state.phase = CommitPhase.DONE
         if site.probe is not None:
             site.probe.on_coordinator_abort(site.site_id, txn.txn_id, reason)
         if site.lock_service is not None:
@@ -728,26 +852,29 @@ class CoordinatorRole:
             if state.phase is CommitPhase.COMMITTING:
                 return ("committed", state.commit_version)
             return ("pending", -1)
-        return self._decided.get(txn_id, ("unknown", -1))
+        return self.decisions.get(txn_id)
 
     # -- failure notices ---------------------------------------------------------------
 
-    def _commit_participant_unreachable(
-        self, ctx: HandlerContext, state: CoordinatorState, peer: int
+    def _drop_commit_peers(
+        self, ctx: HandlerContext, state: CoordinatorState, peers: list[int]
     ) -> None:
-        """Phase-2 participant declared unreachable: the commit completes
-        among the survivors, but ``peer`` never applied its staged updates —
-        its copies of the written items are stale.  The type-2 announcement
-        carries that corrective fail-lock information (survivors may have
-        just cleared those very bits)."""
+        """Phase-2 participants declared unreachable: the commit completes
+        among the survivors, but each of ``peers`` never applied its staged
+        updates — its copies of the written items are stale.  The type-2
+        announcement carries that corrective fail-lock information
+        (survivors may have just cleared those very bits).  Once no ack is
+        pending, commit locally."""
         site = self.site
         stale = sorted(item for item, _v, _ver in state.updates)
-        site.announce_failure(ctx, [peer], stale_items=stale)
-        for item in list(state.recipients):
-            state.recipients[item] = [
-                s for s in state.recipients[item] if s != peer
-            ]
-        state.drop_participant(peer)
+        recipients = state.recipients
+        for peer in peers:
+            site.announce_failure(ctx, [peer], stale_items=stale)
+            for item in list(recipients):
+                recipients[item] = [s for s in recipients[item] if s != peer]
+            state.drop_participant(peer)
+        if state.phase is CommitPhase.COMMITTING and not state.pending_commit_acks:
+            self._local_commit(ctx, state)
 
     def on_delivery_failed(self, ctx: HandlerContext, msg: Message) -> None:
         """A protocol message bounced: the destination is down (Appendix A's
@@ -757,14 +884,11 @@ class CoordinatorRole:
         site = self.site
         state = self.active.get(msg.txn_id)
         if msg.mtype is MessageType.COMMIT:
-            if state is None:
-                # The transaction already completed (a re-sent COMMIT got
-                # through, or another notice finished the job); a late
-                # bounce changes nothing.
-                return
-            self._commit_participant_unreachable(ctx, state, msg.dst)
-            if state.phase is CommitPhase.COMMITTING and not state.pending_commit_acks:
-                self._local_commit(ctx, state)
+            # With no state the transaction already completed (a re-sent
+            # COMMIT got through, or another notice finished the job); a
+            # late bounce changes nothing.
+            if state is not None:
+                self._drop_commit_peers(ctx, state, [msg.dst])
             return
         site.announce_failure(ctx, [msg.dst])
         if state is None:

@@ -18,6 +18,8 @@ from repro.core import copier as copier_mod
 from repro.net.endpoint import HandlerContext
 from repro.net.message import Message, MessageType
 from repro.obs.events import EventKind
+from repro.site.coordinator import DecisionLog
+from repro.txn.locks import LockMode
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.site.site import DatabaseSite
@@ -33,28 +35,15 @@ class ParticipantRole:
             int,
             tuple[float, list[tuple[int, int, int]], dict[int, list[int]], int],
         ] = {}
-        # Outcomes this site applied as a participant, kept to answer
-        # TXN_STATUS_REQ inquiries from blocked peers after the in-flight
-        # record is gone: txn_id -> ("committed"|"aborted", version).
-        self._decided: dict[int, tuple[str, int]] = {}
-        # Retention cap for _decided; see CoordinatorRole.decision_log_cap.
-        self.decision_log_cap: int | None = None
+        # Outcomes this site applied as a participant.
+        self.decisions = DecisionLog()
         # Cooperative-termination inquiries in flight: txn_id -> remaining
         # candidate sites to ask (coordinator first, then peers).
         self._inquiries: dict[int, list[int]] = {}
 
-    def _note_decided(self, txn_id: int, outcome: tuple[str, int]) -> None:
-        """Record an outcome, truncating the oldest entries past the cap."""
-        decided = self._decided
-        decided[txn_id] = outcome
-        cap = self.decision_log_cap
-        if cap is not None:
-            while len(decided) > cap:
-                del decided[next(iter(decided))]
-
     def crash_reset(self) -> None:
         """Crash: drop volatile participant state (in-flight phase-one
-        entries and termination inquiries).  ``_decided`` survives as the
+        entries and termination inquiries).  ``decisions`` survives as the
         stable decision log — see ``CoordinatorRole.crash_reset``."""
         self._in_flight.clear()
         self._inquiries.clear()
@@ -80,7 +69,7 @@ class ParticipantRole:
                     self._in_flight.items()
                 )
             ),
-            tuple(sorted(self._decided.items())),
+            self.decisions.signature(),
             tuple(
                 (txn, tuple(candidates))
                 for txn, candidates in sorted(self._inquiries.items())
@@ -120,8 +109,6 @@ class ParticipantRole:
         updates = [tuple(u) for u in msg.payload["updates"] if u[0] in held]
         started = ctx.now
         if site.lock_service is not None and updates:
-            from repro.txn.locks import LockMode
-
             requests = [(item, LockMode.EXCLUSIVE) for item, _v, _ver in updates]
             site.lock_service.acquire(
                 ctx,
@@ -204,11 +191,30 @@ class ParticipantRole:
             # coordinator and move on.
             ctx.send(msg.src, MessageType.COMMIT_ACK, {}, txn_id=txn_id)
             return
-        started, updates, recipients, _coordinator = entry
-        version = msg.payload.get("version", -1)
-        self._apply_commit(ctx, txn_id, updates, recipients, version)
+        self._commit(ctx, txn_id, entry, msg.payload.get("version", -1))
+
+    def _commit(
+        self,
+        ctx: HandlerContext,
+        txn_id: int,
+        entry: tuple[float, list[tuple[int, int, int]], dict[int, list[int]], int],
+        version: int,
+    ) -> None:
+        """Apply the staged updates at the commit point (phase two or a
+        cooperative-termination "committed" answer), acknowledge to the
+        coordinator — after a "committed" answer that is best effort, for
+        a coordinator still waiting — and time this site's participation."""
+        site = self.site
+        started, updates, recipients, coordinator = entry
+        site.db.abort_staged(txn_id)  # re-apply through the shared path
+        stamped = [(item, value, version) for item, value, _v in updates]
+        site.commit_writes(ctx, txn_id, stamped, recipients)
+        if site.lock_service is not None:
+            site.lock_service.release(ctx, txn_id)
+        self.decisions.note(txn_id, ("committed", version))
+        self._inquiries.pop(txn_id, None)
         ctx.send(
-            msg.src,
+            coordinator,
             MessageType.COMMIT_ACK,
             {},
             txn_id=txn_id,
@@ -222,25 +228,6 @@ class ParticipantRole:
 
         ctx.on_done(record_elapsed)
 
-    def _apply_commit(
-        self,
-        ctx: HandlerContext,
-        txn_id: int,
-        updates: list[tuple[int, int, int]],
-        recipients: dict[int, list[int]],
-        version: int,
-    ) -> None:
-        """Apply staged updates at the commit point (phase two or a
-        cooperative-termination "committed" answer)."""
-        site = self.site
-        site.db.abort_staged(txn_id)  # re-apply through the shared path
-        stamped = [(item, value, version) for item, value, _v in updates]
-        site.commit_writes(ctx, txn_id, stamped, recipients=recipients)
-        if site.lock_service is not None:
-            site.lock_service.release(ctx, txn_id)
-        self._note_decided(txn_id, ("committed", version))
-        self._inquiries.pop(txn_id, None)
-
     def on_abort(self, ctx: HandlerContext, msg: Message) -> None:
         """Abort indication: discard the buffered copy updates (and, in
         concurrent mode, cancel any parked lock acquisition)."""
@@ -249,7 +236,7 @@ class ParticipantRole:
     def _discard(self, ctx: HandlerContext, txn_id: int) -> None:
         self.site.db.abort_staged(txn_id)
         if self._in_flight.pop(txn_id, None) is not None:
-            self._note_decided(txn_id, ("aborted", -1))
+            self.decisions.note(txn_id, ("aborted", -1))
         self._inquiries.pop(txn_id, None)
         if self.site.lock_service is not None:
             self.site.lock_service.cancel(ctx, txn_id)
@@ -327,27 +314,8 @@ class ParticipantRole:
             )
         if status == "committed":
             site.metrics.counters.incr("termination_committed")
-            started, updates, recipients, coordinator = entry
             del self._in_flight[txn_id]
-            self._apply_commit(
-                ctx, txn_id, updates, recipients, msg.payload.get("version", -1)
-            )
-            # Best-effort: let the coordinator (if it is still the one
-            # waiting) cross us off its pending-ack set.
-            ctx.send(
-                coordinator,
-                MessageType.COMMIT_ACK,
-                {},
-                txn_id=txn_id,
-                session=site.nsv.my_session,
-            )
-
-            def record_elapsed() -> None:
-                site.metrics.note_participant(
-                    txn_id, site.site_id, site.network.scheduler.now - started
-                )
-
-            ctx.on_done(record_elapsed)
+            self._commit(ctx, txn_id, entry, msg.payload.get("version", -1))
         elif status == "aborted":
             site.metrics.counters.incr("termination_aborted")
             self._discard(ctx, txn_id)
@@ -401,7 +369,7 @@ class ParticipantRole:
         mutually blocked participants reporting "pending" to each other
         would inquire forever.
         """
-        return self._decided.get(txn_id, ("unknown", -1))
+        return self.decisions.get(txn_id)
 
     @property
     def staged_txns(self) -> list[int]:

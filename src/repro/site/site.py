@@ -113,6 +113,11 @@ class DatabaseSite(Endpoint):
         self._recovery_started_at = -1.0
         self._batch_pending: dict[int, list[int]] = {}
         self._type3_started: dict[tuple[int, int], float] = {}
+        # The coordinator's phase-table handlers.  COPY_RESP / COPY_DENIED
+        # reach theirs unless they answer a batch copier.
+        accept = self.coordinator.accept
+        self._txn_copy_resp = accept[MessageType.COPY_RESP]
+        self._txn_copy_denied = accept[MessageType.COPY_DENIED]
         # Message dispatch: one dict lookup instead of a 20-branch
         # if/elif chain (handle() runs once per delivered message).
         self._dispatch = {
@@ -120,9 +125,9 @@ class DatabaseSite(Endpoint):
             MessageType.VOTE_REQ: self.participant.on_vote_req,
             MessageType.COMMIT: self.participant.on_commit,
             MessageType.ABORT: self.participant.on_abort,
-            MessageType.VOTE_ACK: self.coordinator.on_vote_ack,
-            MessageType.VOTE_NACK: self.coordinator.on_vote_nack,
-            MessageType.COMMIT_ACK: self.coordinator.on_commit_ack,
+            MessageType.VOTE_ACK: accept[MessageType.VOTE_ACK],
+            MessageType.VOTE_NACK: accept[MessageType.VOTE_NACK],
+            MessageType.COMMIT_ACK: accept[MessageType.COMMIT_ACK],
             MessageType.TXN_STATUS_REQ: self._on_txn_status_req,
             MessageType.TXN_STATUS_RESP: self.participant.on_status_resp,
             MessageType.COPY_REQ: self._serve_copy_request,
@@ -163,7 +168,7 @@ class DatabaseSite(Endpoint):
         if msg.txn_id == BATCH_COPIER_TXN:
             self._on_batch_copy_resp(ctx, msg)
         else:
-            self.coordinator.on_copy_resp(ctx, msg)
+            self._txn_copy_resp(ctx, msg)
 
     def _on_copy_denied(self, ctx: HandlerContext, msg: Message) -> None:
         if msg.txn_id == BATCH_COPIER_TXN:
@@ -171,7 +176,7 @@ class DatabaseSite(Endpoint):
             if self.recovery_policy.note_denied(msg.src):
                 self._maybe_issue_batch_copiers(ctx)
         else:
-            self.coordinator.on_copy_denied(ctx, msg)
+            self._txn_copy_denied(ctx, msg)
 
     @staticmethod
     def _decode_txn(msg: Message) -> Transaction:
@@ -201,7 +206,7 @@ class DatabaseSite(Endpoint):
         ctx: HandlerContext,
         txn_id: int,
         updates: list[tuple[int, int, int]],
-        recipients: Optional[dict[int, list[int]]] = None,
+        recipients: dict[int, list[int]],
     ) -> None:
         """Apply committed copy updates and do fail-lock maintenance.
 
@@ -211,10 +216,7 @@ class DatabaseSite(Endpoint):
 
         ``recipients`` maps each written item to the sites the coordinator
         shipped the update to; fail-lock bits are cleared exactly for them
-        and set for everyone else.  (The paper's formulation — examine the
-        nominal session vector — is the ``recipients is None`` fallback; it
-        is equivalent only when the local vector is accurate, which stale
-        views under timeout detection are not.)
+        and set for everyone else.
         """
         # Under partial replication a transaction may write items this
         # site holds no copy of; only local copies are applied.
@@ -241,13 +243,10 @@ class DatabaseSite(Endpoint):
             ctx.cost += self.costs.faillock_maintenance_cost(
                 len(written_items), self.nsv.num_sites
             )
-            if recipients is not None:
-                shipped_to = recipients.get
-                self.faillocks.update_with_recipients(
-                    {item: shipped_to(item, []) for item in written_items}
-                )
-            else:
-                self.faillocks.update_on_commit(written_items, self.nsv)
+            shipped_to = recipients.get
+            faillocks.update_with_recipients(
+                {item: shipped_to(item, []) for item in written_items}
+            )
             if obs.enabled:
                 obs.emit(
                     ctx.now,
@@ -374,17 +373,7 @@ class DatabaseSite(Endpoint):
                     role="announcer",
                 )
         stale_items = sorted(stale_items or [])
-        if self.config.faillocks_enabled and stale_items:
-            for site in failed_sites:
-                self.faillocks.set_locks(stale_items, site)
-            if obs.enabled:
-                obs.emit(
-                    ctx.now,
-                    EventKind.FAILLOCK_SET,
-                    site=self.site_id,
-                    peers=sorted(failed_sites),
-                    items=len(stale_items),
-                )
+        self._set_corrective_locks(ctx, failed_sites, stale_items)
         announcement = FailureAnnouncement(
             announcer=self.site_id, failed_sites=failed_sites, stale_items=stale_items
         )
@@ -411,25 +400,43 @@ class DatabaseSite(Endpoint):
                     peer=failed,
                     role="operational",
                 )
-        if self.config.faillocks_enabled and announcement.stale_items:
-            for failed in announcement.failed_sites:
-                self.faillocks.set_locks(announcement.stale_items, failed)
-            if obs.enabled:
-                obs.emit(
-                    ctx.now,
-                    EventKind.FAILLOCK_SET,
-                    site=self.site_id,
-                    peers=sorted(announcement.failed_sites),
-                    items=len(announcement.stale_items),
-                )
+        self._set_corrective_locks(
+            ctx, announcement.failed_sites, announcement.stale_items
+        )
+        self._record_control(ctx, 2, "operational", max(started, 0.0))
+
+    def _set_corrective_locks(
+        self, ctx: HandlerContext, failed_sites: list[int], stale_items: list[int]
+    ) -> None:
+        """A type-2 announcement's corrective information: ``failed_sites``
+        missed the commit of ``stale_items``, so fail-lock their copies."""
+        if not (self.config.faillocks_enabled and stale_items):
+            return
+        for failed in failed_sites:
+            self.faillocks.set_locks(stale_items, failed)
+        obs = self.network.obs
+        if obs.enabled:
+            obs.emit(
+                ctx.now,
+                EventKind.FAILLOCK_SET,
+                site=self.site_id,
+                peers=sorted(failed_sites),
+                items=len(stale_items),
+            )
+
+    def _record_control(
+        self, ctx: HandlerContext, kind: int, role: str, started: float
+    ) -> None:
+        """Record a control transaction's row once this activation's work
+        has finished."""
 
         def record() -> None:
             self.metrics.record_control(
                 ControlRecord(
-                    kind=2,
+                    kind=kind,
                     site_id=self.site_id,
-                    role="operational",
-                    started_at=max(started, 0.0),
+                    role=role,
+                    started_at=started,
                     finished_at=self.network.scheduler.now,
                 )
             )
@@ -451,7 +458,7 @@ class DatabaseSite(Endpoint):
             self.db.drop_staged()
         # Volatile protocol state dies with the site: in-flight 2PC roles,
         # the lock table, parked lock waiters, copier exchanges, and batch
-        # staging.  Decision logs (_decided) survive as stable storage.
+        # staging.  Decision logs survive as stable storage.
         # Under the serial managing site these containers are always empty
         # here (failures land between transactions); the soak engine
         # crashes sites mid-protocol, where this wipe is what lets
@@ -556,19 +563,7 @@ class DatabaseSite(Endpoint):
                 state.to_payload(),
                 session=self.nsv.my_session,
             )
-
-            def record() -> None:
-                self.metrics.record_control(
-                    ControlRecord(
-                        kind=1,
-                        site_id=self.site_id,
-                        role="operational",
-                        started_at=started,
-                        finished_at=self.network.scheduler.now,
-                    )
-                )
-
-            ctx.on_done(record)
+            self._record_control(ctx, 1, "operational", started)
 
     def _on_recovery_state(self, ctx: HandlerContext, msg: Message) -> None:
         state = RecoveryState.from_payload(msg.payload)
@@ -608,19 +603,7 @@ class DatabaseSite(Endpoint):
                 session=self.nsv.my_session,
                 took=ctx.now - started,
             )
-
-        def record() -> None:
-            self.metrics.record_control(
-                ControlRecord(
-                    kind=1,
-                    site_id=self.site_id,
-                    role="recovering",
-                    started_at=started,
-                    finished_at=self.network.scheduler.now,
-                )
-            )
-
-        ctx.on_done(record)
+        self._record_control(ctx, 1, "recovering", started)
         ctx.send(
             self.config.manager_id,
             MessageType.MGR_RECOVER_DONE,
@@ -740,19 +723,7 @@ class DatabaseSite(Endpoint):
         started = self._type3_started.pop((item, msg.src), None)
         if started is None:
             return
-
-        def record() -> None:
-            self.metrics.record_control(
-                ControlRecord(
-                    kind=3,
-                    site_id=self.site_id,
-                    role="announcer",
-                    started_at=started,
-                    finished_at=self.network.scheduler.now,
-                )
-            )
-
-        ctx.on_done(record)
+        self._record_control(ctx, 3, "announcer", started)
 
     def drop_backup_copy(self, item_id: int) -> None:
         """Remove a type-3 backup copy once it is no longer needed (the

@@ -444,8 +444,8 @@ def run_soak(config: Optional[SoakConfig] = None, trace=None) -> SoakResult:
     # is several times that horizon.
     for site in cluster.sites:
         site.db.log.capacity = 256
-        site.coordinator.decision_log_cap = 128
-        site.participant.decision_log_cap = 128
+        site.coordinator.decisions.cap = 128
+        site.participant.decisions.cap = 128
 
     detector = cluster.install_deadlock_detector()
 

@@ -2,8 +2,8 @@
 
 The paper processes database transactions with a two-phase commit protocol
 (Appendix A), serially, without concurrency control (assumption 2).  This
-package provides the transaction model and the coordinator/participant
-bookkeeping for 2PC, plus — for the paper's declared future work of running
+package provides the transaction model (the 2PC roles that commit it live
+in :mod:`repro.site`), plus — for the paper's declared future work of running
 the protocol "in the complete RAID system ... taking into account
 concurrency control" — a strict two-phase-locking lock manager (its
 waits-for deadlock detection lives in :mod:`repro.system.deadlock`).
@@ -11,7 +11,6 @@ waits-for deadlock detection lives in :mod:`repro.system.deadlock`).
 
 from repro.txn.operations import OpKind, Operation, random_transaction_ops
 from repro.txn.transaction import Transaction, TxnStatus, TxnOutcome, AbortReason
-from repro.txn.twophase import CommitPhase, CoordinatorState
 from repro.txn.locks import LockMode, LockManager, LockGrant
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "TxnStatus",
     "TxnOutcome",
     "AbortReason",
-    "CommitPhase",
-    "CoordinatorState",
     "LockMode",
     "LockManager",
     "LockGrant",

@@ -19,13 +19,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.site.coordinator import CoordinatorRole
+from repro.site.coordinator import CommitPhase, CoordinatorRole, CoordinatorState
 from repro.soak import SoakConfig, run_soak
 from repro.soak.report import build_report, render_soak_text, validate_soak_report
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.txn.transaction import Transaction
-from repro.txn.twophase import CommitPhase, CoordinatorState
 
 
 def smoke_config(**overrides) -> SoakConfig:
@@ -206,9 +205,9 @@ def test_crash_logs_phase2_decisions_and_redo_replays_them(crashed_site):
 
     coordinator.crash_reset()
     assert coordinator.active == {}
-    assert coordinator._decided.get(50) == ("committed", 7)
-    assert 51 not in coordinator._decided
-    assert 52 not in coordinator._decided
+    assert coordinator.decisions.get(50) == ("committed", 7)
+    assert 51 not in coordinator.decisions.outcomes
+    assert 52 not in coordinator.decisions.outcomes
     assert coordinator._redo_pending == {50: [(3, 555, 7)]}
     assert db.version(3) < 7  # nothing applied yet: REDO is recovery's job
 
@@ -235,16 +234,16 @@ def test_decision_log_cap_evicts_oldest(crashed_site):
     coordinator = crashed_site.coordinator
     participant = crashed_site.participant
     for role in (coordinator, participant):
-        role.decision_log_cap = 4
+        role.decisions.cap = 4
         for txn_id in range(10):
-            role._note_decided(txn_id, ("committed", txn_id))
-        assert len(role._decided) == 4
-        assert sorted(role._decided) == [6, 7, 8, 9]  # newest survive
+            role.decisions.note(txn_id, ("committed", txn_id))
+        assert len(role.decisions.outcomes) == 4
+        assert sorted(role.decisions.outcomes) == [6, 7, 8, 9]  # newest survive
     # Unbounded (the experiments' default) keeps everything.
-    coordinator.decision_log_cap = None
+    coordinator.decisions.cap = None
     for txn_id in range(10, 40):
-        coordinator._note_decided(txn_id, ("aborted", -1))
-    assert len(coordinator._decided) == 34
+        coordinator.decisions.note(txn_id, ("aborted", -1))
+    assert len(coordinator.decisions.outcomes) == 34
 
 
 # -- the schedule that needs REDO, end to end ---------------------------------

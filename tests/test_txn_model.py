@@ -1,13 +1,17 @@
-"""Operations, transaction lifecycle, and 2PC bookkeeping."""
+"""Operations, transaction lifecycle, and the 2PC coordinator record."""
 
 import random
 
 import pytest
 
-from repro.errors import ProtocolError, TransactionError, WorkloadError
+from repro.errors import TransactionError, WorkloadError
+from repro.net.endpoint import HandlerContext
+from repro.net.message import Message, MessageType
+from repro.site.coordinator import CommitPhase, CoordinatorState
+from repro.system.cluster import Cluster
+from repro.system.config import SystemConfig
 from repro.txn.operations import OpKind, Operation, random_transaction_ops
 from repro.txn.transaction import AbortReason, Transaction, TxnStatus
-from repro.txn.twophase import CommitPhase, CoordinatorState
 
 
 def txn(ops=None, txn_id=1):
@@ -106,48 +110,105 @@ def test_elapsed_unfinished_is_negative():
     assert txn().elapsed == -1.0
 
 
-# -- 2PC coordinator state ----------------------------------------------------------
+# -- 2PC coordinator record ---------------------------------------------------------
+#
+# The coordinator's per-transaction record moves through its phases only on
+# the inputs its phase table declares.  An input in any other phase is a
+# leftover of an earlier round: it is ignored, and nothing is sent.
 
 
-def test_vote_then_commit_flow():
-    state = CoordinatorState(txn=txn())
-    state.begin_voting([1, 2])
+@pytest.fixture
+def coordinator_site():
+    return Cluster(SystemConfig(seed=1, num_sites=3, db_size=8)).sites[0]
+
+
+def voting(site, participants):
+    """Put transaction 1 (read item 0, write item 1) in phase one."""
+    state = CoordinatorState(
+        txn=txn(),
+        phase=CommitPhase.VOTING,
+        participants=list(participants),
+        pending_votes=set(participants),
+        updates=[(1, 100_001, -1)],
+        recipients={1: [site.site_id, *participants]},
+    )
+    site.coordinator.active[1] = state
+    return state
+
+
+def deliver(site, mtype, src):
+    """Hand ``site`` one message about transaction 1; return the activation
+    context, whose outbox holds what the handler sent."""
+    ctx = HandlerContext(site.network, site)
+    site.handle(ctx, Message(src, site.site_id, mtype, {}, 1))
+    return ctx
+
+
+def test_vote_then_commit_flow(coordinator_site):
+    site = coordinator_site
+    state = voting(site, [1, 2])
+    assert deliver(site, MessageType.VOTE_ACK, 1).outbox == []
     assert state.phase is CommitPhase.VOTING
-    assert not state.record_vote(1)
-    assert state.record_vote(2)
-    state.begin_commit()
+    assert state.pending_votes == {2}
+    ctx = deliver(site, MessageType.VOTE_ACK, 2)
     assert state.phase is CommitPhase.COMMITTING
-    assert not state.record_commit_ack(2)
-    assert state.record_commit_ack(1)
-    state.finish()
+    assert state.pending_commit_acks == {1, 2}
+    assert [(m.mtype, m.dst) for m in ctx.outbox] == [
+        (MessageType.COMMIT, 1),
+        (MessageType.COMMIT, 2),
+    ]
+    deliver(site, MessageType.COMMIT_ACK, 2)
+    assert state.phase is CommitPhase.COMMITTING
+    deliver(site, MessageType.COMMIT_ACK, 1)
     assert state.phase is CommitPhase.DONE
+    assert state.txn.status is TxnStatus.COMMITTED
+    assert 1 not in site.coordinator.active
+    assert site.coordinator.decisions.get(1) == ("committed", state.commit_version)
 
 
-def test_commit_before_all_votes_rejected():
+def test_commit_before_all_votes_rejected(coordinator_site):
+    """A COMMIT_ACK while votes are still pending is ignored."""
+    site = coordinator_site
+    state = voting(site, [1, 2])
+    deliver(site, MessageType.VOTE_ACK, 1)
+    assert deliver(site, MessageType.COMMIT_ACK, 2).outbox == []
+    assert state.phase is CommitPhase.VOTING
+    assert state.pending_votes == {2}
+    assert state.pending_commit_acks == set()
+
+
+def test_vote_out_of_phase_rejected(coordinator_site):
+    """A VOTE_ACK before phase one, or a duplicate after it, is ignored."""
+    site = coordinator_site
     state = CoordinatorState(txn=txn())
-    state.begin_voting([1, 2])
-    state.record_vote(1)
-    with pytest.raises(ProtocolError):
-        state.begin_commit()
+    site.coordinator.active[1] = state
+    assert deliver(site, MessageType.VOTE_ACK, 1).outbox == []
+    assert state.phase is CommitPhase.EXECUTING
+    state = voting(site, [1])
+    deliver(site, MessageType.VOTE_ACK, 1)
+    assert state.phase is CommitPhase.COMMITTING
+    assert deliver(site, MessageType.VOTE_ACK, 1).outbox == []
+    assert state.phase is CommitPhase.COMMITTING
+    assert state.pending_commit_acks == {1}
 
 
-def test_vote_out_of_phase_rejected():
-    state = CoordinatorState(txn=txn())
-    with pytest.raises(ProtocolError):
-        state.record_vote(1)
-
-
-def test_drop_participant_unblocks():
-    state = CoordinatorState(txn=txn())
-    state.begin_voting([1, 2])
-    state.record_vote(1)
+def test_drop_participant_unblocks(coordinator_site):
+    site = coordinator_site
+    state = voting(site, [1, 2])
+    deliver(site, MessageType.VOTE_ACK, 1)
     state.drop_participant(2)
     assert not state.pending_votes
     assert state.participants == [1]
 
 
-def test_empty_participant_set():
-    state = CoordinatorState(txn=txn())
-    state.begin_voting([])
-    state.begin_commit()
-    assert not state.pending_commit_acks
+def test_empty_participant_set(coordinator_site):
+    """A read-only transaction has no participants: it commits locally,
+    with no phase-one message and no commit version."""
+    site = coordinator_site
+    ctx = HandlerContext(site.network, site)
+    read_only = txn(ops=[Operation(OpKind.READ, 0)], txn_id=7)
+    site.coordinator.begin(ctx, read_only)
+    assert ctx.outbox == []
+    assert read_only.status is TxnStatus.COMMITTED
+    assert site.coordinator.active == {}
+    assert site.coordinator.decisions.get(7) == ("committed", -1)
