@@ -34,12 +34,14 @@ def choose_copier_source(
     stateless, so replay determinism needs no extra counter in the site
     signature.  Default off: committed seeds elect the lowest donor.
     """
-    if not spread:
-        return {item: planner.up_to_date_source(item) for item in item_ids}
+    donors_of = planner.donor_lookup()
     chosen: dict[int, int] = {}
     for item in item_ids:
-        donors = planner.up_to_date_sources(item)
-        chosen[item] = donors[item % len(donors)] if donors else -1
+        donors = donors_of(item)
+        if not donors:
+            chosen[item] = -1
+        else:
+            chosen[item] = donors[item % len(donors)] if spread else donors[0]
     return chosen
 
 
@@ -50,7 +52,7 @@ def build_copy_request(item_ids: list[int]) -> dict:
 
 def build_copy_response(db: SiteDatabase, item_ids: list[int]) -> dict:
     """COPY_RESP payload: the responder's committed copies."""
-    return {"copies": [db.get(item).snapshot() for item in sorted(item_ids)]}
+    return {"copies": db.snapshots(sorted(item_ids))}
 
 
 def apply_copy_response(
@@ -65,11 +67,7 @@ def apply_copy_response(
     Returns the item ids actually refreshed (a copy already newer locally is
     left alone but its fail-lock is still cleared — the copy is current).
     """
-    refreshed = [
-        item_id
-        for item_id, value, version in copies
-        if db.install_copy(item_id, value, version, time)
-    ]
+    refreshed = db.install_copies(copies, time)
     faillocks.clear_locks([item_id for item_id, _value, _version in copies], owner)
     return refreshed
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.faillocks import FailLockTable
 from repro.core.sessions import NominalSessionVector
@@ -79,6 +80,30 @@ class RowaaPlanner:
         scenario 1."""
         sources = self.up_to_date_sources(item_id, exclude_owner)
         return sources[0] if sources else -1
+
+    def donor_lookup(self) -> Callable[[int], list[int]]:
+        """:meth:`up_to_date_sources` for one planning pass, asked once
+        per class of items that share a fail-lock mask and a holder set.
+
+        The answer depends on nothing else while the pass runs, and every
+        stale item of a cold-crashed site is in one class under full
+        replication.  Items are classed through ``faillocks.mask`` and
+        ``catalog.holders_view``, so an unknown item raises as before.
+        Items of one class share the returned list: do not change it.
+        """
+        mask = self.faillocks.mask
+        holders = self.catalog.holders_view
+        sources = self.up_to_date_sources
+        known: dict[tuple[int, frozenset[int]], list[int]] = {}
+
+        def donors(item_id: int) -> list[int]:
+            key = (mask(item_id), holders(item_id))
+            found = known.get(key)
+            if found is None:
+                found = known[key] = sources(item_id)
+            return found
+
+        return donors
 
     def plan_read(self, item_id: int) -> ReadPlan:
         """Decide how a read of ``item_id`` at the owner is satisfied."""

@@ -60,12 +60,13 @@ def plan_partitions(
     if max_donors > 0:
         choosable = min(choosable, max_donors)
     full = 0
+    donors_of = planner.donor_lookup()
     for item in sorted(item_ids):
         if batch_size > 0 and full >= choosable:
             break
         capped = max_donors > 0 and len(loads) >= max_donors
         best, best_load = -1, 0
-        for donor in planner.up_to_date_sources(item):  # ascending: ties go low
+        for donor in donors_of(item):  # ascending: ties go low
             if donor in excluded or (capped and donor not in loads):
                 continue
             load = loads.get(donor, 0)

@@ -105,7 +105,7 @@ class ParticipantRole:
             if msg.session > perceived:
                 site.nsv.mark_up(msg.src, msg.session)
         # Under partial replication, buffer only the items we hold.
-        held = site.db._items
+        held = site.db._held
         updates = [tuple(u) for u in msg.payload["updates"] if u[0] in held]
         started = ctx.now
         if site.lock_service is not None and updates:
@@ -169,9 +169,7 @@ class ParticipantRole:
         if read_items is not None:
             # Quorum strategy: report our versions so the coordinator can
             # pick the newest copy for each read.
-            ack_payload["read_versions"] = [
-                site.db.get(item).snapshot() for item in read_items
-            ]
+            ack_payload["read_versions"] = site.db.snapshots(read_items)
         ctx.send(
             msg.src,
             MessageType.VOTE_ACK,

@@ -14,16 +14,23 @@ from repro.errors import StorageError
 
 
 class ReplicationCatalog:
-    """Directory mapping item ids to the sites holding a copy."""
+    """Directory mapping item ids to the sites holding a copy.
+
+    Each item maps to a ``frozenset`` of holders, and items with the same
+    holders may share one: under full replication every item shares the
+    set of all sites.  ``add_copy`` / ``remove_copy`` therefore replace an
+    item's set rather than change it, so a type-3 copy of one item leaves
+    every other item's holders as they were.
+    """
 
     def __init__(self, item_ids: Iterable[int], site_ids: Iterable[int]) -> None:
         self.site_ids = sorted(site_ids)
-        self._holders: dict[int, set[int]] = {item: set() for item in item_ids}
+        self._holders: dict[int, frozenset[int]] = dict.fromkeys(item_ids, frozenset())
         # site -> the items it holds no copy of; built on first ask,
         # dropped by the copy mutators (every site is built from it, every
         # cold recovery announce asks again, and every transaction's reads
-        # are planned against it).  Empty under full replication, so it
-        # costs no memory in the paper's configuration.
+        # are planned against it).  Known empty from the start under full
+        # replication.
         self._lacking: dict[int, frozenset[int]] = {}
 
     @classmethod
@@ -32,8 +39,9 @@ class ReplicationCatalog:
     ) -> "ReplicationCatalog":
         """Every site holds every item (the paper's configuration)."""
         catalog = cls(item_ids, site_ids)
-        for item in catalog._holders:
-            catalog._holders[item] = set(catalog.site_ids)
+        everyone = frozenset(catalog.site_ids)
+        catalog._holders = dict.fromkeys(catalog._holders, everyone)
+        catalog._lacking = dict.fromkeys(catalog.site_ids, frozenset())
         return catalog
 
     @property
@@ -48,11 +56,9 @@ class ReplicationCatalog:
         except KeyError:
             raise StorageError(f"unknown item {item_id}") from None
 
-    def holders_view(self, item_id: int) -> set[int]:
-        """The live holder set for ``item_id`` — treat as read-only.
-
-        Hot-path variant of :meth:`holders` without the defensive copy.
-        """
+    def holders_view(self, item_id: int) -> frozenset[int]:
+        """The holder set for ``item_id`` itself, possibly shared with
+        other items — the hot-path variant of :meth:`holders`."""
         try:
             return self._holders[item_id]
         except KeyError:
@@ -67,7 +73,8 @@ class ReplicationCatalog:
 
     def items_on(self, site_id: int) -> list[int]:
         """All items a site holds, sorted (a fresh list)."""
-        return sorted(self._holders.keys() - self._lacks(site_id))
+        lacks = self._lacks(site_id)
+        return sorted(self._holders.keys() - lacks if lacks else self._holders)
 
     def holds_all(self, site_id: int, item_ids: list[int]) -> bool:
         """Whether ``site_id`` holds a copy of every item in ``item_ids``
@@ -88,22 +95,22 @@ class ReplicationCatalog:
         """Record a new copy (type-3 control transaction)."""
         if site_id not in self.site_ids:
             raise StorageError(f"unknown site {site_id}")
-        self._holders[item_id].add(site_id)
+        self._holders[item_id] = self.holders_view(item_id) | {site_id}
         self._lacking.pop(site_id, None)
 
     def remove_copy(self, item_id: int, site_id: int) -> None:
         """Record removal of a copy."""
-        holders = self._holders[item_id]
+        holders = self.holders_view(item_id)
         if site_id not in holders:
             raise StorageError(f"site {site_id} holds no copy of item {item_id}")
         if len(holders) == 1:
             raise StorageError(f"refusing to remove the last copy of item {item_id}")
-        holders.remove(site_id)
+        self._holders[item_id] = holders - {site_id}
         self._lacking.pop(site_id, None)
 
     def is_fully_replicated(self) -> bool:
         """True if every site holds every item."""
-        full = set(self.site_ids)
+        full = frozenset(self.site_ids)
         return all(holders == full for holders in self._holders.values())
 
     def __repr__(self) -> str:

@@ -18,46 +18,74 @@ from repro.storage.log import RedoLog
 
 
 class SiteDatabase:
-    """The replicated copies held by one site."""
+    """The replicated copies held by one site.
+
+    A copy becomes a :class:`DataItem` only when it is first written
+    (:meth:`apply_writes`, :meth:`install_copies`, :meth:`create_item`).
+    Until then it reads as value 0, version 0, committed at 0.0 — the
+    state every copy starts in — and nothing that only reads it (``read``,
+    ``version``, ``get``, ``snapshots``, ``dump``, ``signature``) stores
+    one, so a cluster build costs one id per copy, not one object.
+    """
 
     def __init__(self, site_id: int, item_ids: Iterable[int]) -> None:
         self.site_id = site_id
-        # Built positionally through ``map``: this runs once per copy per
-        # site build, the bulk of a cluster's construction.
-        item_ids = tuple(item_ids)
-        self._items: dict[int, DataItem] = dict(zip(item_ids, map(DataItem, item_ids)))
+        # Every id this site holds a copy of, in catalog order (``dump``
+        # keeps it); ``_items`` has the copies written so far.
+        self._held: dict[int, None] = dict.fromkeys(item_ids)
+        self._items: dict[int, DataItem] = {}
         self._staged: dict[int, list[tuple[int, int, int]]] = {}
         self.log = RedoLog()
+
+    def _unknown(self, item_id: int) -> UnknownItemError:
+        return UnknownItemError(f"site {self.site_id} holds no copy of item {item_id}")
+
+    def _written(self, item_id: int) -> Optional[DataItem]:
+        """The copy's object, or None for a held copy never written."""
+        item = self._items.get(item_id)
+        if item is None and item_id not in self._held:
+            raise self._unknown(item_id)
+        return item
 
     # -- reads -------------------------------------------------------------
 
     def __contains__(self, item_id: int) -> bool:
-        return item_id in self._items
+        return item_id in self._held
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._held)
 
     @property
     def item_ids(self) -> list[int]:
         """Sorted ids of items this site holds a copy of."""
-        return sorted(self._items)
+        return sorted(self._held)
 
     def get(self, item_id: int) -> DataItem:
-        """The committed copy of ``item_id``."""
-        try:
-            return self._items[item_id]
-        except KeyError:
-            raise UnknownItemError(
-                f"site {self.site_id} holds no copy of item {item_id}"
-            ) from None
+        """The committed copy of ``item_id`` (a fresh, unstored default
+        for a copy never written)."""
+        item = self._written(item_id)
+        return DataItem(item_id) if item is None else item
 
     def read(self, item_id: int) -> int:
         """Committed value of ``item_id``."""
-        return self.get(item_id).value
+        item = self._written(item_id)
+        return 0 if item is None else item.value
 
     def version(self, item_id: int) -> int:
         """Committed version of ``item_id``."""
-        return self.get(item_id).version
+        item = self._written(item_id)
+        return 0 if item is None else item.version
+
+    def snapshots(self, item_ids: Iterable[int]) -> list[tuple[int, int, int]]:
+        """``(item_id, value, version)`` of each copy, in order — what a
+        COPY_RESP or a quorum vote ships."""
+        shipped = []
+        for item_id in item_ids:
+            item = self._written(item_id)
+            shipped.append(
+                (item_id, 0, 0) if item is None else (item_id, item.value, item.version)
+            )
+        return shipped
 
     # -- staged updates (two-phase commit) -----------------------------------
 
@@ -72,10 +100,8 @@ class SiteDatabase:
             )
         updates = list(updates)
         for item_id, _value, _version in updates:
-            if item_id not in self._items:
-                raise UnknownItemError(
-                    f"site {self.site_id} holds no copy of item {item_id}"
-                )
+            if item_id not in self._held:
+                raise self._unknown(item_id)
         self._staged[txn_id] = updates
 
     def has_staged(self, txn_id: int) -> bool:
@@ -101,47 +127,62 @@ class SiteDatabase:
         holds no copy of; those are skipped.  Returns the ids applied.
         """
         items = self._items
+        held = self._held
         append = self.log.append
         applied = []
         for item_id, value, version in updates:
             item = items.get(item_id)
             if item is None:
-                continue
-            append(txn_id, item_id, item.value, value, item.version, version, time)
-            item.value = value
-            item.version = version
-            item.committed_at = time
+                if item_id not in held:
+                    continue
+                append(txn_id, item_id, 0, value, 0, version, time)
+                items[item_id] = DataItem(item_id, value, version, time)
+            else:
+                append(txn_id, item_id, item.value, value, item.version, version, time)
+                item.value = value
+                item.version = version
+                item.committed_at = time
             applied.append(item_id)
         return applied
+
+    def install_copies(
+        self, copies: Iterable[tuple[int, int, int]], time: float, source_txn: int = -1
+    ) -> list[int]:
+        """Install ``(item_id, value, version)`` copies fetched by a copier
+        transaction, each naming a distinct item held here.
+
+        Refuses to go backwards: a copy whose local version is already at
+        least as new is left alone.  Every item is checked before anything
+        is written.  Returns the ids installed, in order.
+        """
+        newer = []
+        for copy in copies:
+            item = self._written(copy[0])
+            if copy[2] > (0 if item is None else item.version):
+                newer.append(copy)
+        return self.apply_writes(source_txn, newer, time)
 
     def install_copy(
         self, item_id: int, value: int, version: int, time: float, source_txn: int = -1
     ) -> bool:
-        """Install a copy fetched by a copier transaction.
-
-        Refuses to go backwards: if the local copy is already at least as
-        new, nothing changes.  Returns True if the copy was installed.
-        """
-        if self.get(item_id).version >= version:
-            return False
-        self.apply_writes(source_txn, ((item_id, value, version),), time)
-        return True
+        """:meth:`install_copies` of one copy; True if it was installed."""
+        return bool(self.install_copies(((item_id, value, version),), time, source_txn))
 
     def create_item(self, item_id: int, value: int, version: int, time: float) -> None:
         """Materialize a brand-new copy (type-3 control transaction)."""
-        if item_id in self._items:
+        if item_id in self._held:
             raise StorageError(
                 f"site {self.site_id} already holds a copy of item {item_id}"
             )
+        self._held[item_id] = None
         self._items[item_id] = DataItem(item_id, value, version, time)
 
     def drop_item(self, item_id: int) -> None:
         """Remove a copy (the cleanup cost the paper notes for type 3)."""
-        if item_id not in self._items:
-            raise UnknownItemError(
-                f"site {self.site_id} holds no copy of item {item_id}"
-            )
-        del self._items[item_id]
+        if item_id not in self._held:
+            raise self._unknown(item_id)
+        del self._held[item_id]
+        self._items.pop(item_id, None)
 
     def drop_staged(self) -> None:
         """Lose every pre-commit buffer (a warm crash): committed copies
@@ -151,16 +192,17 @@ class SiteDatabase:
     def wipe(self) -> None:
         """Lose all volatile state (a cold crash): every copy reverts to
         the initial value/version, staged updates and the log are gone."""
-        for item in self._items.values():
-            item.value = 0
-            item.version = 0
-            item.committed_at = 0.0
+        self._items.clear()
         self._staged.clear()
         self.log = RedoLog(self.log.capacity)
 
     def dump(self) -> dict[int, tuple[int, int]]:
         """``{item_id: (value, version)}`` — for consistency audits."""
-        return {i: (d.value, d.version) for i, d in self._items.items()}
+        items = self._items
+        return {
+            i: (0, 0) if (d := items.get(i)) is None else (d.value, d.version)
+            for i in self._held
+        }
 
     def signature(self) -> tuple:
         """Hashable snapshot of committed + staged state (``repro.check``).
@@ -169,10 +211,11 @@ class SiteDatabase:
         every copy's (value, version) and on the staged buffers behave
         identically under the protocol regardless of when they got there.
         """
+        items = self._items
         return (
             tuple(
-                (i, d.value, d.version)
-                for i, d in sorted(self._items.items())
+                (i, 0, 0) if (d := items.get(i)) is None else (i, d.value, d.version)
+                for i in sorted(self._held)
             ),
             tuple(
                 (txn, tuple(updates))
@@ -182,6 +225,6 @@ class SiteDatabase:
 
     def __repr__(self) -> str:
         return (
-            f"SiteDatabase(site={self.site_id}, items={len(self._items)}, "
+            f"SiteDatabase(site={self.site_id}, items={len(self._held)}, "
             f"staged_txns={len(self._staged)})"
         )

@@ -24,9 +24,5 @@ class DataItem:
         """True if this copy reflects a later write than ``other``."""
         return self.version > other.version
 
-    def snapshot(self) -> tuple[int, int, int]:
-        """(item_id, value, version) — what a copier transaction ships."""
-        return (self.item_id, self.value, self.version)
-
     def __repr__(self) -> str:
         return f"DataItem(id={self.item_id}, value={self.value}, v={self.version})"

@@ -168,11 +168,11 @@ class Cluster:
                 self.site(s).db.version(item) for s in self.catalog.holders(item)
             )
             for site_id in sorted(self.catalog.holders(item)):
-                copy = self.site(site_id).db.get(item)
+                version = self.site(site_id).db.version(item)
                 locked = table.is_locked(item, site_id)
-                if not locked and copy.version != newest:
+                if not locked and version != newest:
                     problems.append(
-                        f"item {item}: site {site_id} copy v{copy.version} is not "
+                        f"item {item}: site {site_id} copy v{version} is not "
                         f"fail-locked but newest is v{newest}"
                     )
         return problems

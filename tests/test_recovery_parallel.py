@@ -141,11 +141,22 @@ def test_bounded_plan_is_the_unbounded_plan_cut_per_donor(seed):
         assert bounded == {d: shard[:batch_size] for d, shard in full.items()}
 
 
-def test_bounded_plan_stops_reading_once_every_donor_is_full():
-    planner = _fresh_planner()
+def _record_lookups(planner) -> list:
     asked = []
     sources = planner.up_to_date_sources
     planner.up_to_date_sources = lambda item: asked.append(item) or sources(item)
+    return asked
+
+
+def test_bounded_plan_stops_reading_once_every_donor_is_full():
+    # Donors 1-3 are up and current everywhere; down sites 4-7 hold
+    # fail-locks spelling out each item's id, so no two items share a
+    # class and every item the planner reads costs one lookup.
+    planner = _fresh_planner(num_sites=8)
+    for site in range(4, 8):
+        planner.vector.mark_down(site)
+        planner.faillocks.set_locks([i for i in range(12) if i >> (site - 4) & 1], site)
+    asked = _record_lookups(planner)
     shards = plan_partitions(planner, range(12), batch_size=2)
     assert shards == {1: [0, 3], 2: [1, 4], 3: [2, 5]}
     assert asked == [0, 1, 2, 3, 4, 5]  # 3 donors x 2, not the 12 stale items
@@ -153,6 +164,49 @@ def test_bounded_plan_stops_reading_once_every_donor_is_full():
     asked.clear()
     assert plan_partitions(planner, range(12), max_donors=1, batch_size=2) == {1: [0, 1]}
     assert asked == [0, 1]
+
+
+def test_one_donor_lookup_per_faillock_class():
+    # A cold-crashed owner: every stale item has the same mask and holders.
+    planner = _fresh_planner()
+    planner.faillocks.set_locks(range(12), 0)
+    asked = _record_lookups(planner)
+    assert plan_partitions(planner, range(12)) == {
+        1: [0, 3, 6, 9], 2: [1, 4, 7, 10], 3: [2, 5, 8, 11]
+    }
+    assert asked == [0]
+    asked.clear()
+    assert choose_copier_source(planner, range(12)) == dict.fromkeys(range(12), 1)
+    assert asked == [0]
+    # A second class (donor 1 stale too) costs exactly one more lookup.
+    planner.faillocks.set_locks([5, 7], 1)
+    asked.clear()
+    chosen = choose_copier_source(planner, range(12), spread=True)
+    assert asked == [0, 5]
+    assert chosen[5] == [2, 3][5 % 2] and chosen[6] == [1, 2, 3][6 % 3]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_donor_lookup_answers_what_each_item_would(seed):
+    import random
+
+    rng = random.Random(seed)
+    sites = list(range(rng.randint(2, 7)))
+    items = list(range(rng.randint(1, 60)))
+    planner = _random_planner(rng, sites, items)
+    donors_of = planner.donor_lookup()
+    for item in rng.sample(items, len(items)):
+        assert donors_of(item) == planner.up_to_date_sources(item)
+
+
+def test_donor_lookup_raises_for_unknown_items():
+    from repro.errors import FailLockError
+
+    planner = _fresh_planner()
+    with pytest.raises(FailLockError):
+        plan_partitions(planner, [0, 99])
+    with pytest.raises(FailLockError):
+        choose_copier_source(planner, [99])
 
 
 def test_bounded_plan_reads_on_while_some_donor_cannot_fill():

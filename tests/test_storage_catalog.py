@@ -84,3 +84,75 @@ def test_holds_all_follows_copy_changes():
     catalog.remove_copy(1, 0)
     assert not catalog.holds_all(0, [0, 1])
     assert catalog.holds_all(0, [0, 2])
+
+
+def test_copy_mutators_reject_unknown_items():
+    catalog = ReplicationCatalog.fully_replicated(range(2), range(3))
+    with pytest.raises(StorageError, match="unknown item 9"):
+        catalog.add_copy(9, 0)
+    with pytest.raises(StorageError, match="unknown item 9"):
+        catalog.remove_copy(9, 0)
+    assert catalog.is_fully_replicated()
+
+
+def _view(catalog, sites, items):
+    """Everything the catalog answers, item by item and site by site."""
+    return (
+        {item: catalog.holders(item) for item in items},
+        {site: catalog.items_on(site) for site in sites},
+        {site: catalog.holds_all(site, items) for site in sites},
+        catalog.is_fully_replicated(),
+    )
+
+
+def test_type3_change_to_one_item_leaves_the_others_alone():
+    sites, items = range(4), range(6)
+    catalog = ReplicationCatalog.fully_replicated(items, sites)
+    catalog.remove_copy(2, 1)
+    holders, on, holds_all, full = _view(catalog, sites, items)
+    assert holders == {i: ({0, 2, 3} if i == 2 else {0, 1, 2, 3}) for i in items}
+    assert on[1] == [0, 1, 3, 4, 5] and on[0] == list(items)
+    assert holds_all == {0: True, 1: False, 2: True, 3: True}
+    assert not full
+    catalog.add_copy(2, 1)
+    assert _view(catalog, sites, items) == (
+        {i: {0, 1, 2, 3} for i in items},
+        {s: list(items) for s in sites},
+        dict.fromkeys(sites, True),
+        True,
+    )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_copy_on_write_matches_a_per_item_model(seed):
+    """Random type-3 adds and removes, over a full catalog (one shared
+    holder set) or a partial one, against plain per-item sets."""
+    import random
+
+    rng = random.Random(seed)
+    sites, items = range(4), range(8)
+    if seed % 2:
+        catalog = ReplicationCatalog.fully_replicated(items, sites)
+        model = {i: set(sites) for i in items}
+    else:
+        catalog = ReplicationCatalog(items, sites)
+        model = {i: set() for i in items}
+        for i in items:
+            for s in rng.sample(sites, rng.randint(1, 4)):
+                catalog.add_copy(i, s)
+                model[i].add(s)
+    for _ in range(40):
+        item, site = rng.choice(items), rng.choice(sites)
+        if site in model[item] and len(model[item]) > 1:
+            catalog.remove_copy(item, site)
+            model[item].discard(site)
+        else:
+            catalog.add_copy(item, site)
+            model[item].add(site)
+        assert _view(catalog, sites, items) == (
+            model,
+            {s: [i for i in items if s in model[i]] for s in sites},
+            {s: all(s in model[i] for i in items) for s in sites},
+            all(model[i] == set(sites) for i in items),
+        )
+        assert all(catalog.holds(s, i) == (s in model[i]) for i in items for s in sites)

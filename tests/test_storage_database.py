@@ -120,7 +120,10 @@ def test_dump_snapshot(db):
     assert dump[4] == (0, 0)
 
 
-def test_snapshot_tuple():
-    item = DataItem(item_id=2, value=9, version=4)
-    assert item.snapshot() == (2, 9, 4)
+def test_snapshot_tuple(db):
+    db.apply_writes(4, [(2, 9, 4)], time=1.0)
+    assert db.snapshots([2, 0]) == [(2, 9, 4), (0, 0, 0)]
+    with pytest.raises(UnknownItemError):
+        db.snapshots([1, 99])
+    item = db.get(2)
     assert item.newer_than(DataItem(item_id=2, value=0, version=3))
