@@ -113,8 +113,9 @@ def _entry_signature(entry: tuple, now: float) -> tuple:
 
 def _live_entries(scheduler: Any) -> list[tuple]:
     """Everything still due to fire: the heap and the same-instant
-    now-queue (``EventScheduler.run`` parks zero-delay posts there when no
-    ``tie_breaker`` is installed), cancelled timers excepted."""
+    now-queue (both run loops park zero-delay posts there, and
+    ``_run_choosing`` the tied entries its hook did not pick), cancelled
+    timers excepted."""
     return [
         entry
         for entry in (*scheduler._heap, *scheduler._nowq)
@@ -123,7 +124,8 @@ def _live_entries(scheduler: Any) -> list[tuple]:
 
 
 def pending_signature(cluster: "Cluster") -> tuple:
-    """Signatures of all live pending events, sorted for stability.
+    """Signatures of all live pending events, sorted for stability — the
+    tuple whose ``repr`` ``cluster_fingerprint`` assembles from texts.
 
     Sorted by repr rather than heap position: the heap's internal layout
     depends on push/pop history, which is schedule history — exactly what
@@ -149,24 +151,84 @@ def _is_activation(entry: tuple) -> bool:
     )
 
 
+def _message_text(msg: Message, texts: dict) -> bytes:
+    """``repr(message_signature(msg))``, made once per message per run.
+
+    ``texts`` maps ``id(msg)`` to ``(msg, text)``: holding the message
+    keeps its id from being reused while the entry lives.  Sound because
+    nothing changes a message between the activation that queues it and
+    its delivery (``tests/test_check_incremental_fingerprint.py``).
+    """
+    hit = texts.get(id(msg))
+    if hit is not None and hit[0] is msg:
+        return hit[1]
+    text = repr(message_signature(msg)).encode()
+    texts[id(msg)] = (msg, text)
+    return text
+
+
+def _tuple_text(parts: list[bytes]) -> bytes:
+    """``repr`` of a tuple whose elements' ``repr``s are ``parts``."""
+    if len(parts) == 1:
+        return b"(" + parts[0] + b",)"
+    return b"(" + b", ".join(parts) + b")"
+
+
+def _entry_text(entry: tuple, now: float, texts: dict) -> bytes:
+    """``repr(_entry_signature(entry, now))``, encoded, reusing the texts
+    this fingerprint already has: a delivery's message and a release's
+    outbox from the per-message memo, a release's site from its own text.
+    Any other entry is the reference ``repr``."""
+    time, _seq, action, payload = entry
+    func = getattr(action, "__func__", None)
+    if func is Network._deliver:
+        relative = round(time - now, 9)
+        head = f"({relative!r}, 'deliver', ".encode()
+        return head + _message_text(payload[0], texts) + b")"
+    if func is Network._release_activation:
+        endpoint, outbox, timers, completions, _scope = payload
+        signed = texts.get(endpoint)
+        if signed is not None:
+            relative = round(time - now, 9)
+            sent = _tuple_text(
+                [
+                    _message_text(m, texts)
+                    if type(m) is Message
+                    else repr(_canon(m)).encode()
+                    for m in outbox
+                ]
+            )
+            head = (
+                f"({relative!r}, {_action_name(action)!r}, "
+                f"(({type(endpoint).__name__!r}, "
+            ).encode()
+            tail = f", {_canon(timers)!r}, {_canon(completions)!r}))".encode()
+            return head + signed + b"), " + sent + tail
+    return repr(_entry_signature(entry, now)).encode()
+
+
 def cluster_fingerprint(cluster: "Cluster") -> str:
     """Digest of the whole protocol-visible cluster state.
 
-    The hashed text is ``repr((sites, manager, pending))``, assembled from
-    each site's ``repr(site.signature())``.  A site changes state only in
-    its own activations, and ``Network.endpoint_memo`` drops a site's
-    entry when one ends — so a site's text is rebuilt only if it ran since
-    the last fingerprint.  What that rule cannot vouch for re-signs every
-    site: a network nobody armed, the first fingerprint of a run, a
+    The hashed text is ``repr((sites, manager, pending))``, streamed into
+    one blake2b from each site's ``repr(site.signature())``, the
+    manager's, and each pending entry's.  A site changes state only in its
+    own activations, and ``Network.endpoint_memo`` drops a site's entry
+    when one ends — so a site's text is rebuilt only if it ran since the
+    last fingerprint.  The same memo keeps each in-flight message's text
+    for the rest of the run.  What that rule cannot vouch for re-signs
+    every site: a network nobody armed, the first fingerprint of a run, a
     ``concurrency_control`` cluster (the shared deadlock detector calls a
-    victim's abort hook from another site's activation), a pending foreign
-    callback.  The from-scratch reference lives in ``tests/``.
+    victim's abort hook from another site's activation), a pending
+    foreign callback.  The from-scratch reference lives in ``tests/``.
     """
+    scheduler = cluster.scheduler
+    live = _live_entries(scheduler)
     armed = cluster.network.endpoint_memo
     vouched = (
         armed is not None
         and not cluster.config.concurrency_control
-        and all(map(_is_activation, _live_entries(cluster.scheduler)))
+        and all(map(_is_activation, live))
     )
     if armed and not vouched:
         armed.clear()  # and nothing signed now is kept for the next one
@@ -174,9 +236,14 @@ def cluster_fingerprint(cluster: "Cluster") -> str:
     sites = cluster.sites
     for site in sites:
         if site not in memo:
-            memo[site] = repr(site.signature())
-    text = ", ".join([memo[site] for site in sites])
-    if len(sites) == 1:
-        text += ","  # repr((x,))
-    text = f"(({text}), {cluster.manager.signature()!r}, {pending_signature(cluster)!r})"
-    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+            memo[site] = repr(site.signature()).encode()
+    now = scheduler.clock._now
+    digest = hashlib.blake2b(b"((", digest_size=16)
+    update = digest.update
+    update(b", ".join([memo[site] for site in sites]))
+    update(b",), " if len(sites) == 1 else b"), ")
+    update(repr(cluster.manager.signature()).encode())
+    update(b", ")
+    update(_tuple_text(sorted([_entry_text(entry, now, memo) for entry in live])))
+    update(b")")
+    return digest.hexdigest()

@@ -48,33 +48,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["OrderChoiceHook", "FateChoiceHook", "FaultChoiceHook"]
 
 
-def _delivery_message(entry: tuple) -> Optional["Message"]:
-    """The message if this heap entry is a network delivery, else None."""
-    action = entry[2]
-    if action is not None and getattr(action, "__func__", None) is Network._deliver:
-        return entry[3][0]
-    return None
+def _describe(entry: tuple) -> tuple[str, tuple, Optional[tuple[int, int]]]:
+    """(label, dep key, FIFO channel or None) of one tied heap entry.
 
-
-def _entry_label(entry: tuple) -> str:
-    """Human-stable label for a tied heap entry (no process-local ids)."""
-    msg = _delivery_message(entry)
-    if msg is not None:
-        return (
-            f"deliver {msg.mtype.value} {msg.src}->{msg.dst} txn={msg.txn_id}"
-        )
+    The label is human-stable (no process-local ids); the channel is the
+    ``(src, dst)`` of a message delivery, the only kind of entry whose
+    order among its peers is constrained.
+    """
     action = entry[2]
     if action is None:  # cancellable Event
         event = entry[3]
         label = event.label or getattr(
             event.action, "__qualname__", type(event.action).__name__
         )
-        return f"timer {label}"
+        return f"timer {label}", ("any",), None
+    func = getattr(action, "__func__", None)
+    if func is Network._deliver:
+        msg = entry[3][0]
+        src, dst = msg.src, msg.dst
+        return (
+            f"deliver {msg.mtype._value_} {src}->{dst} txn={msg.txn_id}",
+            ("deliver", src, dst),
+            (src, dst),
+        )
     name = getattr(action, "__qualname__", None)
     if name is None:
-        func = getattr(action, "__func__", None)
         name = getattr(func, "__qualname__", type(action).__name__)
-    return f"run {name}"
+    return f"run {name}", ("any",), None
 
 
 class OrderChoiceHook:
@@ -82,7 +82,10 @@ class OrderChoiceHook:
 
     def __init__(self, controller: ChoiceController, max_branch: int = 3) -> None:
         self.controller = controller
-        self.max_branch = max(2, max_branch)
+        self.max_branch = max_branch
+        # seq -> _describe(entry).  A tied entry that does not fire is
+        # offered again with the next group; its description is made once.
+        self._described: dict[int, tuple[str, tuple, Optional[tuple[int, int]]]] = {}
 
     def __call__(self, tied: list[tuple]) -> int:
         # Candidate filter: walk the group in (time, seq) order; a message
@@ -90,28 +93,33 @@ class OrderChoiceHook:
         # seen (firing it first would reorder that channel); everything
         # else is always eligible.  Entry 0 has the minimal seq, so it is
         # always eligible and alternative 0 is always the default order.
+        described = self._described
+        max_branch = self.max_branch
         candidates: list[int] = []
+        labels: list[str] = []
         dep_keys: list[tuple] = []
         seen_channels: set[tuple[int, int]] = set()
         for i, entry in enumerate(tied):
-            if len(candidates) >= self.max_branch:
+            if len(candidates) >= max_branch:
                 break
-            msg = _delivery_message(entry)
-            if msg is not None:
-                channel = (msg.src, msg.dst)
+            about = described.get(entry[1])
+            if about is None:
+                about = described[entry[1]] = _describe(entry)
+            channel = about[2]
+            if channel is not None:
                 if channel in seen_channels:
                     continue
                 seen_channels.add(channel)
-                candidates.append(i)
-                dep_keys.append(("deliver", msg.src, msg.dst))
-            else:
-                candidates.append(i)
-                dep_keys.append(("any",))
+            candidates.append(i)
+            labels.append(about[0])
+            dep_keys.append(about[1])
         if len(candidates) < 2:
             return 0
-        labels = [_entry_label(tied[i]) for i in candidates]
-        pick = self.controller.choose("order", labels, dep_keys)
-        return candidates[pick]
+        return candidates[self.controller.choose("order", labels, dep_keys)]
+
+
+# DROPPABLE as a tuple: membership by identity, without hashing the enum.
+_DROPPABLE = tuple(DROPPABLE)
 
 
 class FateChoiceHook:
@@ -123,7 +131,7 @@ class FateChoiceHook:
         self.drops = 0
 
     def intercept(self, msg: "Message") -> Optional[MessageFate]:
-        if self.drops >= self.max_drops or msg.mtype not in DROPPABLE:
+        if msg.mtype not in _DROPPABLE or self.drops >= self.max_drops:
             return None
         stem = f"{msg.mtype.value} {msg.src}->{msg.dst} txn={msg.txn_id}"
         pick = self.controller.choose(
@@ -161,13 +169,16 @@ class FaultChoiceHook:
         self.site_ids = list(site_ids)
         self.max_crashes = max_crashes
         self.max_recoveries = max_recoveries
-        self.min_up = max(1, min_up)
-        self.max_branch = max(2, max_branch)
+        self.min_up = min_up
+        self.max_branch = max_branch
         self._up = set(site_ids)
         self._crashes = 0
         self._recoveries = 0
+        # The options on offer, (labels after "txn N: ", dep keys, action
+        # lists); they change only when a crash or recovery is taken.
+        self._options: Optional[tuple[tuple[str, ...], tuple, tuple[list, ...]]] = None
 
-    def get(self, seq: int, default: Any = None) -> list:
+    def _offer(self) -> tuple[tuple[str, ...], tuple, tuple[list, ...]]:
         options: list[tuple[str, tuple, list]] = [("no fault", ("none",), [])]
         if self._crashes < self.max_crashes and len(self._up) > self.min_up:
             for site in sorted(self._up):
@@ -183,20 +194,27 @@ class FaultChoiceHook:
                         [RecoverSite(site)],
                     )
                 )
-        options = options[: self.max_branch]
-        if len(options) < 2:
+        labels, keys, actions = zip(*options[: self.max_branch])
+        return labels, keys, actions
+
+    def get(self, seq: int, default: Any = None) -> list:
+        options = self._options
+        if options is None:
+            options = self._options = self._offer()
+        labels, keys, actions = options
+        if len(labels) < 2:
             return []
         pick = self.controller.choose(
-            "fault",
-            tuple(f"txn {seq}: {label}" for label, _key, _acts in options),
-            tuple(key for _label, key, _acts in options),
+            "fault", tuple([f"txn {seq}: {label}" for label in labels]), keys
         )
-        actions = options[pick][2]
-        for action in actions:
-            if isinstance(action, FailSite):
-                self._up.discard(action.site_id)
-                self._crashes += 1
-            else:
-                self._up.add(action.site_id)
-                self._recoveries += 1
-        return actions
+        if not pick:
+            return []
+        action = actions[pick][0]
+        if isinstance(action, FailSite):
+            self._up.discard(action.site_id)
+            self._crashes += 1
+        else:
+            self._up.add(action.site_id)
+            self._recoveries += 1
+        self._options = None
+        return actions[pick]

@@ -75,6 +75,20 @@ class CheckConfig:
     max_recoveries: int = 1
     min_up: int = 1
 
+    def __post_init__(self) -> None:
+        # A choice point with fewer than two alternatives is no choice, and
+        # a search that may crash every site has nobody left to drive; both
+        # budgets are refused rather than quietly raised.
+        if self.max_branch < 2:
+            raise CheckError(
+                f"max_branch must be >= 2 (alternatives offered per choice "
+                f"point): {self.max_branch}"
+            )
+        if self.min_up < 1:
+            raise CheckError(
+                f"min_up must be >= 1 (sites never crashed below): {self.min_up}"
+            )
+
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
 

@@ -107,6 +107,10 @@ def load_schedule(path: Path) -> dict[str, Any]:
             f"{path}: invalid {SCHEDULE_SCHEMA} schedule file: "
             + "; ".join(problems)
         )
+    try:
+        CheckConfig.from_dict(doc["config"])
+    except CheckError as exc:
+        raise CheckError(f"{path}: {exc}") from None
     return doc
 
 

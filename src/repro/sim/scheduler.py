@@ -339,36 +339,52 @@ class EventScheduler:
         than one live entry is due at the minimum time, the whole tied
         group (in ``(time, seq)`` order) is handed to the hook, which
         returns the index of the entry to fire first.  The remaining tied
-        entries go back on the heap with their original keys, so the hook
-        is consulted again — with one fewer candidate — before the next
+        entries wait in the now-queue with their original keys, so the
+        hook is consulted again — with one fewer candidate, plus whatever
+        the fired entry posted for the same instant — before the next
         fire.  A hook that always returns 0 reproduces the default
         tie-break contract exactly.
+
+        Same-instant posts batch into the now-queue as in :meth:`run`, and
+        when it runs dry the heap's next instant moves into it, so the
+        queue always holds the whole tied group in ``(time, seq)`` order
+        and a lone due entry fires without building one.  While the hook
+        runs the group sits in neither the queue nor the heap, which is
+        what a fingerprint taken inside the hook sees.
         """
         self._running = True
+        self._batching = True
         heap = self._heap
+        nowq = self._nowq
         heappop = heapq.heappop
-        heappush = heapq.heappush
+        popleft = nowq.popleft
         clock = self.clock
         choose = self.tie_breaker
         fired = 0
         try:
-            while heap:
-                entry = heappop(heap)
+            while True:
+                if not nowq:
+                    if not heap:
+                        break
+                    # The next instant's entries, in (time, seq) order.
+                    due = heap[0][0]
+                    while heap and heap[0][0] == due:
+                        nowq.append(heappop(heap))
+                entry = popleft()
                 if entry[2] is _CANCELLABLE and entry[3].cancelled:
                     self._cancelled -= 1
                     continue
-                tied = [entry]
-                due = entry[0]
-                while heap and heap[0][0] == due:
-                    other = heappop(heap)
-                    if other[2] is _CANCELLABLE and other[3].cancelled:
-                        self._cancelled -= 1
-                        continue
-                    tied.append(other)
-                if len(tied) > 1:
-                    entry = tied.pop(choose(tied))
-                    for other in tied:
-                        heappush(heap, other)
+                if nowq:
+                    tied = [entry]
+                    for other in nowq:
+                        if other[2] is _CANCELLABLE and other[3].cancelled:
+                            self._cancelled -= 1
+                        else:
+                            tied.append(other)
+                    nowq.clear()
+                    if len(tied) > 1:
+                        entry = tied.pop(choose(tied))
+                        nowq.extend(tied)
                 time, _seq, action, payload = entry
                 if action is _CANCELLABLE:
                     action = payload.action
@@ -381,6 +397,9 @@ class EventScheduler:
                         f"exceeded {max_events} events; runaway simulation?"
                     )
         finally:
+            self._batching = False
+            while nowq:
+                heapq.heappush(heap, popleft())
             self._fired += fired
             self._running = False
         return fired

@@ -9,6 +9,7 @@ control-transaction machinery, and the copier-responder logic.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 from repro.core import copier as copier_mod
@@ -56,6 +57,35 @@ RECOVERY_POLICIES = {
     RecoveryPolicy.TWO_STEP: TwoStepRecovery,
     RecoveryPolicy.PARALLEL: ParallelCopierScheduler,
 }
+
+# Message dispatch: one dict lookup per delivered message instead of a
+# 20-branch if/elif chain.  Keyed by the member's value string, which
+# hashes in C (an enum member's ``__hash__`` is a Python call), in
+# handle() and in every site a cluster build binds the table for.
+_ROUTES = tuple(
+    (mtype._value_, attrgetter(path))
+    for mtype, path in (
+        (MessageType.MGR_SUBMIT_TXN, "_on_submit_txn"),
+        (MessageType.VOTE_REQ, "participant.on_vote_req"),
+        (MessageType.COMMIT, "participant.on_commit"),
+        (MessageType.ABORT, "participant.on_abort"),
+        (MessageType.TXN_STATUS_REQ, "_on_txn_status_req"),
+        (MessageType.TXN_STATUS_RESP, "participant.on_status_resp"),
+        (MessageType.COPY_REQ, "_serve_copy_request"),
+        (MessageType.COPY_RESP, "_on_copy_resp"),
+        (MessageType.COPY_DENIED, "_on_copy_denied"),
+        (MessageType.CLEAR_FAILLOCKS, "_on_clear_faillocks"),
+        (MessageType.RECOVERY_ANNOUNCE, "_on_recovery_announce"),
+        (MessageType.RECOVERY_STATE, "_on_recovery_state"),
+        (MessageType.FAILURE_ANNOUNCE, "_on_failure_announce"),
+        (MessageType.CREATE_COPY, "_on_create_copy"),
+        (MessageType.CREATE_COPY_ACK, "_on_create_copy_ack"),
+        (MessageType.MGR_FAIL, "_on_fail"),
+        (MessageType.MGR_RECOVER, "_on_recover"),
+    )
+)
+# ... and the messages the coordinator's phase table takes directly.
+_COORDINATOR_ROUTES = (MessageType.VOTE_ACK, MessageType.VOTE_NACK, MessageType.COMMIT_ACK)
 
 
 class DatabaseSite(Endpoint):
@@ -118,30 +148,12 @@ class DatabaseSite(Endpoint):
         accept = self.coordinator.accept
         self._txn_copy_resp = accept[MessageType.COPY_RESP]
         self._txn_copy_denied = accept[MessageType.COPY_DENIED]
-        # Message dispatch: one dict lookup instead of a 20-branch
-        # if/elif chain (handle() runs once per delivered message).
-        self._dispatch = {
-            MessageType.MGR_SUBMIT_TXN: self._on_submit_txn,
-            MessageType.VOTE_REQ: self.participant.on_vote_req,
-            MessageType.COMMIT: self.participant.on_commit,
-            MessageType.ABORT: self.participant.on_abort,
-            MessageType.VOTE_ACK: accept[MessageType.VOTE_ACK],
-            MessageType.VOTE_NACK: accept[MessageType.VOTE_NACK],
-            MessageType.COMMIT_ACK: accept[MessageType.COMMIT_ACK],
-            MessageType.TXN_STATUS_REQ: self._on_txn_status_req,
-            MessageType.TXN_STATUS_RESP: self.participant.on_status_resp,
-            MessageType.COPY_REQ: self._serve_copy_request,
-            MessageType.COPY_RESP: self._on_copy_resp,
-            MessageType.COPY_DENIED: self._on_copy_denied,
-            MessageType.CLEAR_FAILLOCKS: self._on_clear_faillocks,
-            MessageType.RECOVERY_ANNOUNCE: self._on_recovery_announce,
-            MessageType.RECOVERY_STATE: self._on_recovery_state,
-            MessageType.FAILURE_ANNOUNCE: self._on_failure_announce,
-            MessageType.CREATE_COPY: self._on_create_copy,
-            MessageType.CREATE_COPY_ACK: self._on_create_copy_ack,
-            MessageType.MGR_FAIL: self._on_fail,
-            MessageType.MGR_RECOVER: self._on_recover,
-        }
+        # Bound once per site, so span wrappers installed on the classes
+        # before a site is built are what it binds.
+        dispatch = {key: route(self) for key, route in _ROUTES}
+        for mtype in _COORDINATOR_ROUTES:
+            dispatch[mtype._value_] = accept[mtype]
+        self._dispatch = dispatch
 
     def attach(self, network: Network) -> None:
         """Wire the site to its network (done by the cluster builder)."""
@@ -156,7 +168,7 @@ class DatabaseSite(Endpoint):
     # -- message dispatch ---------------------------------------------------------
 
     def handle(self, ctx: HandlerContext, msg: Message) -> None:
-        fn = self._dispatch.get(msg.mtype)
+        fn = self._dispatch.get(msg.mtype._value_)
         if fn is None:
             raise ProtocolError(f"site {self.site_id}: unexpected message {msg}")
         fn(ctx, msg)

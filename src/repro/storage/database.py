@@ -36,6 +36,9 @@ class SiteDatabase:
         self._items: dict[int, DataItem] = {}
         self._staged: dict[int, list[tuple[int, int, int]]] = {}
         self.log = RedoLog()
+        # Cached signature() (None = stale): every method that changes a
+        # copy, the held set or the staged buffers drops it.
+        self._signature: Optional[tuple] = None
 
     def _unknown(self, item_id: int) -> UnknownItemError:
         return UnknownItemError(f"site {self.site_id} holds no copy of item {item_id}")
@@ -62,7 +65,8 @@ class SiteDatabase:
 
     def get(self, item_id: int) -> DataItem:
         """The committed copy of ``item_id`` (a fresh, unstored default
-        for a copy never written)."""
+        for a copy never written) — to read: a change made through it
+        would bypass the cached :meth:`signature`."""
         item = self._written(item_id)
         return DataItem(item_id) if item is None else item
 
@@ -103,6 +107,7 @@ class SiteDatabase:
             if item_id not in self._held:
                 raise self._unknown(item_id)
         self._staged[txn_id] = updates
+        self._signature = None
 
     def has_staged(self, txn_id: int) -> bool:
         """Whether ``txn_id`` has buffered updates on this site."""
@@ -110,7 +115,8 @@ class SiteDatabase:
 
     def abort_staged(self, txn_id: int) -> None:
         """Discard ``txn_id``'s buffered updates (no-op if none)."""
-        self._staged.pop(txn_id, None)
+        if self._staged.pop(txn_id, None) is not None:
+            self._signature = None
 
     # -- direct writes (coordinator local commit, copier refresh) ----------
 
@@ -143,6 +149,8 @@ class SiteDatabase:
                 item.version = version
                 item.committed_at = time
             applied.append(item_id)
+        if applied:
+            self._signature = None
         return applied
 
     def install_copies(
@@ -176,6 +184,7 @@ class SiteDatabase:
             )
         self._held[item_id] = None
         self._items[item_id] = DataItem(item_id, value, version, time)
+        self._signature = None
 
     def drop_item(self, item_id: int) -> None:
         """Remove a copy (the cleanup cost the paper notes for type 3)."""
@@ -183,11 +192,13 @@ class SiteDatabase:
             raise self._unknown(item_id)
         del self._held[item_id]
         self._items.pop(item_id, None)
+        self._signature = None
 
     def drop_staged(self) -> None:
         """Lose every pre-commit buffer (a warm crash): committed copies
         survive, but the staging area is volatile memory."""
         self._staged.clear()
+        self._signature = None
 
     def wipe(self) -> None:
         """Lose all volatile state (a cold crash): every copy reverts to
@@ -195,6 +206,7 @@ class SiteDatabase:
         self._items.clear()
         self._staged.clear()
         self.log = RedoLog(self.log.capacity)
+        self._signature = None
 
     def dump(self) -> dict[int, tuple[int, int]]:
         """``{item_id: (value, version)}`` — for consistency audits."""
@@ -210,18 +222,22 @@ class SiteDatabase:
         Excludes the redo log and commit timestamps: states that agree on
         every copy's (value, version) and on the staged buffers behave
         identically under the protocol regardless of when they got there.
+        Kept until a mutator drops it.
         """
-        items = self._items
-        return (
-            tuple(
-                (i, 0, 0) if (d := items.get(i)) is None else (i, d.value, d.version)
-                for i in sorted(self._held)
-            ),
-            tuple(
-                (txn, tuple(updates))
-                for txn, updates in sorted(self._staged.items())
-            ),
-        )
+        signature = self._signature
+        if signature is None:
+            items = self._items
+            signature = self._signature = (
+                tuple(
+                    (i, 0, 0) if (d := items.get(i)) is None else (i, d.value, d.version)
+                    for i in sorted(self._held)
+                ),
+                tuple(
+                    (txn, tuple(updates))
+                    for txn, updates in sorted(self._staged.items())
+                ),
+            )
+        return signature
 
     def __repr__(self) -> str:
         return (

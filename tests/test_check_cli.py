@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
+from repro.check import CheckConfig, load_schedule
 from repro.cli import build_parser, main
+from repro.errors import CheckError
 
 
 def test_parser_accepts_check_subcommands():
@@ -111,6 +115,61 @@ def test_a_mistyped_config_field_is_an_error_line_and_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "config.sites: expected int, got str" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--max-branch", "0", "max_branch"),
+        ("--max-branch", "1", "max_branch"),
+        ("--min-up", "0", "min_up"),
+    ],
+)
+def test_a_budget_below_its_floor_is_refused_not_raised(flag, value, field, capsys):
+    """``--max-branch 0`` and ``1`` used to run the ``2`` search, and
+    ``--min-up 0`` the ``1`` search: the hooks clamped them silently."""
+    assert main(["check", "explore", "--max-runs", "5", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"{field} must be >= " in err
+    with pytest.raises(CheckError, match=field):
+        CheckConfig(**{field: int(value)})
+
+
+def test_the_smallest_accepted_budgets_steer_their_own_search(capsys):
+    """At the floors each budget is taken as given: the two-way search is
+    not the default three-way one, and ``--min-up 3`` of three sites
+    leaves no crash to choose."""
+    printed = {}
+    for argv in (
+        ["--max-branch", "2"],
+        ["--max-branch", "3"],
+        ["--min-up", "1"],
+        ["--min-up", "3"],
+    ):
+        assert main(["check", "explore", *argv]) == 0
+        printed[tuple(argv)] = capsys.readouterr().out.splitlines()[0]
+    assert printed[("--max-branch", "2")].startswith("runs: 7, states: 29,")
+    assert printed[("--max-branch", "3")].startswith("runs: 12, states: 47,")
+    assert printed[("--min-up", "1")] == printed[("--max-branch", "3")]
+    assert printed[("--min-up", "3")].startswith("runs: 1, states: 4,")
+
+
+def test_a_schedule_file_with_a_budget_below_its_floor_is_refused(tmp_path, capsys):
+    schedule = tmp_path / "schedule.json"
+    assert main(["check", "explore", "--mutate", "--max-runs", "60",
+                 "--out", str(schedule)]) == 0
+    doc = json.loads(schedule.read_text())
+    doc["config"]["max_branch"] = 1
+    schedule.write_text(json.dumps(doc))
+    with pytest.raises(CheckError, match="max_branch must be >= 2"):
+        load_schedule(schedule)
+    capsys.readouterr()
+    for command in ("replay", "shrink", "stats"):
+        assert main(["check", command, "--file", str(schedule)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "max_branch must be >= 2" in err
 
 
 def test_explore_rejects_unknown_choice_kind(capsys):

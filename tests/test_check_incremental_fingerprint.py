@@ -1,7 +1,8 @@
 """Incremental state fingerprints against the from-scratch reference.
 
 ``cluster_fingerprint`` rebuilds a site's signature text only if the site
-finished an activation since the last fingerprint (``Network.endpoint_memo``).
+finished an activation since the last fingerprint (``Network.endpoint_memo``),
+and an in-flight message's text once per run.
 The fingerprint it replaced — sign every site, ``repr`` the whole tuple —
 lives here as the reference, not in ``src/``: every digest the incremental
 one produces must equal it, and a search run on either must come out the
@@ -19,7 +20,11 @@ import pytest
 from repro.check import CheckConfig, explore, run_schedule
 from repro.check import runner
 from repro.check.explorer import explore_parallel
-from repro.check.fingerprint import cluster_fingerprint, pending_signature
+from repro.check.fingerprint import (
+    cluster_fingerprint,
+    message_signature,
+    pending_signature,
+)
 from repro.net.network import Network
 from repro.obs.sink import TraceSink
 from repro.perf.pool import shutdown_pool
@@ -87,7 +92,7 @@ def _outcome(result):
     )
 
 
-@pytest.mark.parametrize(
+_CONFIGS = pytest.mark.parametrize(
     "config",
     [replace(_BENCH, seed=seed) for seed in (42, 43, 44, 45, 46)]
     + [
@@ -97,7 +102,7 @@ def _outcome(result):
     + [
         replace(_BENCH, mutate=True),
         replace(_BENCH, explore_fates=False),
-        replace(_BENCH, explore_order=False),  # plain run(): the now-queue is live
+        replace(_BENCH, explore_order=False),  # no tie_breaker: plain run()
     ],
     ids=lambda c: (
         f"seed{c.seed}-{c.recovery_policy}"
@@ -106,6 +111,9 @@ def _outcome(result):
         f"{'' if c.explore_order else '-noorder'}"
     ),
 )
+
+
+@_CONFIGS
 def test_every_fingerprint_of_a_search_equals_the_reference(
     config, compared, monkeypatch
 ):
@@ -113,6 +121,32 @@ def test_every_fingerprint_of_a_search_equals_the_reference(
     assert len(compared) >= incremental.stats.states > 0
     monkeypatch.setattr(runner, "cluster_fingerprint", reference_fingerprint)
     assert _outcome(incremental) == _outcome(explore(config, **_BENCH_BUDGET))
+
+
+@_CONFIGS
+def test_a_message_does_not_change_while_it_is_pending(config, monkeypatch):
+    """What the per-message text memo rests on: from the end of the
+    activation that queued a message to its delivery, the message's
+    canonical signature stays what it was."""
+    queued = {}
+    delivered = []
+    finish, deliver = Network._finish_activation, Network._deliver
+
+    def queue_then_finish(network, ctx):
+        for msg in ctx.outbox:
+            queued[id(msg)] = (msg, message_signature(msg))
+        finish(network, ctx)
+
+    def check_then_deliver(network, msg, released=False):
+        first, signature = queued.pop(id(msg))
+        assert first is msg and message_signature(msg) == signature, msg
+        delivered.append(msg.mtype)
+        deliver(network, msg, released)
+
+    monkeypatch.setattr(Network, "_finish_activation", queue_then_finish)
+    monkeypatch.setattr(Network, "_deliver", check_then_deliver)
+    explore(config, **_BENCH_BUDGET)
+    assert len(set(delivered)) >= 8
 
 
 def test_parallel_search_equals_the_reference(compared, monkeypatch):
