@@ -13,8 +13,8 @@ class CounterSet:
         """Add ``amount`` to ``name`` (creating it at 0); returns new value."""
         if amount < 0:
             raise ValueError(f"counters only go up: {name} += {amount}")
-        self._counts[name] = self._counts.get(name, 0) + amount
-        return self._counts[name]
+        value = self._counts[name] = self._counts.get(name, 0) + amount
+        return value
 
     def get(self, name: str) -> int:
         """Current value of ``name`` (0 if never incremented)."""

@@ -17,6 +17,10 @@ from repro.txn.transaction import AbortReason
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.net.message import Message
 
+# ``AbortReason(value)`` goes through the enum metaclass' call on every
+# settled transaction; a plain lookup by value answers the same member.
+_REASON_BY_VALUE = {reason.value: reason for reason in AbortReason}
+
 
 @dataclass(slots=True)
 class TxnRecord:
@@ -55,7 +59,7 @@ class TxnRecord:
             seq=seq,
             coordinator=msg.src,
             committed=payload["committed"],
-            abort_reason=AbortReason(payload["reason"]),
+            abort_reason=_REASON_BY_VALUE[payload["reason"]],
             size=payload["size"],
             items_read=payload["items_read"],
             items_written=payload["items_written"],

@@ -31,6 +31,9 @@ from typing import Iterable
 
 __all__ = ["P2Quantile", "QuantileSketch"]
 
+_ceil = math.ceil
+_log = math.log
+
 
 class QuantileSketch:
     """Log-bucket quantile sketch for non-negative values."""
@@ -60,13 +63,16 @@ class QuantileSketch:
             raise ValueError(f"QuantileSketch holds non-negative values: {value}")
         self.count += 1
         self.total += value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
         if value <= self.ZERO_EPSILON:
             self._zero += 1
             return
-        index = math.ceil(math.log(value) / self._ln_gamma)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
+        index = _ceil(_log(value) / self._ln_gamma)
+        buckets = self._buckets
+        buckets[index] = buckets.get(index, 0) + 1
 
     def extend(self, values: Iterable[float]) -> None:
         for value in values:
@@ -133,6 +139,8 @@ class P2Quantile:
             h.sort()
             return
         n = self._positions
+        # Clamp the end markers, then shift every marker above cell k (the
+        # first k with value < h[k + 1]) one place.
         if value < h[0]:
             h[0] = value
             k = 0
@@ -140,24 +148,39 @@ class P2Quantile:
             h[4] = value
             k = 3
         else:
-            k = 0
-            while value >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        for i in (1, 2, 3):
-            d = self._desired[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                d <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                d = 1.0 if d > 0 else -1.0
-                candidate = self._parabolic(i, d)
-                if not h[i - 1] < candidate < h[i + 1]:
-                    candidate = self._linear(i, d)
-                h[i] = candidate
-                n[i] += d
+            k = 0 if value < h[1] else 1 if value < h[2] else 2 if value < h[3] else 3
+        if k == 0:
+            n[1] += 1.0
+        if k <= 1:
+            n[2] += 1.0
+        if k <= 2:
+            n[3] += 1.0
+        n[4] += 1.0
+        # Only the middle markers' desired positions are ever read.
+        desired, increments = self._desired, self._increments
+        desired[1] += increments[1]
+        desired[2] += increments[2]
+        desired[3] += increments[3]
+        # Move each middle marker at most one place towards its desired
+        # position, in order 1, 2, 3 (each test sees the moves before it).
+        d = desired[1] - n[1]
+        if (d >= 1.0 and n[2] - n[1] > 1.0) or (d <= -1.0 and n[0] - n[1] < -1.0):
+            self._move(1, d)
+        d = desired[2] - n[2]
+        if (d >= 1.0 and n[3] - n[2] > 1.0) or (d <= -1.0 and n[1] - n[2] < -1.0):
+            self._move(2, d)
+        d = desired[3] - n[3]
+        if (d >= 1.0 and n[4] - n[3] > 1.0) or (d <= -1.0 and n[2] - n[3] < -1.0):
+            self._move(3, d)
+
+    def _move(self, i: int, d: float) -> None:
+        h = self._heights
+        d = 1.0 if d > 0 else -1.0
+        candidate = self._parabolic(i, d)
+        if not h[i - 1] < candidate < h[i + 1]:
+            candidate = self._linear(i, d)
+        h[i] = candidate
+        self._positions[i] += d
 
     def _parabolic(self, i: int, d: float) -> float:
         h, n = self._heights, self._positions

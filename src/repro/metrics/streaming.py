@@ -52,12 +52,17 @@ class StreamingStats:
         self.maximum = -math.inf
 
     def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
+        count = self.count = self.count + 1
+        mean = self.mean
+        delta = value - mean
+        mean = self.mean = mean + delta / count
+        self._m2 += delta * (value - mean)
+        # Plain comparisons: exactly what min() / max() decide, without
+        # two builtin calls per sample.
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
 
     @property
     def variance(self) -> float:
@@ -195,13 +200,16 @@ class WindowedSeries:
         self.on_open = on_open
 
     def _window_at(self, t_ms: float) -> Window:
-        index = max(0, int(t_ms // self.window_ms))
-        while len(self.windows) <= index:
-            window = Window(len(self.windows), len(self.windows) * self.window_ms)
-            self.windows.append(window)
+        index = int(t_ms // self.window_ms)
+        if index < 0:
+            index = 0
+        windows = self.windows
+        while len(windows) <= index:
+            window = Window(len(windows), len(windows) * self.window_ms)
+            windows.append(window)
             if self.on_open is not None:
                 self.on_open(window)
-        return self.windows[index]
+        return windows[index]
 
     def note_arrival(self, t_ms: float) -> None:
         self._window_at(t_ms).arrivals += 1

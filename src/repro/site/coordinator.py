@@ -559,9 +559,10 @@ class CoordinatorRole:
         # values (partial replication) are already in txn.reads.  Under
         # quorum the local value is provisional until the vote returns
         # versions.
+        db, reads = site.db, txn.reads
         for item in txn.read_items:
-            if item in site.db:
-                txn.reads[item] = site.db.read(item)
+            if item in db:
+                reads[item] = db.read(item)
 
         # Writes: deterministic values.  The version is stamped at the
         # commit point (see _commit_version) so that per-item versions are

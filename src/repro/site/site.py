@@ -44,7 +44,6 @@ from repro.site.participant import ParticipantRole
 from repro.storage.catalog import ReplicationCatalog
 from repro.storage.database import SiteDatabase
 from repro.system.config import SystemConfig
-from repro.txn.operations import Operation
 from repro.txn.transaction import Transaction
 
 # Sentinel transaction id for batch copier exchanges (two-step and
@@ -174,7 +173,9 @@ class DatabaseSite(Endpoint):
         fn(ctx, msg)
 
     def _on_submit_txn(self, ctx: HandlerContext, msg: Message) -> None:
-        self.coordinator.begin(ctx, self._decode_txn(msg))
+        self.coordinator.begin(
+            ctx, Transaction(txn_id=msg.txn_id, ops=msg.payload["ops"])
+        )
 
     def _on_copy_resp(self, ctx: HandlerContext, msg: Message) -> None:
         if msg.txn_id == BATCH_COPIER_TXN:
@@ -189,11 +190,6 @@ class DatabaseSite(Endpoint):
                 self._maybe_issue_batch_copiers(ctx)
         else:
             self._txn_copy_denied(ctx, msg)
-
-    @staticmethod
-    def _decode_txn(msg: Message) -> Transaction:
-        ops = [Operation(kind=k, item_id=i) for k, i in msg.payload["ops"]]
-        return Transaction(txn_id=msg.txn_id, ops=ops)
 
     def _on_txn_status_req(self, ctx: HandlerContext, msg: Message) -> None:
         """Cooperative termination: a blocked participant asks what became

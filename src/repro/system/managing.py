@@ -63,11 +63,14 @@ class ControlPlane(Endpoint):
         # activation — so a driver must not read ``site.alive`` when
         # choosing a coordinator in the same breath as a failure action.
         self._believed_up: set[int] = set(self.config.site_ids)
+        # Sorted once per change of the set, not once per arrival.
+        self._up_sorted = sorted(self._believed_up)
 
     @property
     def up_sites(self) -> list[int]:
-        """Database sites the manager believes up, sorted."""
-        return sorted(self._believed_up)
+        """Database sites the manager believes up, sorted (shared: do not
+        mutate)."""
+        return self._up_sorted
 
     def submit(
         self, ctx: HandlerContext, txn_id: int, ops, coordinator: int, seq: int
@@ -84,11 +87,12 @@ class ControlPlane(Endpoint):
                 coordinator=coordinator,
             )
         # "coordinator" repeats the destination; no site reads it, but
-        # repro.check hashes in-flight payloads into its pinned fingerprints.
+        # repro.check hashes in-flight payloads into its pinned fingerprints
+        # (where an Operation canonicalizes as its (kind, item) tuple).
         ctx.send(
             coordinator,
             MessageType.MGR_SUBMIT_TXN,
-            {"ops": [(op.kind, op.item_id) for op in ops], "coordinator": coordinator},
+            {"ops": list(ops), "coordinator": coordinator},
             txn_id=txn_id,
         )
 
@@ -97,6 +101,7 @@ class ControlPlane(Endpoint):
         announcer so survivors learn immediately (see DESIGN.md)."""
         ctx.send(site_id, MessageType.MGR_FAIL, {})
         self._believed_up.discard(site_id)
+        self._up_sorted = sorted(self._believed_up)
         if self.config.detection is FailureDetection.ANNOUNCED:
             announcement = FailureAnnouncement(
                 announcer=self.site_id, failed_sites=[site_id]
@@ -115,6 +120,7 @@ class ControlPlane(Endpoint):
         """Re-admit the site a ``MGR_RECOVER_DONE`` names; returns it."""
         site_id = msg.payload["site"]
         self._believed_up.add(site_id)
+        self._up_sorted = sorted(self._believed_up)
         return site_id
 
     def settle(

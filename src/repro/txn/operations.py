@@ -10,10 +10,10 @@ random item.
 from __future__ import annotations
 
 import enum
-from repro.sim.rng import RandomStream
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import WorkloadError
+from repro.sim.rng import RandomStream
 
 
 class OpKind(enum.Enum):
@@ -26,9 +26,9 @@ class OpKind(enum.Enum):
         return self.value
 
 
-@dataclass(slots=True, frozen=True)
-class Operation:
-    """One operation on one data item."""
+class Operation(NamedTuple):
+    """One operation on one data item: an immutable value, built once by
+    the workload and shipped in ``MGR_SUBMIT_TXN`` as it is."""
 
     kind: OpKind
     item_id: int
@@ -66,5 +66,5 @@ def random_transaction_ops(
     ops = []
     for _ in range(count):
         kind = OpKind.WRITE if rng.random() < write_probability else OpKind.READ
-        ops.append(Operation(kind=kind, item_id=rng.choice(item_ids)))
+        ops.append(Operation(kind, rng.choice(item_ids)))
     return ops

@@ -6,7 +6,10 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import TransactionError
-from repro.txn.operations import Operation
+from repro.txn.operations import OpKind, Operation
+
+# Bound once: reading a member off an Enum class runs Python-level code.
+_READ = OpKind.READ
 
 
 class TxnStatus(enum.Enum):
@@ -52,31 +55,23 @@ class Transaction:
     finished_at: float = -1.0
     reads: dict[int, int] = field(default_factory=dict)
     writes: dict[int, int] = field(default_factory=dict)
-    # Lazily computed caches for read_items/write_items: ``ops`` never
-    # changes after construction, and these are consulted on every hot
-    # protocol step (planning, locking, reporting).
-    _read_items: list[int] | None = field(default=None, repr=False, compare=False)
-    _write_items: list[int] | None = field(default=None, repr=False, compare=False)
+    # Distinct items read / written, in first-touch order.  ``ops`` never
+    # changes after construction, and both sets are consulted on every hot
+    # protocol step (planning, locking, reporting), so one pass over
+    # ``ops`` derives them together.
+    read_items: list[int] = field(init=False, repr=False, compare=False)
+    write_items: list[int] = field(init=False, repr=False, compare=False)
 
-    @property
-    def read_items(self) -> list[int]:
-        """Distinct items read, in first-touch order."""
-        items = self._read_items
-        if items is None:
-            items = self._read_items = list(
-                dict.fromkeys(op.item_id for op in self.ops if op.is_read)
-            )
-        return items
-
-    @property
-    def write_items(self) -> list[int]:
-        """Distinct items written, in first-touch order."""
-        items = self._write_items
-        if items is None:
-            items = self._write_items = list(
-                dict.fromkeys(op.item_id for op in self.ops if op.is_write)
-            )
-        return items
+    def __post_init__(self) -> None:
+        reads: dict[int, None] = {}
+        writes: dict[int, None] = {}
+        for kind, item in self.ops:
+            if kind is _READ:
+                reads[item] = None
+            else:
+                writes[item] = None
+        self.read_items = list(reads)
+        self.write_items = list(writes)
 
     @property
     def size(self) -> int:

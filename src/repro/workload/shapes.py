@@ -254,7 +254,7 @@ class HotKeyStormWorkload(WorkloadGenerator):
             kind = (
                 OpKind.WRITE if rng.random() < self.write_probability else OpKind.READ
             )
-            ops.append(Operation(kind=kind, item_id=item))
+            ops.append(Operation(kind, item))
         return ops
 
     def generate(self, txn_seq: int, rng: RandomStream) -> list[Operation]:
@@ -308,9 +308,9 @@ class DebitCreditWorkload(WorkloadGenerator):
         # The three partitions occupy disjoint index ranges, so the items
         # are always distinct — three writes, never a double-lock.
         return [
-            Operation(kind=OpKind.WRITE, item_id=account),
-            Operation(kind=OpKind.WRITE, item_id=teller),
-            Operation(kind=OpKind.WRITE, item_id=branch),
+            Operation(OpKind.WRITE, account),
+            Operation(OpKind.WRITE, teller),
+            Operation(OpKind.WRITE, branch),
         ]
 
     def describe(self) -> str:

@@ -37,6 +37,13 @@ class WisconsinWorkload(WorkloadGenerator):
         if not 0.0 <= scan_fraction <= 1.0:
             raise WorkloadError(f"scan_fraction must be in [0, 1]: {scan_fraction}")
         self.item_ids = sorted(item_ids)
+        # Operations are immutable values: each item's read and write is
+        # built once, and every transaction shares them.
+        self._reads = [Operation(OpKind.READ, item) for item in self.item_ids]
+        self._read_write = {
+            read.item_id: (read, Operation(OpKind.WRITE, read.item_id))
+            for read in self._reads
+        }
         self.scan_length = scan_length
         self.update_count = update_count
         self.scan_fraction = scan_fraction
@@ -44,17 +51,13 @@ class WisconsinWorkload(WorkloadGenerator):
     def generate(self, txn_seq: int, rng: RandomStream) -> list[Operation]:
         if rng.random() < self.scan_fraction:
             start = rng.randint(0, len(self.item_ids) - self.scan_length)
-            return [
-                Operation(OpKind.READ, self.item_ids[start + offset])
-                for offset in range(self.scan_length)
-            ]
+            return self._reads[start : start + self.scan_length]
         targets = rng.sample(
             self.item_ids, min(self.update_count, len(self.item_ids))
         )
-        ops = []
+        ops: list[Operation] = []
         for item in targets:
-            ops.append(Operation(OpKind.READ, item))
-            ops.append(Operation(OpKind.WRITE, item))
+            ops += self._read_write[item]
         return ops
 
     def describe(self) -> str:

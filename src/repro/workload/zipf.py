@@ -95,7 +95,7 @@ class ZipfWorkload(WorkloadGenerator):
             kind = (
                 OpKind.WRITE if rng.random() < self.write_probability else OpKind.READ
             )
-            ops.append(Operation(kind=kind, item_id=item))
+            ops.append(Operation(kind, item))
         return ops
 
     def describe(self) -> str:

@@ -10,10 +10,12 @@ layer relies on.
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from repro.metrics.sketch import P2Quantile, QuantileSketch
+from repro.metrics.streaming import StreamingStats
 from repro.metrics.stats import percentile
 
 PERCENTILES = [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0]
@@ -85,12 +87,27 @@ def test_coarser_rel_err_still_honors_its_own_bound(rng):
 
 
 def test_tracks_count_total_min_max(rng):
+    """After every sample of a stream that opens with a zero and holds
+    repeats and an all-equal run: count, total, min and max (of the
+    sketch and of StreamingStats) against the builtins, and the buckets
+    against ``ceil(log v / ln gamma)`` computed directly."""
     values = [rng.uniform(0.5, 50.0) for _ in range(500)]
-    sketch = build(values)
-    assert sketch.count == len(values)
-    assert sketch.total == pytest.approx(sum(values))
-    assert sketch.minimum == min(values)
-    assert sketch.maximum == max(values)
+    values = [0.0, *values[:250], 0.0, 3.25, 3.25, *[7.5] * 40, *values[250:], values[0]]
+    sketch, stats = QuantileSketch(rel_err=0.01), StreamingStats()
+    ln_gamma = math.log(1.01 / 0.99)
+    total, zeros, buckets = 0.0, 0, Counter()
+    for n, value in enumerate(values, 1):
+        sketch.add(value)
+        stats.add(value)
+        total += value
+        if value <= QuantileSketch.ZERO_EPSILON:
+            zeros += 1
+        else:
+            buckets[math.ceil(math.log(value) / ln_gamma)] += 1
+        low, high = min(values[:n]), max(values[:n])
+        assert (sketch.count, sketch.total) == (n, total)
+        assert (sketch.minimum, sketch.maximum, stats.minimum, stats.maximum) == (low, high) * 2
+        assert (sketch._zero, sketch._buckets) == (zeros, buckets)
 
 
 def test_zero_values_occupy_zero_bucket():

@@ -1,13 +1,16 @@
 """Operations, transaction lifecycle, and the 2PC coordinator record."""
 
+import dataclasses
 import random
 
 import pytest
 
+from repro.check.fingerprint import message_signature
 from repro.errors import TransactionError, WorkloadError
 from repro.net.endpoint import HandlerContext
 from repro.net.message import Message, MessageType
 from repro.site.coordinator import CommitPhase, CoordinatorState
+from repro.soak import SoakConfig, engine
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.txn.operations import OpKind, Operation, random_transaction_ops
@@ -26,6 +29,41 @@ def txn(ops=None, txn_id=1):
 def test_operation_kind_predicates():
     assert Operation(OpKind.READ, 0).is_read
     assert Operation(OpKind.WRITE, 0).is_write
+
+
+def test_operation_is_an_immutable_value():
+    op = Operation(OpKind.WRITE, 7)
+    assert op == Operation(kind=OpKind.WRITE, item_id=7) == (OpKind.WRITE, 7)
+    assert hash(op) == hash(Operation(OpKind.WRITE, 7))
+    assert op != Operation(OpKind.READ, 7) and op != Operation(OpKind.WRITE, 8)
+    assert len({op, Operation(OpKind.WRITE, 7), Operation(OpKind.READ, 5)}) == 2
+    assert (repr(op), repr(Operation(OpKind.READ, 5))) == ("w(7)", "r(5)")
+    with pytest.raises(AttributeError):
+        op.item_id = 8
+
+
+def test_submissions_ship_operations_with_the_tuple_encodings_signature(monkeypatch):
+    """Every ``MGR_SUBMIT_TXN`` of a short soak carries the workload's
+    operations, and its fingerprint text is the one the ``(kind, item)``
+    tuple encoding gave, so the pinned explorer fingerprints hold."""
+    submitted: list[Message] = []
+
+    class ProbedCluster(Cluster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.network.delivery_probes.append(
+                lambda m: m.mtype is MessageType.MGR_SUBMIT_TXN and submitted.append(m)
+            )
+
+    monkeypatch.setattr(engine, "Cluster", ProbedCluster)
+    engine.run_soak(SoakConfig(seed=3, txns=120, rate_tps=40.0))
+    assert len(submitted) >= 100
+    for msg in submitted:
+        ops = msg.payload["ops"]
+        assert ops and all(type(op) is Operation for op in ops)
+        tuples = [(op.kind, op.item_id) for op in ops]
+        encoded = dataclasses.replace(msg, payload={**msg.payload, "ops": tuples})
+        assert message_signature(msg) == message_signature(encoded)
 
 
 def test_random_ops_respect_bounds():
@@ -79,6 +117,18 @@ def test_distinct_items_first_touch_order():
     assert t.write_items == [3, 0]
     assert t.read_items == [1]
     assert t.size == 5
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_read_and_write_items_follow_their_definition(seed):
+    """Distinct items, in first-touch order; an item both read and
+    written is in both lists; no operations, no items."""
+    rng = random.Random(seed)
+    ops = random_transaction_ops(rng, list(range(6)), max_ops=12) if seed else []
+    t = txn(ops)
+    for kind, items in ((OpKind.READ, t.read_items), (OpKind.WRITE, t.write_items)):
+        touched = [op.item_id for op in ops if op.kind is kind]
+        assert items == sorted(set(touched), key=touched.index)
 
 
 def test_commit_transition():
