@@ -35,65 +35,40 @@ class FaultInjector:
         self.intercepted = 0
 
     def intercept(self, msg: Message) -> Optional[MessageFate]:
-        """The network's interposition hook (see ``Network._release_activation``)."""
-        plan = self.plan
-        rng = self._rng
-        self.intercepted += 1
+        """The network's interposition hook (see ``Network._release_activation``).
 
-        if plan.lossy_core:
-            return self._intercept_lossy(msg)
-
-        if msg.mtype in DROPPABLE and rng.random() < plan.drop_rate:
-            self.stats.note("dropped", msg.mtype)
-            return MessageFate(drop=True)
-
-        fate: Optional[MessageFate] = None
-        if msg.mtype in DUPLICABLE and rng.random() < plan.duplicate_rate:
-            fate = fate if fate is not None else MessageFate()
-            fate.duplicate = True
-            fate.duplicate_gap = rng.uniform(0.0, plan.duplicate_gap_ms)
-            self.stats.note("duplicated", msg.mtype)
-        if plan.delay_rate > 0.0 and rng.random() < plan.delay_rate:
-            fate = fate if fate is not None else MessageFate()
-            fate.delay = rng.uniform(0.0, plan.delay_max_ms)
-            self.stats.note("delayed", msg.mtype)
-        if plan.reorder_rate > 0.0 and rng.random() < plan.reorder_rate:
-            fate = fate if fate is not None else MessageFate()
-            fate.reorder = True
-            fate.reorder_shift = rng.uniform(0.0, plan.reorder_window_ms)
-            self.stats.note("reordered", msg.mtype)
-        return fate
-
-    def _intercept_lossy(self, msg: Message) -> Optional[MessageFate]:
-        """Full fault model (``lossy_core``): any message type is fair game.
-
-        Drops are *silent* — no sender failure notice, exactly like a real
+        Under the full fault model (``lossy_core``) any message type is
+        fair game, transport acks (``NET_ACK``) included: the conservative
+        :data:`DROPPABLE` / :data:`DUPLICABLE` gates are not consulted, and
+        a drop is *silent* — no sender failure notice, exactly like a real
         lossy network — which is only survivable because the cluster runs
-        the retransmission sublayer and the 2PC termination protocol.  The
-        conservative :data:`DROPPABLE`/:data:`DUPLICABLE` gates are
-        deliberately not consulted; transport acks (``NET_ACK``) are
-        faulted like everything else.
+        the retransmission sublayer and the 2PC termination protocol.
         """
         plan = self.plan
         rng = self._rng
-        if rng.random() < plan.drop_rate:
-            self.stats.note("dropped", msg.mtype)
-            return MessageFate(drop=True, silent=True)
+        mtype = msg.mtype
+        lossy = plan.lossy_core
+        self.intercepted += 1
+
+        if (lossy or mtype in DROPPABLE) and rng.random() < plan.drop_rate:
+            self.stats.note("dropped", mtype)
+            return MessageFate(drop=True, silent=lossy)
+
         fate: Optional[MessageFate] = None
-        if rng.random() < plan.duplicate_rate:
-            fate = fate if fate is not None else MessageFate()
+        if (lossy or mtype in DUPLICABLE) and rng.random() < plan.duplicate_rate:
+            fate = MessageFate()
             fate.duplicate = True
             fate.duplicate_gap = rng.uniform(0.0, plan.duplicate_gap_ms)
-            self.stats.note("duplicated", msg.mtype)
+            self.stats.note("duplicated", mtype)
         if plan.delay_rate > 0.0 and rng.random() < plan.delay_rate:
             fate = fate if fate is not None else MessageFate()
             fate.delay = rng.uniform(0.0, plan.delay_max_ms)
-            self.stats.note("delayed", msg.mtype)
+            self.stats.note("delayed", mtype)
         if plan.reorder_rate > 0.0 and rng.random() < plan.reorder_rate:
             fate = fate if fate is not None else MessageFate()
             fate.reorder = True
             fate.reorder_shift = rng.uniform(0.0, plan.reorder_window_ms)
-            self.stats.note("reordered", msg.mtype)
+            self.stats.note("reordered", mtype)
         return fate
 
     def __repr__(self) -> str:

@@ -22,7 +22,6 @@ from repro.chaos.interpose import FaultInjector
 from repro.chaos.invariants import InvariantAuditor
 from repro.chaos.schedule import build_chaos_scenario
 from repro.core.faillocks import FailLockTable
-from repro.core.sessions import NominalSessionVector, SiteState
 from repro.errors import SimulationError
 from repro.metrics.records import ViolationRecord
 from repro.net.reliable import ReliableStats
@@ -53,23 +52,6 @@ class NeuteredFailLockTable(FailLockTable):
         # ``set_lock`` delegates here too.  Keep validation, skip the write.
         self._bit(site_id)
         self._known(item_ids)
-
-    def update_on_commit(
-        self, written_items: Iterable[int], vector: NominalSessionVector
-    ) -> int:
-        clear_mask = 0
-        operations = 0
-        for site in self.site_ids:
-            operations += 1
-            if vector.state_of(site) is SiteState.UP:
-                clear_mask |= self._bit_of[site]
-        count = 0
-        for item in written_items:
-            old = self._mask(item)
-            if old & clear_mask:
-                self._store(item, old, old & ~clear_mask)
-            count += operations
-        return count
 
     def update_with_recipients(
         self, recipients_of: dict[int, Iterable[int]]

@@ -116,11 +116,6 @@ class ChoiceController:
         )
         return chosen
 
-    @property
-    def chosen_vector(self) -> list[int]:
-        """The decisions this run actually executed, as a replay vector."""
-        return [d.chosen for d in self.trace]
-
     def __repr__(self) -> str:
         return (
             f"ChoiceController(advice={self.advice}, "

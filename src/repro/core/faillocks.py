@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.errors import FailLockError
-from repro.core.sessions import NominalSessionVector, SiteState
 
 
 class FailLockTable:
@@ -162,38 +161,6 @@ class FailLockTable:
         )
 
     # -- commit-time maintenance (paper §1.2) -----------------------------------
-
-    def update_on_commit(
-        self, written_items: Iterable[int], vector: NominalSessionVector
-    ) -> int:
-        """Fail-lock maintenance for one committed transaction.
-
-        For every written item and every site: a DOWN site missed the
-        update, so its bit is *set*; an UP site received it, so its bit is
-        *cleared* ("this resulted in some fail-lock bits being re-cleared
-        for an operational site", §1.2 — the unconditional form the paper
-        found more efficient than branching on site state).  RECOVERING and
-        TERMINATING sites are treated as having missed the update.
-
-        Returns the number of bit operations performed (for cost models).
-        """
-        set_mask = 0
-        clear_mask = 0
-        operations = 0
-        for site in self.site_ids:
-            operations += 1
-            if vector.state_of(site) is SiteState.UP:
-                clear_mask |= self._bit_of[site]
-            else:
-                set_mask |= self._bit_of[site]
-        count = 0
-        for item in written_items:
-            old = self._mask(item)
-            new = (old | set_mask) & ~clear_mask
-            if new != old:
-                self._store(item, old, new)
-            count += operations
-        return count
 
     def update_with_recipients(
         self, recipients_of: dict[int, Iterable[int]]

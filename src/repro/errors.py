@@ -42,11 +42,6 @@ class UnknownItemError(StorageError):
     """A data item id is not present in a site's database."""
 
 
-class NoCopyError(StorageError):
-    """A site does not hold a replica of the requested item (partial
-    replication only; under full replication this indicates a bug)."""
-
-
 class ProtocolError(ReproError):
     """A replicated-copy-control invariant was violated."""
 

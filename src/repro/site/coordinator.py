@@ -51,6 +51,7 @@ class CommitPhase(enum.Enum):
     COPIER_WAIT = "copier_wait"    # waiting for COPY_RESP
     VOTING = "voting"              # phase 1: waiting for VOTE_ACKs
     COMMITTING = "committing"      # phase 2: waiting for COMMIT_ACKs
+    RECOVERY = "recovery"          # crashed mid-phase-2: REDO at recovery
     DONE = "done"
 
 
@@ -62,7 +63,9 @@ COMMIT_TIMEOUT = "commit_timeout"
 # messages and timers each phase accepts, and the method that takes them.
 # An input for a transaction in any other phase, or no longer active, is
 # a leftover of an earlier round and is ignored; that test is made once,
-# in CoordinatorRole._accepting, and nowhere else.
+# in CoordinatorRole._accepting, and nowhere else.  No row names RECOVERY:
+# a transaction the crash caught in phase two takes no input until the
+# site's recovery replays it.
 PHASE_TABLE = (
     (CommitPhase.COPIER_WAIT, MessageType.COPY_RESP, "on_copy_resp"),
     (CommitPhase.COPIER_WAIT, MessageType.COPY_DENIED, "on_copy_denied"),
@@ -194,9 +197,6 @@ class CoordinatorRole:
         # read-only transaction has no phase one to carry them.
         self._pending_embedded_clears: list[int] = []
         self._clear_notice_counts: dict[int, int] = {}
-        # Commit decisions whose local apply was lost to a crash, replayed
-        # by :meth:`redo_after_crash` at recovery: txn -> stamped updates.
-        self._redo_pending: dict[int, list[tuple[int, int, int]]] = {}
 
     def _accepting(
         self, phase: CommitPhase, handler: Callable, timer: bool
@@ -240,37 +240,42 @@ class CoordinatorRole:
         commit record *before* sending COMMITs, so a coordinator that
         crashed mid-phase-2 must still count the transaction committed:
         its participants may have applied the updates, and only this
-        site's own local apply was lost.  The stamped updates are kept
-        for the recovery-time REDO pass; without it the crashed
-        coordinator's own copies would silently go stale with no
+        site's own local apply was lost.  Such a state stays in ``active``
+        under RECOVERY for :meth:`recover`'s REDO pass; without it the
+        crashed coordinator's own copies would silently go stale with no
         fail-lock anywhere (participants saw a live recipient).
         """
-        for txn_id, state in sorted(self.active.items()):
+        active = self.active
+        for txn_id, state in sorted(active.items()):
             if state.phase is CommitPhase.COMMITTING and state.updates:
-                version = state.commit_version
-                self.decisions.note(txn_id, ("committed", version))
-                self._redo_pending[txn_id] = [
-                    (item, value, version) for item, value, _v in state.updates
-                ]
-        self.active.clear()
+                self.decisions.note(txn_id, ("committed", state.commit_version))
+                state.phase = CommitPhase.RECOVERY
+            else:
+                del active[txn_id]
         self._copier_pending.clear()
         self._copier_records.clear()
         self._pending_embedded_clears.clear()
         self._clear_notice_counts.clear()
 
-    def redo_after_crash(self, ctx: HandlerContext) -> int:
-        """Recovery REDO: re-apply logged commit decisions to the local
-        database (idempotent — ``install_copy`` refuses to go backwards).
-        Returns the number of transactions replayed."""
-        replayed = 0
-        for txn_id, updates in sorted(self._redo_pending.items()):
-            for item, value, version in updates:
-                self.site.db.install_copy(
-                    item, value, version, ctx.now, source_txn=txn_id
-                )
-            replayed += 1
-        self._redo_pending.clear()
-        return replayed
+    def recover(self, ctx: HandlerContext) -> None:
+        """Recovery REDO: re-apply each RECOVERY state's commit to the
+        local database and drop the state (idempotent — ``install_copy``
+        refuses to go backwards)."""
+        db, active = self.site.db, self.active
+        for txn_id, state in sorted(active.items()):
+            if state.phase is CommitPhase.RECOVERY:
+                version = state.commit_version
+                for item, value, _v in state.updates:
+                    db.install_copy(item, value, version, ctx.now, source_txn=txn_id)
+                del active[txn_id]
+
+    def _running(self, txn_id: int) -> Optional[CoordinatorState]:
+        """``txn_id``'s state, unless it is finished or waits in RECOVERY
+        (the inputs outside the phase table ignore both alike)."""
+        state = self.active.get(txn_id)
+        if state is None or state.phase is CommitPhase.RECOVERY:
+            return None
+        return state
 
     def signature(self) -> tuple:
         """Hashable snapshot of coordinator 2PC state (``repro.check``).
@@ -361,7 +366,7 @@ class CoordinatorRole:
         )
 
     def _abort_deadlock(self, ctx: HandlerContext, txn_id: int) -> None:
-        state = self.active.get(txn_id)
+        state = self._running(txn_id)
         if state is None or state.txn.is_done:
             return
         self._abort(ctx, state, AbortReason.LOCK_DEADLOCK)
@@ -848,7 +853,7 @@ class CoordinatorRole:
         coordinated here).  Once phase two has begun the decision *is*
         commit — participants asking mid-phase-2 may apply it.
         """
-        state = self.active.get(txn_id)
+        state = self._running(txn_id)
         if state is not None:
             if state.phase is CommitPhase.COMMITTING:
                 return ("committed", state.commit_version)
@@ -883,7 +888,7 @@ class CoordinatorRole:
         retransmission sublayer exhausted its retries and declared it
         unreachable."""
         site = self.site
-        state = self.active.get(msg.txn_id)
+        state = self._running(msg.txn_id)
         if msg.mtype is MessageType.COMMIT:
             # With no state the transaction already completed (a re-sent
             # COMMIT got through, or another notice finished the job); a

@@ -12,7 +12,8 @@ the site's participation in phase two" (§2.2.1).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.core import copier as copier_mod
 from repro.net.endpoint import HandlerContext
@@ -25,54 +26,120 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.site.site import DatabaseSite
 
 
+# The participant's inputs keyed by transaction id, as inputs of its table:
+# the status-inquiry timer, and a TXN_STATUS_REQ of ours that bounced off
+# a down or unreachable candidate.
+STATUS_TIMEOUT = "status_timeout"
+STATUS_REQ_BOUNCED = "status_req_bounced"
+
+# Cooperative termination as the participant runs it: (input, handler) —
+# the inputs that act only on a transaction staged here.  An input for a
+# transaction no longer staged (the real indication raced it in, or a
+# crash wiped it) is ignored; that test is made once, in
+# ParticipantRole._accepting, and nowhere else.
+PARTICIPANT_TABLE = (
+    (MessageType.TXN_STATUS_RESP, "on_status_resp"),
+    (STATUS_TIMEOUT, "_on_status_timer"),
+    (STATUS_REQ_BOUNCED, "on_status_req_failed"),
+)
+
+
+@dataclass(slots=True)
+class StagedTxn:
+    """Everything the participant tracks for one staged transaction."""
+
+    txn_id: int
+    coordinator: int
+    updates: list[tuple[int, int, int]]
+    # Per written item, the sites the coordinator shipped the update to.
+    recipients: dict[int, list[int]]
+    # Phase-one start, for this site's elapsed time.
+    started_at: float
+    # Cooperative termination: the candidate sites still to ask
+    # (coordinator first, then peers); None until the first inquiry.
+    inquiry: Optional[list[int]] = None
+
+    def signature(self) -> tuple:
+        """Hashable snapshot of the protocol-visible state (``repro.check``).
+
+        Excludes ``started_at``: two states that differ only in when a
+        vote arrived make the same protocol decisions.
+        """
+        return (
+            self.txn_id,
+            tuple(self.updates),
+            tuple(
+                (item, tuple(sites))
+                for item, sites in sorted(self.recipients.items())
+            ),
+            self.coordinator,
+        )
+
+
 class ParticipantRole:
     """Participant-side protocol logic for one site."""
 
     def __init__(self, site: "DatabaseSite") -> None:
         self.site = site
-        # txn_id -> (phase-one start, updates, per-item recipients, coordinator)
-        self._in_flight: dict[
-            int,
-            tuple[float, list[tuple[int, int, int]], dict[int, list[int]], int],
-        ] = {}
+        self.staged: dict[int, StagedTxn] = {}
         # Outcomes this site applied as a participant.
         self.decisions = DecisionLog()
-        # Cooperative-termination inquiries in flight: txn_id -> remaining
-        # candidate sites to ask (coordinator first, then peers).
-        self._inquiries: dict[int, list[int]] = {}
+        # PARTICIPANT_TABLE, bound: input -> the handler behind its test.
+        # The site dispatches TXN_STATUS_RESP and the bounce through it;
+        # the timer fires it.
+        self.accept: dict[MessageType | str, Callable] = {
+            key: self._accepting(getattr(self, name), isinstance(key, str))
+            for key, name in PARTICIPANT_TABLE
+        }
+
+    def _accepting(self, handler: Callable, by_txn: bool) -> Callable:
+        """``handler`` behind one PARTICIPANT_TABLE row's test: it runs
+        only while the input's transaction is staged here (and, for an
+        input keyed by transaction id, while this site is up — timers and
+        failure notices outlive a crash)."""
+        staged = self.staged
+        if by_txn:
+            site = self.site
+
+            def on_txn(ctx: HandlerContext, txn_id: int) -> None:
+                if site.alive:
+                    entry = staged.get(txn_id)
+                    if entry is not None:
+                        handler(ctx, entry)
+
+            return on_txn
+
+        def on_message(ctx: HandlerContext, msg: Message) -> None:
+            entry = staged.get(msg.txn_id)
+            if entry is not None:
+                handler(ctx, entry, msg)
+
+        return on_message
+
+    def _arm(self, ctx: HandlerContext, txn_id: int) -> None:
+        """Fire the status-inquiry timer for ``txn_id`` after
+        ``status_inquiry_ms``."""
+        fire = self.accept[STATUS_TIMEOUT]
+        ctx.after(
+            self.site.config.status_inquiry_ms, lambda ctx2: fire(ctx2, txn_id)
+        )
 
     def crash_reset(self) -> None:
-        """Crash: drop volatile participant state (in-flight phase-one
-        entries and termination inquiries).  ``decisions`` survives as the
-        stable decision log — see ``CoordinatorRole.crash_reset``."""
-        self._in_flight.clear()
-        self._inquiries.clear()
+        """Crash: drop volatile participant state (every staged record,
+        inquiries included).  ``decisions`` survives as the stable
+        decision log — see ``CoordinatorRole.crash_reset``."""
+        self.staged.clear()
 
     def signature(self) -> tuple:
-        """Hashable snapshot of participant 2PC state (``repro.check``).
-
-        Excludes the phase-one start *time* — two states that differ only
-        in when a vote arrived make the same protocol decisions.
-        """
+        """Hashable snapshot of participant 2PC state (``repro.check``)."""
+        staged = sorted(self.staged.items())
         return (
-            tuple(
-                (
-                    txn,
-                    tuple(updates),
-                    tuple(
-                        (item, tuple(sites))
-                        for item, sites in sorted(recipients.items())
-                    ),
-                    coordinator,
-                )
-                for txn, (_started, updates, recipients, coordinator) in sorted(
-                    self._in_flight.items()
-                )
-            ),
+            tuple(entry.signature() for _txn, entry in staged),
             self.decisions.signature(),
             tuple(
-                (txn, tuple(candidates))
-                for txn, candidates in sorted(self._inquiries.items())
+                (txn, tuple(entry.inquiry))
+                for txn, entry in staged
+                if entry.inquiry is not None
             ),
         )
 
@@ -128,7 +195,7 @@ class ParticipantRole:
     ) -> None:
         site = self.site
         txn_id = msg.txn_id
-        if site.db.has_staged(txn_id):
+        if txn_id in self.staged:
             return  # duplicate phase-1 delivery
         ctx.charge(site.costs.write_stage_cost * len(updates))
         site.db.stage(txn_id, updates)
@@ -146,14 +213,11 @@ class ParticipantRole:
             int(item): list(sites)
             for item, sites in msg.payload.get("recipients", {}).items()
         }
-        self._in_flight[txn_id] = (started, updates, recipients, msg.src)
+        self.staged[txn_id] = StagedTxn(txn_id, msg.src, updates, recipients, started)
         if site.config.timeouts_enabled:
             # Blocked-transaction watchdog: if neither COMMIT nor ABORT has
             # arrived by then, run the TXN_STATUS_REQ termination inquiry.
-            ctx.after(
-                site.config.status_inquiry_ms,
-                lambda ctx2: self._on_status_timer(ctx2, txn_id),
-            )
+            self._arm(ctx, txn_id)
 
         # Embedded clear-fail-locks information (the §2.2.3 optimization).
         embedded = msg.payload.get("cleared_faillocks")
@@ -180,39 +244,31 @@ class ParticipantRole:
 
     def on_commit(self, ctx: HandlerContext, msg: Message) -> None:
         """Phase two: apply the buffered updates and acknowledge."""
-        site = self.site
-        txn_id = msg.txn_id
-        entry = self._in_flight.pop(txn_id, None)
-        if entry is None or not site.db.has_staged(txn_id):
+        entry = self.staged.get(msg.txn_id)
+        if entry is None:
             # Commit for a transaction we never staged (should not happen
             # under the serial driver); acknowledge to unblock the
             # coordinator and move on.
-            ctx.send(msg.src, MessageType.COMMIT_ACK, {}, txn_id=txn_id)
+            ctx.send(msg.src, MessageType.COMMIT_ACK, {}, txn_id=msg.txn_id)
             return
-        self._commit(ctx, txn_id, entry, msg.payload.get("version", -1))
+        self._commit(ctx, entry, msg.payload.get("version", -1))
 
-    def _commit(
-        self,
-        ctx: HandlerContext,
-        txn_id: int,
-        entry: tuple[float, list[tuple[int, int, int]], dict[int, list[int]], int],
-        version: int,
-    ) -> None:
+    def _commit(self, ctx: HandlerContext, entry: StagedTxn, version: int) -> None:
         """Apply the staged updates at the commit point (phase two or a
         cooperative-termination "committed" answer), acknowledge to the
         coordinator — after a "committed" answer that is best effort, for
         a coordinator still waiting — and time this site's participation."""
         site = self.site
-        started, updates, recipients, coordinator = entry
+        txn_id = entry.txn_id
+        del self.staged[txn_id]
         site.db.abort_staged(txn_id)  # re-apply through the shared path
-        stamped = [(item, value, version) for item, value, _v in updates]
-        site.commit_writes(ctx, txn_id, stamped, recipients)
+        stamped = [(item, value, version) for item, value, _v in entry.updates]
+        site.commit_writes(ctx, txn_id, stamped, entry.recipients)
         if site.lock_service is not None:
             site.lock_service.release(ctx, txn_id)
         self.decisions.note(txn_id, ("committed", version))
-        self._inquiries.pop(txn_id, None)
         ctx.send(
-            coordinator,
+            entry.coordinator,
             MessageType.COMMIT_ACK,
             {},
             txn_id=txn_id,
@@ -221,7 +277,7 @@ class ParticipantRole:
 
         def record_elapsed() -> None:
             site.metrics.note_participant(
-                txn_id, site.site_id, site.network.scheduler.now - started
+                txn_id, site.site_id, site.network.scheduler.now - entry.started_at
             )
 
         ctx.on_done(record_elapsed)
@@ -233,15 +289,14 @@ class ParticipantRole:
 
     def _discard(self, ctx: HandlerContext, txn_id: int) -> None:
         self.site.db.abort_staged(txn_id)
-        if self._in_flight.pop(txn_id, None) is not None:
+        if self.staged.pop(txn_id, None) is not None:
             self.decisions.note(txn_id, ("aborted", -1))
-        self._inquiries.pop(txn_id, None)
         if self.site.lock_service is not None:
             self.site.lock_service.cancel(ctx, txn_id)
 
     # -- cooperative termination (blocked-transaction resolution) ------------------
 
-    def _on_status_timer(self, ctx: HandlerContext, txn_id: int) -> None:
+    def _on_status_timer(self, ctx: HandlerContext, entry: StagedTxn) -> None:
         """The commit/abort indication is overdue: ask around.
 
         The coordinator is asked first (it knows; it may merely be slow or
@@ -249,12 +304,7 @@ class ParticipantRole:
         participant that already applied the outcome can answer.
         """
         site = self.site
-        if not site.alive:
-            return
-        entry = self._in_flight.get(txn_id)
-        if entry is None:
-            return  # resolved before the timer fired
-        coordinator = entry[3]
+        coordinator = entry.coordinator
         site.metrics.counters.incr("status_inquiries")
         obs = site.network.obs
         if obs.enabled:
@@ -262,43 +312,34 @@ class ParticipantRole:
                 ctx.now,
                 EventKind.TERM_PROBE,
                 site=site.site_id,
-                txn=txn_id,
+                txn=entry.txn_id,
                 coordinator=coordinator,
             )
-        candidates = [coordinator] + [
+        entry.inquiry = [coordinator] + [
             peer
             for peer in sorted(site.nsv.operational_peers())
             if peer != coordinator
         ]
-        self._inquiries[txn_id] = candidates
-        self._send_next_inquiry(ctx, txn_id)
+        self._send_next_inquiry(ctx, entry)
 
-    def _send_next_inquiry(self, ctx: HandlerContext, txn_id: int) -> None:
-        site = self.site
-        if txn_id not in self._in_flight:
-            self._inquiries.pop(txn_id, None)
-            return
-        candidates = self._inquiries.get(txn_id)
+    def _send_next_inquiry(self, ctx: HandlerContext, entry: StagedTxn) -> None:
+        candidates = entry.inquiry
         if not candidates:
-            self._presume_abort(ctx, txn_id)
+            self._presume_abort(ctx, entry.txn_id)
             return
-        target = candidates.pop(0)
         ctx.send(
-            target,
+            candidates.pop(0),
             MessageType.TXN_STATUS_REQ,
             {},
-            txn_id=txn_id,
-            session=site.nsv.my_session,
+            txn_id=entry.txn_id,
+            session=self.site.nsv.my_session,
         )
 
-    def on_status_resp(self, ctx: HandlerContext, msg: Message) -> None:
+    def on_status_resp(
+        self, ctx: HandlerContext, entry: StagedTxn, msg: Message
+    ) -> None:
         """A status answer arrived for a blocked transaction."""
         site = self.site
-        txn_id = msg.txn_id
-        entry = self._in_flight.get(txn_id)
-        if entry is None:
-            self._inquiries.pop(txn_id, None)
-            return  # the real indication raced the answer in; done
         status = msg.payload["status"]
         obs = site.network.obs
         if obs.enabled and status in ("committed", "aborted"):
@@ -306,31 +347,27 @@ class ParticipantRole:
                 ctx.now,
                 EventKind.TERM_RESULT,
                 site=site.site_id,
-                txn=txn_id,
+                txn=entry.txn_id,
                 status=status,
                 answered_by=msg.src,
             )
         if status == "committed":
             site.metrics.counters.incr("termination_committed")
-            del self._in_flight[txn_id]
-            self._commit(ctx, txn_id, entry, msg.payload.get("version", -1))
+            self._commit(ctx, entry, msg.payload.get("version", -1))
         elif status == "aborted":
             site.metrics.counters.incr("termination_aborted")
-            self._discard(ctx, txn_id)
+            self._discard(ctx, entry.txn_id)
         elif status == "pending":
             # The decision genuinely has not been taken yet; back off and
             # re-run the whole inquiry later.
-            ctx.after(
-                site.config.status_inquiry_ms,
-                lambda ctx2: self._on_status_timer(ctx2, txn_id),
-            )
+            self._arm(ctx, entry.txn_id)
         else:  # "unknown" — this candidate cannot help; try the next
-            self._send_next_inquiry(ctx, txn_id)
+            self._send_next_inquiry(ctx, entry)
 
-    def on_status_req_failed(self, ctx: HandlerContext, msg: Message) -> None:
+    def on_status_req_failed(self, ctx: HandlerContext, entry: StagedTxn) -> None:
         """Our TXN_STATUS_REQ bounced (candidate down/unreachable): treat it
         like an "unknown" answer and move to the next candidate."""
-        self._send_next_inquiry(ctx, msg.txn_id)
+        self._send_next_inquiry(ctx, entry)
 
     def _presume_abort(self, ctx: HandlerContext, txn_id: int) -> None:
         """Every candidate is unreachable or ignorant: presume abort.
@@ -344,9 +381,6 @@ class ParticipantRole:
         consistent with the transaction never having committed.
         """
         site = self.site
-        if txn_id not in self._in_flight:
-            self._inquiries.pop(txn_id, None)
-            return
         site.metrics.counters.incr("termination_presumed_abort")
         obs = site.network.obs
         if obs.enabled:
@@ -372,4 +406,4 @@ class ParticipantRole:
     @property
     def staged_txns(self) -> list[int]:
         """Transactions currently buffered at this participant, sorted."""
-        return sorted(self._in_flight)
+        return sorted(self.staged)

@@ -40,7 +40,7 @@ from repro.obs.sink import TraceSink
 from repro.recovery.scheduler import ParallelCopierScheduler
 from repro.sim.logical import LogicalClock
 from repro.site.coordinator import CoordinatorRole
-from repro.site.participant import ParticipantRole
+from repro.site.participant import STATUS_REQ_BOUNCED, ParticipantRole
 from repro.storage.catalog import ReplicationCatalog
 from repro.storage.database import SiteDatabase
 from repro.system.config import SystemConfig
@@ -69,7 +69,6 @@ _ROUTES = tuple(
         (MessageType.COMMIT, "participant.on_commit"),
         (MessageType.ABORT, "participant.on_abort"),
         (MessageType.TXN_STATUS_REQ, "_on_txn_status_req"),
-        (MessageType.TXN_STATUS_RESP, "participant.on_status_resp"),
         (MessageType.COPY_REQ, "_serve_copy_request"),
         (MessageType.COPY_RESP, "_on_copy_resp"),
         (MessageType.COPY_DENIED, "_on_copy_denied"),
@@ -83,8 +82,9 @@ _ROUTES = tuple(
         (MessageType.MGR_RECOVER, "_on_recover"),
     )
 )
-# ... and the messages the coordinator's phase table takes directly.
+# ... and the messages the 2PC roles' tables take directly.
 _COORDINATOR_ROUTES = (MessageType.VOTE_ACK, MessageType.VOTE_NACK, MessageType.COMMIT_ACK)
+_PARTICIPANT_ROUTES = (MessageType.TXN_STATUS_RESP,)
 
 
 class DatabaseSite(Endpoint):
@@ -152,6 +152,8 @@ class DatabaseSite(Endpoint):
         dispatch = {key: route(self) for key, route in _ROUTES}
         for mtype in _COORDINATOR_ROUTES:
             dispatch[mtype._value_] = accept[mtype]
+        for mtype in _PARTICIPANT_ROUTES:
+            dispatch[mtype._value_] = self.participant.accept[mtype]
         self._dispatch = dispatch
 
     def attach(self, network: Network) -> None:
@@ -466,7 +468,8 @@ class DatabaseSite(Endpoint):
             self.db.drop_staged()
         # Volatile protocol state dies with the site: in-flight 2PC roles,
         # the lock table, parked lock waiters, copier exchanges, and batch
-        # staging.  Decision logs survive as stable storage.
+        # staging.  Decision logs and the coordinator's phase-2 commit
+        # records (CommitPhase.RECOVERY) survive as stable storage.
         # Under the serial managing site these containers are always empty
         # here (failures land between transactions); the soak engine
         # crashes sites mid-protocol, where this wipe is what lets
@@ -497,7 +500,7 @@ class DatabaseSite(Endpoint):
         # when this site crashed mid-phase-2 (the participants applied;
         # only our own copy is stale, and no fail-lock covers it because
         # we were a live recipient at commit time).
-        self.coordinator.redo_after_crash(ctx)
+        self.coordinator.recover(ctx)
         obs = self.network.obs
         if obs.enabled:
             obs.emit(
@@ -663,7 +666,7 @@ class DatabaseSite(Endpoint):
         elif msg.mtype is MessageType.TXN_STATUS_REQ:
             # A termination-inquiry candidate is unreachable: move on to
             # the next one (no type-2 announcement for an inquiry bounce).
-            self.participant.on_status_req_failed(ctx, msg)
+            self.participant.accept[STATUS_REQ_BOUNCED](ctx, msg.txn_id)
         elif msg.mtype is MessageType.RECOVERY_ANNOUNCE:
             if msg.payload.get("respond") == msg.dst:
                 self._retry_recovery_responder(ctx, msg)
@@ -738,14 +741,6 @@ class DatabaseSite(Endpoint):
         cleanup cost §3.2 mentions)."""
         self.db.drop_item(item_id)
         self.catalog.remove_copy(item_id, self.site_id)
-
-    # -- orderly shutdown (the TERMINATING state) ----------------------------------------
-
-    def terminate(self) -> None:
-        """Mark this site terminating, then down (orderly shutdown)."""
-        self.nsv.mark_terminating(self.site_id)
-        self.alive = False
-        self.nsv.mark_down(self.site_id)
 
     def signature(self) -> tuple:
         """Hashable snapshot of this site's protocol state (``repro.check``).

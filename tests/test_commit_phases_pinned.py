@@ -18,7 +18,7 @@ rows, one or two per run:
 Each run's outcomes, counters, final copies and fail-lock masks are
 pinned as blake2b-128 of canonical JSON (as in
 ``tests/test_write_path_pinned.py``), and the last test checks that every
-row of the coordinator's phase table is entered by at least one run.
+row of both roles' tables is entered by at least one run.
 """
 
 import hashlib
@@ -30,7 +30,7 @@ from repro.errors import SimulationError
 from repro.net.message import MessageType
 from repro.net.network import MessageFate
 from repro.site.coordinator import PHASE_TABLE, CommitPhase, CoordinatorRole
-from repro.site.participant import ParticipantRole
+from repro.site.participant import PARTICIPANT_TABLE, ParticipantRole
 from repro.system.cluster import Cluster
 from repro.system.config import FailureDetection, SystemConfig
 from repro.system.scenario import FixedSite, Scenario
@@ -317,45 +317,74 @@ def test_commit_phase_run_is_pinned(name):
     assert _digest(outcome(RUNS[name]())) == PINS[name]
 
 
-# -- the phase table ------------------------------------------------------------
+# -- the roles' tables -----------------------------------------------------------
+
+# Each 2PC role's table, as (class, table, the site attribute holding the
+# role, its rows without the handler name).  A coordinator row names the
+# phase that accepts the input; a participant row needs only the input,
+# which acts on a staged transaction.
+TABLES = {
+    "coordinator": (
+        CoordinatorRole,
+        PHASE_TABLE,
+        "coordinator",
+        [
+            (CommitPhase.COPIER_WAIT, MessageType.COPY_RESP),
+            (CommitPhase.COPIER_WAIT, MessageType.COPY_DENIED),
+            (CommitPhase.VOTING, MessageType.VOTE_ACK),
+            (CommitPhase.VOTING, MessageType.VOTE_NACK),
+            (CommitPhase.VOTING, "vote_timeout"),
+            (CommitPhase.COMMITTING, MessageType.COMMIT_ACK),
+            (CommitPhase.COMMITTING, "commit_timeout"),
+        ],
+    ),
+    "participant": (
+        ParticipantRole,
+        PARTICIPANT_TABLE,
+        "participant",
+        [
+            (MessageType.TXN_STATUS_RESP,),
+            ("status_timeout",),
+            ("status_req_bounced",),
+        ],
+    ),
+}
 
 
-def test_phase_table_declares_each_input_once():
-    """The coordinator's declaration, row by row: which phase accepts
-    which message or timer.  Each input has one row and one handler."""
-    rows = [(phase, key) for phase, key, _name in PHASE_TABLE]
-    assert rows == [
-        (CommitPhase.COPIER_WAIT, MessageType.COPY_RESP),
-        (CommitPhase.COPIER_WAIT, MessageType.COPY_DENIED),
-        (CommitPhase.VOTING, MessageType.VOTE_ACK),
-        (CommitPhase.VOTING, MessageType.VOTE_NACK),
-        (CommitPhase.VOTING, "vote_timeout"),
-        (CommitPhase.COMMITTING, MessageType.COMMIT_ACK),
-        (CommitPhase.COMMITTING, "commit_timeout"),
-    ]
-    for _phase, _key, name in PHASE_TABLE:
-        assert callable(getattr(CoordinatorRole, name))
+@pytest.mark.parametrize("role", sorted(TABLES))
+def test_phase_table_declares_each_input_once(role):
+    """A role's declaration, row by row: which message or timer it
+    accepts (and, for the coordinator, in which phase).  Each input has
+    one row and one handler."""
+    cls, table, attribute, expected = TABLES[role]
+    rows = [row[:-1] for row in table]
+    assert rows == expected
+    for row in table:
+        assert callable(getattr(cls, row[-1]))
     site = Cluster(SystemConfig(db_size=4, num_sites=3, seed=1)).site(0)
-    assert list(site.coordinator.accept) == [key for _phase, key in rows]
+    assert list(getattr(site, attribute).accept) == [row[-1] for row in rows]
 
 
-def test_every_declared_row_is_entered(monkeypatch):
-    """Across the runs above, every phase-table row's handler runs, the
-    status inquiry gets every answer, and each protocol request bounces."""
+@pytest.mark.parametrize("role", sorted(TABLES))
+def test_every_declared_row_is_entered(monkeypatch, role):
+    """Across the runs above, every row of the role's table has its
+    handler run, the status inquiry gets every answer, and each protocol
+    request bounces."""
+    cls, table, _attribute, _expected = TABLES[role]
     entered = set()
-    for phase, key, name in PHASE_TABLE:
+    for row in table:
 
-        def handler(self, *args, _row=(phase, key), _inner=getattr(CoordinatorRole, name)):
+        def handler(self, *args, _row=row[:-1], _inner=getattr(cls, row[-1])):
             entered.add(_row)
             return _inner(self, *args)
 
-        monkeypatch.setattr(CoordinatorRole, name, handler)
+        monkeypatch.setattr(cls, row[-1], handler)
     answers = set()
     on_status_resp = ParticipantRole.on_status_resp
 
-    def on_answer(self, ctx, msg):
+    def on_answer(self, ctx, entry, msg):
         answers.add(msg.payload["status"])
-        on_status_resp(self, ctx, msg)
+        on_status_resp(self, ctx, entry, msg)
 
     monkeypatch.setattr(ParticipantRole, "on_status_resp", on_answer)
     bounced = set()
@@ -369,7 +398,7 @@ def test_every_declared_row_is_entered(monkeypatch):
 
     for build in RUNS.values():
         build()
-    assert entered == {(phase, key) for phase, key, _name in PHASE_TABLE}
+    assert entered == {row[:-1] for row in table}
     assert answers == {"committed", "aborted", "pending", "unknown"}
     assert bounced == {
         MessageType.COPY_REQ,

@@ -3,18 +3,12 @@
 import pytest
 
 from repro.core.faillocks import FailLockTable
-from repro.core.sessions import NominalSessionVector
 from repro.errors import FailLockError
 
 
 @pytest.fixture
 def table() -> FailLockTable:
     return FailLockTable(site_ids=[0, 1, 2, 3], item_ids=range(5))
-
-
-@pytest.fixture
-def nsv() -> NominalSessionVector:
-    return NominalSessionVector(owner=0, site_ids=[0, 1, 2, 3])
 
 
 def test_initially_unlocked(table):
@@ -67,29 +61,6 @@ def test_unknown_item_and_site(table):
         table.set_lock(99, 0)
     with pytest.raises(FailLockError):
         table.set_lock(0, 99)
-
-
-def test_update_on_commit_sets_for_down_clears_for_up(table, nsv):
-    nsv.mark_down(2)
-    table.set_lock(1, 3)  # stale lock for an UP site: must be re-cleared
-    table.update_on_commit([1], nsv)
-    assert table.is_locked(1, 2)       # down site missed the update
-    assert not table.is_locked(1, 3)   # up site re-cleared (paper §1.2)
-    assert not table.is_locked(1, 0)
-
-
-def test_update_on_commit_only_touches_written_items(table, nsv):
-    nsv.mark_down(1)
-    table.update_on_commit([0, 2], nsv)
-    assert table.is_locked(0, 1)
-    assert table.is_locked(2, 1)
-    assert not table.is_locked(1, 1)
-
-
-def test_update_on_commit_treats_recovering_as_missed(table, nsv):
-    nsv.mark_recovering(3, 2)
-    table.update_on_commit([0], nsv)
-    assert table.is_locked(0, 3)
 
 
 def test_snapshot_and_install(table):
@@ -170,15 +141,12 @@ def test_index_matches_brute_force_scan_under_every_mutator(seed):
     import random
 
     from repro.chaos.runner import NeuteredFailLockTable
-    from repro.core.sessions import NominalSessionVector
 
     rng = random.Random(seed)
     sites = [0, 1, 2, 5, 7]  # gaps: a bit index is not a site id
     items = list(range(24))
     table = FailLockTable(sites, items)
     peer = FailLockTable(sites, items)
-    nsv = NominalSessionVector(owner=0, site_ids=sites)
-    transitions = (nsv.mark_down, nsv.mark_up, nsv.mark_terminating)
 
     def some_items():
         return rng.sample(items, rng.randint(1, 6))
@@ -188,36 +156,33 @@ def test_index_matches_brute_force_scan_under_every_mutator(seed):
         return [rng.choice(items) for _ in range(rng.randint(0, 6))]
 
     def step(target):
-        op = rng.randrange(10)
+        op = rng.randrange(9)
         if op == 0:
             target.set_lock(rng.choice(items), rng.choice(sites))
         elif op == 1:
             target.clear_lock(rng.choice(items), rng.choice(sites))
         elif op == 2:
-            rng.choice(transitions)(rng.choice(sites[1:]))
-            target.update_on_commit(some_items(), nsv)
-        elif op == 3:
             target.update_with_recipients(
                 {i: rng.sample(sites, rng.randint(0, len(sites))) for i in some_items()}
             )
-        elif op == 4 and target is table:
+        elif op == 3 and target is table:
             table.install(peer.snapshot())
-        elif op == 5 and target is table:
+        elif op == 4 and target is table:
             table.merge(peer.snapshot())
-        elif op == 6:
+        elif op == 5:
             new_item = len(items)
             items.append(new_item)
             table.add_item(new_item)
             peer.add_item(new_item)
-        elif op == 7 and target is table:
+        elif op == 6 and target is table:
             # chaos mutation mode swaps the class of a live table, both ways
             table.__class__ = (
                 FailLockTable if type(table) is NeuteredFailLockTable
                 else NeuteredFailLockTable
             )
-        elif op == 8:
+        elif op == 7:
             target.set_locks(some_items_or_none(), rng.choice(sites))
-        elif op == 9:
+        elif op == 8:
             site = rng.choice(sites)
             chosen = some_items_or_none()
             was = sum(target.is_locked(item, site) for item in set(chosen))

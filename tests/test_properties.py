@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.faillocks import FailLockTable
-from repro.core.sessions import NominalSessionVector, SiteState
 from repro.core.strategy import QuorumStrategy, RowaStrategy, RowaaStrategy
 from repro.metrics.stats import mean, median, percentile, stddev
 from repro.sim.scheduler import EventScheduler
@@ -53,19 +52,15 @@ def test_faillock_snapshot_install_roundtrip(locks):
     st.lists(ITEMS, min_size=1, max_size=10, unique=True),
     st.sets(SITES, max_size=3),
 )
-def test_update_on_commit_partitions_bits(written, down_sites):
+def test_update_with_recipients_partitions_bits(written, down_sites):
     """After commit maintenance, written items are locked for exactly the
-    non-UP sites."""
+    sites that did not receive the update."""
     table = FailLockTable(site_ids=[0, 1, 2, 3], item_ids=range(10))
-    nsv = NominalSessionVector(owner=0, site_ids=[0, 1, 2, 3])
-    for site in down_sites:
-        if site != 0:
-            nsv.mark_down(site)
-    table.update_on_commit(written, nsv)
+    recipients = [site for site in range(4) if site == 0 or site not in down_sites]
+    table.update_with_recipients({item: recipients for item in written})
     for item in written:
         for site in range(4):
-            expected = nsv.state_of(site) is not SiteState.UP
-            assert table.is_locked(item, site) == expected
+            assert table.is_locked(item, site) == (site not in recipients)
 
 
 # -- scheduler ordering -----------------------------------------------------------

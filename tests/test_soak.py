@@ -204,18 +204,17 @@ def test_crash_logs_phase2_decisions_and_redo_replays_them(crashed_site):
     coordinator.active.update({50: committing, 51: voting, 52: executing})
 
     coordinator.crash_reset()
-    assert coordinator.active == {}
+    assert coordinator.active == {50: committing}  # 51 and 52 dropped
+    assert committing.phase is CommitPhase.RECOVERY
     assert coordinator.decisions.get(50) == ("committed", 7)
     assert 51 not in coordinator.decisions.outcomes
     assert 52 not in coordinator.decisions.outcomes
-    assert coordinator._redo_pending == {50: [(3, 555, 7)]}
     assert db.version(3) < 7  # nothing applied yet: REDO is recovery's job
 
-    replayed = coordinator.redo_after_crash(SimpleNamespace(now=123.0))
-    assert replayed == 1
+    coordinator.recover(SimpleNamespace(now=123.0))
     assert db.read(3) == 555
     assert db.version(3) == 7
-    assert coordinator._redo_pending == {}
+    assert coordinator.active == {}
 
 
 def test_redo_is_idempotent_against_newer_copies(crashed_site):
@@ -224,8 +223,14 @@ def test_redo_is_idempotent_against_newer_copies(crashed_site):
     coordinator = crashed_site.coordinator
     db = crashed_site.db
     db.apply_writes(txn_id=90, updates=[(3, 999, 9)], time=50.0)
-    coordinator._redo_pending[50] = [(3, 555, 7)]
-    assert coordinator.redo_after_crash(SimpleNamespace(now=123.0)) == 1
+    coordinator.active[50] = CoordinatorState(
+        txn=Transaction(txn_id=50, ops=[]),
+        phase=CommitPhase.RECOVERY,
+        updates=[(3, 555, -1)],
+        commit_version=7,
+    )
+    coordinator.recover(SimpleNamespace(now=123.0))
+    assert coordinator.active == {}
     assert db.read(3) == 999
     assert db.version(3) == 9
 
@@ -252,16 +257,16 @@ def test_decision_log_cap_evicts_oldest(crashed_site):
 @pytest.mark.slow
 def test_redo_regression_seed42(monkeypatch):
     """seed=42/txns=2000 reliably crashes a coordinator mid-phase-2.
-    Without the REDO pass the run fails its consistency audit (the
-    crashed coordinator's own copy goes stale with no fail-lock); with
-    it, the run is clean.  The monkeypatched half proves the schedule
+    Without the REDO pass over its RECOVERY states the run fails its
+    consistency audit (the crashed coordinator's own copy goes stale with
+    no fail-lock); with it, the run is clean.  The monkeypatched half proves the schedule
     still exercises the window — if it stops failing, the regression
     test has gone stale."""
     config = lambda: SoakConfig(seed=42, txns=2000)
     result = run_soak(config())
     assert validate_soak_report(build_report(result)) == []
 
-    monkeypatch.setattr(CoordinatorRole, "redo_after_crash", lambda self, ctx: 0)
+    monkeypatch.setattr(CoordinatorRole, "recover", lambda self, ctx: None)
     with pytest.raises(SimulationError, match="consistency violated"):
         run_soak(config())
 
