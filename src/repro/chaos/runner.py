@@ -22,7 +22,7 @@ from repro.chaos.interpose import FaultInjector
 from repro.chaos.invariants import InvariantAuditor
 from repro.chaos.schedule import build_chaos_scenario
 from repro.core.faillocks import FailLockTable
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.metrics.records import ViolationRecord
 from repro.net.reliable import ReliableStats
 from repro.system.cluster import Cluster
@@ -220,39 +220,44 @@ def run_chaos_seed(
     schedule_actions = sum(len(actions) for actions in scenario.actions.values())
     stalled = False
     try:
-        cluster.run(scenario)
-    except SimulationError:
-        # The scheduler drained with the scenario unfinished.  Under chaos
-        # that is a *finding* (a liveness violation the sweep must report),
-        # not a tooling crash.
-        stalled = True
+        try:
+            cluster.run(scenario)
+        except SimulationError:
+            # The scheduler drained with the scenario unfinished.  Under chaos
+            # that is a *finding* (a liveness violation the sweep must report),
+            # not a tooling crash.
+            stalled = True
+            if auditor is not None:
+                auditor.note_stall()
         if auditor is not None:
-            auditor.note_stall()
-    if auditor is not None:
-        auditor.check_quiescence()
-    return ChaosRunResult(
-        seed=seed,
-        txns=txns,
-        commits=cluster.metrics.counters.get("commits"),
-        aborts=cluster.metrics.counters.get("aborts"),
-        sim_time_ms=cluster.now,
-        fault_stats=injector.stats,
-        schedule_actions=schedule_actions,
-        checks=auditor.checks if auditor is not None else 0,
-        violations=list(auditor.violations) if auditor is not None else [],
-        mutated=mutate,
-        stalled=stalled,
-        net_stats=(
-            cluster.network.reliable.stats
-            if cluster.network.reliable is not None
-            else None
-        ),
-        events_fired=cluster.scheduler.fired,
-        recovery_periods=cluster.metrics.counters.get("recovery_periods"),
-        interrupted_recoveries=cluster.metrics.counters.get(
-            "recovery_periods_interrupted"
-        ),
-    )
+            auditor.check_quiescence()
+        return ChaosRunResult(
+            seed=seed,
+            txns=txns,
+            commits=cluster.metrics.counters.get("commits"),
+            aborts=cluster.metrics.counters.get("aborts"),
+            sim_time_ms=cluster.now,
+            fault_stats=injector.stats,
+            schedule_actions=schedule_actions,
+            checks=auditor.checks if auditor is not None else 0,
+            violations=list(auditor.violations) if auditor is not None else [],
+            mutated=mutate,
+            stalled=stalled,
+            net_stats=(
+                cluster.network.reliable.stats
+                if cluster.network.reliable is not None
+                else None
+            ),
+            events_fired=cluster.scheduler.fired,
+            recovery_periods=cluster.metrics.counters.get("recovery_periods"),
+            interrupted_recoveries=cluster.metrics.counters.get(
+                "recovery_periods_interrupted"
+            ),
+        )
+    finally:
+        if auditor is not None:
+            auditor.cluster = None
+        cluster.close()
 
 
 def run_seed_sweep(
@@ -275,6 +280,10 @@ def run_seed_sweep(
     # ``concurrent.futures``.
     from repro.perf.pool import run_chunked
 
+    seeds = list(seeds)
+    if not seeds:
+        # A sweep of no seed checks nothing; it must not report clean.
+        raise ConfigurationError("no seeds to sweep")
     if plan is None:
         plan = FaultPlan()
     report = ChaosSweepReport(plan=plan, mutated=mutate)

@@ -196,6 +196,12 @@ def _search(
         frontier.extend(vec for _p, _i, vec in reversed(children))
 
 
+def _check_budget(max_runs: int) -> None:
+    """A search that may run no schedule checks nothing: refused."""
+    if max_runs < 1:
+        raise CheckError(f"max_runs must be >= 1: {max_runs}")
+
+
 def explore(
     config: CheckConfig,
     *,
@@ -210,6 +216,7 @@ def explore(
     False), the frontier empties (the bounded space is exhausted), or
     ``max_runs`` re-executions are spent.
     """
+    _check_budget(max_runs)
     stats = ExplorationStats()
     result = ExplorationResult(config=config, stats=stats)
     expanded: set[str] = set()
@@ -302,6 +309,7 @@ def explore_parallel(
     """
     from repro.perf.pool import run_chunked
 
+    _check_budget(max_runs)
     stats = ExplorationStats()
     result = ExplorationResult(config=config, stats=stats)
     root = run_schedule(config, [], fingerprint_at=_read_window([], max_depth))

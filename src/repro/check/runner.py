@@ -76,9 +76,12 @@ class CheckConfig:
     min_up: int = 1
 
     def __post_init__(self) -> None:
-        # A choice point with fewer than two alternatives is no choice, and
-        # a search that may crash every site has nobody left to drive; both
-        # budgets are refused rather than quietly raised.
+        # A run without a transaction checks nothing, a choice point with
+        # fewer than two alternatives is no choice, and a search that may
+        # crash every site has nobody left to drive; each is refused rather
+        # than run or quietly raised.
+        if self.txns < 1:
+            raise CheckError(f"txns must be >= 1: {self.txns}")
         if self.max_branch < 2:
             raise CheckError(
                 f"max_branch must be >= 2 (alternatives offered per choice "
@@ -214,20 +217,27 @@ def run_schedule(
 
     stalled = False
     try:
-        cluster.run(scenario)
-    except SimulationError:
-        # The drive loop stalled: under steered faults that is a liveness
-        # finding for the auditor, not a tooling crash.
-        stalled = True
-        auditor.note_stall()
-    auditor.check_quiescence()
+        try:
+            cluster.run(scenario)
+        except SimulationError:
+            # The drive loop stalled: under steered faults that is a liveness
+            # finding for the auditor, not a tooling crash.
+            stalled = True
+            auditor.note_stall()
+        auditor.check_quiescence()
 
-    return CheckRunResult(
-        decisions=list(controller.trace),
-        violations=list(auditor.violations),
-        commits=cluster.metrics.counters.get("commits"),
-        aborts=cluster.metrics.counters.get("aborts"),
-        stalled=stalled,
-        events_fired=cluster.scheduler.fired,
-        sim_time_ms=cluster.now,
-    )
+        return CheckRunResult(
+            decisions=list(controller.trace),
+            violations=list(auditor.violations),
+            commits=cluster.metrics.counters.get("commits"),
+            aborts=cluster.metrics.counters.get("aborts"),
+            stalled=stalled,
+            events_fired=cluster.scheduler.fired,
+            sim_time_ms=cluster.now,
+        )
+    finally:
+        # The scheduler's tie-breaker, the interposer and the scenario's
+        # fault hook all reach the cluster through the controller.
+        controller.state_fn = None
+        auditor.cluster = None
+        cluster.close()

@@ -526,6 +526,19 @@ class Network:
         sender.on_delivery_failed(ctx, msg)
         self._finish_activation(ctx)
 
+    # -- lifecycle ---------------------------------------------------------
+
+    def close(self) -> None:
+        """Drop the references that close a cycle through this network:
+        the endpoint table, the delivery probes, the endpoint memo and the
+        reliable sublayer's pointer back.  The counters, ``reliable`` and
+        ``interposer`` stay readable; nothing may be sent afterwards."""
+        self._endpoints.clear()
+        self.delivery_probes.clear()
+        self.endpoint_memo = None
+        if self.reliable is not None:
+            self.reliable.close()
+
     def __repr__(self) -> str:
         return (
             f"Network(sites={len(self._endpoints)}, sent={self.messages_sent}, "

@@ -161,11 +161,15 @@ class ReliableDelivery:
     """
 
     __slots__ = (
-        "network", "policy", "stats", "_rto", "_next_seq", "_pending", "_receivers"
+        "network", "policy", "stats", "_exempt", "_rto", "_next_seq", "_pending",
+        "_receivers",
     )
 
     def __init__(self, network: "Network", policy: Optional[RetransmitPolicy] = None) -> None:
         self.network = network
+        # The network's exemption set itself (filled after the layer is
+        # built), so tracks() answers without the network.
+        self._exempt = network.partition_exempt
         self.policy = policy if policy is not None else RetransmitPolicy()
         self.policy.validate()
         # _rto[attempt - 1]: the timeout armed after transmission ``attempt``;
@@ -192,7 +196,7 @@ class ReliableDelivery:
         """
         if msg.mtype is _NET_ACK:
             return False
-        exempt = self.network.partition_exempt
+        exempt = self._exempt
         return msg.src not in exempt and msg.dst not in exempt
 
     # -- sender side -------------------------------------------------------
@@ -296,6 +300,13 @@ class ReliableDelivery:
         if pending is not None and pending.timer is not None:
             pending.timer.cancel()
         self._skip_at_receiver(msg)
+
+    def close(self) -> None:
+        """Detach from the closed network (``Network.close``): drop the
+        pointer back and the unacked transmissions, whose timers are
+        bound to this layer.  ``stats`` and :meth:`tracks` still answer."""
+        self.network = None
+        self._pending.clear()
 
     def _skip_at_receiver(self, msg: Message) -> None:
         channel = (msg.src, msg.dst)

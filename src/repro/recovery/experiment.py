@@ -104,7 +104,10 @@ def run_recovery_cell(
     )
     scenario.add_action(1, FailSite(0))
     scenario.add_action(2, RecoverSite(0))
-    cluster.run(scenario)
+    try:
+        cluster.run(scenario)
+    finally:
+        cluster.close()
     stats = cluster.site(0).recovery.stats
     if not stats.complete:
         raise SimulationError(

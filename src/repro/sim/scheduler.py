@@ -248,6 +248,13 @@ class EventScheduler:
         self._cancelled = 0
         self.compactions += 1
 
+    def clear(self) -> None:
+        """Drop every queued entry without firing it (what a closed
+        cluster left unfinished).  ``fired`` and the clock are kept."""
+        self._heap.clear()
+        self._nowq.clear()
+        self._cancelled = 0
+
     # -- running -------------------------------------------------------------
 
     def step(self) -> bool:

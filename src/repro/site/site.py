@@ -742,6 +742,22 @@ class DatabaseSite(Endpoint):
         self.db.drop_item(item_id)
         self.catalog.remove_copy(item_id, self.site_id)
 
+    def close(self) -> None:
+        """Drop what ties this site into cycles once its run is over: the
+        dispatch table, both 2PC roles with their bound tables, the
+        recovery policy and the period-end hook.  The database, fail-locks,
+        ``recovery``, ``lock_service`` and ``probe`` stay readable; the
+        site handles nothing afterwards.  Idempotent."""
+        if self.coordinator is None:
+            return
+        self.coordinator.accept.clear()
+        self.participant.accept.clear()
+        self.coordinator = self.participant = None  # type: ignore[assignment]
+        self._dispatch = {}
+        self._txn_copy_resp = self._txn_copy_denied = None
+        self.recovery_policy = None
+        self.recovery.on_period_end = None
+
     def signature(self) -> tuple:
         """Hashable snapshot of this site's protocol state (``repro.check``).
 

@@ -147,6 +147,26 @@ class Cluster:
             )
         return self.metrics
 
+    def close(self) -> None:
+        """Give a finished run's cluster back to reference counting.
+
+        Drops every back-reference that closes a cycle (whatever is still
+        queued, the network's endpoint table and probes, each site's
+        handler tables, 2PC roles and recovery policy, the managing site's
+        pointer to the cluster), so the cluster is freed as soon as its
+        last outside reference goes instead of waiting for the cyclic
+        collector.  A closed cluster still answers what a finished run is
+        read for: ``scheduler.fired``, ``metrics``, ``config``, the
+        network's counters, ``reliable`` and ``interposer``, and each
+        site's database, ``recovery``, ``lock_service`` and ``probe``.  It
+        can run nothing more.  Idempotent.
+        """
+        self.scheduler.clear()
+        self.network.close()
+        for site in self.sites:
+            site.close()
+        self.manager.cluster = None  # type: ignore[assignment]
+
     # -- consistency auditing (the invariant Experiment 3 is about) -------------------
 
     def audit_consistency(self) -> list[str]:

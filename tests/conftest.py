@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.net.message import MessageType
@@ -93,3 +96,10 @@ def messages(
         and (mtype is None or event.args["mtype"] == mtype.value)
         and (txn is None or event.txn == txn)
     ]
+
+
+def digest(payload) -> str:
+    """blake2b-128 of ``payload``'s canonical JSON: what the pinned tests
+    compare against their pins."""
+    raw = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(raw.encode(), digest_size=16).hexdigest()

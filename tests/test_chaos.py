@@ -373,6 +373,16 @@ def test_cli_chaos_lossy_mode_exits_zero(capsys) -> None:
     assert "no invariant violations." in out
 
 
+def test_a_sweep_of_no_seed_is_refused(capsys) -> None:
+    """``--seeds 0`` used to print ``0 checks, 0 violations`` and exit 0."""
+    assert main(["chaos", "--seeds", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: no seeds to sweep\n"
+    assert "no invariant violations" not in captured.out
+    with pytest.raises(ConfigurationError, match="no seeds"):
+        run_seed_sweep(range(7, 7))
+
+
 def test_cli_chaos_clean_exits_zero(capsys) -> None:
     code = main(["chaos", "--seeds", "2", "--txns", "25"])
     out = capsys.readouterr().out

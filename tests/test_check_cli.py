@@ -136,6 +136,34 @@ def test_a_budget_below_its_floor_is_refused_not_raised(flag, value, field, caps
         CheckConfig(**{field: int(value)})
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--txns", "0"], "txns must be >= 1: 0"),
+        (["--max-runs", "0"], "max_runs must be >= 1: 0"),
+        (["--max-runs", "0", "--jobs", "2"], "max_runs must be >= 1: 0"),
+    ],
+    ids=["txns", "max-runs", "max-runs-parallel"],
+)
+def test_a_search_that_checks_nothing_is_refused(argv, message, capsys):
+    """No transaction, or no run, used to print ``no violation found
+    within budget`` and exit 0."""
+    assert main(["check", "explore", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "no violation found" not in captured.out
+
+
+def test_the_library_refuses_a_search_that_checks_nothing():
+    from repro.check.explorer import explore, explore_parallel
+
+    with pytest.raises(CheckError, match="txns must be >= 1"):
+        CheckConfig(txns=0)
+    for search in (explore, explore_parallel):
+        with pytest.raises(CheckError, match="max_runs must be >= 1"):
+            search(CheckConfig(), max_runs=0)
+
+
 def test_the_smallest_accepted_budgets_steer_their_own_search(capsys):
     """At the floors each budget is taken as given: the two-way search is
     not the default three-way one, and ``--min-up 3`` of three sites

@@ -16,13 +16,10 @@ rows, one or two per run:
 * COPY_REQ, VOTE_REQ and COMMIT bouncing off a site that died.
 
 Each run's outcomes, counters, final copies and fail-lock masks are
-pinned as blake2b-128 of canonical JSON (as in
-``tests/test_write_path_pinned.py``), and the last test checks that every
-row of both roles' tables is entered by at least one run.
+pinned as ``conftest.digest`` (blake2b-128 of canonical JSON), and the
+last test checks that every row of both roles' tables is entered by at
+least one run.
 """
-
-import hashlib
-import json
 
 import pytest
 
@@ -37,12 +34,7 @@ from repro.system.scenario import FixedSite, Scenario
 from repro.txn.operations import OpKind, Operation
 from repro.workload.base import WorkloadGenerator
 
-from conftest import SETTLED, messages
-
-
-def _digest(payload) -> str:
-    raw = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(raw.encode(), digest_size=16).hexdigest()
+from conftest import SETTLED, digest, messages
 
 
 R, W = OpKind.READ, OpKind.WRITE
@@ -314,7 +306,7 @@ PINS = {
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_commit_phase_run_is_pinned(name):
-    assert _digest(outcome(RUNS[name]())) == PINS[name]
+    assert digest(outcome(RUNS[name]())) == PINS[name]
 
 
 # -- the roles' tables -----------------------------------------------------------

@@ -13,12 +13,9 @@ outcomes byte for byte where they are:
 * lossy seeds in which skipping a sequence slot releases traffic the
   receiver had buffered behind it.
 
-The digests are blake2b-128 of canonical JSON, as in
-``tests/test_write_path_pinned.py``.
+The digests are ``conftest.digest`` (blake2b-128 of canonical JSON).
 """
 
-import hashlib
-import json
 import sys
 
 import pytest
@@ -27,10 +24,7 @@ from repro.chaos.faults import FaultPlan
 from repro.chaos.runner import run_chaos_seed, run_seed_sweep
 from repro.net.reliable import ReliableDelivery
 
-
-def _digest(payload) -> str:
-    raw = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(raw.encode(), digest_size=16).hexdigest()
+from conftest import digest
 
 
 def result_row(result) -> dict:
@@ -82,7 +76,7 @@ def test_mutation_sweep_is_pinned(plan):
     # The auditor catches the planted fail-lock bug under either model.
     assert report.total_violations and not report.stalled_seeds
     rows = [result_row(result) for result in report.results]
-    assert _digest(rows) == MUTATION_SWEEP_PINS[plan]
+    assert digest(rows) == MUTATION_SWEEP_PINS[plan]
 
 
 # (seed, txns) -> (the path that skipped the slot, pin).
@@ -129,4 +123,4 @@ def test_skipped_slot_releasing_buffered_traffic_is_pinned(seed, txns, monkeypat
     assert releases == [(path, 1)]
     assert result.net_stats.buffered_out_of_order
     assert result.clean and not result.stalled
-    assert _digest(result_row(result)) == pin
+    assert digest(result_row(result)) == pin

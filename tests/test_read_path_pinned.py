@@ -13,13 +13,12 @@ byte where they are:
   a partial catalog (REMOTE reads) that a type-3 control transaction
   changes mid-run.
 
-The digests are blake2b-128 of the canonical JSON of the soak report and
-of the cluster's outcome, as ``bench/`` digests its workloads.
+The digests are ``conftest.digest`` (blake2b-128 of canonical JSON) of the
+soak report and of the cluster's outcome, as ``bench/`` digests its
+workloads.
 """
 
 import dataclasses
-import hashlib
-import json
 from collections import Counter
 
 import pytest
@@ -34,10 +33,7 @@ from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, RecoverSite, Scenario
 from repro.workload.uniform import UniformWorkload
 
-
-def _digest(payload) -> str:
-    raw = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(raw.encode(), digest_size=16).hexdigest()
+from conftest import digest
 
 
 SOAK_PINS = {
@@ -64,7 +60,7 @@ def soak_report(seed: int, strategy: str, monkeypatch) -> dict:
 
 @pytest.mark.parametrize("strategy, seed", sorted(SOAK_PINS))
 def test_read_heavy_soak_is_pinned(strategy, seed, monkeypatch):
-    assert _digest(soak_report(seed, strategy, monkeypatch)) == SOAK_PINS[strategy, seed]
+    assert digest(soak_report(seed, strategy, monkeypatch)) == SOAK_PINS[strategy, seed]
 
 
 SLOW_PATH_PIN = "4547ce66572c90fb921b7c3506010a55"
@@ -132,4 +128,4 @@ def test_slow_read_path_is_pinned(monkeypatch):
     # The run reaches every branch the pin is for.
     assert set(sources) == set(ReadSource)
     assert outcome["holders"][6] == [0, 1, 2]
-    assert _digest(outcome) == SLOW_PATH_PIN
+    assert digest(outcome) == SLOW_PATH_PIN

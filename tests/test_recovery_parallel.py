@@ -2,7 +2,6 @@
 edges (flapping, partition mid-recovery, donor crash mid-fan-out), and
 the experiment/report stack."""
 
-import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -28,6 +27,8 @@ from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, RecoverSite, Scenario, Weighted
 from repro.workload.uniform import UniformWorkload
+
+from conftest import digest
 
 from conftest import make_scenario, run_cluster
 
@@ -613,10 +614,10 @@ def test_cli_soak_trace_exemplars_roundtrip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "seed, digest",
+    "seed, pin",
     [(42, "0aa64f312cada17457b3c201305613c6"), (7, "ba4419fe7922fd7ebc6fb246473757fe")],
 )
-def test_recovery_matrix_digest_is_pinned(seed, digest):
+def test_recovery_matrix_digest_is_pinned(seed, pin):
     """The recovery round trip is host-only work: a faster fail-lock table,
     re-plan or message fabric must leave every cell's numbers (sim-ms,
     copier and refresh counts) exactly where they were."""
@@ -626,5 +627,4 @@ def test_recovery_matrix_digest_is_pinned(seed, digest):
         policies=("two_step", "parallel"),
         seed=seed,
     )
-    raw = json.dumps([asdict(c) for c in cells], sort_keys=True, separators=(",", ":"))
-    assert hashlib.blake2b(raw.encode(), digest_size=16).hexdigest() == digest
+    assert digest([asdict(c) for c in cells]) == pin

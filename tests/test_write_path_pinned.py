@@ -18,13 +18,10 @@ are:
   delayed messages are still in flight: per-channel FIFO bookkeeping
   starts mid-run and must outlive the interposer.
 
-The digests are blake2b-128 of canonical JSON, as in
-``tests/test_read_path_pinned.py``.
+The digests are ``conftest.digest`` (blake2b-128 of canonical JSON).
 """
 
 import dataclasses
-import hashlib
-import json
 
 import pytest
 
@@ -40,10 +37,7 @@ from repro.system.openloop import OpenLoopManager, run_open_loop
 from repro.txn.transaction import AbortReason
 from repro.workload.uniform import UniformWorkload
 
-
-def _digest(payload) -> str:
-    raw = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(raw.encode(), digest_size=16).hexdigest()
+from conftest import digest
 
 
 def _txn_rows(records) -> list:
@@ -86,7 +80,7 @@ def soak_report(seed: int, strategy: str, cores: int, monkeypatch) -> dict:
 @pytest.mark.parametrize("strategy, cores, seed", sorted(SOAK_PINS))
 def test_write_mixed_soak_is_pinned(strategy, cores, seed, monkeypatch):
     report = soak_report(seed, strategy, cores, monkeypatch)
-    assert _digest(report) == SOAK_PINS[strategy, cores, seed]
+    assert digest(report) == SOAK_PINS[strategy, cores, seed]
 
 
 LOSSY_CHAOS_PIN = "4b22202502429810d5496da7afec9ab5"
@@ -104,7 +98,7 @@ def lossy_chaos_outcome() -> dict:
 
 
 def test_lossy_chaos_seed_is_pinned():
-    assert _digest(lossy_chaos_outcome()) == LOSSY_CHAOS_PIN
+    assert digest(lossy_chaos_outcome()) == LOSSY_CHAOS_PIN
 
 
 DEADLOCK_PIN = "37757c99a2dc1626797b1328db675968"
@@ -136,7 +130,7 @@ def deadlock_outcome() -> dict:
 
 
 def test_open_loop_deadlocks_are_pinned():
-    assert _digest(deadlock_outcome()) == DEADLOCK_PIN
+    assert digest(deadlock_outcome()) == DEADLOCK_PIN
 
 
 LATE_INTERPOSER_PIN = "4ca1029173356330dd49302e9e38b072"
@@ -194,4 +188,4 @@ def late_interposer_outcome() -> dict:
 
 
 def test_late_interposer_is_pinned():
-    assert _digest(late_interposer_outcome()) == LATE_INTERPOSER_PIN
+    assert digest(late_interposer_outcome()) == LATE_INTERPOSER_PIN
