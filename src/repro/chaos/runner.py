@@ -141,10 +141,6 @@ class ChaosSweepReport:
     mutated: bool = False
 
     @property
-    def seeds(self) -> list[int]:
-        return [r.seed for r in self.results]
-
-    @property
     def total_violations(self) -> int:
         return sum(len(r.violations) for r in self.results)
 

@@ -129,10 +129,6 @@ class CheckRunResult:
     sim_time_ms: float = 0.0
 
     @property
-    def clean(self) -> bool:
-        return not self.violations
-
-    @property
     def chosen(self) -> list[int]:
         """The executed decision vector in canonical form.
 

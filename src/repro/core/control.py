@@ -52,10 +52,6 @@ class RecoveryAnnouncement:
     def from_payload(cls, payload: dict) -> "RecoveryAnnouncement":
         return cls(site_id=payload["site"], new_session=payload["session"])
 
-    def apply_at_operational_site(self, vector: NominalSessionVector) -> None:
-        """An operational site updates its NSV with the new session."""
-        vector.mark_recovering(self.site_id, self.new_session)
-
 
 @dataclass(slots=True)
 class RecoveryState:

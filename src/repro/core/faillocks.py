@@ -74,11 +74,6 @@ class FailLockTable:
                 self._stale[bit].discard(item_id)
 
     @property
-    def item_ids(self) -> list[int]:
-        """All item ids tracked, sorted."""
-        return sorted(self._masks)
-
-    @property
     def item_count(self) -> int:
         """Number of items tracked."""
         return len(self._masks)

@@ -137,19 +137,10 @@ class NominalSessionVector:
             )
         return sites
 
-    def operational_sites(self) -> list[int]:
-        """All sites the owner believes are up (including itself if up)."""
-        return list(self.up_sites())
-
     def operational_peers(self) -> list[int]:
         """Operational sites other than the owner."""
         owner = self.owner
         return [s for s in self.up_sites() if s != owner]
-
-    def down_sites(self) -> list[int]:
-        """Sites perceived DOWN."""
-        down = SiteState.DOWN
-        return [s for s, r in self._records.items() if r.state is down]
 
     # -- transitions -----------------------------------------------------------
 
@@ -164,17 +155,6 @@ class NominalSessionVector:
         """Record that ``site_id`` has failed (type-2 control transaction)."""
         self._transition(self.record(site_id), SiteState.DOWN)
 
-    def mark_recovering(self, site_id: int, session: int) -> None:
-        """Record that ``site_id`` announced recovery with a new session."""
-        record = self.record(site_id)
-        if session < record.session:
-            raise SessionError(
-                f"site {site_id} announced stale session {session} "
-                f"(perceived {record.session})"
-            )
-        record.session = session
-        self._transition(record, SiteState.RECOVERING)
-
     def mark_up(self, site_id: int, session: int | None = None) -> None:
         """Record that ``site_id`` is operational (after type-1 completes)."""
         record = self.record(site_id)
@@ -186,10 +166,6 @@ class NominalSessionVector:
                 )
             record.session = session
         self._transition(record, SiteState.UP)
-
-    def mark_terminating(self, site_id: int) -> None:
-        """Record an orderly shutdown in progress."""
-        self._transition(self.record(site_id), SiteState.TERMINATING)
 
     def begin_new_session(self) -> int:
         """Owner starts a new session (on recovery); returns its number."""

@@ -11,7 +11,7 @@ maximum transaction size 10):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.metrics.stats import mean
 from repro.system.cluster import Cluster

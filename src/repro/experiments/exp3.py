@@ -22,7 +22,6 @@ from repro.metrics.collector import MetricsCollector
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, RecoverSite, Scenario
-from repro.txn.transaction import AbortReason
 from repro.viz.ascii_chart import render_series, site_series
 from repro.workload.uniform import UniformWorkload
 
@@ -39,11 +38,6 @@ class ScenarioResult:
     final_locks: dict[int, int]
     consistency_violations: list[str]
     metrics: MetricsCollector = field(repr=False, default=None)  # type: ignore[assignment]
-
-    def peak(self, site: int) -> int:
-        """Peak fail-lock count for ``site``."""
-        points = self.series.get(site, [])
-        return max((v for _s, v in points), default=0)
 
     def chart(self) -> str:
         return render_series(

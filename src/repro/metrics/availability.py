@@ -31,10 +31,6 @@ class AvailabilityReport:
     # (locks remaining, txns it took to clear the previous bucket of 10)
     clearing_buckets: list[tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def recovered(self) -> bool:
-        return self.recovery_end_seq >= 0
-
 
 def availability_of(
     samples: list[FailLockSample], site_id: int, db_size: int, bucket: int = 10

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.metrics.counters import CounterSet
 from repro.metrics.records import (
@@ -13,7 +13,6 @@ from repro.metrics.records import (
     TxnRecord,
     ViolationRecord,
 )
-from repro.metrics.stats import Summary, summarize
 
 
 class MetricsCollector:
@@ -132,13 +131,6 @@ class MetricsCollector:
         return [
             (s.seq, s.locks_per_site.get(site_id, 0)) for s in self.faillock_samples
         ]
-
-    def abort_count(self) -> int:
-        return self.counters.get("aborts")
-
-    def summary(self, values: Iterable[float]) -> Summary:
-        """Convenience passthrough to :func:`summarize`."""
-        return summarize(values)
 
     def __repr__(self) -> str:
         return (

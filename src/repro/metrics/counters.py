@@ -24,10 +24,6 @@ class CounterSet:
         """A snapshot copy of all counters."""
         return dict(self._counts)
 
-    def reset(self) -> None:
-        """Zero everything."""
-        self._counts.clear()
-
     def __getitem__(self, name: str) -> int:
         return self.get(name)
 

@@ -104,10 +104,6 @@ class CopierRecord:
     started_at: float
     finished_at: float = -1.0
 
-    @property
-    def elapsed(self) -> float:
-        return self.finished_at - self.started_at
-
 
 @dataclass(slots=True)
 class RecoveryPeriodRecord:
@@ -172,7 +168,3 @@ class FailLockSample:
     seq: int
     time: float
     locks_per_site: dict[int, int]
-
-    def total(self) -> int:
-        """System-wide fail-locks (the paper's inconsistency measure)."""
-        return sum(self.locks_per_site.values())

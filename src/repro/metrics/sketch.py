@@ -27,7 +27,6 @@ a point inside the gap.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 __all__ = ["P2Quantile", "QuantileSketch"]
 
@@ -74,10 +73,6 @@ class QuantileSketch:
         buckets = self._buckets
         buckets[index] = buckets.get(index, 0) + 1
 
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
-
     def _bucket_value(self, index: int) -> float:
         # Bucket i covers (gamma^(i-1), gamma^i]; this midpoint-in-log
         # estimate is within rel_err relative error of the whole range.
@@ -98,10 +93,6 @@ class QuantileSketch:
             if seen > rank:
                 return self._bucket_value(index)
         return self._bucket_value(max(self._buckets))
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
 
     @property
     def bucket_count(self) -> int:

@@ -160,11 +160,6 @@ class Network:
         except KeyError:
             raise UnknownSiteError(f"no endpoint registered for site {site_id}") from None
 
-    @property
-    def site_ids(self) -> list[int]:
-        """All registered addresses, sorted."""
-        return sorted(self._endpoints)
-
     # -- activations -------------------------------------------------------
 
     def spawn(

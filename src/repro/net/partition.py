@@ -22,11 +22,6 @@ class PartitionManager:
         self._group_of: dict[int, int] = {}
         self._active = False
 
-    @property
-    def active(self) -> bool:
-        """Whether a partition is currently installed."""
-        return self._active
-
     def partition(self, groups: list[list[int]]) -> None:
         """Split sites into the given disjoint ``groups``.
 
@@ -56,10 +51,6 @@ class PartitionManager:
             return True
         # Unlisted sites share the implicit group (-1).
         return self._group_of.get(a, -1) == self._group_of.get(b, -1)
-
-    def group_of(self, site: int) -> int:
-        """The partition-group index of ``site`` (-1 for the implicit group)."""
-        return self._group_of.get(site, -1)
 
     def __repr__(self) -> str:
         return f"PartitionManager(active={self._active}, map={self._group_of})"

@@ -96,10 +96,6 @@ class ReliableStats:
     buffered_out_of_order: int = 0  # early arrivals parked for ordering
     gave_up: int = 0           # retry cap hit -> unreachable report
 
-    def describe(self) -> str:
-        """Deterministic summary cell: retransmit/dedup/gave-up."""
-        return f"{self.retransmissions}/{self.duplicates_suppressed}/{self.gave_up}"
-
 
 @dataclass(slots=True)
 class _Pending:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Optional
 
-from repro.obs.events import EventKind, TraceEvent
+from repro.obs.events import TraceEvent
 from repro.obs.export import load_events, load_manifest
 from repro.obs.timeline import TxnTimeline, build_timelines
 

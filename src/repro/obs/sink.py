@@ -85,21 +85,6 @@ class TraceSink:
 
     # -- queries --------------------------------------------------------------
 
-    def for_txn(self, txn_id: int) -> list[TraceEvent]:
-        """All captured events belonging to transaction ``txn_id``."""
-        return [e for e in self.events if e.txn == txn_id]
-
-    def count(self, kind: Optional[EventKind] = None) -> int:
-        """Captured events, optionally filtered to one kind."""
-        if kind is None:
-            return len(self.events)
-        return sum(1 for e in self.events if e.kind is kind)
-
-    def clear(self) -> None:
-        """Discard captured events (the seq counter keeps running)."""
-        self.events.clear()
-        self.dropped_events = 0
-
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 

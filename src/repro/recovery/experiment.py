@@ -19,7 +19,7 @@ donor.  Everything is seeded simulation, so the whole matrix — and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.core.recovery import RecoveryPolicy
 from repro.errors import ConfigurationError, SimulationError

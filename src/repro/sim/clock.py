@@ -21,11 +21,6 @@ class VirtualClock:
             raise SimulationError(f"clock cannot start in the past: {start}")
         self._now = float(start)
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
-
     def advance_to(self, time: float) -> None:
         """Move the clock forward to ``time``.
 

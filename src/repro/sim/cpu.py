@@ -71,12 +71,5 @@ class CpuResource:
         self._scheduler.post_at(done, on_done, args)
         return done
 
-    def utilization(self) -> float:
-        """Fraction of elapsed simulated time the CPU bank spent busy."""
-        elapsed = self._scheduler.now * len(self._free_at)
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_ms / elapsed)
-
     def __repr__(self) -> str:
         return f"CpuResource(cores={self.cores}, jobs={self.jobs}, busy={self.busy_ms:.1f}ms)"

@@ -25,20 +25,10 @@ class LogicalClock:
     def __init__(self, start: int = 0) -> None:
         self._now = start
 
-    @property
-    def now(self) -> int:
-        """The most recently issued timestamp."""
-        return self._now
-
     def tick(self) -> int:
         """Advance and return a fresh timestamp."""
         self._now += 1
         return self._now
-
-    def witness(self, seen: int) -> None:
-        """Advance past an externally observed timestamp (Lamport rule)."""
-        if seen > self._now:
-            self._now = seen
 
     def __repr__(self) -> str:
         return f"LogicalClock(now={self._now})"

@@ -20,7 +20,7 @@ RandomStream = random.Random
 
 
 class DeterministicRng:
-    """A named tree of independent ``random.Random`` streams."""
+    """A set of independent, named ``random.Random`` streams."""
 
     def __init__(self, seed: int) -> None:
         if not isinstance(seed, int):
@@ -41,13 +41,6 @@ class DeterministicRng:
                 mixed = (mixed * 1_000_003 + ord(char)) % (2**63)
             self._streams[name] = random.Random(mixed)
         return self._streams[name]
-
-    def spawn(self, name: str) -> "DeterministicRng":
-        """Derive a child rng rooted at ``name`` (for sub-components)."""
-        mixed = self.seed
-        for char in name:
-            mixed = (mixed * 1_000_003 + ord(char)) % (2**63)
-        return DeterministicRng(mixed)
 
     def __repr__(self) -> str:
         return f"DeterministicRng(seed={self.seed}, streams={sorted(self._streams)})"

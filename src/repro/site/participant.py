@@ -402,8 +402,3 @@ class ParticipantRole:
         would inquire forever.
         """
         return self.decisions.get(txn_id)
-
-    @property
-    def staged_txns(self) -> list[int]:
-        """Transactions currently buffered at this participant, sorted."""
-        return sorted(self.staged)

@@ -36,7 +36,6 @@ from repro.net.endpoint import Endpoint, HandlerContext
 from repro.net.message import Message, MessageType
 from repro.net.network import Network
 from repro.obs.events import EventKind
-from repro.obs.sink import TraceSink
 from repro.recovery.scheduler import ParallelCopierScheduler
 from repro.sim.logical import LogicalClock
 from repro.site.coordinator import CoordinatorRole
@@ -160,11 +159,6 @@ class DatabaseSite(Endpoint):
         """Wire the site to its network (done by the cluster builder)."""
         self.network = network
         network.register(self)
-
-    @property
-    def obs(self) -> TraceSink:
-        """The run's trace sink (lives on the network)."""
-        return self.network.obs
 
     # -- message dispatch ---------------------------------------------------------
 

@@ -24,14 +24,14 @@ class SiteDatabase:
     (:meth:`apply_writes`, :meth:`install_copies`, :meth:`create_item`).
     Until then it reads as value 0, version 0, committed at 0.0 — the
     state every copy starts in — and nothing that only reads it (``read``,
-    ``version``, ``get``, ``snapshots``, ``dump``, ``signature``) stores
+    ``version``, ``get``, ``snapshots``, ``signature``) stores
     one, so a cluster build costs one id per copy, not one object.
     """
 
     def __init__(self, site_id: int, item_ids: Iterable[int]) -> None:
         self.site_id = site_id
-        # Every id this site holds a copy of, in catalog order (``dump``
-        # keeps it); ``_items`` has the copies written so far.
+        # Every id this site holds a copy of; ``_items`` has the copies
+        # written so far.
         self._held: dict[int, None] = dict.fromkeys(item_ids)
         self._items: dict[int, DataItem] = {}
         self._staged: dict[int, list[tuple[int, int, int]]] = {}
@@ -57,11 +57,6 @@ class SiteDatabase:
 
     def __len__(self) -> int:
         return len(self._held)
-
-    @property
-    def item_ids(self) -> list[int]:
-        """Sorted ids of items this site holds a copy of."""
-        return sorted(self._held)
 
     def get(self, item_id: int) -> DataItem:
         """The committed copy of ``item_id`` (a fresh, unstored default
@@ -108,10 +103,6 @@ class SiteDatabase:
                 raise self._unknown(item_id)
         self._staged[txn_id] = updates
         self._signature = None
-
-    def has_staged(self, txn_id: int) -> bool:
-        """Whether ``txn_id`` has buffered updates on this site."""
-        return txn_id in self._staged
 
     def abort_staged(self, txn_id: int) -> None:
         """Discard ``txn_id``'s buffered updates (no-op if none)."""
@@ -207,14 +198,6 @@ class SiteDatabase:
         self._staged.clear()
         self.log = RedoLog(self.log.capacity)
         self._signature = None
-
-    def dump(self) -> dict[int, tuple[int, int]]:
-        """``{item_id: (value, version)}`` — for consistency audits."""
-        items = self._items
-        return {
-            i: (0, 0) if (d := items.get(i)) is None else (d.value, d.version)
-            for i in self._held
-        }
 
     def signature(self) -> tuple:
         """Hashable snapshot of committed + staged state (``repro.check``).

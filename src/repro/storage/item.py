@@ -20,9 +20,5 @@ class DataItem:
     version: int = 0
     committed_at: float = 0.0
 
-    def newer_than(self, other: "DataItem") -> bool:
-        """True if this copy reflects a later write than ``other``."""
-        return self.version > other.version
-
     def __repr__(self) -> str:
         return f"DataItem(id={self.item_id}, value={self.value}, v={self.version})"

@@ -30,9 +30,10 @@ class RedoLog:
     """Append-only per-site redo log.
 
     ``capacity`` bounds retention for long soak runs: the log keeps the
-    newest ``capacity`` records, the lsn keeps counting, and every older
-    record is dropped and tallied in ``dropped_records``.  ``None`` retains
-    everything, which is what the tests and recovery audits rely on.
+    newest ``capacity`` records and drops every older one, while the lsn
+    keeps counting (so a record's lsn is its place in the whole history).
+    ``None`` retains everything, which is what the tests and recovery
+    audits rely on.
     Records are kept as plain tuples in :class:`LogRecord` field order and
     materialised only when read.
     """
@@ -47,13 +48,8 @@ class RedoLog:
 
     @capacity.setter
     def capacity(self, capacity: int | None) -> None:
-        # Shrinking drops the oldest records (and tallies them).
+        # Shrinking drops the oldest records.
         self._records = deque(self._records, maxlen=capacity)
-
-    @property
-    def dropped_records(self) -> int:
-        """Records appended but no longer retained."""
-        return self._lsn - len(self._records)
 
     def append(
         self,
@@ -76,14 +72,6 @@ class RedoLog:
     def records(self) -> list[LogRecord]:
         """The retained records, oldest first."""
         return [LogRecord(*r) for r in self._records]
-
-    def for_txn(self, txn_id: int) -> list[LogRecord]:
-        """Retained records written on behalf of ``txn_id``."""
-        return [LogRecord(*r) for r in self._records if r[1] == txn_id]
-
-    def for_item(self, item_id: int) -> list[LogRecord]:
-        """Retained records that touched ``item_id``."""
-        return [LogRecord(*r) for r in self._records if r[2] == item_id]
 
     def __len__(self) -> int:
         return len(self._records)

@@ -31,7 +31,7 @@ transactions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -113,22 +113,3 @@ class CostModel:
     def faillock_maintenance_cost(self, written_items: int, num_sites: int) -> float:
         """Commit-time fail-lock maintenance at one site."""
         return self.faillock_bit_cost * written_items * num_sites
-
-    def scaled(self, factor: float) -> "CostModel":
-        """A uniformly scaled copy (sensitivity studies)."""
-        if factor < 0:
-            raise ConfigurationError(f"scale factor must be non-negative: {factor}")
-        return replace(
-            self,
-            **{
-                name: getattr(self, name) * factor
-                for name in self.__dataclass_fields__
-            },
-        )
-
-    @classmethod
-    def free(cls) -> "CostModel":
-        """All-zero costs: logical protocol checks with no timing."""
-        return cls(
-            **{name: 0.0 for name in cls.__dataclass_fields__}  # type: ignore[arg-type]
-        )

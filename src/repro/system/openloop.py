@@ -54,10 +54,6 @@ class OpenLoopResult:
             return 0.0
         return self.commits / (self.elapsed_ms / 1000.0)
 
-    @property
-    def abort_rate(self) -> float:
-        return self.aborts / self.txn_count if self.txn_count else 0.0
-
 
 class OpenLoopManager(ControlPlane):
     """Submits transactions at Poisson arrivals; collects outcomes."""

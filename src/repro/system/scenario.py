@@ -10,11 +10,10 @@ extended "until site k is completely recovered" as in Experiment 2).
 from __future__ import annotations
 
 import abc
-from repro.sim.rng import RandomStream
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import ConfigurationError
+from repro.sim.rng import RandomStream
 from repro.workload.base import WorkloadGenerator
 
 

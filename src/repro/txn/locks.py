@@ -13,18 +13,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.errors import LockError
-
 
 class LockMode(enum.Enum):
     """Shared (read) or exclusive (write)."""
 
     SHARED = "S"
     EXCLUSIVE = "X"
-
-    def compatible_with(self, other: "LockMode") -> bool:
-        """Standard S/X compatibility: only S+S coexist."""
-        return self is LockMode.SHARED and other is LockMode.SHARED
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -66,22 +60,10 @@ class LockManager:
         self.grants = 0
         self.waits = 0
 
-    def holders_of(self, item_id: int) -> dict[int, LockMode]:
-        """Current holders of ``item_id`` (copy)."""
-        entry = self._table.get(item_id)
-        return dict(entry.holders) if entry is not None else {}
-
     def held_mode(self, txn_id: int, item_id: int) -> LockMode | None:
         """The mode ``txn_id`` holds on ``item_id``, or ``None``."""
         entry = self._table.get(item_id)
         return entry.holders.get(txn_id) if entry is not None else None
-
-    def waiters_of(self, item_id: int) -> list[int]:
-        """Queued transactions on ``item_id``, FIFO order."""
-        entry = self._table.get(item_id)
-        if entry is None:
-            return []
-        return [txn for txn, _mode in entry.queue]
 
     def signature(self) -> tuple:
         """Hashable snapshot of every non-empty entry (``repro.check``).
@@ -193,19 +175,6 @@ class LockManager:
             if mode is LockMode.EXCLUSIVE:
                 break
         return newly
-
-    def held_by(self, txn_id: int) -> list[int]:
-        """Items on which ``txn_id`` currently holds a lock, sorted."""
-        return sorted(
-            item for item, entry in self._table.items() if txn_id in entry.holders
-        )
-
-    def verify_integrity(self) -> None:
-        """Assert the compatibility invariant on every item (test hook)."""
-        for item_id, entry in self._table.items():
-            modes = list(entry.holders.values())
-            if len(modes) > 1 and any(m is LockMode.EXCLUSIVE for m in modes):
-                raise LockError(f"item {item_id}: X lock coexists with others")
 
     def __repr__(self) -> str:
         held = sum(len(e.holders) for e in self._table.values())

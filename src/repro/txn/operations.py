@@ -33,14 +33,6 @@ class Operation(NamedTuple):
     kind: OpKind
     item_id: int
 
-    @property
-    def is_read(self) -> bool:
-        return self.kind is OpKind.READ
-
-    @property
-    def is_write(self) -> bool:
-        return self.kind is OpKind.WRITE
-
     def __repr__(self) -> str:
         return f"{self.kind.value[0]}({self.item_id})"
 

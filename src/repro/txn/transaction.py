@@ -82,13 +82,6 @@ class Transaction:
     def is_done(self) -> bool:
         return self.status in (TxnStatus.COMMITTED, TxnStatus.ABORTED)
 
-    @property
-    def elapsed(self) -> float:
-        """Submission-to-completion time in simulated ms (-1 if unfinished)."""
-        if self.finished_at < 0 or self.submitted_at < 0:
-            return -1.0
-        return self.finished_at - self.submitted_at
-
     def mark_committed(self, time: float) -> None:
         """Transition to COMMITTED (once)."""
         if self.is_done:

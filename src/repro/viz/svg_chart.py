@@ -8,7 +8,7 @@ plain frame, tick labels, a dashed/solid line per site, and a legend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ConfigurationError, ReproError

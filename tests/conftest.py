@@ -47,11 +47,15 @@ def paper2_config() -> SystemConfig:
     return SystemConfig.paper_experiment2(seed=42)
 
 
+# All-zero costs: protocol logic only, no timing.
+FREE_COSTS = CostModel(**dict.fromkeys(CostModel.__dataclass_fields__, 0.0))
+
+
 @pytest.fixture
 def free_config() -> SystemConfig:
     """Zero-cost configuration: protocol logic only, no timing."""
     return SystemConfig(
-        db_size=10, num_sites=3, max_txn_size=4, seed=99, costs=CostModel.free()
+        db_size=10, num_sites=3, max_txn_size=4, seed=99, costs=FREE_COSTS
     )
 
 
@@ -96,6 +100,21 @@ def messages(
         and (mtype is None or event.args["mtype"] == mtype.value)
         and (txn is None or event.txn == txn)
     ]
+
+
+def copies(db) -> dict[int, tuple[int, int]]:
+    """``{item_id: (value, version)}`` of every copy ``db`` holds, read off
+    its ``signature()`` (the state ``repro.check`` fingerprints)."""
+    return {item: (value, version) for item, value, version in db.signature()[0]}
+
+
+def lock_table(manager) -> dict[int, tuple[dict[int, str], list[int]]]:
+    """``{item: ({holder: "S" or "X"}, FIFO waiters)}`` for every item a
+    lock manager holds or queues on, read off its ``signature()``."""
+    return {
+        item: (dict(holders), [txn for txn, _mode in queue])
+        for item, holders, queue in manager.signature()
+    }
 
 
 def digest(payload) -> str:

@@ -20,6 +20,8 @@ from repro.system.scenario import FailSite, FixedSite, Scenario
 from repro.txn.operations import OpKind, Operation
 from repro.workload.base import WorkloadGenerator
 
+from conftest import copies
+
 
 # -- A1: two-step recovery (§3.2) ------------------------------------------------
 
@@ -321,7 +323,7 @@ def test_retry_layer_changes_no_outcome_without_loss(lossfree):
             counter
         ) == without_layer.metrics.counters.get(counter)
     for site_on, site_off in zip(with_layer.sites, without_layer.sites):
-        assert site_on.db.dump() == site_off.db.dump()
+        assert copies(site_on.db) == copies(site_off.db)
         assert site_on.faillocks.snapshot() == site_off.faillocks.snapshot()
     stats = with_layer.network.reliable.stats
     assert stats.retransmissions == 0, "retried without any loss"

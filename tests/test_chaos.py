@@ -303,7 +303,7 @@ def test_report_dedupes_repeated_violating_schedules() -> None:
 
 def test_sweep_aggregates() -> None:
     report = run_seed_sweep(range(42, 44), txns=30)
-    assert report.seeds == [42, 43]
+    assert [r.seed for r in report.results] == [42, 43]
     assert report.total_checks > 0
     assert report.dirty_seeds == []
 

@@ -38,7 +38,7 @@ def test_empty_vector_is_the_unperturbed_run():
     assert steered.commits == plain.metrics.counters.get("commits")
     assert steered.aborts == plain.metrics.counters.get("aborts")
     assert steered.sim_time_ms == plain.now
-    assert steered.clean
+    assert not steered.violations
     # Choice points were consulted but all defaulted.
     assert steered.decisions
     assert all(d.chosen == 0 for d in steered.decisions)
@@ -112,12 +112,12 @@ def test_fault_budget_and_min_up_respected():
 
 def test_mutation_plus_crash_violates_faillock_coverage():
     dirty = run_schedule(CheckConfig(mutate=True), [1])
-    assert not dirty.clean
+    assert dirty.violations
     assert dirty.violations[0].invariant == "faillock-coverage"
     # The same schedule against the CORRECT protocol is clean: the
     # violation is the mutation's, not the checker's.
     clean = run_schedule(CheckConfig(), [1])
-    assert clean.clean
+    assert not clean.violations
 
 
 def test_fate_choices_offer_droppable_messages():

@@ -17,7 +17,7 @@ _CONFIG = CheckConfig(mutate=True, max_recoveries=0, txns=4)
 
 def test_shrink_removes_noise_deviations():
     noisy = [1, 1, 1, 0, 1]
-    assert not run_schedule(_CONFIG, noisy).clean  # precondition
+    assert run_schedule(_CONFIG, noisy).violations  # precondition
     result = shrink(_CONFIG, noisy)
     assert result.vector == [1]
     assert result.removed == 3  # nonzero deviations dropped
@@ -36,13 +36,13 @@ def test_shrunk_vector_is_one_minimal():
             continue
         weakened = list(result.vector)
         weakened[position] = 0
-        assert run_schedule(_CONFIG, weakened).clean
+        assert not run_schedule(_CONFIG, weakened).violations
     # And lowering any remaining value does too (value minimality).
     for position, value in enumerate(result.vector):
         for lower in range(1, value):
             lowered = list(result.vector)
             lowered[position] = lower
-            assert run_schedule(_CONFIG, lowered).clean
+            assert not run_schedule(_CONFIG, lowered).violations
 
 
 def test_shrink_is_deterministic():
@@ -71,7 +71,7 @@ def test_recovery_masks_the_mutation():
     # shows no violation — shrinking hinges on the crash staying in force.
     with_recovery = CheckConfig(mutate=True, txns=4)  # max_recoveries=1
     crash_only = run_schedule(with_recovery, [1])
-    assert not crash_only.clean
+    assert crash_only.violations
     # Position 4 is the next fault point (txn 2 boundary); alternative 1
     # there is "recover site 0".
     recover_point = next(
@@ -84,4 +84,4 @@ def test_recovery_masks_the_mutation():
     vector[recover_point] = 1
     crash_then_recover = run_schedule(with_recovery, vector)
     assert crash_then_recover.chosen.count(1) == 2
-    assert crash_then_recover.clean
+    assert not crash_then_recover.violations

@@ -65,7 +65,8 @@ def test_copier_refreshes_stale_read():
     assert metrics.counters["commits"] == 5
     # The read saw the refreshed value, and the copy is installed locally.
     assert cluster.site(2).db.version(5) == 1  # one committed write
-    assert cluster.site(2).db.log.for_item(5)[-1].txn_id == -1  # via copier
+    writes = [r for r in cluster.site(2).db.log.records if r.item_id == 5]
+    assert writes[-1].txn_id == -1  # via copier
     assert cluster.faillock_counts()[2] == 0
 
 
@@ -117,7 +118,7 @@ def test_copier_recorded_in_metrics():
     record = metrics.copiers[0]
     assert record.requester == 2
     assert record.items == 1
-    assert record.elapsed > 0
+    assert record.finished_at > record.started_at
     txn = next(t for t in metrics.txns if t.copiers_requested == 1)
     assert txn.seq == 4
     assert txn.clear_notices_sent == 2

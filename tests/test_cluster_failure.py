@@ -9,7 +9,7 @@ from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, FixedSite, RecoverSite, Scenario, Weighted
 from repro.workload.uniform import UniformWorkload
 
-from conftest import make_scenario, messages, run_cluster
+from conftest import copies, make_scenario, messages, run_cluster
 
 
 def failure_scenario(config, txn_count=40, fail_at=1, recover_at=21, site=0, **kw):
@@ -72,7 +72,7 @@ def test_recovered_site_fully_refreshed(small_config):
     scenario.max_txns = 500
     cluster = run_cluster(config, scenario)
     assert cluster.faillock_counts()[2] == 0
-    dumps = [site.db.dump() for site in cluster.sites]
+    dumps = [copies(site.db) for site in cluster.sites]
     assert dumps[0] == dumps[1] == dumps[2]
 
 
@@ -146,13 +146,13 @@ def test_write_value_provenance(small_config):
 
     cluster = run_cluster(small_config, make_scenario(small_config, 15))
     for site in cluster.sites:
-        for item_id, data in site.db.dump().items():
+        for item_id, data in copies(site.db).items():
             value, version = data
             if version > 0:
-                writer = site.db.log.for_item(item_id)[-1].txn_id
-                assert value == write_value(writer, item_id)
+                writes = [r for r in site.db.log.records if r.item_id == item_id]
+                assert value == write_value(writes[-1].txn_id, item_id)
                 # Versions are strictly increasing per item (commit-point
                 # stamps from the logical clock).
-                versions = [r.new_version for r in site.db.log.for_item(item_id)]
+                versions = [r.new_version for r in writes]
                 assert versions == sorted(versions)
                 assert len(set(versions)) == len(versions)

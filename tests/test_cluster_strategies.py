@@ -10,12 +10,11 @@ from repro.errors import ConfigurationError
 from repro.storage.catalog import ReplicationCatalog
 from repro.system.cluster import Cluster
 from repro.system.config import CopyControlStrategy, FailureDetection, SystemConfig
-from repro.system.costs import CostModel
 from repro.system.scenario import FailSite, FixedSite, RecoverSite, Scenario
 from repro.txn.operations import OpKind, Operation
 from repro.workload.base import WorkloadGenerator
 
-from conftest import make_scenario, run_cluster
+from conftest import FREE_COSTS, make_scenario, run_cluster
 
 
 class OneOp(WorkloadGenerator):
@@ -139,7 +138,7 @@ def test_quorum_over_a_partial_catalog_is_rejected():
             catalog.add_copy(item, site)
     config = SystemConfig(
         db_size=6, num_sites=3, max_txn_size=3, seed=1,
-        costs=CostModel.free(), strategy=CopyControlStrategy.QUORUM,
+        costs=FREE_COSTS, strategy=CopyControlStrategy.QUORUM,
     )
     with pytest.raises(ConfigurationError, match="strategy=quorum.*catalog"):
         Cluster(config, catalog=catalog)

@@ -6,7 +6,7 @@ from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, RecoverSite
 
-from conftest import make_scenario, run_cluster
+from conftest import copies, make_scenario, run_cluster
 
 
 def cold_config(**kw):
@@ -23,7 +23,7 @@ def test_crash_wipes_database():
     scenario = make_scenario(config, 10)
     scenario.add_action(5, FailSite(2))
     cluster.run(scenario)
-    assert all(v == 0 for v, _ver in cluster.site(2).db.dump().values())
+    assert all(v == 0 for v, _ver in copies(cluster.site(2).db).values())
     assert len(cluster.site(2).db.log) == 0
 
 
@@ -50,7 +50,7 @@ def test_cold_recovery_completes_and_is_consistent():
     cluster = run_cluster(config, scenario)
     assert cluster.faillock_counts()[1] == 0
     assert cluster.audit_consistency() == []
-    dumps = [site.db.dump() for site in cluster.sites]
+    dumps = [copies(site.db) for site in cluster.sites]
     assert dumps[0] == dumps[1] == dumps[2]
 
 

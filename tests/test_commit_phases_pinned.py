@@ -34,7 +34,7 @@ from repro.system.scenario import FixedSite, Scenario
 from repro.txn.operations import OpKind, Operation
 from repro.workload.base import WorkloadGenerator
 
-from conftest import SETTLED, digest, messages
+from conftest import SETTLED, copies, digest, messages
 
 
 R, W = OpKind.READ, OpKind.WRITE
@@ -284,7 +284,7 @@ def outcome(cluster) -> dict:
             for r in metrics.txns
         ],
         "counters": metrics.counters.as_dict(),
-        "copies": [site.db.dump() for site in cluster.sites],
+        "copies": [copies(site.db) for site in cluster.sites],
         "faillocks": [site.faillocks.snapshot() for site in cluster.sites],
     }
 

@@ -29,10 +29,12 @@ def test_recovery_announcement_roundtrip_and_apply():
     ann = RecoveryAnnouncement(site_id=2, new_session=4)
     ann2 = RecoveryAnnouncement.from_payload(ann.to_payload())
     nsv = NominalSessionVector(owner=0, site_ids=[0, 1, 2])
+    assert ann2 == ann
     nsv.mark_down(2)
-    ann2.apply_at_operational_site(nsv)
+    # What an operational site does with it (``DatabaseSite``'s handler).
+    nsv.mark_up(ann2.site_id, ann2.new_session)
     assert nsv.session_of(2) == 4
-    assert nsv.state_of(2) is SiteState.RECOVERING
+    assert nsv.state_of(2) is SiteState.UP
 
 
 def test_recovery_state_capture_and_install():
@@ -63,7 +65,7 @@ def test_failure_announcement_apply_reports_changes():
     ann = FailureAnnouncement(announcer=0, failed_sites=[1, 2])
     changed = ann.apply(nsv)
     assert changed == [1, 2]
-    assert nsv.down_sites() == [1, 2]
+    assert nsv.up_sites() == (0,)
     # Re-applying changes nothing.
     assert ann.apply(nsv) == []
 

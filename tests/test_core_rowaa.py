@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.faillocks import FailLockTable
 from repro.core.rowaa import ReadPlan, ReadSource, RowaaPlanner
-from repro.core.sessions import NominalSessionVector
+from repro.core.sessions import NominalSessionVector, SessionRecord, SiteState
 from repro.errors import StorageError
 from repro.storage.catalog import ReplicationCatalog
 
@@ -123,8 +123,10 @@ def _random_state(rng):
         state = rng.choice(["up", "up", "down", "recovering"])
         if state == "down":
             nsv.mark_down(site)
+        elif state == "recovering" and site == owner:
+            nsv.begin_new_session()
         elif state == "recovering":
-            nsv.mark_recovering(site, 2)
+            nsv.install([SessionRecord(site_id=site, session=2, state=SiteState.RECOVERING)])
     locks = FailLockTable(site_ids=sites, item_ids=items)
     if rng.random() < 0.5:
         catalog = ReplicationCatalog.fully_replicated(items, sites)

@@ -12,7 +12,7 @@ def nsv() -> NominalSessionVector:
 
 
 def test_initial_all_up(nsv):
-    assert nsv.operational_sites() == [0, 1, 2, 3]
+    assert nsv.up_sites() == (0, 1, 2, 3)
     assert nsv.my_session == 1
     assert nsv.is_operational(2)
 
@@ -25,8 +25,7 @@ def test_owner_must_be_member():
 def test_mark_down_excludes_from_operational(nsv):
     nsv.mark_down(2)
     assert nsv.state_of(2) is SiteState.DOWN
-    assert nsv.operational_sites() == [0, 1, 3]
-    assert nsv.down_sites() == [2]
+    assert nsv.up_sites() == (0, 1, 3)
 
 
 def test_operational_peers_excludes_owner(nsv):
@@ -41,15 +40,9 @@ def test_begin_new_session_increments(nsv):
 
 
 def test_recovering_site_not_operational(nsv):
-    nsv.mark_recovering(1, 2)
+    nsv.install([SessionRecord(site_id=1, session=2, state=SiteState.RECOVERING)])
     assert not nsv.is_operational(1)
     assert nsv.session_of(1) == 2
-
-
-def test_mark_recovering_rejects_stale_session(nsv):
-    nsv.mark_recovering(1, 5)
-    with pytest.raises(SessionError):
-        nsv.mark_recovering(1, 4)
 
 
 def test_mark_up_with_session(nsv):
@@ -66,7 +59,7 @@ def test_mark_up_rejects_stale_session(nsv):
 
 
 def test_terminating_not_operational(nsv):
-    nsv.mark_terminating(3)
+    nsv.install([SessionRecord(site_id=3, state=SiteState.TERMINATING)])
     assert not nsv.is_operational(3)
 
 
@@ -126,8 +119,6 @@ def test_operational_mask_layout_matches_sorted_sites():
     "transition",
     [
         lambda v: v.mark_down(1),
-        lambda v: v.mark_recovering(2, 2),
-        lambda v: v.mark_terminating(3),
         lambda v: v.begin_new_session(),
         lambda v: (v.mark_down(1), v.operational_mask(), v.mark_up(1, 2)),
         lambda v: v.install(
@@ -137,8 +128,7 @@ def test_operational_mask_layout_matches_sorted_sites():
             ]
         ),
     ],
-    ids=["mark_down", "mark_recovering", "mark_terminating", "begin_new_session",
-         "mark_up", "install"],
+    ids=["mark_down", "begin_new_session", "mark_up", "install"],
 )
 def test_operational_mask_cache_dropped_by_every_transition(nsv, transition):
     before = nsv.operational_mask()  # fills the cache
@@ -148,7 +138,7 @@ def test_operational_mask_cache_dropped_by_every_transition(nsv, transition):
     transition(nsv)
     assert nsv.operational_mask() == _scanned_mask(nsv)
     assert nsv.signature() == _scanned_signature(nsv) != signature
-    assert nsv.operational_sites() == [
+    assert list(nsv.up_sites()) == [
         s for i, s in enumerate(nsv.site_ids) if nsv.operational_mask() >> i & 1
     ]
 
@@ -163,13 +153,13 @@ def test_operational_mask_survives_failed_install(nsv):
 
 
 def test_signature_cache_survives_failed_transitions(nsv):
-    # mark_up / mark_recovering reject a stale session before assigning
-    # anything, so the cached signature they leave behind is still true.
-    nsv.mark_recovering(2, 3)
+    # mark_up rejects a stale session before assigning anything, so the
+    # cached signature it leaves behind is still true.
+    nsv.mark_up(2, 3)
     signature = nsv.signature()
-    for stale in (lambda: nsv.mark_up(2, 1), lambda: nsv.mark_recovering(2, 2)):
+    for stale in (1, 2):
         with pytest.raises(SessionError):
-            stale()
+            nsv.mark_up(2, stale)
         assert nsv.signature() == _scanned_signature(nsv) == signature
 
 
@@ -209,7 +199,7 @@ def _write_set_answers(nsv, planner, items):
     sites and peers, each item's write set, the phase-1 participants and
     the strategy refusal count (ROWA / QUORUM)."""
     return (
-        nsv.operational_sites(),
+        list(nsv.up_sites()),
         nsv.operational_peers(),
         [planner.write_sites(item) for item in items],
         planner.participants_for(items),
@@ -228,9 +218,7 @@ def _scanned_answers(nsv, catalog, items):
     "transition",
     [
         lambda v: v.mark_down(1),
-        lambda v: v.mark_recovering(2, 2),
-        lambda v: (v.mark_down(3), v.operational_sites(), v.mark_up(3, 2)),
-        lambda v: v.mark_terminating(3),
+        lambda v: (v.mark_down(3), v.up_sites(), v.mark_up(3, 2)),
         lambda v: v.install(
             [
                 SessionRecord(site_id=1, session=4, state=SiteState.DOWN),
@@ -238,7 +226,7 @@ def _scanned_answers(nsv, catalog, items):
             ]
         ),
     ],
-    ids=["mark_down", "mark_recovering", "mark_up", "mark_terminating", "install"],
+    ids=["mark_down", "mark_up", "install"],
 )
 def test_up_set_cache_dropped_by_every_transition(nsv, transition):
     from repro.core.faillocks import FailLockTable
@@ -258,7 +246,7 @@ def test_up_set_cache_dropped_by_every_transition(nsv, transition):
     assert after == _scanned_answers(nsv, catalog, items)
     # Each call hands out a fresh list: a caller mutating it changes
     # nothing the next caller sees.
-    for answer in after[:2] + (after[2][0], after[3]):
+    for answer in (after[1], after[2][0], after[3]):
         answer.append(99)
     assert _write_set_answers(nsv, planner, items) == _scanned_answers(
         nsv, catalog, items

@@ -6,14 +6,17 @@ from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.costs import CostModel
 
-from conftest import make_scenario, run_cluster
+from conftest import FREE_COSTS, make_scenario, run_cluster
 
 
 def test_scaled_costs_scale_run_time():
     def total_time(factor):
+        base = CostModel()
+        costs = CostModel(
+            **{name: getattr(base, name) * factor for name in CostModel.__dataclass_fields__}
+        )
         config = SystemConfig(
-            db_size=10, num_sites=3, max_txn_size=4, seed=3,
-            costs=CostModel().scaled(factor),
+            db_size=10, num_sites=3, max_txn_size=4, seed=3, costs=costs
         )
         cluster = run_cluster(config, make_scenario(config, 20))
         return cluster.now
@@ -25,7 +28,7 @@ def test_scaled_costs_scale_run_time():
 
 def test_free_costs_run_in_zero_time():
     config = SystemConfig(
-        db_size=10, num_sites=3, max_txn_size=4, seed=3, costs=CostModel.free()
+        db_size=10, num_sites=3, max_txn_size=4, seed=3, costs=FREE_COSTS
     )
     cluster = run_cluster(config, make_scenario(config, 20))
     assert cluster.now == 0.0

@@ -4,7 +4,7 @@ from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, RecoverSite
 
-from conftest import make_scenario, messages
+from conftest import copies, make_scenario, messages
 
 
 def run_once(seed=31, obs=False):
@@ -25,7 +25,7 @@ def fingerprint(cluster, metrics):
          for t in metrics.txns],
         [(s.seq, tuple(sorted(s.locks_per_site.items())))
          for s in metrics.faillock_samples],
-        [site.db.dump() for site in cluster.sites],
+        [copies(site.db) for site in cluster.sites],
         cluster.network.messages_sent,
     )
 

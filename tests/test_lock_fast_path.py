@@ -101,7 +101,7 @@ def lock_calls(monkeypatch):
 
     def checked_request(manager, txn_id, item_id, mode):
         fresh = manager.held_mode(txn_id, item_id) is None
-        jumps = fresh and manager.waiters_of(item_id)
+        jumps = fresh and check_table(manager).get(item_id)
         calls.append("request")
         grant = request(manager, txn_id, item_id, mode)
         assert not (jumps and grant.granted), "a fresh request jumped the queue"
@@ -140,11 +140,11 @@ def run_traffic(plan, calls: list) -> tuple[list, GlobalDeadlockDetector, list]:
         for site, expected_parks in zip(sites, parks):
             service = site.lock_service
             assert service.parks == expected_parks
-            check_table(service.manager)
+            queues = check_table(service.manager)
             for txn, parked in service._parked.items():
                 if not parked.in_flight:  # else resumed, its activation due
                     item, _mode = parked.remaining[0]
-                    assert txn in service.manager.waiters_of(item), (site, txn)
+                    assert txn in queues.get(item, ()), (site, txn)
 
     def abort_hook(txn):
         # A victim dies everywhere, from inside the detector's block().

@@ -11,6 +11,7 @@ protocol messages — the cases Appendix A spells out:
 
 import pytest
 
+from repro.core.sessions import SiteState
 from repro.net.message import MessageType
 from repro.system.cluster import Cluster
 from repro.system.config import FailureDetection, SystemConfig
@@ -18,7 +19,7 @@ from repro.system.scenario import FixedSite, Scenario
 from repro.txn.operations import OpKind, Operation
 from repro.workload.base import WorkloadGenerator
 
-from conftest import SETTLED, messages
+from conftest import FREE_COSTS, SETTLED, messages
 
 
 class OneWrite(WorkloadGenerator):
@@ -68,7 +69,8 @@ def test_participant_dies_before_vote_ack():
     # Survivors learned via type 2 and later transactions commit.
     assert metrics.counters.get("control_type2") >= 1
     assert metrics.txns[1].committed and metrics.txns[2].committed
-    assert cluster.site(0).nsv.down_sites() == [2]
+    nsv = cluster.site(0).nsv
+    assert [s for s in nsv.site_ids if nsv.state_of(s) is SiteState.DOWN] == [2]
 
 
 def test_participant_dies_after_vote_ack():
@@ -120,14 +122,13 @@ def test_timeout_mode_regression_stale_views():
     """
     from repro.system.config import SystemConfig
     from repro.system.cluster import Cluster
-    from repro.system.costs import CostModel
     from repro.system.scenario import RecoverSite, Scenario
     from repro.system.scenario import FailSite as FS
     from repro.workload.uniform import UniformWorkload
 
     config = SystemConfig(
         db_size=8, num_sites=3, max_txn_size=3, seed=0,
-        costs=CostModel.free(), detection=FailureDetection.TIMEOUT,
+        costs=FREE_COSTS, detection=FailureDetection.TIMEOUT,
     )
     scenario = Scenario(
         workload=UniformWorkload(config.item_ids, config.max_txn_size),

@@ -84,27 +84,3 @@ def test_ring_buffer_evicts_oldest() -> None:
     assert len(sink) == 4
     assert sink.dropped_events == 6
     assert [e.txn for e in sink] == [6, 7, 8, 9]  # newest survive
-
-
-def test_for_txn_and_count_filters() -> None:
-    sink = TraceSink(enabled=True)
-    sink.emit(0.0, EventKind.TXN_BEGIN, site=0, txn=1)
-    sink.emit(1.0, EventKind.TXN_BEGIN, site=1, txn=2)
-    sink.emit(2.0, EventKind.TXN_END, site=0, txn=1)
-    assert [e.kind for e in sink.for_txn(1)] == [
-        EventKind.TXN_BEGIN,
-        EventKind.TXN_END,
-    ]
-    assert sink.count(EventKind.TXN_BEGIN) == 2
-    assert sink.count(EventKind.TXN_END) == 1
-
-
-def test_clear_discards_events_but_keeps_seq_monotonic() -> None:
-    sink = TraceSink(capacity=2, enabled=True)
-    for i in range(5):
-        sink.emit(float(i), EventKind.TXN_BEGIN, site=0, txn=i)
-    sink.clear()
-    assert len(sink) == 0
-    assert sink.dropped_events == 0
-    # seq keeps running so post-clear events never collide with old refs
-    assert sink.emit(9.0, EventKind.TXN_END, site=0, txn=9) == 5

@@ -8,11 +8,10 @@ import pytest
 from repro.storage.catalog import ReplicationCatalog
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
-from repro.system.costs import CostModel
 from repro.system.scenario import Scenario
 from repro.workload.uniform import UniformWorkload
 
-from conftest import make_scenario, messages
+from conftest import FREE_COSTS, make_scenario, messages
 
 
 @st.composite
@@ -34,7 +33,7 @@ def catalogs(draw):
 @given(catalog=catalogs(), seed=st.integers(min_value=0, max_value=999))
 def test_random_partial_catalogs_commit_and_stay_consistent(catalog, seed):
     config = SystemConfig(
-        db_size=6, num_sites=3, max_txn_size=3, seed=seed, costs=CostModel.free()
+        db_size=6, num_sites=3, max_txn_size=3, seed=seed, costs=FREE_COSTS
     )
     cluster = Cluster(config, catalog=catalog)
     scenario = Scenario(

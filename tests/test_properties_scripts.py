@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
-from repro.system.costs import CostModel
 from repro.system.scenario import FailSite, RecoverSite, Scenario
 from repro.workload.uniform import UniformWorkload
+
+from conftest import FREE_COSTS
 
 
 @st.composite
@@ -55,7 +56,7 @@ def failure_scripts(draw):
 def test_any_failure_script_ends_consistent(script, seed):
     actions, total = script
     config = SystemConfig(
-        db_size=8, num_sites=3, max_txn_size=3, seed=seed, costs=CostModel.free()
+        db_size=8, num_sites=3, max_txn_size=3, seed=seed, costs=FREE_COSTS
     )
     scenario = Scenario(
         workload=UniformWorkload(config.item_ids, config.max_txn_size),
@@ -86,7 +87,7 @@ def test_any_failure_script_under_timeout_detection(script, seed):
         num_sites=3,
         max_txn_size=3,
         seed=seed,
-        costs=CostModel.free(),
+        costs=FREE_COSTS,
         detection=FailureDetection.TIMEOUT,
     )
     scenario = Scenario(

@@ -76,7 +76,7 @@ def test_commit_for_unstaged_txn_still_acked(cluster):
 def test_abort_without_staging_is_noop(cluster):
     site = cluster.site(1)
     deliver(cluster, site, MessageType.ABORT, txn_id=55, src=0)
-    assert site.participant.staged_txns == []
+    assert site.participant.staged == {}
 
 
 def test_clear_notice_for_unlocked_items_is_noop(cluster):

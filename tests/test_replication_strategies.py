@@ -13,10 +13,11 @@ from repro.core.strategy import (
 from repro.errors import ConfigurationError
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
-from repro.system.costs import CostModel
 from repro.system.scenario import FailSite, FixedSite, Scenario
 from repro.txn.operations import OpKind, Operation
 from repro.workload.base import WorkloadGenerator
+
+from conftest import FREE_COSTS
 
 
 def test_rowaa_available_with_one_site():
@@ -96,7 +97,7 @@ class WriteThenRead(WorkloadGenerator):
 def test_the_coordinator_refuses_exactly_what_the_predicates_refuse(strategy, down):
     config = SystemConfig(
         db_size=4, num_sites=4, max_txn_size=1, seed=1,
-        costs=CostModel.free(), strategy=strategy,
+        costs=FREE_COSTS, strategy=strategy,
     )
     cluster = Cluster(config)
     scenario = Scenario(workload=WriteThenRead(), txn_count=2, policy=FixedSite(3))

@@ -4,10 +4,9 @@ import pytest
 
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
-from repro.system.costs import CostModel
 from repro.system.scenario import FailSite, RecoverSite
 
-from conftest import make_scenario, run_cluster
+from conftest import FREE_COSTS, make_scenario, run_cluster
 
 
 def test_eight_sites_five_hundred_items():
@@ -16,7 +15,7 @@ def test_eight_sites_five_hundred_items():
         num_sites=8,
         max_txn_size=10,
         seed=1,
-        costs=CostModel.free(),
+        costs=FREE_COSTS,
     )
     scenario = make_scenario(config, 120)
     scenario.add_action(10, FailSite(3))
@@ -32,7 +31,7 @@ def test_many_failures_many_sites():
         num_sites=6,
         max_txn_size=6,
         seed=2,
-        costs=CostModel.free(),
+        costs=FREE_COSTS,
     )
     scenario = make_scenario(config, 150)
     # Rolling failures over five of the six sites.

@@ -1,4 +1,4 @@
-"""LogicalClock: monotone ticks and Lamport witnessing."""
+"""LogicalClock: monotone ticks."""
 
 from repro.sim.logical import LogicalClock
 
@@ -7,22 +7,8 @@ def test_ticks_are_strictly_increasing():
     clock = LogicalClock()
     stamps = [clock.tick() for _ in range(5)]
     assert stamps == [1, 2, 3, 4, 5]
-    assert clock.now == 5
 
 
 def test_custom_start():
     clock = LogicalClock(start=10)
     assert clock.tick() == 11
-
-
-def test_witness_advances():
-    clock = LogicalClock()
-    clock.witness(7)
-    assert clock.now == 7
-    assert clock.tick() == 8
-
-
-def test_witness_never_regresses():
-    clock = LogicalClock(start=9)
-    clock.witness(3)
-    assert clock.now == 9

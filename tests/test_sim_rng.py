@@ -40,13 +40,6 @@ def test_distinct_names_distinct_sequences():
     assert a != b
 
 
-def test_spawn_derives_child():
-    child1 = DeterministicRng(7).spawn("site0")
-    child2 = DeterministicRng(7).spawn("site0")
-    assert child1.seed == child2.seed
-    assert child1.stream("s").random() == child2.stream("s").random()
-
-
 def test_rejects_non_int_seed():
     with pytest.raises(SimulationError):
         DeterministicRng("nope")  # type: ignore[arg-type]

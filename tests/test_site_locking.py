@@ -7,6 +7,8 @@ from repro.system.config import SystemConfig
 from repro.system.deadlock import GlobalDeadlockDetector
 from repro.txn.locks import LockMode
 
+from conftest import lock_table
+
 
 def make_site():
     config = SystemConfig(
@@ -28,7 +30,7 @@ def test_fast_path_runs_synchronously():
     cluster.scheduler.run()
     assert ran == ["now"]
     assert site.lock_service.parks == 0
-    assert site.lock_service.manager.held_by(1) == [0]
+    assert lock_table(site.lock_service.manager) == {0: ({1: "X"}, [])}
 
 
 def test_conflict_parks_then_resumes_on_release():
@@ -54,7 +56,7 @@ def test_conflict_parks_then_resumes_on_release():
     cluster.scheduler.run()
     assert order == ["t1", "t2"]
     assert site.lock_service.parks == 1
-    assert site.lock_service.manager.held_by(2) == [0]
+    assert lock_table(site.lock_service.manager) == {0: ({2: "X"}, [])}
 
 
 def test_multi_item_acquisition_in_order():
@@ -66,11 +68,11 @@ def test_multi_item_acquisition_in_order():
             ctx,
             1,
             [(3, LockMode.SHARED), (1, LockMode.EXCLUSIVE)],
-            lambda c: granted.append(site.lock_service.manager.held_by(1)),
+            lambda c: granted.append(lock_table(site.lock_service.manager)),
         ),
     )
     cluster.scheduler.run()
-    assert granted == [[1, 3]]
+    assert granted == [{1: ({1: "X"}, []), 3: ({1: "S"}, [])}]
 
 
 def test_cancel_drops_parked_request():
@@ -91,7 +93,7 @@ def test_cancel_drops_parked_request():
     cluster.network.spawn(site, lambda ctx: site.lock_service.release(ctx, 1), delay=10.0)
     cluster.scheduler.run()
     assert ran == []  # the cancelled continuation never fires
-    assert site.lock_service.manager.holders_of(0) == {}
+    assert lock_table(site.lock_service.manager) == {}
 
 
 # -- detector ---------------------------------------------------------------------

@@ -6,6 +6,8 @@ from repro.errors import StorageError, UnknownItemError
 from repro.storage.database import SiteDatabase
 from repro.storage.item import DataItem
 
+from conftest import copies
+
 
 @pytest.fixture
 def db() -> SiteDatabase:
@@ -14,7 +16,7 @@ def db() -> SiteDatabase:
 
 def test_initial_state(db):
     assert len(db) == 5
-    assert db.item_ids == [0, 1, 2, 3, 4]
+    assert copies(db) == dict.fromkeys(range(5), (0, 0))
     assert db.read(3) == 0
     assert db.version(3) == 0
 
@@ -31,11 +33,11 @@ def test_contains(db):
 
 def test_stage_then_abort_discards(db):
     db.stage(7, [(1, 111, 7)])
-    assert db.has_staged(7)
+    assert db.signature()[1] == ((7, ((1, 111, 7),)),)
     assert db.read(1) == 0  # staged, not visible
     db.abort_staged(7)
     assert db.read(1) == 0
-    assert not db.has_staged(7)
+    assert db.signature()[1] == ()
 
 
 def test_abort_without_stage_is_noop(db):
@@ -64,7 +66,7 @@ def test_apply_writes_skips_items_not_held(db):
     # Partial replication: a transaction may write items this site lacks.
     updates = [(9, 1, 5), (1, 11, 5), (7, 1, 5), (0, 10, 5)]
     assert db.apply_writes(5, updates, time=1.0) == [1, 0]
-    dump = db.dump()
+    dump = copies(db)
     assert (dump[1], dump[0]) == ((11, 5), (10, 5))
     assert [r.item_id for r in db.log.records] == [1, 0]
 
@@ -105,17 +107,17 @@ def test_drop_missing_item_rejected(db):
 def test_redo_log_records_writes(db):
     db.apply_writes(5, [(1, 10, 5)], time=1.0)
     db.apply_writes(6, [(1, 20, 6)], time=2.0)
-    records = db.log.for_item(1)
-    assert len(records) == 2
+    records = db.log.records
+    assert [(r.txn_id, r.item_id) for r in records] == [(5, 1), (6, 1)]
     assert records[0].old_value == 0 and records[0].new_value == 10
     assert records[1].old_value == 10 and records[1].new_value == 20
     assert records[0].lsn < records[1].lsn
-    assert db.log.for_txn(6)[0].new_version == 6
+    assert records[1].new_version == 6
 
 
 def test_dump_snapshot(db):
     db.apply_writes(3, [(0, 7, 3)], time=1.0)
-    dump = db.dump()
+    dump = copies(db)
     assert dump[0] == (7, 3)
     assert dump[4] == (0, 0)
 
@@ -125,5 +127,4 @@ def test_snapshot_tuple(db):
     assert db.snapshots([2, 0]) == [(2, 9, 4), (0, 0, 0)]
     with pytest.raises(UnknownItemError):
         db.snapshots([1, 99])
-    item = db.get(2)
-    assert item.newer_than(DataItem(item_id=2, value=0, version=3))
+    assert db.get(2) == DataItem(item_id=2, value=9, version=4, committed_at=1.0)

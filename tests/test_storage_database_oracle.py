@@ -2,9 +2,9 @@
 
 A copy becomes a ``DataItem`` only when first written, so the database
 keeps two maps where the model keeps one.  Seeded random sequences of
-every mutator and reader must give the same answers, the same ``dump()``
-(order included), ``signature()`` and redo-log records, and the same error
-types for unknown items.  ``signature()`` is cached until a mutator drops
+every mutator and reader must give the same answers, the same
+``signature()``, held set and redo-log records, and the same error types
+for unknown items.  ``signature()`` is cached until a mutator drops
 it, so after every step the cached tuple must also equal a rebuild.
 """
 
@@ -19,6 +19,8 @@ from repro.storage.database import SiteDatabase
 from repro.storage.item import DataItem
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
+
+from conftest import copies
 
 DEFAULT = (0, 0, 0.0)
 
@@ -107,9 +109,6 @@ class Model:
         self.staged.clear()
         self.log = []
 
-    def dump(self):
-        return {i: c[:2] for i, c in self.copies.items()}
-
     def signature(self):
         return (
             tuple((i, *self.copies[i][:2]) for i in sorted(self.copies)),
@@ -172,7 +171,6 @@ def test_database_matches_the_dict_model(seed):
     for step in range(150):
         kind, args = _random_op(rng, step)
         assert _answer(db, kind, args) == _answer(model, kind, args), (step, kind, args)
-        assert list(db.dump().items()) == list(model.dump().items())
         # Kept from the step before unless this step's mutator dropped it.
         assert db.signature() == _rebuilt_signature(db) == model.signature()
         assert [
@@ -180,14 +178,15 @@ def test_database_matches_the_dict_model(seed):
              r.new_version, r.time)
             for r in db.log.records
         ] == model.log
-        assert db.item_ids == sorted(model.copies) and len(db) == len(model.copies)
+        assert [i for i in range(12) if i in db] == sorted(model.copies)
+        assert len(db) == len(model.copies)
 
 
 def test_a_failed_install_writes_nothing():
     db = SiteDatabase(0, range(3))
     with pytest.raises(UnknownItemError):
         db.install_copies([(0, 5, 5), (7, 5, 5)], time=1.0)
-    assert db.dump() == {0: (0, 0), 1: (0, 0), 2: (0, 0)} and len(db.log) == 0
+    assert copies(db) == {0: (0, 0), 1: (0, 0), 2: (0, 0)} and len(db.log) == 0
 
 
 def _copy_objects() -> int:
@@ -199,7 +198,7 @@ def test_a_cluster_holds_no_copy_object_until_a_write():
     before = _copy_objects()
     cluster = Cluster(SystemConfig(db_size=512, num_sites=7, seed=1))
     for site in cluster.sites:
-        site.db.dump(), site.db.signature(), site.db.snapshots(range(512))
+        site.db.signature(), site.db.snapshots(range(512))
         assert site.db.read(511) == 0 and site.db.version(0) == 0
         assert site.db.get(7).version == 0
     assert cluster.audit_consistency() == []

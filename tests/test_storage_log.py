@@ -19,17 +19,6 @@ def test_lsns_are_dense_and_ordered():
     assert [r.lsn for r in log.records] == [1, 2, 3, 4, 5]
 
 
-def test_filters():
-    log = RedoLog()
-    log.append(1, 0, 0, 10, 0, 1, 0.0)
-    log.append(1, 1, 0, 11, 0, 1, 1.0)
-    log.append(2, 0, 10, 20, 1, 2, 2.0)
-    assert len(log.for_txn(1)) == 2
-    assert len(log.for_item(0)) == 2
-    assert log.for_item(0)[-1].new_value == 20
-    assert len(log) == 3
-
-
 def test_records_capture_before_and_after_images():
     log = RedoLog()
     lsn = log.append(7, 3, old_value=5, new_value=9, old_version=2,
@@ -43,8 +32,7 @@ def test_records_capture_before_and_after_images():
 
 def test_empty_log_queries():
     log = RedoLog()
-    assert log.for_txn(1) == []
-    assert log.for_item(1) == []
+    assert log.records == []
     assert len(log) == 0
 
 
@@ -53,19 +41,17 @@ def test_capacity_bounds_retained_records_but_lsns_keep_counting():
     # Every append still gets a dense lsn...
     assert _fill(log, 10) == list(range(1, 11))
     # ...but only the newest `capacity` records are retained; the older
-    # ones are dropped and tallied.
+    # ones are dropped.
     assert [r.lsn for r in log.records] == [8, 9, 10]
-    assert [r.txn_id for r in log.for_item(0)] == [7, 8, 9]
-    assert log.for_txn(6) == []
+    assert [r.txn_id for r in log.records] == [7, 8, 9]
     assert len(log) == 3
-    assert log.dropped_records == 7
 
 
 def test_unbounded_log_drops_nothing():
     log = RedoLog()
     _fill(log, 50)
     assert len(log) == 50
-    assert log.dropped_records == 0
+    assert log.records[0].lsn == 1
 
 
 def test_capacity_set_after_appends_keeps_the_newest():
@@ -74,16 +60,13 @@ def test_capacity_set_after_appends_keeps_the_newest():
     log.capacity = 4
     assert log.capacity == 4
     assert [r.lsn for r in log.records] == [7, 8, 9, 10]
-    assert log.dropped_records == 6
     # The window keeps sliding, and lsns keep counting.
     assert _fill(log, 2) == [11, 12]
     assert [r.lsn for r in log.records] == [9, 10, 11, 12]
-    assert log.dropped_records == 8
     # Growing it again retains more from now on; nothing comes back.
     log.capacity = None
     _fill(log, 3)
     assert [r.lsn for r in log.records] == [9, 10, 11, 12, 13, 14, 15]
-    assert log.dropped_records == 8
 
 
 def test_capacity_survives_a_wipe():
@@ -93,7 +76,7 @@ def test_capacity_survives_a_wipe():
     assert [r.item_id for r in db.log.records] == [1, 2]
     db.wipe()
     assert db.log.capacity == 2
-    assert len(db.log) == 0 and db.log.dropped_records == 0
+    assert len(db.log) == 0
     db.apply_writes(2, [(0, 8, 2), (1, 9, 2), (2, 10, 2)], time=2.0)
     # A wiped log starts over: lsns from 1, the newest two retained.
     assert [(r.lsn, r.item_id) for r in db.log.records] == [(2, 1), (3, 2)]

@@ -6,6 +6,8 @@ from repro.errors import ConfigurationError
 from repro.system.config import SystemConfig
 from repro.system.costs import CostModel
 
+from conftest import FREE_COSTS
+
 
 def test_defaults_are_paper_experiment1():
     config = SystemConfig()
@@ -57,14 +59,8 @@ def test_cost_model_rejects_negative():
         CostModel(msg_send_cost=-1.0)
 
 
-def test_cost_model_scaled():
-    doubled = CostModel().scaled(2.0)
-    assert doubled.communication_cost == pytest.approx(18.0)
-    assert doubled.op_execute_cost == pytest.approx(CostModel().op_execute_cost * 2)
-
-
 def test_cost_model_free_is_all_zero():
-    free = CostModel.free()
+    free = FREE_COSTS
     assert free.communication_cost == 0.0
     assert free.control1_format_cost(50) == 0.0
 

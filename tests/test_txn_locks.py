@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import LockError
 from repro.txn.locks import LockManager, LockMode
+
+from conftest import lock_table
 
 
 @pytest.fixture
@@ -15,16 +16,18 @@ S, X = LockMode.SHARED, LockMode.EXCLUSIVE
 
 
 def test_compatibility_matrix():
-    assert S.compatible_with(S)
-    assert not S.compatible_with(X)
-    assert not X.compatible_with(S)
-    assert not X.compatible_with(X)
+    # Only S+S coexist: one manager per (held, asked) pair.
+    for held in (S, X):
+        for asked in (S, X):
+            lm = LockManager()
+            lm.request(1, 0, held)
+            assert lm.request(2, 0, asked).granted is (held is S and asked is S)
 
 
 def test_shared_locks_coexist(lm):
     assert lm.request(1, 0, S).granted
     assert lm.request(2, 0, S).granted
-    assert set(lm.holders_of(0)) == {1, 2}
+    assert lock_table(lm) == {0: ({1: "S", 2: "S"}, [])}
 
 
 def test_held_mode_reads_without_copy(lm):
@@ -36,9 +39,6 @@ def test_held_mode_reads_without_copy(lm):
     assert lm.held_mode(1, 1) is None
     assert lm.held_mode(1, 99) is None  # no entry for the item, none made
     assert lm.signature() == ((0, ((1, "S"),), ()), (1, ((2, "X"),), ((1, "S"),)))
-    # holders_of still hands out a copy the caller may mutate.
-    lm.holders_of(0).clear()
-    assert lm.held_mode(1, 0) is S
 
 
 def test_exclusive_blocks_shared(lm):
@@ -62,7 +62,7 @@ def test_x_holder_may_read(lm):
 def test_upgrade_sole_holder(lm):
     lm.request(1, 0, S)
     assert lm.request(1, 0, X).granted
-    assert lm.holders_of(0)[1] is X
+    assert lm.held_mode(1, 0) is X
 
 
 def test_upgrade_with_other_readers_waits(lm):
@@ -79,7 +79,7 @@ def test_release_grants_next_in_fifo(lm):
     lm.request(3, 0, X)
     granted = lm.release_all(1)
     assert granted == {0: [2]}
-    assert lm.holders_of(0) == {2: X}
+    assert lock_table(lm) == {0: ({2: "X"}, [3])}
 
 
 def test_release_grants_shared_batch(lm):
@@ -98,7 +98,7 @@ def test_shared_batch_stops_at_exclusive(lm):
     granted = lm.release_all(1)
     # FIFO: the S is granted, then the X blocks the rest.
     assert granted == {0: [2]}
-    assert lm.waiters_of(0) == [3, 4]
+    assert lock_table(lm) == {0: ({2: "S"}, [3, 4])}
 
 
 def test_no_queue_jumping(lm):
@@ -113,9 +113,9 @@ def test_release_removes_queued_requests(lm):
     lm.request(1, 0, X)
     lm.request(2, 0, X)
     lm.release_all(2)  # waiter gives up
-    assert lm.waiters_of(0) == []
+    assert lock_table(lm) == {0: ({1: "X"}, [])}
     lm.release_all(1)
-    assert lm.holders_of(0) == {}
+    assert lock_table(lm) == {}
 
 
 def test_upgrade_granted_on_release(lm):
@@ -124,21 +124,7 @@ def test_upgrade_granted_on_release(lm):
     lm.request(1, 0, X)  # queued upgrade
     granted = lm.release_all(2)
     assert granted == {0: [1]}
-    assert lm.holders_of(0)[1] is X
-
-
-def test_held_by(lm):
-    lm.request(1, 0, S)
-    lm.request(1, 5, X)
-    assert lm.held_by(1) == [0, 5]
-
-
-def test_verify_integrity_catches_violation(lm):
-    lm.request(1, 0, X)
-    # Corrupt the table directly to prove the checker works.
-    lm._table[0].holders[2] = S
-    with pytest.raises(LockError):
-        lm.verify_integrity()
+    assert lm.held_mode(1, 0) is X
 
 
 def test_release_all_multiple_items(lm):

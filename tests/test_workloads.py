@@ -48,7 +48,7 @@ def test_uniform_validation():
 def test_readwrite_ratio(rng):
     wl = ReadWriteWorkload(ITEMS, max_txn_size=8, write_probability=0.2)
     ops = [op for seq in range(500) for op in wl.generate(seq, rng)]
-    writes = sum(1 for op in ops if op.is_write)
+    writes = sum(1 for op in ops if op.kind is OpKind.WRITE)
     assert 0.15 < writes / len(ops) < 0.25
 
 
@@ -122,13 +122,13 @@ def test_wisconsin_mixes_scans_and_updates(rng):
     saw_scan = saw_update = False
     for seq in range(100):
         ops = wl.generate(seq, rng)
-        if all(op.is_read for op in ops):
+        if all(op.kind is OpKind.READ for op in ops):
             saw_scan = True
             items = [op.item_id for op in ops]
             assert items == list(range(items[0], items[0] + 5))  # contiguous
         else:
             saw_update = True
-            assert any(op.is_write for op in ops)
+            assert any(op.kind is OpKind.WRITE for op in ops)
     assert saw_scan and saw_update
 
 
@@ -165,7 +165,7 @@ def test_debitcredit_partitions_and_shape(rng):
     for seq in range(200):
         ops = wl.generate(seq, rng)
         assert len(ops) == 3
-        assert all(op.is_write for op in ops)
+        assert all(op.kind is OpKind.WRITE for op in ops)
         # Disjoint partitions: the three items are always distinct, and
         # the branch write lands in the tiny hot set at the front.
         assert len({op.item_id for op in ops}) == 3
@@ -198,7 +198,7 @@ def test_wisconsin_mix_preset_configuration(rng):
     assert wl.update_count == 1
     assert wl.scan_fraction == 0.7
     kinds = {
-        "scan" if all(op.is_read for op in wl.generate(seq, rng)) else "update"
+        "scan" if all(op.kind is OpKind.READ for op in wl.generate(seq, rng)) else "update"
         for seq in range(200)
     }
     assert kinds == {"scan", "update"}
