@@ -37,8 +37,7 @@ _log = math.log
 class QuantileSketch:
     """Log-bucket quantile sketch for non-negative values."""
 
-    __slots__ = ("rel_err", "_gamma", "_ln_gamma", "_buckets", "_zero",
-                 "count", "total", "minimum", "maximum")
+    __slots__ = ("rel_err", "_gamma", "_ln_gamma", "_buckets", "_zero", "count")
 
     # Values at or below this are indistinguishable from zero for latency
     # purposes and go to a dedicated zero bucket (log() needs v > 0).
@@ -53,19 +52,11 @@ class QuantileSketch:
         self._buckets: dict[int, int] = {}
         self._zero = 0
         self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
 
     def add(self, value: float) -> None:
         if value < 0.0:
             raise ValueError(f"QuantileSketch holds non-negative values: {value}")
         self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
         if value <= self.ZERO_EPSILON:
             self._zero += 1
             return

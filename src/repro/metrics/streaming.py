@@ -239,7 +239,7 @@ class StreamingTxnSink:
     """
 
     __slots__ = ("latency_all", "latency_committed", "abort_reasons",
-                 "commit_sizes", "windows", "exemplars")
+                 "windows", "exemplars")
 
     def __init__(
         self,
@@ -254,7 +254,6 @@ class StreamingTxnSink:
         self.latency_all = LatencyDigest(rel_err)
         self.latency_committed = LatencyDigest(rel_err)
         self.abort_reasons: dict[str, int] = {}
-        self.commit_sizes = StreamingStats()
         self.windows = WindowedSeries(window_ms, on_open=on_window_open)
         self.exemplars = ReservoirSample(exemplar_k, exemplar_rng)
 
@@ -263,7 +262,6 @@ class StreamingTxnSink:
         self.latency_all.add(elapsed)
         if record.committed:
             self.latency_committed.add(elapsed)
-            self.commit_sizes.add(record.size)
         else:
             reason = record.abort_reason.value if record.abort_reason else "unknown"
             self.abort_reasons[reason] = self.abort_reasons.get(reason, 0) + 1

@@ -196,6 +196,13 @@ class Network:
         One of these runs per activation, so ``CpuResource.execute`` and
         ``EventScheduler.post_at`` are inlined: the same core choice, the
         same accounting, the same ``(time, seq)`` entry.
+
+        Inside :meth:`EventScheduler.run` a release that would carry no
+        message, timer or completion is not posted — it would change
+        nothing but the clock — and the scheduler counts it as fired at
+        its time instead; with no cost either, the zero-length CPU job is
+        skipped too (it can move no later start).  Every other loop sees
+        each release, since the explorer chooses among them.
         """
         # The context dies here, so its lists transfer to the release step
         # without copying.
@@ -222,6 +229,17 @@ class Network:
         if now > start:
             start = now
         done = start + duration
+        timers = ctx.timers
+        completions = ctx.completions
+        if not (outbox or timers or completions) and scheduler._skipping:
+            if duration:
+                heapreplace(free_at, done)
+                cpu.busy_ms += duration
+                cpu.jobs += 1
+            scheduler._skipped += 1
+            if done > scheduler._skipped_until:
+                scheduler._skipped_until = done
+            return
         heapreplace(free_at, done)
         cpu.busy_ms += duration
         cpu.jobs += 1
@@ -231,7 +249,7 @@ class Network:
             done,
             seq,
             self._release_activation,
-            (ctx.endpoint, outbox, ctx.timers, ctx.completions, scope),
+            (ctx.endpoint, outbox, timers, completions, scope),
         )
         if done == now and scheduler._batching:
             scheduler._nowq.append(entry)

@@ -39,10 +39,13 @@ retired so the next call starts from a fresh one.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterable, Optional
+import atexit
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+
+# ``multiprocessing`` and ``concurrent.futures`` are imported only when a
+# pool is built: a serial sweep never pays their memory.
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "WorkerPoolError",
@@ -149,6 +152,14 @@ def get_pool(jobs: int) -> ProcessPoolExecutor:
     respawning them is not)."""
     global _pool, _pool_workers, _pools_created
     if _pool is None or _pool_workers < jobs:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if not _pools_created:
+            # Imported after this module, concurrent.futures is torn down
+            # before it at exit; a pool still alive then would be
+            # finalized against a half-cleared module.
+            atexit.register(shutdown_pool)
         if _pool is not None:
             _pool.shutdown(wait=True)
         methods = multiprocessing.get_all_start_methods()
@@ -218,6 +229,8 @@ def run_chunked(
     fn = _TASKS[kind]
     if jobs is None or jobs <= 1 or len(work) <= 1:
         return [fn(shared, item) for item in work]
+    from concurrent.futures.process import BrokenProcessPool
+
     pool = get_pool(jobs)
     parts = min(len(work), jobs * max(1, chunks_per_worker))
     chunks = _chunked(work, parts)

@@ -89,6 +89,12 @@ class EventScheduler:
         # both (``repro.check.fingerprint`` does).
         self._nowq: deque[tuple[float, int, Optional[Callable[..., None]], Any]] = deque()
         self._batching = False
+        # Releases skipped (see Network._finish_activation): only while
+        # run()'s hot loop drains, which counts them as fired and ends at
+        # the latest one's time, as if each had fired and changed nothing.
+        self._skipping = False
+        self._skipped = 0
+        self._skipped_until = 0.0
         self._seq = 0
         self._fired = 0
         self._cancelled = 0
@@ -279,7 +285,9 @@ class EventScheduler:
 
         ``max_events`` is a runaway guard; exceeding it raises
         :class:`SchedulerError` because a healthy serial-transaction run
-        always drains.
+        always drains.  It bounds the events dispatched; the skipped
+        releases this loop alone allows count in the return value and in
+        :attr:`fired`, not against the guard.
         """
         if self._running:
             raise SchedulerError("scheduler is not re-entrant")
@@ -287,6 +295,7 @@ class EventScheduler:
             return self._run_choosing(max_events)
         self._running = True
         self._batching = True
+        self._skipping = True
         # The hot loop: locals for everything, no step() dispatch.
         # Handlers push into the same heap list and now-queue; _compact
         # mutates both in place, so the local bindings stay correct.
@@ -327,8 +336,13 @@ class EventScheduler:
                     raise SchedulerError(
                         f"exceeded {max_events} events; runaway simulation?"
                     )
+            if self._skipped_until > clock._now:
+                clock._now = self._skipped_until
         finally:
             self._batching = False
+            self._skipping = False
+            fired += self._skipped
+            self._skipped = 0
             # An abnormal exit (runaway guard, handler exception) can
             # leave same-instant entries in the now-queue; flush them back
             # into the heap with their original keys so the schedule stays

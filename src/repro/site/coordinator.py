@@ -338,19 +338,23 @@ class CoordinatorRole:
     ) -> None:
         """Concurrent mode: take local S/X locks, then run the protocol.
 
-        The abort hook registered with the global detector lets a deadlock
-        victim be killed wherever its wait was detected.
+        The abort hook the lock service registers with the global detector
+        — once the transaction records a lock or parks, the only ways into
+        a waits-for cycle — lets a deadlock victim be killed wherever its
+        wait was detected.
         """
         site = self.site
         txn = state.txn
         write_set = set(txn.write_items)
-        requests = [(item, LockMode.EXCLUSIVE) for item in sorted(write_set)]
+        # One member lookup each: reading one off an Enum class is slow.
+        exclusive, shared = LockMode.EXCLUSIVE, LockMode.SHARED
+        requests = [(item, exclusive) for item in sorted(write_set)]
         requests += [
-            (item, LockMode.SHARED)
-            for item in sorted(set(txn.read_items) - write_set)
+            (item, shared) for item in sorted(set(txn.read_items) - write_set)
         ]
         service = site.lock_service
         assert service is not None
+        abort_victim = None
         if service.detector is not None:
             txn_id = txn.txn_id
 
@@ -360,9 +364,12 @@ class CoordinatorRole:
                     site, lambda ctx2: self._abort_deadlock(ctx2, txn_id)
                 )
 
-            service.detector.register(txn_id, abort_victim)
         service.acquire(
-            ctx, txn.txn_id, requests, lambda ctx2: self._start_protocol(ctx2, state)
+            ctx,
+            txn.txn_id,
+            requests,
+            lambda ctx2: self._start_protocol(ctx2, state),
+            abort_victim,
         )
 
     def _abort_deadlock(self, ctx: HandlerContext, txn_id: int) -> None:

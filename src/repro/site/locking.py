@@ -7,6 +7,16 @@ two-phase-locking table over its own copies, and a transaction's protocol
 step at the site proceeds only once its locks are granted — otherwise the
 step *parks* and resumes when a conflicting transaction releases.
 
+Lock scope.  An acquisition whose locks are all SHARED and all grantable
+at once (:meth:`LockManager.shareable`) runs its step without recording
+them: the grants live in an activation-local *scope* while the step runs.
+Nothing outside the step can observe them — every other activation runs
+before or after it, and an acquisition made *during* it records the
+scope first — so a release inside the step just drops them, and grants
+still held when the step returns are recorded then, leaving the lock
+table exactly as plain requests would have.  The costs are charged as
+on the recorded path, one addition per request and per release.
+
 Blocked requests report their blockers to the cluster's global deadlock
 detector (see :mod:`repro.system.deadlock`), mirroring a System R*-style
 centralized waits-for service.
@@ -28,6 +38,17 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 
 @dataclass(slots=True)
+class _Scope:
+    """SHARED grants held by the step running now, not yet recorded."""
+
+    txn_id: int
+    grants: list[tuple[int, LockMode]]
+    # The transaction's deadlock abort hook, registered with the detector
+    # only if these grants get recorded.
+    victim: Optional[Callable[[HandlerContext], None]]
+
+
+@dataclass(slots=True)
 class _Parked:
     """A lock acquisition waiting at this site."""
 
@@ -43,13 +64,14 @@ class _Parked:
 class SiteLockService:
     """Strict 2PL over one site's copies, with parked continuations."""
 
-    __slots__ = ("site", "manager", "detector", "_parked", "parks")
+    __slots__ = ("site", "manager", "detector", "_parked", "_scope", "parks")
 
     def __init__(self, site: "DatabaseSite") -> None:
         self.site = site
         self.manager = LockManager()
         self.detector: Optional["GlobalDeadlockDetector"] = None
         self._parked: dict[int, _Parked] = {}
+        self._scope: Optional[_Scope] = None
         self.parks = 0
 
     # -- acquisition -------------------------------------------------------------
@@ -60,18 +82,42 @@ class SiteLockService:
         txn_id: int,
         requests: list[tuple[int, LockMode]],
         continuation: Callable[[HandlerContext], None],
+        victim: Optional[Callable[[HandlerContext], None]] = None,
     ) -> None:
         """Acquire ``requests`` (in item order) then run ``continuation``.
 
         If every lock is free the continuation runs synchronously within
         the current activation (the fast path — no extra latency, and no
-        parked state allocated).  On conflict the request parks; the
-        continuation later runs in a fresh activation once the final lock
-        is granted.
+        parked state allocated); shareable locks stay in a scope while it
+        runs (see the module docstring).  On conflict the request parks;
+        the continuation later runs in a fresh activation once the final
+        lock is granted.  ``victim``, the transaction's deadlock abort
+        hook, goes to the detector once the acquisition records a lock.
         """
         ordered = sorted(requests, key=itemgetter(0))
-        request = self.manager.request
         cost = self.site.costs.lock_request_cost
+        scope = self._scope
+        if scope is not None:
+            # Another step's grants become visible before this request.
+            self._record(scope)
+        elif self.manager.shareable(txn_id, ordered):
+            for _request in ordered:
+                ctx.cost += cost
+            # As _proceed, less the parked entry a transaction touching
+            # nothing here cannot have; a wait a plain release left
+            # behind still goes.
+            if self.detector is not None:
+                self.detector.unblock(self.site.site_id, txn_id)
+            scope = self._scope = _Scope(txn_id, ordered, victim)
+            try:
+                continuation(ctx)
+            finally:
+                if self._scope is scope:
+                    self._record(scope)
+            return
+        if victim is not None and self.detector is not None:
+            self.detector.register(txn_id, victim)
+        request = self.manager.request
         for index, (item, mode) in enumerate(ordered):
             ctx.cost += cost
             grant = request(txn_id, item, mode)
@@ -81,6 +127,18 @@ class SiteLockService:
                 self._block(ctx, parked, item, grant.waiting_for)
                 return
         self._proceed(ctx, txn_id, continuation)
+
+    def _record(self, scope: _Scope) -> None:
+        """Enter a scope's grants in the lock table.  Each is granted: the
+        scope's items had no X holder and no queue, and only a request —
+        which records the scope first — could have added either."""
+        self._scope = None
+        txn_id = scope.txn_id
+        if scope.victim is not None and self.detector is not None:
+            self.detector.register(txn_id, scope.victim)
+        request = self.manager.request
+        for item, mode in scope.grants:
+            request(txn_id, item, mode)
 
     def _try_acquire(self, ctx: HandlerContext, parked: _Parked) -> None:
         """Carry a resumed acquisition on from its next request."""
@@ -137,6 +195,12 @@ class SiteLockService:
     def release(self, ctx: HandlerContext, txn_id: int) -> None:
         """Strict release at commit/abort; resumes newly granted waiters."""
         ctx.cost += self.site.costs.lock_release_cost
+        scope = self._scope
+        if scope is not None and scope.txn_id == txn_id:
+            # Its grants were never recorded, and the transaction holds
+            # nothing else here: nobody waits on it.
+            self._scope = None
+            return
         granted = self.manager.release_all(txn_id)
         self._parked.pop(txn_id, None)
         if not granted:
@@ -196,7 +260,17 @@ class SiteLockService:
             if self.detector is not None:
                 self.detector.unblock(self.site.site_id, parked.txn_id)
         self._parked.clear()
+        self._scope = None
         self.manager = LockManager()
+
+    def close(self) -> None:
+        """The run is over: drop what points back into the sites — the
+        pointer to this one, parked continuations and the detector's abort
+        hooks.  ``parks``, ``manager`` and ``detector`` stay readable."""
+        self.site = None  # type: ignore[assignment]
+        self._parked.clear()
+        if self.detector is not None:
+            self.detector.close()
 
     @property
     def parked_txns(self) -> list[int]:
@@ -204,7 +278,4 @@ class SiteLockService:
         return sorted(self._parked)
 
     def __repr__(self) -> str:
-        return (
-            f"SiteLockService(site={self.site.site_id}, "
-            f"parked={self.parked_txns}, {self.manager!r})"
-        )
+        return f"SiteLockService(parked={self.parked_txns}, {self.manager!r})"

@@ -222,6 +222,11 @@ class DatabaseSite(Endpoint):
         shipped the update to; fail-lock bits are cleared exactly for them
         and set for everyone else.
         """
+        if not updates:
+            # A read-only commit applies, charges and logs nothing; only
+            # the recovery policy's pump is due.
+            self._maybe_issue_batch_copiers(ctx)
+            return
         # Under partial replication a transaction may write items this
         # site holds no copy of; only local copies are applied.
         now = ctx.now
@@ -739,7 +744,8 @@ class DatabaseSite(Endpoint):
     def close(self) -> None:
         """Drop what ties this site into cycles once its run is over: the
         dispatch table, both 2PC roles with their bound tables, the
-        recovery policy and the period-end hook.  The database, fail-locks,
+        recovery policy, the period-end hook and the lock service's pointer
+        back.  The database, fail-locks,
         ``recovery``, ``lock_service`` and ``probe`` stay readable; the
         site handles nothing afterwards.  Idempotent."""
         if self.coordinator is None:
@@ -751,6 +757,8 @@ class DatabaseSite(Endpoint):
         self._txn_copy_resp = self._txn_copy_denied = None
         self.recovery_policy = None
         self.recovery.on_period_end = None
+        if self.lock_service is not None:
+            self.lock_service.close()
 
     def signature(self) -> tuple:
         """Hashable snapshot of this site's protocol state (``repro.check``).

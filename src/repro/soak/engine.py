@@ -475,32 +475,38 @@ def run_soak(config: Optional[SoakConfig] = None, trace=None) -> SoakResult:
             delay=recover_at,
         )
 
-    manager.start()
-    # A soak fires ~32 events per transaction (messages, CPU slices,
-    # timeouts); the scheduler's default 10M runaway guard would cut a
-    # multi-million-txn run short, so scale it with the configured size
-    # while keeping a generous per-txn margin for timeout storms.
-    cluster.scheduler.run(max_events=max(10_000_000, config.txns * 500))
-    if not manager.finished:
-        raise SimulationError(
-            f"soak run stalled: {manager._done}/{config.txns} outcomes, "
-            f"{len(manager.outstanding)} in flight at t={cluster.now:.0f}ms"
-        )
-    problems = cluster.audit_consistency()
-    if problems:
-        raise SimulationError(f"consistency violated: {problems[:3]}")
+    try:
+        manager.start()
+        # A soak fires ~32 events per transaction (messages, CPU slices,
+        # timeouts); the scheduler's default 10M runaway guard would cut a
+        # multi-million-txn run short, so scale it with the configured size
+        # while keeping a generous per-txn margin for timeout storms.
+        cluster.scheduler.run(max_events=max(10_000_000, config.txns * 500))
+        if not manager.finished:
+            raise SimulationError(
+                f"soak run stalled: {manager._done}/{config.txns} outcomes, "
+                f"{len(manager.outstanding)} in flight at t={cluster.now:.0f}ms"
+            )
+        problems = cluster.audit_consistency()
+        if problems:
+            raise SimulationError(f"consistency violated: {problems[:3]}")
 
-    return SoakResult(
-        config=config,
-        sink=sink,
-        commits=cluster.metrics.counters.get("commits"),
-        aborts=cluster.metrics.counters.get("aborts"),
-        lost=manager.lost,
-        elapsed_ms=cluster.now,
-        events_fired=cluster.scheduler.fired,
-        lock_parks=cluster.lock_parks(),
-        deadlocks_detected=detector.deadlocks_found,
-        status_inquiries=cluster.metrics.counters.get("status_inquiries"),
-        fault=manager.faults[0] if manager.faults else fault,
-        recoveries=list(cluster.metrics.recoveries),
-    )
+        return SoakResult(
+            config=config,
+            sink=sink,
+            commits=cluster.metrics.counters.get("commits"),
+            aborts=cluster.metrics.counters.get("aborts"),
+            lost=manager.lost,
+            elapsed_ms=cluster.now,
+            events_fired=cluster.scheduler.fired,
+            lock_parks=cluster.lock_parks(),
+            deadlocks_detected=detector.deadlocks_found,
+            status_inquiries=cluster.metrics.counters.get("status_inquiries"),
+            fault=manager.faults[0] if manager.faults else fault,
+            recoveries=list(cluster.metrics.recoveries),
+        )
+    finally:
+        # The gauge hook closes a cycle through the cluster; the run is
+        # over, so no window opens again.
+        sink.windows.on_open = None
+        cluster.close()

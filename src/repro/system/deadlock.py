@@ -121,6 +121,12 @@ class GlobalDeadlockDetector:
             self._reunion(txn_id, {})
         self._abort_fns.pop(txn_id, None)
 
+    def close(self) -> None:
+        """The run is over: drop the abort hooks still registered (those of
+        transactions a stalled or failed run left unfinished), which point
+        back into their sites.  The counts stay readable."""
+        self._abort_fns.clear()
+
     # -- wait bookkeeping ----------------------------------------------------------
 
     def _reunion(self, waiter: int, sites: dict[int, tuple[int, ...]]) -> None:

@@ -191,35 +191,38 @@ def run_open_loop(
         from repro.workload.uniform import UniformWorkload
 
         workload = UniformWorkload(config.item_ids, config.max_txn_size)
-    manager.launch(workload, txn_count, arrival_rate_tps)
-    cluster.scheduler.run()
-    if not manager.finished:
-        raise SimulationError(
-            f"open-loop run stalled: {manager._done}/{txn_count} outcomes"
-        )
+    try:
+        manager.launch(workload, txn_count, arrival_rate_tps)
+        cluster.scheduler.run()
+        if not manager.finished:
+            raise SimulationError(
+                f"open-loop run stalled: {manager._done}/{txn_count} outcomes"
+            )
 
-    metrics = cluster.metrics
-    if sink is None:
-        latency = summarize([t.elapsed for t in metrics.committed])
-        deadlock_aborts = sum(
-            1 for t in metrics.aborted if t.abort_reason is AbortReason.LOCK_DEADLOCK
+        metrics = cluster.metrics
+        if sink is None:
+            latency = summarize([t.elapsed for t in metrics.committed])
+            deadlock_aborts = sum(
+                1 for t in metrics.aborted if t.abort_reason is AbortReason.LOCK_DEADLOCK
+            )
+        else:
+            latency = sink.latency_committed.to_summary()
+            deadlock_aborts = sink.abort_count(AbortReason.LOCK_DEADLOCK.value)
+        consistency = cluster.audit_consistency()
+        if consistency:
+            raise SimulationError(f"consistency violated: {consistency[:3]}")
+        return OpenLoopResult(
+            txn_count=txn_count,
+            commits=metrics.counters.get("commits"),
+            aborts=metrics.counters.get("aborts"),
+            deadlock_aborts=deadlock_aborts,
+            deadlocks_detected=detector.deadlocks_found,
+            elapsed_ms=cluster.now,
+            latency=latency,
+            lock_parks=cluster.lock_parks(),
+            retries=manager.retries_issued,
+            events_fired=cluster.scheduler.fired,
+            records=metrics.txns,
         )
-    else:
-        latency = sink.latency_committed.to_summary()
-        deadlock_aborts = sink.abort_count(AbortReason.LOCK_DEADLOCK.value)
-    consistency = cluster.audit_consistency()
-    if consistency:
-        raise SimulationError(f"consistency violated: {consistency[:3]}")
-    return OpenLoopResult(
-        txn_count=txn_count,
-        commits=metrics.counters.get("commits"),
-        aborts=metrics.counters.get("aborts"),
-        deadlock_aborts=deadlock_aborts,
-        deadlocks_detected=detector.deadlocks_found,
-        elapsed_ms=cluster.now,
-        latency=latency,
-        lock_parks=cluster.lock_parks(),
-        retries=manager.retries_issued,
-        events_fired=cluster.scheduler.fired,
-        records=metrics.txns,
-    )
+    finally:
+        cluster.close()

@@ -45,11 +45,15 @@ class LockGrant:
 # successful request can share one instance instead of allocating.
 _GRANTED = LockGrant(granted=True)
 
+# Bound once: reading a member off an Enum class runs Python-level code.
+_SHARED = LockMode.SHARED
+_EXCLUSIVE = LockMode.EXCLUSIVE
+
 
 class LockManager:
     """Item-granularity S/X lock table for one site."""
 
-    __slots__ = ("_table", "_touched", "grants", "waits")
+    __slots__ = ("_table", "_touched")
 
     def __init__(self) -> None:
         self._table: dict[int, _LockEntry] = {}
@@ -57,8 +61,6 @@ class LockManager:
         # any entry's holders or queue has that item in its touched set, so
         # release_all visits only those entries instead of the whole table.
         self._touched: dict[int, set[int]] = {}
-        self.grants = 0
-        self.waits = 0
 
     def held_mode(self, txn_id: int, item_id: int) -> LockMode | None:
         """The mode ``txn_id`` holds on ``item_id``, or ``None``."""
@@ -81,6 +83,24 @@ class LockManager:
             if entry.holders or entry.queue
         )
 
+    def shareable(self, txn_id: int, requests: list[tuple[int, LockMode]]) -> bool:
+        """Whether ``requests`` are all SHARED and :meth:`request` would
+        grant each of them at once, as fresh requests: ``txn_id`` holds
+        and waits for nothing here, and no item has an X holder or a
+        queue.  Reads the table only."""
+        if txn_id in self._touched:
+            return False
+        table = self._table
+        for item_id, mode in requests:
+            if mode is not _SHARED:
+                return False
+            entry = table.get(item_id)
+            if entry is not None and (
+                entry.queue or _EXCLUSIVE in entry.holders.values()
+            ):
+                return False
+        return True
+
     def request(self, txn_id: int, item_id: int, mode: LockMode) -> LockGrant:
         """Request ``mode`` on ``item_id`` for ``txn_id``.
 
@@ -94,17 +114,14 @@ class LockManager:
             entry = table[item_id] = _LockEntry()
         holders = entry.holders
         held = holders.get(txn_id)
-        SHARED = LockMode.SHARED
-        if held is mode or held is LockMode.EXCLUSIVE:
+        if held is mode or held is _EXCLUSIVE:
             return _GRANTED
-        if held is SHARED and mode is LockMode.EXCLUSIVE:
+        if held is _SHARED and mode is _EXCLUSIVE:
             if len(holders) == 1:
-                holders[txn_id] = LockMode.EXCLUSIVE
-                self.grants += 1
+                holders[txn_id] = _EXCLUSIVE
                 return _GRANTED
             blockers = tuple(t for t in holders if t != txn_id)
             entry.queue.append((txn_id, mode))
-            self.waits += 1
             return LockGrant(granted=False, waiting_for=blockers)
         # Fresh request: grant if compatible with every holder and nobody
         # is already queued (queue-jumping would starve writers).  The
@@ -115,14 +132,12 @@ class LockManager:
         touched.add(item_id)
         if not entry.queue and (
             not holders
-            or (mode is SHARED and all(m is SHARED for m in holders.values()))
+            or (mode is _SHARED and all(m is _SHARED for m in holders.values()))
         ):
             holders[txn_id] = mode
-            self.grants += 1
             return _GRANTED
         blockers = tuple(holders) + tuple(t for t, _m in entry.queue)
         entry.queue.append((txn_id, mode))
-        self.waits += 1
         return LockGrant(granted=False, waiting_for=blockers)
 
     def release_all(self, txn_id: int) -> dict[int, list[int]]:
@@ -153,26 +168,24 @@ class LockManager:
     def _promote(self, entry: _LockEntry) -> list[int]:
         """Grant queued requests now compatible, in FIFO order."""
         newly: list[int] = []
-        SHARED = LockMode.SHARED
         holders = entry.holders
         while entry.queue:
             txn_id, mode = entry.queue[0]
             held = holders.get(txn_id)
-            if held is SHARED and mode is LockMode.EXCLUSIVE:
+            if held is _SHARED and mode is _EXCLUSIVE:
                 # Upgrade waits for sole ownership.
                 if len(holders) != 1:
                     break
-                holders[txn_id] = LockMode.EXCLUSIVE
+                holders[txn_id] = _EXCLUSIVE
             else:
                 if holders and not (
-                    mode is SHARED and all(m is SHARED for m in holders.values())
+                    mode is _SHARED and all(m is _SHARED for m in holders.values())
                 ):
                     break
                 holders[txn_id] = mode
             entry.queue.pop(0)
-            self.grants += 1
             newly.append(txn_id)
-            if mode is LockMode.EXCLUSIVE:
+            if mode is _EXCLUSIVE:
                 break
         return newly
 

@@ -1,9 +1,10 @@
 """``Cluster.close``: a finished run gives its cluster back.
 
-The three runners a sweep calls hundreds of times per process
-(``run_schedule``, ``run_chaos_seed``, ``run_recovery_cell``) close their
-cluster on every exit path, so it is freed by reference counting rather
-than left to the cyclic collector.  Two things are held here:
+Every runner (``run_schedule``, ``run_chaos_seed``, ``run_recovery_cell``,
+which a sweep calls hundreds of times per process, and ``run_soak`` /
+``run_open_loop``) closes its cluster on every exit path, so it is freed
+by reference counting rather than left to the cyclic collector.  Two
+things are held here:
 
 * the guard: with the collector off around a runner call,
   ``gc.collect()`` afterwards finds nothing — on a clean run, a steered
@@ -27,7 +28,10 @@ from repro.errors import SimulationError
 from repro.recovery.experiment import run_recovery_cell
 from repro.sim.scheduler import EventScheduler
 from repro.site.site import DatabaseSite
+from repro.soak.engine import SoakConfig, run_soak
 from repro.system.cluster import Cluster
+from repro.system.config import SystemConfig
+from repro.system.openloop import run_open_loop
 
 # The check-explore shape; this vector crashes sites 0 and 3, recovers 3
 # and drops both CLEAR_FAILLOCKS notices its copier sends.
@@ -47,6 +51,15 @@ RUNS = {
     "chaos-mutate": lambda: run_chaos_seed(3, txns=80, mutate=True),
     "recovery-two_step": lambda: run_recovery_cell("two_step", 4, 64),
     "recovery-parallel": lambda: run_recovery_cell("parallel", 4, 64),
+    # A fail/recover cycle under open-loop traffic, with locks.
+    "soak": lambda: run_soak(SoakConfig(txns=300, seed=3)),
+    "open-loop": lambda: run_open_loop(
+        SystemConfig(concurrency_control=True, seed=5), txn_count=120
+    ),
+    "open-loop-streaming": lambda: run_open_loop(
+        SystemConfig(concurrency_control=True, seed=5), txn_count=120,
+        keep_records=False,
+    ),
 }
 
 
@@ -91,13 +104,17 @@ def test_a_stalled_run_leaves_no_cyclic_garbage(monkeypatch):
     )
     assert RUNS["schedule-steered"]().stalled
     assert RUNS["chaos-lossy"]().stalled
-    with pytest.raises(SimulationError):
-        RUNS["recovery-parallel"]()
-    for name in ("schedule-steered", "chaos-lossy", "recovery-parallel"):
+    stalls = ("recovery-parallel", "soak", "open-loop")
+    for name in stalls:
+        with pytest.raises(SimulationError):
+            RUNS[name]()
+    for name in ("schedule-steered", "chaos-lossy", *stalls):
         assert cyclic_garbage(RUNS[name]) == 0
 
 
-@pytest.mark.parametrize("name", ["schedule-steered", "chaos-lossy", "recovery-two_step"])
+@pytest.mark.parametrize(
+    "name", ["schedule-steered", "chaos-lossy", "recovery-two_step", "soak", "open-loop"]
+)
 def test_a_run_that_raises_leaves_no_cyclic_garbage(name, monkeypatch):
     handle = DatabaseSite.handle
     delivered = [0]

@@ -14,14 +14,25 @@ oracle checks, at every lock-table call and after every activation:
 
 and the bookkeeping around them: ``parks`` counts the acquisitions that
 did not finish at once, a granted acquisition no longer waits in the
-deadlock detector, and each lock request and release adds its own cost
-to ``ctx.cost``, one addition at a time.
+deadlock detector, and each lock the service requests and each release
+adds its own cost to ``ctx.cost``, one addition at a time — whether the
+request reaches the lock table or, shareable, stays in the step's scope.
+
+A scope holds SHARED grants only while its step runs: the table never
+disagrees with one (no X holder, no queue on its items), every table
+request made during one records it first, and none outlives its
+activation.
 """
 
+import copy
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from conftest import lock_table
+from repro.net.endpoint import HandlerContext
+from repro.site.locking import SiteLockService
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.deadlock import GlobalDeadlockDetector
@@ -92,25 +103,60 @@ def check_table(manager: LockManager) -> dict:
     return queues
 
 
+def shareable_oracle(manager: LockManager, txn: int, requests) -> bool:
+    """``LockManager.shareable`` from the table's signature: all S, the
+    transaction holds and waits for nothing, no item has an X holder or
+    a queue."""
+    table = lock_table(manager)
+    if any(txn in holders or txn in queue for holders, queue in table.values()):
+        return False
+    for item, mode in requests:
+        holders, queue = table.get(item, ({}, []))
+        if mode is not LockMode.SHARED or queue or "X" in holders.values():
+            return False
+    return True
+
+
+def check_scope(service: SiteLockService) -> None:
+    """A scope's items have no X holder and no queue in the table."""
+    scope = service._scope
+    if scope is not None:
+        table = lock_table(service.manager)
+        for item, _mode in scope.grants:
+            holders, queue = table.get(item, ({}, []))
+            assert "X" not in holders.values() and not queue, (item, holders, queue)
+
+
 @pytest.fixture
 def lock_calls(monkeypatch):
-    """Every ``LockManager`` request / release, checked as it happens;
-    returns the list of calls made ("request" / "release")."""
+    """Every lock-table request / release checked as it happens, and the
+    lock service's own requests and releases counted as it charges them.
+
+    Returns ``calls`` — the service-level "request" / "release" list: a
+    request on the table counts unless it records a scope (charged when
+    the scope began), a shareable acquisition counts one request per lock
+    — and ``services``, to be filled with the services under test."""
     calls = []
+    services = []
+    recording = []
     request, release_all = LockManager.request, LockManager.release_all
+    shareable, record = LockManager.shareable, SiteLockService._record
+    release = SiteLockService.release
 
     def checked_request(manager, txn_id, item_id, mode):
+        if not recording:
+            calls.append("request")
+            # A request made while a step holds a scope records it first.
+            assert all(s._scope is None for s in services if s.manager is manager)
         fresh = manager.held_mode(txn_id, item_id) is None
         jumps = fresh and check_table(manager).get(item_id)
-        calls.append("request")
         grant = request(manager, txn_id, item_id, mode)
         assert not (jumps and grant.granted), "a fresh request jumped the queue"
         check_table(manager)
         return grant
 
-    def checked_release(manager, txn_id):
+    def checked_release_all(manager, txn_id):
         before = check_table(manager)
-        calls.append("release")
         granted = release_all(manager, txn_id)
         after = check_table(manager)
         for item, queue in before.items():
@@ -120,17 +166,41 @@ def lock_calls(monkeypatch):
             assert after.get(item, []) == queue[len(newly):]
         return granted
 
+    def checked_shareable(manager, txn_id, requests):
+        scoped = shareable(manager, txn_id, requests)
+        assert scoped == shareable_oracle(manager, txn_id, requests)
+        if scoped:
+            calls.extend(["request"] * len(requests))
+        return scoped
+
+    def counted_record(service, scope):
+        recording.append(scope)
+        try:
+            record(service, scope)
+        finally:
+            recording.pop()
+        check_table(service.manager)
+
+    def counted_release(service, ctx, txn_id):
+        calls.append("release")
+        release(service, ctx, txn_id)
+
     monkeypatch.setattr(LockManager, "request", checked_request)
-    monkeypatch.setattr(LockManager, "release_all", checked_release)
-    return calls
+    monkeypatch.setattr(LockManager, "release_all", checked_release_all)
+    monkeypatch.setattr(LockManager, "shareable", checked_shareable)
+    monkeypatch.setattr(SiteLockService, "_record", counted_record)
+    monkeypatch.setattr(SiteLockService, "release", counted_release)
+    return SimpleNamespace(calls=calls, services=services)
 
 
-def run_traffic(plan, calls: list) -> tuple[list, GlobalDeadlockDetector, list]:
+def run_traffic(plan, lock_calls) -> tuple[list, GlobalDeadlockDetector, list]:
     config = SystemConfig(db_size=ITEMS, num_sites=SITES, max_txn_size=3, seed=1,
                           concurrency_control=True, cores=2)
     cluster = Cluster(config)
     detector = cluster.install_deadlock_detector()
     sites = cluster.sites
+    calls = lock_calls.calls
+    lock_calls.services.extend(site.lock_service for site in sites)
     cost_of = {"request": config.costs.lock_request_cost,
                "release": config.costs.lock_release_cost}
     parks = [0] * SITES
@@ -139,6 +209,7 @@ def run_traffic(plan, calls: list) -> tuple[list, GlobalDeadlockDetector, list]:
     def check_services() -> None:
         for site, expected_parks in zip(sites, parks):
             service = site.lock_service
+            assert service._scope is None  # no scope outlives its step
             assert service.parks == expected_parks
             queues = check_table(service.manager)
             for txn, parked in service._parked.items():
@@ -161,13 +232,18 @@ def run_traffic(plan, calls: list) -> tuple[list, GlobalDeadlockDetector, list]:
 
                 def continuation(ctx2) -> None:
                     assert site_id not in detector._waits.get(txn, {})
-                    log.append(("granted", ctx2 is ctx))
+                    check_scope(service)
+                    scope = service._scope
+                    log.append(("granted", ctx2 is ctx,
+                                scope is not None and scope.txn_id == txn))
                     if release_at_once:
                         service.release(ctx2, txn)
 
                 logged = len(log)
                 service.acquire(ctx, txn, requests, continuation)
-                parks[site_id] += ("granted", True) not in log[logged:]
+                parks[site_id] += not any(
+                    row[:2] == ("granted", True) for row in log[logged:]
+                )
             elif kind == "release":
                 service.release(ctx, txn)
             elif kind == "cancel":
@@ -193,8 +269,10 @@ def run_traffic(plan, calls: list) -> tuple[list, GlobalDeadlockDetector, list]:
 def test_fast_path_matches_the_parked_path(seed, lock_calls):
     log, detector, sites = run_traffic(traffic_plan(seed), lock_calls)
     # The traffic reaches every branch the oracle is for: grants at once
-    # and after a wait, parks, victims, wiped lock tables.
-    assert {row[1] for row in log if row[0] == "granted"} == {True, False}
+    # (in a scope and on the table) and after a wait, parks, victims,
+    # wiped lock tables.
+    granted = {row[1:] for row in log if row[0] == "granted"}
+    assert granted == {(True, True), (True, False), (False, False)}
     assert sum(site.lock_service.parks for site in sites) and detector.victims
     assert ("wipe",) in log
 
@@ -215,3 +293,124 @@ def test_unblock_without_a_wait_at_that_site_changes_nothing():
     assert state() == before
     detector.unblock(0, 1)
     assert detector.edges() == [(1, 4), (2, 4), (4, 5)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scoped_traffic_matches_recorded_traffic(seed, lock_calls, monkeypatch):
+    """The same traffic with every acquisition on the table: the same
+    grants, parks, victims and final tables."""
+
+    def outcome():
+        lock_calls.calls.clear()
+        lock_calls.services.clear()
+        log, detector, sites = run_traffic(traffic_plan(seed), lock_calls)
+        return (
+            [row[:2] for row in log],
+            detector.victims,
+            detector.edges(),
+            [site.lock_service.parks for site in sites],
+            [site.lock_service.manager.signature() for site in sites],
+        )
+
+    scoped = outcome()
+    monkeypatch.setattr(LockManager, "shareable", lambda *_args: False)
+    assert outcome() == scoped
+
+
+def lock_site(seed: int):
+    """A concurrency-controlled site whose table holds seeded S and X
+    locks and waits (transactions 1-6), with its detector."""
+    config = SystemConfig(db_size=ITEMS, num_sites=SITES, max_txn_size=3, seed=1,
+                          concurrency_control=True)
+    cluster = Cluster(config)
+    detector = cluster.install_deadlock_detector()
+    site = cluster.sites[0]
+    rng = random.Random(seed)
+    for txn in range(1, 7):
+        requests = [
+            (rng.randrange(ITEMS), rng.choice((LockMode.SHARED, LockMode.EXCLUSIVE)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        site.lock_service.acquire(
+            HandlerContext(cluster.network, site), txn, requests, lambda _ctx: None
+        )
+    return cluster, site, detector
+
+
+def shared_requests(rng: random.Random) -> list[tuple[int, LockMode]]:
+    items = rng.sample(range(ITEMS), rng.randint(1, 3))
+    return [(item, LockMode.SHARED) for item in items]
+
+
+@pytest.mark.parametrize("release_in_step", (True, False))
+def test_a_scope_leaves_the_table_as_plain_requests_would(release_in_step):
+    """Released inside its step, a scope leaves ``signature()`` as it was;
+    still held when the step returns, it leaves exactly the entries plain
+    ``request`` calls make.  The abort hook is registered only then."""
+    scoped = 0
+    for seed in range(40):
+        cluster, site, detector = lock_site(seed)
+        service = site.lock_service
+        rng = random.Random(1000 + seed)
+        requests = shared_requests(rng)
+        txn = 99
+        if not service.manager.shareable(txn, requests):
+            continue
+        scoped += 1
+        before = service.manager.signature()
+        plain = copy.deepcopy(service.manager)
+        for item, mode in sorted(requests):
+            plain.request(txn, item, mode)
+        ctx = HandlerContext(cluster.network, site)
+        seen = []
+
+        def step(ctx2, txn=txn, service=service, before=before, seen=seen):
+            # The table shows nothing of the scope while it runs.
+            assert service._scope.txn_id == txn
+            assert service.manager.signature() == before
+            seen.append(ctx2)
+            if release_in_step:
+                service.release(ctx2, txn)
+
+        service.acquire(ctx, txn, requests, step, lambda _ctx: None)
+        assert seen == [ctx] and service._scope is None
+        costs = site.costs
+        expected_cost = costs.lock_request_cost * len(requests)
+        if release_in_step:
+            expected_cost += costs.lock_release_cost
+            assert service.manager.signature() == before
+        else:
+            assert service.manager.signature() == plain.signature()
+        assert ctx.cost == pytest.approx(expected_cost)
+        assert (txn in detector._abort_fns) is not release_in_step
+    assert scoped >= 10
+
+
+def test_an_acquisition_during_a_scoped_step_is_recorded():
+    """A second transaction asking inside a scoped step sees the scope's
+    S lock: the scope is recorded first, and the X request parks behind
+    it, reported to the detector."""
+    config = SystemConfig(db_size=ITEMS, num_sites=SITES, max_txn_size=3, seed=1,
+                          concurrency_control=True)
+    cluster = Cluster(config)
+    detector = cluster.install_deadlock_detector()
+    site = cluster.sites[0]
+    service = site.lock_service
+    ctx = HandlerContext(cluster.network, site)
+    resumed = []
+
+    def outer(ctx2):
+        assert service._scope is not None
+        service.acquire(ctx2, 2, [(3, LockMode.EXCLUSIVE)], resumed.append)
+        assert service._scope is None
+        assert lock_table(service.manager) == {3: ({1: "S"}, [2])}
+
+    service.acquire(ctx, 1, [(3, LockMode.SHARED)], outer, lambda _ctx: None)
+    assert service.parks == 1 and resumed == []
+    assert detector.edges() == [(2, 1)]
+    assert 1 in detector._abort_fns  # recorded, so it can be a victim
+    assert lock_table(service.manager) == {3: ({1: "S"}, [2])}
+    service.release(ctx, 1)
+    cluster.scheduler.run()
+    assert len(resumed) == 1
+    assert lock_table(service.manager) == {3: ({2: "X"}, [])}

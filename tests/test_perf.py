@@ -9,8 +9,14 @@ expansion.  The CLI wiring (``--jobs``, ``--profile``) rides on top.
 """
 
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.chaos import FaultPlan, run_seed_sweep
 from repro.check.explorer import explore_parallel
@@ -20,6 +26,28 @@ from repro.perf.pool import WorkerPoolError, pool_stats, run_chunked, shutdown_p
 
 
 # -- parallel executor -------------------------------------------------------
+
+
+def test_serial_sweeps_do_not_import_the_process_machinery():
+    """``multiprocessing`` and ``concurrent.futures`` load only with a
+    pool: a serial chaos sweep and ``explore()`` leave both out of a
+    fresh interpreter."""
+    code = textwrap.dedent("""
+        import sys
+        from repro.chaos import run_seed_sweep
+        from repro.check.explorer import explore
+        from repro.check.runner import CheckConfig
+        run_seed_sweep(range(2), txns=10)
+        explore(CheckConfig(), max_runs=5)
+        print(sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
 
 
 def test_parallel_map_serial_fallback():

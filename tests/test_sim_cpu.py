@@ -186,3 +186,21 @@ def test_heap_bank_matches_the_list_bank(cores, seed):
         assert [done - d for done, (_now, d) in zip(got, jobs)] == starts
         assert (cpu.busy_ms, cpu.jobs) == (busy_ms, count)
         assert sorted(cpu._free_at) == free_at
+
+
+@pytest.mark.parametrize("cores", range(1, 7))
+@pytest.mark.parametrize("seed", range(3))
+def test_a_zero_length_job_moves_no_later_start(cores, seed):
+    """A zero-length job lands on the least-loaded core and leaves it free
+    at ``max(its free time, now)``; every core free by ``now`` is as good
+    as any other for work submitted from ``now`` on.  So inserting one
+    anywhere changes no other job's start — which is why
+    ``Network._finish_activation`` may skip an activation with no cost and
+    no output."""
+    jobs = job_stream(2000 * cores + seed)
+    base, _cpu = run_execute(cores, jobs)
+    rng = random.Random(seed)
+    for at in sorted(rng.sample(range(len(jobs) + 1), 15)):
+        now = jobs[at - 1][0] if at else 0.0
+        got, _cpu = run_execute(cores, jobs[:at] + [(now, 0.0)] + jobs[at:])
+        assert got[:at] + got[at + 1:] == base

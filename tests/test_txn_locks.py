@@ -51,7 +51,7 @@ def test_exclusive_blocks_shared(lm):
 def test_rerequest_is_idempotent(lm):
     lm.request(1, 0, S)
     assert lm.request(1, 0, S).granted
-    assert lm.grants == 1
+    assert lock_table(lm) == {0: ({1: "S"}, [])}
 
 
 def test_x_holder_may_read(lm):
