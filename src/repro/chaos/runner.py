@@ -199,61 +199,60 @@ def run_chaos_seed(
         # phantom versions no fail-lock covers.
         cold_recovery=plan.partition_mid_recovery,
     )
-    cluster = Cluster(config)
-    if trace is not None:
-        cluster.network.obs = trace
-    if mutate:
-        neuter_faillocks(cluster)
-    injector = FaultInjector(plan, cluster.rng.stream("chaos.faults"))
-    cluster.network.interposer = injector
-    auditor: Optional[InvariantAuditor] = None
-    if audit:
-        auditor = InvariantAuditor(cluster)
-        cluster.install_probe(auditor)
-    scenario = build_chaos_scenario(
-        config, plan, cluster.rng.stream("chaos.schedule"), txn_count=txns
-    )
-    schedule_actions = sum(len(actions) for actions in scenario.actions.values())
-    stalled = False
-    try:
-        try:
-            cluster.run(scenario)
-        except SimulationError:
-            # The scheduler drained with the scenario unfinished.  Under chaos
-            # that is a *finding* (a liveness violation the sweep must report),
-            # not a tooling crash.
-            stalled = True
-            if auditor is not None:
-                auditor.note_stall()
-        if auditor is not None:
-            auditor.check_quiescence()
-        return ChaosRunResult(
-            seed=seed,
-            txns=txns,
-            commits=cluster.metrics.counters.get("commits"),
-            aborts=cluster.metrics.counters.get("aborts"),
-            sim_time_ms=cluster.now,
-            fault_stats=injector.stats,
-            schedule_actions=schedule_actions,
-            checks=auditor.checks if auditor is not None else 0,
-            violations=list(auditor.violations) if auditor is not None else [],
-            mutated=mutate,
-            stalled=stalled,
-            net_stats=(
-                cluster.network.reliable.stats
-                if cluster.network.reliable is not None
-                else None
-            ),
-            events_fired=cluster.scheduler.fired,
-            recovery_periods=cluster.metrics.counters.get("recovery_periods"),
-            interrupted_recoveries=cluster.metrics.counters.get(
-                "recovery_periods_interrupted"
-            ),
+    with Cluster(config) as cluster:
+        if trace is not None:
+            cluster.network.obs = trace
+        if mutate:
+            neuter_faillocks(cluster)
+        injector = FaultInjector(plan, cluster.rng.stream("chaos.faults"))
+        cluster.network.interposer = injector
+        auditor: Optional[InvariantAuditor] = None
+        if audit:
+            auditor = InvariantAuditor(cluster)
+            cluster.install_probe(auditor)
+        scenario = build_chaos_scenario(
+            config, plan, cluster.rng.stream("chaos.schedule"), txn_count=txns
         )
-    finally:
-        if auditor is not None:
-            auditor.cluster = None
-        cluster.close()
+        schedule_actions = sum(len(actions) for actions in scenario.actions.values())
+        stalled = False
+        try:
+            try:
+                cluster.run(scenario)
+            except SimulationError:
+                # The scheduler drained with the scenario unfinished.  Under chaos
+                # that is a *finding* (a liveness violation the sweep must report),
+                # not a tooling crash.
+                stalled = True
+                if auditor is not None:
+                    auditor.note_stall()
+            if auditor is not None:
+                auditor.check_quiescence()
+            return ChaosRunResult(
+                seed=seed,
+                txns=txns,
+                commits=cluster.metrics.counters.get("commits"),
+                aborts=cluster.metrics.counters.get("aborts"),
+                sim_time_ms=cluster.now,
+                fault_stats=injector.stats,
+                schedule_actions=schedule_actions,
+                checks=auditor.checks if auditor is not None else 0,
+                violations=list(auditor.violations) if auditor is not None else [],
+                mutated=mutate,
+                stalled=stalled,
+                net_stats=(
+                    cluster.network.reliable.stats
+                    if cluster.network.reliable is not None
+                    else None
+                ),
+                events_fired=cluster.scheduler.fired,
+                recovery_periods=cluster.metrics.counters.get("recovery_periods"),
+                interrupted_recoveries=cluster.metrics.counters.get(
+                    "recovery_periods_interrupted"
+                ),
+            )
+        finally:
+            if auditor is not None:
+                auditor.cluster = None
 
 
 def run_seed_sweep(

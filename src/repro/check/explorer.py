@@ -196,10 +196,13 @@ def _search(
         frontier.extend(vec for _p, _i, vec in reversed(children))
 
 
-def _check_budget(max_runs: int) -> None:
-    """A search that may run no schedule checks nothing: refused."""
+def _check_budget(max_runs: int, max_depth: int) -> None:
+    """A search that may run no schedule, or read no choice point, checks
+    nothing: refused."""
     if max_runs < 1:
         raise CheckError(f"max_runs must be >= 1: {max_runs}")
+    if max_depth < 0:
+        raise CheckError(f"max_depth must be >= 0: {max_depth}")
 
 
 def explore(
@@ -216,7 +219,7 @@ def explore(
     False), the frontier empties (the bounded space is exhausted), or
     ``max_runs`` re-executions are spent.
     """
-    _check_budget(max_runs)
+    _check_budget(max_runs, max_depth)
     stats = ExplorationStats()
     result = ExplorationResult(config=config, stats=stats)
     expanded: set[str] = set()
@@ -309,7 +312,7 @@ def explore_parallel(
     """
     from repro.perf.pool import run_chunked
 
-    _check_budget(max_runs)
+    _check_budget(max_runs, max_depth)
     stats = ExplorationStats()
     result = ExplorationResult(config=config, stats=stats)
     root = run_schedule(config, [], fingerprint_at=_read_window([], max_depth))

@@ -77,9 +77,10 @@ class CheckConfig:
 
     def __post_init__(self) -> None:
         # A run without a transaction checks nothing, a choice point with
-        # fewer than two alternatives is no choice, and a search that may
-        # crash every site has nobody left to drive; each is refused rather
-        # than run or quietly raised.
+        # fewer than two alternatives is no choice, a search that may crash
+        # every site has nobody left to drive, and a negative budget would
+        # read as "none" and report clean; each is refused rather than run
+        # or quietly raised.
         if self.txns < 1:
             raise CheckError(f"txns must be >= 1: {self.txns}")
         if self.max_branch < 2:
@@ -91,6 +92,9 @@ class CheckConfig:
             raise CheckError(
                 f"min_up must be >= 1 (sites never crashed below): {self.min_up}"
             )
+        for budget in ("max_drops", "max_crashes", "max_recoveries"):
+            if getattr(self, budget) < 0:
+                raise CheckError(f"{budget} must be >= 0: {getattr(self, budget)}")
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -170,70 +174,69 @@ def run_schedule(
         wire_latency_ms=2.0,
         recovery_policy=RecoveryPolicy(config.recovery_policy),
     )
-    cluster = Cluster(sys_config)
-    # Arm the signature memo cluster_fingerprint keeps; it dies with the
-    # cluster at the end of this run.
-    cluster.network.endpoint_memo = {}
-    if trace is not None:
-        cluster.network.obs = trace
-    if config.mutate:
-        neuter_faillocks(cluster)
+    with Cluster(sys_config) as cluster:
+        # Arm the signature memo cluster_fingerprint keeps; it dies with the
+        # cluster at the end of this run.
+        cluster.network.endpoint_memo = {}
+        if trace is not None:
+            cluster.network.obs = trace
+        if config.mutate:
+            neuter_faillocks(cluster)
 
-    controller = ChoiceController(
-        advice,
-        state_fn=lambda: cluster_fingerprint(cluster),
-        fingerprint_at=fingerprint_at,
-    )
-    if config.explore_order:
-        cluster.scheduler.tie_breaker = OrderChoiceHook(
-            controller, max_branch=config.max_branch
+        controller = ChoiceController(
+            advice,
+            state_fn=lambda: cluster_fingerprint(cluster),
+            fingerprint_at=fingerprint_at,
         )
-    if config.explore_fates:
-        cluster.network.interposer = FateChoiceHook(
-            controller, max_drops=config.max_drops
+        if config.explore_order:
+            cluster.scheduler.tie_breaker = OrderChoiceHook(
+                controller, max_branch=config.max_branch
+            )
+        if config.explore_fates:
+            cluster.network.interposer = FateChoiceHook(
+                controller, max_drops=config.max_drops
+            )
+
+        auditor = InvariantAuditor(cluster)
+        cluster.install_probe(auditor)
+
+        scenario = Scenario(
+            workload=UniformWorkload(sys_config.item_ids, sys_config.max_txn_size),
+            txn_count=config.txns,
+            policy=RoundRobin(),
         )
+        if config.explore_faults:
+            scenario.actions = FaultChoiceHook(  # type: ignore[assignment]
+                controller,
+                sys_config.site_ids,
+                max_crashes=config.max_crashes,
+                max_recoveries=config.max_recoveries,
+                min_up=config.min_up,
+                max_branch=config.max_branch,
+            )
 
-    auditor = InvariantAuditor(cluster)
-    cluster.install_probe(auditor)
-
-    scenario = Scenario(
-        workload=UniformWorkload(sys_config.item_ids, sys_config.max_txn_size),
-        txn_count=config.txns,
-        policy=RoundRobin(),
-    )
-    if config.explore_faults:
-        scenario.actions = FaultChoiceHook(  # type: ignore[assignment]
-            controller,
-            sys_config.site_ids,
-            max_crashes=config.max_crashes,
-            max_recoveries=config.max_recoveries,
-            min_up=config.min_up,
-            max_branch=config.max_branch,
-        )
-
-    stalled = False
-    try:
+        stalled = False
         try:
-            cluster.run(scenario)
-        except SimulationError:
-            # The drive loop stalled: under steered faults that is a liveness
-            # finding for the auditor, not a tooling crash.
-            stalled = True
-            auditor.note_stall()
-        auditor.check_quiescence()
+            try:
+                cluster.run(scenario)
+            except SimulationError:
+                # The drive loop stalled: under steered faults that is a liveness
+                # finding for the auditor, not a tooling crash.
+                stalled = True
+                auditor.note_stall()
+            auditor.check_quiescence()
 
-        return CheckRunResult(
-            decisions=list(controller.trace),
-            violations=list(auditor.violations),
-            commits=cluster.metrics.counters.get("commits"),
-            aborts=cluster.metrics.counters.get("aborts"),
-            stalled=stalled,
-            events_fired=cluster.scheduler.fired,
-            sim_time_ms=cluster.now,
-        )
-    finally:
-        # The scheduler's tie-breaker, the interposer and the scenario's
-        # fault hook all reach the cluster through the controller.
-        controller.state_fn = None
-        auditor.cluster = None
-        cluster.close()
+            return CheckRunResult(
+                decisions=list(controller.trace),
+                violations=list(auditor.violations),
+                commits=cluster.metrics.counters.get("commits"),
+                aborts=cluster.metrics.counters.get("aborts"),
+                stalled=stalled,
+                events_fired=cluster.scheduler.fired,
+                sim_time_ms=cluster.now,
+            )
+        finally:
+            # The scheduler's tie-breaker, the interposer and the scenario's
+            # fault hook all reach the cluster through the controller.
+            controller.state_fn = None
+            auditor.cluster = None

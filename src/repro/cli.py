@@ -1073,6 +1073,10 @@ def main(argv: list[str] | None = None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
+        # Every ``--jobs`` (chaos, check explore, report) counts worker
+        # processes; 0 or fewer would run serially without a word.
+        if getattr(args, "jobs", None) is not None and args.jobs < 1:
+            raise ConfigurationError(f"--jobs must be >= 1: {args.jobs}")
         if args.profile:
             import cProfile
             import pstats

@@ -101,7 +101,6 @@ def run_embedded_clearing() -> list[ClearNoticeResult]:
     results = []
     for mode in (ClearNoticeMode.SPECIAL_TXN, ClearNoticeMode.EMBEDDED):
         config = SystemConfig.paper_experiment1(seed=17, clear_notice_mode=mode)
-        cluster = Cluster(config)
         scenario = Scenario(
             workload=UniformWorkload(config.item_ids, config.max_txn_size),
             txn_count=260,
@@ -109,7 +108,8 @@ def run_embedded_clearing() -> list[ClearNoticeResult]:
         )
         scenario.add_action(3, FailSite(0))
         scenario.add_action(60, RecoverSite(0))
-        metrics = cluster.run(scenario)
+        with Cluster(config) as cluster:
+            metrics = cluster.run(scenario)
         times = [
             t.coordinator_elapsed
             for t in metrics.committed
@@ -373,7 +373,6 @@ def run_control_scaling() -> list[ScalingResult]:
                 max_txn_size=5,
                 seed=13,
             )
-            cluster = Cluster(config)
             scenario = Scenario(
                 workload=UniformWorkload(config.item_ids, config.max_txn_size),
                 txn_count=20,
@@ -382,7 +381,8 @@ def run_control_scaling() -> list[ScalingResult]:
             victim = num_sites - 1
             scenario.add_action(5, FailSite(victim))
             scenario.add_action(15, RecoverSite(victim))
-            metrics = cluster.run(scenario)
+            with Cluster(config) as cluster:
+                metrics = cluster.run(scenario)
             results.append(
                 ScalingResult(
                     num_sites=num_sites,
@@ -437,14 +437,14 @@ def run_partition_anomaly(seed: int = 42) -> list[PartitionResult]:
             strategy=strategy,
             detection=FailureDetection.TIMEOUT,
         )
-        cluster = Cluster(config)
         scenario = Scenario(
             workload=UniformWorkload(config.item_ids, config.max_txn_size),
             txn_count=60,
         )
         scenario.add_action(11, PartitionNetwork(groups=((0, 1, 2), (3,))))
         scenario.add_action(51, HealNetwork())
-        metrics = cluster.run(scenario)
+        with Cluster(config) as cluster:
+            metrics = cluster.run(scenario)
         window = [t for t in metrics.txns if 11 <= t.seq <= 50]
         commits = sum(1 for t in window if t.committed)
         aborts = len(window) - commits

@@ -69,12 +69,12 @@ def run_faillock_overhead(seed: int = 11, txns: int = 300) -> FaillockOverheadRe
     times = {}
     for enabled in (False, True):
         config = SystemConfig.paper_experiment1(seed=seed, faillocks_enabled=enabled)
-        cluster = Cluster(config)
         scenario = Scenario(
             workload=UniformWorkload(config.item_ids, config.max_txn_size),
             txn_count=txns,
         )
-        metrics = cluster.run(scenario)
+        with Cluster(config) as cluster:
+            metrics = cluster.run(scenario)
         times[enabled] = (
             mean(metrics.coordinator_times()),
             mean(metrics.participant_times()),
@@ -114,7 +114,6 @@ def run_control_overhead(seed: int = 13) -> ControlOverheadResult:
     """
     # Type 1: fail a site, run some transactions, recover it.
     config = SystemConfig.paper_experiment1(seed=seed)
-    cluster = Cluster(config)
     scenario = Scenario(
         workload=UniformWorkload(config.item_ids, config.max_txn_size),
         txn_count=40,
@@ -122,7 +121,8 @@ def run_control_overhead(seed: int = 13) -> ControlOverheadResult:
     )
     scenario.add_action(5, FailSite(3))
     scenario.add_action(35, RecoverSite(3))
-    metrics = cluster.run(scenario)
+    with Cluster(config) as cluster:
+        metrics = cluster.run(scenario)
     type1_recovering = mean(metrics.control_times(1, "recovering"))
     type1_operational = mean(metrics.control_times(1, "operational"))
 
@@ -138,14 +138,14 @@ def run_control_overhead(seed: int = 13) -> ControlOverheadResult:
         seed=seed,
         detection=FailureDetection.TIMEOUT,
     )
-    cluster2 = Cluster(config2)
     scenario2 = Scenario(
         workload=UniformWorkload(config2.item_ids, config2.max_txn_size),
         txn_count=20,
         policy=FixedSite(0),
     )
     scenario2.add_action(10, FailSite(2))
-    metrics2 = cluster2.run(scenario2)
+    with Cluster(config2) as cluster2:
+        metrics2 = cluster2.run(scenario2)
     type2 = mean(metrics2.control_times(2))
     return ControlOverheadResult(
         type1_recovering=type1_recovering,
@@ -203,7 +203,6 @@ def run_copier_overhead(seed: int = 17, warm_txns: int = 60) -> CopierOverheadRe
     from repro.system.scenario import Weighted
 
     config = SystemConfig.paper_experiment1(seed=seed)
-    cluster = Cluster(config)
     scenario = Scenario(
         workload=UniformWorkload(config.item_ids, config.max_txn_size),
         txn_count=warm_txns + 200,
@@ -214,7 +213,8 @@ def run_copier_overhead(seed: int = 17, warm_txns: int = 60) -> CopierOverheadRe
     )
     scenario.add_action(3, FailSite(0))
     scenario.add_action(warm_txns, RecoverSite(0))
-    metrics = cluster.run(scenario)
+    with Cluster(config) as cluster:
+        metrics = cluster.run(scenario)
 
     # Transactions that needed a copier skew large (more operations means
     # more chances to read a fail-locked copy), so the honest baseline is

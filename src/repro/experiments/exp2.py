@@ -72,7 +72,6 @@ def run_figure1(
     """
     if config is None:
         config = SystemConfig.paper_experiment2(seed=seed)
-    cluster = Cluster(config)
     if workload is None:
         workload = UniformWorkload(config.item_ids, config.max_txn_size)
     scenario = Scenario(
@@ -84,7 +83,8 @@ def run_figure1(
     )
     scenario.add_action(1, FailSite(0))
     scenario.add_action(down_txns + 1, RecoverSite(0))
-    metrics = cluster.run(scenario)
+    with Cluster(config) as cluster:
+        metrics = cluster.run(scenario)
     series = {site: metrics.faillock_series(site) for site in config.site_ids}
     report = availability_of(metrics.faillock_samples, 0, config.db_size)
     return Figure1Result(

@@ -48,8 +48,8 @@ class ScenarioResult:
 
 
 def _run(config: SystemConfig, scenario: Scenario, name: str) -> ScenarioResult:
-    cluster = Cluster(config)
-    metrics = cluster.run(scenario)
+    with Cluster(config) as cluster:
+        metrics = cluster.run(scenario)
     reasons: dict[str, int] = {}
     for record in metrics.aborted:
         reasons[record.abort_reason.value] = reasons.get(record.abort_reason.value, 0) + 1

@@ -101,10 +101,10 @@ def record_experiment(
     from repro.system.cluster import Cluster
 
     config, scenario = _scenario_for(exp, seed)
-    cluster = Cluster(config)
-    sink = cluster.obs
-    sink.enabled = True
-    cluster.run(scenario)
+    with Cluster(config) as cluster:
+        sink = cluster.obs
+        sink.enabled = True
+        cluster.run(scenario)
     return export_run(
         Path(out_dir),
         sink,

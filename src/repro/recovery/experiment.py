@@ -89,7 +89,6 @@ def run_recovery_cell(
         # ignores the threshold (it always fans out).
         batch_threshold=1.0,
     )
-    cluster = Cluster(config)
     weights = {0: 0.0}
     weights.update({s: 1.0 for s in range(1, donors + 1)})
     scenario = Scenario(
@@ -104,10 +103,8 @@ def run_recovery_cell(
     )
     scenario.add_action(1, FailSite(0))
     scenario.add_action(2, RecoverSite(0))
-    try:
+    with Cluster(config) as cluster:
         cluster.run(scenario)
-    finally:
-        cluster.close()
     stats = cluster.site(0).recovery.stats
     if not stats.complete:
         raise SimulationError(

@@ -425,92 +425,91 @@ def run_soak(config: Optional[SoakConfig] = None, trace=None) -> SoakResult:
     config.validate()
     system = config.system_config()
     cluster_metrics = MetricsCollector(retain_txns=False)
-    cluster = Cluster(system, metrics=cluster_metrics)
-    if trace is not None:
-        cluster.network.obs = trace
-    sink = StreamingTxnSink(
-        window_ms=config.effective_window_ms(),
-        rel_err=config.rel_err,
-        exemplar_k=config.exemplars,
-        exemplar_rng=cluster.rng.stream("soak.exemplars") if config.exemplars else None,
-    )
-    cluster_metrics.txn_sink = sink
-
-    # O(1)-memory mode: the diagnostic logs that experiments keep in full
-    # are bounded for a soak.  Each site's redo log keeps a fixed window,
-    # and the 2PC decision logs keep a generous tail —
-    # cooperative-termination inquiries only ever concern transactions
-    # still blocked somewhere, i.e. at most a few timeout-windows of
-    # history.
-    # At soak rates a blocked transaction resolves within ~2s (vote,
-    # commit-retry, and status-inquiry timeouts), during which one site
-    # decides at most a few dozen transactions — 128 retained decisions
-    # is several times that horizon.
-    for site in cluster.sites:
-        site.db.log.capacity = 256
-        site.coordinator.decisions.cap = 128
-        site.participant.decisions.cap = 128
-
-    detector = cluster.install_deadlock_detector()
-
-    manager = SoakManager(
-        cluster, config.build_workload(system), config.build_shape(), sink,
-        config.txns,
-    )
-    cluster.network.replace_endpoint(manager)
-
-    # Gauges snapshot at each window roll: in-flight txns, fail-locks.
-    def on_window_open(window: Window) -> None:
-        window.in_flight = len(manager.outstanding)
-        window.faillocks = sum(cluster.faillock_counts().values())
-
-    sink.windows.on_open = on_window_open
-
-    schedule = config.fault_schedule()
-    fault: Optional[FaultEvent] = None
-    if schedule is not None:
-        site_id, fail_at, recover_at = schedule
-        fault = FaultEvent(site=site_id, fail_at_ms=fail_at, recover_at_ms=recover_at)
-        cluster.network.spawn(
-            manager, lambda ctx: manager.fail_site(ctx, fault), delay=fail_at
+    with Cluster(system, metrics=cluster_metrics) as cluster:
+        if trace is not None:
+            cluster.network.obs = trace
+        sink = StreamingTxnSink(
+            window_ms=config.effective_window_ms(),
+            rel_err=config.rel_err,
+            exemplar_k=config.exemplars,
+            exemplar_rng=cluster.rng.stream("soak.exemplars") if config.exemplars else None,
         )
-        cluster.network.spawn(
-            manager, lambda ctx: manager.recover_site(ctx, site_id),
-            delay=recover_at,
-        )
+        cluster_metrics.txn_sink = sink
 
-    try:
-        manager.start()
-        # A soak fires ~32 events per transaction (messages, CPU slices,
-        # timeouts); the scheduler's default 10M runaway guard would cut a
-        # multi-million-txn run short, so scale it with the configured size
-        # while keeping a generous per-txn margin for timeout storms.
-        cluster.scheduler.run(max_events=max(10_000_000, config.txns * 500))
-        if not manager.finished:
-            raise SimulationError(
-                f"soak run stalled: {manager._done}/{config.txns} outcomes, "
-                f"{len(manager.outstanding)} in flight at t={cluster.now:.0f}ms"
+        # O(1)-memory mode: the diagnostic logs that experiments keep in full
+        # are bounded for a soak.  Each site's redo log keeps a fixed window,
+        # and the 2PC decision logs keep a generous tail —
+        # cooperative-termination inquiries only ever concern transactions
+        # still blocked somewhere, i.e. at most a few timeout-windows of
+        # history.
+        # At soak rates a blocked transaction resolves within ~2s (vote,
+        # commit-retry, and status-inquiry timeouts), during which one site
+        # decides at most a few dozen transactions — 128 retained decisions
+        # is several times that horizon.
+        for site in cluster.sites:
+            site.db.log.capacity = 256
+            site.coordinator.decisions.cap = 128
+            site.participant.decisions.cap = 128
+
+        detector = cluster.install_deadlock_detector()
+
+        manager = SoakManager(
+            cluster, config.build_workload(system), config.build_shape(), sink,
+            config.txns,
+        )
+        cluster.network.replace_endpoint(manager)
+
+        # Gauges snapshot at each window roll: in-flight txns, fail-locks.
+        def on_window_open(window: Window) -> None:
+            window.in_flight = len(manager.outstanding)
+            window.faillocks = sum(cluster.faillock_counts().values())
+
+        sink.windows.on_open = on_window_open
+
+        schedule = config.fault_schedule()
+        fault: Optional[FaultEvent] = None
+        if schedule is not None:
+            site_id, fail_at, recover_at = schedule
+            fault = FaultEvent(site=site_id, fail_at_ms=fail_at, recover_at_ms=recover_at)
+            cluster.network.spawn(
+                manager, lambda ctx: manager.fail_site(ctx, fault), delay=fail_at
             )
-        problems = cluster.audit_consistency()
-        if problems:
-            raise SimulationError(f"consistency violated: {problems[:3]}")
+            cluster.network.spawn(
+                manager, lambda ctx: manager.recover_site(ctx, site_id),
+                delay=recover_at,
+            )
 
-        return SoakResult(
-            config=config,
-            sink=sink,
-            commits=cluster.metrics.counters.get("commits"),
-            aborts=cluster.metrics.counters.get("aborts"),
-            lost=manager.lost,
-            elapsed_ms=cluster.now,
-            events_fired=cluster.scheduler.fired,
-            lock_parks=cluster.lock_parks(),
-            deadlocks_detected=detector.deadlocks_found,
-            status_inquiries=cluster.metrics.counters.get("status_inquiries"),
-            fault=manager.faults[0] if manager.faults else fault,
-            recoveries=list(cluster.metrics.recoveries),
-        )
-    finally:
-        # The gauge hook closes a cycle through the cluster; the run is
-        # over, so no window opens again.
-        sink.windows.on_open = None
-        cluster.close()
+        try:
+            manager.start()
+            # A soak fires ~32 events per transaction (messages, CPU slices,
+            # timeouts); the scheduler's default 10M runaway guard would cut a
+            # multi-million-txn run short, so scale it with the configured size
+            # while keeping a generous per-txn margin for timeout storms.
+            cluster.scheduler.run(max_events=max(10_000_000, config.txns * 500))
+            if not manager.finished:
+                raise SimulationError(
+                    f"soak run stalled: {manager._done}/{config.txns} outcomes, "
+                    f"{len(manager.outstanding)} in flight at t={cluster.now:.0f}ms"
+                )
+            problems = cluster.audit_consistency()
+            if problems:
+                raise SimulationError(f"consistency violated: {problems[:3]}")
+
+            return SoakResult(
+                config=config,
+                sink=sink,
+                commits=cluster.metrics.counters.get("commits"),
+                aborts=cluster.metrics.counters.get("aborts"),
+                lost=manager.lost,
+                elapsed_ms=cluster.now,
+                events_fired=cluster.scheduler.fired,
+                lock_parks=cluster.lock_parks(),
+                deadlocks_detected=detector.deadlocks_found,
+                status_inquiries=cluster.metrics.counters.get("status_inquiries"),
+                fault=manager.faults[0] if manager.faults else fault,
+                recoveries=list(cluster.metrics.recoveries),
+            )
+        finally:
+            # The gauge hook closes a cycle through the cluster; the run is
+            # over, so no window opens again.
+            sink.windows.on_open = None

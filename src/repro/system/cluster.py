@@ -167,6 +167,13 @@ class Cluster:
             site.close()
         self.manager.cluster = None  # type: ignore[assignment]
 
+    def __enter__(self) -> Cluster:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        """``with Cluster(config) as cluster:`` closes it on every exit."""
+        self.close()
+
     # -- consistency auditing (the invariant Experiment 3 is about) -------------------
 
     def audit_consistency(self) -> list[str]:

@@ -47,6 +47,9 @@ class InteractiveDriver(ControlPlane):
         config = SystemConfig(
             db_size=db_size, num_sites=num_sites, max_txn_size=max_txn_size, seed=seed
         )
+        # Not ``with Cluster(...)``: the driver *is* the live cluster's
+        # managing site, stepped one command at a time for as long as the
+        # console runs, so nothing here knows when its run is over.
         return cls(Cluster(config))
 
     # -- endpoint ------------------------------------------------------------

@@ -168,24 +168,21 @@ def run_open_loop(
     if config is None:
         config = SystemConfig()
     sink: Optional[StreamingTxnSink] = None
-    if keep_records:
-        cluster = Cluster(config)
-    else:
+    metrics: Optional[MetricsCollector] = None
+    if not keep_records:
         sink = StreamingTxnSink()
-        cluster = Cluster(
-            config, metrics=MetricsCollector(txn_sink=sink, retain_txns=False)
-        )
-    detector = cluster.install_deadlock_detector()
+        metrics = MetricsCollector(txn_sink=sink, retain_txns=False)
+    with Cluster(config, metrics=metrics) as cluster:
+        detector = cluster.install_deadlock_detector()
 
-    # Replace the serial managing site with the open-loop source.
-    manager = OpenLoopManager(cluster, deadlock_retries=deadlock_retries)
-    cluster.network.replace_endpoint(manager)
+        # Replace the serial managing site with the open-loop source.
+        manager = OpenLoopManager(cluster, deadlock_retries=deadlock_retries)
+        cluster.network.replace_endpoint(manager)
 
-    if workload is None:
-        from repro.workload.uniform import UniformWorkload
+        if workload is None:
+            from repro.workload.uniform import UniformWorkload
 
-        workload = UniformWorkload(config.item_ids, config.max_txn_size)
-    try:
+            workload = UniformWorkload(config.item_ids, config.max_txn_size)
         manager.launch(workload, txn_count, arrival_rate_tps)
         cluster.scheduler.run()
         if not manager.finished:
@@ -218,5 +215,3 @@ def run_open_loop(
             events_fired=cluster.scheduler.fired,
             records=metrics.txns,
         )
-    finally:
-        cluster.close()

@@ -142,12 +142,19 @@ def test_a_budget_below_its_floor_is_refused_not_raised(flag, value, field, caps
         (["--txns", "0"], "txns must be >= 1: 0"),
         (["--max-runs", "0"], "max_runs must be >= 1: 0"),
         (["--max-runs", "0", "--jobs", "2"], "max_runs must be >= 1: 0"),
+        (["--max-depth", "-1"], "max_depth must be >= 0: -1"),
+        (["--max-drops", "-1"], "max_drops must be >= 0: -1"),
+        (["--max-crashes", "-1"], "max_crashes must be >= 0: -1"),
+        (["--max-recoveries", "-1"], "max_recoveries must be >= 0: -1"),
     ],
-    ids=["txns", "max-runs", "max-runs-parallel"],
+    ids=[
+        "txns", "max-runs", "max-runs-parallel", "max-depth", "max-drops",
+        "max-crashes", "max-recoveries",
+    ],
 )
 def test_a_search_that_checks_nothing_is_refused(argv, message, capsys):
-    """No transaction, or no run, used to print ``no violation found
-    within budget`` and exit 0."""
+    """No transaction, no run, no choice point or a negative budget used
+    to print ``no violation found within budget`` and exit 0."""
     assert main(["check", "explore", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
@@ -159,9 +166,14 @@ def test_the_library_refuses_a_search_that_checks_nothing():
 
     with pytest.raises(CheckError, match="txns must be >= 1"):
         CheckConfig(txns=0)
+    for budget in ("max_drops", "max_crashes", "max_recoveries"):
+        with pytest.raises(CheckError, match=f"{budget} must be >= 0"):
+            CheckConfig(**{budget: -1})
     for search in (explore, explore_parallel):
         with pytest.raises(CheckError, match="max_runs must be >= 1"):
             search(CheckConfig(), max_runs=0)
+        with pytest.raises(CheckError, match="max_depth must be >= 0"):
+            search(CheckConfig(), max_depth=-1)
 
 
 def test_the_smallest_accepted_budgets_steer_their_own_search(capsys):

@@ -154,3 +154,19 @@ def test_a_bad_argument_is_an_error_line_and_exit_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chaos", "--seeds", "2"],
+        ["check", "explore"],
+        ["report", "--output", "{tmp}/EXPERIMENTS.md"],
+    ],
+    ids=["chaos", "check-explore", "report"],
+)
+def test_a_jobs_count_below_one_is_refused(argv, tmp_path, capsys):
+    """``--jobs 0`` used to run serially without a word."""
+    assert main([*(arg.format(tmp=tmp_path) for arg in argv), "--jobs", "0"]) == 2
+    assert capsys.readouterr().err == "error: --jobs must be >= 1: 0\n"
+    assert not any(tmp_path.iterdir())

@@ -1,10 +1,12 @@
 """``Cluster.close``: a finished run gives its cluster back.
 
-Every runner (``run_schedule``, ``run_chaos_seed``, ``run_recovery_cell``,
-which a sweep calls hundreds of times per process, and ``run_soak`` /
-``run_open_loop``) closes its cluster on every exit path, so it is freed
-by reference counting rather than left to the cyclic collector.  Two
-things are held here:
+Every runner builds its cluster through ``with Cluster(config) as
+cluster:`` (``run_schedule``, ``run_chaos_seed``, ``run_recovery_cell``,
+which a sweep calls hundreds of times per process, ``run_soak`` /
+``run_open_loop``, the Experiment 1–3 and ablation runners and
+``record_experiment``), so it is closed on every exit path and freed by
+reference counting rather than left to the cyclic collector.  Two things
+are held here:
 
 * the guard: with the collector off around a runner call,
   ``gc.collect()`` afterwards finds nothing — on a clean run, a steered
@@ -25,6 +27,19 @@ from repro.chaos.faults import FaultPlan
 from repro.chaos.runner import run_chaos_seed
 from repro.check.runner import CheckConfig, run_schedule
 from repro.errors import SimulationError
+from repro.experiments.ablations import (
+    run_control_scaling,
+    run_embedded_clearing,
+    run_partition_anomaly,
+)
+from repro.experiments.exp1 import (
+    run_control_overhead,
+    run_copier_overhead,
+    run_faillock_overhead,
+)
+from repro.experiments.exp2 import run_figure1
+from repro.experiments.exp3 import run_scenario1
+from repro.obs.record import record_experiment
 from repro.recovery.experiment import run_recovery_cell
 from repro.sim.scheduler import EventScheduler
 from repro.site.site import DatabaseSite
@@ -60,6 +75,15 @@ RUNS = {
         SystemConfig(concurrency_control=True, seed=5), txn_count=120,
         keep_records=False,
     ),
+    # The paper's experiments: one cluster per run, or several.
+    "exp1-faillock": lambda: run_faillock_overhead(txns=40),
+    "exp1-control": run_control_overhead,
+    "exp1-copier": lambda: run_copier_overhead(warm_txns=20),
+    "exp2-figure1": lambda: run_figure1(down_txns=20, max_txns=200),
+    "exp3-scenario1": lambda: run_scenario1(settle=False),
+    "ablation-clearing": run_embedded_clearing,
+    "ablation-scaling": run_control_scaling,
+    "ablation-partition": run_partition_anomaly,
 }
 
 
@@ -92,6 +116,24 @@ def test_the_steered_vector_takes_crashes_and_drops():
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_a_finished_run_leaves_no_cyclic_garbage(name):
     assert cyclic_garbage(RUNS[name]) == 0
+
+
+def test_a_recorded_trace_leaves_no_cluster_behind(tmp_path):
+    """``record_experiment`` closes its cluster too.  The collector still
+    finds the stdlib's own cycle — ``json.dump`` with ``indent`` builds
+    its encoder from closures — so the check is that none of it is ours."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        record_experiment("smoke", out_dir=tmp_path)
+        gc.collect()
+        ours = [o for o in gc.garbage if type(o).__module__.startswith("repro")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert ours == []
 
 
 def test_a_stalled_run_leaves_no_cyclic_garbage(monkeypatch):

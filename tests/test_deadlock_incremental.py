@@ -1,180 +1,96 @@
-"""The suspect-set detector against the algorithm it replaced.
+"""The suspect-set detector against an oracle that recomputes everything.
 
-``ReferenceDetector`` is the previous ``GlobalDeadlockDetector`` verbatim
-(a ``_dirty`` flag answered by a colouring DFS over the whole graph, and
-a cycle search that sorts every visited node's successors).  The
-detector in ``src/`` must report the same cycles, in the same order, with
-the same victims, for any interleaving of its public calls — including
-abort hooks that call back into it.
+``Oracle`` stands where the detector stands (lock services and abort
+hooks call it) and forwards each call to a real
+``GlobalDeadlockDetector``.  Beside it, it keeps the waits the calls
+recorded and, from those alone, with brute-force reachability, states
+what the detector must show after every call — including the calls an
+abort hook makes back into it while it is detecting.  It reads the
+detector's incremental state only to check it, never to decide.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
+from repro.soak.engine import SoakConfig, run_soak
+from repro.system.cluster import Cluster
+from repro.system.config import SystemConfig
 from repro.system.deadlock import GlobalDeadlockDetector
+from repro.system.openloop import run_open_loop
+
+# -- the oracle -----------------------------------------------------------------------
 
 
-# -- the previous algorithm, kept only here ---------------------------------------
+def cycle_rule(graph):
+    """The cycle the detector must report, or ``[]``: from the smallest
+    waiter that reaches a cycle, step to the smallest blocker that is on
+    the walk or reaches a cycle itself, until the walk meets itself."""
+    reaches = {}
+    for node in graph:  # brute force: every node one or more edges away
+        seen, new = set(), set(graph[node])
+        while new:
+            seen |= new
+            new = {b for n in new for b in graph.get(n, ())} - seen
+        reaches[node] = seen
+    # Nodes that reach a cycle; a node on the walk is one of them.
+    leads = {n for n in graph if any(m in reaches.get(m, ()) for m in reaches[n])}
+    walk, node = [], min(leads, default=None)
+    while node is not None and node not in walk:
+        walk.append(node)
+        node = min(b for b in graph[node] if b in leads)
+    return walk[walk.index(node):] if walk else []
 
 
-def reference_find_cycle(edges):
-    GREY, BLACK = 1, 2
-    colour = {}
-    parent = {}
-    for start in sorted(edges):
-        if start in colour:
-            continue
-        colour[start] = GREY
-        stack = [[start, sorted(edges[start]), 0]]
-        while stack:
-            frame = stack[-1]
-            node, successors, index = frame
-            advanced = False
-            while index < len(successors):
-                nxt = successors[index]
-                index += 1
-                seen = colour.get(nxt)
-                if seen == GREY:
-                    cycle = [nxt]
-                    current = node
-                    while current != nxt:
-                        cycle.append(current)
-                        current = parent[current]
-                    cycle.reverse()
-                    return cycle
-                if seen is None:
-                    colour[nxt] = GREY
-                    parent[nxt] = node
-                    frame[2] = index
-                    out = edges.get(nxt)
-                    stack.append([nxt, sorted(out) if out else [], 0])
-                    advanced = True
-                    break
-            if not advanced:
-                frame[2] = index
-                colour[node] = BLACK
-                stack.pop()
-    return []
+class Oracle:
+    """A detector's calls, forwarded and checked against a model of them."""
 
+    def __init__(self, detector=None):
+        self.detector = detector or GlobalDeadlockDetector()
+        self.waits = {}  # waiter -> site -> blockers, the waiter left out
+        self.expected = []  # the victims the model chose
+        self.blocks = self.survivors = 0
 
-class ReferenceDetector:
-    def __init__(self):
-        self._waits = {}
-        self._union = {}
-        self._abort_fns = {}
-        self._dirty = False
-        self.deadlocks_found = 0
-        self.victims = []
+    def __getattr__(self, name):  # register, close, edges, counts, state
+        return getattr(self.detector, name)
 
-    def register(self, txn_id, abort_fn):
-        self._abort_fns[txn_id] = abort_fn
+    def graph(self):
+        return {w: set().union(*sites.values()) for w, sites in self.waits.items()}
 
-    def forget(self, txn_id):
-        self._waits.pop(txn_id, None)
-        self._union.pop(txn_id, None)
-        self._abort_fns.pop(txn_id, None)
+    def block(self, ctx, site, waiter, blockers):
+        self.blocks += 1
+        if real := set(blockers) - {waiter}:
+            self.waits.setdefault(waiter, {})[site] = real
+            if cycle := cycle_rule(self.graph()):  # one victim per block()
+                self.expected.append(max(cycle))
+                del self.waits[max(cycle)]
+        self.detector.block(ctx, site, waiter, blockers)
+        self.survivors += bool(cycle_rule(self.graph()))
+        self.check()
 
-    def _reunion(self, waiter, sites):
-        union = set()
-        for blockers in sites.values():
-            union.update(blockers)
-        self._union[waiter] = union
+    def unblock(self, site, waiter):
+        sites = self.waits.get(waiter, {})
+        if sites.pop(site, None) and not sites:
+            del self.waits[waiter]
+        self.detector.unblock(site, waiter)
+        self.check()
 
-    def block(self, ctx, site_id, waiter, blockers):
-        real = tuple(b for b in blockers if b != waiter)
-        if not real:
-            return
-        sites = self._waits.setdefault(waiter, {})
-        sites[site_id] = real
-        self._reunion(waiter, sites)
-        self._detect(ctx, waiter)
+    def forget(self, txn):
+        self.waits.pop(txn, None)
+        self.detector.forget(txn)
+        self.check()
 
-    def unblock(self, site_id, waiter):
-        sites = self._waits.get(waiter)
-        if sites is not None:
-            sites.pop(site_id, None)
-            if not sites:
-                del self._waits[waiter]
-                self._union.pop(waiter, None)
-            else:
-                self._reunion(waiter, sites)
-
-    def edges(self):
-        out = set()
-        for waiter, sites in self._waits.items():
-            for blockers in sites.values():
-                for blocker in blockers:
-                    out.add((waiter, blocker))
-        return sorted(out)
-
-    def _detect(self, ctx, waiter):
-        edges = self._union
-        was_dirty = self._dirty
-        if was_dirty:
-            if not self._has_cycle(edges):
-                self._dirty = False
-                return
-            cycle = reference_find_cycle(edges)
-        else:
-            if not self._reaches(edges, waiter):
-                return
-            cycle = reference_find_cycle(edges)
-            if not cycle:
-                return
-        self.deadlocks_found += 1
-        victim = max(cycle)
-        self.victims.append(victim)
-        abort_fn = self._abort_fns.get(victim)
-        self.forget(victim)
-        self._dirty = was_dirty or victim != waiter
-        if abort_fn is not None:
-            abort_fn(ctx)
-
-    @staticmethod
-    def _has_cycle(edges):
-        GREY, BLACK = 1, 2
-        colour = {}
-        for start in edges:
-            if start in colour:
-                continue
-            colour[start] = GREY
-            stack = [(start, iter(edges[start]))]
-            while stack:
-                node, successors = stack[-1]
-                advanced = False
-                for nxt in successors:
-                    seen = colour.get(nxt)
-                    if seen == GREY:
-                        return True
-                    if seen is None:
-                        out = edges.get(nxt)
-                        if out:
-                            colour[nxt] = GREY
-                            stack.append((nxt, iter(out)))
-                            advanced = True
-                            break
-                        colour[nxt] = BLACK
-                if not advanced:
-                    colour[node] = BLACK
-                    stack.pop()
-        return False
-
-    @staticmethod
-    def _reaches(edges, waiter):
-        stack = list(edges.get(waiter, ()))
-        seen = set()
-        while stack:
-            node = stack.pop()
-            if node == waiter:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            nxt = edges.get(node)
-            if nxt:
-                stack.extend(nxt)
-        return False
+    def check(self):
+        det, graph = self.detector, self.graph()
+        assert det.edges() == sorted((w, b) for w in graph for b in graph[w])
+        assert det.victims == self.expected
+        assert det.deadlocks_found == len(det.victims)
+        assert det._waited_on == Counter(b for w in graph for b in graph[w])
+        assert det._suspects <= graph.keys()
+        # Every cycle passes through a suspect: without them, none is left.
+        rest = {w: graph[w] - det._suspects for w in graph.keys() - det._suspects}
+        assert not cycle_rule(rest), "a cycle through no suspect"
 
 
 # -- seeded random sequences --------------------------------------------------------
@@ -196,117 +112,139 @@ def _hook(det, action):
     return abort
 
 
-def _in_degrees(det):
-    counts = {}
-    for blockers in det._union.values():
-        for blocker in blockers:
-            counts[blocker] = counts.get(blocker, 0) + 1
-    return counts
-
-
 def _drive(seed):
     rng = random.Random(seed)
     txns = rng.choice((5, 8, 14, 30))  # dense (many cycles) to sparse
     sites = rng.choice((1, 2, 4))
-    pair = (ReferenceDetector(), GlobalDeadlockDetector())
+    det = Oracle()
 
     def blockers():
         # drawn with replacement: duplicates, overlap between sites, self-waits
         return tuple(rng.randint(1, txns) for _ in range(rng.randint(0, 4)))
 
-    found = 0
     for step in range(rng.randint(40, 160)):
         roll = rng.random()
         site, txn = rng.randrange(sites), rng.randint(1, txns)
-        if roll < 0.55:
-            call = ("block", None, site, txn, blockers())
-        elif roll < 0.72:
-            call = ("unblock", site, txn)
-        elif roll < 0.80:
-            call = ("forget", txn)
-        else:
-            action = (
-                rng.choice(("none", "forget", "unblock", "block")),
-                rng.randrange(sites), rng.randint(1, txns), blockers(),
-            )
-            call = ("register", txn, action)
-        for det in pair:
-            if call[0] == "register":
-                det.register(txn, _hook(det, call[2]))
+        try:
+            if roll < 0.55:
+                det.block(None, site, txn, blockers())
+            elif roll < 0.72:
+                det.unblock(site, txn)
+            elif roll < 0.80:
+                det.forget(txn)
             else:
-                getattr(det, call[0])(*call[1:])
-        ref, new = pair
-        where = f"seed {seed} step {step} {call}"
-        assert new.victims == ref.victims, where
-        assert new.deadlocks_found == ref.deadlocks_found, where
-        assert new.edges() == ref.edges(), where
-        assert new._waited_on == _in_degrees(new), where
-        assert new._suspects <= new._union.keys(), where
-        found = new.deadlocks_found
-    return found
+                action = (
+                    rng.choice(("none", "forget", "unblock", "block")),
+                    rng.randrange(sites), rng.randint(1, txns), blockers(),
+                )
+                det.register(txn, _hook(det, action))
+        except AssertionError as exc:
+            exc.add_note(f"seed {seed} step {step}")
+            raise
+    return det.deadlocks_found
 
 
-def test_same_victims_as_the_whole_graph_rescan_on_random_sequences():
+def test_random_call_sequences_agree_with_the_oracle():
     found = [_drive(seed) for seed in range(240)]
     # the sequences do exercise detection, not just bookkeeping
     assert sum(1 for n in found if n >= 3) >= 120
 
 
+# -- live traffic ---------------------------------------------------------------------
+
+
+def _under_oracle(run):
+    """Run ``run()`` with its cluster's detector behind an ``Oracle``."""
+    oracles = []
+    install = Cluster.install_deadlock_detector
+
+    def checked(cluster):
+        detector = install(cluster)
+        oracle = Oracle(detector)
+        for site in cluster.sites:
+            site.lock_service.detector = oracle
+        oracles.append(oracle)
+        return detector
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Cluster, "install_deadlock_detector", checked)
+        run()
+    [oracle] = oracles
+    return oracle
+
+
+@pytest.fixture(scope="module")
+def storm():
+    """``lock-storm``'s shape (bench/workloads.py) at 200 txns: one core,
+    12 tps, above capacity."""
+    config = SystemConfig(
+        seed=42, concurrency_control=True, timeouts_enabled=True,
+        vote_timeout_ms=60_000.0, commit_retry_ms=60_000.0,
+        status_inquiry_ms=120_000.0,
+    )
+    return _under_oracle(
+        lambda: run_open_loop(
+            config, txn_count=200, arrival_rate_tps=12.0, keep_records=False
+        )
+    )
+
+
+def test_live_traffic_agrees_with_the_oracle(storm):
+    # ``soak-failover``'s shape at 600 txns, through its fail/recover cycle.
+    failover = _under_oracle(lambda: run_soak(SoakConfig(seed=42, txns=600)))
+    assert storm.blocks + failover.blocks >= 900
+    assert len(storm.expected) + len(failover.expected) >= 250
+
+
+@pytest.mark.xfail(strict=True, reason="one victim per block(): ROADMAP 1(a)")
+def test_no_cycle_outlives_a_block(storm):
+    """``block()`` breaks one cycle and returns, so a second one waits
+    for the next ``block()`` — which never comes once every survivor is
+    parked (``test_deadlock_missed_cycle.py``)."""
+    assert storm.survivors == 0
+
+
 # -- directed cases -------------------------------------------------------------------
 
 
-def _both():
-    return ReferenceDetector(), GlobalDeadlockDetector()
-
-
 def test_two_disjoint_cycles_alive_at_once():
-    for det in _both():
-        det.block(None, 0, 10, (1,))
-        det.block(None, 0, 11, (1,))
-        det.block(None, 0, 20, (2,))
-        # 1 closes two cycles at once; one report per block: [1, 10] dies.
-        det.block(None, 0, 1, (10, 11))
-        assert det.victims == [10]
-        # 2 closes a cycle disjoint from the surviving [1, 11]; the search
-        # meets the lower root first, so [2, 20] outlives this block too.
-        det.block(None, 0, 2, (20,))
-        assert det.victims == [10, 11]
-        assert det.edges() == [(1, 10), (1, 11), (2, 20), (20, 2)]
-        # ... and is found on the next block of an unrelated waiter.
-        det.block(None, 0, 30, (31,))
-        assert det.victims == [10, 11, 20]
-        det.block(None, 0, 40, (41,))
-        assert det.victims == [10, 11, 20]
-        assert det.deadlocks_found == 3
+    det = Oracle()
+    det.block(None, 0, 10, (1,))
+    det.block(None, 0, 11, (1,))
+    det.block(None, 0, 20, (2,))
+    # 1 closes two cycles at once; one report per block: [1, 10] dies.
+    det.block(None, 0, 1, (10, 11))
+    assert det.victims == [10]
+    # 2 closes a cycle disjoint from the surviving [1, 11]; the search
+    # meets the lower root first, so [2, 20] outlives this block too.
+    det.block(None, 0, 2, (20,))
+    assert det.victims == [10, 11]
+    assert det.edges() == [(1, 10), (1, 11), (2, 20), (20, 2)]
+    # ... and is found on the next block of an unrelated waiter.
+    det.block(None, 0, 30, (31,))
+    assert det.victims == [10, 11, 20]
+    det.block(None, 0, 40, (41,))
+    assert det.victims == [10, 11, 20]
+    assert det.deadlocks_found == 3 and det.survivors == 2
     assert det._suspects == set()
 
 
 @pytest.mark.parametrize("leave", ["forget", "unblock"])
 def test_suspect_that_leaves_while_dirty(leave):
-    for det in _both():
-        det.block(None, 0, 9, (1,))
-        det.block(None, 1, 1, (9,))  # victim 9 != waiter 1: 1 is a suspect
-        assert det.victims == [9]
-        if leave == "forget":
-            det.forget(1)
-        else:
-            det.unblock(1, 1)
-        assert det.edges() == []
-        # the ids come back and deadlock again; nothing stale is consulted
-        det.block(None, 0, 9, (1,))
-        det.block(None, 0, 1, (9,))
-        assert det.victims == [9, 9]
-    assert det._suspects == {1}
-    new = GlobalDeadlockDetector()
-    new.block(None, 0, 9, (1,))
-    new.block(None, 1, 1, (9,))
-    assert new._suspects == {1}
-    new.forget(1) if leave == "forget" else new.unblock(1, 1)
-    assert new._suspects == set()
+    det = Oracle()
+    det.block(None, 0, 9, (1,))
+    det.block(None, 1, 1, (9,))  # victim 9 != waiter 1: 1 is a suspect
+    assert det.victims == [9] and det._suspects == {1}
+    det.forget(1) if leave == "forget" else det.unblock(1, 1)
+    assert det.edges() == [] and det._suspects == set()
+    # the ids come back and deadlock again; nothing stale is consulted
+    det.block(None, 0, 9, (1,))
+    det.block(None, 0, 1, (9,))
+    assert det.victims == [9, 9] and det._suspects == {1}
 
 
 def test_partial_unblock_keeps_the_suspect():
-    det = GlobalDeadlockDetector()
+    det = Oracle()
     det.block(None, 0, 1, (8,))
     det.block(None, 0, 9, (1,))
     det.block(None, 0, 8, (1,))  # [1, 8], victim 8 == waiter: still clean
@@ -320,7 +258,7 @@ def test_partial_unblock_keeps_the_suspect():
 
 
 def test_victim_equal_to_waiter_keeps_the_detector_clean():
-    det = GlobalDeadlockDetector()
+    det = Oracle()
     det.block(None, 0, 1, (2,))
     det.block(None, 0, 2, (1,))
     assert det.victims == [2]

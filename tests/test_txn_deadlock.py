@@ -1,9 +1,13 @@
 """The deterministic cycle search and victim selection."""
 
+import random
+
 import pytest
 
 from repro.errors import LockError
 from repro.system.deadlock import GlobalDeadlockDetector, choose_victim, find_cycle
+
+from test_deadlock_incremental import cycle_rule
 
 
 def graph(*waits):
@@ -43,6 +47,24 @@ def test_successors_are_tried_in_ascending_order():
     assert find_cycle(graph((1, [2, 3]), (3, [1]))) == [1, 3]
     # Both blockers close a cycle; the lower one wins.
     assert find_cycle(graph((1, [2, 3]), (2, [1]), (3, [1]))) == [1, 2]
+
+
+def test_the_search_follows_the_oracles_rule_on_random_graphs():
+    """``find_cycle``'s colouring search reports the cycle the oracle's
+    brute-force walk picks (``test_deadlock_incremental.cycle_rule``)."""
+    rng = random.Random(0)
+    cyclic = 0
+    for _ in range(5_000):
+        nodes = rng.randint(1, 12)
+        edges = {}
+        for waiter in range(1, nodes + 1):
+            blockers = {rng.randint(1, nodes + 2) for _ in range(rng.randint(0, 3))}
+            if blockers - {waiter}:
+                edges[waiter] = tuple(sorted(blockers - {waiter}))
+        expected = cycle_rule(edges)
+        assert find_cycle(edges) == expected, edges
+        cyclic += bool(expected)
+    assert cyclic >= 1_500  # neither side is let off with "no cycle"
 
 
 def test_cross_site_cycle():
