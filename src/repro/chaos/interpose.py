@@ -37,7 +37,6 @@ class FaultInjector:
         self.plan = plan
         self._rng = rng
         self.stats = FaultStats()
-        self.intercepted = 0
 
     def intercept(self, msg: Message) -> Optional[MessageFate]:
         """The network's interposition hook (see ``Network._release_activation``).
@@ -53,7 +52,6 @@ class FaultInjector:
         rng = self._rng
         mtype = msg.mtype
         lossy = plan.lossy_core
-        self.intercepted += 1
 
         if (lossy or mtype in DROPPABLE) and rng.random() < plan.drop_rate:
             self.stats.note("dropped", mtype)
@@ -77,7 +75,4 @@ class FaultInjector:
         return fate
 
     def __repr__(self) -> str:
-        return (
-            f"FaultInjector(intercepted={self.intercepted}, "
-            f"injected={self.stats.total})"
-        )
+        return f"FaultInjector(injected={self.stats.total})"

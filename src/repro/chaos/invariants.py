@@ -27,9 +27,8 @@ happen, the safety properties the paper's protocol promises:
   unfinished).  This is the guarantee the timeout/retransmission layer
   adds: under message loss the bare protocol would block forever.
 
-Violations are recorded into the cluster's metrics as
-:class:`~repro.metrics.records.ViolationRecord` rows and kept on the
-auditor for the report layer.
+Violations are kept on the auditor as
+:class:`~repro.metrics.records.ViolationRecord` rows for the report layer.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ class InvariantAuditor:
         # it saw complete (both observed from the delivery probe).
         self._submitted: set[int] = set()
         self._finished: set[int] = set()
-        self._stalled = False
 
     # -- flagging -----------------------------------------------------------
 
@@ -81,7 +79,6 @@ class InvariantAuditor:
             item_id=item_id,
         )
         self.violations.append(record)
-        self.cluster.metrics.record_violation(record)
         obs = self.cluster.network.obs
         if obs.enabled:
             # Inherits the current activation scope (e.g. the delivery that
@@ -178,7 +175,6 @@ class InvariantAuditor:
         unfinished.  Called by the chaos runner when ``Cluster.run`` raises
         :class:`~repro.errors.SimulationError` — under chaos that is a
         liveness violation to report, not a crash."""
-        self._stalled = True
         self.checks += 1
         self._flag(
             "liveness",

@@ -30,7 +30,7 @@ from repro.net.network import Network
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.system.cluster import Cluster
 
-__all__ = ["cluster_fingerprint", "message_signature", "pending_signature"]
+__all__ = ["cluster_fingerprint", "message_signature"]
 
 
 def message_signature(msg: Message) -> tuple:
@@ -121,22 +121,6 @@ def _live_entries(scheduler: Any) -> list[tuple]:
         for entry in (*scheduler._heap, *scheduler._nowq)
         if entry[2] is not None or not entry[3].cancelled
     ]
-
-
-def pending_signature(cluster: "Cluster") -> tuple:
-    """Signatures of all live pending events, sorted for stability — the
-    tuple whose ``repr`` ``cluster_fingerprint`` assembles from texts.
-
-    Sorted by repr rather than heap position: the heap's internal layout
-    depends on push/pop history, which is schedule history — exactly what
-    a state fingerprint must not observe.
-    """
-    scheduler = cluster.scheduler
-    now = scheduler.clock._now
-    sigs = [_entry_signature(entry, now) for entry in _live_entries(scheduler)]
-    if len(sigs) > 1:  # the common 0 or 1 entries need no repr to order
-        sigs.sort(key=repr)
-    return tuple(sigs)
 
 
 def _is_activation(entry: tuple) -> bool:

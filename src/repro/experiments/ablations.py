@@ -39,7 +39,6 @@ from repro.system.openloop import OpenLoopResult, run_open_loop
 from repro.system.scenario import FailSite, RecoverSite, Scenario, Weighted
 from repro.workload.base import WorkloadGenerator
 from repro.workload.et1 import Et1Workload
-from repro.workload.readwrite import ReadWriteWorkload
 from repro.workload.uniform import UniformWorkload
 from repro.workload.wisconsin import WisconsinWorkload
 
@@ -146,7 +145,7 @@ def run_read_write_ratio(seed: int = 42) -> list[ReadWriteResult]:
         config = SystemConfig.paper_experiment2(seed=seed, write_probability=wp)
         result = run_figure1(
             recovering_share=0.5,
-            workload=ReadWriteWorkload(config.item_ids, config.max_txn_size, wp),
+            workload=UniformWorkload(config.item_ids, config.max_txn_size, wp),
             max_txns=4000,
             config=config,
         )

@@ -38,7 +38,6 @@ class Figure1Result:
     report: AvailabilityReport
     copiers: int
     aborts: int
-    total_txns: int
     metrics: MetricsCollector = field(repr=False, default=None)  # type: ignore[assignment]
 
     @property
@@ -92,6 +91,5 @@ def run_figure1(
         report=report,
         copiers=metrics.counters.get("copiers"),
         aborts=metrics.counters.get("aborts"),
-        total_txns=len(metrics.txns),
         metrics=metrics,
     )

@@ -13,7 +13,6 @@ from repro.metrics.records import (
     TxnRecord,
     ControlRecord,
     FailLockSample,
-    CopierRecord,
     ViolationRecord,
 )
 from repro.metrics.collector import MetricsCollector
@@ -39,7 +38,6 @@ __all__ = [
     "TxnRecord",
     "ControlRecord",
     "FailLockSample",
-    "CopierRecord",
     "ViolationRecord",
     "MetricsCollector",
     "availability_of",

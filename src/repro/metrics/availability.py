@@ -26,11 +26,8 @@ class AvailabilityReport:
     site_id: int
     db_size: int
     peak_locks: int = 0
-    peak_seq: int = -1
-    recovery_start_seq: int = -1     # first sample after the peak
-    recovery_end_seq: int = -1       # first sample back at zero locks
-    txns_to_recover: int = -1
-    min_availability: float = 1.0
+    peak_seq: int = -1               # recovery-by-clearing starts here
+    txns_to_recover: int = -1        # from the peak to the first zero sample
     # (locks remaining, txns it took to clear the previous bucket of 10)
     clearing_buckets: list[tuple[int, int]] = field(default_factory=list)
 
@@ -51,17 +48,14 @@ def availability_of(
         if locks >= report.peak_locks:
             report.peak_locks = locks
             report.peak_seq = seq
-    report.min_availability = 1.0 - report.peak_locks / db_size if db_size else 1.0
 
     if report.peak_locks == 0:
         return report
 
     # Recovery phase: from the peak forward, find when locks reach zero.
     after_peak = [(seq, locks) for seq, locks in series if seq >= report.peak_seq]
-    report.recovery_start_seq = report.peak_seq
     for seq, locks in after_peak:
         if locks == 0:
-            report.recovery_end_seq = seq
             report.txns_to_recover = seq - report.peak_seq
             break
 

@@ -7,11 +7,9 @@ from typing import Callable, Optional
 from repro.metrics.counters import CounterSet
 from repro.metrics.records import (
     ControlRecord,
-    CopierRecord,
     FailLockSample,
     RecoveryPeriodRecord,
     TxnRecord,
-    ViolationRecord,
 )
 
 
@@ -35,10 +33,8 @@ class MetricsCollector:
         self.retain_txns = retain_txns
         self.txns: list[TxnRecord] = []
         self.controls: list[ControlRecord] = []
-        self.copiers: list[CopierRecord] = []
         self.recoveries: list[RecoveryPeriodRecord] = []
         self.faillock_samples: list[FailLockSample] = []
-        self.violations: list[ViolationRecord] = []
         self.counters = CounterSet()
         # Participant elapsed times staged here until the managing site
         # finalizes the transaction's record.
@@ -66,10 +62,10 @@ class MetricsCollector:
         self.controls.append(record)
         self.counters.incr(f"control_type{record.kind}")
 
-    def record_copier(self, record: CopierRecord) -> None:
-        self.copiers.append(record)
+    def record_copier(self, batch: bool) -> None:
+        """Count one copier exchange (``batch``: a recovery policy's)."""
         self.counters.incr("copiers")
-        if record.batch:
+        if batch:
             self.counters.incr("batch_copiers")
 
     def record_recovery_period(self, record: RecoveryPeriodRecord) -> None:
@@ -80,11 +76,6 @@ class MetricsCollector:
 
     def record_faillock_sample(self, sample: FailLockSample) -> None:
         self.faillock_samples.append(sample)
-
-    def record_violation(self, record: ViolationRecord) -> None:
-        self.violations.append(record)
-        self.counters.incr("violations")
-        self.counters.incr(f"violation_{record.invariant}")
 
     # -- queries the experiments use -------------------------------------------
 
@@ -124,5 +115,5 @@ class MetricsCollector:
     def __repr__(self) -> str:
         return (
             f"MetricsCollector(txns={len(self.txns)}, controls={len(self.controls)}, "
-            f"copiers={len(self.copiers)}, samples={len(self.faillock_samples)})"
+            f"copiers={self.counters.get('copiers')}, samples={len(self.faillock_samples)})"
         )

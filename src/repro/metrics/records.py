@@ -2,9 +2,10 @@
 
 One row per measured thing, in the vocabulary of the paper's experiments:
 transaction timings split by coordinator/participant role (Experiment 1),
-control transaction durations by type and role (Experiment 1), copier
-exchanges (Experiments 1 and 2), and per-transaction fail-lock samples (the
-series plotted in Figures 1–3).
+control transaction durations by type and role (Experiment 1), recovery
+periods, invariant violations, and per-transaction fail-lock samples (the
+series plotted in Figures 1–3).  Copier exchanges are counted, not
+recorded: ``MetricsCollector.record_copier``.
 """
 
 from __future__ import annotations
@@ -90,19 +91,6 @@ class ControlRecord:
     @property
     def elapsed(self) -> float:
         return self.finished_at - self.started_at
-
-
-@dataclass(slots=True)
-class CopierRecord:
-    """One copier exchange (request -> copies installed)."""
-
-    txn_id: int
-    requester: int
-    source: int
-    items: int
-    batch: bool
-    started_at: float
-    finished_at: float = -1.0
 
 
 @dataclass(slots=True)

@@ -37,7 +37,7 @@ _log = math.log
 class QuantileSketch:
     """Log-bucket quantile sketch for non-negative values."""
 
-    __slots__ = ("rel_err", "_gamma", "_ln_gamma", "_buckets", "_zero", "count")
+    __slots__ = ("_gamma", "_ln_gamma", "_buckets", "_zero", "count")
 
     # Values at or below this are indistinguishable from zero for latency
     # purposes and go to a dedicated zero bucket (log() needs v > 0).
@@ -46,7 +46,6 @@ class QuantileSketch:
     def __init__(self, rel_err: float = 0.01) -> None:
         if not 0.0 < rel_err < 1.0:
             raise ValueError(f"rel_err must be in (0, 1): {rel_err}")
-        self.rel_err = rel_err
         self._gamma = (1.0 + rel_err) / (1.0 - rel_err)
         self._ln_gamma = math.log(self._gamma)
         self._buckets: dict[int, int] = {}
@@ -91,10 +90,7 @@ class QuantileSketch:
         return len(self._buckets) + (1 if self._zero else 0)
 
     def __repr__(self) -> str:
-        return (
-            f"QuantileSketch(rel_err={self.rel_err}, n={self.count}, "
-            f"buckets={self.bucket_count})"
-        )
+        return f"QuantileSketch(n={self.count}, buckets={self.bucket_count})"
 
 
 class P2Quantile:

@@ -150,11 +150,10 @@ class ReservoirSample:
 class Window:
     """One fixed-width time window of the soak series."""
 
-    __slots__ = ("index", "start_ms", "arrivals", "commits", "aborts",
+    __slots__ = ("start_ms", "arrivals", "commits", "aborts",
                  "latency", "p95", "in_flight", "faillocks")
 
-    def __init__(self, index: int, start_ms: float) -> None:
-        self.index = index
+    def __init__(self, start_ms: float) -> None:
         self.start_ms = start_ms
         self.arrivals = 0
         self.commits = 0
@@ -201,7 +200,7 @@ class WindowedSeries:
             index = 0
         windows = self.windows
         while len(windows) <= index:
-            window = Window(len(windows), len(windows) * self.window_ms)
+            window = Window(len(windows) * self.window_ms)
             windows.append(window)
             if self.on_open is not None:
                 self.on_open(window)

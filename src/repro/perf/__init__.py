@@ -13,14 +13,12 @@ arguments (see docs/PERFORMANCE.md).
 
 from repro.perf.pool import (
     WorkerPoolError,
-    pool_stats,
     run_chunked,
     shutdown_pool,
 )
 
 __all__ = [
     "WorkerPoolError",
-    "pool_stats",
     "run_chunked",
     "shutdown_pool",
 ]

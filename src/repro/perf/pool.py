@@ -50,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 __all__ = [
     "WorkerPoolError",
     "get_pool",
-    "pool_stats",
     "run_chunked",
     "shutdown_pool",
     "task",
@@ -143,7 +142,6 @@ def _check_prefixes_task(shared: tuple, prefixes: list) -> tuple:
 _pool: Optional[ProcessPoolExecutor] = None
 _pool_workers = 0
 _pools_created = 0
-_chunks_dispatched = 0
 
 
 def get_pool(jobs: int) -> ProcessPoolExecutor:
@@ -183,16 +181,6 @@ def shutdown_pool() -> None:
         _pool_workers = 0
 
 
-def pool_stats() -> dict:
-    """Lifecycle counters (how benches separate warm from cold)."""
-    return {
-        "alive": _pool is not None,
-        "workers": _pool_workers,
-        "pools_created": _pools_created,
-        "chunks_dispatched": _chunks_dispatched,
-    }
-
-
 def _chunked(items: list, parts: int) -> list[list]:
     """Split into ``parts`` contiguous chunks, sizes differing by <= 1."""
     base, extra = divmod(len(items), parts)
@@ -224,7 +212,6 @@ def run_chunked(
     submission order, which makes the output independent of worker
     scheduling.
     """
-    global _chunks_dispatched
     work = list(items)
     fn = _TASKS[kind]
     if jobs is None or jobs <= 1 or len(work) <= 1:
@@ -234,7 +221,6 @@ def run_chunked(
     pool = get_pool(jobs)
     parts = min(len(work), jobs * max(1, chunks_per_worker))
     chunks = _chunked(work, parts)
-    _chunks_dispatched += len(chunks)
     results: list[Any] = []
     try:
         # submit() itself raises once an earlier chunk has killed a worker.

@@ -99,7 +99,6 @@ class EventScheduler:
         self._fired = 0
         self._cancelled = 0
         self._running = False
-        self.compactions = 0
         # Optional schedule-space choice hook (repro.check).  When set,
         # run() routes through _run_choosing, which hands every group of
         # same-time live entries to the callable and fires the entry at
@@ -252,7 +251,6 @@ class EventScheduler:
             self._nowq.clear()
             self._nowq.extend(live)
         self._cancelled = 0
-        self.compactions += 1
 
     def clear(self) -> None:
         """Drop every queued entry without firing it (what a closed

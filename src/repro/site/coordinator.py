@@ -23,7 +23,6 @@ from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.core import copier as copier_mod
 from repro.core.rowaa import ReadSource
-from repro.metrics.records import CopierRecord
 from repro.net.endpoint import HandlerContext
 from repro.net.message import Message, MessageType
 from repro.obs.events import EventKind
@@ -189,7 +188,6 @@ class CoordinatorRole:
         }
         # Copier exchanges in flight: txn_id -> {source site: [item ids]}.
         self._copier_pending: dict[int, dict[int, list[int]]] = {}
-        self._copier_records: dict[int, list[CopierRecord]] = {}
         # Fail-locks cleared by copiers, awaiting embedding in a future
         # VOTE_REQ (ClearNoticeMode.EMBEDDED only).  They accumulate until
         # this site next coordinates a transaction with participants — a
@@ -252,7 +250,6 @@ class CoordinatorRole:
             else:
                 del active[txn_id]
         self._copier_pending.clear()
-        self._copier_records.clear()
         self._pending_embedded_clears.clear()
         self._clear_notice_counts.clear()
 
@@ -279,8 +276,7 @@ class CoordinatorRole:
     def signature(self) -> tuple:
         """Hashable snapshot of coordinator 2PC state (``repro.check``).
 
-        Composes per-transaction :meth:`CoordinatorState.signature`;
-        excludes :attr:`_copier_records` (metrics, carries timestamps).
+        Composes per-transaction :meth:`CoordinatorState.signature`.
         """
         return (
             tuple(
@@ -459,7 +455,6 @@ class CoordinatorRole:
                 items=len(stale_reads),
                 batch=False,
             )
-        records = self._copier_records.setdefault(txn_id, [])
         for source, items in sorted(by_source.items()):
             ctx.charge(site.costs.copy_request_cost)
             ctx.send(
@@ -471,16 +466,6 @@ class CoordinatorRole:
             )
             state.copiers_requested += 1
             site.recovery.note_copier_request()
-            records.append(
-                CopierRecord(
-                    txn_id=txn_id,
-                    requester=site.site_id,
-                    source=source,
-                    items=len(items),
-                    batch=False,
-                    started_at=ctx.now,
-                )
-            )
 
     def on_copy_resp(
         self, ctx: HandlerContext, state: CoordinatorState, msg: Message
@@ -504,9 +489,6 @@ class CoordinatorRole:
         state.copier_items.extend(item for item, _v, _ver in local)
         pending = self._copier_pending.get(txn_id, {})
         pending.pop(msg.src, None)
-        for record in self._copier_records.get(txn_id, []):
-            if record.source == msg.src and record.finished_at < 0:
-                record.finished_at = ctx.now
         if not pending:
             self._copiers_complete(ctx, state)
 
@@ -532,8 +514,8 @@ class CoordinatorRole:
                 txn=state.txn.txn_id,
                 refreshed=len(cleared),
             )
-        for record in self._copier_records.pop(state.txn.txn_id, []):
-            site.metrics.record_copier(record)
+        for _ in range(state.copiers_requested):
+            site.metrics.record_copier(batch=False)
         if cleared and site.config.clear_notice_mode is ClearNoticeMode.SPECIAL_TXN:
             # The special transaction (§2.2.3): one message per operational
             # peer, fire-and-forget, telling them which bits we cleared.
@@ -582,8 +564,6 @@ class CoordinatorRole:
             (item, write_value(txn.txn_id, item), -1)
             for item in txn.write_items
         ]
-        for item, value, _version in state.updates:
-            txn.writes[item] = value
         # Who actually receives each item's update — the exact clear/set
         # sets for fail-lock maintenance at every site.
         state.recipients = {
@@ -795,10 +775,12 @@ class CoordinatorRole:
         targets.update(extra_targets or [])
         for peer in sorted(targets):
             ctx.send(peer, MessageType.ABORT, {}, txn_id=txn.txn_id)
-        for record in self._copier_records.pop(txn.txn_id, []):
-            if record.finished_at < 0:
-                record.finished_at = ctx.now
-            site.metrics.record_copier(record)
+        if state.phase is CommitPhase.COPIER_WAIT:
+            # A transaction's copiers count once: when they complete, or
+            # here.  A coordinator that crashes while waiting counts none
+            # (``crash_reset`` drops the state).
+            for _ in range(state.copiers_requested):
+                site.metrics.record_copier(batch=False)
         txn.mark_aborted(reason, ctx.now)
         obs = site.network.obs
         if obs.enabled:

@@ -31,7 +31,7 @@ from repro.core.sessions import NominalSessionVector, SiteState
 from repro.core.strategy import COPY_CONTROL
 from repro.errors import ConfigurationError, ProtocolError
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.records import ControlRecord, CopierRecord, RecoveryPeriodRecord
+from repro.metrics.records import ControlRecord, RecoveryPeriodRecord
 from repro.net.endpoint import Endpoint, HandlerContext
 from repro.net.message import Message, MessageType
 from repro.net.network import Network
@@ -322,17 +322,7 @@ class DatabaseSite(Endpoint):
                 session=self.nsv.my_session,
             )
             self.recovery.note_copier_request(batch=True)
-            self.metrics.record_copier(
-                CopierRecord(
-                    txn_id=BATCH_COPIER_TXN,
-                    requester=self.site_id,
-                    source=source,
-                    items=len(batch_items),
-                    batch=True,
-                    started_at=ctx.now,
-                    finished_at=ctx.now,
-                )
-            )
+            self.metrics.record_copier(batch=True)
 
     def _on_batch_copy_resp(self, ctx: HandlerContext, msg: Message) -> None:
         copies = msg.payload["copies"]
@@ -722,7 +712,7 @@ class DatabaseSite(Endpoint):
     def _on_create_copy(self, ctx: HandlerContext, msg: Message) -> None:
         item = msg.payload["item"]
         ctx.charge(self.costs.create_copy_cost)
-        self.db.create_item(item, msg.payload["value"], msg.payload["version"], ctx.now)
+        self.db.create_item(item, msg.payload["value"], msg.payload["version"])
         self.catalog.add_copy(item, self.site_id)
         if not self.faillocks.tracks(item):
             self.faillocks.add_item(item)

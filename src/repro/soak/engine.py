@@ -48,10 +48,10 @@ from repro.workload.shapes import (
     HotKeyStormWorkload,
     LoadShape,
     RampShape,
-    WisconsinMixWorkload,
     next_arrival_ms,
 )
 from repro.workload.uniform import UniformWorkload
+from repro.workload.wisconsin import WisconsinWorkload
 from repro.workload.zipf import ZipfWorkload
 
 __all__ = ["SoakConfig", "SoakResult", "run_soak"]
@@ -137,9 +137,14 @@ class SoakConfig:
         if self.workload == "debitcredit":
             return DebitCreditWorkload(system.item_ids)
         if self.workload == "wisconsin":
-            return WisconsinMixWorkload(
-                system.item_ids, self.max_txn_size,
-                read_fraction=self.read_fraction,
+            # Scans sized to the transaction cap (shared-lock pressure over
+            # contiguous ranges), point updates (the write conflicts).
+            items = system.item_ids
+            return WisconsinWorkload(
+                items,
+                scan_length=min(self.max_txn_size, len(items)),
+                update_count=1,
+                scan_fraction=self.read_fraction,
             )
         raise ConfigurationError(f"unknown workload kind: {self.workload!r}")
 
@@ -306,7 +311,6 @@ class SoakManager(ControlPlane):
         # txn -> (coordinator, submitted_at, op count); O(in-flight).
         self.outstanding: dict[int, tuple[int, float, int]] = {}
         self.lost = 0
-        self.late_done = 0
         self.faults: list[FaultEvent] = []
 
     # -- arrivals ------------------------------------------------------------------
@@ -348,7 +352,6 @@ class SoakManager(ControlPlane):
             # Outcome for a transaction already settled as lost (its
             # coordinator crashed and later recovered, or a survivor
             # finished the commit on the coordinator's behalf).
-            self.late_done += 1
             self.metrics.pop_participants(msg.txn_id)
             return
         _coordinator, submitted_at, _size = entry

@@ -133,12 +133,11 @@ class SiteDatabase:
                 if item_id not in held:
                     continue
                 append(txn_id, item_id, 0, value, 0, version, time)
-                items[item_id] = DataItem(item_id, value, version, time)
+                items[item_id] = DataItem(item_id, value, version)
             else:
                 append(txn_id, item_id, item.value, value, item.version, version, time)
                 item.value = value
                 item.version = version
-                item.committed_at = time
             applied.append(item_id)
         if applied:
             self._signature = None
@@ -167,14 +166,14 @@ class SiteDatabase:
         """:meth:`install_copies` of one copy; True if it was installed."""
         return bool(self.install_copies(((item_id, value, version),), time, source_txn))
 
-    def create_item(self, item_id: int, value: int, version: int, time: float) -> None:
+    def create_item(self, item_id: int, value: int, version: int) -> None:
         """Materialize a brand-new copy (type-3 control transaction)."""
         if item_id in self._held:
             raise StorageError(
                 f"site {self.site_id} already holds a copy of item {item_id}"
             )
         self._held[item_id] = None
-        self._items[item_id] = DataItem(item_id, value, version, time)
+        self._items[item_id] = DataItem(item_id, value, version)
         self._signature = None
 
     def drop_item(self, item_id: int) -> None:

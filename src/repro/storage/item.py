@@ -18,7 +18,6 @@ class DataItem:
     item_id: int
     value: int = 0
     version: int = 0
-    committed_at: float = 0.0
 
     def __repr__(self) -> str:
         return f"DataItem(id={self.item_id}, value={self.value}, v={self.version})"

@@ -78,7 +78,6 @@ class CostModel:
 
     # Control transaction type 3 (extension; §3.2 proposal).
     create_copy_cost: float = 5.0
-    drop_copy_cost: float = 2.0
 
     # Concurrency-control extension ("complete RAID" mode).
     lock_request_cost: float = 0.2

@@ -54,7 +54,6 @@ class Transaction:
     submitted_at: float = -1.0
     finished_at: float = -1.0
     reads: dict[int, int] = field(default_factory=dict)
-    writes: dict[int, int] = field(default_factory=dict)
     # Distinct items read / written, in first-touch order.  ``ops`` never
     # changes after construction, and both sets are consulted on every hot
     # protocol step (planning, locking, reporting), so one pass over

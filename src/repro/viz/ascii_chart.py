@@ -23,14 +23,12 @@ class AsciiChart:
         height: int = 20,
         title: str = "",
         x_label: str = "Number of Transactions",
-        y_label: str = "Fail-Locks",
     ) -> None:
         if height < 4:
             raise ReproError(f"chart too small: {WIDTH}x{height}")
         self.height = height
         self.title = title
         self.x_label = x_label
-        self.y_label = y_label
         self._series: list[tuple[str, list[tuple[float, float]]]] = []
 
     def add_series(self, name: str, points: list[tuple[float, float]]) -> None:
@@ -99,7 +97,7 @@ def render_series(
 ) -> str:
     """One-call helper: ``{name: [(x, y), ...]}`` to an ASCII chart.
 
-    ``labels`` are the chart's ``x_label`` / ``y_label``.
+    ``labels`` is the chart's ``x_label``.
     """
     chart = AsciiChart(height=height, title=title, **labels)
     for name in series:

@@ -23,7 +23,6 @@ from repro.errors import WorkloadError
 from repro.sim.rng import RandomStream
 from repro.txn.operations import WRITE_PROBABILITY, OpKind, Operation
 from repro.workload.base import WorkloadGenerator
-from repro.workload.wisconsin import WisconsinWorkload
 from repro.workload.zipf import ZipfGenerator
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "next_arrival_ms",
     "HotKeyStormWorkload",
     "DebitCreditWorkload",
-    "WisconsinMixWorkload",
 ]
 
 
@@ -317,29 +315,3 @@ class DebitCreditWorkload(WorkloadGenerator):
             f"accounts={self.accounts})"
         )
 
-
-class WisconsinMixWorkload(WisconsinWorkload):
-    """Soak-selectable preset of the Wisconsin read/write mix.
-
-    A thin configuration of :class:`repro.workload.wisconsin
-    .WisconsinWorkload` in soak terms: scans are sized to the soak run's
-    ``max_txn_size`` cap, updates touch a single tuple (the Wisconsin
-    update queries are point updates), and ``read_fraction`` is the
-    probability a transaction is a scan.  Scans create shared-lock
-    pressure across contiguous item ranges while the scattered point
-    updates provide the write conflicts — the complementary shape to
-    DebitCredit's hot-spot writes.
-    """
-
-    def __init__(
-        self,
-        items: list[int],
-        max_txn_size: int,
-        read_fraction: float = 0.7,
-    ) -> None:
-        super().__init__(
-            list(items),
-            scan_length=min(max_txn_size, len(items)),
-            update_count=1,
-            scan_fraction=read_fraction,
-        )

@@ -21,9 +21,10 @@ from repro.check import CheckConfig, explore, run_schedule
 from repro.check import runner
 from repro.check.explorer import explore_parallel
 from repro.check.fingerprint import (
+    _entry_signature,
+    _live_entries,
     cluster_fingerprint,
     message_signature,
-    pending_signature,
 )
 from repro.net.network import Network
 from repro.obs.sink import TraceSink
@@ -41,6 +42,24 @@ _BENCH = CheckConfig(
     max_branch=4, max_drops=2, max_crashes=2, max_recoveries=2,
 )
 _BENCH_BUDGET = dict(max_runs=30, max_depth=80, stop_on_violation=False)
+
+
+def pending_signature(cluster) -> tuple:
+    """Signatures of all live pending events, sorted for stability — the
+    tuple whose ``repr`` ``cluster_fingerprint`` assembles from texts.
+
+    Sorted by repr rather than heap position: the heap's internal layout
+    depends on push/pop history, which is schedule history — exactly what
+    a state fingerprint must not observe.
+    """
+    scheduler = cluster.scheduler
+    now = scheduler.clock._now
+    return tuple(
+        sorted(
+            (_entry_signature(entry, now) for entry in _live_entries(scheduler)),
+            key=repr,
+        )
+    )
 
 
 def reference_fingerprint(cluster) -> str:

@@ -187,7 +187,7 @@ def harvest(cluster: Cluster) -> dict:
         "config": cluster.config,
         "counters": cluster.metrics.counters.as_dict(),
         "recoveries": [dataclasses.astuple(r) for r in cluster.metrics.recoveries],
-        "violations": len(cluster.metrics.violations),
+        "violations": len(getattr(cluster.sites[0].probe, "violations", ())),
         "messages": (
             network.messages_sent,
             network.messages_delivered,

@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.net.message import MessageType
+from repro.obs.events import EventKind
 from repro.system.cluster import Cluster
-from repro.system.config import ClearNoticeMode, SystemConfig
-from repro.system.scenario import FailSite, RecoverSite, Scenario, Weighted
+from repro.system.config import ClearNoticeMode, FailureDetection, SystemConfig
+from repro.system.scenario import FailSite, FixedSite, RecoverSite, Scenario, Weighted
 from repro.txn.operations import OpKind, Operation
 from repro.workload.base import WorkloadGenerator
 
-from conftest import make_scenario, messages, run_cluster
+from conftest import SETTLED, make_scenario, messages, run_cluster
 
 
 class Scripted(WorkloadGenerator):
@@ -113,15 +115,86 @@ def test_embedded_mode_sends_no_special_txn():
 
 
 def test_copier_recorded_in_metrics():
-    _cluster, metrics = copier_setup()
-    assert len(metrics.copiers) == 1
-    record = metrics.copiers[0]
-    assert record.requester == 2
-    assert record.items == 1
-    assert record.finished_at > record.started_at
+    """The exchange is counted once and priced by its transaction; the
+    trace shows site 2 asking for one item and, later, installing it."""
+    cluster, metrics = copier_setup()
+    assert metrics.counters["copiers"] == 1
+    (begin,) = messages(cluster, kinds=(EventKind.COPIER_BEGIN,))
+    (end,) = messages(cluster, kinds=(EventKind.COPIER_END,))
+    assert (begin.site, begin.args["items"]) == (2, 1)
+    assert end.site == 2 and end.t > begin.t
     txn = next(t for t in metrics.txns if t.copiers_requested == 1)
     assert txn.seq == 4
     assert txn.clear_notices_sent == 2
+
+
+def _copier_from_site_1(cluster, when=None, stop=None):
+    """Site 0 coordinates one read of item 1, whose local copy every site
+    records as stale, so it asks site 1 for it.  ``stop(cluster)`` runs
+    the instant the first ``when`` message has been delivered (polled
+    every 0.1 ms)."""
+
+    def poll():
+        if messages(cluster, when, kinds=SETTLED):
+            stop(cluster)
+            return
+        cluster.scheduler.schedule(0.1, poll)
+
+    for site in cluster.sites:
+        site.faillocks.set_locks([1], 0)
+    if stop is not None:
+        cluster.scheduler.schedule(0.0, poll)
+    scenario = Scenario(
+        workload=Scripted({1: [Operation(OpKind.READ, 1)]}),
+        txn_count=1,
+        policy=FixedSite(0),
+    )
+    return cluster.run(scenario)
+
+
+def _source_fails(cluster):
+    cluster.site(1).alive = False  # the COPY_REQ bounces
+
+
+def _coordinator_fails(cluster):
+    site = cluster.site(0)
+    cluster.network.spawn(site, lambda ctx: site._on_fail(ctx, None))
+
+
+@pytest.mark.parametrize(
+    "when, stop, copiers",
+    [
+        (None, None, 1),
+        (MessageType.MGR_SUBMIT_TXN, _source_fails, 1),
+        (MessageType.COPY_REQ, _coordinator_fails, 0),
+    ],
+    ids=["completed", "aborted-in-copier-wait", "coordinator-failed-in-copier-wait"],
+)
+def test_copiers_count_once_and_not_for_a_failed_coordinator(when, stop, copiers):
+    """A transaction's copiers are counted once: when they complete, or
+    when it aborts waiting for them.  A coordinator that fails while
+    waiting loses the transaction's volatile state, and its copiers are
+    never counted."""
+    config = SystemConfig(
+        db_size=5, num_sites=3, max_txn_size=2, seed=1,
+        detection=FailureDetection.TIMEOUT,
+    )
+    cluster = Cluster(config)
+    cluster.obs.enabled = True
+    if stop is _coordinator_fails:
+        with pytest.raises(SimulationError):  # no outcome ever reaches the driver
+            _copier_from_site_1(cluster, when, stop)
+        assert cluster.site(0).coordinator.active == {}
+        assert cluster.metrics.txns == []
+    else:
+        metrics = _copier_from_site_1(cluster, when, stop)
+        (txn,) = metrics.txns
+        assert txn.copiers_requested == 1
+        assert txn.committed is (stop is None)
+        if stop is _source_fails:
+            assert txn.abort_reason.value == "copier_source_down"
+    assert len(messages(cluster, MessageType.COPY_REQ)) == 1
+    assert cluster.metrics.counters["copiers"] == copiers
 
 
 def test_copier_denied_aborts():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments import run_figure1, run_scenario1
 from repro.workload.et1 import Et1Workload
-from repro.workload.readwrite import ReadWriteWorkload
+from repro.workload.uniform import UniformWorkload
 
 
 def test_figure1_with_custom_workload():
@@ -28,7 +28,7 @@ def test_figure1_shorter_down_window():
 
 def test_figure1_respects_max_txns_cap():
     result = run_figure1(seed=3, max_txns=120)
-    assert result.total_txns == 120
+    assert len(result.metrics.txns) == 120
 
 
 def test_scenario1_settle_flag():
@@ -43,7 +43,7 @@ def test_figure1_read_heavy_workload_needs_more_copiers():
     read_heavy = run_figure1(
         seed=5,
         recovering_share=0.3,
-        workload=ReadWriteWorkload(list(range(50)), 5, write_probability=0.15),
+        workload=UniformWorkload(list(range(50)), 5, write_probability=0.15),
     )
     # The §5 prediction again, through the figure-1 runner.
     assert read_heavy.copiers >= balanced.copiers

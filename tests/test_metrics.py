@@ -152,20 +152,18 @@ def test_availability_peak_and_recovery():
     report = availability_of(samples(series), 0, db_size=50)
     assert report.peak_locks == 30
     assert report.peak_seq == 4          # end of the plateau
-    assert report.recovery_end_seq == 8
-    assert report.txns_to_recover == 4
-    assert report.min_availability == pytest.approx(1 - 30 / 50)
+    assert report.txns_to_recover == 4   # back at zero at seq 8
 
 
 def test_availability_no_failure():
     report = availability_of(samples([0, 0, 0]), 0, db_size=50)
     assert report.peak_locks == 0
-    assert report.min_availability == 1.0
+    assert report.txns_to_recover == -1
+    assert report.clearing_buckets == []
 
 
 def test_availability_unrecovered():
     report = availability_of(samples([10, 20, 20, 18]), 0, db_size=50)
-    assert report.recovery_end_seq == -1
     assert report.txns_to_recover == -1
 
 
@@ -180,4 +178,4 @@ def test_availability_clearing_buckets():
 def test_availability_empty_samples():
     report = availability_of([], 0, db_size=50)
     assert report.peak_locks == 0
-    assert report.recovery_end_seq == -1
+    assert report.txns_to_recover == -1

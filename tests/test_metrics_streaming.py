@@ -135,7 +135,6 @@ def test_windows_are_contiguous_across_quiet_spans():
     series.note_arrival(50.0)
     series.note_arrival(950.0)  # windows 1..8 are quiet but must exist
     assert len(series) == 10
-    assert [w.index for w in series.windows] == list(range(10))
     assert [w.start_ms for w in series.windows] == [i * 100.0 for i in range(10)]
     assert series.windows[0].arrivals == 1
     assert all(w.arrivals == 0 for w in series.windows[1:9])
@@ -155,16 +154,16 @@ def test_window_done_and_availability():
 
 
 def test_empty_window_availability_is_none():
-    assert Window(0, 0.0).availability is None
+    assert Window(0.0).availability is None
 
 
 def test_on_open_fires_once_per_window_in_order():
     opened = []
     series = WindowedSeries(50.0)
-    series.on_open = lambda w: opened.append(w.index)  # as the soak engine does
+    series.on_open = lambda w: opened.append(w.start_ms)  # as the soak engine does
     series.note_arrival(175.0)  # creates windows 0..3 at once
     series.note_arrival(20.0)  # window 0 already exists: no new callback
-    assert opened == [0, 1, 2, 3]
+    assert opened == [0.0, 50.0, 100.0, 150.0]
 
 
 def test_windowed_series_rejects_bad_width():

@@ -133,13 +133,14 @@ def test_config_validation_rejects_bad_knobs():
 
 
 def test_benchmark_mixes_are_soak_selectable():
-    from repro.workload.shapes import DebitCreditWorkload, WisconsinMixWorkload
+    from repro.workload.shapes import DebitCreditWorkload
+    from repro.workload.wisconsin import WisconsinWorkload
 
     cfg = SoakConfig(workload="debitcredit")
     assert isinstance(cfg.build_workload(cfg.system_config()), DebitCreditWorkload)
     cfg = SoakConfig(workload="wisconsin", read_fraction=0.4)
     wisconsin = cfg.build_workload(cfg.system_config())
-    assert isinstance(wisconsin, WisconsinMixWorkload)
+    assert isinstance(wisconsin, WisconsinWorkload)
     assert wisconsin.scan_fraction == 0.4
 
 

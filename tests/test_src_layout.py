@@ -1,5 +1,5 @@
-"""No module, public ``def`` or class, or option under ``src/repro`` that
-only tests reach, and one statement of each copy-control strategy and
+"""No module, public ``def`` or class, option or state under ``src/repro``
+that only tests reach, and one statement of each copy-control strategy and
 recovery policy.
 
 ROADMAP axis 2, made executable: every module must be imported by the
@@ -9,7 +9,9 @@ program; an import from there keeps nothing alive.  One level down,
 every public class, function, method and property must be named by the
 program — ``src/``, ``bench/`` or ``examples/`` — outside its own body.
 And every defaulted parameter and dataclass field must be set by the
-program to something: an option only tests set is a constant.
+program to something: an option only tests set is a constant.  Every
+attribute a class keeps must be read by the program: state only tests
+read is not kept.
 
 A package ``__init__`` that re-exports a name is not an importer either:
 ``from repro.workload import UniformWorkload`` counts for
@@ -188,16 +190,16 @@ def _references(tree: ast.Module, package_init: bool):
     attribute, an imported name, or a string constant that is exactly
     ``name`` or ``Class.name`` (so the bench's entry-point and call-count
     tables and a site's dispatch table count, and a docstring does not).
-    A package ``__init__``'s imports and ``__all__`` are re-exports, not
-    uses."""
+    A package ``__init__``'s imports and any module's ``__all__`` are
+    re-exports, not uses: a name a module lists for export is not thereby
+    used by the program."""
     skip = set()
-    if package_init:
-        for node in tree.body:
-            if isinstance(node, (ast.Import, ast.ImportFrom)) or (
-                isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-            ):
-                skip.update(map(id, ast.walk(node)))
+    for node in tree.body:
+        if (package_init and isinstance(node, (ast.Import, ast.ImportFrom))) or (
+            isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        ):
+            skip.update(map(id, ast.walk(node)))
     for node in ast.walk(tree):
         if id(node) in skip:
             continue
@@ -639,6 +641,209 @@ def test_an_allowlist_entry_that_excuses_nothing_fails():
         )
     with pytest.raises(AssertionError):
         _only_allowed(["repro.launch:Launcher(backoff_ms)"], set())
+
+
+# -- every piece of state is read by the program --------------------------------
+
+# ``module:Class.name`` (a trailing ``*`` matches a prefix) excused from
+# the rule below; each entry must excuse at least one attribute or field.
+ALLOWED_STATE = {
+    # ``bench/workloads.py`` reads the stats whole, through ``asdict``, into
+    # the pinned ``chaos-sweep`` digest.
+    "repro.net.reliable:ReliableStats.*",
+    # What a redo record holds; the log's future is ROADMAP 8's to decide.
+    "repro.storage.log:LogRecord.*",
+    # The pinned open-loop row digests of the write-path and commit-phase
+    # tests read every record (ROADMAP 2 moves pins into one ledger).
+    "repro.system.openloop:OpenLoopResult.records",
+    # The candidates a choice point hashes into its fingerprint, kept on
+    # the decision: the check-runner tests check what each hook offers.
+    "repro.check.choices:Decision.labels",
+    # The model's CPU and delivery accounts: the CPU, network and
+    # cost-model tests check the model against them.
+    "repro.sim.cpu:CpuResource.busy_ms",
+    "repro.net.network:Network.messages_delivered",
+    # The fail-locks left after the final drain, which no sample records;
+    # the Figure 2/3 tests check them.
+    "repro.experiments.exp3:ScenarioResult.final_locks",
+}
+
+# A load of ``x.<name>`` that only receives one of these calls changes the
+# state it names without reading it.
+MUTATORS = {
+    "append", "extend", "add", "update", "clear", "discard", "insert", "remove",
+    "appendleft",
+}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        "dataclass" in (getattr(d, "id", None), getattr(d, "attr", None))
+        for d in (getattr(deco, "func", deco) for deco in cls.decorator_list)
+    )
+
+
+def _state(cls: ast.ClassDef):
+    """``(name, line)`` of each attribute ``cls`` keeps: every ``self.<name>``
+    its own methods assign (plain, annotated or augmented), and each field
+    if it is a dataclass (a ``ClassVar`` is not a field)."""
+    if _is_dataclass(cls):
+        for stmt in cls.body:
+            if (
+                isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and "ClassVar" not in ast.unparse(stmt.annotation)
+            ):
+                yield stmt.target.id, stmt.lineno
+    stack = [stmt for stmt in cls.body if not isinstance(stmt, ast.ClassDef)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            continue  # a nested class keeps its own state
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if (
+                        isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Store)
+                        and getattr(sub.value, "id", None) == "self"
+                    ):
+                        yield sub.attr, node.lineno
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _reads(tree: ast.Module):
+    """Names ``tree`` reads as state: a load of ``x.<name>`` anywhere but
+    in a ``__repr__`` body or as the receiver of a mutating call
+    (``x.<name>.append(...)``), and a string constant that is exactly
+    ``<name>`` (a ``getattr`` table, a payload key)."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+            node.name == "__repr__"
+        ):
+            skip.update(map(id, ast.walk(node)))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATORS
+        ):
+            skip.add(id(node.func.value))
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+        ):
+            yield node.value
+
+
+def unread_state(root: Path) -> list[str]:
+    """``module:Class.name`` of every attribute a class under
+    ``root/src/repro`` assigns through ``self.<name>``, and of every
+    dataclass field, that no program file under ``root`` reads.
+
+    Like the def rule it works by name, so it has blind spots.  State whose
+    name some other object's attribute shares is read as far as it can
+    tell (a collector's log of copier exchanges named ``copiers`` hides
+    behind the ``copiers`` counter), and so is a dict only ever
+    subscripted on the left of an assignment.  A field read whole,
+    through ``asdict`` or ``vars``, is not read by name at all: it is
+    reported, and only an allowlist entry can say the whole is read."""
+    reads: set[str] = set()
+    for path in _program(root):
+        reads.update(_reads(_parse(path)))
+    found = set()
+    for path in sorted((root / "src").glob("repro/**/*.py")):
+        module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
+        for cls in ast.walk(_parse(path)):
+            if isinstance(cls, ast.ClassDef):
+                for name, _ in _state(cls):
+                    if name not in reads:
+                        found.add(f"{module}:{cls.name}.{name}")
+    return sorted(found)
+
+
+def test_every_piece_of_state_is_read_by_the_program():
+    """An attribute the program writes and never reads costs its writes on
+    every run and reads nothing back; what a test wants to observe it must
+    observe through what the program reads."""
+    _only_allowed(unread_state(REPO), ALLOWED_STATE)
+
+
+LEDGER = """
+    from dataclasses import dataclass, field
+    from typing import ClassVar
+
+    class Ledger:
+        def __init__(self):
+            self.total = 0
+            self.entries = []
+            self.misses: int = 0
+            self.kind = "ledger"
+
+        def post(self, amount):
+            self.total += amount
+            self.misses += 1
+            self.entries.append(amount)  # a write, not a read
+
+        def __repr__(self):
+            return f"Ledger({self.misses}, {self.entries})"  # not a read either
+
+    @dataclass
+    class Entry:
+        amount: int
+        note: str = ""
+        tags: list = field(default_factory=list)
+        LIMIT: ClassVar[int] = 10
+"""
+
+
+def test_the_state_rule_reports_what_only_tests_read(tmp_path):
+    root = _plant(tmp_path, {
+        "src/repro/ledger.py": LEDGER,
+        "bench/run.py": """
+            from repro.ledger import Entry, Ledger
+            ledger = Ledger()
+            ledger.post(Entry(3).amount)
+            print(ledger.total, ledger.kind)
+        """,
+        "tests/test_ledger.py": """
+            from repro.ledger import Entry, Ledger
+            assert Ledger().misses == 0 and Ledger().entries == []
+            assert Entry(1, "x").note == "x" and Entry(1).tags == []
+        """,
+    })
+    assert unread_state(root) == [
+        "repro.ledger:Entry.note",
+        "repro.ledger:Entry.tags",
+        "repro.ledger:Ledger.entries",
+        "repro.ledger:Ledger.misses",
+    ]
+
+
+def test_the_state_rule_counts_a_load_and_a_string_constant(tmp_path):
+    """A load of the name anywhere in the program reads it (by name, not by
+    owner), and so does a string constant that is exactly the name: a
+    ``getattr`` table or a payload key."""
+    root = _plant(tmp_path, {
+        "src/repro/ledger.py": LEDGER,
+        "bench/run.py": """
+            from repro.ledger import Entry, Ledger
+            ledger = Ledger()
+            ledger.post(Entry(3).amount)
+            print(ledger.total, ledger.kind, len(ledger.entries))
+            FIELDS = ("misses", "note")
+            print([getattr(Entry(1), name, None) for name in FIELDS])
+            print({"tags": 1}, "the misses and the note")
+        """,
+    })
+    assert unread_state(root) == []
 
 
 # -- one statement of each strategy and policy -------------------------------

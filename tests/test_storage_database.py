@@ -59,7 +59,6 @@ def test_apply_write_direct(db):
     assert db.apply_writes(5, [(3, 42, 5)], time=1.0) == [3]
     assert db.read(3) == 42
     assert db.version(3) == 5
-    assert db.get(3).committed_at == 1.0
 
 
 def test_apply_writes_skips_items_not_held(db):
@@ -88,7 +87,7 @@ def test_install_copy_refuses_equal_version(db):
 
 
 def test_create_and_drop_item(db):
-    db.create_item(10, 5, 3, time=1.0)
+    db.create_item(10, 5, 3)
     assert db.read(10) == 5
     db.drop_item(10)
     assert 10 not in db
@@ -96,7 +95,7 @@ def test_create_and_drop_item(db):
 
 def test_create_existing_item_rejected(db):
     with pytest.raises(StorageError):
-        db.create_item(1, 0, 0, time=0.0)
+        db.create_item(1, 0, 0)
 
 
 def test_drop_missing_item_rejected(db):
@@ -127,4 +126,4 @@ def test_snapshot_tuple(db):
     assert db.snapshots([2, 0]) == [(2, 9, 4), (0, 0, 0)]
     with pytest.raises(UnknownItemError):
         db.snapshots([1, 99])
-    assert db.get(2) == DataItem(item_id=2, value=9, version=4, committed_at=1.0)
+    assert db.get(2) == DataItem(item_id=2, value=9, version=4)

@@ -1,4 +1,4 @@
-"""SiteDatabase against a plain ``dict[item] -> (value, version, committed_at)``.
+"""SiteDatabase against a plain ``dict[item] -> (value, version)``.
 
 A copy becomes a ``DataItem`` only when first written, so the database
 keeps two maps where the model keeps one.  Seeded random sequences of
@@ -22,11 +22,11 @@ from repro.system.config import SystemConfig
 
 from conftest import copies
 
-DEFAULT = (0, 0, 0.0)
+DEFAULT = (0, 0)
 
 
 class Model:
-    """The database as one dict of (value, version, committed_at)."""
+    """The database as one dict of (value, version)."""
 
     def __init__(self, items):
         self.copies = {i: DEFAULT for i in items}
@@ -38,11 +38,11 @@ class Model:
             raise UnknownItemError(item)
 
     def _write(self, txn, item, value, version, time):
-        old_value, old_version, _at = self.copies[item]
+        old_value, old_version = self.copies[item]
         self.log.append(
             (len(self.log) + 1, txn, item, old_value, value, old_version, version, time)
         )
-        self.copies[item] = (value, version, time)
+        self.copies[item] = (value, version)
 
     def read(self, item):
         self._held(item)
@@ -59,7 +59,7 @@ class Model:
     def snapshots(self, items):
         for item in items:
             self._held(item)
-        return [(i, *self.copies[i][:2]) for i in items]
+        return [(i, *self.copies[i]) for i in items]
 
     def stage(self, txn, updates):
         if txn in self.staged:
@@ -95,10 +95,10 @@ class Model:
     def install_copy(self, item, value, version, time, source_txn=-1):
         return bool(self.install_copies([(item, value, version)], time, source_txn))
 
-    def create_item(self, item, value, version, time):
+    def create_item(self, item, value, version):
         if item in self.copies:
             raise StorageError(item)
-        self.copies[item] = (value, version, time)
+        self.copies[item] = (value, version)
 
     def drop_item(self, item):
         self._held(item)
@@ -111,7 +111,7 @@ class Model:
 
     def signature(self):
         return (
-            tuple((i, *self.copies[i][:2]) for i in sorted(self.copies)),
+            tuple((i, *self.copies[i]) for i in sorted(self.copies)),
             tuple((txn, tuple(u)) for txn, u in sorted(self.staged.items())),
         )
 
@@ -145,7 +145,7 @@ def _random_op(rng, step):
     if kind == "install_copy":
         return kind, (*update(), time)
     if kind == "create_item":
-        return kind, (*update(), time)
+        return kind, update()
     return kind, ()
 
 

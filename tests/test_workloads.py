@@ -5,10 +5,11 @@ import random
 import pytest
 
 from repro.errors import WorkloadError
+from repro.soak.engine import SoakConfig
+from repro.system.config import SystemConfig
 from repro.txn.operations import OpKind
 from repro.workload.et1 import Et1Workload
-from repro.workload.readwrite import ReadWriteWorkload
-from repro.workload.shapes import DebitCreditWorkload, WisconsinMixWorkload
+from repro.workload.shapes import DebitCreditWorkload
 from repro.workload.uniform import UniformWorkload
 from repro.workload.wisconsin import WisconsinWorkload
 from repro.workload.zipf import ZipfWorkload
@@ -46,7 +47,7 @@ def test_uniform_validation():
 
 
 def test_readwrite_ratio(rng):
-    wl = ReadWriteWorkload(ITEMS, max_txn_size=8, write_probability=0.2)
+    wl = UniformWorkload(ITEMS, max_txn_size=8, write_probability=0.2)
     ops = [op for seq in range(500) for op in wl.generate(seq, rng)]
     writes = sum(1 for op in ops if op.kind is OpKind.WRITE)
     assert 0.15 < writes / len(ops) < 0.25
@@ -54,7 +55,7 @@ def test_readwrite_ratio(rng):
 
 def test_readwrite_validation():
     with pytest.raises(WorkloadError):
-        ReadWriteWorkload(ITEMS, 5, write_probability=2.0)
+        UniformWorkload(ITEMS, 5, write_probability=2.0)
 
 
 def test_zipf_skews_to_low_ranks(rng):
@@ -192,8 +193,14 @@ def test_debitcredit_too_small_rejected():
         DebitCreditWorkload([1, 2])
 
 
+def _soak_wisconsin(items, read_fraction=0.7):
+    """The Wisconsin mix a soak run builds, at a transaction cap of 5."""
+    config = SoakConfig(workload="wisconsin", max_txn_size=5, read_fraction=read_fraction)
+    return config.build_workload(SystemConfig(db_size=len(items), num_sites=3))
+
+
 def test_wisconsin_mix_preset_configuration(rng):
-    wl = WisconsinMixWorkload(ITEMS, max_txn_size=5, read_fraction=0.7)
+    wl = _soak_wisconsin(ITEMS, read_fraction=0.7)
     assert wl.scan_length == 5
     assert wl.update_count == 1
     assert wl.scan_fraction == 0.7
@@ -203,11 +210,11 @@ def test_wisconsin_mix_preset_configuration(rng):
     }
     assert kinds == {"scan", "update"}
     # Scan length is capped by the item space, not just max_txn_size.
-    tiny = WisconsinMixWorkload(ITEMS[:3], max_txn_size=5)
+    tiny = _soak_wisconsin(ITEMS[:3])
     assert tiny.scan_length == 3
 
 
 def test_wisconsin_mix_determinism():
-    wl = WisconsinMixWorkload(ITEMS, max_txn_size=5)
+    wl = _soak_wisconsin(ITEMS)
     assert _op_trace(wl, seed=3) == _op_trace(wl, seed=3)
     assert _op_trace(wl, seed=3) != _op_trace(wl, seed=4)
