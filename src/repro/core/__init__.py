@@ -11,14 +11,7 @@ during recovery.
 from repro.core.sessions import SiteState, SessionRecord, NominalSessionVector
 from repro.core.faillocks import FailLockTable
 from repro.core.rowaa import ReadPlan, ReadSource, RowaaPlanner
-from repro.core.control import (
-    RecoveryAnnouncement,
-    RecoveryState,
-    FailureAnnouncement,
-    encode_vector,
-    decode_vector,
-)
-from repro.core.copier import choose_copier_source, build_copy_request, apply_copy_response
+from repro.core.copier import choose_copier_source
 from repro.core.recovery import RecoveryManager, RecoveryPolicy
 
 __all__ = [
@@ -29,14 +22,7 @@ __all__ = [
     "ReadPlan",
     "ReadSource",
     "RowaaPlanner",
-    "RecoveryAnnouncement",
-    "RecoveryState",
-    "FailureAnnouncement",
-    "encode_vector",
-    "decode_vector",
     "choose_copier_source",
-    "build_copy_request",
-    "apply_copy_response",
     "RecoveryManager",
     "RecoveryPolicy",
 ]

@@ -12,6 +12,7 @@ while a transaction is in flight.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.errors import SessionError
@@ -36,9 +37,6 @@ class SessionRecord:
     site_id: int
     session: int = 1
     state: SiteState = SiteState.UP
-
-    def copy(self) -> "SessionRecord":
-        return SessionRecord(site_id=self.site_id, session=self.session, state=self.state)
 
 
 class NominalSessionVector:
@@ -174,27 +172,26 @@ class NominalSessionVector:
         self._transition(record, SiteState.RECOVERING)
         return record.session
 
-    def install(self, records: list[SessionRecord]) -> None:
+    def install(self, rows: Iterable[tuple[int, int, str]]) -> None:
         """Adopt a peer's vector (type-1 reply), keeping the owner's own
-        entry — the recovering site knows its own state best."""
-        own = self.record(self.owner)
+        entry — the recovering site knows its own state best.  ``rows`` are
+        ``(site, session, state value)``, as :meth:`signature` builds them:
+        that is the vector's wire format."""
         self._up_mask = -1
         self._up = None
         self._signature = None
-        for incoming in records:
-            if incoming.site_id == self.owner:
+        records = self._records
+        for site, session, state in rows:
+            if site == self.owner:
                 continue
-            if incoming.site_id not in self._records:
-                raise SessionError(f"unknown site {incoming.site_id} in vector")
-            self._records[incoming.site_id] = incoming.copy()
-        self._records[self.owner] = own
-
-    def snapshot(self) -> list[SessionRecord]:
-        """A deep copy of all records (what a type-1 reply ships)."""
-        return [self._records[s].copy() for s in self.site_ids]
+            if site not in records:
+                raise SessionError(f"unknown site {site} in vector")
+            records[site] = SessionRecord(site, session, SiteState(state))
 
     def signature(self) -> tuple:
-        """Hashable snapshot of the whole vector (``repro.check``)."""
+        """Hashable snapshot of the whole vector (``repro.check``), one
+        ``(site, session, state value)`` row per site — also what a type-1
+        reply ships."""
         signature = self._signature
         if signature is None:
             signature = self._signature = tuple(

@@ -460,7 +460,7 @@ class CoordinatorRole:
             ctx.send(
                 source,
                 MessageType.COPY_REQ,
-                copier_mod.build_copy_request(items),
+                {"items": sorted(items)},
                 txn_id=txn_id,
                 session=site.nsv.my_session,
             )
@@ -476,16 +476,15 @@ class CoordinatorRole:
         copies = msg.payload["copies"]
         ctx.charge(site.costs.copy_install_cost * len(copies))
         local = [c for c in copies if c[0] in site.db]
-        copier_mod.apply_copy_response(
-            site.db, site.faillocks, site.site_id, local, ctx.now
-        )
+        site.db.install_copies(local, ctx.now)
+        site.faillocks.clear_locks([item for item, _v, _ver in local], site.site_id)
         if local:
             site.recovery.note_refreshed_by_copier(len(local), ctx.now)
-        # Items we hold no copy of (partial replication): record the value
-        # for the read, nothing to install or clear.
-        for item, value, _version in copies:
+        # Items we hold no copy of (partial replication): record the
+        # version the read saw, nothing to install or clear.
+        for item, _value, version in copies:
             if item not in site.db:
-                state.txn.reads[item] = value
+                state.txn.reads[item] = version
         state.copier_items.extend(item for item, _v, _ver in local)
         pending = self._copier_pending.get(txn_id, {})
         pending.pop(msg.src, None)
@@ -519,7 +518,7 @@ class CoordinatorRole:
         if cleared and site.config.clear_notice_mode is ClearNoticeMode.SPECIAL_TXN:
             # The special transaction (§2.2.3): one message per operational
             # peer, fire-and-forget, telling them which bits we cleared.
-            payload = copier_mod.build_clear_notice(site.site_id, cleared)
+            payload = {"site": site.site_id, "items": cleared}
             for peer in site.nsv.operational_peers():
                 ctx.charge(site.costs.clear_notice_format_cost)
                 ctx.send(
@@ -548,14 +547,14 @@ class CoordinatorRole:
         txn = state.txn
 
         # Reads: served from the local copy (fully replicated, and any
-        # fail-locked copy was refreshed by a copier above).  Remote-fetched
-        # values (partial replication) are already in txn.reads.  Under
-        # quorum the local value is provisional until the vote returns
-        # versions.
+        # fail-locked copy was refreshed by a copier above); each records
+        # the version it saw.  Remote-fetched versions (partial
+        # replication) are already in txn.reads.  Under quorum the local
+        # version is provisional until the votes return theirs.
         db, reads = site.db, txn.reads
         for item in txn.read_items:
             if item in db:
-                reads[item] = db.read(item)
+                reads[item] = db.version(item)
 
         # Writes: deterministic values.  The version is stamped at the
         # commit point (see _commit_version) so that per-item versions are
@@ -698,12 +697,12 @@ class CoordinatorRole:
     def _merge_quorum_reads(
         self, state: CoordinatorState, versions: list[tuple[int, int, int]]
     ) -> None:
-        """Adopt any newer copies a quorum peer reported for read items."""
-        txn = state.txn
-        for item, value, version in versions:
-            local_version = self.site.db.version(item)
-            if version > local_version and item in txn.reads:
-                txn.reads[item] = value
+        """Keep, for each read item, the highest version read so far: the
+        local copy's or a quorum peer's."""
+        reads = state.txn.reads
+        for item, _value, version in versions:
+            if item in reads and version > reads[item]:
+                reads[item] = version
 
     def on_vote_nack(
         self, ctx: HandlerContext, state: CoordinatorState, msg: Message

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, TYPE_CHECKING
 
-from repro.core import copier as copier_mod
 from repro.net.endpoint import HandlerContext
 from repro.net.message import Message, MessageType
 from repro.obs.events import EventKind
@@ -224,9 +223,7 @@ class ParticipantRole:
         if embedded:
             ctx.charge(site.costs.clear_notice_apply_cost)
             for owner, items in embedded.items():
-                copier_mod.apply_clear_notice(
-                    site.faillocks, {"site": owner, "items": items}
-                )
+                site.faillocks.clear_locks(items, owner)
 
         ack_payload: dict = {}
         read_items = msg.payload.get("read_items")

@@ -12,12 +12,6 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Optional
 
-from repro.core import copier as copier_mod
-from repro.core.control import (
-    FailureAnnouncement,
-    RecoveryAnnouncement,
-    RecoveryState,
-)
 from repro.core.faillocks import FailLockTable
 from repro.core.recovery import (
     OnDemandRecovery,
@@ -285,14 +279,17 @@ class DatabaseSite(Endpoint):
         ctx.send(
             msg.src,
             MessageType.COPY_RESP,
-            copier_mod.build_copy_response(self.db, items),
+            {"copies": self.db.snapshots(sorted(items))},
             txn_id=msg.txn_id,
             session=self.nsv.my_session,
         )
 
     def _on_clear_faillocks(self, ctx: HandlerContext, msg: Message) -> None:
+        """The special transaction: a peer's copier cleared ``items`` of
+        ``site``'s fail-locks.  Bits already clear stay clear."""
+        owner, items = msg.payload["site"], msg.payload["items"]
         ctx.charge(self.costs.clear_notice_apply_cost)
-        copier_mod.apply_clear_notice(self.faillocks, msg.payload)
+        self.faillocks.clear_locks(items, owner)
         obs = self.network.obs
         if obs.enabled:
             obs.emit(
@@ -300,8 +297,8 @@ class DatabaseSite(Endpoint):
                 EventKind.FAILLOCK_CLEAR,
                 site=self.site_id,
                 txn=msg.txn_id,
-                owner=msg.payload.get("site", -1),
-                items=len(msg.payload.get("items", ())),
+                owner=owner,
+                items=len(items),
             )
 
     # -- batch copiers (two-step and parallel recovery) ---------------------------------
@@ -317,7 +314,7 @@ class DatabaseSite(Endpoint):
             ctx.send(
                 source,
                 MessageType.COPY_REQ,
-                copier_mod.build_copy_request(batch_items),
+                {"items": sorted(batch_items)},
                 txn_id=BATCH_COPIER_TXN,
                 session=self.nsv.my_session,
             )
@@ -327,14 +324,14 @@ class DatabaseSite(Endpoint):
     def _on_batch_copy_resp(self, ctx: HandlerContext, msg: Message) -> None:
         copies = msg.payload["copies"]
         ctx.charge(self.costs.copy_install_cost * len(copies))
-        copier_mod.apply_copy_response(
-            self.db, self.faillocks, self.site_id, copies, ctx.now
-        )
+        # A copy already as new here is not installed, but its fail-lock
+        # is cleared all the same: the local copy is current.
+        self.db.install_copies(copies, ctx.now)
+        items = [item for item, _v, _ver in copies]
+        self.faillocks.clear_locks(items, self.site_id)
         self.recovery.note_refreshed_by_copier(len(copies), ctx.now)
         self._batch_pending.pop(msg.src, None)
-        payload = copier_mod.build_clear_notice(
-            self.site_id, [item for item, _v, _ver in copies]
-        )
+        payload = {"site": self.site_id, "items": sorted(items)}
         for peer in self.nsv.operational_peers():
             ctx.charge(self.costs.clear_notice_format_cost)
             ctx.send(peer, MessageType.CLEAR_FAILLOCKS, payload, txn_id=BATCH_COPIER_TXN)
@@ -342,6 +339,15 @@ class DatabaseSite(Endpoint):
         self._maybe_issue_batch_copiers(ctx)
 
     # -- control transaction type 2 ------------------------------------------------------
+    #
+    # Issued by a site that has determined one or more previously
+    # operational sites have failed (paper §1.1); the survivors mark them
+    # DOWN.  FAILURE_ANNOUNCE {"announcer", "failed", "stale_items"}:
+    # ``stale_items`` is corrective fail-lock information for Appendix A's
+    # commit-phase case — a participant that died between acking phase one
+    # and receiving the commit never applied those items, so the survivors
+    # (re)set its bits even though they may have just cleared them while
+    # committing.
 
     def announce_failure(
         self,
@@ -349,12 +355,8 @@ class DatabaseSite(Endpoint):
         failed_sites: list[int],
         stale_items: Optional[list[int]] = None,
     ) -> None:
-        """Run a type-2 control transaction for ``failed_sites``.
-
-        ``stale_items`` carries corrective fail-lock information for the
-        commit-phase failure case (see
-        :class:`~repro.core.control.FailureAnnouncement`).
-        """
+        """Run a type-2 control transaction for ``failed_sites``, with
+        ``stale_items`` as its corrective fail-lock information."""
         newly = [
             s for s in failed_sites if self.nsv.state_of(s) is not SiteState.DOWN
         ]
@@ -373,25 +375,30 @@ class DatabaseSite(Endpoint):
                 )
         stale_items = sorted(stale_items or [])
         self._set_corrective_locks(ctx, failed_sites, stale_items)
-        announcement = FailureAnnouncement(
-            announcer=self.site_id, failed_sites=failed_sites, stale_items=stale_items
-        )
+        payload = {
+            "announcer": self.site_id,
+            "failed": list(failed_sites),
+            "stale_items": stale_items,
+        }
         for peer in self.nsv.operational_peers():
             ctx.send(
                 peer,
                 MessageType.FAILURE_ANNOUNCE,
-                announcement.to_payload(),
+                payload,
                 session=self.nsv.my_session,
             )
 
     def _on_failure_announce(self, ctx: HandlerContext, msg: Message) -> None:
         started = msg.send_time - self.costs.msg_send_cost
         ctx.charge(self.costs.control2_update_cost)
-        announcement = FailureAnnouncement.from_payload(msg.payload)
-        announcement.apply(self.nsv)
+        failed_sites = msg.payload["failed"]
+        nsv = self.nsv
+        for site in failed_sites:
+            if nsv.state_of(site) is not SiteState.DOWN:
+                nsv.mark_down(site)
         obs = self.network.obs
         if obs.enabled:
-            for failed in announcement.failed_sites:
+            for failed in failed_sites:
                 obs.emit(
                     ctx.now,
                     EventKind.NSV_MARK_DOWN,
@@ -399,9 +406,7 @@ class DatabaseSite(Endpoint):
                     peer=failed,
                     role="operational",
                 )
-        self._set_corrective_locks(
-            ctx, announcement.failed_sites, announcement.stale_items
-        )
+        self._set_corrective_locks(ctx, failed_sites, msg.payload["stale_items"])
         self._record_control(ctx, 2, "operational", max(started, 0.0))
 
     def _set_corrective_locks(
@@ -442,7 +447,16 @@ class DatabaseSite(Endpoint):
 
         ctx.on_done(record)
 
-    # -- failure and recovery of this site ---------------------------------------------
+    # -- failure and recovery of this site: control transaction type 1 -------------------
+    #
+    # Issued by a recovering site (paper §1.1).  It announces the site's new
+    # session number to every operational site, so they add it back to
+    # their vectors, and obtains from one operational site a copy of the
+    # session vector and fail-locks to install locally.
+    # RECOVERY_ANNOUNCE {"site", "session", "respond", "cold"} names the one
+    # peer that answers; RECOVERY_STATE {"responder", "vector",
+    # "faillocks"} ships the vector as ``NominalSessionVector.signature()``
+    # rows and the fail-lock table as ``{item: mask}``.
 
     def _on_fail(self, ctx: HandlerContext, msg: Message) -> None:
         """The managing site ordered a (simulated) crash: stop participating
@@ -508,16 +522,15 @@ class DatabaseSite(Endpoint):
         believed_up = [s for s in peers if self.nsv.is_operational(s)]
         believed_down = [s for s in peers if s not in believed_up]
         self._recovery_candidates = believed_up + believed_down
-        responder = self._recovery_candidates.pop(0)
-        announcement = RecoveryAnnouncement(
-            site_id=self.site_id, new_session=new_session
-        )
-        for peer in peers:
-            payload = announcement.to_payload()
-            payload["respond"] = responder
+        payload = {
+            "site": self.site_id,
+            "session": new_session,
+            "respond": self._recovery_candidates.pop(0),
             # A cold crash lost every copy: peers must fail-lock our whole
             # database so recovery refreshes all of it.
-            payload["cold"] = self.config.cold_recovery
+            "cold": self.config.cold_recovery,
+        }
+        for peer in peers:
             ctx.send(
                 peer,
                 MessageType.RECOVERY_ANNOUNCE,
@@ -532,43 +545,52 @@ class DatabaseSite(Endpoint):
         self._record_recovery_done(ctx)
 
     def _on_recovery_announce(self, ctx: HandlerContext, msg: Message) -> None:
-        announcement = RecoveryAnnouncement.from_payload(msg.payload)
+        payload = msg.payload
+        recovering, session = payload["site"], payload["session"]
         ctx.charge(self.costs.control1_announce_cost)
         # The announced site becomes operational in our vector: in the
         # serial system no transaction can slip between its announcement
         # and its install, so marking it UP here is equivalent to the
         # paper's "preparing to become operational".
-        self.nsv.mark_up(announcement.site_id, announcement.new_session)
+        self.nsv.mark_up(recovering, session)
         obs = self.network.obs
         if obs.enabled:
             obs.emit(
                 ctx.now,
                 EventKind.NSV_MARK_UP,
                 site=self.site_id,
-                peer=announcement.site_id,
-                session=announcement.new_session,
+                peer=recovering,
+                session=session,
             )
-        if msg.payload.get("cold"):
+        if payload["cold"]:
             # Cold crash: every copy the site holds is now out of date.
-            items = self.catalog.items_on(announcement.site_id)
+            items = self.catalog.items_on(recovering)
             ctx.charge(self.costs.faillock_bit_cost * len(items))
-            self.faillocks.set_locks(items, announcement.site_id)
-        if msg.payload.get("respond") == self.site_id:
+            self.faillocks.set_locks(items, recovering)
+        if payload["respond"] == self.site_id:
             started = ctx.now
             ctx.charge(self.costs.control1_format_cost(len(self.db)))
-            state = RecoveryState.capture(self.site_id, self.nsv, self.faillocks)
             ctx.send(
                 msg.src,
                 MessageType.RECOVERY_STATE,
-                state.to_payload(),
+                {
+                    "responder": self.site_id,
+                    "vector": self.nsv.signature(),
+                    "faillocks": self.faillocks.snapshot(),
+                },
                 session=self.nsv.my_session,
             )
             self._record_control(ctx, 1, "operational", started)
 
     def _on_recovery_state(self, ctx: HandlerContext, msg: Message) -> None:
-        state = RecoveryState.from_payload(msg.payload)
-        ctx.charge(self.costs.control1_install_cost(state.size()))
-        state.install_at_recovering_site(self.nsv, self.faillocks)
+        """Adopt the responder's vector and fail-locks, then mark ourselves
+        UP: we are operational, our stale copies named by our own bits."""
+        masks = msg.payload["faillocks"]
+        # The install cost grows with the database (§2.2.2).
+        ctx.charge(self.costs.control1_install_cost(len(masks)))
+        self.nsv.install(msg.payload["vector"])
+        self.faillocks.install(masks)
+        self.nsv.mark_up(self.site_id)
         self.recovery.begin(ctx.now)
         self._record_recovery_done(ctx)
         self._maybe_issue_batch_copiers(ctx)
@@ -657,7 +679,7 @@ class DatabaseSite(Endpoint):
             # the next one (no type-2 announcement for an inquiry bounce).
             self.participant.accept[STATUS_REQ_BOUNCED](ctx, msg.txn_id)
         elif msg.mtype is MessageType.RECOVERY_ANNOUNCE:
-            if msg.payload.get("respond") == msg.dst:
+            if msg.payload["respond"] == msg.dst:
                 self._retry_recovery_responder(ctx, msg)
         elif msg.mtype is MessageType.RECOVERY_STATE:
             # The recovering site died again mid-type-1; nothing to do.

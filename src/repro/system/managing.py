@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional, TYPE_CHECKING
 
-from repro.core.control import FailureAnnouncement
 from repro.errors import ConfigurationError, ProtocolError
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.records import FailLockSample, TxnRecord
@@ -103,13 +102,9 @@ class ControlPlane(Endpoint):
         self._believed_up.discard(site_id)
         self._up_sorted = sorted(self._believed_up)
         if self.config.detection is FailureDetection.ANNOUNCED:
-            announcement = FailureAnnouncement(
-                announcer=self.site_id, failed_sites=[site_id]
-            )
+            payload = {"announcer": self.site_id, "failed": [site_id], "stale_items": []}
             for peer in self.up_sites:
-                ctx.send(
-                    peer, MessageType.FAILURE_ANNOUNCE, announcement.to_payload()
-                )
+                ctx.send(peer, MessageType.FAILURE_ANNOUNCE, payload)
 
     def recover(self, ctx: HandlerContext, site_id: int) -> None:
         """Start ``site_id``'s recovery; it stays believed down until

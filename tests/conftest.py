@@ -7,7 +7,8 @@ import json
 
 import pytest
 
-from repro.net.message import MessageType
+from repro.net.endpoint import HandlerContext
+from repro.net.message import Message, MessageType
 from repro.net.network import Network
 from repro.obs.events import EventKind, TraceEvent
 from repro.sim.cpu import CpuResource
@@ -100,6 +101,24 @@ def messages(
         and (mtype is None or event.args["mtype"] == mtype.value)
         and (txn is None or event.txn == txn)
     ]
+
+
+def handle(
+    cluster: Cluster,
+    site_id: int,
+    mtype: MessageType,
+    payload: dict | None = None,
+    src: int | None = None,
+    txn_id: int = -1,
+) -> list[Message]:
+    """Run one message through ``site_id``'s handler, outside the network
+    (``src`` defaults to the managing site); returns what the activation
+    queued to send, unsent."""
+    site = cluster.site(site_id)
+    src = cluster.config.manager_id if src is None else src
+    ctx = HandlerContext(cluster.network, site)
+    site.handle(ctx, Message(src, site_id, mtype, payload or {}, txn_id))
+    return ctx.outbox
 
 
 def copies(db) -> dict[int, tuple[int, int]]:

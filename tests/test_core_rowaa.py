@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.faillocks import FailLockTable
 from repro.core.rowaa import ReadPlan, ReadSource, RowaaPlanner
-from repro.core.sessions import NominalSessionVector, SessionRecord, SiteState
+from repro.core.sessions import NominalSessionVector
 from repro.errors import StorageError
 from repro.storage.catalog import ReplicationCatalog
 
@@ -127,7 +127,7 @@ def _random_state(rng):
         elif state == "recovering" and site == owner:
             nsv.begin_new_session()
         elif state == "recovering":
-            nsv.install([SessionRecord(site_id=site, session=2, state=SiteState.RECOVERING)])
+            nsv.install([(site, 2, "waiting_to_recover")])
     locks = FailLockTable(site_ids=sites, item_ids=items)
     if rng.random() < 0.5:
         catalog = ReplicationCatalog.fully_replicated(items, sites)

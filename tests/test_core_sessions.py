@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.sessions import NominalSessionVector, SessionRecord, SiteState
+from repro.core.sessions import NominalSessionVector, SiteState
 from repro.errors import SessionError
 
 
@@ -40,7 +40,7 @@ def test_begin_new_session_increments(nsv):
 
 
 def test_recovering_site_not_operational(nsv):
-    nsv.install([SessionRecord(site_id=1, session=2, state=SiteState.RECOVERING)])
+    nsv.install([(1, 2, "waiting_to_recover")])
     assert not nsv.is_operational(1)
     assert nsv.session_of(1) == 2
 
@@ -59,33 +59,42 @@ def test_mark_up_rejects_stale_session(nsv):
 
 
 def test_terminating_not_operational(nsv):
-    nsv.install([SessionRecord(site_id=3, state=SiteState.TERMINATING)])
+    nsv.install([(3, 1, "terminating")])
     assert not nsv.is_operational(3)
 
 
 def test_install_keeps_own_entry(nsv):
     nsv.begin_new_session()  # owner now session 2, RECOVERING
     incoming = [
-        SessionRecord(site_id=0, session=1, state=SiteState.DOWN),  # stale view of us
-        SessionRecord(site_id=1, session=7, state=SiteState.DOWN),
-        SessionRecord(site_id=2, session=3, state=SiteState.UP),
-        SessionRecord(site_id=3, session=1, state=SiteState.UP),
+        (0, 1, "down"),  # stale view of us
+        (1, 7, "down"),
+        (2, 3, "up"),
+        (3, 1, "up"),
     ]
     nsv.install(incoming)
     assert nsv.my_session == 2  # our own entry preserved
+    assert nsv.state_of(0) is SiteState.RECOVERING
     assert nsv.session_of(1) == 7
     assert nsv.state_of(1) is SiteState.DOWN
 
 
 def test_install_rejects_unknown_site(nsv):
     with pytest.raises(SessionError):
-        nsv.install([SessionRecord(site_id=42)])
+        nsv.install([(42, 1, "up")])
 
 
 def test_snapshot_is_deep(nsv):
-    snap = nsv.snapshot()
-    snap[1].session = 99
-    assert nsv.session_of(1) == 1
+    """The rows a type-1 reply ships are a snapshot: later transitions of
+    the vector they came from reach neither them nor a vector that
+    installed them."""
+    rows = nsv.signature()
+    peer = NominalSessionVector(owner=3, site_ids=[0, 1, 2, 3])
+    peer.install(rows)
+    nsv.mark_down(1)
+    nsv.mark_up(1, session=99)
+    assert rows[1] == (1, 1, "up")
+    assert peer.session_of(1) == 1
+    assert nsv.signature() != rows
 
 
 def test_unknown_site_raises(nsv):
@@ -105,7 +114,9 @@ def _scanned_mask(nsv):
 
 
 def _scanned_signature(nsv):
-    return tuple((r.site_id, r.session, r.state.value) for r in nsv.snapshot())
+    return tuple(
+        (r.site_id, r.session, r.state.value) for r in map(nsv.record, nsv.site_ids)
+    )
 
 
 def test_operational_mask_layout_matches_sorted_sites():
@@ -121,12 +132,7 @@ def test_operational_mask_layout_matches_sorted_sites():
         lambda v: v.mark_down(1),
         lambda v: v.begin_new_session(),
         lambda v: (v.mark_down(1), v.operational_mask(), v.mark_up(1, 2)),
-        lambda v: v.install(
-            [
-                SessionRecord(site_id=1, session=4, state=SiteState.DOWN),
-                SessionRecord(site_id=2, session=2, state=SiteState.RECOVERING),
-            ]
-        ),
+        lambda v: v.install([(1, 4, "down"), (2, 2, "waiting_to_recover")]),
     ],
     ids=["mark_down", "begin_new_session", "mark_up", "install"],
 )
@@ -145,7 +151,7 @@ def test_operational_mask_cache_dropped_by_every_transition(nsv, transition):
 
 def test_operational_mask_survives_failed_install(nsv):
     nsv.operational_mask()
-    bad = [SessionRecord(site_id=1, state=SiteState.DOWN), SessionRecord(site_id=42)]
+    bad = [(1, 1, "down"), (42, 1, "up")]
     with pytest.raises(SessionError):
         nsv.install(bad)
     # Site 1 was adopted before the unknown site raised: no stale cache.
@@ -219,12 +225,7 @@ def _scanned_answers(nsv, catalog, items):
     [
         lambda v: v.mark_down(1),
         lambda v: (v.mark_down(3), v.up_sites(), v.mark_up(3, 2)),
-        lambda v: v.install(
-            [
-                SessionRecord(site_id=1, session=4, state=SiteState.DOWN),
-                SessionRecord(site_id=2, session=2, state=SiteState.RECOVERING),
-            ]
-        ),
+        lambda v: v.install([(1, 4, "down"), (2, 2, "waiting_to_recover")]),
     ],
     ids=["mark_down", "mark_up", "install"],
 )

@@ -90,7 +90,7 @@ def test_clear_notice_for_unlocked_items_is_noop(cluster):
 
 def test_duplicate_recovery_announce_is_idempotent(cluster):
     site = cluster.site(1)
-    payload = {"site": 2, "session": 2, "respond": 0}
+    payload = {"site": 2, "session": 2, "respond": 0, "cold": False}
     deliver(cluster, site, MessageType.RECOVERY_ANNOUNCE, payload=payload, src=2)
     deliver(cluster, site, MessageType.RECOVERY_ANNOUNCE, payload=payload, src=2)
     assert site.nsv.session_of(2) == 2
