@@ -32,6 +32,7 @@ from repro.obs.events import EventKind
 from repro.obs.sink import TraceSink
 from repro.sim.cpu import CpuResource
 from repro.sim.scheduler import EventScheduler
+from repro.system.costs import CostModel
 
 # Messages that must reach a site even while it is marked down.  A down
 # site ignores all traffic until the managing site tells it to recover
@@ -84,24 +85,20 @@ class Network:
         scheduler: EventScheduler,
         cpu: CpuResource,
         wire_latency_ms: float = 0.0,
-        msg_send_cost: float = 4.5,
-        msg_recv_cost: float = 4.5,
         failure_detect_delay: float = 0.0,
     ) -> None:
         self.scheduler = scheduler
         self.cpu = cpu
         if wire_latency_ms < 0:
             raise NetworkError(f"latency must be non-negative: {wire_latency_ms}")
-        if msg_send_cost < 0 or msg_recv_cost < 0:
-            raise NetworkError("message costs must be non-negative")
         # In mini-RAID all sites lived on one machine, so the 9 ms per
         # communication was interprocess *processing* cost and is charged
         # as CPU; wire latency is for the "complete RAID" configuration
         # (separate machines), where messages spend real time in flight
         # while CPUs stay free.
         self.wire_latency_ms = float(wire_latency_ms)
-        self.msg_send_cost = msg_send_cost
-        self.msg_recv_cost = msg_recv_cost
+        self.msg_send_cost = CostModel.msg_send_cost
+        self.msg_recv_cost = CostModel.msg_recv_cost
         self.failure_detect_delay = failure_detect_delay
         self.partitions = PartitionManager()
         # Addresses exempt from partitions (the managing site: it is the

@@ -224,8 +224,13 @@ class SoakConfig:
             raise ConfigurationError(f"exemplars must be >= 0: {self.exemplars}")
         for name in ("fail_at_ms", "recover_at_ms"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is None:
+                continue
+            if value < 0:
                 raise ConfigurationError(f"{name} must be >= 0: {value}")
+            # fault_schedule() would drop it and run a fault-free soak.
+            if self.fail_site is None:
+                raise ConfigurationError(f"{name} given without a fail_site")
         if self.fail_site is not None and not (
             0 <= self.fail_site < self.num_sites
         ):

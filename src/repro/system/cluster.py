@@ -46,8 +46,6 @@ class Cluster:
             scheduler=self.scheduler,
             cpu=self.cpu,
             wire_latency_ms=self.config.wire_latency_ms,
-            msg_send_cost=self.config.costs.msg_send_cost,
-            msg_recv_cost=self.config.costs.msg_recv_cost,
             failure_detect_delay=self.config.failure_detect_delay_ms,
         )
         if self.config.reliable_delivery:

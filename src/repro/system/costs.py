@@ -3,7 +3,7 @@
 Mini-RAID ran all sites as processes on one processor, so every measured
 time is CPU work serialized on that processor; the paper reports 9 ms per
 inter-site communication.  Every constant below is a simulated-millisecond
-CPU charge.  The defaults are calibrated so that, with the paper's
+CPU charge.  The constants are calibrated so that, with the paper's
 configuration (database of 50 items, 4 sites, maximum transaction size 10),
 the Experiment 1 measurements come out close to the published values:
 
@@ -27,69 +27,66 @@ interest than the numerical value of each average time" — the reproduction
 target is the *ratios* (≈ +6 % for fail-lock maintenance, ≈ +45 % for a
 copier, of which ≈ 30 percentage points are the clear-fail-locks special
 transactions).
+
+The table is fixed: ``CostModel()`` takes no arguments, and every cluster
+charges these class-level constants (the network reads its two per-message
+costs from here when it is built).  A test that needs other timings
+patches the table before it builds a cluster, e.g.
+``monkeypatch.setattr(CostModel, "msg_send_cost", 0.5)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
-
 
 @dataclass(frozen=True, slots=True)
 class CostModel:
-    """Per-action CPU charges in simulated milliseconds."""
+    """Per-action CPU charges in simulated milliseconds, as class-level
+    constants: every instance is the same (equal, hashable) table."""
 
     # One inter-site communication = send + receive = 9 ms (paper §2.1).
-    msg_send_cost: float = 4.5
-    msg_recv_cost: float = 4.5
+    msg_send_cost = 4.5
+    msg_recv_cost = 4.5
 
     # Database transaction processing.
-    txn_base_cost: float = 2.0          # parse/setup on reception
-    op_execute_cost: float = 7.8        # per operation at the coordinator
-    write_stage_cost: float = 1.3       # per item buffered in phase 1
-    commit_apply_cost: float = 1.3      # per item applied at commit
+    txn_base_cost = 2.0          # parse/setup on reception
+    op_execute_cost = 7.8        # per operation at the coordinator
+    write_stage_cost = 1.3       # per item buffered in phase 1
+    commit_apply_cost = 1.3      # per item applied at commit
 
     # Fail-lock maintenance (§2.2.1): per written item, per site bit.
-    faillock_bit_cost: float = 0.25
+    faillock_bit_cost = 0.25
 
     # Control transaction type 1 (§2.2.2).
-    control1_begin_cost: float = 2.0            # recovering site sets up
-    control1_announce_cost: float = 1.0         # peer updates its NSV
-    control1_format_base_cost: float = 5.0      # responder builds the reply
-    control1_format_item_cost: float = 0.72     # ... per database item
-    control1_install_base_cost: float = 10.0    # recovering site installs
-    control1_install_item_cost: float = 2.0     # ... per database item
+    control1_begin_cost = 2.0            # recovering site sets up
+    control1_announce_cost = 1.0         # peer updates its NSV
+    control1_format_base_cost = 5.0      # responder builds the reply
+    control1_format_item_cost = 0.72     # ... per database item
+    control1_install_base_cost = 10.0    # recovering site installs
+    control1_install_item_cost = 2.0     # ... per database item
 
     # Control transaction type 2 (§2.2.2): 9 ms communication + update.
-    control2_update_cost: float = 59.0
+    control2_update_cost = 59.0
 
     # Copier transactions (§2.2.3).
-    copy_request_cost: float = 2.0          # coordinator formats COPY_REQ
-    copy_response_base_cost: float = 14.0   # responder formats the copies
-    copy_response_item_cost: float = 2.0
-    copy_install_cost: float = 2.0          # per installed copy
-    clear_notice_format_cost: float = 1.0   # per CLEAR_FAILLOCKS message
-    clear_notice_apply_cost: float = 11.0   # peer clears the bits
+    copy_request_cost = 2.0          # coordinator formats COPY_REQ
+    copy_response_base_cost = 14.0   # responder formats the copies
+    copy_response_item_cost = 2.0
+    copy_install_cost = 2.0          # per installed copy
+    clear_notice_format_cost = 1.0   # per CLEAR_FAILLOCKS message
+    clear_notice_apply_cost = 11.0   # peer clears the bits
 
     # Parallel recovery (repro.recovery): one partition-planning pass —
     # the recovering site shards its stale set across donors.
-    recovery_plan_cost: float = 2.0
+    recovery_plan_cost = 2.0
 
     # Control transaction type 3 (extension; §3.2 proposal).
-    create_copy_cost: float = 5.0
+    create_copy_cost = 5.0
 
     # Concurrency-control extension ("complete RAID" mode).
-    lock_request_cost: float = 0.2
-    lock_release_cost: float = 0.2
-
-    # Managing site bookkeeping (kept off the measured paths).
-    manager_cost: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"cost {name} must be non-negative")
+    lock_request_cost = 0.2
+    lock_release_cost = 0.2
 
     @property
     def communication_cost(self) -> float:

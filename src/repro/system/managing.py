@@ -238,7 +238,6 @@ class ManagingSite(ControlPlane):
         self._next_txn_id += 1
         txn_id = self._next_txn_id
         self._in_flight_txn = txn_id
-        ctx.charge(self.config.costs.manager_cost)
         self.submit(ctx, txn_id, ops, coordinator, self._seq)
 
     def _on_txn_done(self, ctx: HandlerContext, msg: Message) -> None:

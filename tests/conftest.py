@@ -48,16 +48,13 @@ def paper2_config() -> SystemConfig:
     return SystemConfig.paper_experiment2(seed=42)
 
 
-# All-zero costs: protocol logic only, no timing.
-FREE_COSTS = CostModel(**dict.fromkeys(CostModel.__dataclass_fields__, 0.0))
-
-
-@pytest.fixture
-def free_config() -> SystemConfig:
-    """Zero-cost configuration: protocol logic only, no timing."""
-    return SystemConfig(
-        db_size=10, num_sites=3, max_txn_size=4, seed=99, costs=FREE_COSTS
-    )
+def scale_costs(monkeypatch: pytest.MonkeyPatch, factor: float) -> None:
+    """Patch every charge in the fixed cost table by ``factor`` (0.0: protocol
+    logic only, no timing) for the rest of the test; patch before building
+    the cluster, whose network reads its message costs when it is built."""
+    for name, value in vars(CostModel).items():
+        if isinstance(value, float):
+            monkeypatch.setattr(CostModel, name, value * factor)
 
 
 def make_scenario(config: SystemConfig, txn_count: int, **kwargs) -> Scenario:

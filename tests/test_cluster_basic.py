@@ -7,7 +7,7 @@ from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.scenario import FixedSite, RoundRobin
 
-from conftest import copies, make_scenario, messages, run_cluster
+from conftest import copies, make_scenario, messages, run_cluster, scale_costs
 
 
 def test_all_commit_when_healthy(small_config):
@@ -115,7 +115,8 @@ def test_observer_site_is_lowest_alive(small_config):
     assert cluster.observer_site().site_id == 1
 
 
-def test_zero_cost_config_still_correct(free_config):
-    cluster = run_cluster(free_config, make_scenario(free_config, 30))
+def test_zero_cost_config_still_correct(monkeypatch, small_config):
+    scale_costs(monkeypatch, 0.0)
+    cluster = run_cluster(small_config, make_scenario(small_config, 30))
     assert cluster.metrics.counters["commits"] == 30
     assert cluster.audit_consistency() == []

@@ -2,35 +2,23 @@
 
 import pytest
 
-from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
-from repro.system.costs import CostModel
 
-from conftest import FREE_COSTS, make_scenario, run_cluster
+from conftest import make_scenario, run_cluster, scale_costs
+
+CONFIG = SystemConfig(db_size=10, num_sites=3, max_txn_size=4, seed=3)
 
 
-def test_scaled_costs_scale_run_time():
-    def total_time(factor):
-        base = CostModel()
-        costs = CostModel(
-            **{name: getattr(base, name) * factor for name in CostModel.__dataclass_fields__}
-        )
-        config = SystemConfig(
-            db_size=10, num_sites=3, max_txn_size=4, seed=3, costs=costs
-        )
-        cluster = run_cluster(config, make_scenario(config, 20))
-        return cluster.now
-
-    base = total_time(1.0)
-    double = total_time(2.0)
+def test_scaled_costs_scale_run_time(monkeypatch):
+    base = run_cluster(CONFIG, make_scenario(CONFIG, 20)).now
+    scale_costs(monkeypatch, 2.0)
+    double = run_cluster(CONFIG, make_scenario(CONFIG, 20)).now
     assert double == pytest.approx(2 * base, rel=0.01)
 
 
-def test_free_costs_run_in_zero_time():
-    config = SystemConfig(
-        db_size=10, num_sites=3, max_txn_size=4, seed=3, costs=FREE_COSTS
-    )
-    cluster = run_cluster(config, make_scenario(config, 20))
+def test_free_costs_run_in_zero_time(monkeypatch):
+    scale_costs(monkeypatch, 0.0)
+    cluster = run_cluster(CONFIG, make_scenario(CONFIG, 20))
     assert cluster.now == 0.0
     assert cluster.metrics.counters["commits"] == 20
 

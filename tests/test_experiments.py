@@ -17,6 +17,8 @@ from repro.experiments import (
     run_scenario2,
 )
 from repro.experiments import exp1
+from repro.system.config import SystemConfig
+from repro.system.costs import CostModel
 
 
 def within(measured, paper, tolerance=0.25):
@@ -78,6 +80,36 @@ def test_e1t2_control_bands(control_result):
 
 def test_e1t2_type1_recovering_costs_more_than_operational(control_result):
     assert control_result.type1_recovering > 3 * control_result.type1_operational
+
+
+def test_e1t2_rows_are_closed_forms_over_the_table(control_result):
+    """Each §2.2.2 row is the table's charges along the control
+    transaction's path, plus what queues ahead of it on the serial CPU."""
+    c = CostModel()
+    config = SystemConfig.paper_experiment1()
+    sites, db = config.num_sites, config.db_size
+    # The responder's activation: receive the announcement, update the
+    # vector, format the state reply, send it.
+    operational = (
+        c.msg_recv_cost + c.control1_announce_cost
+        + c.control1_format_cost(db) + c.msg_send_cost
+    )
+    # The recovering site announces to every peer; the responder answers
+    # first, the other peers' announcements queue ahead of its reply, and
+    # the recovering site installs the state and tells the manager.
+    recovering = (
+        c.msg_recv_cost + c.control1_begin_cost + (sites - 1) * c.msg_send_cost
+        + operational
+        + (sites - 2) * (c.msg_recv_cost + c.control1_announce_cost)
+        + c.msg_recv_cost + c.control1_install_cost(db) + c.msg_send_cost
+    )
+    # One announcement (send, receive, update); at this seed the
+    # coordinator's receipt of the surviving participant's vote queues
+    # ahead of the announcement's receipt.
+    type2 = c.communication_cost + c.msg_recv_cost + c.control2_update_cost
+    assert control_result.type1_operational == operational
+    assert control_result.type1_recovering == recovering
+    assert control_result.type2 == type2
 
 
 def test_e1t3_copier_increase_near_45_pct(copier_result):

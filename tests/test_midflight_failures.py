@@ -19,7 +19,7 @@ from repro.system.scenario import FixedSite, Scenario
 from repro.txn.operations import OpKind, Operation
 from repro.workload.base import WorkloadGenerator
 
-from conftest import FREE_COSTS, SETTLED, messages
+from conftest import SETTLED, messages
 
 
 class OneWrite(WorkloadGenerator):
@@ -128,7 +128,7 @@ def test_timeout_mode_regression_stale_views():
 
     config = SystemConfig(
         db_size=8, num_sites=3, max_txn_size=3, seed=0,
-        costs=FREE_COSTS, detection=FailureDetection.TIMEOUT,
+        detection=FailureDetection.TIMEOUT,
     )
     scenario = Scenario(
         workload=UniformWorkload(config.item_ids, config.max_txn_size),

@@ -35,16 +35,10 @@ class Recorder(Endpoint):
         self.failures.append(msg)
 
 
-def build_net(cores=1, latency=0.0, send=4.5, recv=4.5):
+def build_net(cores=1, latency=0.0):
     sched = EventScheduler()
     cpu = CpuResource(sched, cores=cores)
-    net = Network(
-        scheduler=sched,
-        cpu=cpu,
-        wire_latency_ms=latency,
-        msg_send_cost=send,
-        msg_recv_cost=recv,
-    )
+    net = Network(scheduler=sched, cpu=cpu, wire_latency_ms=latency)
     a, b = Recorder(0), Recorder(1)
     net.register(a)
     net.register(b)
@@ -64,7 +58,7 @@ def test_basic_delivery():
 
 
 def test_send_cost_delays_release():
-    sched, net, a, b = build_net(send=4.5, recv=4.5)
+    sched, net, a, b = build_net()
     send_from(net, a, 1)
     sched.run()
     # Sender activation costs 4.5 (one send); delivery is immediate
@@ -186,10 +180,11 @@ def test_on_done_runs_at_activation_end():
 
 
 def test_wire_latency_applies():
-    sched, net, a, b = build_net(latency=9.0, send=0.0, recv=0.0)
+    sched, net, a, b = build_net(latency=9.0)
     send_from(net, a, 1)
     sched.run()
-    assert b.received[0][0] == pytest.approx(9.0)
+    # Released after the 4.5-ms send, then 9 ms on the wire.
+    assert b.received[0][0] == pytest.approx(13.5)
 
 
 def test_message_counters():

@@ -18,6 +18,7 @@ from repro.sim.cpu import CpuResource
 from repro.sim.scheduler import EventScheduler
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
+from repro.system.costs import CostModel
 
 from conftest import copies
 
@@ -39,13 +40,16 @@ class Recorder(Endpoint):
 
 def build_net(latency=1.0):
     sched = EventScheduler()
-    net = Network(
-        scheduler=sched,
-        cpu=CpuResource(sched, cores=1),
-        wire_latency_ms=latency,
-        msg_send_cost=0.5,
-        msg_recv_cost=0.5,
-    )
+    # These scripts are timed for 0.5-ms messages; the network reads its
+    # message costs from the table when it is built.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CostModel, "msg_send_cost", 0.5)
+        patch.setattr(CostModel, "msg_recv_cost", 0.5)
+        net = Network(
+            scheduler=sched,
+            cpu=CpuResource(sched, cores=1),
+            wire_latency_ms=latency,
+        )
     net.reliable = ReliableDelivery(net)
     a, b = Recorder(0), Recorder(1)
     net.register(a)

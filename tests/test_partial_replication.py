@@ -11,7 +11,7 @@ from repro.system.config import SystemConfig
 from repro.system.scenario import Scenario
 from repro.workload.uniform import UniformWorkload
 
-from conftest import FREE_COSTS, make_scenario, messages
+from conftest import make_scenario, messages
 
 
 @st.composite
@@ -33,7 +33,7 @@ def catalogs(draw):
 @given(catalog=catalogs(), seed=st.integers(min_value=0, max_value=999))
 def test_random_partial_catalogs_commit_and_stay_consistent(catalog, seed):
     config = SystemConfig(
-        db_size=6, num_sites=3, max_txn_size=3, seed=seed, costs=FREE_COSTS
+        db_size=6, num_sites=3, max_txn_size=3, seed=seed
     )
     cluster = Cluster(config, catalog=catalog)
     scenario = Scenario(

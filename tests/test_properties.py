@@ -10,8 +10,6 @@ from repro.sim.scheduler import EventScheduler
 from repro.system.deadlock import find_cycle
 from repro.txn.locks import LockManager, LockMode
 
-from conftest import FREE_COSTS
-
 
 SITES = st.integers(min_value=0, max_value=3)
 ITEMS = st.integers(min_value=0, max_value=9)
@@ -198,7 +196,7 @@ def test_random_failure_scripts_preserve_consistency(seed, fail_at, down_for, si
     from repro.workload.uniform import UniformWorkload
 
     config = SystemConfig(
-        db_size=8, num_sites=3, max_txn_size=3, seed=seed, costs=FREE_COSTS
+        db_size=8, num_sites=3, max_txn_size=3, seed=seed
     )
     scenario = Scenario(
         workload=UniformWorkload(config.item_ids, config.max_txn_size),

@@ -15,8 +15,6 @@ from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, RecoverSite, Scenario
 from repro.workload.uniform import UniformWorkload
 
-from conftest import FREE_COSTS
-
 
 @st.composite
 def failure_scripts(draw):
@@ -56,7 +54,7 @@ def failure_scripts(draw):
 def test_any_failure_script_ends_consistent(script, seed):
     actions, total = script
     config = SystemConfig(
-        db_size=8, num_sites=3, max_txn_size=3, seed=seed, costs=FREE_COSTS
+        db_size=8, num_sites=3, max_txn_size=3, seed=seed
     )
     scenario = Scenario(
         workload=UniformWorkload(config.item_ids, config.max_txn_size),
@@ -87,7 +85,6 @@ def test_any_failure_script_under_timeout_detection(script, seed):
         num_sites=3,
         max_txn_size=3,
         seed=seed,
-        costs=FREE_COSTS,
         detection=FailureDetection.TIMEOUT,
     )
     scenario = Scenario(

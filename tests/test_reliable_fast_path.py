@@ -40,6 +40,7 @@ from repro.obs.events import EventKind
 from repro.obs.sink import TraceSink
 from repro.sim.cpu import CpuResource
 from repro.sim.scheduler import EventScheduler
+from repro.system.costs import CostModel
 
 
 class Site(Endpoint):
@@ -106,7 +107,12 @@ def run_script(seed: int, steps: int = 300):
     network until it is quiet, and check the delivery contract."""
     rng = random.Random(seed)
     scheduler = EventScheduler()
-    net = Network(scheduler, CpuResource(scheduler, cores=3), 1.0, 0.5, 0.5)
+    # The scripts are timed for 0.5-ms messages; the network reads its
+    # message costs from the table when it is built.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CostModel, "msg_send_cost", 0.5)
+        patch.setattr(CostModel, "msg_recv_cost", 0.5)
+        net = Network(scheduler, CpuResource(scheduler, cores=3), 1.0)
     net.obs = TraceSink(enabled=True)
     net.reliable = layer = ObservedDelivery(net)
     net.interposer = SeededFaults(random.Random(seed + 1000), scheduler, seed % 3)

@@ -133,9 +133,13 @@ def test_soak_validate_reports_an_unreadable_file(tmp_path, capsys):
         ["--recover-at-ms", "1", "--fail-at-ms", "5"],
         ["--txns", "50", "--fail-at-ms", "-5"],
         ["--txns", "50", "--fail-at-ms", "-5", "--recover-at-ms", "-1"],
+        # A fault time with no fault site would run, and report, a clean soak.
+        ["--txns", "50", "--no-fail", "--recover-at-ms", "50"],
+        ["--txns", "50", "--no-fail", "--fail-at-ms", "50"],
     ],
     ids=["txns", "fail-site", "recover-before-fail", "fail-in-the-past",
-         "recover-in-the-past"],
+         "recover-in-the-past", "recover-without-fault-site",
+         "fail-without-fault-site"],
 )
 def test_soak_run_rejects_a_bad_argument_with_exit_2(flags, capsys):
     assert main(["soak", "run", *flags]) == 2

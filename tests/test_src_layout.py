@@ -331,9 +331,6 @@ ALLOWED_OPTIONS = {
     # Partial replication (paper §3.2): only the type-3 tests build a
     # cluster on their own catalog, until ROADMAP 4(e) measures it.
     "repro.system.cluster:Cluster(catalog)",
-    # The paper's Experiment-1 calibration table; the tests' zero-cost
-    # ``FREE_COSTS`` isolates them from timing.
-    "repro.system.costs:CostModel.*",
     # The unaudited run is the reference that
     # ``test_auditing_does_not_perturb_the_run`` compares the audited one to.
     "repro.chaos.runner:run_chaos_seed(audit)",

@@ -6,8 +6,6 @@ from repro.errors import ConfigurationError
 from repro.system.config import SystemConfig
 from repro.system.costs import CostModel
 
-from conftest import FREE_COSTS
-
 
 def test_defaults_are_paper_experiment1():
     config = SystemConfig()
@@ -54,15 +52,9 @@ def test_cost_model_communication_is_nine_ms():
     assert CostModel().communication_cost == pytest.approx(9.0)
 
 
-def test_cost_model_rejects_negative():
-    with pytest.raises(ConfigurationError):
-        CostModel(msg_send_cost=-1.0)
-
-
-def test_cost_model_free_is_all_zero():
-    free = FREE_COSTS
-    assert free.communication_cost == 0.0
-    assert free.control1_format_cost(50) == 0.0
+def test_cost_model_takes_no_overrides():
+    with pytest.raises(TypeError):
+        CostModel(msg_send_cost=1.0)
 
 
 def test_cost_model_size_dependent_costs_grow():
