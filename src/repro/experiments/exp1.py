@@ -128,7 +128,11 @@ def run_control_overhead(seed: int = 13) -> ControlOverheadResult:
 
     # Type 2 in isolation: three sites, fail one; with TIMEOUT detection
     # the coordinator discovers the failure and announces to the single
-    # remaining peer — one announcement, no queueing behind others.
+    # remaining peer.  The announcing activation also sends the
+    # transaction's ABORT, and the announcement queues 4.5 ms behind the
+    # coordinator's receipt of the surviving participant's VOTE_ACK, so
+    # the row is the paper's 68 ms plus one queued receive (72.5 ms; see
+    # tests/test_experiments.py::test_e1t2_rows_are_closed_forms_over_the_table).
     from repro.system.config import FailureDetection
 
     config2 = SystemConfig(

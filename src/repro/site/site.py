@@ -389,6 +389,10 @@ class DatabaseSite(Endpoint):
             )
 
     def _on_failure_announce(self, ctx: HandlerContext, msg: Message) -> None:
+        # Dated one send before the announcement left: this assumes the
+        # announcing activation sent this one message.  E1-T2's type-2 run
+        # breaks it (that activation also sends an ABORT); dating it right
+        # needs the start carried in the payload.
         started = msg.send_time - self.costs.msg_send_cost
         ctx.charge(self.costs.control2_update_cost)
         failed_sites = msg.payload["failed"]

@@ -68,8 +68,8 @@ class OpenLoopManager(ControlPlane):
         self.retries_issued = 0
         self._expected = 0
         self._done = 0
+        # Per unsettled attempt: submit time, ops and retries left.
         self._submit_times: dict[int, float] = {}
-        # Retry bookkeeping: attempt id -> ops, and -> retries left.
         self._attempt_ops: dict[int, list] = {}
         self._attempts_left: dict[int, int] = {}
         self._next_id = 0
@@ -111,19 +111,22 @@ class OpenLoopManager(ControlPlane):
     def handle(self, ctx: HandlerContext, msg: Message) -> None:
         if msg.mtype is not MessageType.MGR_TXN_DONE:
             raise ProtocolError(f"open-loop manager: unexpected message {msg}")
+        txn_id = msg.txn_id
         record = self.settle(
             ctx,
             msg,
-            msg.txn_id,
-            self._submit_times.get(msg.txn_id, msg.payload["submitted_at"]),
+            txn_id,
+            self._submit_times.pop(txn_id, msg.payload["submitted_at"]),
         )
         if (
             not record.committed
             and record.abort_reason is AbortReason.LOCK_DEADLOCK
-            and self._attempts_left.get(msg.txn_id, 0) > 0
+            and self._attempts_left.get(txn_id, 0) > 0
         ):
-            self._retry(ctx, msg.txn_id)
+            self._retry(ctx, txn_id)
             return
+        self._attempt_ops.pop(txn_id, None)
+        self._attempts_left.pop(txn_id, None)
         self._done += 1
         if self._done >= self._expected:
             self.finished = True
@@ -161,9 +164,11 @@ def run_open_loop(
     ``keep_records=False`` routes every transaction outcome through a
     streaming sink instead of retaining ``TxnRecord`` objects: the result's
     ``records`` list is empty, ``latency`` comes from an online quantile
-    sketch (see :mod:`repro.metrics.sketch` for the error bound), and
-    memory stays flat however large ``txn_count`` grows.  The simulation
-    itself is identical — only the measurement pipeline changes.
+    sketch (see :mod:`repro.metrics.sketch` for the error bound), and a
+    transaction's bookkeeping goes when it settles.  The simulation itself
+    is identical — only the measurement pipeline changes.  Memory still
+    grows with ``txn_count``: every arrival (time, operations,
+    coordinator) is drawn and scheduled up front.
     """
     if config is None:
         config = SystemConfig()

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.core.strategy import CopyControlStrategy
 from repro.net.endpoint import HandlerContext
 from repro.net.message import Message, MessageType
 from repro.net.network import Network
@@ -14,6 +17,7 @@ from repro.obs.events import EventKind, TraceEvent
 from repro.sim.cpu import CpuResource
 from repro.sim.rng import DeterministicRng
 from repro.sim.scheduler import EventScheduler
+from repro.soak.engine import SoakConfig, SoakResult, run_soak
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.costs import CostModel
@@ -55,6 +59,20 @@ def scale_costs(monkeypatch: pytest.MonkeyPatch, factor: float) -> None:
     for name, value in vars(CostModel).items():
         if isinstance(value, float):
             monkeypatch.setattr(CostModel, name, value * factor)
+
+
+def soak_under(monkeypatch, strategy: str, **config) -> SoakResult:
+    """Run ``SoakConfig(**config)`` under copy-control ``strategy``, which
+    the soak's config does not carry."""
+    system_config = SoakConfig.system_config
+    monkeypatch.setattr(
+        SoakConfig,
+        "system_config",
+        lambda self: dataclasses.replace(
+            system_config(self), strategy=CopyControlStrategy(strategy)
+        ),
+    )
+    return run_soak(SoakConfig(**config))
 
 
 def make_scenario(config: SystemConfig, txn_count: int, **kwargs) -> Scenario:
@@ -134,7 +152,73 @@ def lock_table(manager) -> dict[int, tuple[dict[int, str], list[int]]]:
 
 
 def digest(payload) -> str:
-    """blake2b-128 of ``payload``'s canonical JSON: what the pinned tests
-    compare against their pins."""
+    """blake2b-128 of ``payload``'s canonical JSON: what ``pin`` compares
+    with tests/pins.json."""
     raw = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(raw.encode(), digest_size=16).hexdigest()
+
+
+# -- the pin ledger ---------------------------------------------------------------
+#
+# tests/pins.json maps each pinned test's node id to the digest of what its run
+# decided and a one-line description of the run.  Every miss of a session is
+# printed in one block at the end, with the ledger lines to paste.
+
+LEDGER: dict[str, dict] = json.loads((Path(__file__).parent / "pins.json").read_text())
+PINNED: dict[str, set[str]] = {}  # collected module -> its pinned tests' node ids
+MOVED: list[tuple[str, str | None, str]] = []  # (node id, ledger digest, new digest)
+
+
+@pytest.fixture
+def pin(request):
+    """``pin(payload)`` asserts that ``digest(payload)`` is this test's
+    entry in tests/pins.json."""
+    name = request.node.nodeid
+
+    def check(payload) -> None:
+        new, old = digest(payload), LEDGER.get(name, {}).get("digest")
+        if new != old:
+            MOVED.append((name, old, new))
+        assert new == old, f"{name}: {old} → {new}"
+
+    return check
+
+
+def pytest_collectreport(report):
+    if report.nodeid.endswith(".py"):
+        PINNED[report.nodeid] = {
+            node.nodeid
+            for node in report.result
+            if "pin" in getattr(node, "fixturenames", ())
+        }
+
+
+def pytest_collection_finish(session):
+    """Refuse a ledger entry that no pinned test reads: its test was
+    renamed, deleted or stopped pinning, or its module is gone.  Checked
+    when the run collects whole modules, as tier-1 does (a ``file::test``
+    argument or ``--lf`` collects part of one)."""
+    config = session.config
+    if config.getoption("lf", False) or any("::" in arg for arg in config.args):
+        return
+    orphans = [
+        name
+        for name in LEDGER
+        if name not in PINNED.get(module := name.partition("::")[0], {name})
+        or not (config.rootpath / module).is_file()
+    ]
+    if orphans:
+        raise pytest.UsageError(f"tests/pins.json: no pinned test reads {orphans}")
+
+
+def pytest_terminal_summary(terminalreporter):
+    if not MOVED:
+        return
+    write = terminalreporter.write_line
+    terminalreporter.section("moved pins (tests/pins.json)")
+    for name, old, new in MOVED:
+        write(f"{name}: {old} → {new}")
+    write("tests/pins.json lines to paste over the old ones:")
+    for name, _old, new in MOVED:
+        entry = {"digest": new, "run": LEDGER.get(name, {}).get("run", "")}
+        write(f"  {json.dumps(name)}: {json.dumps(entry)},")

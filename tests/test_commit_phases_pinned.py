@@ -16,9 +16,9 @@ rows, one or two per run:
 * COPY_REQ, VOTE_REQ and COMMIT bouncing off a site that died.
 
 Each run's outcomes, counters, final copies and fail-lock masks are
-pinned as ``conftest.digest`` (blake2b-128 of canonical JSON), and the
-last test checks that every row of both roles' tables is entered by at
-least one run.
+pinned (``conftest.pin``, ledger ``tests/pins.json``), and the last test
+checks that every row of both roles' tables is entered by at least one
+run.
 """
 
 import pytest
@@ -34,7 +34,7 @@ from repro.system.scenario import FixedSite, Scenario
 from repro.txn.operations import OpKind, Operation
 from repro.workload.base import WorkloadGenerator
 
-from conftest import SETTLED, copies, digest, messages
+from conftest import SETTLED, copies, messages
 
 
 R, W = OpKind.READ, OpKind.WRITE
@@ -289,24 +289,9 @@ def outcome(cluster) -> dict:
     }
 
 
-PINS = {
-    "vote_nack": "a5fbfa5855a5932f5ff3ce8233533ffb",
-    "copy_denied": "679eda6b4ce5459773b8377200276291",
-    "vote_timeout": "76167908f7f1cece6aaf206d6b49e5af",
-    "commit_resend": "dfc8715890542c95be6ba8d7f5b71bfd",
-    "commit_retries_exhausted": "564c690bcce61293b872895dcc25b5db",
-    "coordinator_dies_mid_commit": "25f0d73df935a0ed8869bb263b2292c4",
-    "presumed_abort": "50717a8c4513563c3b0c67ff27c3b731",
-    "pending_then_aborted": "4fec56c5b39f7f63241e6a5a0ce75323",
-    "copy_req_bounce": "1c752123293b9af6928c38801a5088f8",
-    "vote_req_bounce": "17fd50c2d2fc5b05724c6038b596a257",
-    "commit_bounce": "48928e84d2e7f16a8e4662adec69e90a",
-}
-
-
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_commit_phase_run_is_pinned(name):
-    assert digest(outcome(RUNS[name]())) == PINS[name]
+def test_commit_phase_run_is_pinned(name, pin):
+    pin(outcome(RUNS[name]()))
 
 
 # -- the roles' tables -----------------------------------------------------------

@@ -13,7 +13,7 @@ outcomes byte for byte where they are:
 * lossy seeds in which skipping a sequence slot releases traffic the
   receiver had buffered behind it.
 
-The digests are ``conftest.digest`` (blake2b-128 of canonical JSON).
+Each test pins its rows (``conftest.pin``, ledger ``tests/pins.json``).
 """
 
 import sys
@@ -23,8 +23,6 @@ import pytest
 from repro.chaos.faults import FaultPlan
 from repro.chaos.runner import run_chaos_seed, run_seed_sweep
 from repro.net.reliable import ReliableDelivery
-
-from conftest import digest
 
 
 def result_row(result) -> dict:
@@ -62,32 +60,24 @@ def result_row(result) -> dict:
     }
 
 
-MUTATION_SWEEP_PINS = {
-    "default": "1e1e109d93ea0e23a8d04f6a8b987489",
-    "lossy": "eec9255484457eb4173a1a154a738c02",
-}
-
 _PLANS = {"default": FaultPlan, "lossy": FaultPlan.lossy}
 
 
-@pytest.mark.parametrize("plan", sorted(MUTATION_SWEEP_PINS))
-def test_mutation_sweep_is_pinned(plan):
+@pytest.mark.parametrize("plan", sorted(_PLANS))
+def test_mutation_sweep_is_pinned(plan, pin):
     report = run_seed_sweep(range(40, 46), mutate=True, plan=_PLANS[plan]())
     # The auditor catches the planted fail-lock bug under either model.
     assert report.total_violations and not report.stalled_seeds
-    rows = [result_row(result) for result in report.results]
-    assert digest(rows) == MUTATION_SWEEP_PINS[plan]
+    pin([result_row(result) for result in report.results])
 
 
-# (seed, txns) -> (the path that skipped the slot, pin).
-RELEASE_PINS = {
-    (801, 200): ("cancel", "3782d27b52efc43146b5f127cbb9cf20"),
-    (455409212, 80): ("_on_timer", "4de2010dd3d927f74a667009163e46cf"),
-}
-
-
-@pytest.mark.parametrize("seed, txns", sorted(RELEASE_PINS))
-def test_skipped_slot_releasing_buffered_traffic_is_pinned(seed, txns, monkeypatch):
+@pytest.mark.parametrize(
+    "seed, txns, path", [(455409212, 80, "_on_timer"), (801, 200, "cancel")],
+    ids=["455409212-80", "801-200"],
+)
+def test_skipped_slot_releasing_buffered_traffic_is_pinned(
+    seed, txns, path, monkeypatch, pin
+):
     """The two lossy seeds found in which a skipped sequence slot frees
     traffic the receiver had parked behind it (``_skip_at_receiver`` →
     ``advance`` → delivery from inside the skip).  In both, a transmission
@@ -119,8 +109,7 @@ def test_skipped_slot_releasing_buffered_traffic_is_pinned(seed, txns, monkeypat
 
     monkeypatch.setattr(ReliableDelivery, "_skip_at_receiver", counting_skip)
     result = run_chaos_seed(seed, txns=txns, plan=FaultPlan.lossy())
-    path, pin = RELEASE_PINS[seed, txns]
     assert releases == [(path, 1)]
     assert result.net_stats.buffered_out_of_order
     assert result.clean and not result.stalled
-    assert digest(result_row(result)) == pin
+    pin(result_row(result))

@@ -11,8 +11,10 @@ import math
 import pytest
 
 from repro.metrics.stats import percentile
+from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
-from repro.system.openloop import run_open_loop
+from repro.system.openloop import OpenLoopManager, run_open_loop
+from repro.workload.uniform import UniformWorkload
 
 TXNS = 150
 
@@ -73,3 +75,20 @@ def test_streaming_run_is_deterministic():
     b = run_open_loop(config(), txn_count=60, keep_records=False)
     assert (a.commits, a.aborts, a.elapsed_ms) == (b.commits, b.aborts, b.elapsed_ms)
     assert a.latency == b.latency
+
+
+def test_settled_transactions_leave_no_bookkeeping():
+    """An attempt's submit time, operations and retry budget go when it
+    settles, a retried deadlock victim's included: what the manager holds
+    is bounded by what is unsettled, not by the run's length."""
+    config = SystemConfig(
+        db_size=4, num_sites=3, max_txn_size=4, seed=3, concurrency_control=True
+    )
+    with Cluster(config) as cluster:
+        cluster.install_deadlock_detector()
+        manager = OpenLoopManager(cluster, deadlock_retries=3)
+        cluster.network.replace_endpoint(manager)
+        manager.launch(UniformWorkload(config.item_ids, config.max_txn_size), 150, 40.0)
+        cluster.scheduler.run()
+    assert manager.finished and manager.retries_issued
+    assert manager._submit_times == manager._attempt_ops == manager._attempts_left == {}

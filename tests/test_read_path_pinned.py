@@ -13,19 +13,15 @@ byte where they are:
   a partial catalog (REMOTE reads) that a type-3 control transaction
   changes mid-run.
 
-The digests are ``conftest.digest`` (blake2b-128 of canonical JSON) of the
-soak report and of the cluster's outcome, as ``bench/`` digests its
-workloads.
+Each test pins (``conftest.pin``, ledger ``tests/pins.json``) the soak
+report or the cluster's outcome.
 """
 
-import dataclasses
 from collections import Counter
 
 import pytest
 
 from repro.core.rowaa import ReadSource, RowaaPlanner
-from repro.core.strategy import CopyControlStrategy
-from repro.soak.engine import SoakConfig, run_soak
 from repro.soak.report import build_report
 from repro.storage.catalog import ReplicationCatalog
 from repro.system.cluster import Cluster
@@ -33,37 +29,17 @@ from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, RecoverSite, Scenario
 from repro.workload.uniform import UniformWorkload
 
-from conftest import digest
+from conftest import soak_under
 
 
-SOAK_PINS = {
-    ("rowaa", 42): "4f8cd138e28226531fb39a5265621c35",
-    ("rowaa", 7): "297e9bd57a0b9b563fca8fe6e1114c92",
-    ("rowa", 42): "f576cfc6253069e9e50ac01409a68ce4",
-    ("rowa", 7): "458f8132e803f2c487b2657ac44f1fd5",
-}
-
-
-def soak_report(seed: int, strategy: str, monkeypatch) -> dict:
-    """The report of a 600-txn read-heavy soak under ``strategy``."""
-    system_config = SoakConfig.system_config
-    monkeypatch.setattr(
-        SoakConfig,
-        "system_config",
-        lambda self: dataclasses.replace(
-            system_config(self), strategy=CopyControlStrategy(strategy)
-        ),
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("strategy", ["rowaa", "rowa"])
+def test_read_heavy_soak_is_pinned(strategy, seed, monkeypatch, pin):
+    result = soak_under(
+        monkeypatch, strategy, seed=seed, txns=600, workload="wisconsin",
+        read_fraction=0.9,
     )
-    config = SoakConfig(seed=seed, txns=600, workload="wisconsin", read_fraction=0.9)
-    return build_report(run_soak(config))
-
-
-@pytest.mark.parametrize("strategy, seed", sorted(SOAK_PINS))
-def test_read_heavy_soak_is_pinned(strategy, seed, monkeypatch):
-    assert digest(soak_report(seed, strategy, monkeypatch)) == SOAK_PINS[strategy, seed]
-
-
-SLOW_PATH_PIN = "4547ce66572c90fb921b7c3506010a55"
+    pin(build_report(result))
 
 
 def slow_path_outcome() -> dict:
@@ -114,7 +90,7 @@ def slow_path_outcome() -> dict:
     }
 
 
-def test_slow_read_path_is_pinned(monkeypatch):
+def test_slow_read_path_is_pinned(monkeypatch, pin):
     sources = Counter()
     plan_read = RowaaPlanner.plan_read
 
@@ -128,4 +104,4 @@ def test_slow_read_path_is_pinned(monkeypatch):
     # The run reaches every branch the pin is for.
     assert set(sources) == set(ReadSource)
     assert outcome["holders"][6] == [0, 1, 2]
-    assert digest(outcome) == SLOW_PATH_PIN
+    pin(outcome)

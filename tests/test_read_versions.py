@@ -7,7 +7,6 @@ vote's.  A one-copy-serializability check is built on these versions, so
 each must be one some commit actually wrote (or 0, the initial version).
 """
 
-import dataclasses
 from collections import defaultdict
 
 import pytest
@@ -15,14 +14,13 @@ import pytest
 from repro.core.strategy import CopyControlStrategy
 from repro.net.message import MessageType
 from repro.site.coordinator import CoordinatorRole
-from repro.soak.engine import SoakConfig, run_soak
 from repro.storage.catalog import ReplicationCatalog
 from repro.storage.database import SiteDatabase
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.txn.operations import OpKind, Operation
 
-from conftest import handle
+from conftest import handle, soak_under
 
 
 def submit_read(cluster, site_id, item, txn_id):
@@ -53,15 +51,7 @@ def test_every_read_version_was_written(strategy, monkeypatch):
 
     monkeypatch.setattr(SiteDatabase, "apply_writes", record_applied)
     monkeypatch.setattr(CoordinatorRole, "_local_commit", record_reads)
-    system_config = SoakConfig.system_config
-    monkeypatch.setattr(
-        SoakConfig,
-        "system_config",
-        lambda self: dataclasses.replace(
-            system_config(self), strategy=CopyControlStrategy(strategy)
-        ),
-    )
-    result = run_soak(SoakConfig(seed=3, txns=300, rate_tps=40.0))
+    result = soak_under(monkeypatch, strategy, seed=3, txns=300, rate_tps=40.0)
     assert result.fault.recover_done_ms is not None  # through its fail / recover cycle
     reads = [(item, version) for txn in committed_reads for item, version in txn.items()]
     assert len(reads) > 300

@@ -28,8 +28,6 @@ from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, RecoverSite, Scenario, Weighted
 from repro.workload.uniform import UniformWorkload
 
-from conftest import digest
-
 from conftest import make_scenario, run_cluster
 
 FIGURES = Path(__file__).resolve().parents[1] / "figures"
@@ -613,10 +611,7 @@ def test_cli_soak_trace_exemplars_roundtrip(tmp_path, capsys):
     assert exemplars["txns"]
 
 
-@pytest.mark.parametrize(
-    "seed, pin",
-    [(42, "0aa64f312cada17457b3c201305613c6"), (7, "ba4419fe7922fd7ebc6fb246473757fe")],
-)
+@pytest.mark.parametrize("seed", [42, 7])
 def test_recovery_matrix_digest_is_pinned(seed, pin):
     """The recovery round trip is host-only work: a faster fail-lock table,
     re-plan or message fabric must leave every cell's numbers (sim-ms,
@@ -627,4 +622,4 @@ def test_recovery_matrix_digest_is_pinned(seed, pin):
         policies=("two_step", "parallel"),
         seed=seed,
     )
-    assert digest([asdict(c) for c in cells]) == pin
+    pin([asdict(c) for c in cells])

@@ -18,7 +18,7 @@ are:
   delayed messages are still in flight: per-channel FIFO bookkeeping
   starts mid-run and must outlive the interposer.
 
-The digests are ``conftest.digest`` (blake2b-128 of canonical JSON).
+Each test pins its outcome (``conftest.pin``, ledger ``tests/pins.json``).
 """
 
 import dataclasses
@@ -28,8 +28,6 @@ import pytest
 from repro.chaos.faults import FaultPlan
 from repro.chaos.interpose import FaultInjector
 from repro.chaos.runner import run_chaos_seed
-from repro.core.strategy import CopyControlStrategy
-from repro.soak.engine import SoakConfig, run_soak
 from repro.soak.report import build_report
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
@@ -37,7 +35,7 @@ from repro.system.openloop import OpenLoopManager, run_open_loop
 from repro.txn.transaction import AbortReason
 from repro.workload.uniform import UniformWorkload
 
-from conftest import digest
+from conftest import soak_under
 
 
 def _txn_rows(records) -> list:
@@ -47,43 +45,14 @@ def _txn_rows(records) -> list:
     ]
 
 
-SOAK_PINS = {
-    ("rowaa", 1, 42): "36e40d204dd885bee3ede0be6d3413f9",
-    ("rowaa", 1, 7): "ebbed2d6d6d203646c4eba9f46a4a9dd",
-    ("rowaa", 5, 42): "bbba7b76d175f1acf46d090841609084",
-    ("rowaa", 5, 7): "207c3e67a721d20fb89c4901ca49eb16",
-    ("rowa", 1, 42): "b8080506c80f64b992db35e33ca34f1f",
-    ("rowa", 1, 7): "61f541f37d869da3272d635011f73e8d",
-    ("rowa", 5, 42): "f6be473a56983b67525e887ec388509f",
-    ("rowa", 5, 7): "ff2d5a46868f79d26e65303b81f8f7a5",
-    ("quorum", 1, 42): "37a988b055ce562eaf539a9345391613",
-    ("quorum", 1, 7): "3c033786db1fce023af8a1af47afd7e5",
-    ("quorum", 5, 42): "2d866b9de2fd733046c7e090ae098852",
-    ("quorum", 5, 7): "08637fc2d8ef191b97a18c3363221f7a",
-}
-
-
-def soak_report(seed: int, strategy: str, cores: int, monkeypatch) -> dict:
-    """The report of a 600-txn Zipf soak under ``strategy`` on ``cores``."""
-    system_config = SoakConfig.system_config
-    monkeypatch.setattr(
-        SoakConfig,
-        "system_config",
-        lambda self: dataclasses.replace(
-            system_config(self), strategy=CopyControlStrategy(strategy)
-        ),
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("cores", [1, 5])
+@pytest.mark.parametrize("strategy", ["rowaa", "rowa", "quorum"])
+def test_write_mixed_soak_is_pinned(strategy, cores, seed, monkeypatch, pin):
+    result = soak_under(
+        monkeypatch, strategy, seed=seed, txns=600, workload="zipf", cores=cores
     )
-    config = SoakConfig(seed=seed, txns=600, workload="zipf", cores=cores)
-    return build_report(run_soak(config))
-
-
-@pytest.mark.parametrize("strategy, cores, seed", sorted(SOAK_PINS))
-def test_write_mixed_soak_is_pinned(strategy, cores, seed, monkeypatch):
-    report = soak_report(seed, strategy, cores, monkeypatch)
-    assert digest(report) == SOAK_PINS[strategy, cores, seed]
-
-
-LOSSY_CHAOS_PIN = "4b22202502429810d5496da7afec9ab5"
+    pin(build_report(result))
 
 
 def lossy_chaos_outcome() -> dict:
@@ -97,11 +66,8 @@ def lossy_chaos_outcome() -> dict:
     return dataclasses.asdict(result)
 
 
-def test_lossy_chaos_seed_is_pinned():
-    assert digest(lossy_chaos_outcome()) == LOSSY_CHAOS_PIN
-
-
-DEADLOCK_PIN = "37757c99a2dc1626797b1328db675968"
+def test_lossy_chaos_seed_is_pinned(pin):
+    pin(lossy_chaos_outcome())
 
 
 def deadlock_outcome() -> dict:
@@ -129,11 +95,8 @@ def deadlock_outcome() -> dict:
     }
 
 
-def test_open_loop_deadlocks_are_pinned():
-    assert digest(deadlock_outcome()) == DEADLOCK_PIN
-
-
-LATE_INTERPOSER_PIN = "4ca1029173356330dd49302e9e38b072"
+def test_open_loop_deadlocks_are_pinned(pin):
+    pin(deadlock_outcome())
 
 
 def late_interposer_outcome() -> dict:
@@ -187,5 +150,5 @@ def late_interposer_outcome() -> dict:
     }
 
 
-def test_late_interposer_is_pinned():
-    assert digest(late_interposer_outcome()) == LATE_INTERPOSER_PIN
+def test_late_interposer_is_pinned(pin):
+    pin(late_interposer_outcome())
