@@ -25,6 +25,7 @@ from repro.core.faillocks import FailLockTable
 from repro.errors import ConfigurationError, SimulationError
 from repro.metrics.records import ViolationRecord
 from repro.net.reliable import ReliableStats
+from repro.perf.pool import run_chunked
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 
@@ -267,14 +268,11 @@ def run_seed_sweep(
 ) -> ChaosSweepReport:
     """Run :func:`run_chaos_seed` for every seed; aggregate the results.
 
-    ``jobs`` > 1 fans the seeds across the worker pool; ``None`` or 1 runs
-    them in-process.  Each seed is a pure function of its arguments, so
-    the report is the same either way — see :mod:`repro.perf.pool`.
+    The seeds fan out across the worker pool, on every CPU unless ``jobs``
+    says otherwise; ``jobs=1`` runs them in-process.  Each seed is a pure
+    function of its arguments, so the report is the same either way —
+    see :mod:`repro.perf.pool`.
     """
-    # Imported here so that building a sweep's inputs does not pay for
-    # ``concurrent.futures``.
-    from repro.perf.pool import run_chunked
-
     seeds = list(seeds)
     if not seeds:
         # A sweep of no seed checks nothing; it must not report clean.

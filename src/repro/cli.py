@@ -18,10 +18,13 @@ The first six commands print their section of EXPERIMENTS.md — the same
 ``report``       regenerate EXPERIMENTS.md (every section, joined)
 ===============  =======================================================
 
-The global ``--profile`` flag wraps any command in :mod:`cProfile` and
-prints the top functions by cumulative time; ``chaos --jobs N`` and
-``report --jobs N`` fan sweep seeds across worker processes with
-identical output (see docs/PERFORMANCE.md).
+``chaos``, ``recovery`` and ``report`` fan their independent runs across
+every CPU with identical output; ``chaos --jobs N`` and ``report --jobs
+N`` set the worker count, and ``--jobs 1`` runs in-process (see
+docs/PERFORMANCE.md).  The global ``--profile`` flag wraps any command in
+:mod:`cProfile` and prints the top functions by cumulative time; since
+cProfile sees only this process, a sweep left at its default runs
+in-process under it.
 
 ``trace`` has its own subcommands: ``record`` (trace an experiment preset
 or a chaos seed into a run directory), ``show`` (phase-attributed timeline
@@ -261,6 +264,7 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
         policies=tuple(dict.fromkeys(args.policies)),
         seed=args.seed,
         wire_latency_ms=args.wire_ms,
+        jobs=args.jobs,
     )
     doc = build_recovery_report(
         cells, seed=args.seed, wire_latency_ms=args.wire_ms
@@ -672,6 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the command under cProfile; print the top functions "
         "by cumulative time",
     )
+    # ``recovery`` has no --jobs: its cells use every CPU, or run
+    # in-process under --profile.
+    parser.set_defaults(jobs=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Each prints the section of EXPERIMENTS.md that `repro report` joins.
@@ -747,7 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--output", default=None, help="write report to file")
     chaos.add_argument(
         "--jobs", type=int, default=None,
-        help="fan seeds across N worker processes (identical report)",
+        help="worker processes for the seeds (default: every CPU; "
+        "1 runs in-process; identical report)",
     )
     chaos.set_defaults(fn=_cmd_chaos)
 
@@ -1057,7 +1065,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--output", default="EXPERIMENTS.md")
     report.add_argument(
         "--jobs", type=int, default=None,
-        help="fan stability replications across N worker processes",
+        help="worker processes for the recovery cells and stability "
+        "replications (default: every CPU; 1 runs in-process)",
     )
     report.set_defaults(fn=_cmd_report)
     return parser
@@ -1075,9 +1084,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # Every ``--jobs`` (chaos, check explore, report) counts worker
         # processes; 0 or fewer would run serially without a word.
-        if getattr(args, "jobs", None) is not None and args.jobs < 1:
+        if args.jobs is not None and args.jobs < 1:
             raise ConfigurationError(f"--jobs must be >= 1: {args.jobs}")
         if args.profile:
+            if args.jobs is None:
+                args.jobs = 1  # cProfile sees this process, not the workers
             import cProfile
             import pstats
 

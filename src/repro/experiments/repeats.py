@@ -6,12 +6,12 @@ across many seeds and summarize the distribution, giving the reproduction
 confidence intervals instead of single draws — and giving tests a way to
 assert that the headline results are stable properties, not lucky seeds.
 
-Each replication takes a ``jobs`` parameter: ``jobs > 1`` fans the seeds
-across worker processes (``run_chunked("call", ...)`` of
-:mod:`repro.perf.pool`; ``None`` or 1 runs in-process).  The
-per-seed workers are module-level functions returning plain floats, so
-they pickle cheaply, and results are merged in seed order — the summary
-is identical to a serial run's.
+Each replication fans its seeds across worker processes
+(``run_chunked("call", ...)`` of :mod:`repro.perf.pool`, on every CPU
+unless its ``jobs`` parameter says otherwise; ``jobs=1`` runs
+in-process).  The per-seed workers are module-level functions returning
+plain floats, so they pickle cheaply, and results are merged in seed
+order — the summary is identical to a serial run's.
 """
 
 from __future__ import annotations

@@ -272,13 +272,14 @@ def ablations_section(seed: int = 42) -> str:
     ])
 
 
-def recovery_section(seed: int = 42) -> str:
+def recovery_section(seed: int = 42, jobs: int | None = None) -> str:
     """The recovery-time family's speedup table (repro.recovery)."""
     from repro.recovery import build_recovery_report, run_recovery_matrix
 
     speedup = build_recovery_report(
         run_recovery_matrix(
-            donor_counts=(1, 2, 4, 6), stale_sizes=(16, 64), seed=seed
+            donor_counts=(1, 2, 4, 6), stale_sizes=(16, 64), seed=seed,
+            jobs=jobs,
         ),
         seed=seed,
     )["speedup"]
@@ -306,8 +307,8 @@ def recovery_section(seed: int = 42) -> str:
 
 
 def stability_section(jobs: int | None = None) -> str:
-    """The headline results across seeds 1-6 (``jobs`` > 1 fans the
-    replications across worker processes; same output)."""
+    """The headline results across seeds 1-6 (the replications fan out
+    across worker processes unless ``jobs=1``; same output)."""
     from repro.experiments import repeats
 
     seeds = tuple(range(1, 7))
@@ -354,8 +355,9 @@ def generate_report(
     """Run everything and return the EXPERIMENTS.md content.
 
     ``figures_dir`` (default ``figures/``) also receives SVG renderings of
-    Figures 1-3; pass None to skip writing files.  ``jobs`` > 1 fans the
-    stability replications across worker processes (same output).
+    Figures 1-3; pass None to skip writing files.  The recovery cells and
+    the stability replications fan out across worker processes unless
+    ``jobs=1`` (same output).
     """
     return _join([
         _PREAMBLE,
@@ -363,7 +365,7 @@ def generate_report(
         figure1_section(seed, figures_dir),
         experiment3_section(seed, figures_dir),
         ablations_section(seed),
-        recovery_section(seed),
+        recovery_section(seed, jobs),
         stability_section(jobs),
     ]) + "\n"
 

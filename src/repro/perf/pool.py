@@ -29,8 +29,14 @@ Every unit of work must remain a pure function of its spec: it builds
 its own cluster, scheduler, and named RNG streams from the seed and
 shares no mutable state with any other unit.  That property (pinned by
 ``tests/test_perf.py``) is what makes reusing one pool across chaos
-sweeps, experiment replications, and ``repro.check`` frontier expansion
-safe.
+sweeps, recovery matrices, experiment replications, and ``repro.check``
+frontier expansion safe.
+
+Every sweep fans out by default: ``jobs=None`` means every CPU this
+process may run on, and ``jobs=1`` is the one way to run in-process.  The
+workers fork once and persist, so a test that patches ``src/`` and then
+runs a default sweep must pass ``jobs=1``: the workers were forked before
+the patch and never see it.
 
 Worker crashes do not hang the sweep: a dead worker surfaces as
 :class:`WorkerPoolError` naming the task kind, and the broken pool is
@@ -40,6 +46,7 @@ retired so the next call starts from a fresh one.
 from __future__ import annotations
 
 import atexit
+import os
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 # ``multiprocessing`` and ``concurrent.futures`` are imported only when a
@@ -112,6 +119,15 @@ def _chaos_seed_task(shared: tuple, seed: int) -> Any:
     return run_chaos_seed(
         seed, sites=sites, db_size=db_size, txns=txns, plan=plan, mutate=mutate
     )
+
+
+@task("recovery-cell")
+def _recovery_cell_task(shared: tuple, cell: tuple) -> Any:
+    """One recovery matrix cell: (seed, wire latency) + (policy, donors, stale)."""
+    from repro.recovery.experiment import run_recovery_cell
+
+    seed, wire_latency_ms = shared
+    return run_recovery_cell(*cell, seed=seed, wire_latency_ms=wire_latency_ms)
 
 
 @task("call")
@@ -204,17 +220,21 @@ def run_chunked(
 ) -> list[Any]:
     """Run registered task ``kind`` over ``items``; results in input order.
 
-    ``jobs`` of ``None`` or <= 1 runs serially in-process (no pool, no
-    pickling) so callers can thread a ``jobs`` parameter through
-    unconditionally.  Parallel runs split the items into contiguous
-    chunks — ``chunks_per_worker`` per worker, so one slow chunk cannot
-    serialize the sweep tail — and concatenate chunk results in
-    submission order, which makes the output independent of worker
-    scheduling.
+    ``jobs`` of ``None`` uses every CPU this process may run on; 1 runs
+    serially in-process (no pool, no pickling), as does a single item.
+    Parallel runs split the items into contiguous chunks —
+    ``chunks_per_worker`` per worker, so one slow chunk cannot serialize
+    the sweep tail — and concatenate chunk results in submission order,
+    which makes the output independent of worker scheduling.
     """
     work = list(items)
     fn = _TASKS[kind]
-    if jobs is None or jobs <= 1 or len(work) <= 1:
+    if jobs is None:
+        if hasattr(os, "sched_getaffinity"):
+            jobs = len(os.sched_getaffinity(0))
+        else:
+            jobs = os.cpu_count() or 1
+    if jobs <= 1 or len(work) <= 1:
         return [fn(shared, item) for item in work]
     from concurrent.futures.process import BrokenProcessPool
 

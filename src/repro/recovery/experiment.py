@@ -19,10 +19,11 @@ donor.  Everything is seeded simulation, so the whole matrix — and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from repro.core.recovery import RecoveryPolicy
 from repro.errors import ConfigurationError, SimulationError
+from repro.perf.pool import run_chunked
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, RecoverSite, Scenario, Weighted
@@ -131,20 +132,16 @@ def run_recovery_matrix(
     policies: Iterable[str] = DEFAULT_POLICIES,
     seed: int = 42,
     wire_latency_ms: float = 9.0,
+    jobs: Optional[int] = None,
 ) -> list[RecoveryCell]:
     """The full sweep, in fixed (policy, donors, stale) nesting order so
-    the cell list — and every report built from it — is deterministic."""
-    cells: list[RecoveryCell] = []
-    for policy in policies:
-        for donor_count in donor_counts:
-            for stale in stale_sizes:
-                cells.append(
-                    run_recovery_cell(
-                        policy,
-                        donor_count,
-                        stale,
-                        seed=seed,
-                        wire_latency_ms=wire_latency_ms,
-                    )
-                )
-    return cells
+    the cell list — and every report built from it — is deterministic.
+    The cells fan out across the worker pool (``jobs=1`` runs them
+    in-process); the merged list is the same either way."""
+    cells = [
+        (policy, donor_count, stale)
+        for policy in policies
+        for donor_count in donor_counts
+        for stale in stale_sizes
+    ]
+    return run_chunked("recovery-cell", (seed, wire_latency_ms), cells, jobs=jobs)

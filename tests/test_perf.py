@@ -29,30 +29,60 @@ from repro.perf.pool import WorkerPoolError, get_pool, run_chunked, shutdown_poo
 # -- parallel executor -------------------------------------------------------
 
 
+def _run_child(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this ``repro``;
+    its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+        text=True, env=env, check=True,
+    )
+    return out.stdout
+
+
 def test_serial_sweeps_do_not_import_the_process_machinery():
     """``multiprocessing`` and ``concurrent.futures`` load only with a
-    pool: a serial chaos sweep and ``explore()`` leave both out of a
-    fresh interpreter."""
-    code = textwrap.dedent("""
-        import sys
+    pool: a ``jobs=1`` chaos sweep and ``explore()`` leave both out of a
+    fresh interpreter, and so does a default sweep where this process may
+    run on one CPU only."""
+    out = _run_child("""
+        import os, sys
         from repro.chaos import run_seed_sweep
         from repro.check.explorer import explore
         from repro.check.runner import CheckConfig
-        run_seed_sweep(range(2), txns=10)
+        loaded = lambda: sorted(
+            {"multiprocessing", "concurrent.futures"} & set(sys.modules))
+        run_seed_sweep(range(2), txns=10, jobs=1)
         explore(CheckConfig(), max_runs=5)
-        print(sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+        print(loaded())
+        os.sched_getaffinity = lambda pid: {0}
+        run_seed_sweep(range(2), txns=10)
+        print(loaded())
     """)
-    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "[]"
+    assert out.split("\n") == ["[]", "[]", ""]
 
+
+def test_no_worker_outlives_its_process():
+    """A default sweep forks the persistent pool; the interpreter's exit
+    joins it, so no worker is left running once the process is gone."""
+    out = _run_child("""
+        import os
+        os.sched_getaffinity = lambda pid: {0, 1}  # two workers anywhere
+        from repro.chaos import run_seed_sweep
+        from repro.perf import pool
+        run_seed_sweep(range(4), txns=10)
+        print(*pool._pool._processes)
+    """)
+    pids = [int(pid) for pid in out.split()]
+    assert pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_parallel_map_serial_fallback():
-    assert run_chunked("call", str, range(5)) == ["0", "1", "2", "3", "4"]
+    # ``jobs=1`` and a single item run in-process.
+    assert run_chunked("call", str, [5]) == ["5"]
     assert run_chunked("call", str, range(5), jobs=1) == ["0", "1", "2", "3", "4"]
 
 
@@ -61,7 +91,7 @@ def test_parallel_map_preserves_input_order():
 
 
 def test_parallel_sweep_identical_to_serial():
-    serial = run_seed_sweep(range(42, 46), txns=20)
+    serial = run_seed_sweep(range(42, 46), txns=20, jobs=1)
     parallel = run_seed_sweep(range(42, 46), txns=20, jobs=3)
     assert [r.seed for r in parallel.results] == list(range(42, 46))
     # Full dataclass equality: commits, aborts, sim time, fault counts,
@@ -74,7 +104,7 @@ def test_parallel_sweep_lossy_core_identical():
     # The retransmission + timeout layers are the most timing-entangled
     # code paths; they too must replay identically across processes.
     plan = FaultPlan.lossy()
-    serial = run_seed_sweep(range(7, 10), txns=15, plan=plan)
+    serial = run_seed_sweep(range(7, 10), txns=15, plan=plan, jobs=1)
     parallel = run_seed_sweep(range(7, 10), txns=15, plan=plan, jobs=2)
     assert parallel.results == serial.results
 
@@ -125,7 +155,7 @@ def test_explore_parallel_deterministic_merge():
 def test_replicate_parallel_matches_serial():
     from repro.experiments import repeats
 
-    serial = repeats.replicate_scenario2(seeds=(1, 2))
+    serial = repeats.replicate_scenario2(seeds=(1, 2), jobs=1)
     parallel = repeats.replicate_scenario2(seeds=(1, 2), jobs=2)
     assert parallel.values == serial.values
 
@@ -143,3 +173,10 @@ def test_cli_profile_flag(capsys):
     out = capsys.readouterr().out
     assert "cumulative" in out
     assert "function calls" in out
+
+
+def test_cli_profile_profiles_the_sweep_not_the_wait(capsys):
+    """cProfile sees only this process, so ``--profile`` runs a sweep
+    in-process: the seeds' own work shows, not a wait on the pool."""
+    assert main(["--profile", "chaos", "--seeds", "2", "--txns", "10"]) == 0
+    assert "run_chaos_seed" in capsys.readouterr().out

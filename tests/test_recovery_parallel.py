@@ -476,6 +476,19 @@ def test_recovery_report_builds_validates_and_is_deterministic(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
+def test_recovery_matrix_equals_its_cells_run_one_by_one():
+    """The matrix fans its cells across the worker pool; the merged list
+    is the cells run in-process in (policy, donors, stale) order."""
+    cells = run_recovery_matrix(donor_counts=(1, 2), stale_sizes=(16, 24), seed=5)
+    expected = [
+        run_recovery_cell(policy, donors, stale, seed=5)
+        for policy in ("two_step", "parallel")
+        for donors in (1, 2)
+        for stale in (16, 24)
+    ]
+    assert [asdict(c) for c in cells] == [asdict(c) for c in expected]
+
+
 def test_recovery_report_validation_catches_corruption():
     cells = run_recovery_matrix(donor_counts=(2,), stale_sizes=(16,), seed=5)
     doc = build_recovery_report(cells, seed=5)
