@@ -29,6 +29,12 @@ expands every *new* branch point the run encountered past its prefix:
   bounds how deep in the decision sequence new branches are opened.
   ``budget_exhausted`` in the stats says the frontier was not empty when
   the explorer stopped.
+* **Look-ahead** — with ``jobs > 1`` pool workers run the prefixes on
+  top of the frontier while the search runs the one it popped; the
+  search takes a worker's run when it pops that prefix.  ``jobs``
+  decides the wall time only.  Workers fork once and keep the code they
+  forked with, so a search whose ``run_schedule`` has been replaced (a
+  test's stub, a profiler's wrapper) runs every prefix itself.
 
 Fault/fate alternatives are expanded before order alternatives (the
 bug-dense part of the space first); within a priority class, shallower
@@ -46,8 +52,9 @@ from repro.check.choices import Decision
 from repro.check.runner import CheckConfig, CheckRunResult, run_schedule
 from repro.errors import CheckError
 from repro.metrics.records import ViolationRecord
+from repro.perf.pool import Dealer, resolve_jobs
 
-__all__ = ["ExplorationStats", "ExplorationResult", "explore", "explore_parallel"]
+__all__ = ["ExplorationStats", "ExplorationResult", "explore", "run_prefix"]
 
 # Expansion priority by choice kind: crash/drop placements find protocol
 # bugs far more often than event permutations, so they go first.
@@ -76,9 +83,7 @@ class ExplorationResult:
     counterexample: Optional[list[int]] = None
     violation: Optional[ViolationRecord] = None
     counterexample_run: Optional[CheckRunResult] = None
-    # Every branch-point fingerprint expanded by the search, sorted.  For
-    # a parallel exploration this is the deterministic merge of the
-    # workers' sets (input-order union — independent of worker timing).
+    # Every branch-point fingerprint expanded by the search, sorted.
     fingerprints: tuple[str, ...] = ()
 
     @property
@@ -150,50 +155,43 @@ def _expand_children(
     return children
 
 
-def _search(
-    config: CheckConfig,
-    frontier: list[list[int]],
-    expanded: set[str],
-    stats: ExplorationStats,
-    result: ExplorationResult,
-    *,
-    max_runs: int,
-    max_depth: int,
-    stop_on_violation: bool,
-    sleep_sets: bool,
-) -> None:
-    """The bounded-DFS loop shared by serial and per-worker exploration.
+# The code of the ``run_schedule`` this module imported: while the name
+# still runs it, a worker's run of a prefix is the run the search makes.
+# (The code, not the function: a patch that replaces every alias of the
+# function would replace this one too.)
+_RUN_SCHEDULE_CODE = run_schedule.__code__
 
-    Mutates ``frontier``, ``expanded``, ``stats``, and ``result`` in
-    place; a pure function of its arguments otherwise (same inputs, same
-    visited-state count, same counterexample — byte for byte).
+
+def run_prefix(config: CheckConfig, prefix: list[int], max_depth: int) -> CheckRunResult:
+    """The run the search makes of ``prefix``: fingerprinted on its window.
+
+    A pure function of its arguments, which is what lets a pool worker
+    make it ahead of time (the ``"check-run"`` task).
     """
-    while frontier:
-        if stats.runs >= max_runs:
-            stats.budget_exhausted = True
-            break
-        prefix = frontier.pop()
-        run = run_schedule(
-            config, prefix, fingerprint_at=_read_window(prefix, max_depth)
-        )
-        stats.runs += 1
+    return run_schedule(config, prefix, fingerprint_at=_read_window(prefix, max_depth))
 
-        if run.violations:
-            stats.violations_found += 1
-            if result.counterexample is None:
-                result.counterexample = run.chosen
-                result.violation = run.violations[0]
-                result.counterexample_run = run
-            if stop_on_violation:
-                break
-            continue  # don't open branches below a violating schedule
 
-        children = _expand_children(
-            run, prefix, expanded, stats, max_depth=max_depth, sleep_sets=sleep_sets
-        )
-        # Highest-priority, shallowest child on top of the LIFO frontier.
-        children.sort(key=lambda c: (c[0], c[1], c[2]))
-        frontier.extend(vec for _p, _i, vec in reversed(children))
+def _deal_ahead(dealer: Dealer, frontier: list[list[int]], spare: int) -> None:
+    """Deal the entries on top of ``frontier`` that no worker has started
+    to the idle workers.
+
+    ``spare`` is how many more runs the budget allows after the one the
+    search is about to make: the ``k``-th entry from the top is popped no
+    sooner than ``k`` runs from now, so only the top ``spare`` can still
+    be needed.  A run is a pure function of ``(config, prefix,
+    max_depth)``, so the reply taken when its prefix is popped is the run
+    the search would have made itself; one never taken is dropped.
+    """
+    if not (frontier and spare):
+        return
+    idle = dealer.idle()
+    for vector in reversed(frontier[-spare:]):
+        if not idle:
+            return
+        key = tuple(vector)
+        if key not in dealer:
+            dealer.deal(key, vector)
+            idle -= 1
 
 
 def _check_budget(max_runs: int, max_depth: int) -> None:
@@ -212,157 +210,60 @@ def explore(
     max_depth: int = 40,
     stop_on_violation: bool = True,
     sleep_sets: bool = True,
+    jobs: Optional[int] = None,
 ) -> ExplorationResult:
     """Bounded-DFS the schedule space of ``config``.
 
     Returns when a violation is found (unless ``stop_on_violation`` is
     False), the frontier empties (the bounded space is exhausted), or
-    ``max_runs`` re-executions are spent.
+    ``max_runs`` re-executions are spent.  ``jobs`` (``None``: every CPU
+    this process may run on) decides only the wall time: up to ``jobs -
+    1`` pool workers (never more than ``max_runs - 1``) run the next
+    frontier prefixes ahead of the search (:func:`_deal_ahead`), and the
+    result is the ``jobs=1`` one, byte for byte.  With ``run_schedule``
+    replaced the search runs in-process whatever ``jobs`` is.
     """
     _check_budget(max_runs, max_depth)
     stats = ExplorationStats()
     result = ExplorationResult(config=config, stats=stats)
     expanded: set[str] = set()
+    workers = min(resolve_jobs(jobs), max_runs) - 1
+    if getattr(run_schedule, "__code__", None) is not _RUN_SCHEDULE_CODE:
+        workers = 0
+    dealer = Dealer("check-run", (config, max_depth), workers) if workers > 0 else None
     # LIFO frontier of decision-vector prefixes; starts at the root (the
     # unperturbed run).
     frontier: list[list[int]] = [[]]
-    _search(
-        config,
-        frontier,
-        expanded,
-        stats,
-        result,
-        max_runs=max_runs,
-        max_depth=max_depth,
-        stop_on_violation=stop_on_violation,
-        sleep_sets=sleep_sets,
-    )
+    while frontier:
+        if stats.runs >= max_runs:
+            stats.budget_exhausted = True
+            break
+        prefix = frontier.pop()
+        if dealer is not None:
+            _deal_ahead(dealer, frontier, max_runs - stats.runs - 1)
+        key = tuple(prefix)
+        if dealer is not None and key in dealer:
+            run = dealer.take(key)
+        else:
+            run = run_prefix(config, prefix, max_depth)
+        stats.runs += 1
+
+        if run.violations:
+            stats.violations_found += 1
+            if result.counterexample is None:
+                result.counterexample = run.chosen
+                result.violation = run.violations[0]
+                result.counterexample_run = run
+            if stop_on_violation:
+                break
+            continue  # don't open branches below a violating schedule
+
+        children = _expand_children(
+            run, prefix, expanded, stats, max_depth=max_depth, sleep_sets=sleep_sets
+        )
+        # Highest-priority, shallowest child on top of the LIFO frontier.
+        children.sort(key=lambda c: (c[0], c[1], c[2]))
+        frontier.extend(vec for _p, _i, vec in reversed(children))
     stats.states = len(expanded)
     result.fingerprints = tuple(sorted(expanded))
-    return result
-
-
-def _explore_worker(shared: tuple, prefixes: list[list[int]]) -> tuple:
-    """One worker's share of a parallel exploration (runs in the pool).
-
-    ``shared`` is ``(config, max_runs, max_depth, sleep_sets,
-    preexpanded)`` where ``preexpanded`` holds the fingerprints the parent
-    expanded at the root — seeding the visited set with them keeps
-    workers from re-opening root branch points.
-    Returns plain data only: a stats tuple, the sorted fingerprints this
-    worker newly expanded, and the counterexample (vector + violation)
-    if it found one.
-    """
-    config, max_runs, max_depth, sleep_sets, preexpanded = shared
-    stats = ExplorationStats()
-    result = ExplorationResult(config=config, stats=stats)
-    expanded = set(preexpanded)
-    # Reversed so the LIFO pop visits this worker's prefixes in the
-    # priority order the parent assigned them.
-    frontier = [list(prefix) for prefix in reversed(prefixes)]
-    _search(
-        config,
-        frontier,
-        expanded,
-        stats,
-        result,
-        max_runs=max_runs,
-        max_depth=max_depth,
-        stop_on_violation=True,
-        sleep_sets=sleep_sets,
-    )
-    new_fingerprints = sorted(expanded.difference(preexpanded))
-    stats_tuple = (
-        stats.runs,
-        stats.pruned_visited,
-        stats.pruned_sleep,
-        stats.violations_found,
-        stats.budget_exhausted,
-    )
-    return (stats_tuple, new_fingerprints, result.counterexample, result.violation)
-
-
-def explore_parallel(
-    config: CheckConfig,
-    *,
-    max_runs: int = 200,
-    max_depth: int = 40,
-    sleep_sets: bool = True,
-    jobs: int = 2,
-) -> ExplorationResult:
-    """Frontier-parallel bounded exploration across the worker pool.
-
-    The parent executes the root schedule, expands its branch points,
-    and deals the resulting subtree prefixes round-robin to ``jobs``
-    workers — *disjoint* subtrees by construction, since each prefix
-    fixes a different first divergence.  Workers search independently
-    (no shared visited set, so cross-worker duplicates are possible —
-    the price of zero coordination) and return plain data; the parent
-    merges in **input order**: fingerprint sets unioned, stats summed,
-    and the winning counterexample taken from the lowest-numbered worker
-    that found one.  Each worker stops at its first violation.  The
-    merged result is therefore a pure function of (config, budgets, jobs)
-    no matter how the OS schedules the workers.
-
-    Note the search *frontier policy* differs from serial ``explore``
-    (serial shares one visited set and one LIFO; workers do not), so
-    stats and the specific counterexample may legitimately differ from a
-    serial run with the same budgets — but not between two parallel runs
-    with the same ``jobs``.
-    """
-    from repro.perf.pool import run_chunked
-
-    _check_budget(max_runs, max_depth)
-    stats = ExplorationStats()
-    result = ExplorationResult(config=config, stats=stats)
-    root = run_schedule(config, [], fingerprint_at=_read_window([], max_depth))
-    stats.runs = 1
-    if root.violations:
-        stats.violations_found = 1
-        result.counterexample = root.chosen
-        result.violation = root.violations[0]
-        result.counterexample_run = root
-        stats.states = 0
-        return result
-
-    expanded: set[str] = set()
-    children = _expand_children(
-        root, [], expanded, stats, max_depth=max_depth, sleep_sets=sleep_sets
-    )
-    children.sort(key=lambda c: (c[0], c[1], c[2]))
-    prefixes = [vec for _p, _i, vec in children]
-    if not prefixes:
-        stats.states = len(expanded)
-        result.fingerprints = tuple(sorted(expanded))
-        return result
-
-    jobs = max(1, min(jobs, len(prefixes)))
-    # Round-robin in priority order: every worker gets a share of the
-    # bug-dense (fault/fate) subtrees instead of worker 0 taking them all.
-    slices = [prefixes[index::jobs] for index in range(jobs)]
-    budget = max(1, -(-(max_runs - 1) // jobs))  # ceil split of what's left
-    preexpanded = tuple(sorted(expanded))
-    shared = (config, budget, max_depth, sleep_sets, preexpanded)
-    outcomes = run_chunked(
-        "check-prefixes", shared, slices, jobs=jobs, chunks_per_worker=1
-    )
-
-    merged = set(expanded)
-    for stats_tuple, new_fingerprints, counterexample, violation in outcomes:
-        runs, pruned_visited, pruned_sleep, violations_found, exhausted = stats_tuple
-        stats.runs += runs
-        stats.pruned_visited += pruned_visited
-        stats.pruned_sleep += pruned_sleep
-        stats.violations_found += violations_found
-        stats.budget_exhausted = stats.budget_exhausted or exhausted
-        merged.update(new_fingerprints)
-        if counterexample is not None and result.counterexample is None:
-            result.counterexample = counterexample
-            result.violation = violation
-    stats.states = len(merged)
-    result.fingerprints = tuple(sorted(merged))
-    if result.counterexample is not None:
-        # Re-execute the winning schedule in-process: deterministic, and
-        # it spares workers from shipping a rich CheckRunResult back.
-        result.counterexample_run = run_schedule(config, result.counterexample)
     return result

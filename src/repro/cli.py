@@ -18,9 +18,11 @@ The first six commands print their section of EXPERIMENTS.md — the same
 ``report``       regenerate EXPERIMENTS.md (every section, joined)
 ===============  =======================================================
 
-``chaos``, ``recovery`` and ``report`` fan their independent runs across
-every CPU with identical output; ``chaos --jobs N`` and ``report --jobs
-N`` set the worker count, and ``--jobs 1`` runs in-process (see
+``chaos``, ``recovery``, ``report`` and ``check`` use every CPU with
+identical output: the sweeps fan their independent runs out, and ``check
+explore`` runs its next frontier prefixes ahead on the workers.  ``chaos
+--jobs N``, ``check explore --jobs N`` and ``report --jobs N`` set the
+worker count, and ``--jobs 1`` runs in-process (see
 docs/PERFORMANCE.md).  The global ``--profile`` flag wraps any command in
 :mod:`cProfile` and prints the top functions by cumulative time; since
 cProfile sees only this process, a sweep left at its default runs
@@ -318,23 +320,13 @@ def _cmd_check_explore(args: argparse.Namespace) -> int:
     from repro.check import build_schedule_doc, explore, save_schedule
 
     config = _check_config_from_args(args)
-    if args.jobs is not None and args.jobs > 1:
-        from repro.check.explorer import explore_parallel
-
-        result = explore_parallel(
-            config,
-            max_runs=args.max_runs,
-            max_depth=args.max_depth,
-            sleep_sets=not args.no_sleep_sets,
-            jobs=args.jobs,
-        )
-    else:
-        result = explore(
-            config,
-            max_runs=args.max_runs,
-            max_depth=args.max_depth,
-            sleep_sets=not args.no_sleep_sets,
-        )
+    result = explore(
+        config,
+        max_runs=args.max_runs,
+        max_depth=args.max_depth,
+        sleep_sets=not args.no_sleep_sets,
+        jobs=args.jobs,
+    )
     _print_check_stats(result.stats)
     if result.found:
         print(f"counterexample: {result.counterexample}")
@@ -510,7 +502,7 @@ def _cmd_check_selftest(args: argparse.Namespace) -> int:
     from repro.obs import validate_run_dir
 
     config = CheckConfig(mutate=True)
-    result = explore(config, max_runs=args.max_runs)
+    result = explore(config, max_runs=args.max_runs, jobs=args.jobs)
     _print_check_stats(result.stats)
     if not result.found:
         print("SELFTEST: explorer missed the planted mutation", file=sys.stderr)
@@ -676,8 +668,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the command under cProfile; print the top functions "
         "by cumulative time",
     )
-    # ``recovery`` has no --jobs: its cells use every CPU, or run
-    # in-process under --profile.
+    # ``recovery`` and ``check selftest`` have no --jobs: they use every
+    # CPU, or run in-process under --profile.
     parser.set_defaults(jobs=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -887,8 +879,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore_p.add_argument(
         "--jobs", type=int, default=None,
-        help="fan frontier expansion across N pool workers "
-        "(disjoint subtree prefixes, deterministically merged)",
+        help="run the next frontier prefixes ahead on N-1 pool workers "
+        "(default: every CPU; the result is the --jobs 1 one)",
     )
     explore_p.set_defaults(fn=_cmd_check_explore)
 

@@ -1,15 +1,17 @@
 """Performance tooling: the persistent worker pool.
 
 :mod:`repro.perf.pool` is the one front-end for process-level fan-out:
-one long-lived, fork-where-available process pool per interpreter, fed
-compact ``(kind, shared, items)`` specs in contiguous chunks and merged
-in input order.  Chaos seed sweeps, recovery matrices, experiment
-replications and ``repro.check`` frontier expansion call
-:func:`run_chunked` directly (the sweeps on every CPU unless ``jobs=1``);
-every sweep in the process reuses the same warm workers, and parallel
-results are *identical* to serial ones, not just statistically
-equivalent, because every unit of work is a pure function of its
-arguments (see docs/PERFORMANCE.md).
+one long-lived set of fork-where-available workers per interpreter, each
+on one duplex pipe, dealt compact ``(kind, shared, item)`` requests
+whenever it is idle, with replies merged by key.  Chaos seed sweeps,
+recovery matrices and experiment replications call :func:`run_chunked`
+(input-order merge); ``repro.check``'s search deals the next frontier
+prefixes through the same workers and takes each run when it pops that
+prefix.  Both use every CPU unless ``jobs=1``, every caller in the
+process reuses the same warm workers, and parallel results are
+*identical* to serial ones, not just statistically equivalent, because
+every unit of work is a pure function of its arguments (see
+docs/PERFORMANCE.md).
 """
 
 from repro.perf.pool import (

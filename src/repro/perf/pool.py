@@ -1,62 +1,73 @@
-"""Persistent fork-based worker pool for sweep fan-out.
+"""Persistent forked worker pool, one duplex pipe per worker.
 
 The original parallel executor paid the full pool lifecycle on every
 sweep: spawn workers, re-import ``repro`` in each, pickle a config object
 per seed, tear everything down.  On sweeps measured in tenths of a
 second that startup dominates — a 16-seed sweep measured parallel
-*slower* than serial (0.95x).  This module replaces it with a
-process-wide pool that is created once and reused by every caller for
-the life of the process:
+*slower* than serial (0.95x).  This module keeps one process-wide set of
+workers instead, created on first use and reused by every caller for the
+life of the process:
 
-* **Long-lived workers.**  The pool is a module-level singleton; a second
-  sweep in the same process reuses the warm workers.  Where the platform
-  offers it the pool forks (workers inherit the already-imported
-  ``repro`` for free); elsewhere the initializer pays the imports once
-  per worker instead of once per task.
-* **Compact schedule specs.**  Work crosses the pipe as
-  ``(kind, shared, chunk-of-seeds)``: a registered preset id, one shared
-  config delta per *chunk* (plain data — never a built cluster or a live
-  scheduler), and the seeds themselves.  Workers rebuild everything else
-  from the seed, exactly like the determinism tests demand.
-* **Chunked dispatch.**  Seeds are split into contiguous chunks
-  (a few per worker, for late-finisher balance) so per-task pickling and
-  scheduling overhead is amortized across many simulations.
-* **Deterministic merge.**  Chunk results are concatenated in submission
-  order, which is input order — the merged list is identical to the
-  serial one no matter which worker finished first.
+* **Long-lived workers.**  The workers are a module-level list; a second
+  sweep in the same process reuses them warm.  Where the platform offers
+  it they fork, so they inherit the already-imported ``repro`` for free.
+  A caller that asks for more workers than exist forks only the missing
+  ones.
+* **One pipe each, dealt to whichever is idle.**  Each worker sits on
+  one duplex :func:`multiprocessing.Pipe`.  The parent sends one
+  ``(ticket, kind, shared, item)`` request to an idle worker and reads
+  each reply as it arrives (:func:`multiprocessing.connection.wait`):
+  no queue-feeder or management thread competes with the parent for the
+  GIL, so the parent can run a simulation of its own between two
+  replies (``repro.check``'s look-ahead search does).
+* **Compact specs.**  ``kind`` is a registered task id, ``shared`` is
+  plain data (a config delta, never a built cluster or a live
+  scheduler), and ``item`` is a seed, a cell or a schedule prefix.
+  Workers rebuild everything else from it, exactly like the determinism
+  tests demand.
+* **Deterministic merge.**  Replies are filed under the key they were
+  dealt with and read back in the caller's order — input order for
+  :func:`run_chunked` — so the merged result is identical to the serial
+  one no matter which worker finished first.  A reply whose caller has
+  gone (a look-ahead run the search never needed) is read and dropped by
+  the next caller: every request carries a ticket, and a
+  :class:`Dealer` answers only for its own.
 
 Every unit of work must remain a pure function of its spec: it builds
 its own cluster, scheduler, and named RNG streams from the seed and
 shares no mutable state with any other unit.  That property (pinned by
 ``tests/test_perf.py``) is what makes reusing one pool across chaos
 sweeps, recovery matrices, experiment replications, and ``repro.check``
-frontier expansion safe.
+look-ahead runs safe.
 
 Every sweep fans out by default: ``jobs=None`` means every CPU this
 process may run on, and ``jobs=1`` is the one way to run in-process.  The
 workers fork once and persist, so a test that patches ``src/`` and then
-runs a default sweep must pass ``jobs=1``: the workers were forked before
-the patch and never see it.
+runs a default sweep or search must pass ``jobs=1``: the workers were
+forked before the patch and never see it.
 
-Worker crashes do not hang the sweep: a dead worker surfaces as
-:class:`WorkerPoolError` naming the task kind, and the broken pool is
-retired so the next call starts from a fresh one.
+Worker crashes do not hang the caller: a dead worker surfaces as
+:class:`WorkerPoolError` naming the task kind, and every worker is
+retired so the next call starts from fresh ones.
 """
 
 from __future__ import annotations
 
 import atexit
+import itertools
 import os
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Optional
 
-# ``multiprocessing`` and ``concurrent.futures`` are imported only when a
-# pool is built: a serial sweep never pays their memory.
+# ``multiprocessing`` is imported only when a worker is forked: a serial
+# sweep never pays its memory.
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 __all__ = [
+    "Dealer",
     "WorkerPoolError",
-    "get_pool",
+    "resolve_jobs",
     "run_chunked",
     "shutdown_pool",
     "task",
@@ -69,10 +80,9 @@ class WorkerPoolError(RuntimeError):
 
 # -- task registry ---------------------------------------------------------
 #
-# Tasks are registered *in this module* (or in modules the worker
-# initializer imports) so that both fork workers (which inherit the
-# registry) and spawn workers (which re-import this module to unpickle
-# ``_run_chunk``) see every kind.
+# Tasks are registered *in this module* so that a worker forked before a
+# caller's module was imported still knows every kind; each task imports
+# what it runs on first use.
 
 _TASKS: dict[str, Callable[[Any, Any], Any]] = {}
 
@@ -85,29 +95,6 @@ def task(kind: str) -> Callable[[Callable[[Any, Any], Any]], Callable[[Any, Any]
         return fn
 
     return register
-
-
-# -- worker side -----------------------------------------------------------
-
-
-def _init_worker() -> None:
-    """Pay the heavy imports once per worker, not once per task.
-
-    Under fork this is a no-op in practice (the parent already imported
-    everything); under spawn it front-loads the cost so the first task's
-    latency is not an import storm.
-    """
-    import repro.chaos.runner  # noqa: F401
-    import repro.check.explorer  # noqa: F401
-
-
-def _run_chunk(kind: str, shared: Any, items: list) -> list:
-    """Run one chunk of specs inside a worker; results in item order."""
-    fn = _TASKS[kind]
-    return [fn(shared, item) for item in items]
-
-
-# -- registered tasks ------------------------------------------------------
 
 
 @task("chaos-seed")
@@ -134,80 +121,214 @@ def _recovery_cell_task(shared: tuple, cell: tuple) -> Any:
 def _call_task(fn: Callable[[Any], Any], item: Any) -> Any:
     """Generic ``fn(item)`` unit: ``run_chunked("call", fn, items)`` is a
     parallel map.  ``fn`` must be module-level (it is pickled by import
-    path) and crosses the pipe once per chunk, not once per item."""
+    path)."""
     return fn(item)
 
 
-@task("check-prefixes")
-def _check_prefixes_task(shared: tuple, prefixes: list) -> tuple:
-    """One frontier-expansion unit for parallel ``repro.check``.
+@task("check-run")
+def _check_run_task(shared: tuple, prefix: list) -> Any:
+    """One look-ahead run of ``repro.check``'s search: (config,
+    max_depth) + the frontier prefix, fingerprinted as the search reads
+    it."""
+    from repro.check.explorer import run_prefix
 
-    ``shared`` carries the :class:`~repro.check.runner.CheckConfig` plus
-    budgets; ``prefixes`` is this worker's slice of the root's branch
-    points (disjoint subtrees by construction).  Returns plain data —
-    the stats tuple, the sorted fingerprint list, and the counterexample
-    vector — so the merge never depends on rich-object identity.
-    """
-    from repro.check.explorer import _explore_worker
+    config, max_depth = shared
+    return run_prefix(config, prefix, max_depth)
 
-    return _explore_worker(shared, prefixes)
+
+# -- worker side -----------------------------------------------------------
+
+
+def _serve(conn: Connection, parent_end: Connection) -> None:
+    """One worker's life: answer each ``(ticket, kind, shared, item)`` with
+    ``(ticket, True, result)`` or ``(ticket, False, (exception, its
+    traceback text))`` until the parent closes its end."""
+    import signal
+    import traceback
+
+    # Ctrl-C reaches the whole process group; the parent handles it and
+    # closes the pipes, which ends this loop.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # The parent's ends of this pipe and of the earlier workers' pipes: a
+    # copy held here would keep a worker from reading EOF once the parent
+    # closes its end.
+    parent_end.close()
+    for worker in _workers:
+        worker.conn.close()
+    _workers.clear()
+    while True:
+        try:
+            ticket, kind, shared, item = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (ticket, True, _TASKS[kind](shared, item))
+        except Exception as exc:  # raised in the parent, by Dealer.take
+            reply = (ticket, False, (exc, traceback.format_exc()))
+        try:
+            conn.send(reply)
+        except OSError:  # the parent closed its end while this task ran
+            return
+        except Exception as exc:  # the reply does not pickle; nothing was sent
+            error = RuntimeError(f"{kind!r} reply: {exc!r}")
+            conn.send((ticket, False, (error, traceback.format_exc())))
 
 
 # -- parent side -----------------------------------------------------------
 
-_pool: Optional[ProcessPoolExecutor] = None
-_pool_workers = 0
-_pools_created = 0
+
+class _Worker:
+    """One forked worker, its end of the pipe, and the ticket of the
+    request it is running (``None`` when idle)."""
+
+    __slots__ = ("process", "conn", "ticket")
+
+    def __init__(self, process: BaseProcess, conn: Connection) -> None:
+        self.process = process
+        self.conn = conn
+        self.ticket: Optional[int] = None
 
 
-def get_pool(jobs: int) -> ProcessPoolExecutor:
-    """The shared pool, created on first use and grown when ``jobs`` asks
-    for more workers than it has (never shrunk — idle workers are cheap,
-    respawning them is not)."""
-    global _pool, _pool_workers, _pools_created
-    if _pool is None or _pool_workers < jobs:
+_workers: list[_Worker] = []
+_forked = 0  # workers ever started in this process
+_tickets = itertools.count()
+
+
+def _grow(size: int) -> list[_Worker]:
+    """The first ``size`` workers, forking the missing ones (never shrunk —
+    idle workers are cheap, re-forking them is not)."""
+    global _forked
+    if len(_workers) < size:
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        if not _pools_created:
-            # Imported after this module, concurrent.futures is torn down
-            # before it at exit; a pool still alive then would be
-            # finalized against a half-cleared module.
+        if not _forked:
             atexit.register(shutdown_pool)
-        if _pool is not None:
-            _pool.shutdown(wait=True)
         methods = multiprocessing.get_all_start_methods()
-        method = "fork" if "fork" in methods else None
-        _pool = ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=multiprocessing.get_context(method),
-            initializer=_init_worker,
-        )
-        _pool_workers = jobs
-        _pools_created += 1
-    return _pool
+        context = multiprocessing.get_context("fork" if "fork" in methods else None)
+        while len(_workers) < size:
+            parent_end, child_end = context.Pipe()
+            process = context.Process(
+                target=_serve, args=(child_end, parent_end), daemon=True
+            )
+            process.start()
+            child_end.close()
+            _workers.append(_Worker(process, parent_end))
+            _forked += 1
+    return _workers[:size]
 
 
 def shutdown_pool() -> None:
-    """Tear the shared pool down (tests and cold-start benchmarks)."""
-    global _pool, _pool_workers
-    if _pool is not None:
-        _pool.shutdown(wait=True)
-        _pool = None
-        _pool_workers = 0
+    """Retire every worker (tests, cold-start benchmarks, exit).
+
+    Closing a worker's pipe ends its loop; one still running a request
+    nobody will read finishes it first.
+    """
+    retired = list(_workers)
+    _workers.clear()
+    for worker in retired:
+        worker.conn.close()
+    for worker in retired:
+        worker.process.join(timeout=10)
+        if worker.process.is_alive():
+            worker.process.terminate()
+            worker.process.join()
 
 
-def _chunked(items: list, parts: int) -> list[list]:
-    """Split into ``parts`` contiguous chunks, sizes differing by <= 1."""
-    base, extra = divmod(len(items), parts)
-    chunks = []
-    start = 0
-    for index in range(parts):
-        end = start + base + (1 if index < extra else 0)
-        if end > start:
-            chunks.append(items[start:end])
-        start = end
-    return chunks
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """``jobs`` as given, or for ``None`` every CPU this process may run on."""
+    if jobs is not None:
+        return jobs
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_UNDEALT = object()
+
+
+class Dealer:
+    """One caller's share of the pool: items dealt one at a time to idle
+    workers among the first ``workers``, each reply taken by its key.
+
+    A reply still owed to an earlier dealer (a look-ahead run its search
+    never popped) is read and dropped here, never filed: the dealer files
+    only the tickets it issued.
+    """
+
+    def __init__(self, kind: str, shared: Any, workers: int) -> None:
+        self.kind = kind
+        self.shared = shared
+        self.workers = workers
+        self._keys: dict[int, Hashable] = {}  # ticket in flight -> key
+        self._replies: dict[Hashable, tuple[bool, Any]] = {}
+
+    def __contains__(self, key: Hashable) -> bool:
+        """Whether ``key`` was dealt and its reply not yet taken."""
+        return key in self._replies or key in self._keys.values()
+
+    def idle(self) -> int:
+        """How many workers could take an item now, after reading every
+        reply already in (forks the workers on first use)."""
+        workers = _grow(self.workers)
+        self._receive(workers, 0)
+        return sum(worker.ticket is None for worker in workers)
+
+    def deal(self, key: Hashable, item: Any) -> None:
+        """Send ``item`` to an idle worker, waiting for one if none is."""
+        workers = _grow(self.workers)
+        while True:
+            for worker in workers:
+                if worker.ticket is None:
+                    ticket = next(_tickets)
+                    try:
+                        worker.conn.send((ticket, self.kind, self.shared, item))
+                    except OSError as exc:
+                        raise self._died() from exc
+                    worker.ticket = ticket
+                    self._keys[ticket] = key
+                    return
+            self._receive(workers, None)
+
+    def take(self, key: Hashable) -> Any:
+        """The reply for a dealt ``key``, waiting for it; an exception the
+        task raised is raised here."""
+        if key not in self:
+            raise KeyError(key)
+        while key not in self._replies:
+            self._receive(_workers, None)
+        ok, value = self._replies.pop(key)
+        if not ok:
+            exc, trace = value
+            raise exc from RuntimeError(f"{self.kind!r} task, in the worker:\n{trace}")
+        return value
+
+    def _receive(self, workers: list[_Worker], timeout: Optional[float]) -> None:
+        """Read the replies that arrive within ``timeout`` (``None``: wait
+        for at least one) from the busy ``workers``."""
+        from multiprocessing.connection import wait
+
+        busy = {worker.conn: worker for worker in workers if worker.ticket is not None}
+        if not busy:
+            if timeout is None:  # waiting on a worker that was retired
+                raise self._died()
+            return
+        for conn in wait(list(busy), timeout):
+            try:
+                ticket, ok, value = conn.recv()
+            except (EOFError, OSError) as exc:
+                raise self._died() from exc
+            busy[conn].ticket = None
+            key = self._keys.pop(ticket, _UNDEALT)
+            if key is not _UNDEALT:
+                self._replies[key] = (ok, value)
+
+    def _died(self) -> WorkerPoolError:
+        shutdown_pool()
+        return WorkerPoolError(
+            f"worker process died while running {self.kind!r} tasks; "
+            "the pool has been reset — rerun to retry (a crash here "
+            "usually means a worker was OOM-killed or called os._exit)"
+        )
 
 
 def run_chunked(
@@ -216,42 +337,22 @@ def run_chunked(
     items: Iterable[Any],
     *,
     jobs: Optional[int] = None,
-    chunks_per_worker: int = 2,
 ) -> list[Any]:
     """Run registered task ``kind`` over ``items``; results in input order.
 
     ``jobs`` of ``None`` uses every CPU this process may run on; 1 runs
-    serially in-process (no pool, no pickling), as does a single item.
-    Parallel runs split the items into contiguous chunks —
-    ``chunks_per_worker`` per worker, so one slow chunk cannot serialize
-    the sweep tail — and concatenate chunk results in submission order,
-    which makes the output independent of worker scheduling.
+    serially in-process (no workers, no pickling), as does a single item.
+    Otherwise each item goes to whichever of ``jobs`` workers is idle
+    first, so one slow item cannot hold up the rest, and the results are
+    read back in input order, which makes the output independent of
+    worker scheduling.
     """
     work = list(items)
     fn = _TASKS[kind]
-    if jobs is None:
-        if hasattr(os, "sched_getaffinity"):
-            jobs = len(os.sched_getaffinity(0))
-        else:
-            jobs = os.cpu_count() or 1
+    jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(work) <= 1:
         return [fn(shared, item) for item in work]
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool = get_pool(jobs)
-    parts = min(len(work), jobs * max(1, chunks_per_worker))
-    chunks = _chunked(work, parts)
-    results: list[Any] = []
-    try:
-        # submit() itself raises once an earlier chunk has killed a worker.
-        futures = [pool.submit(_run_chunk, kind, shared, chunk) for chunk in chunks]
-        for future in futures:
-            results.extend(future.result())
-    except BrokenProcessPool as exc:
-        shutdown_pool()
-        raise WorkerPoolError(
-            f"worker process died while running {kind!r} tasks; "
-            "the pool has been reset — rerun to retry (a crash here "
-            "usually means a worker was OOM-killed or called os._exit)"
-        ) from exc
-    return results
+    dealer = Dealer(kind, shared, min(jobs, len(work)))
+    for index, item in enumerate(work):
+        dealer.deal(index, item)
+    return [dealer.take(index) for index in range(len(work))]

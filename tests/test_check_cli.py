@@ -162,18 +162,18 @@ def test_a_search_that_checks_nothing_is_refused(argv, message, capsys):
 
 
 def test_the_library_refuses_a_search_that_checks_nothing():
-    from repro.check.explorer import explore, explore_parallel
+    from repro.check.explorer import explore
 
     with pytest.raises(CheckError, match="txns must be >= 1"):
         CheckConfig(txns=0)
     for budget in ("max_drops", "max_crashes", "max_recoveries"):
         with pytest.raises(CheckError, match=f"{budget} must be >= 0"):
             CheckConfig(**{budget: -1})
-    for search in (explore, explore_parallel):
+    for jobs in (1, 2):
         with pytest.raises(CheckError, match="max_runs must be >= 1"):
-            search(CheckConfig(), max_runs=0)
+            explore(CheckConfig(), max_runs=0, jobs=jobs)
         with pytest.raises(CheckError, match="max_depth must be >= 0"):
-            search(CheckConfig(), max_depth=-1)
+            explore(CheckConfig(), max_depth=-1, jobs=jobs)
 
 
 def test_the_smallest_accepted_budgets_steer_their_own_search(capsys):

@@ -22,17 +22,17 @@ from repro.check import (
 )
 from repro.check import explorer, runner
 from repro.check.choices import ChoiceController
-from repro.check.explorer import explore_parallel
 from repro.cli import main
 from repro.errors import CheckError
-from repro.perf.pool import shutdown_pool
 
 # bench/workloads.py's check-explore config (seed = 42 + block).
 _BENCH = CheckConfig(
     sites=4, db_size=8, txns=6, seed=42, explore_fates=True,
     max_branch=4, max_drops=2, max_crashes=2, max_recoveries=2,
 )
-_BENCH_BUDGET = dict(max_runs=30, max_depth=80, stop_on_violation=False)
+# ``jobs=1``: the tests below patch the parent, and a pool worker running
+# a look-ahead prefix would run the unpatched code.
+_BENCH_BUDGET = dict(max_runs=30, max_depth=80, stop_on_violation=False, jobs=1)
 
 
 @pytest.fixture
@@ -72,9 +72,9 @@ def test_search_equals_the_eager_reference(config, eager):
 
 def test_selftest_finds_shrinks_and_replays_the_same_counterexample(eager):
     config = CheckConfig(mutate=True)  # `repro check selftest`
-    lazy = explore(config, max_runs=60)
+    lazy = explore(config, max_runs=60, jobs=1)
     eager()
-    reference = explore(config, max_runs=60)
+    reference = explore(config, max_runs=60, jobs=1)
     assert lazy.found
     assert _outcome(lazy) == _outcome(reference)
     small = shrink(config, lazy.counterexample)
@@ -85,19 +85,13 @@ def test_selftest_finds_shrinks_and_replays_the_same_counterexample(eager):
     assert replayed.events_fired == small.run.events_fired
 
 
-def test_parallel_search_equals_the_eager_reference(eager):
+def test_look_ahead_search_equals_the_eager_reference(eager):
+    """Runs made ahead in a pool worker ask for the window too."""
     config = replace(_BENCH, sites=3, txns=3)
-    budget = dict(max_runs=24, max_depth=40, jobs=2)
-    # Workers are forked from the persistent pool: rebuild it on each
-    # side of the patch so they inherit the explorer the parent has.
-    try:
-        shutdown_pool()
-        lazy = explore_parallel(config, **budget)
-        shutdown_pool()
-        eager()
-        reference = explore_parallel(config, **budget)
-    finally:
-        shutdown_pool()
+    budget = dict(max_runs=24, max_depth=40)
+    lazy = explore(config, **budget, jobs=2)
+    eager()
+    reference = explore(config, **budget, jobs=1)
     assert _outcome(lazy) == _outcome(reference)
     assert lazy.stats.runs > 1 and lazy.fingerprints
 
@@ -127,7 +121,7 @@ def test_fingerprints_taken_equal_fingerprints_read(fingerprint_calls, monkeypat
         return run
 
     monkeypatch.setattr(explorer, "run_schedule", recording)
-    explore(_BENCH, max_runs=30, max_depth=max_depth, stop_on_violation=False)
+    explore(_BENCH, max_runs=30, max_depth=max_depth, stop_on_violation=False, jobs=1)
 
     consulted = sum(len(run.decisions) for _, run in runs)
     in_window = sum(
@@ -143,7 +137,7 @@ def test_fingerprints_taken_equal_fingerprints_read(fingerprint_calls, monkeypat
 
 def test_shrink_and_replay_take_no_fingerprints(fingerprint_calls, tmp_path, capsys):
     config = CheckConfig(mutate=True)
-    found = explore(config, max_runs=60)
+    found = explore(config, max_runs=60, jobs=1)
     assert found.found and fingerprint_calls
     del fingerprint_calls[:]
 

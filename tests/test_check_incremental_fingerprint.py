@@ -19,7 +19,6 @@ import pytest
 
 from repro.check import CheckConfig, explore, run_schedule
 from repro.check import runner
-from repro.check.explorer import explore_parallel
 from repro.check.fingerprint import (
     _entry_signature,
     _live_entries,
@@ -28,7 +27,7 @@ from repro.check.fingerprint import (
 )
 from repro.net.network import Network
 from repro.obs.sink import TraceSink
-from repro.perf.pool import shutdown_pool
+from repro.perf.pool import run_chunked, shutdown_pool
 from repro.site.site import DatabaseSite
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
@@ -41,7 +40,9 @@ _BENCH = CheckConfig(
     sites=4, db_size=8, txns=6, seed=42, explore_fates=True,
     max_branch=4, max_drops=2, max_crashes=2, max_recoveries=2,
 )
-_BENCH_BUDGET = dict(max_runs=30, max_depth=80, stop_on_violation=False)
+# ``jobs=1``: the tests below patch the parent, and a pool worker running
+# a look-ahead prefix would run the unpatched code.
+_BENCH_BUDGET = dict(max_runs=30, max_depth=80, stop_on_violation=False, jobs=1)
 
 
 def pending_signature(cluster) -> tuple:
@@ -70,6 +71,14 @@ def reference_fingerprint(cluster) -> str:
         pending_signature(cluster),
     )
     return hashlib.blake2b(repr(signature).encode(), digest_size=16).hexdigest()
+
+
+@pytest.fixture
+def forked():
+    """Pool workers forked before the patches of the fixtures after it,
+    as they are in a real search: they run the code in ``src/``."""
+    shutdown_pool()
+    run_chunked("call", str, range(2), jobs=2)
 
 
 @pytest.fixture
@@ -168,21 +177,16 @@ def test_a_message_does_not_change_while_it_is_pending(config, monkeypatch):
     assert len(set(delivered)) >= 8
 
 
-def test_parallel_search_equals_the_reference(compared, monkeypatch):
+def test_look_ahead_search_equals_the_reference(forked, compared, monkeypatch):
+    """The look-ahead runs in a pool worker, which forked before the
+    patch: the incremental fingerprint it takes there must give the
+    search the reference takes in-process."""
     config = replace(_BENCH, sites=3, txns=3)
-    budget = dict(max_runs=24, max_depth=40, jobs=2)
-    # Workers are forked from the persistent pool: rebuild it on each side
-    # of the patch so they inherit the fingerprint the parent has (a
-    # mismatch inside a worker surfaces as its AssertionError).
-    try:
-        shutdown_pool()
-        incremental = explore_parallel(config, **budget)
-        shutdown_pool()
-        monkeypatch.setattr(runner, "cluster_fingerprint", reference_fingerprint)
-        reference = explore_parallel(config, **budget)
-    finally:
-        shutdown_pool()
-    assert compared  # the parent's root run
+    budget = dict(max_runs=24, max_depth=40)
+    incremental = explore(config, **budget, jobs=2)
+    assert compared  # the parent's own runs
+    monkeypatch.setattr(runner, "cluster_fingerprint", reference_fingerprint)
+    reference = explore(config, **budget, jobs=1)
     assert _outcome(incremental) == _outcome(reference)
     assert incremental.stats.runs > 1 and incremental.fingerprints
 

@@ -4,8 +4,8 @@ The load-bearing property is the first test: a parallel sweep is *equal*
 to a serial one — full dataclass equality over every per-seed result,
 not a statistical resemblance — and it holds through the *persistent*
 worker pool, across pool reuse, for every sweep kind (chaos, lossy-core,
-experiment replication) and for parallel ``repro.check`` frontier
-expansion.  The CLI wiring (``--jobs``, ``--profile``) rides on top.
+experiment replication) and for ``repro.check``'s look-ahead search.  The
+CLI wiring (``--jobs``, ``--profile``) rides on top.
 """
 
 import os
@@ -19,11 +19,11 @@ import pytest
 import repro
 
 from repro.chaos import FaultPlan, run_seed_sweep
-from repro.check.explorer import explore_parallel
+from repro.check.explorer import explore
 from repro.check.runner import CheckConfig
 from repro.cli import main
 from repro.perf import pool
-from repro.perf.pool import WorkerPoolError, get_pool, run_chunked, shutdown_pool
+from repro.perf.pool import Dealer, WorkerPoolError, run_chunked, shutdown_pool
 
 
 # -- parallel executor -------------------------------------------------------
@@ -41,10 +41,10 @@ def _run_child(code: str) -> str:
 
 
 def test_serial_sweeps_do_not_import_the_process_machinery():
-    """``multiprocessing`` and ``concurrent.futures`` load only with a
-    pool: a ``jobs=1`` chaos sweep and ``explore()`` leave both out of a
-    fresh interpreter, and so does a default sweep where this process may
-    run on one CPU only."""
+    """``multiprocessing`` loads only with a pool: a ``jobs=1`` chaos
+    sweep and search leave it (and ``concurrent.futures``) out of a fresh
+    interpreter, and so do a default sweep and search where this process
+    may run on one CPU only."""
     out = _run_child("""
         import os, sys
         from repro.chaos import run_seed_sweep
@@ -53,10 +53,11 @@ def test_serial_sweeps_do_not_import_the_process_machinery():
         loaded = lambda: sorted(
             {"multiprocessing", "concurrent.futures"} & set(sys.modules))
         run_seed_sweep(range(2), txns=10, jobs=1)
-        explore(CheckConfig(), max_runs=5)
+        explore(CheckConfig(), max_runs=5, jobs=1)
         print(loaded())
         os.sched_getaffinity = lambda pid: {0}
         run_seed_sweep(range(2), txns=10)
+        explore(CheckConfig(), max_runs=5)
         print(loaded())
     """)
     assert out.split("\n") == ["[]", "[]", ""]
@@ -71,7 +72,7 @@ def test_no_worker_outlives_its_process():
         from repro.chaos import run_seed_sweep
         from repro.perf import pool
         run_seed_sweep(range(4), txns=10)
-        print(*pool._pool._processes)
+        print(*(worker.process.pid for worker in pool._workers))
     """)
     pids = [int(pid) for pid in out.split()]
     assert pids
@@ -116,37 +117,75 @@ def _kill_worker(_item):
     os._exit(1)  # simulate a hard worker death (segfault/OOM-kill class)
 
 
+def _pids() -> list[int]:
+    return [worker.process.pid for worker in pool._workers]
+
+
 def test_pool_reused_across_sweeps():
     shutdown_pool()
     run_seed_sweep(range(42, 44), txns=10, jobs=2)
-    warm, created = pool._pool, pool._pools_created
-    assert warm is not None  # the first sweep built the pool
+    warm, forked = _pids(), pool._forked
+    assert len(warm) == 2  # the first sweep forked the workers
     run_seed_sweep(range(50, 52), txns=10, jobs=2)
-    # The second sweep ran on the *same* pool: no re-fork, no re-import —
-    # the whole point of keeping it persistent.
-    assert get_pool(2) is warm
-    assert pool._pools_created == created
+    explore(CheckConfig(txns=2), max_runs=12, jobs=2)
+    # The second sweep and the search ran on the *same* workers: no
+    # re-fork, no re-import — the whole point of keeping them persistent.
+    assert _pids() == warm
+    assert pool._forked == forked
+    # Asking for more forks only the missing ones.
+    run_chunked("call", str, range(6), jobs=3)
+    assert _pids()[:2] == warm and pool._forked == forked + 1
 
 
 def test_worker_crash_surfaces_clear_error():
     with pytest.raises(WorkerPoolError) as excinfo:
         run_chunked("call", _kill_worker, range(4), jobs=2)
     assert "call" in str(excinfo.value)
+    assert not pool._workers  # every worker retired, the live one too
     # The broken pool was torn down, so the next dispatch transparently
     # builds a fresh one instead of failing forever.
     assert run_chunked("call", str, range(4), jobs=2) == ["0", "1", "2", "3"]
 
 
-def test_explore_parallel_deterministic_merge():
+def test_a_task_error_is_raised_in_the_parent_and_the_workers_live_on():
+    warm = (run_chunked("call", str, range(2), jobs=2), _pids())[1]
+    with pytest.raises(ZeroDivisionError) as excinfo:
+        run_chunked("call", _reciprocal, [1, 0, 2], jobs=2)
+    assert "in _reciprocal" in str(excinfo.value.__cause__)  # the worker's traceback
+    assert run_chunked("call", _reciprocal, [1, 2], jobs=2) == [1.0, 0.5]
+    assert _pids() == warm
+
+
+def _reciprocal(item):
+    return 1 / item
+
+
+def _negate(item):
+    return -item
+
+
+def test_a_reply_no_caller_took_is_never_read_by_the_next():
+    """A dealer that goes away with items in flight (a look-ahead search
+    that stopped) leaves their replies in the pipes; the next caller reads
+    and drops them, and gets only its own."""
+    gone = Dealer("call", str, 2)
+    gone.deal("a", 1)
+    gone.deal("b", 2)
+    assert all(worker.ticket is not None for worker in pool._workers[:2])
+    assert run_chunked("call", _negate, [1, 2, 3], jobs=2) == [-1, -2, -3]
+    assert all(worker.ticket is None for worker in pool._workers[:2])
+
+
+def test_a_look_ahead_search_is_the_serial_search():
     config = CheckConfig(sites=2, db_size=4, txns=2, max_branch=2)
-    first = explore_parallel(config, max_runs=12, max_depth=12, jobs=2)
-    second = explore_parallel(config, max_runs=12, max_depth=12, jobs=2)
-    # Merged fingerprint set, stats, and counterexample are a pure
-    # function of (config, budgets, jobs) — worker timing must not leak.
-    assert first.fingerprints == second.fingerprints
-    assert first.fingerprints
-    assert first.counterexample == second.counterexample
-    assert first.stats == second.stats
+    ahead = explore(config, max_runs=12, max_depth=12, jobs=2)
+    serial = explore(config, max_runs=12, max_depth=12, jobs=1)
+    # Fingerprint set, stats, and counterexample are a pure function of
+    # (config, budgets) — neither jobs nor worker timing may leak.
+    assert ahead.fingerprints == serial.fingerprints
+    assert ahead.fingerprints
+    assert ahead.counterexample == serial.counterexample
+    assert ahead.stats == serial.stats
 
 
 # -- experiment replication fan-out ------------------------------------------
