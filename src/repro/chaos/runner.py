@@ -15,6 +15,7 @@ auditor detects real bugs rather than vacuously passing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.chaos.faults import FaultPlan, FaultStats
@@ -280,6 +281,8 @@ def run_seed_sweep(
     if plan is None:
         plan = FaultPlan()
     report = ChaosSweepReport(plan=plan, mutated=mutate)
-    shared = (sites, db_size, txns, plan, mutate)
-    report.results.extend(run_chunked("chaos-seed", shared, seeds, jobs=jobs))
+    run = partial(
+        run_chaos_seed, sites=sites, db_size=db_size, txns=txns, plan=plan, mutate=mutate
+    )
+    report.results.extend(run_chunked(run, seeds, jobs=jobs))
     return report

@@ -46,6 +46,7 @@ counterexample — byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.check.choices import Decision
@@ -166,7 +167,8 @@ def run_prefix(config: CheckConfig, prefix: list[int], max_depth: int) -> CheckR
     """The run the search makes of ``prefix``: fingerprinted on its window.
 
     A pure function of its arguments, which is what lets a pool worker
-    make it ahead of time (the ``"check-run"`` task).
+    make it ahead of time (:func:`explore` deals it as
+    ``partial(run_prefix, config, max_depth=max_depth)``).
     """
     return run_schedule(config, prefix, fingerprint_at=_read_window(prefix, max_depth))
 
@@ -230,7 +232,8 @@ def explore(
     workers = min(resolve_jobs(jobs), max_runs) - 1
     if getattr(run_schedule, "__code__", None) is not _RUN_SCHEDULE_CODE:
         workers = 0
-    dealer = Dealer("check-run", (config, max_depth), workers) if workers > 0 else None
+    run_ahead = partial(run_prefix, config, max_depth=max_depth)
+    dealer = Dealer(run_ahead, workers) if workers > 0 else None
     # LIFO frontier of decision-vector prefixes; starts at the root (the
     # unperturbed run).
     frontier: list[list[int]] = [[]]

@@ -7,11 +7,11 @@ confidence intervals instead of single draws — and giving tests a way to
 assert that the headline results are stable properties, not lucky seeds.
 
 Each replication fans its seeds across worker processes
-(``run_chunked("call", ...)`` of :mod:`repro.perf.pool`, on every CPU
-unless its ``jobs`` parameter says otherwise; ``jobs=1`` runs
-in-process).  The per-seed workers are module-level functions returning
-plain floats, so they pickle cheaply, and results are merged in seed
-order — the summary is identical to a serial run's.
+(:func:`~repro.perf.pool.run_chunked`, on every CPU unless its ``jobs``
+parameter says otherwise; ``jobs=1`` runs in-process).  The per-seed
+functions are module-level, so the pool pickles them by reference, and
+they return plain floats; results are merged in seed order — the summary
+is identical to a serial run's.
 """
 
 from __future__ import annotations
@@ -83,9 +83,7 @@ def replicate_figure1(
 ) -> dict[str, Replicated]:
     """Figure 1 headline numbers across seeds."""
     peaks, recoveries, copiers, aborts = [], [], [], []
-    for peak, recovery, copier, abort in run_chunked(
-        "call", _figure1_stats, seeds, jobs=jobs
-    ):
+    for peak, recovery, copier, abort in run_chunked(_figure1_stats, seeds, jobs=jobs):
         peaks.append(peak)
         recoveries.append(recovery)
         copiers.append(copier)
@@ -105,7 +103,7 @@ def replicate_scenario1(
     """Scenario 1's abort count across seeds (paper's single draw: 13)."""
     return Replicated(
         "scenario 1 aborts",
-        run_chunked("call", _scenario1_aborts, seeds, jobs=jobs),
+        run_chunked(_scenario1_aborts, seeds, jobs=jobs),
     )
 
 
@@ -116,6 +114,6 @@ def replicate_scenario2(
     """Scenario 2's abort count across seeds (paper: 0, structurally)."""
     return Replicated(
         "scenario 2 aborts",
-        run_chunked("call", _scenario2_aborts, seeds, jobs=jobs),
+        run_chunked(_scenario2_aborts, seeds, jobs=jobs),
     )
 

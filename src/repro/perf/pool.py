@@ -15,16 +15,20 @@ life of the process:
   ones.
 * **One pipe each, dealt to whichever is idle.**  Each worker sits on
   one duplex :func:`multiprocessing.Pipe`.  The parent sends one
-  ``(ticket, kind, shared, item)`` request to an idle worker and reads
-  each reply as it arrives (:func:`multiprocessing.connection.wait`):
+  ``(ticket, fn, item)`` request to an idle worker and reads each reply
+  as it arrives (:func:`multiprocessing.connection.wait`):
   no queue-feeder or management thread competes with the parent for the
   GIL, so the parent can run a simulation of its own between two
   replies (``repro.check``'s look-ahead search does).
-* **Compact specs.**  ``kind`` is a registered task id, ``shared`` is
-  plain data (a config delta, never a built cluster or a live
-  scheduler), and ``item`` is a seed, a cell or a schedule prefix.
-  Workers rebuild everything else from it, exactly like the determinism
-  tests demand.
+* **Plain functions.**  A worker computes ``fn(item)``.  ``fn`` is a
+  module-level function or a :func:`functools.partial` of one, so it
+  pickles by reference: its import path plus the plain data bound to it
+  (a config, never a built cluster or a live scheduler).  ``item`` is a
+  seed, a cell or a schedule prefix.  Workers rebuild everything else
+  from it, exactly like the determinism tests demand.  A lambda or a
+  closure does not pickle, so dealing one raises in the parent; a
+  function the workers cannot import by its path (one defined in
+  ``__main__`` after they forked) kills the worker it reaches.
 * **Deterministic merge.**  Replies are filed under the key they were
   dealt with and read back in the caller's order — input order for
   :func:`run_chunked` — so the merged result is identical to the serial
@@ -33,12 +37,12 @@ life of the process:
   the next caller: every request carries a ticket, and a
   :class:`Dealer` answers only for its own.
 
-Every unit of work must remain a pure function of its spec: it builds
-its own cluster, scheduler, and named RNG streams from the seed and
-shares no mutable state with any other unit.  That property (pinned by
-``tests/test_perf.py``) is what makes reusing one pool across chaos
-sweeps, recovery matrices, experiment replications, and ``repro.check``
-look-ahead runs safe.
+Every unit of work must remain a pure function of ``fn`` and ``item``:
+it builds its own cluster, scheduler, and named RNG streams from the
+seed and shares no mutable state with any other unit.  That property
+(pinned by ``tests/test_perf.py``) is what makes reusing one pool across
+chaos sweeps, recovery matrices, experiment replications, and
+``repro.check`` look-ahead runs safe.
 
 Every sweep fans out by default: ``jobs=None`` means every CPU this
 process may run on, and ``jobs=1`` is the one way to run in-process.  The
@@ -47,13 +51,14 @@ runs a default sweep or search must pass ``jobs=1``: the workers were
 forked before the patch and never see it.
 
 Worker crashes do not hang the caller: a dead worker surfaces as
-:class:`WorkerPoolError` naming the task kind, and every worker is
+:class:`WorkerPoolError` naming the function it ran, and every worker is
 retired so the next call starts from fresh ones.
 """
 
 from __future__ import annotations
 
 import atexit
+import functools
 import itertools
 import os
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Optional
@@ -70,7 +75,6 @@ __all__ = [
     "resolve_jobs",
     "run_chunked",
     "shutdown_pool",
-    "task",
 ]
 
 
@@ -78,69 +82,18 @@ class WorkerPoolError(RuntimeError):
     """A worker process died mid-task (segfault, OOM kill, os._exit)."""
 
 
-# -- task registry ---------------------------------------------------------
-#
-# Tasks are registered *in this module* so that a worker forked before a
-# caller's module was imported still knows every kind; each task imports
-# what it runs on first use.
-
-_TASKS: dict[str, Callable[[Any, Any], Any]] = {}
-
-
-def task(kind: str) -> Callable[[Callable[[Any, Any], Any]], Callable[[Any, Any], Any]]:
-    """Register a module-level ``fn(shared, item) -> result`` under ``kind``."""
-
-    def register(fn: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
-        _TASKS[kind] = fn
-        return fn
-
-    return register
-
-
-@task("chaos-seed")
-def _chaos_seed_task(shared: tuple, seed: int) -> Any:
-    """One chaos sweep unit: (sites, db_size, txns, plan, mutate) + seed."""
-    from repro.chaos.runner import run_chaos_seed
-
-    sites, db_size, txns, plan, mutate = shared
-    return run_chaos_seed(
-        seed, sites=sites, db_size=db_size, txns=txns, plan=plan, mutate=mutate
-    )
-
-
-@task("recovery-cell")
-def _recovery_cell_task(shared: tuple, cell: tuple) -> Any:
-    """One recovery matrix cell: (seed, wire latency) + (policy, donors, stale)."""
-    from repro.recovery.experiment import run_recovery_cell
-
-    seed, wire_latency_ms = shared
-    return run_recovery_cell(*cell, seed=seed, wire_latency_ms=wire_latency_ms)
-
-
-@task("call")
-def _call_task(fn: Callable[[Any], Any], item: Any) -> Any:
-    """Generic ``fn(item)`` unit: ``run_chunked("call", fn, items)`` is a
-    parallel map.  ``fn`` must be module-level (it is pickled by import
-    path)."""
-    return fn(item)
-
-
-@task("check-run")
-def _check_run_task(shared: tuple, prefix: list) -> Any:
-    """One look-ahead run of ``repro.check``'s search: (config,
-    max_depth) + the frontier prefix, fingerprinted as the search reads
-    it."""
-    from repro.check.explorer import run_prefix
-
-    config, max_depth = shared
-    return run_prefix(config, prefix, max_depth)
+def _name(fn: Callable[[Any], Any]) -> str:
+    """The import path of ``fn``, or of the function a partial wraps."""
+    if isinstance(fn, functools.partial):
+        fn = fn.func
+    return f"{fn.__module__}.{fn.__qualname__}"
 
 
 # -- worker side -----------------------------------------------------------
 
 
 def _serve(conn: Connection, parent_end: Connection) -> None:
-    """One worker's life: answer each ``(ticket, kind, shared, item)`` with
+    """One worker's life: answer each ``(ticket, fn, item)`` with
     ``(ticket, True, result)`` or ``(ticket, False, (exception, its
     traceback text))`` until the parent closes its end."""
     import signal
@@ -158,11 +111,11 @@ def _serve(conn: Connection, parent_end: Connection) -> None:
     _workers.clear()
     while True:
         try:
-            ticket, kind, shared, item = conn.recv()
+            ticket, fn, item = conn.recv()
         except EOFError:
             return
         try:
-            reply = (ticket, True, _TASKS[kind](shared, item))
+            reply = (ticket, True, fn(item))
         except Exception as exc:  # raised in the parent, by Dealer.take
             reply = (ticket, False, (exc, traceback.format_exc()))
         try:
@@ -170,7 +123,7 @@ def _serve(conn: Connection, parent_end: Connection) -> None:
         except OSError:  # the parent closed its end while this task ran
             return
         except Exception as exc:  # the reply does not pickle; nothing was sent
-            error = RuntimeError(f"{kind!r} reply: {exc!r}")
+            error = RuntimeError(f"{_name(fn)} reply: {exc!r}")
             conn.send((ticket, False, (error, traceback.format_exc())))
 
 
@@ -248,16 +201,16 @@ _UNDEALT = object()
 
 class Dealer:
     """One caller's share of the pool: items dealt one at a time to idle
-    workers among the first ``workers``, each reply taken by its key.
+    workers among the first ``workers``, each of which computes
+    ``fn(item)``, and each reply taken by its key.
 
     A reply still owed to an earlier dealer (a look-ahead run its search
     never popped) is read and dropped here, never filed: the dealer files
     only the tickets it issued.
     """
 
-    def __init__(self, kind: str, shared: Any, workers: int) -> None:
-        self.kind = kind
-        self.shared = shared
+    def __init__(self, fn: Callable[[Any], Any], workers: int) -> None:
+        self.fn = fn
         self.workers = workers
         self._keys: dict[int, Hashable] = {}  # ticket in flight -> key
         self._replies: dict[Hashable, tuple[bool, Any]] = {}
@@ -281,7 +234,7 @@ class Dealer:
                 if worker.ticket is None:
                     ticket = next(_tickets)
                     try:
-                        worker.conn.send((ticket, self.kind, self.shared, item))
+                        worker.conn.send((ticket, self.fn, item))
                     except OSError as exc:
                         raise self._died() from exc
                     worker.ticket = ticket
@@ -299,7 +252,7 @@ class Dealer:
         ok, value = self._replies.pop(key)
         if not ok:
             exc, trace = value
-            raise exc from RuntimeError(f"{self.kind!r} task, in the worker:\n{trace}")
+            raise exc from RuntimeError(f"{_name(self.fn)}, in the worker:\n{trace}")
         return value
 
     def _receive(self, workers: list[_Worker], timeout: Optional[float]) -> None:
@@ -325,34 +278,32 @@ class Dealer:
     def _died(self) -> WorkerPoolError:
         shutdown_pool()
         return WorkerPoolError(
-            f"worker process died while running {self.kind!r} tasks; "
+            f"worker process died while running {_name(self.fn)}; "
             "the pool has been reset — rerun to retry (a crash here "
             "usually means a worker was OOM-killed or called os._exit)"
         )
 
 
 def run_chunked(
-    kind: str,
-    shared: Any,
+    fn: Callable[[Any], Any],
     items: Iterable[Any],
     *,
     jobs: Optional[int] = None,
 ) -> list[Any]:
-    """Run registered task ``kind`` over ``items``; results in input order.
+    """``[fn(item) for item in items]``, fanned out across the pool.
 
     ``jobs`` of ``None`` uses every CPU this process may run on; 1 runs
     serially in-process (no workers, no pickling), as does a single item.
-    Otherwise each item goes to whichever of ``jobs`` workers is idle
-    first, so one slow item cannot hold up the rest, and the results are
-    read back in input order, which makes the output independent of
-    worker scheduling.
+    Otherwise ``fn`` must pickle by reference (see the module docstring);
+    each item goes to whichever of ``jobs`` workers is idle first, so one
+    slow item cannot hold up the rest, and the results are read back in
+    input order, which makes the output independent of worker scheduling.
     """
     work = list(items)
-    fn = _TASKS[kind]
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(work) <= 1:
-        return [fn(shared, item) for item in work]
-    dealer = Dealer(kind, shared, min(jobs, len(work)))
+        return [fn(item) for item in work]
+    dealer = Dealer(fn, min(jobs, len(work)))
     for index, item in enumerate(work):
         dealer.deal(index, item)
     return [dealer.take(index) for index in range(len(work))]

@@ -19,6 +19,7 @@ donor.  Everything is seeded simulation, so the whole matrix — and the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional
 
 from repro.core.recovery import RecoveryPolicy
@@ -125,6 +126,13 @@ def run_recovery_cell(
     )
 
 
+def _run_cell(
+    cell: tuple[str, int, int], *, seed: int, wire_latency_ms: float
+) -> RecoveryCell:
+    """One matrix point, ``(policy, donors, stale_items)``, as the pool runs it."""
+    return run_recovery_cell(*cell, seed=seed, wire_latency_ms=wire_latency_ms)
+
+
 def run_recovery_matrix(
     *,
     donor_counts: Iterable[int] = DEFAULT_DONORS,
@@ -144,4 +152,5 @@ def run_recovery_matrix(
         for donor_count in donor_counts
         for stale in stale_sizes
     ]
-    return run_chunked("recovery-cell", (seed, wire_latency_ms), cells, jobs=jobs)
+    run = partial(_run_cell, seed=seed, wire_latency_ms=wire_latency_ms)
+    return run_chunked(run, cells, jobs=jobs)

@@ -78,7 +78,7 @@ def forked():
     """Pool workers forked before the patches of the fixtures after it,
     as they are in a real search: they run the code in ``src/``."""
     shutdown_pool()
-    run_chunked("call", str, range(2), jobs=2)
+    run_chunked(str, range(2), jobs=2)
 
 
 @pytest.fixture

@@ -69,35 +69,37 @@ def test_a_run_nobody_took_is_never_read_by_the_next_call():
     assert _answer(explore(_BENCH, **_BENCH_BUDGET, jobs=2)) == _answer(
         explore(_BENCH, **_BENCH_BUDGET, jobs=1)
     )
-    assert run_chunked("call", abs, [-1, -2, -3], jobs=2) == [1, 2, 3]
+    assert run_chunked(abs, [-1, -2, -3], jobs=2) == [1, 2, 3]
 
 
 def test_a_worker_killed_during_the_search_fails_it_without_hanging(monkeypatch):
     shutdown_pool()
-    run_chunked("call", str, range(2), jobs=2)  # fork before the patch
-    real = explorer.run_prefix
-    local = []
+    run_chunked(str, range(2), jobs=2)  # fork before the patch
+    real = explorer._expand_children
+    expanded = []
 
-    def kill_the_workers_then_run(config, prefix, max_depth):
-        local.append(prefix)
-        if len(local) == 3:
+    def kill_the_workers_then_expand(run, prefix, *args, **kwargs):
+        # The search expands in the parent only, so the patch is seen;
+        # run_prefix, which the workers run, is left alone.
+        expanded.append(prefix)
+        if len(expanded) == 3:
             for worker in pool._workers:
                 os.kill(worker.process.pid, signal.SIGKILL)
-        return real(config, prefix, max_depth)
+        return real(run, prefix, *args, **kwargs)
 
     def hung(signum, frame):
         raise TimeoutError("the search hung on a dead worker")
 
-    monkeypatch.setattr(explorer, "run_prefix", kill_the_workers_then_run)
+    monkeypatch.setattr(explorer, "_expand_children", kill_the_workers_then_expand)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)  # the whole search takes well under a second
     try:
-        with pytest.raises(WorkerPoolError, match="'check-run'"):
+        with pytest.raises(WorkerPoolError, match="repro.check.explorer.run_prefix"):
             explore(_BENCH, **_BENCH_BUDGET, jobs=2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert len(local) >= 3 and not pool._workers
+    assert len(expanded) >= 3 and not pool._workers
     monkeypatch.undo()
     # The next search forks fresh workers and gives the serial answer.
     assert _answer(explore(_BENCH, max_runs=30, jobs=2)) == _answer(
@@ -109,7 +111,7 @@ def test_a_replaced_run_schedule_runs_every_prefix_in_process(monkeypatch):
     """A worker forked before the patch would skip it, so the search makes
     every run itself: a wrapper (a profiler's) sees all of them."""
     shutdown_pool()
-    run_chunked("call", str, range(2), jobs=2)  # fork before the patch
+    run_chunked(str, range(2), jobs=2)  # fork before the patch
     real = explorer.run_schedule
     calls = []
 

@@ -9,6 +9,7 @@ CLI wiring (``--jobs``, ``--profile``) rides on top.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -83,12 +84,12 @@ def test_no_worker_outlives_its_process():
 
 def test_parallel_map_serial_fallback():
     # ``jobs=1`` and a single item run in-process.
-    assert run_chunked("call", str, [5]) == ["5"]
-    assert run_chunked("call", str, range(5), jobs=1) == ["0", "1", "2", "3", "4"]
+    assert run_chunked(str, [5]) == ["5"]
+    assert run_chunked(str, range(5), jobs=1) == ["0", "1", "2", "3", "4"]
 
 
 def test_parallel_map_preserves_input_order():
-    assert run_chunked("call", str, range(8), jobs=3) == [str(i) for i in range(8)]
+    assert run_chunked(str, range(8), jobs=3) == [str(i) for i in range(8)]
 
 
 def test_parallel_sweep_identical_to_serial():
@@ -133,27 +134,37 @@ def test_pool_reused_across_sweeps():
     assert _pids() == warm
     assert pool._forked == forked
     # Asking for more forks only the missing ones.
-    run_chunked("call", str, range(6), jobs=3)
+    run_chunked(str, range(6), jobs=3)
     assert _pids()[:2] == warm and pool._forked == forked + 1
 
 
 def test_worker_crash_surfaces_clear_error():
     with pytest.raises(WorkerPoolError) as excinfo:
-        run_chunked("call", _kill_worker, range(4), jobs=2)
-    assert "call" in str(excinfo.value)
+        run_chunked(_kill_worker, range(4), jobs=2)
+    assert f"{_kill_worker.__module__}._kill_worker" in str(excinfo.value)
     assert not pool._workers  # every worker retired, the live one too
     # The broken pool was torn down, so the next dispatch transparently
     # builds a fresh one instead of failing forever.
-    assert run_chunked("call", str, range(4), jobs=2) == ["0", "1", "2", "3"]
+    assert run_chunked(str, range(4), jobs=2) == ["0", "1", "2", "3"]
 
 
 def test_a_task_error_is_raised_in_the_parent_and_the_workers_live_on():
-    warm = (run_chunked("call", str, range(2), jobs=2), _pids())[1]
+    warm = (run_chunked(str, range(2), jobs=2), _pids())[1]
     with pytest.raises(ZeroDivisionError) as excinfo:
-        run_chunked("call", _reciprocal, [1, 0, 2], jobs=2)
+        run_chunked(_reciprocal, [1, 0, 2], jobs=2)
     assert "in _reciprocal" in str(excinfo.value.__cause__)  # the worker's traceback
-    assert run_chunked("call", _reciprocal, [1, 2], jobs=2) == [1.0, 0.5]
+    assert run_chunked(_reciprocal, [1, 2], jobs=2) == [1.0, 0.5]
     assert _pids() == warm
+
+
+def test_a_function_that_does_not_pickle_is_refused_in_the_parent():
+    """A worker gets its function by import path, so a lambda or a
+    closure cannot be dealt; nothing is sent, and the pool serves on."""
+    shutdown_pool()
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        run_chunked(lambda item: item, range(2), jobs=2)
+    assert [worker.ticket for worker in pool._workers] == [None, None]
+    assert run_chunked(str, range(2), jobs=2) == ["0", "1"]
 
 
 def _reciprocal(item):
@@ -168,11 +179,11 @@ def test_a_reply_no_caller_took_is_never_read_by_the_next():
     """A dealer that goes away with items in flight (a look-ahead search
     that stopped) leaves their replies in the pipes; the next caller reads
     and drops them, and gets only its own."""
-    gone = Dealer("call", str, 2)
+    gone = Dealer(str, 2)
     gone.deal("a", 1)
     gone.deal("b", 2)
     assert all(worker.ticket is not None for worker in pool._workers[:2])
-    assert run_chunked("call", _negate, [1, 2, 3], jobs=2) == [-1, -2, -3]
+    assert run_chunked(_negate, [1, 2, 3], jobs=2) == [-1, -2, -3]
     assert all(worker.ticket is None for worker in pool._workers[:2])
 
 

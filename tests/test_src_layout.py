@@ -154,6 +154,48 @@ def test_every_module_is_imported_by_the_program():
     assert all(excused.values()), f"an ALLOWED entry excuses nothing: {excused}"
 
 
+# -- the worker pool imports none of the modules it serves ----------------------
+
+
+def pool_imports(root: Path) -> list[str]:
+    """``file: module`` for every import under ``root/src/repro/perf`` of
+    a ``repro`` module outside ``repro.perf``, function-local ones
+    included.  The pool runs whatever function its caller hands it, so it
+    has no reason to import a caller; one that did would import back a
+    module that imports it."""
+    found = []
+    for path in sorted((root / "src").glob("repro/perf/**/*.py")):
+        for module, name in _imports(_parse(path)):
+            target = f"{module}.{name}" if module == "repro" and name else module
+            if target.split(".")[0] == "repro" and target.split(".")[1:2] != ["perf"]:
+                found.append(f"{path.relative_to(root / 'src').as_posix()}: {target}")
+    return found
+
+
+def test_the_worker_pool_imports_none_of_the_modules_it_serves():
+    assert pool_imports(REPO) == []
+
+
+def test_the_pool_rule_reports_an_import_inside_a_function(tmp_path):
+    root = _plant(tmp_path, {
+        "src/repro/perf/pool.py": """
+            import os
+            from repro.perf import helpers
+
+            def run(seed):
+                from repro.chaos.runner import run_chaos_seed
+                import repro.check
+                return run_chaos_seed(seed)
+        """,
+        "src/repro/perf/helpers.py": "from repro import errors, perf\n",
+    })
+    assert pool_imports(root) == [
+        "repro/perf/helpers.py: repro.errors",
+        "repro/perf/pool.py: repro.chaos.runner",
+        "repro/perf/pool.py: repro.check",
+    ]
+
+
 # -- every public def and class is named by the program -------------------------
 
 # ``module:Class.name`` (a trailing ``*`` matches a prefix) excused from
@@ -381,38 +423,50 @@ def _fields(cls: ast.ClassDef):
         yield position, stmt.target.id
 
 
+def _partial(call: ast.Call) -> bool:
+    """Whether ``call`` is ``partial(f, ...)`` or ``functools.partial(f, ...)``."""
+    return ast.unparse(call.func) in ("partial", "functools.partial") and bool(call.args)
+
+
 def _calls(node: ast.AST, cls: ast.ClassDef | None = None):
     """``(callee, call)`` for every call under ``node``: ``f(...)`` and
     ``x.f(...)`` call ``f``, ``cls(...)`` inside ``class C`` calls ``C``,
-    and ``super().__init__(...)`` inside ``class C(B)`` calls ``B``."""
+    ``super().__init__(...)`` inside ``class C(B)`` calls ``B``, and
+    ``partial(f, *a, **k)`` calls ``f`` with ``a`` and ``k``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Call):
-            func = child.func
+            call = child
+            if _partial(child):
+                call = ast.Call(child.args[0], child.args[1:], child.keywords)
+            func = call.func
             if isinstance(func, ast.Name):
-                yield (cls.name if func.id == "cls" and cls else func.id), child
+                yield (cls.name if func.id == "cls" and cls else func.id), call
             elif (
                 isinstance(func, ast.Attribute)
                 and func.attr == "__init__"
                 and getattr(getattr(func.value, "func", None), "id", None) == "super"
             ):
                 for base in cls.bases if cls else ():
-                    yield ast.unparse(base).rpartition(".")[2], child
+                    yield ast.unparse(base).rpartition(".")[2], call
             elif isinstance(func, ast.Attribute):
-                yield func.attr, child
+                yield func.attr, call
         yield from _calls(child, child if isinstance(child, ast.ClassDef) else cls)
 
 
 def _values(tree: ast.Module):
     """Names ``tree`` uses as a value: read as a variable or attribute
-    other than to call it, to reach one of its attributes, to annotate, to
-    test a type, to list in ``__all__`` or as the base of a class with its
-    own ``__init__``; or a string constant that is exactly ``name`` or
-    ``Class.name`` anywhere but as a plain argument (``add_parser("shrink")``
-    names a verb, ``getattr(x, "shrink")`` a def)."""
+    other than to call it (``partial(f, ...)`` calls ``f``), to reach one
+    of its attributes, to annotate, to test a type, to list in ``__all__``
+    or as the base of a class with its own ``__init__``; or a string
+    constant that is exactly ``name`` or ``Class.name`` anywhere but as a
+    plain argument (``add_parser("shrink")`` names a verb,
+    ``getattr(x, "shrink")`` a def)."""
     skip = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             skip.add(id(node.func))
+            if _partial(node):
+                skip.add(id(node.args[0]))
             name = getattr(node.func, "id", None)
             if name in ("isinstance", "issubclass"):
                 skip.update(map(id, node.args[1:]))
@@ -552,8 +606,9 @@ def test_the_option_rule_reports_a_parameter_only_tests_set(tmp_path):
 
 
 def test_the_option_rule_counts_every_way_a_call_sets_a_parameter(tmp_path):
-    """By keyword, by position, through ``**``, and from ``cls(...)`` and
-    ``super().__init__(...)`` for the class they build."""
+    """By keyword, by position, through ``**``, from ``cls(...)`` and
+    ``super().__init__(...)`` for the class they build, and through
+    ``partial(f, ...)``, which calls ``f`` with what it binds."""
     planted = LAUNCHER.replace("return cls(None)", "return cls(None, 10.0)")
     root = _plant(tmp_path / "cls", {
         "src/repro/launch.py": planted,
@@ -573,6 +628,23 @@ def test_the_option_rule_counts_every_way_a_call_sets_a_parameter(tmp_path):
         """,
     })
     assert unset_options(root) == []
+
+    planted = LAUNCHER + """
+    def report(result, width=72, *, limit=10):
+        return result
+"""
+    root = _plant(tmp_path / "partial", {
+        "src/repro/launch.py": planted,
+        "bench/run.py": """
+            import functools
+            from functools import partial
+            from repro.launch import Launcher, report
+            Launcher.build().launch(3, max, verbose=True)
+            run_chunked(partial(report, limit=3), [1, 2])
+            run_chunked(functools.partial(Launcher, None, 1.0), [None])
+        """,
+    })
+    assert unset_options(root) == ["repro.launch:report(width)"]
 
 
 def test_the_option_rule_skips_a_def_the_program_uses_as_a_value(tmp_path):
@@ -651,7 +723,7 @@ ALLOWED_STATE = {
     # What a redo record holds; the log's future is ROADMAP 8's to decide.
     "repro.storage.log:LogRecord.*",
     # The pinned open-loop row digests of the write-path and commit-phase
-    # tests read every record (ROADMAP 2 moves pins into one ledger).
+    # tests read every record (their pins live in ``tests/pins.json``).
     "repro.system.openloop:OpenLoopResult.records",
     # The candidates a choice point hashes into its fingerprint, kept on
     # the decision: the check-runner tests check what each hook offers.
