@@ -23,7 +23,7 @@ records the run's structured trace (see :mod:`repro.obs`); auditor
 findings then appear as ``chaos.violation`` events with causal context.
 """
 
-from repro.chaos.faults import DROPPABLE, DUPLICABLE, FaultPlan, FaultStats
+from repro.chaos.faults import DROPPABLE, DUPLICABLE, PRESETS, FaultPlan, FaultStats
 from repro.chaos.interpose import FaultInjector
 from repro.chaos.invariants import InvariantAuditor
 from repro.chaos.report import format_sweep_report
@@ -40,6 +40,7 @@ from repro.chaos.schedule import build_chaos_scenario
 __all__ = [
     "DROPPABLE",
     "DUPLICABLE",
+    "PRESETS",
     "FaultPlan",
     "FaultStats",
     "FaultInjector",

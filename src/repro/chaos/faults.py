@@ -289,6 +289,18 @@ class FaultPlan:
         )
 
 
+# ``repro chaos --mode``: each preset's name and the constructor of its plan.
+PRESETS = {
+    "default": FaultPlan,
+    "quiet": FaultPlan.quiet,
+    "aggressive": FaultPlan.aggressive,
+    "lossy-core": FaultPlan.lossy,
+    "correlated": FaultPlan.correlated,
+    "flapping": FaultPlan.flapping,
+    "partition-recovery": FaultPlan.partition_recovery,
+}
+
+
 @dataclass(slots=True)
 class FaultStats:
     """Counts of faults actually injected during one run."""

@@ -24,6 +24,7 @@ from repro.check.runner import CheckConfig, CheckRunResult, run_schedule
 from repro.check.schedule import (
     SCHEDULE_SCHEMA,
     build_schedule_doc,
+    diverged,
     export_counterexample,
     load_schedule,
     save_schedule,
@@ -40,6 +41,7 @@ __all__ = [
     "SCHEDULE_SCHEMA",
     "ShrinkResult",
     "build_schedule_doc",
+    "diverged",
     "explore",
     "export_counterexample",
     "load_schedule",

@@ -6,8 +6,10 @@ everything a fresh process needs to reproduce the run exactly:
 
 * the :class:`~repro.check.runner.CheckConfig` (system shape + budgets),
 * the decision vector,
-* what the recording process observed (violation, events fired, commits)
-  so a replay can *verify* rather than trust.
+* what the recording process observed (violations, events fired,
+  commits, aborts, stall, simulated time, choice points) so a replay can
+  *verify* rather than trust: :func:`diverged` names every recorded
+  field the replay does not reproduce.
 
 Serialization is :func:`repro.obs.schema.write_json` with sorted keys
 over plain data with no wall-clock anywhere, so the same schedule saved
@@ -40,6 +42,7 @@ from repro.obs import schema
 __all__ = [
     "SCHEDULE_SCHEMA",
     "build_schedule_doc",
+    "diverged",
     "save_schedule",
     "load_schedule",
     "export_counterexample",
@@ -90,6 +93,35 @@ def build_schedule_doc(
     return doc
 
 
+def _fields(observed: dict[str, Any]) -> dict[str, Any]:
+    """An ``observed`` block as ``{field: value}``: the number of
+    violations as ``violations``, and each key a violation records as
+    ``violations[i].<key>``."""
+    fields = dict(observed, violations=len(observed["violations"]))
+    for index, violation in enumerate(observed["violations"]):
+        fields.update(
+            (f"violations[{index}].{key}", value) for key, value in violation.items()
+        )
+    return fields
+
+
+def diverged(doc: dict[str, Any], result: CheckRunResult) -> list[str]:
+    """One ``<field>: replay … != recorded …`` line for each field of
+    ``doc``'s ``observed`` block that the replay ``result`` does not
+    reproduce; empty when it reproduces them all or the file records no
+    outcome.  A violation is compared on the keys the file records for it
+    (the spec requires only three)."""
+    if "observed" not in doc:
+        return []
+    config = CheckConfig.from_dict(doc["config"])
+    replayed = _fields(build_schedule_doc(config, doc["decisions"], result)["observed"])
+    return [
+        f"{field}: replay {replayed.get(field)!r} != recorded {value!r}"
+        for field, value in _fields(doc["observed"]).items()
+        if replayed.get(field) != value
+    ]
+
+
 def save_schedule(path: Path, doc: dict[str, Any]) -> None:
     """Write a schedule document, byte-deterministically."""
     schema.write_json(doc, path, sort_keys=True)
@@ -134,10 +166,6 @@ def export_counterexample(
     out_dir = Path(out_dir)
     sink = TraceSink(enabled=True)
     result = run_schedule(config, vector, trace=sink)
-    violations = [
-        {str(k): v for k, v in asdict(record).items()}
-        for record in result.violations
-    ]
     manifest = export_run(
         out_dir,
         sink,
@@ -146,7 +174,7 @@ def export_counterexample(
         sites=config.sites,
         db_size=config.db_size,
         sim_time_ms=result.sim_time_ms,
-        violations=violations,
+        violations=[asdict(record) for record in result.violations],
     )
     save_schedule(
         out_dir / "schedule.json",

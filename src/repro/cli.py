@@ -59,17 +59,9 @@ def _cmd_concurrent(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos import FaultPlan, format_sweep_report, run_seed_sweep
+    from repro.chaos import PRESETS, format_sweep_report, run_seed_sweep
 
-    plan = {
-        "default": FaultPlan,
-        "quiet": FaultPlan.quiet,
-        "aggressive": FaultPlan.aggressive,
-        "lossy-core": FaultPlan.lossy,
-        "correlated": FaultPlan.correlated,
-        "flapping": FaultPlan.flapping,
-        "partition-recovery": FaultPlan.partition_recovery,
-    }[args.mode]()
+    plan = PRESETS[args.mode]()
     if args.drop_rate is not None:
         plan.drop_rate = args.drop_rate
     if args.duplicate_rate is not None:
@@ -356,6 +348,7 @@ def _cmd_check_replay(args: argparse.Namespace) -> int:
 
     from repro.check import (
         CheckConfig,
+        diverged,
         export_counterexample,
         load_schedule,
         run_schedule,
@@ -378,24 +371,12 @@ def _cmd_check_replay(args: argparse.Namespace) -> int:
     )
     for record in result.violations:
         print(f"  {record.format()}")
-    observed = doc.get("observed")
-    if observed is not None:
-        mismatches = []
-        if result.events_fired != observed["events_fired"]:
-            mismatches.append(
-                f"events_fired: replay {result.events_fired} != "
-                f"recorded {observed['events_fired']}"
-            )
-        recorded = [v["invariant"] for v in observed["violations"]]
-        replayed = [v.invariant for v in result.violations]
-        if replayed != recorded:
-            mismatches.append(
-                f"violations: replay {replayed} != recorded {recorded}"
-            )
-        if mismatches:
-            for mismatch in mismatches:
-                print(f"DIVERGED: {mismatch}", file=sys.stderr)
-            return 1
+    mismatches = diverged(doc, result)
+    for mismatch in mismatches:
+        print(f"DIVERGED: {mismatch}", file=sys.stderr)
+    if mismatches:
+        return 1
+    if "observed" in doc:
         print("replay matches the recorded run")
     return 0
 
@@ -437,6 +418,7 @@ def _cmd_check_stats(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.check import CheckConfig, load_schedule
+    from repro.metrics.records import ViolationRecord
 
     doc = load_schedule(Path(args.file))
     config = CheckConfig.from_dict(doc["config"])
@@ -470,10 +452,10 @@ def _cmd_check_stats(args: argparse.Namespace) -> int:
             f"{len(observed['violations'])} violations"
         )
         for violation in observed["violations"]:
-            print(
-                f"    t={violation['time']:.1f}ms [{violation['invariant']}] "
-                f"{violation['description']}"
+            record = ViolationRecord(
+                violation["invariant"], violation["time"], violation["description"]
             )
+            print(f"    {record.format()}")
     if doc.get("note"):
         print(f"  note: {doc['note']}")
     return 0
@@ -493,6 +475,7 @@ def _cmd_check_selftest(args: argparse.Namespace) -> int:
 
     from repro.check import (
         CheckConfig,
+        diverged,
         explore,
         export_counterexample,
         load_schedule,
@@ -516,7 +499,7 @@ def _cmd_check_selftest(args: argparse.Namespace) -> int:
     )
 
     out = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="check-"))
-    manifest, exported = export_counterexample(
+    manifest, _ = export_counterexample(
         out, config, shrunk.vector, note="mutation self-test counterexample"
     )
     problems = validate_run_dir(out)
@@ -530,12 +513,10 @@ def _cmd_check_selftest(args: argparse.Namespace) -> int:
 
     doc = load_schedule(out / "schedule.json")
     replay = run_schedule(CheckConfig.from_dict(doc["config"]), doc["decisions"])
-    if (
-        replay.events_fired != exported.events_fired
-        or [v.invariant for v in replay.violations]
-        != [v.invariant for v in exported.violations]
-    ):
-        print("SELFTEST: replay diverged from export", file=sys.stderr)
+    mismatches = diverged(doc, replay)
+    for mismatch in mismatches:
+        print(f"SELFTEST: replay diverged from export: {mismatch}", file=sys.stderr)
+    if mismatches:
         return 1
     print("replay reproduces the violation; selftest passed")
     return 0
@@ -657,6 +638,8 @@ def _cmd_soak_validate(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro`` argument parser."""
+    from repro.chaos import PRESETS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce Bhargava/Noll/Sabo 1987: replicated copy "
@@ -712,10 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--txns", type=int, default=60, help="txns per seed")
     chaos.add_argument(
         "--mode",
-        choices=[
-            "default", "quiet", "aggressive", "lossy-core",
-            "correlated", "flapping", "partition-recovery",
-        ],
+        choices=list(PRESETS),
         default="default",
         help="fault plan preset; lossy-core faults ALL message types "
         "(silent drops) and runs the retransmission + timeout layers; "

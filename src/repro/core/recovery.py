@@ -18,11 +18,12 @@ fraction drops below a threshold, hastening the tail.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Callable, Iterable, Optional, TYPE_CHECKING
 
 from repro.core.copier import choose_copier_source
 from repro.core.faillocks import FailLockTable
+from repro.metrics.records import RecoveryPeriodRecord
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.net.endpoint import HandlerContext
@@ -35,23 +36,6 @@ class RecoveryPolicy(enum.Enum):
     ON_DEMAND = "on_demand"    # the paper's measured implementation
     TWO_STEP = "two_step"      # §3.2 proposal: batch copiers below threshold
     PARALLEL = "parallel"      # repro.recovery: partitioned multi-donor fan-out
-
-
-@dataclass(slots=True)
-class RecoveryStats:
-    """Bookkeeping for one recovery period."""
-
-    started_at: float = 0.0
-    finished_at: float = -1.0
-    initial_stale: int = 0
-    copier_requests: int = 0
-    batch_copier_requests: int = 0
-    refreshed_by_write: int = 0
-    refreshed_by_copier: int = 0
-
-    @property
-    def complete(self) -> bool:
-        return self.finished_at >= 0.0
 
 
 class RecoveryManager:
@@ -75,12 +59,13 @@ class RecoveryManager:
         self.batch_threshold = batch_threshold
         self.batch_size = batch_size
         self.in_recovery = False
-        self.stats = RecoveryStats()
-        # Fired when a recovery period ends: ``(stats, interrupted)``.
-        # ``interrupted`` is True when a new period began (the site failed
-        # again and re-recovered) before the previous one completed — the
-        # flapping-site case.  None by default; metrics wiring sets it.
-        self.on_period_end: Optional[Callable[[RecoveryStats, bool], None]] = None
+        # The current (or last) period's record.  It keeps counting after
+        # its period closes: copiers and refreshes arrive either way.
+        self.stats = RecoveryPeriodRecord(owner, policy.value)
+        # Fired when a period ends, with a copy of its record; the copy is
+        # ``interrupted`` when the site failed and re-recovered before the
+        # period completed (a flapping site).  The site wires it to metrics.
+        self.on_period_end: Optional[Callable[[RecoveryPeriodRecord], None]] = None
         self._period_open = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -89,10 +74,12 @@ class RecoveryManager:
         """Called when the type-1 control transaction completes."""
         if self._period_open and self.on_period_end is not None:
             # The previous period never completed: the site flapped.
-            self.on_period_end(self.stats, True)
+            self.on_period_end(replace(self.stats, interrupted=True))
         self.in_recovery = True
         self._period_open = True
-        self.stats = RecoveryStats(
+        self.stats = RecoveryPeriodRecord(
+            self.owner,
+            self.policy.value,
             started_at=time,
             initial_stale=self.faillocks.count_for(self.owner),
         )
@@ -139,7 +126,7 @@ class RecoveryManager:
             self.stats.finished_at = time
             self._period_open = False
             if self.on_period_end is not None:
-                self.on_period_end(self.stats, False)
+                self.on_period_end(replace(self.stats))
 
     def __repr__(self) -> str:
         phase = "recovering" if self.in_recovery else "steady"

@@ -2,8 +2,8 @@
 
 Each ``*_section`` function runs one experiment and returns its markdown —
 heading, paper-vs-measured tables, charts — without a blank line at
-either end.  ``generate_report()`` joins all of them into EXPERIMENTS.md,
-and ``repro exp1 | fig1 | fig2 | fig3 | ablations | concurrent`` print
+either end.  ``generate_report()`` joins all of them into EXPERIMENTS.md
+(``repro report`` writes it), and ``repro exp1 | fig1 | fig2 | fig3 | ablations | concurrent`` print
 theirs, so the command line and the committed report cannot drift apart.
 ``format_table`` is the shared plain-text table renderer used by the
 example scripts too.
@@ -337,7 +337,7 @@ def stability_section(jobs: int | None = None) -> str:
 _PREAMBLE = (
     "# EXPERIMENTS — paper vs. measured\n\n"
     "Every number below is regenerated by the code in this repository "
-    "(`python -m repro.experiments.report` rewrites this file; "
+    "(`python -m repro report` rewrites this file; "
     "`tests/test_experiments.py` and `tests/test_ablations.py` assert "
     "the same runners on every test run).\n\n"
     "Absolute milliseconds are *simulated* time under the calibrated "
@@ -368,15 +368,3 @@ def generate_report(
         recovery_section(seed, jobs),
         stability_section(jobs),
     ]) + "\n"
-
-
-def main() -> None:
-    """Regenerate EXPERIMENTS.md in the current directory."""
-    content = generate_report()
-    with open("EXPERIMENTS.md", "w", encoding="utf-8") as fh:
-        fh.write(content)
-    print(content)
-
-
-if __name__ == "__main__":
-    main()

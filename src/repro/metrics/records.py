@@ -96,8 +96,9 @@ class ControlRecord:
 @dataclass(slots=True)
 class RecoveryPeriodRecord:
     """One recovery period of one site (type-1 completion -> last
-    fail-lock clear), as tracked by its
-    :class:`~repro.core.recovery.RecoveryManager`.
+    fail-lock clear): the live bookkeeping of its
+    :class:`~repro.core.recovery.RecoveryManager`, and a copy of it in
+    ``MetricsCollector.recoveries`` once the period closes.
 
     ``interrupted`` marks a period that never completed because the site
     failed again and started a new one — the flapping-site case; its
@@ -106,14 +107,19 @@ class RecoveryPeriodRecord:
 
     site_id: int
     policy: str                   # RecoveryPolicy value
-    started_at: float
-    finished_at: float
-    initial_stale: int
-    copier_requests: int
-    batch_copier_requests: int
-    refreshed_by_write: int
-    refreshed_by_copier: int
+    started_at: float = 0.0
+    finished_at: float = -1.0
+    initial_stale: int = 0
+    copier_requests: int = 0
+    batch_copier_requests: int = 0
+    refreshed_by_write: int = 0
+    refreshed_by_copier: int = 0
     interrupted: bool = False
+
+    @property
+    def complete(self) -> bool:
+        """Whether the period's last fail-lock has cleared."""
+        return self.finished_at >= 0.0
 
     @property
     def elapsed(self) -> float:

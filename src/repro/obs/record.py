@@ -139,10 +139,6 @@ def record_chaos(
         plan=plan,
         trace=sink,
     )
-    violations = [
-        {str(k): v for k, v in asdict(record).items()}
-        for record in result.violations
-    ]
     return export_run(
         Path(out_dir),
         sink,
@@ -151,5 +147,5 @@ def record_chaos(
         sites=sites,
         db_size=db_size,
         sim_time_ms=result.sim_time_ms,
-        violations=violations,
+        violations=[asdict(record) for record in result.violations],
     )

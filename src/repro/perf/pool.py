@@ -15,8 +15,8 @@ life of the process:
   ones.
 * **One pipe each, dealt to whichever is idle.**  Each worker sits on
   one duplex :func:`multiprocessing.Pipe`.  The parent sends one
-  ``(ticket, fn, item)`` request to an idle worker and reads each reply
-  as it arrives (:func:`multiprocessing.connection.wait`):
+  ``(fn, item)`` request to an idle worker and reads each reply as it
+  arrives (:func:`multiprocessing.connection.wait`):
   no queue-feeder or management thread competes with the parent for the
   GIL, so the parent can run a simulation of its own between two
   replies (``repro.check``'s look-ahead search does).
@@ -27,15 +27,16 @@ life of the process:
   seed, a cell or a schedule prefix.  Workers rebuild everything else
   from it, exactly like the determinism tests demand.  A lambda or a
   closure does not pickle, so dealing one raises in the parent; a
-  function the workers cannot import by its path (one defined in
-  ``__main__`` after they forked) kills the worker it reaches.
+  function the workers cannot import by its path (one set on its module
+  after they forked) fails in the worker's unpickling, and that error is
+  raised in the parent like one the function raised.
 * **Deterministic merge.**  Replies are filed under the key they were
   dealt with and read back in the caller's order — input order for
   :func:`run_chunked` — so the merged result is identical to the serial
   one no matter which worker finished first.  A reply whose caller has
   gone (a look-ahead run the search never needed) is read and dropped by
-  the next caller: every request carries a ticket, and a
-  :class:`Dealer` answers only for its own.
+  the next caller: the parent notes the ticket of the request each
+  worker runs, and a :class:`Dealer` answers only for its own.
 
 Every unit of work must remain a pure function of ``fn`` and ``item``:
 it builds its own cluster, scheduler, and named RNG streams from the
@@ -93,9 +94,10 @@ def _name(fn: Callable[[Any], Any]) -> str:
 
 
 def _serve(conn: Connection, parent_end: Connection) -> None:
-    """One worker's life: answer each ``(ticket, fn, item)`` with
-    ``(ticket, True, result)`` or ``(ticket, False, (exception, its
-    traceback text))`` until the parent closes its end."""
+    """One worker's life: answer each ``(fn, item)`` with ``(True,
+    result)`` or ``(False, (exception, its traceback text))`` until the
+    parent closes its end.  A request that does not unpickle here is
+    answered with its error, like one whose function raised."""
     import signal
     import traceback
 
@@ -110,29 +112,34 @@ def _serve(conn: Connection, parent_end: Connection) -> None:
         worker.conn.close()
     _workers.clear()
     while True:
+        # An error is raised in the parent, by Dealer.take.
         try:
-            ticket, fn, item = conn.recv()
+            fn, item = conn.recv()
         except EOFError:
             return
-        try:
-            reply = (ticket, True, fn(item))
-        except Exception as exc:  # raised in the parent, by Dealer.take
-            reply = (ticket, False, (exc, traceback.format_exc()))
+        except Exception as exc:  # the request does not unpickle here
+            reply = (False, (exc, traceback.format_exc()))
+        else:
+            try:
+                reply = (True, fn(item))
+            except Exception as exc:
+                reply = (False, (exc, traceback.format_exc()))
         try:
             conn.send(reply)
         except OSError:  # the parent closed its end while this task ran
             return
         except Exception as exc:  # the reply does not pickle; nothing was sent
-            error = RuntimeError(f"{_name(fn)} reply: {exc!r}")
-            conn.send((ticket, False, (error, traceback.format_exc())))
+            error = RuntimeError(f"the reply does not pickle: {exc!r}")
+            conn.send((False, (error, traceback.format_exc())))
 
 
 # -- parent side -----------------------------------------------------------
 
 
 class _Worker:
-    """One forked worker, its end of the pipe, and the ticket of the
-    request it is running (``None`` when idle)."""
+    """One forked worker, its end of the pipe, and the ticket of the one
+    request it is running, which its next reply answers (``None`` when
+    idle)."""
 
     __slots__ = ("process", "conn", "ticket")
 
@@ -232,12 +239,11 @@ class Dealer:
         while True:
             for worker in workers:
                 if worker.ticket is None:
-                    ticket = next(_tickets)
                     try:
-                        worker.conn.send((ticket, self.fn, item))
+                        worker.conn.send((self.fn, item))
                     except OSError as exc:
                         raise self._died() from exc
-                    worker.ticket = ticket
+                    worker.ticket = ticket = next(_tickets)
                     self._keys[ticket] = key
                     return
             self._receive(workers, None)
@@ -267,11 +273,12 @@ class Dealer:
             return
         for conn in wait(list(busy), timeout):
             try:
-                ticket, ok, value = conn.recv()
+                ok, value = conn.recv()
             except (EOFError, OSError) as exc:
                 raise self._died() from exc
-            busy[conn].ticket = None
-            key = self._keys.pop(ticket, _UNDEALT)
+            worker = busy[conn]
+            key = self._keys.pop(worker.ticket, _UNDEALT)
+            worker.ticket = None
             if key is not _UNDEALT:
                 self._replies[key] = (ok, value)
 

@@ -5,8 +5,9 @@ a cluster of ``donors + 1`` sites is built, site 0 is crashed cold (so
 every one of its ``stale_items`` copies is stale on return), brought
 back up, and driven until its last fail-lock clears.  The measured
 quantity is the paper's recovery-window length — type-1 completion to
-last fail-lock clear — read straight from the site's
-:class:`~repro.core.recovery.RecoveryStats`.
+last fail-lock clear — read straight from the site's live
+:class:`~repro.metrics.records.RecoveryPeriodRecord`
+(``RecoveryManager.stats``).
 
 The matrix sweeps that cell over donor count x stale-data size x
 recovery policy.  ``two_step`` runs with ``batch_threshold=1.0`` so it

@@ -17,7 +17,6 @@ from repro.core.recovery import (
     OnDemandRecovery,
     RecoveryManager,
     RecoveryPolicy,
-    RecoveryStats,
     TwoStepRecovery,
 )
 from repro.core.rowaa import RowaaPlanner
@@ -25,7 +24,7 @@ from repro.core.sessions import NominalSessionVector, SiteState
 from repro.core.strategy import COPY_CONTROL
 from repro.errors import ConfigurationError, ProtocolError
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.records import ControlRecord, RecoveryPeriodRecord
+from repro.metrics.records import ControlRecord
 from repro.net.endpoint import Endpoint, HandlerContext
 from repro.net.message import Message, MessageType
 from repro.net.network import Network
@@ -107,7 +106,9 @@ class DatabaseSite(Endpoint):
             batch_threshold=config.batch_threshold,
             batch_size=config.batch_size,
         )
-        self.recovery.on_period_end = self._on_recovery_period_end
+        # A closed period's record is a pure metrics append — no
+        # scheduling, costs or RNG — so keeping it cannot perturb replay.
+        self.recovery.on_period_end = metrics.record_recovery_period
         self.planner = RowaaPlanner(site_id, self.nsv, self.faillocks, self.catalog)
         self.copy_control = COPY_CONTROL[config.strategy](config.num_sites)
         if self.copy_control.votes_on_reads and not catalog.is_fully_replicated():
@@ -598,25 +599,6 @@ class DatabaseSite(Endpoint):
         self.recovery.begin(ctx.now)
         self._record_recovery_done(ctx)
         self._maybe_issue_batch_copiers(ctx)
-
-    def _on_recovery_period_end(self, stats: RecoveryStats, interrupted: bool) -> None:
-        """A recovery period closed (completed, or interrupted by a re-fail):
-        keep a summary row.  Pure metrics append — no scheduling, costs, or
-        RNG — so recording it unconditionally cannot perturb replay."""
-        self.metrics.record_recovery_period(
-            RecoveryPeriodRecord(
-                site_id=self.site_id,
-                policy=self.recovery.policy.value,
-                started_at=stats.started_at,
-                finished_at=stats.finished_at,
-                initial_stale=stats.initial_stale,
-                copier_requests=stats.copier_requests,
-                batch_copier_requests=stats.batch_copier_requests,
-                refreshed_by_write=stats.refreshed_by_write,
-                refreshed_by_copier=stats.refreshed_by_copier,
-                interrupted=interrupted,
-            )
-        )
 
     def _record_recovery_done(self, ctx: HandlerContext) -> None:
         started = self._recovery_started_at

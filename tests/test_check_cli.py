@@ -93,6 +93,65 @@ def test_replay_flags_divergence(tmp_path, capsys):
     assert "events_fired" in captured.err
 
 
+@pytest.fixture(scope="module")
+def counterexample(tmp_path_factory):
+    """A saved counterexample of the planted mutation, as plain JSON."""
+    schedule = tmp_path_factory.mktemp("replay") / "found.json"
+    assert main(["check", "explore", "--mutate", "--max-runs", "60",
+                 "--out", str(schedule)]) == 0
+    return json.loads(schedule.read_text())
+
+
+def _edited(value):
+    """A recorded value the replay cannot reproduce."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return value + " (edited)"
+    return value + 1
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["commits", "aborts", "stalled", "sim_time_ms", "choice_points",
+     "violations[0].time", "violations[0].description"],
+)
+def test_replay_compares_every_recorded_field(field, counterexample, tmp_path, capsys):
+    """Replay used to compare only ``events_fired`` and the violations'
+    invariant names: a file whose other recorded outcome was edited
+    replayed clean."""
+    doc = json.loads(json.dumps(counterexample))
+    in_violation, _, key = field.rpartition(".")
+    target = doc["observed"]["violations"][0] if in_violation else doc["observed"]
+    target[key] = _edited(target[key])
+    schedule = tmp_path / "edited.json"
+    schedule.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", "replay", "--file", str(schedule)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"DIVERGED: {field}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_replay_compares_a_violation_on_the_keys_the_file_records(
+    counterexample, tmp_path, capsys
+):
+    """The spec requires only ``invariant``, ``time`` and ``description``
+    of a recorded violation; a file that keeps no more replays clean."""
+    doc = json.loads(json.dumps(counterexample))
+    required = ("invariant", "time", "description")
+    doc["observed"]["violations"] = [
+        {key: v[key] for key in required} for v in doc["observed"]["violations"]
+    ]
+    schedule = tmp_path / "short.json"
+    schedule.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", "replay", "--file", str(schedule)]) == 0
+    captured = capsys.readouterr()
+    assert "replay matches the recorded run" in captured.out
+    assert captured.err == ""
+
+
 def test_replay_rejects_garbage_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

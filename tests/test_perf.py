@@ -13,6 +13,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,23 @@ def test_a_function_that_does_not_pickle_is_refused_in_the_parent():
         run_chunked(lambda item: item, range(2), jobs=2)
     assert [worker.ticket for worker in pool._workers] == [None, None]
     assert run_chunked(str, range(2), jobs=2) == ["0", "1"]
+
+
+def test_a_request_a_worker_cannot_unpickle_is_raised_in_the_parent(monkeypatch):
+    """A worker finds its function by import path; one set on its module
+    after the workers forked is not there.  The unpickling error is the
+    request's own, raised in the parent, and the workers serve on."""
+    late_module = types.ModuleType("latemod")
+    exec("def early(item):\n    return item\n", late_module.__dict__)
+    monkeypatch.setitem(sys.modules, "latemod", late_module)
+    shutdown_pool()  # the workers fork with ``latemod`` but without ``late``
+    assert run_chunked(late_module.early, range(4), jobs=2) == [0, 1, 2, 3]
+    warm = _pids()
+    exec("def late(item):\n    return -item\n", late_module.__dict__)
+    with pytest.raises(AttributeError, match="'late'"):
+        run_chunked(late_module.late, range(4), jobs=2)
+    assert _pids() == warm
+    assert run_chunked(late_module.early, range(4), jobs=2) == [0, 1, 2, 3]
 
 
 def _reciprocal(item):
