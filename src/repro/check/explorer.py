@@ -29,12 +29,14 @@ expands every *new* branch point the run encountered past its prefix:
   bounds how deep in the decision sequence new branches are opened.
   ``budget_exhausted`` in the stats says the frontier was not empty when
   the explorer stopped.
-* **Look-ahead** — with ``jobs > 1`` pool workers run the prefixes on
-  top of the frontier while the search runs the one it popped; the
-  search takes a worker's run when it pops that prefix.  ``jobs``
-  decides the wall time only.  Workers fork once and keep the code they
-  forked with, so a search whose ``run_schedule`` has been replaced (a
-  test's stub, a profiler's wrapper) runs every prefix itself.
+* **Look-ahead** — with ``jobs > 1``, whenever the search runs a
+  prefix it popped, pool workers run the prefixes then on top of the
+  frontier beside it; the search takes a worker's run when it pops that
+  prefix, and deals nothing then, since that run's children are not yet
+  on the frontier.  ``jobs`` decides the wall time only.  Workers fork
+  once and keep the code they forked with, so a search whose
+  ``run_schedule`` has been replaced (a test's stub, a profiler's
+  wrapper) runs every prefix itself.
 
 Fault/fate alternatives are expanded before order alternatives (the
 bug-dense part of the space first); within a priority class, shallower
@@ -175,7 +177,8 @@ def run_prefix(config: CheckConfig, prefix: list[int], max_depth: int) -> CheckR
 
 def _deal_ahead(dealer: Dealer, frontier: list[list[int]], spare: int) -> None:
     """Deal the entries on top of ``frontier`` that no worker has started
-    to the idle workers.
+    to the idle workers, just before the search runs a popped prefix
+    itself (never beside a taken run: see the module docstring).
 
     ``spare`` is how many more runs the budget allows after the one the
     search is about to make: the ``k``-th entry from the top is popped no
@@ -219,11 +222,13 @@ def explore(
     Returns when a violation is found (unless ``stop_on_violation`` is
     False), the frontier empties (the bounded space is exhausted), or
     ``max_runs`` re-executions are spent.  ``jobs`` (``None``: every CPU
-    this process may run on) decides only the wall time: up to ``jobs -
-    1`` pool workers (never more than ``max_runs - 1``) run the next
-    frontier prefixes ahead of the search (:func:`_deal_ahead`), and the
-    result is the ``jobs=1`` one, byte for byte.  With ``run_schedule``
-    replaced the search runs in-process whatever ``jobs`` is.
+    this process may run on) decides only the wall time: while the
+    search runs a popped prefix itself, up to ``jobs - 1`` pool workers
+    (never more than ``max_runs - 1``) run the next frontier prefixes
+    (:func:`_deal_ahead`); a popped prefix a worker ran is taken, not
+    dealt beside.  The result is the ``jobs=1`` one, byte for byte.
+    With ``run_schedule`` replaced the search runs in-process whatever
+    ``jobs`` is.
     """
     _check_budget(max_runs, max_depth)
     stats = ExplorationStats()
@@ -242,12 +247,12 @@ def explore(
             stats.budget_exhausted = True
             break
         prefix = frontier.pop()
-        if dealer is not None:
-            _deal_ahead(dealer, frontier, max_runs - stats.runs - 1)
         key = tuple(prefix)
         if dealer is not None and key in dealer:
             run = dealer.take(key)
         else:
+            if dealer is not None:
+                _deal_ahead(dealer, frontier, max_runs - stats.runs - 1)
             run = run_prefix(config, prefix, max_depth)
         stats.runs += 1
 

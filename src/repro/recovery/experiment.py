@@ -145,8 +145,10 @@ def run_recovery_matrix(
 ) -> list[RecoveryCell]:
     """The full sweep, in fixed (policy, donors, stale) nesting order so
     the cell list — and every report built from it — is deterministic.
-    The cells fan out across the worker pool (``jobs=1`` runs them
-    in-process); the merged list is the same either way."""
+    The cells fan out across the worker pool largest first (stale size,
+    then donors, descending), so the longest are not dealt last
+    (``jobs=1`` runs them in-process); the merged list is the same
+    either way."""
     cells = [
         (policy, donor_count, stale)
         for policy in policies
@@ -154,4 +156,6 @@ def run_recovery_matrix(
         for stale in stale_sizes
     ]
     run = partial(_run_cell, seed=seed, wire_latency_ms=wire_latency_ms)
-    return run_chunked(run, cells, jobs=jobs)
+    largest_first = sorted(cells, key=lambda cell: (cell[2], cell[1]), reverse=True)
+    measured = dict(zip(largest_first, run_chunked(run, largest_first, jobs=jobs)))
+    return [measured[cell] for cell in cells]

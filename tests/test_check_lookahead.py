@@ -2,10 +2,10 @@
 
 With ``jobs > 1`` pool workers run the prefixes on top of the frontier
 while the search runs the one it popped, and the search takes a worker's
-run only when it pops that prefix.  Everything the search reports must be
-what ``jobs=1`` reports, whichever worker finished first; a run nobody
-took must not leak into a later call; a dead worker must fail the search,
-not hang it.
+run only when it pops that prefix (and deals nothing beside a taken
+run).  Everything the search reports must be what ``jobs=1`` reports,
+whichever worker finished first; a run nobody took must not leak into a
+later call; a dead worker must fail the search, not hang it.
 """
 
 import functools
@@ -57,6 +57,49 @@ def test_the_answer_does_not_depend_on_jobs(config, budget):
     assert _answer(explore(config, **budget)) == _answer(serial)  # every CPU
     if config.mutate:
         assert serial.found and serial.counterexample_run.violations
+
+
+def test_the_search_deals_ahead_only_beside_a_run_it_makes_itself(monkeypatch):
+    """A popped prefix a worker ran is taken, and the look-ahead step is
+    not called in that iteration: the taken run's children, which the
+    search pops next, are not on the frontier yet, so whatever it dealt
+    would be buried under them.  Recorded per iteration (each ends in
+    ``_expand_children``: the bench shape finds no violation), by calls,
+    not deals: a busy worker makes the step deal nothing."""
+    events = []
+    real_deal, real_take, real_expand = (
+        explorer._deal_ahead, pool.Dealer.take, explorer._expand_children
+    )
+
+    def deal_ahead(*args):
+        events.append("deal")
+        return real_deal(*args)
+
+    def take(self, key):
+        events.append("take")
+        return real_take(self, key)
+
+    def expand(*args, **kwargs):
+        events.append("end")
+        return real_expand(*args, **kwargs)
+
+    monkeypatch.setattr(explorer, "_deal_ahead", deal_ahead)
+    monkeypatch.setattr(pool.Dealer, "take", take)
+    monkeypatch.setattr(explorer, "_expand_children", expand)
+    taken = 0
+    for seed in (42, 43, 44):
+        config = replace(_BENCH, seed=seed)
+        events.clear()
+        result = explore(config, **_BENCH_BUDGET, jobs=2)
+        assert result.stats.violations_found == 0
+        iterations = " ".join(events).split("end")
+        assert iterations.pop().strip() == ""
+        assert len(iterations) == result.stats.runs
+        for index, iteration in enumerate(iterations):
+            assert iteration.split() in (["take"], ["deal"]), (seed, index)
+        taken += sum(iteration.split() == ["take"] for iteration in iterations)
+        assert _answer(result) == _answer(explore(config, **_BENCH_BUDGET, jobs=1))
+    assert taken  # the workers' runs were used, so the rule was exercised
 
 
 def test_a_run_nobody_took_is_never_read_by_the_next_call():

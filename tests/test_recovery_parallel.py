@@ -14,7 +14,8 @@ from repro.check import CheckConfig, explore
 from repro.core.copier import choose_copier_source
 from repro.core.recovery import RecoveryPolicy
 from repro.obs.schema import write_json
-from repro.recovery import plan_partitions
+from repro.perf.pool import run_chunked
+from repro.recovery import experiment, plan_partitions
 from repro.recovery.experiment import run_recovery_cell, run_recovery_matrix
 from repro.recovery.report import (
     RECOVERY_SCHEMA,
@@ -476,17 +477,36 @@ def test_recovery_report_builds_validates_and_is_deterministic(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
-def test_recovery_matrix_equals_its_cells_run_one_by_one():
-    """The matrix fans its cells across the worker pool; the merged list
-    is the cells run in-process in (policy, donors, stale) order."""
-    cells = run_recovery_matrix(donor_counts=(1, 2), stale_sizes=(16, 24), seed=5)
+def test_recovery_matrix_equals_its_cells_run_one_by_one(monkeypatch):
+    """The matrix deals its cells to the worker pool largest first (stale
+    size, then donors, descending, so the longest cell is not dealt
+    last); the merged list is the cells run in-process in (policy,
+    donors, stale) order, whatever ``jobs`` is."""
+    dealt = []
+
+    def recorded(fn, items, *, jobs=None):
+        dealt.append(list(items))
+        return run_chunked(fn, dealt[-1], jobs=jobs)
+
+    monkeypatch.setattr(experiment, "run_chunked", recorded)
+    shape = dict(donor_counts=(1, 2), stale_sizes=(16, 24), seed=5)
+    pooled = run_recovery_matrix(**shape, jobs=2)
+    serial = run_recovery_matrix(**shape, jobs=1)
+    largest_first = [
+        (policy, donors, stale)
+        for stale in (24, 16)
+        for donors in (2, 1)
+        for policy in ("two_step", "parallel")
+    ]
+    assert dealt == [largest_first, largest_first]
     expected = [
         run_recovery_cell(policy, donors, stale, seed=5)
         for policy in ("two_step", "parallel")
         for donors in (1, 2)
         for stale in (16, 24)
     ]
-    assert [asdict(c) for c in cells] == [asdict(c) for c in expected]
+    assert [asdict(c) for c in pooled] == [asdict(c) for c in expected]
+    assert [asdict(c) for c in serial] == [asdict(c) for c in expected]
 
 
 def test_recovery_report_validation_catches_corruption():
