@@ -32,7 +32,7 @@ from repro.check.choices import ChoiceController, Decision
 from repro.check.fingerprint import cluster_fingerprint
 from repro.check.hooks import FateChoiceHook, FaultChoiceHook, OrderChoiceHook
 from repro.core.recovery import RecoveryPolicy
-from repro.errors import CheckError, SimulationError
+from repro.errors import CheckError, SimulationError, lookup
 from repro.metrics.records import ViolationRecord
 from repro.obs import schema
 from repro.system.cluster import Cluster
@@ -63,10 +63,10 @@ class CheckConfig:
     explore_order: bool = True
     explore_fates: bool = False
     explore_faults: bool = True
-    # Recovery policy for explored clusters (on_demand | two_step |
-    # parallel).  The default keeps every pre-existing schedule file —
-    # and the explorer's default search — byte-identical; "parallel"
-    # points the search at the fan-out recovery engine.
+    # Recovery policy for explored clusters, a RecoveryPolicy value.  The
+    # default keeps every pre-existing schedule file — and the explorer's
+    # default search — byte-identical; "parallel" points the search at
+    # the fan-out recovery engine.
     recovery_policy: str = "on_demand"
     # Per-choice-point and per-run budgets.
     max_branch: int = 3
@@ -80,7 +80,8 @@ class CheckConfig:
         # fewer than two alternatives is no choice, a search that may crash
         # every site has nobody left to drive, and a negative budget would
         # read as "none" and report clean; each is refused rather than run
-        # or quietly raised.
+        # or quietly raised, and so is a policy no cluster could build.
+        lookup(RecoveryPolicy, self.recovery_policy, "recovery policy", CheckError)
         if self.txns < 1:
             raise CheckError(f"txns must be >= 1: {self.txns}")
         if self.max_branch < 2:

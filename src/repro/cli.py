@@ -43,6 +43,9 @@ import sys
 
 from repro.errors import CheckError, ConfigurationError, WorkloadError
 
+# ``check explore --explore`` kinds, each switching ``CheckConfig.explore_<kind>``.
+CHOICE_KINDS = ("order", "fates", "faults")
+
 
 def _cmd_section(args: argparse.Namespace, **kwargs: object) -> int:
     """Print one section of EXPERIMENTS.md — the function of
@@ -273,11 +276,11 @@ def _check_config_from_args(args: argparse.Namespace) -> "object":
     from repro.check import CheckConfig
 
     kinds = {k.strip() for k in args.explore.split(",") if k.strip()}
-    unknown = kinds - {"order", "fates", "faults"}
+    unknown = kinds - set(CHOICE_KINDS)
     if unknown:
         print(
             f"error: unknown choice kinds {sorted(unknown)} "
-            "(valid: order, fates, faults)",
+            f"(valid: {', '.join(CHOICE_KINDS)})",
             file=sys.stderr,
         )
         raise SystemExit(2)
@@ -429,15 +432,7 @@ def _cmd_check_stats(args: argparse.Namespace) -> int:
         f"{config.txns} txns, seed {config.seed}"
         f"{', MUTATED' if config.mutate else ''}"
     )
-    kinds = [
-        kind
-        for kind, on in (
-            ("order", config.explore_order),
-            ("fates", config.explore_fates),
-            ("faults", config.explore_faults),
-        )
-        if on
-    ]
+    kinds = [kind for kind in CHOICE_KINDS if getattr(config, f"explore_{kind}")]
     print(f"  choice kinds: {', '.join(kinds) or 'none'}")
     print(
         f"  decisions: {decisions} "
@@ -637,8 +632,18 @@ def _cmd_soak_validate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``python -m repro`` argument parser."""
+    """The ``python -m repro`` argument parser.  Each ``choices=`` reads its
+    table, and each default a config or the recovery matrix states is read
+    from there."""
     from repro.chaos import PRESETS
+    from repro.check import CheckConfig
+    from repro.core.recovery import RecoveryPolicy
+    from repro.obs.record import EXPERIMENT_PRESETS
+    from repro.recovery import experiment
+    from repro.soak.engine import LOAD_SHAPES, SOAK_WORKLOADS, SoakConfig
+    from repro.system.config import FailureDetection
+
+    policies = [policy.value for policy in RecoveryPolicy]
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -740,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
         "record", help="trace an experiment preset or chaos seed"
     )
     record.add_argument(
-        "--exp", choices=["1", "2", "3", "smoke"], default="1",
+        "--exp", choices=EXPERIMENT_PRESETS, default="1",
         help="experiment preset to trace (ignored with --chaos-seed)",
     )
     record.add_argument(
@@ -804,37 +809,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_sub = check.add_subparsers(dest="check_command", required=True)
 
+    checked = CheckConfig()
+
     def _add_shape_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--sites", type=int, default=3, help="database sites")
-        p.add_argument("--db", type=int, default=8, help="data items")
-        p.add_argument("--txns", type=int, default=3, help="transactions")
+        p.add_argument("--sites", type=int, default=checked.sites, help="database sites")
+        p.add_argument("--db", type=int, default=checked.db_size, help="data items")
+        p.add_argument("--txns", type=int, default=checked.txns, help="transactions")
         p.add_argument(
             "--mutate", action="store_true",
             help="disable fail-lock setting (explorer self-test: exit 0 "
             "iff a violating schedule is found)",
         )
         p.add_argument(
-            "--explore", default="order,faults",
-            help="comma-separated choice kinds: order, fates, faults",
+            "--explore",
+            default=",".join(
+                kind for kind in CHOICE_KINDS if getattr(checked, f"explore_{kind}")
+            ),
+            help=f"comma-separated choice kinds: {', '.join(CHOICE_KINDS)}",
         )
         p.add_argument(
-            "--max-branch", type=int, default=3,
+            "--max-branch", type=int, default=checked.max_branch,
             help="alternatives offered per choice point",
         )
         p.add_argument(
-            "--max-drops", type=int, default=1,
+            "--max-drops", type=int, default=checked.max_drops,
             help="fate choices: message drops per run",
         )
         p.add_argument(
-            "--max-crashes", type=int, default=1,
+            "--max-crashes", type=int, default=checked.max_crashes,
             help="fault choices: crashes per run",
         )
         p.add_argument(
-            "--max-recoveries", type=int, default=1,
+            "--max-recoveries", type=int, default=checked.max_recoveries,
             help="fault choices: recoveries per run",
         )
         p.add_argument(
-            "--min-up", type=int, default=1,
+            "--min-up", type=int, default=checked.min_up,
             help="never crash below this many up sites",
         )
 
@@ -919,76 +929,76 @@ def build_parser() -> argparse.ArgumentParser:
         help="sustained open-loop run with streaming metrics and a "
         "scheduled crash; reports the availability dip and recovery",
     )
-    soak_run.add_argument("--txns", type=int, default=5000,
+    soaked = SoakConfig()
+    soak_run.add_argument("--txns", type=int, default=soaked.txns,
                           help="transactions to complete")
-    soak_run.add_argument("--rate", type=float, default=25.0,
+    soak_run.add_argument("--rate", type=float, default=soaked.rate_tps,
                           help="base arrival rate (txns/sec)")
     soak_run.add_argument(
-        "--shape", choices=["constant", "ramp", "diurnal", "flash"],
-        default="constant", help="time-varying load shape",
+        "--shape", choices=list(LOAD_SHAPES),
+        default=soaked.shape, help="time-varying load shape",
     )
     soak_run.add_argument(
-        "--peak", type=float, default=None,
+        "--peak", type=float, default=soaked.peak_tps,
         help="peak rate for ramp/diurnal/flash (default 2x --rate)",
     )
     soak_run.add_argument(
-        "--period-ms", type=float, default=20000.0,
+        "--period-ms", type=float, default=soaked.period_ms,
         help="diurnal period / flash-crowd onset time",
     )
     soak_run.add_argument(
         "--workload",
-        choices=["uniform", "zipf", "storm", "debitcredit", "wisconsin"],
-        default="zipf",
+        choices=list(SOAK_WORKLOADS),
+        default=soaked.workload,
         help="uniform: flat popularity; zipf: static skewed popularity; "
         "storm: the hot set rotates every --storm-every-ms; "
         "debitcredit: TP1 account/teller/branch writes; "
         "wisconsin: read scans + point updates (--read-fraction)",
     )
-    soak_run.add_argument("--skew", type=float, default=0.8,
+    soak_run.add_argument("--skew", type=float, default=soaked.skew,
                           help="Zipf skew parameter")
     soak_run.add_argument(
-        "--storm-every-ms", type=float, default=10000.0,
+        "--storm-every-ms", type=float, default=soaked.storm_every_ms,
         help="storm workload: hot-set rotation period",
     )
     soak_run.add_argument(
-        "--read-fraction", type=float, default=0.7,
+        "--read-fraction", type=float, default=soaked.read_fraction,
         help="wisconsin workload: fraction of transactions that are "
         "read scans",
     )
-    soak_run.add_argument("--sites", type=int, default=4,
+    soak_run.add_argument("--sites", type=int, default=soaked.num_sites,
                           help="database sites")
-    soak_run.add_argument("--db", type=int, default=128, help="data items")
-    soak_run.add_argument("--window-ms", type=float, default=1000.0,
+    soak_run.add_argument("--db", type=int, default=soaked.db_size, help="data items")
+    soak_run.add_argument("--window-ms", type=float, default=soaked.window_ms,
                           help="metrics window width")
     soak_run.add_argument(
-        "--detection", choices=["timeout", "announced"], default="timeout",
+        "--detection", choices=[mode.value for mode in FailureDetection],
+        default=soaked.detection,
         help="how survivors learn of the crash (timeout = paper-faithful "
         "client-visible dip)",
     )
     soak_run.add_argument(
-        "--recovery-policy",
-        choices=["on_demand", "two_step", "parallel"],
-        default="on_demand",
+        "--recovery-policy", choices=policies, default=soaked.recovery_policy,
         help="how the crashed site catches up (non-default values add a "
         "recoveries section to the report)",
     )
-    soak_run.add_argument("--exemplars", type=int, default=20,
+    soak_run.add_argument("--exemplars", type=int, default=soaked.exemplars,
                           help="reservoir-sampled exemplar transactions")
     soak_run.add_argument(
         "--trace-exemplars", default=None, metavar="DIR",
         help="re-run the soak with tracing enabled and export a run "
         "directory focused on the sampled exemplar transactions",
     )
-    soak_run.add_argument("--fail-site", type=int, default=2,
+    soak_run.add_argument("--fail-site", type=int, default=soaked.fail_site,
                           help="site to crash")
     soak_run.add_argument("--no-fail", action="store_true",
                           help="disable fault injection entirely")
     soak_run.add_argument(
-        "--fail-at-ms", type=float, default=None,
+        "--fail-at-ms", type=float, default=soaked.fail_at_ms,
         help="crash time (default: 35%% through the estimated run)",
     )
     soak_run.add_argument(
-        "--recover-at-ms", type=float, default=None,
+        "--recover-at-ms", type=float, default=soaked.recover_at_ms,
         help="recovery start (default: fail time + 25%% of the run)",
     )
     soak_run.add_argument("--out", default=None,
@@ -1011,16 +1021,16 @@ def build_parser() -> argparse.ArgumentParser:
         "clear vs stale size vs donor count vs policy (repro.recovery)",
     )
     recovery.add_argument(
-        "--donors", type=int, nargs="+", default=[1, 2, 4, 6],
+        "--donors", type=int, nargs="+", default=experiment.DEFAULT_DONORS,
         help="donor counts to sweep (cluster is donors+1 sites)",
     )
     recovery.add_argument(
-        "--stale", type=int, nargs="+", default=[16, 32, 64],
+        "--stale", type=int, nargs="+", default=experiment.DEFAULT_STALE_SIZES,
         help="stale-data sizes to sweep (db items staled by a cold crash)",
     )
     recovery.add_argument(
-        "--policies", nargs="+", default=["two_step", "parallel"],
-        choices=["on_demand", "two_step", "parallel"],
+        "--policies", nargs="+", default=experiment.DEFAULT_POLICIES,
+        choices=policies,
         help="recovery policies to compare",
     )
     recovery.add_argument(

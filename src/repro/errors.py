@@ -5,9 +5,12 @@ callers can catch everything from one root.  Protocol-level outcomes that are
 *expected* under the paper's model (e.g. a transaction abort because no
 up-to-date copy is reachable) are reported through return values and metrics,
 not exceptions; exceptions signal misuse or broken invariants.
+:func:`lookup` resolves every named choice a config takes.
 """
 
 from __future__ import annotations
+
+import enum
 
 
 class ReproError(Exception):
@@ -68,3 +71,13 @@ class WorkloadError(ReproError):
 
 class CheckError(ReproError):
     """A :mod:`repro.check` schedule or exploration request is invalid."""
+
+
+def lookup(table, name, what: str, error: type = ConfigurationError):
+    """``table[name]`` — ``table`` a mapping, or an enum keyed by member
+    value — or ``error`` naming the valid choices."""
+    if isinstance(table, enum.EnumMeta):
+        table = {member.value: member for member in table}
+    if name not in table:
+        raise error(f"unknown {what} {name!r} (one of: {', '.join(table)})")
+    return table[name]

@@ -16,21 +16,16 @@ from repro.metrics.records import (
 class MetricsCollector:
     """Accumulates every measurement series a cluster run produces.
 
-    By default every :class:`TxnRecord` is retained in ``txns`` (the
-    exact-record mode all existing experiments replay byte-identically).
-    Long soak runs instead pass ``retain_txns=False`` plus a ``txn_sink``
-    callable (e.g. :class:`repro.metrics.streaming.StreamingTxnSink`):
+    Without a ``txn_sink`` every :class:`TxnRecord` is retained in
+    ``txns`` (the exact-record mode all existing experiments replay
+    byte-identically).  Long soak and open-loop runs instead set a
+    ``txn_sink`` callable (e.g. :class:`repro.metrics.streaming.StreamingTxnSink`):
     records still flow through ``record_txn`` once, but only aggregates
     survive, keeping memory flat in the transaction count.
     """
 
-    def __init__(
-        self,
-        txn_sink: Optional[Callable[[TxnRecord], None]] = None,
-        retain_txns: bool = True,
-    ) -> None:
+    def __init__(self, txn_sink: Optional[Callable[[TxnRecord], None]] = None) -> None:
         self.txn_sink = txn_sink
-        self.retain_txns = retain_txns
         self.txns: list[TxnRecord] = []
         self.controls: list[ControlRecord] = []
         self.recoveries: list[RecoveryPeriodRecord] = []
@@ -51,9 +46,9 @@ class MetricsCollector:
     # -- recording -----------------------------------------------------------
 
     def record_txn(self, record: TxnRecord) -> None:
-        if self.retain_txns:
+        if self.txn_sink is None:
             self.txns.append(record)
-        if self.txn_sink is not None:
+        else:
             self.txn_sink(record)
         self.counters.incr("txns")
         self.counters.incr("commits" if record.committed else "aborts")

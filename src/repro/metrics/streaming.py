@@ -228,7 +228,7 @@ class WindowedSeries:
 class StreamingTxnSink:
     """Aggregates finished transactions without retaining records.
 
-    Attach via ``MetricsCollector(txn_sink=..., retain_txns=False)``; every
+    Attach as a ``MetricsCollector``'s ``txn_sink``; every
     :class:`TxnRecord` still flows through ``record_txn`` (counters keep
     working) but lands here instead of an ever-growing list.
     """

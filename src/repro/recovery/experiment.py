@@ -24,7 +24,7 @@ from functools import partial
 from typing import Iterable, Optional
 
 from repro.core.recovery import RecoveryPolicy
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError, lookup
 from repro.perf.pool import run_chunked
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
@@ -86,7 +86,7 @@ def run_recovery_cell(
         # A cold crash wipes site 0's copies, so every item it holds is
         # stale when it returns — stale_items IS the stale-data size.
         cold_recovery=True,
-        recovery_policy=RecoveryPolicy(policy),
+        recovery_policy=lookup(RecoveryPolicy, policy, "recovery policy"),
         # two_step with threshold 1.0 batch-copies the full stale set
         # from one donor per round: the sequential baseline.  parallel
         # ignores the threshold (it always fans out).

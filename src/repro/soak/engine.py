@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import ConfigurationError, ProtocolError, SimulationError
+from repro.errors import ConfigurationError, ProtocolError, SimulationError, lookup
 from repro.core.recovery import RecoveryPolicy
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.records import TxnRecord
@@ -54,7 +54,35 @@ from repro.workload.uniform import UniformWorkload
 from repro.workload.wisconsin import WisconsinWorkload
 from repro.workload.zipf import ZipfWorkload
 
-__all__ = ["SoakConfig", "SoakResult", "run_soak"]
+__all__ = ["LOAD_SHAPES", "SOAK_WORKLOADS", "SoakConfig", "SoakResult", "run_soak"]
+
+# Load shapes by name, each built from the config and its peak rate.
+LOAD_SHAPES = {
+    "constant": lambda c, peak: ConstantShape(c.rate_tps),
+    "ramp": lambda c, peak: RampShape(c.rate_tps, peak, c.period_ms),
+    "diurnal": lambda c, peak: DiurnalShape(c.rate_tps, peak, c.period_ms),
+    "flash": lambda c, peak: FlashCrowdShape(
+        c.rate_tps, peak, at_ms=c.period_ms,
+        rise_ms=max(c.period_ms / 20.0, 1.0), fall_ms=max(c.period_ms / 4.0, 1.0),
+    ),
+}
+
+# Workloads (item popularity / op mix) by name, each built from the config
+# and the cluster's item ids.  Wisconsin's scans are sized to the
+# transaction cap (shared-lock pressure over contiguous ranges) beside
+# point updates (the write conflicts).
+SOAK_WORKLOADS = {
+    "uniform": lambda c, items: UniformWorkload(items, c.max_txn_size),
+    "zipf": lambda c, items: ZipfWorkload(items, c.max_txn_size, skew=c.skew),
+    "storm": lambda c, items: HotKeyStormWorkload(
+        items, c.max_txn_size, skew=c.skew, storm_every_ms=c.storm_every_ms,
+    ),
+    "debitcredit": lambda c, items: DebitCreditWorkload(items),
+    "wisconsin": lambda c, items: WisconsinWorkload(
+        items, scan_length=min(c.max_txn_size, len(items)), update_count=1,
+        scan_fraction=c.read_fraction,
+    ),
+}
 
 
 @dataclass(slots=True)
@@ -64,14 +92,13 @@ class SoakConfig:
     seed: int = 0
     txns: int = 5_000
     rate_tps: float = 25.0
-    # Load shape: constant | ramp | diurnal | flash.  ``peak_tps`` defaults
-    # to 2x the base rate for the non-constant shapes; ``period_ms`` is the
-    # diurnal period, the ramp duration, and the flash-crowd onset time.
+    # Load shape, a name in LOAD_SHAPES.  ``peak_tps`` defaults to 2x the
+    # base rate for the non-constant shapes; ``period_ms`` is the diurnal
+    # period, the ramp duration, and the flash-crowd onset time.
     shape: str = "constant"
     peak_tps: Optional[float] = None
     period_ms: float = 20_000.0
-    # Item popularity / op mix:
-    # uniform | zipf | storm | debitcredit | wisconsin.
+    # Item popularity / op mix, a name in SOAK_WORKLOADS.
     workload: str = "zipf"
     skew: float = 0.8
     storm_every_ms: float = 10_000.0
@@ -83,13 +110,13 @@ class SoakConfig:
     max_txn_size: int = 5
     cores: int = 5
     wire_latency_ms: float = 9.0
-    # Failure detection: "timeout" (survivors learn of the crash only via
-    # bounced messages — the client-visible availability dip the paper's
-    # §3 asks about) or "announced" (type-2 announcement hides most of it).
+    # A FailureDetection value: "timeout" (survivors learn of the crash
+    # only via bounced messages — the client-visible availability dip the
+    # paper's §3 asks about) or "announced" (type-2 announcement hides it).
     detection: str = "timeout"
-    # Recovery policy for the failed site's catch-up: on_demand | two_step
-    # | parallel.  The default keeps soak reports byte-identical to
-    # earlier revisions; non-default values add a recoveries section.
+    # A RecoveryPolicy value for the failed site's catch-up.  The default
+    # keeps soak reports byte-identical to earlier revisions; non-default
+    # values add a recoveries section.
     recovery_policy: str = "on_demand"
     # Streaming metrics.  ``window_ms`` is the *minimum* window width:
     # when the estimated run would produce more than ``max_windows``
@@ -110,60 +137,15 @@ class SoakConfig:
 
     def build_shape(self) -> LoadShape:
         peak = self.peak_tps if self.peak_tps is not None else 2.0 * self.rate_tps
-        if self.shape == "constant":
-            return ConstantShape(self.rate_tps)
-        if self.shape == "ramp":
-            return RampShape(self.rate_tps, peak, self.period_ms)
-        if self.shape == "diurnal":
-            return DiurnalShape(self.rate_tps, peak, self.period_ms)
-        if self.shape == "flash":
-            return FlashCrowdShape(
-                self.rate_tps, peak, at_ms=self.period_ms,
-                rise_ms=max(self.period_ms / 20.0, 1.0),
-                fall_ms=max(self.period_ms / 4.0, 1.0),
-            )
-        raise ConfigurationError(f"unknown load shape: {self.shape!r}")
+        return lookup(LOAD_SHAPES, self.shape, "load shape")(self, peak)
 
     def build_workload(self, system: SystemConfig) -> WorkloadGenerator:
-        if self.workload == "uniform":
-            return UniformWorkload(system.item_ids, self.max_txn_size)
-        if self.workload == "zipf":
-            return ZipfWorkload(system.item_ids, self.max_txn_size, skew=self.skew)
-        if self.workload == "storm":
-            return HotKeyStormWorkload(
-                system.item_ids, self.max_txn_size, skew=self.skew,
-                storm_every_ms=self.storm_every_ms,
-            )
-        if self.workload == "debitcredit":
-            return DebitCreditWorkload(system.item_ids)
-        if self.workload == "wisconsin":
-            # Scans sized to the transaction cap (shared-lock pressure over
-            # contiguous ranges), point updates (the write conflicts).
-            items = system.item_ids
-            return WisconsinWorkload(
-                items,
-                scan_length=min(self.max_txn_size, len(items)),
-                update_count=1,
-                scan_fraction=self.read_fraction,
-            )
-        raise ConfigurationError(f"unknown workload kind: {self.workload!r}")
+        return lookup(SOAK_WORKLOADS, self.workload, "workload")(self, system.item_ids)
 
     def system_config(self) -> SystemConfig:
         """The cluster config a soak run forces: concurrent mode with
         cooperative termination (a crash mid-2PC orphans participants;
         without timeouts they would block forever)."""
-        try:
-            detection = FailureDetection(self.detection)
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown detection mode: {self.detection!r}"
-            ) from None
-        try:
-            recovery_policy = RecoveryPolicy(self.recovery_policy)
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown recovery policy: {self.recovery_policy!r}"
-            ) from None
         return SystemConfig(
             seed=self.seed,
             num_sites=self.num_sites,
@@ -173,8 +155,10 @@ class SoakConfig:
             wire_latency_ms=self.wire_latency_ms,
             concurrency_control=True,
             timeouts_enabled=True,
-            detection=detection,
-            recovery_policy=recovery_policy,
+            detection=lookup(FailureDetection, self.detection, "detection mode"),
+            recovery_policy=lookup(
+                RecoveryPolicy, self.recovery_policy, "recovery policy"
+            ),
         )
 
     def estimated_duration_ms(self) -> float:
@@ -238,7 +222,10 @@ class SoakConfig:
                 f"fail_site {self.fail_site} out of range for "
                 f"{self.num_sites} sites"
             )
-        self.build_shape()  # raises on bad shape parameters
+        # Each name resolves here, not once the cluster is built.
+        self.build_shape()  # also raises on bad shape parameters
+        lookup(SOAK_WORKLOADS, self.workload, "workload")
+        self.system_config()
 
 
 @dataclass(slots=True)
@@ -432,7 +419,7 @@ def run_soak(config: Optional[SoakConfig] = None, trace=None) -> SoakResult:
         config = SoakConfig()
     config.validate()
     system = config.system_config()
-    cluster_metrics = MetricsCollector(retain_txns=False)
+    cluster_metrics = MetricsCollector()
     with Cluster(system, metrics=cluster_metrics) as cluster:
         if trace is not None:
             cluster.network.obs = trace

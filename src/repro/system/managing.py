@@ -20,7 +20,7 @@ driver subclasses it and adds only its arrival policy.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.metrics.collector import MetricsCollector
@@ -159,7 +159,6 @@ class ManagingSite(ControlPlane):
         self._waiting_recovery: Optional[int] = None
         self._in_flight_txn: Optional[int] = None
         self.finished = False
-        self.on_finish: Optional[Callable[[], None]] = None
 
     # -- public API ------------------------------------------------------------
 
@@ -190,7 +189,7 @@ class ManagingSite(ControlPlane):
         scenario = self._scenario
         assert scenario is not None
         if self._stop_reached():
-            self._finish()
+            self.finished = True
             return
         self._pending_actions = list(scenario.actions.get(self._seq, []))
         self._drain_actions(ctx)
@@ -268,11 +267,6 @@ class ManagingSite(ControlPlane):
             observer.faillocks.count_for(site) == 0
             for site in scenario.until_recovered
         )
-
-    def _finish(self) -> None:
-        self.finished = True
-        if self.on_finish is not None:
-            self.on_finish()
 
     def signature(self) -> tuple:
         """Hashable snapshot of drive-loop progress (``repro.check``)."""

@@ -176,7 +176,7 @@ def run_open_loop(
     metrics: Optional[MetricsCollector] = None
     if not keep_records:
         sink = StreamingTxnSink()
-        metrics = MetricsCollector(txn_sink=sink, retain_txns=False)
+        metrics = MetricsCollector(txn_sink=sink)
     with Cluster(config, metrics=metrics) as cluster:
         detector = cluster.install_deadlock_detector()
 

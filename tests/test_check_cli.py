@@ -271,6 +271,26 @@ def test_a_schedule_file_with_a_budget_below_its_floor_is_refused(tmp_path, caps
         assert "max_branch must be >= 2" in err
 
 
+@pytest.mark.parametrize("command", ["replay", "shrink", "stats"])
+def test_a_schedule_file_with_an_unknown_recovery_policy_is_refused(
+    command, counterexample, tmp_path, capsys
+):
+    """Refused where the config is built, naming the valid policies: not
+    a traceback with the "runs differ" exit, and not a clean summary."""
+    doc = {**counterexample, "config": {**counterexample["config"]}}
+    doc["config"]["recovery_policy"] = "bogus"
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps(doc))
+    argv = ["check", command, "--file", str(schedule)]
+    if command == "shrink":
+        argv += ["--out", str(tmp_path / "shrunk.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "'bogus'" in err and "on_demand, two_step, parallel" in err
+
+
 def test_explore_rejects_unknown_choice_kind(capsys):
     try:
         main(["check", "explore", "--explore", "order,quantum"])

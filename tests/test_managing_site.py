@@ -65,14 +65,6 @@ def test_believed_up_tracks_actions(small_config):
         assert coords[seq] != 1
 
 
-def test_on_finish_callback(small_config):
-    cluster = Cluster(small_config)
-    called = []
-    cluster.manager.on_finish = lambda: called.append(True)
-    cluster.run(make_scenario(small_config, 3))
-    assert called == [True]
-
-
 def test_second_scenario_rejected_while_running(small_config):
     cluster = Cluster(small_config)
     cluster.manager.run(make_scenario(small_config, 3))

@@ -201,6 +201,8 @@ def test_a_reply_no_caller_took_is_never_read_by_the_next():
     gone.deal("a", 1)
     gone.deal("b", 2)
     assert all(worker.ticket is not None for worker in pool._workers[:2])
+    # Both replies are in their pipes before the next caller deals.
+    assert all(worker.conn.poll(10) for worker in pool._workers[:2])
     assert run_chunked(_negate, [1, 2, 3], jobs=2) == [-1, -2, -3]
     assert all(worker.ticket is None for worker in pool._workers[:2])
 

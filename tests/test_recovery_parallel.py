@@ -13,6 +13,7 @@ from repro.chaos.runner import run_seed_sweep
 from repro.check import CheckConfig, explore
 from repro.core.copier import choose_copier_source
 from repro.core.recovery import RecoveryPolicy
+from repro.errors import ConfigurationError
 from repro.obs.schema import write_json
 from repro.perf.pool import run_chunked
 from repro.recovery import experiment, plan_partitions
@@ -456,6 +457,8 @@ def test_recovery_cell_rejects_bad_shapes():
         run_recovery_cell("parallel", 0, 16)
     with pytest.raises(Exception):
         run_recovery_cell("parallel", 2, 0)
+    with pytest.raises(ConfigurationError, match="on_demand, two_step, parallel"):
+        run_recovery_cell("bogus", 1, 16)
 
 
 def test_recovery_report_builds_validates_and_is_deterministic(tmp_path):

@@ -121,6 +121,10 @@ def test_config_validation_rejects_bad_knobs():
         dict(exemplars=-1),
         dict(fail_site=9),
         dict(shape="sawtooth"),
+        # Each name resolves up front, not once the cluster is built.
+        dict(workload="hot-cold"),
+        dict(detection="oracle"),
+        dict(recovery_policy="bogus"),
     ):
         with pytest.raises(ConfigurationError):
             SoakConfig(**bad).validate()
