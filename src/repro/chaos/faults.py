@@ -9,22 +9,23 @@ produces the same run.
 
 Which faults are safe depends on what the cluster is running:
 
-* **Conservative mode** (``lossy_core=False``, the default — byte-identical
-  replay of existing seeds): the cluster runs the paper's bare protocol,
-  which assumes reliable FIFO delivery, so faults stay inside that
-  assumption.  Drops are restricted to :data:`DROPPABLE` (losses that
-  leave only conservative state behind), duplicates to :data:`DUPLICABLE`
-  (receivers that dedup or apply idempotently), delays are safe anywhere,
-  and reorder is an off-by-default auditor demo.
-* **Lossy-core mode** (``lossy_core=True``, via :meth:`FaultPlan.lossy`):
-  the runner switches on ``reliable_delivery`` and ``timeouts_enabled``,
-  so the retransmission sublayer (:mod:`repro.net.reliable`) and the 2PC
-  termination protocol discharge the transport assumption themselves.
-  Any message type — 2PC traffic, acks, recovery state, everything — may
-  then be silently dropped, duplicated, delayed, or reordered: drops are
-  *silent* (no failure notice; recovery is the retransmission layer's
-  job), duplicates are caught by the receiver-side dedup window, and
-  reordering is undone by the sequence-number reorder buffer.
+* **Conservative mode** (``full_fault_model=False``, the default —
+  byte-identical replay of existing seeds): the cluster runs the paper's
+  bare protocol, which assumes reliable FIFO delivery, so faults stay
+  inside that assumption.  Drops are restricted to :data:`DROPPABLE`
+  (losses that leave only conservative state behind), duplicates to
+  :data:`DUPLICABLE` (receivers that dedup or apply idempotently), delays
+  are safe anywhere, and reorder is an off-by-default auditor demo.
+* **Lossy-core mode** (``full_fault_model=True``: the ``lossy-core``
+  preset, :meth:`FaultPlan.lossy`): the runner switches on
+  ``reliable_delivery`` and ``timeouts_enabled``, so the retransmission
+  sublayer (:mod:`repro.net.reliable`) and the 2PC termination protocol
+  discharge the transport assumption themselves.  Any message type — 2PC
+  traffic, acks, recovery state, everything — may then be silently
+  dropped, duplicated, delayed, or reordered: drops are *silent* (no
+  failure notice; recovery is the retransmission layer's job), duplicates
+  are caught by the receiver-side dedup window, and reordering is undone
+  by the sequence-number reorder buffer.
 
 The managing site's control plane (``MGR_*`` traffic) is never touched in
 either mode: it is the experimenter's harness, not the network under test.
@@ -41,7 +42,7 @@ from repro.net.message import MessageType
 HEAL_RATE = 0.3
 
 # Message types whose loss stays within the BARE protocol's environment
-# assumptions (conservative mode only — lossy_core mode ignores this set,
+# assumptions (conservative mode only — lossy-core mode ignores this set,
 # because the retransmission sublayer makes every loss recoverable).
 # The protocol's safety rests on an implicit invariant: all
 # operational sites hold IDENTICAL fail-lock knowledge (every commit's
@@ -73,9 +74,9 @@ HEAL_RATE = 0.3
 #
 # In conservative mode, acks, responses, and manager traffic are never
 # faulted: the bare serial drive loop has no timeouts and would simply
-# stall.  Under ``lossy_core`` every one of these restrictions is lifted —
-# timeouts, retransmission, and the termination protocol exist precisely
-# so that 2PC traffic loss is survivable.
+# stall.  Under the full fault model every one of these restrictions is
+# lifted — timeouts, retransmission, and the termination protocol exist
+# precisely so that 2PC traffic loss is survivable.
 DROPPABLE: frozenset[MessageType] = frozenset(
     {
         MessageType.ABORT,
@@ -112,7 +113,7 @@ class FaultPlan:
     # with ``reliable_delivery`` and ``timeouts_enabled`` (the chaos
     # runner switches both on when it sees this flag); injecting silent
     # loss into the bare protocol would simply stall the drive loop.
-    lossy_core: bool = False
+    full_fault_model: bool = False
 
     # -- message faults (the interposition layer) --------------------------
     drop_rate: float = 0.02
@@ -150,16 +151,6 @@ class FaultPlan:
     # moment its type-1 completes (a partition striking mid-recovery),
     # healing one to two slots later.
     partition_mid_recovery: bool = False
-
-    @property
-    def recovery_scenario(self) -> bool:
-        """True when any recovery-window scenario mode is active (the
-        gate for recovery-period report lines)."""
-        return (
-            self.correlated_crashes > 1
-            or self.flap_rate > 0.0
-            or self.partition_mid_recovery
-        )
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on any bad value."""
@@ -200,7 +191,7 @@ class FaultPlan:
         )
         # Appended only in lossy-core mode so conservative-mode reports
         # stay byte-identical to those of earlier revisions.
-        if self.lossy_core:
+        if self.full_fault_model:
             base += " | mode=lossy-core (all message types, silent drops)"
         # Same gating discipline for the recovery-window scenario modes.
         if self.correlated_crashes > 1:
@@ -225,7 +216,7 @@ class FaultPlan:
         because the runner pairs this plan with ``reliable_delivery`` and
         ``timeouts_enabled``."""
         return cls(
-            lossy_core=True,
+            full_fault_model=True,
             drop_rate=0.05,
             duplicate_rate=0.05,
             delay_rate=0.25,

@@ -41,7 +41,7 @@ class FaultInjector:
     def intercept(self, msg: Message) -> Optional[MessageFate]:
         """The network's interposition hook (see ``Network._release_activation``).
 
-        Under the full fault model (``lossy_core``) any message type is
+        Under the full fault model (``full_fault_model``) any message type is
         fair game, transport acks (``NET_ACK``) included: the conservative
         :data:`DROPPABLE` / :data:`DUPLICABLE` gates are not consulted, and
         a drop is *silent* — no sender failure notice, exactly like a real
@@ -51,7 +51,7 @@ class FaultInjector:
         plan = self.plan
         rng = self._rng
         mtype = msg.mtype
-        lossy = plan.lossy_core
+        lossy = plan.full_fault_model
 
         if (lossy or mtype in DROPPABLE) and rng.random() < plan.drop_rate:
             self.stats.note("dropped", mtype)

@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.faillocks import FailLockTable
+from repro.errors import SimulationError
 from repro.metrics.records import ViolationRecord
 from repro.net.message import Message, MessageType
 from repro.obs.events import EventKind
@@ -43,6 +44,7 @@ from repro.obs.events import EventKind
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.site.site import DatabaseSite
     from repro.system.cluster import Cluster
+    from repro.system.scenario import Scenario
 
 
 class InvariantAuditor:
@@ -170,17 +172,31 @@ class InvariantAuditor:
             )
         self._aborted.add(txn_id)
 
-    def note_stall(self) -> None:
-        """The drive loop stalled: the scheduler drained with the scenario
-        unfinished.  Called by the chaos runner when ``Cluster.run`` raises
-        :class:`~repro.errors.SimulationError` — under chaos that is a
-        liveness violation to report, not a crash."""
-        self.checks += 1
-        self._flag(
-            "liveness",
-            "drive loop stalled: scheduler drained before the scenario "
-            "finished (a protocol exchange is blocked forever)",
-        )
+    # -- the audited run ------------------------------------------------------
+
+    def run(self, scenario: "Scenario") -> bool:
+        """Install this auditor as the cluster's probe, run ``scenario``,
+        audit it at quiescence and let go of the cluster (its sites keep
+        their probe after ``Cluster.close``); returns whether the drive loop
+        stalled.  A stall (:class:`~repro.errors.SimulationError`) is a
+        liveness finding, not a crash."""
+        stalled = False
+        try:
+            self.cluster.install_probe(self)
+            try:
+                self.cluster.run(scenario)
+            except SimulationError:
+                stalled = True
+                self.checks += 1
+                self._flag(
+                    "liveness",
+                    "drive loop stalled: scheduler drained before the scenario "
+                    "finished (a protocol exchange is blocked forever)",
+                )
+            self.check_quiescence()
+        finally:
+            self.cluster = None  # type: ignore[assignment]
+        return stalled
 
     # -- quiescence audit ---------------------------------------------------
 

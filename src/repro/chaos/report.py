@@ -45,33 +45,21 @@ def format_sweep_report(report: ChaosSweepReport) -> str:
         f"{report.total_violations} violations "
         f"(faults column is drop/dup/delay/reorder)"
     )
-    if report.plan.lossy_core:
-        # Transport-layer work done to survive the full fault model.
-        # Emitted only for lossy-core plans so conservative-mode reports
-        # stay byte-identical to those of earlier revisions.
-        retransmits = sum(
-            r.net_stats.retransmissions for r in report.results if r.net_stats
-        )
-        dedups = sum(
-            r.net_stats.duplicates_suppressed
-            for r in report.results
-            if r.net_stats
-        )
-        gave_up = sum(r.net_stats.gave_up for r in report.results if r.net_stats)
-        stalls = len(report.stalled_seeds)
-        lines.append(
-            f"transport: {retransmits} retransmissions, {dedups} duplicates "
-            f"suppressed, {gave_up} gave-up; {stalls} stalled run(s)"
-        )
-    if report.plan.recovery_scenario:
-        # Recovery-period summary, emitted only for the recovery-window
-        # scenario presets so pre-existing reports stay byte-identical.
-        periods = sum(r.recovery_periods for r in report.results)
-        interrupted = sum(r.interrupted_recoveries for r in report.results)
-        lines.append(
-            f"recovery: {periods} period(s) closed, "
-            f"{interrupted} interrupted by a re-failure"
-        )
+    # Transport-layer work done to survive the fault model (all zeros
+    # without the retransmission sublayer), and the recovery periods run.
+    results = report.results
+    net = [r.net_stats for r in results if r.net_stats]
+    lines.append(
+        f"transport: {sum(s.retransmissions for s in net)} retransmissions, "
+        f"{sum(s.duplicates_suppressed for s in net)} duplicates suppressed, "
+        f"{sum(s.gave_up for s in net)} gave-up; "
+        f"{len(report.stalled_seeds)} stalled run(s)"
+    )
+    lines.append(
+        f"recovery: {sum(r.recovery_periods for r in results)} period(s) "
+        f"closed, {sum(r.interrupted_recoveries for r in results)} "
+        "interrupted by a re-failure"
+    )
     dirty = report.dirty_seeds
     if dirty:
         lines.append("")

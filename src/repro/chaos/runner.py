@@ -23,7 +23,7 @@ from repro.chaos.interpose import FaultInjector
 from repro.chaos.invariants import InvariantAuditor
 from repro.chaos.schedule import build_chaos_scenario
 from repro.core.faillocks import FailLockTable
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.metrics.records import ViolationRecord
 from repro.net.reliable import ReliableStats
 from repro.perf.pool import run_chunked
@@ -88,22 +88,19 @@ class ChaosRunResult:
     fault_stats: FaultStats
     schedule_actions: int
     checks: int
-    violations: list[ViolationRecord] = field(default_factory=list)
-    mutated: bool = False
-    # Lossy-core extras (defaults keep conservative-mode results, and the
-    # reports built from them, identical to earlier revisions).
-    stalled: bool = False
-    net_stats: Optional[ReliableStats] = None
+    violations: list[ViolationRecord]
+    mutated: bool
+    stalled: bool
+    # ``None`` without the retransmission sublayer.
+    net_stats: Optional[ReliableStats]
     # Scheduler events fired during the run (benchmark denominator; also a
     # cheap replay fingerprint — a divergent replay rarely fires the same
     # number of events).
-    events_fired: int = 0
-    # Recovery periods observed (defaults keep pickled results from older
-    # workers, and conservative-mode reports, unchanged).  A period is
-    # ``interrupted`` when its site failed again before the last fail-lock
-    # cleared — the flapping-site case.
-    recovery_periods: int = 0
-    interrupted_recoveries: int = 0
+    events_fired: int
+    # Recovery periods closed; one is ``interrupted`` when its site failed
+    # again before the last fail-lock cleared — the flapping-site case.
+    recovery_periods: int
+    interrupted_recoveries: int
 
     @property
     def clean(self) -> bool:
@@ -193,8 +190,8 @@ def run_chaos_seed(
         num_sites=sites,
         seed=seed,
         wire_latency_ms=2.0,
-        reliable_delivery=plan.lossy_core,
-        timeouts_enabled=plan.lossy_core,
+        reliable_delivery=plan.full_fault_model,
+        timeouts_enabled=plan.full_fault_model,
         # Partition-mid-recovery arcs rejoin the isolated site via a fresh
         # fail + type-1; the crash must be cold so writes it committed
         # solo while isolated are discarded instead of surviving as
@@ -208,53 +205,39 @@ def run_chaos_seed(
             neuter_faillocks(cluster)
         injector = FaultInjector(plan, cluster.rng.stream("chaos.faults"))
         cluster.network.interposer = injector
-        auditor: Optional[InvariantAuditor] = None
-        if audit:
-            auditor = InvariantAuditor(cluster)
-            cluster.install_probe(auditor)
         scenario = build_chaos_scenario(
             config, plan, cluster.rng.stream("chaos.schedule"), txn_count=txns
         )
         schedule_actions = sum(len(actions) for actions in scenario.actions.values())
-        stalled = False
-        try:
-            try:
-                cluster.run(scenario)
-            except SimulationError:
-                # The scheduler drained with the scenario unfinished.  Under chaos
-                # that is a *finding* (a liveness violation the sweep must report),
-                # not a tooling crash.
-                stalled = True
-                if auditor is not None:
-                    auditor.note_stall()
-            if auditor is not None:
-                auditor.check_quiescence()
-            return ChaosRunResult(
-                seed=seed,
-                txns=txns,
-                commits=cluster.metrics.counters.get("commits"),
-                aborts=cluster.metrics.counters.get("aborts"),
-                sim_time_ms=cluster.now,
-                fault_stats=injector.stats,
-                schedule_actions=schedule_actions,
-                checks=auditor.checks if auditor is not None else 0,
-                violations=list(auditor.violations) if auditor is not None else [],
-                mutated=mutate,
-                stalled=stalled,
-                net_stats=(
-                    cluster.network.reliable.stats
-                    if cluster.network.reliable is not None
-                    else None
-                ),
-                events_fired=cluster.scheduler.fired,
-                recovery_periods=cluster.metrics.counters.get("recovery_periods"),
-                interrupted_recoveries=cluster.metrics.counters.get(
-                    "recovery_periods_interrupted"
-                ),
-            )
-        finally:
-            if auditor is not None:
-                auditor.cluster = None
+        auditor = InvariantAuditor(cluster) if audit else None
+        if auditor is not None:
+            stalled = auditor.run(scenario)
+        else:
+            cluster.run(scenario)
+            stalled = False
+        return ChaosRunResult(
+            seed=seed,
+            txns=txns,
+            commits=cluster.metrics.counters.get("commits"),
+            aborts=cluster.metrics.counters.get("aborts"),
+            sim_time_ms=cluster.now,
+            fault_stats=injector.stats,
+            schedule_actions=schedule_actions,
+            checks=auditor.checks if auditor is not None else 0,
+            violations=list(auditor.violations) if auditor is not None else [],
+            mutated=mutate,
+            stalled=stalled,
+            net_stats=(
+                cluster.network.reliable.stats
+                if cluster.network.reliable is not None
+                else None
+            ),
+            events_fired=cluster.scheduler.fired,
+            recovery_periods=cluster.metrics.counters.get("recovery_periods"),
+            interrupted_recoveries=cluster.metrics.counters.get(
+                "recovery_periods_interrupted"
+            ),
+        )
 
 
 def run_seed_sweep(

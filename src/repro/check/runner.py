@@ -32,7 +32,7 @@ from repro.check.choices import ChoiceController, Decision
 from repro.check.fingerprint import cluster_fingerprint
 from repro.check.hooks import FateChoiceHook, FaultChoiceHook, OrderChoiceHook
 from repro.core.recovery import RecoveryPolicy
-from repro.errors import CheckError, SimulationError, lookup
+from repro.errors import CheckError, lookup
 from repro.metrics.records import ViolationRecord
 from repro.obs import schema
 from repro.system.cluster import Cluster
@@ -198,9 +198,6 @@ def run_schedule(
                 controller, max_drops=config.max_drops
             )
 
-        auditor = InvariantAuditor(cluster)
-        cluster.install_probe(auditor)
-
         scenario = Scenario(
             workload=UniformWorkload(sys_config.item_ids, sys_config.max_txn_size),
             txn_count=config.txns,
@@ -216,17 +213,9 @@ def run_schedule(
                 max_branch=config.max_branch,
             )
 
-        stalled = False
+        auditor = InvariantAuditor(cluster)
         try:
-            try:
-                cluster.run(scenario)
-            except SimulationError:
-                # The drive loop stalled: under steered faults that is a liveness
-                # finding for the auditor, not a tooling crash.
-                stalled = True
-                auditor.note_stall()
-            auditor.check_quiescence()
-
+            stalled = auditor.run(scenario)
             return CheckRunResult(
                 decisions=list(controller.trace),
                 violations=list(auditor.violations),
@@ -240,4 +229,3 @@ def run_schedule(
             # The scheduler's tie-breaker, the interposer and the scenario's
             # fault hook all reach the cluster through the controller.
             controller.state_fn = None
-            auditor.cluster = None

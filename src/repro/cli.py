@@ -115,7 +115,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
             sites=args.sites,
             db_size=args.db,
             txns=args.txns,
-            lossy_core=args.lossy_core,
+            mode=args.mode,
         )
     else:
         manifest = record_experiment(args.exp, seed=args.seed, out_dir=out)
@@ -278,12 +278,10 @@ def _check_config_from_args(args: argparse.Namespace) -> "object":
     kinds = {k.strip() for k in args.explore.split(",") if k.strip()}
     unknown = kinds - set(CHOICE_KINDS)
     if unknown:
-        print(
-            f"error: unknown choice kinds {sorted(unknown)} "
-            f"(valid: {', '.join(CHOICE_KINDS)})",
-            file=sys.stderr,
+        raise CheckError(
+            f"unknown choice kinds {sorted(unknown)} "
+            f"(valid: {', '.join(CHOICE_KINDS)})"
         )
-        raise SystemExit(2)
     return CheckConfig(
         sites=args.sites,
         db_size=args.db,
@@ -753,9 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace one chaos seed instead of an experiment preset",
     )
     record.add_argument(
-        "--lossy-core", action="store_true",
-        help="with --chaos-seed: fault all message types (silent drops) "
-        "and run the retransmission + timeout layers",
+        "--mode", choices=list(PRESETS), default="default",
+        help="with --chaos-seed: the fault plan preset, as for repro chaos",
     )
     record.add_argument("--sites", type=int, default=4,
                         help="chaos only: database sites")

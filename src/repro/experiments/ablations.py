@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.recovery import RecoveryPolicy
+from repro.experiments.exp1 import run_copier_scenario
 from repro.experiments.exp2 import run_figure1
 from repro.experiments.exp3 import run_scenario2
 from repro.metrics.stats import mean
@@ -100,15 +101,7 @@ def run_embedded_clearing() -> list[ClearNoticeResult]:
     results = []
     for mode in (ClearNoticeMode.SPECIAL_TXN, ClearNoticeMode.EMBEDDED):
         config = SystemConfig.paper_experiment1(seed=17, clear_notice_mode=mode)
-        scenario = Scenario(
-            workload=UniformWorkload(config.item_ids, config.max_txn_size),
-            txn_count=260,
-            policy=Weighted({0: 1.0, 1: 0.001, 2: 0.001, 3: 0.001}),
-        )
-        scenario.add_action(3, FailSite(0))
-        scenario.add_action(60, RecoverSite(0))
-        with Cluster(config) as cluster:
-            metrics = cluster.run(scenario)
+        metrics = run_copier_scenario(config, warm_txns=60)
         times = [
             t.coordinator_elapsed
             for t in metrics.committed

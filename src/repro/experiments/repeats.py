@@ -9,15 +9,16 @@ assert that the headline results are stable properties, not lucky seeds.
 Each replication fans its seeds across worker processes
 (:func:`~repro.perf.pool.run_chunked`, on every CPU unless its ``jobs``
 parameter says otherwise; ``jobs=1`` runs in-process).  The per-seed
-functions are module-level, so the pool pickles them by reference, and
-they return plain floats; results are merged in seed order — the summary
-is identical to a serial run's.
+functions are module-level (or a ``partial`` of one), so the pool pickles
+them by reference, and they return plain floats; results are merged in
+seed order — the summary is identical to a serial run's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.experiments.exp2 import run_figure1
@@ -59,22 +60,20 @@ class Replicated:
         )
 
 
-def _figure1_stats(seed: int) -> tuple[float, float, float, float]:
+def _figure1_stats(seed: int) -> tuple[float, float, float, float, float]:
     result = run_figure1(seed=seed)
     return (
         100.0 * result.peak_fraction,
         float(result.report.txns_to_recover),
+        float(result.report.last_bucket_txns),
         float(result.copiers),
         float(result.aborts),
     )
 
 
-def _scenario1_aborts(seed: int) -> float:
-    return float(run_scenario1(seed=seed, settle=False).aborts)
-
-
-def _scenario2_aborts(seed: int) -> float:
-    return float(run_scenario2(seed=seed, settle=False).aborts)
+def _scenario_aborts(n: int, seed: int) -> float:
+    run = {1: run_scenario1, 2: run_scenario2}[n]
+    return float(run(seed=seed, settle=False).aborts)
 
 
 def replicate_figure1(
@@ -82,38 +81,28 @@ def replicate_figure1(
     jobs: Optional[int] = None,
 ) -> dict[str, Replicated]:
     """Figure 1 headline numbers across seeds."""
-    peaks, recoveries, copiers, aborts = [], [], [], []
-    for peak, recovery, copier, abort in run_chunked(_figure1_stats, seeds, jobs=jobs):
-        peaks.append(peak)
-        recoveries.append(recovery)
-        copiers.append(copier)
-        aborts.append(abort)
+    names = (
+        ("peak_pct", "peak fail-locked %"),
+        ("txns_to_recover", "txns to recover"),
+        ("last_10", "txns to clear last 10 fail-locks"),
+        ("copiers", "copier txns"),
+        ("aborts", "aborts"),
+    )
+    columns = zip(*run_chunked(_figure1_stats, seeds, jobs=jobs))
     return {
-        "peak_pct": Replicated("peak fail-locked %", peaks),
-        "txns_to_recover": Replicated("txns to recover", recoveries),
-        "copiers": Replicated("copier txns", copiers),
-        "aborts": Replicated("aborts", aborts),
+        key: Replicated(name, list(values))
+        for (key, name), values in zip(names, columns)
     }
 
 
-def replicate_scenario1(
+def replicate_scenario(
+    n: int,
     seeds: tuple[int, ...] = tuple(range(1, 11)),
     jobs: Optional[int] = None,
 ) -> Replicated:
-    """Scenario 1's abort count across seeds (paper's single draw: 13)."""
+    """Scenario ``n``'s abort count across seeds (paper: 13 in scenario 1's
+    single draw, 0 in scenario 2, structurally)."""
     return Replicated(
-        "scenario 1 aborts",
-        run_chunked(_scenario1_aborts, seeds, jobs=jobs),
+        f"scenario {n} aborts",
+        run_chunked(partial(_scenario_aborts, n), seeds, jobs=jobs),
     )
-
-
-def replicate_scenario2(
-    seeds: tuple[int, ...] = tuple(range(1, 11)),
-    jobs: Optional[int] = None,
-) -> Replicated:
-    """Scenario 2's abort count across seeds (paper: 0, structurally)."""
-    return Replicated(
-        "scenario 2 aborts",
-        run_chunked(_scenario2_aborts, seeds, jobs=jobs),
-    )
-

@@ -33,8 +33,8 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
     return "\n".join(out)
 
 
-def _ms(value: float) -> str:
-    return f"{value:.0f} ms"
+def _ms(value: float | None) -> str:
+    return "-" if value is None else f"{value:.0f} ms"
 
 
 def _sub(title: str, headers: Sequence[str], rows: Sequence[Sequence[object]],
@@ -113,7 +113,7 @@ def figure1_section(seed: int = 42,
                 ("txns to clear first 10 fail-locks",
                  buckets[0][1] if buckets else -1, "6"),
                 ("txns to clear last 10 fail-locks",
-                 buckets[-1][1] if buckets else -1, "106"),
+                 f1.report.last_bucket_txns, "106"),
             ],
         ),
         _figure(
@@ -317,8 +317,8 @@ def stability_section(jobs: int | None = None) -> str:
         (fig1["peak_pct"], "> 90"),
         (fig1["txns_to_recover"], "~160"),
         (fig1["copiers"], "2"),
-        (repeats.replicate_scenario1(seeds=seeds, jobs=jobs), "13"),
-        (repeats.replicate_scenario2(seeds=seeds, jobs=jobs), "0"),
+        (repeats.replicate_scenario(1, seeds=seeds, jobs=jobs), "13"),
+        (repeats.replicate_scenario(2, seeds=seeds, jobs=jobs), "0"),
     )
     return _join([
         "## Stability across seeds",

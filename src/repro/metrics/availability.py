@@ -28,7 +28,12 @@ class AvailabilityReport:
     peak_locks: int = 0
     peak_seq: int = -1               # recovery-by-clearing starts here
     txns_to_recover: int = -1        # from the peak to the first zero sample
-    # (locks remaining, txns it took to clear the previous bucket of 10)
+    # From the first sample after the peak with at most BUCKET locks left
+    # to the first zero sample: the paper's "last 10 fail-locks".
+    last_bucket_txns: int = -1
+    # (locks remaining, txns it took to clear the previous bucket of 10);
+    # they stop at the last multiple of 10 below the peak, so the locks
+    # under it are in ``last_bucket_txns`` only.
     clearing_buckets: list[tuple[int, int]] = field(default_factory=list)
 
 
@@ -54,9 +59,13 @@ def availability_of(
 
     # Recovery phase: from the peak forward, find when locks reach zero.
     after_peak = [(seq, locks) for seq, locks in series if seq >= report.peak_seq]
+    last_bucket_start = None
     for seq, locks in after_peak:
+        if last_bucket_start is None and locks <= BUCKET:
+            last_bucket_start = seq
         if locks == 0:
             report.txns_to_recover = seq - report.peak_seq
+            report.last_bucket_txns = seq - last_bucket_start
             break
 
     # Clearing-rate buckets: how many transactions each successive batch of

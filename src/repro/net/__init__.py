@@ -15,7 +15,7 @@ activation is recorded with causal parent links — see :mod:`repro.obs` and
 docs/OBSERVABILITY.md ("Counting messages").
 
 When the network itself is allowed to lose messages (the chaos layer's
-``lossy_core`` mode), :mod:`repro.net.reliable` rebuilds the reliable
+``lossy-core`` preset), :mod:`repro.net.reliable` rebuilds the reliable
 abstraction on top: per-channel sequence numbers, receiver-side dedup and
 reordering, and sender-side ack tracking with exponential-backoff
 retransmission — all driven by the deterministic event scheduler.

@@ -3,7 +3,7 @@
 The paper's protocol (and everything built on it here) assumes the
 transport never loses a message.  :class:`ReliableDelivery` discharges
 that assumption on top of a network that *does* lose messages (the chaos
-layer's ``lossy_core`` mode): it turns at-most-once physical delivery
+layer's ``lossy-core`` preset): it turns at-most-once physical delivery
 into exactly-once, in-order logical delivery per channel, the way a real
 replicated system's transport (TCP, or an application-level session
 layer) would.

@@ -18,7 +18,8 @@ Presets:
 * ``smoke`` — a tiny 3-site fail/recover run for CI.
 
 ``record_chaos`` instead traces one :func:`repro.chaos.runner.run_chaos_seed`
-run, so invariant violations land in the stream with causal context.
+run under a :data:`repro.chaos.PRESETS` fault plan, so invariant
+violations land in the stream with causal context.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, lookup
 from repro.obs.export import export_run
 from repro.obs.sink import TraceSink
 
@@ -123,13 +124,14 @@ def record_chaos(
     sites: int = 4,
     db_size: int = 32,
     txns: int = 60,
-    lossy_core: bool = False,
+    mode: str = "default",
 ) -> dict[str, Any]:
-    """Trace one chaos seed (faults + auditing on) and export it."""
-    from repro.chaos.faults import FaultPlan
+    """Trace one chaos seed (faults + auditing on) under the fault plan
+    :data:`repro.chaos.PRESETS` names ``mode``, and export it."""
+    from repro.chaos.faults import PRESETS
     from repro.chaos.runner import run_chaos_seed
 
-    plan = FaultPlan.lossy() if lossy_core else FaultPlan()
+    plan = lookup(PRESETS, mode, "fault plan preset")()
     sink = TraceSink(enabled=True)
     result = run_chaos_seed(
         chaos_seed,
@@ -142,7 +144,7 @@ def record_chaos(
     return export_run(
         Path(out_dir),
         sink,
-        scenario=f"chaos-{'lossy' if lossy_core else 'conservative'}",
+        scenario=f"chaos-{mode}",
         seed=chaos_seed,
         sites=sites,
         db_size=db_size,

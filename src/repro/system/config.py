@@ -103,7 +103,7 @@ class SystemConfig:
     # ``repro.net.reliable.RTO``).  Off by default — the stock network
     # already is the paper's reliable FIFO transport, and leaving the
     # layer out keeps existing seeds byte-identical.  Required for any
-    # fault mode that drops messages silently (chaos ``lossy_core``).
+    # fault mode that drops messages silently (chaos ``lossy-core``).
     reliable_delivery: bool = False
 
     # Protocol-level timeouts (2PC termination).  Off by default for the

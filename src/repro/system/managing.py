@@ -134,16 +134,15 @@ class ControlPlane(Endpoint):
 
     def sample_faillocks(self, seq: int, time: float) -> None:
         """Record every site's fail-lock count, as seen by the best-informed
-        table (the lowest-id operational site)."""
-        observer = self.cluster.observer_site()
-        if observer is None:
+        table (the lowest-id operational site); no sample while every site
+        is down."""
+        cluster = self.cluster
+        if cluster.observer_site() is None:
             return
-        locks = {
-            site: observer.faillocks.count_for(site)
-            for site in self.config.site_ids
-        }
         self.metrics.record_faillock_sample(
-            FailLockSample(seq=seq, time=time, locks_per_site=locks)
+            FailLockSample(
+                seq=seq, time=time, locks_per_site=cluster.faillock_counts()
+            )
         )
 
 
@@ -260,13 +259,8 @@ class ManagingSite(ControlPlane):
             return False
         if not scenario.until_recovered:
             return True
-        observer = self.cluster.observer_site()
-        if observer is None:
-            return True
-        return all(
-            observer.faillocks.count_for(site) == 0
-            for site in scenario.until_recovered
-        )
+        locks = self.cluster.faillock_counts()
+        return all(locks[site] == 0 for site in scenario.until_recovered)
 
     def signature(self) -> tuple:
         """Hashable snapshot of drive-loop progress (``repro.check``)."""

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import faulthandler
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -222,3 +224,33 @@ def pytest_terminal_summary(terminalreporter):
     for name, _old, new in MOVED:
         entry = {"digest": new, "run": LEDGER.get(name, {}).get("run", "")}
         write(f"  {json.dumps(name)}: {json.dumps(entry)},")
+
+
+# -- a hang is a failure ---------------------------------------------------------
+#
+# Each test (its setup, call and teardown) runs under a stdlib watchdog: if
+# it is still running after HANG_BOUND_S, every thread's stack is printed
+# and the run exits with status 1 instead of waiting for ever (a pool
+# parent blocked on a reply that never comes, a drive loop that never
+# drains).  The bound is far above the slowest test: under 3 s in tier-1
+# and under 30 s among the ``slow`` tests on a 2-CPU host.  The watchdog is a
+# thread, not a signal, so a test's own ``SIGALRM`` keeps working.
+
+HANG_BOUND_S = 180.0
+HANG_REPORT_FD = 2
+
+
+def pytest_configure(config):
+    # A copy of stderr taken while output is not captured: the watchdog
+    # exits the process, so what it wrote to a test's capture would be lost.
+    global HANG_REPORT_FD
+    HANG_REPORT_FD = os.dup(2)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    faulthandler.dump_traceback_later(HANG_BOUND_S, exit=True, file=HANG_REPORT_FD)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()

@@ -283,7 +283,7 @@ def test_auditing_does_not_perturb_the_run():
 def run_lossfree(with_retry_layer: bool) -> Cluster:
     """One fault-free chaos-shaped run (crash/recover schedule only)."""
     plan = FaultPlan(
-        lossy_core=with_retry_layer,
+        full_fault_model=with_retry_layer,
         drop_rate=0.0,
         duplicate_rate=0.0,
         delay_rate=0.0,

@@ -16,12 +16,14 @@ from repro.chaos import (
 )
 from repro.chaos.schedule import MIN_UP_SITES
 from repro.cli import main
-from repro.errors import ConfigurationError, FailLockError
+from repro.errors import ConfigurationError, FailLockError, SimulationError
 from repro.net.message import Message, MessageType
 from repro.sim.rng import DeterministicRng
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, PartitionNetwork, RecoverSite
+
+from conftest import make_scenario
 
 
 # -- fault plan ---------------------------------------------------------------
@@ -204,10 +206,19 @@ def test_auditor_flags_unfinished_transactions() -> None:
     assert not any(v.invariant == "liveness" for v in clean.check_quiescence())
 
 
-def test_auditor_note_stall_flags_liveness() -> None:
-    auditor = InvariantAuditor(_bare_cluster())
-    auditor.note_stall()
+def test_auditor_run_flags_a_stall_as_liveness(monkeypatch) -> None:
+    """A drive loop that stalls is a liveness finding, not a crash, and
+    the audited run still lets go of its cluster."""
+    cluster = _bare_cluster()
+
+    def stall(scenario) -> None:
+        raise SimulationError("scheduler drained with the scenario unfinished")
+
+    monkeypatch.setattr(cluster, "run", stall)
+    auditor = InvariantAuditor(cluster)
+    assert auditor.run(make_scenario(cluster.config, 3)) is True
     assert [v.invariant for v in auditor.violations] == ["liveness"]
+    assert auditor.cluster is None
 
 
 def test_violations_recorded_in_cluster_metrics() -> None:
@@ -358,9 +369,10 @@ def test_lossy_core_report_adds_transport_summary() -> None:
     text = format_sweep_report(report)
     assert "mode=lossy-core" in text
     assert "transport:" in text
-    # Conservative-mode reports must NOT grow the new line.
+    # A conservative plan runs no retransmission sublayer: its line reads 0.
     plain = format_sweep_report(run_seed_sweep(range(42, 43), txns=25))
-    assert "transport:" not in plain and "mode=lossy-core" not in plain
+    assert "transport: 0 retransmissions" in plain
+    assert "mode=lossy-core" not in plain
 
 
 # -- CLI ----------------------------------------------------------------------

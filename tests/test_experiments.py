@@ -162,7 +162,7 @@ def test_figure1_site1_never_locked(figure1):
     assert all(v == 0 for _s, v in figure1.series[1])
 
 
-def test_figure1_matches_its_closed_form():
+def figure1_closed_form() -> dict[str, float]:
     """An oracle that shares no code with the simulator (ROADMAP 1(d)).
 
     Figure 1 is a coupon collector: D = 50 items, transaction sizes uniform
@@ -175,7 +175,7 @@ def test_figure1_matches_its_closed_form():
     * expected locks left k transactions after recovery: peak (1 - q)^k;
     * expected transactions to the last clear (the maximum of ``peak``
       geometric waits): sum over j >= 0 of 1 - (1 - (1 - q)^j)^peak,
-      about H(peak) / q.
+      about H(peak) / q; of the last 10 locks, the same sum over 10.
 
     Copier transactions (the recovering site coordinates 5 % of the
     traffic and refreshes what it reads) only shorten the tail, so the
@@ -183,29 +183,50 @@ def test_figure1_matches_its_closed_form():
     """
     import math
 
-    from repro.experiments import repeats
-
     db = 50
     q = 1 - sum((1 - 0.5 / db) ** size for size in range(1, 6)) / 5
     peak = db * (1 - (1 - q) ** 100)
-    to_last_clear = sum(
-        1 - (1 - (1 - q) ** j) ** peak for j in range(5000)
-    )
-    assert 100 * peak / db == pytest.approx(95.0, abs=0.1)
-    assert to_last_clear == pytest.approx(148.6, abs=0.1)
+    return {
+        "peak_pct": 100 * peak / db,
+        "txns_to_recover": sum(
+            1 - (1 - (1 - q) ** j) ** peak for j in range(5000)
+        ),
+        "first_10": math.log((peak - 10) / peak) / math.log(1 - q),
+        "last_10": sum(1 - (1 - (1 - q) ** j) ** 10 for j in range(5000)),
+    }
+
+
+@pytest.fixture(scope="module")
+def figure1_seeds_1_to_20():
+    from repro.experiments import repeats
+
+    return repeats.replicate_figure1(seeds=tuple(range(1, 21)))
+
+
+def assert_near_closed_form(stat, expected):
+    slack = max(stat.ci95_half_width, 0.15 * expected)
+    assert abs(stat.mean - expected) <= slack, (str(stat), expected)
+
+
+def test_figure1_matches_its_closed_form(figure1_seeds_1_to_20):
+    expected = figure1_closed_form()
+    assert expected["peak_pct"] == pytest.approx(95.0, abs=0.1)
+    assert expected["txns_to_recover"] == pytest.approx(148.6, abs=0.1)
     # The paper's own reading of its curve: "the first 10 fail-locks were
     # cleared in only 6 transactions and the last 10 ... in 106".
-    first_10 = math.log((peak - 10) / peak) / math.log(1 - q)
-    last_10 = sum(1 - (1 - (1 - q) ** j) ** 10 for j in range(5000))
-    assert 6 <= first_10 <= 9 and 90 <= last_10 <= 110
+    assert 6 <= expected["first_10"] <= 9 and 90 <= expected["last_10"] <= 110
 
-    stats = repeats.replicate_figure1(seeds=tuple(range(1, 21)))
-    for name, expected in (
-        ("peak_pct", 100 * peak / db), ("txns_to_recover", to_last_clear),
-    ):
-        stat = stats[name]
-        slack = max(stat.ci95_half_width, 0.15 * expected)
-        assert abs(stat.mean - expected) <= slack, (str(stat), expected)
+    for name in ("peak_pct", "txns_to_recover"):
+        assert_near_closed_form(figure1_seeds_1_to_20[name], expected[name])
+
+
+def test_figure1_last_10_matches_its_closed_form(figure1_seeds_1_to_20):
+    """The report's "txns to clear last 10 fail-locks" row measures the
+    paper's quantity: from 10 locks left to none, not the last full
+    bucket of 10 below the peak."""
+    assert_near_closed_form(
+        figure1_seeds_1_to_20["last_10"], figure1_closed_form()["last_10"]
+    )
 
 
 # -- Experiment 3 / Figures 2-3 -----------------------------------------------------

@@ -328,7 +328,7 @@ def test_transport_acks_and_manager_traffic_are_untracked() -> None:
 
 def _run_lossy_cluster(duplicate_rate: float):
     plan = FaultPlan(
-        lossy_core=True,
+        full_fault_model=True,
         drop_rate=0.0,
         duplicate_rate=duplicate_rate,
         delay_rate=0.0,

@@ -162,8 +162,8 @@ def test_chrome_trace_structure(smoke_run) -> None:
 
 def test_chaos_recording_exports_and_validates(tmp_path) -> None:
     out = tmp_path / "chaos"
-    manifest = record_chaos(3, out_dir=out, txns=20, lossy_core=True)
-    assert manifest["scenario"] == "chaos-lossy"
+    manifest = record_chaos(3, out_dir=out, txns=20, mode="lossy-core")
+    assert manifest["scenario"] == "chaos-lossy-core"
     assert validate_run_dir(out) == []
     kinds = {e.kind.value for e in load_events(out)}
     assert "msg.send" in kinds and "txn.end" in kinds

@@ -225,8 +225,8 @@ def test_a_look_ahead_search_is_the_serial_search():
 def test_replicate_parallel_matches_serial():
     from repro.experiments import repeats
 
-    serial = repeats.replicate_scenario2(seeds=(1, 2), jobs=1)
-    parallel = repeats.replicate_scenario2(seeds=(1, 2), jobs=2)
+    serial = repeats.replicate_scenario(2, seeds=(1, 2), jobs=1)
+    parallel = repeats.replicate_scenario(2, seeds=(1, 2), jobs=2)
     assert parallel.values == serial.values
 
 

@@ -386,13 +386,6 @@ def test_preset_describe_lines_are_distinct():
     assert len(descriptions) == 4
 
 
-def test_classic_plan_is_not_a_recovery_scenario():
-    assert not FaultPlan().recovery_scenario
-    assert FaultPlan.correlated().recovery_scenario
-    assert FaultPlan.flapping().recovery_scenario
-    assert FaultPlan.partition_recovery().recovery_scenario
-
-
 def test_preset_sweeps_replay_byte_identically():
     for plan in (FaultPlan.correlated(), FaultPlan.flapping(),
                  FaultPlan.partition_recovery()):

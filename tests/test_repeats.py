@@ -10,8 +10,7 @@ import pytest
 from repro.experiments.repeats import (
     Replicated,
     replicate_figure1,
-    replicate_scenario1,
-    replicate_scenario2,
+    replicate_scenario,
 )
 
 SEEDS = tuple(range(1, 7))
@@ -50,13 +49,13 @@ def test_figure1_copiers_always_few(figure1_stats):
 
 
 def test_scenario1_aborts_always_present():
-    aborts = replicate_scenario1(seeds=SEEDS)
+    aborts = replicate_scenario(1, seeds=SEEDS)
     assert aborts.low >= 1            # the mechanism always bites
     assert aborts.high <= 30          # and stays in the paper's regime
     assert 3 <= aborts.mean <= 20     # paper's draw: 13
 
 
 def test_scenario2_never_aborts():
-    aborts = replicate_scenario2(seeds=SEEDS)
+    aborts = replicate_scenario(2, seeds=SEEDS)
     assert aborts.high == 0.0         # structural, not statistical
 

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.chaos import PRESETS
 from repro.cli import build_parser, main
+from repro.obs import validate_run_dir
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +143,23 @@ def test_chaos_record_via_cli(tmp_path, capsys) -> None:
     assert main(
         [
             "trace", "record", "--chaos-seed", "3", "--txns", "15",
-            "--lossy-core", "--out", str(out),
+            "--mode", "lossy-core", "--out", str(out),
         ]
     ) == 0
-    assert "chaos-lossy" in capsys.readouterr().out
+    assert "chaos-lossy-core" in capsys.readouterr().out
     assert main(["trace", "validate", "--dir", str(out)]) == 0
+
+
+@pytest.mark.parametrize("mode", sorted(PRESETS))
+def test_chaos_record_takes_every_fault_plan_preset(mode, tmp_path, capsys) -> None:
+    """``trace record --mode`` names its fault plan as ``repro chaos
+    --mode`` does, and every preset records a valid run directory."""
+    out = tmp_path / mode
+    assert main(
+        [
+            "trace", "record", "--chaos-seed", "3", "--txns", "20",
+            "--mode", mode, "--out", str(out),
+        ]
+    ) == 0
+    assert f"recorded chaos-{mode} " in capsys.readouterr().out
+    assert validate_run_dir(out) == []
