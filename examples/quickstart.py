@@ -11,7 +11,6 @@ Usage::
 """
 
 from repro import Cluster, FailSite, RecoverSite, Scenario, SystemConfig
-from repro.workload import UniformWorkload
 
 
 def main() -> None:
@@ -20,8 +19,9 @@ def main() -> None:
     config = SystemConfig(db_size=50, num_sites=2, max_txn_size=5, seed=7)
     cluster = Cluster(config)
 
+    # No workload given: the run submits the paper's uniform random
+    # transactions over this configuration.
     scenario = Scenario(
-        workload=UniformWorkload(config.item_ids, config.max_txn_size),
         txn_count=60,
         until_recovered=(0,),   # keep going until site 0 is fully refreshed
         max_txns=500,

@@ -10,14 +10,10 @@ experiments, rebuilt on a deterministic discrete-event simulator.
 Quickstart::
 
     from repro import Cluster, SystemConfig, Scenario, FailSite, RecoverSite
-    from repro.workload import UniformWorkload
 
     config = SystemConfig(db_size=50, num_sites=2, max_txn_size=5, seed=7)
     cluster = Cluster(config)
-    scenario = Scenario(
-        workload=UniformWorkload(config.item_ids, config.max_txn_size),
-        txn_count=120,
-    )
+    scenario = Scenario(txn_count=120)
     scenario.add_action(1, FailSite(0))
     scenario.add_action(51, RecoverSite(0))
     metrics = cluster.run(scenario)

@@ -27,7 +27,6 @@ from repro.system.scenario import (
     Scenario,
     UniformRandom,
 )
-from repro.workload.uniform import UniformWorkload
 
 # Sites the schedule always keeps believed up, so there is a coordinator.
 MIN_UP_SITES = 1
@@ -50,11 +49,7 @@ def build_chaos_scenario(
     plan.validate()
     if txn_count < 1:
         raise ConfigurationError(f"txn_count must be >= 1: {txn_count}")
-    scenario = Scenario(
-        workload=UniformWorkload(config.item_ids, config.max_txn_size),
-        txn_count=txn_count,
-        policy=UniformRandom(),
-    )
+    scenario = Scenario(txn_count=txn_count, policy=UniformRandom())
     sites = list(config.site_ids)
     if len(sites) <= MIN_UP_SITES:
         return scenario  # nothing can fail without starving the manager

@@ -80,7 +80,7 @@ def _describe(entry: tuple) -> tuple[str, tuple, Optional[tuple[int, int]]]:
 class OrderChoiceHook:
     """``scheduler.tie_breaker``: pick which tied entry fires first."""
 
-    def __init__(self, controller: ChoiceController, max_branch: int = 3) -> None:
+    def __init__(self, controller: ChoiceController, max_branch: int) -> None:
         self.controller = controller
         self.max_branch = max_branch
         # seq -> _describe(entry).  A tied entry that does not fire is
@@ -125,7 +125,7 @@ _DROPPABLE = tuple(DROPPABLE)
 class FateChoiceHook:
     """``network.interposer``: deliver vs. drop, for survivable messages."""
 
-    def __init__(self, controller: ChoiceController, max_drops: int = 1) -> None:
+    def __init__(self, controller: ChoiceController, max_drops: int) -> None:
         self.controller = controller
         self.max_drops = max_drops
         self.drops = 0
@@ -160,10 +160,10 @@ class FaultChoiceHook:
         self,
         controller: ChoiceController,
         site_ids: list[int],
-        max_crashes: int = 1,
-        max_recoveries: int = 1,
-        min_up: int = 1,
-        max_branch: int = 4,
+        max_crashes: int,
+        max_recoveries: int,
+        min_up: int,
+        max_branch: int,
     ) -> None:
         self.controller = controller
         self.site_ids = list(site_ids)

@@ -38,7 +38,6 @@ from repro.obs import schema
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.scenario import RoundRobin, Scenario
-from repro.workload.uniform import UniformWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.obs.sink import TraceSink
@@ -198,11 +197,7 @@ def run_schedule(
                 controller, max_drops=config.max_drops
             )
 
-        scenario = Scenario(
-            workload=UniformWorkload(sys_config.item_ids, sys_config.max_txn_size),
-            txn_count=config.txns,
-            policy=RoundRobin(),
-        )
+        scenario = Scenario(txn_count=config.txns, policy=RoundRobin())
         if config.explore_faults:
             scenario.actions = FaultChoiceHook(  # type: ignore[assignment]
                 controller,

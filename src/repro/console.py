@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import cmd
 import shlex
-import sys
 
 from repro.errors import ReproError
+from repro.system.cluster import Cluster
+from repro.system.config import SystemConfig
 from repro.system.interactive import InteractiveDriver
 
 
@@ -30,9 +31,9 @@ class MiniRaidConsole(cmd.Cmd):
     )
     prompt = "mini-raid> "
 
-    def __init__(self, driver: InteractiveDriver | None = None, **cmd_kwargs):
+    def __init__(self, driver: InteractiveDriver, **cmd_kwargs):
         super().__init__(**cmd_kwargs)
-        self.driver = driver if driver is not None else InteractiveDriver.build()
+        self.driver = driver
 
     # -- helpers -----------------------------------------------------------------
 
@@ -151,19 +152,23 @@ class MiniRaidConsole(cmd.Cmd):
 def main() -> None:  # pragma: no cover - interactive entry
     import argparse
 
+    defaults = SystemConfig()
     parser = argparse.ArgumentParser(description="mini-RAID interactive console")
-    parser.add_argument("--sites", type=int, default=4)
-    parser.add_argument("--db", type=int, default=50)
-    parser.add_argument("--max-txn", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--sites", type=int, default=defaults.num_sites)
+    parser.add_argument("--db", type=int, default=defaults.db_size)
+    parser.add_argument("--max-txn", type=int, default=defaults.max_txn_size)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
     args = parser.parse_args()
-    driver = InteractiveDriver.build(
+    config = SystemConfig(
         db_size=args.db,
         num_sites=args.sites,
         max_txn_size=args.max_txn,
         seed=args.seed,
     )
-    MiniRaidConsole(driver).cmdloop()
+    # Not ``with Cluster(...)``: the driver *is* the live cluster's
+    # managing site, stepped one command at a time for as long as the
+    # console runs, so nothing here knows when its run is over.
+    MiniRaidConsole(InteractiveDriver(Cluster(config))).cmdloop()
 
 
 if __name__ == "__main__":  # pragma: no cover

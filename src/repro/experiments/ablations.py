@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.recovery import RecoveryPolicy
-from repro.experiments.exp1 import run_copier_scenario
+from repro.experiments.exp1 import WARM_TXNS, run_copier_scenario
 from repro.experiments.exp2 import run_figure1
 from repro.experiments.exp3 import run_scenario2
 from repro.metrics.stats import mean
@@ -40,7 +40,6 @@ from repro.system.openloop import OpenLoopResult, run_open_loop
 from repro.system.scenario import FailSite, RecoverSite, Scenario, Weighted
 from repro.workload.base import WorkloadGenerator
 from repro.workload.et1 import Et1Workload
-from repro.workload.uniform import UniformWorkload
 from repro.workload.wisconsin import WisconsinWorkload
 
 
@@ -100,8 +99,8 @@ def run_embedded_clearing() -> list[ClearNoticeResult]:
     at seed 17 whatever the report's seed."""
     results = []
     for mode in (ClearNoticeMode.SPECIAL_TXN, ClearNoticeMode.EMBEDDED):
-        config = SystemConfig.paper_experiment1(seed=17, clear_notice_mode=mode)
-        metrics = run_copier_scenario(config, warm_txns=60)
+        config = SystemConfig(seed=17, clear_notice_mode=mode)
+        metrics = run_copier_scenario(config, WARM_TXNS)
         times = [
             t.coordinator_elapsed
             for t in metrics.committed
@@ -136,15 +135,10 @@ def run_read_write_ratio(seed: int = 42) -> list[ReadWriteResult]:
     results = []
     for wp in (0.1, 0.3, 0.5, 0.7):
         config = SystemConfig.paper_experiment2(seed=seed, write_probability=wp)
-        result = run_figure1(
-            recovering_share=0.5,
-            workload=UniformWorkload(config.item_ids, config.max_txn_size, wp),
-            max_txns=4000,
-            config=config,
-        )
+        result = run_figure1(recovering_share=0.5, max_txns=4000, config=config)
         results.append(
             ReadWriteResult(
-                write_probability=wp,
+                write_probability=config.write_probability,
                 peak_locks=result.report.peak_locks,
                 txns_to_recover=result.report.txns_to_recover,
                 copiers=result.copiers,
@@ -250,7 +244,7 @@ def run_benchmark_workloads(seed: int = 42) -> list[WorkloadResult]:
     """The Figure 1 scenario under the paper's future-work benchmarks."""
     config = SystemConfig.paper_experiment2(seed=seed)
     workloads: list[WorkloadGenerator] = [
-        UniformWorkload(config.item_ids, config.max_txn_size),
+        config.paper_workload(),
         Et1Workload(config.item_ids),
         WisconsinWorkload(config.item_ids),
     ]
@@ -366,7 +360,6 @@ def run_control_scaling() -> list[ScalingResult]:
                 seed=13,
             )
             scenario = Scenario(
-                workload=UniformWorkload(config.item_ids, config.max_txn_size),
                 txn_count=20,
                 policy=Weighted({0: 1.0, **{s: 0.0001 for s in range(1, num_sites)}}),
             )
@@ -429,10 +422,7 @@ def run_partition_anomaly(seed: int = 42) -> list[PartitionResult]:
             strategy=strategy,
             detection=FailureDetection.TIMEOUT,
         )
-        scenario = Scenario(
-            workload=UniformWorkload(config.item_ids, config.max_txn_size),
-            txn_count=60,
-        )
+        scenario = Scenario(txn_count=60)
         scenario.add_action(11, PartitionNetwork(groups=((0, 1, 2), (3,))))
         scenario.add_action(51, HealNetwork())
         with Cluster(config) as cluster:

@@ -1,8 +1,7 @@
 """Experiment 1: overhead measurements (paper §2).
 
 Three overheads of keeping replicated copies consistent, measured with the
-paper's configuration (database of 50 frequently-referenced items, 4 sites,
-maximum transaction size 10):
+paper's configuration, which is :class:`SystemConfig`'s default:
 
 * fail-lock maintenance during commit (§2.2.1),
 * control transactions (§2.2.2),
@@ -17,9 +16,8 @@ from typing import Optional
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import mean
 from repro.system.cluster import Cluster
-from repro.system.config import SystemConfig
+from repro.system.config import FailureDetection, SystemConfig
 from repro.system.scenario import FailSite, FixedSite, RecoverSite, Scenario, Weighted
-from repro.workload.uniform import UniformWorkload
 
 # Published values (ms) for side-by-side reporting.
 PAPER_COORD_NO_FL = 176.0
@@ -32,6 +30,10 @@ PAPER_TYPE2 = 68.0
 PAPER_TXN_WITH_COPIER = 270.0
 PAPER_COPY_REQUEST = 25.0
 PAPER_CLEAR_FAILLOCKS = 20.0
+
+# E1-T3's warm-up: the transaction before which the failed coordinator
+# recovers.
+WARM_TXNS = 60
 
 
 @dataclass(slots=True)
@@ -70,11 +72,8 @@ def run_faillock_overhead(seed: int = 11, txns: int = 300) -> FaillockOverheadRe
     """
     times = {}
     for enabled in (False, True):
-        config = SystemConfig.paper_experiment1(seed=seed, faillocks_enabled=enabled)
-        scenario = Scenario(
-            workload=UniformWorkload(config.item_ids, config.max_txn_size),
-            txn_count=txns,
-        )
+        config = SystemConfig(seed=seed, faillocks_enabled=enabled)
+        scenario = Scenario(txn_count=txns)
         with Cluster(config) as cluster:
             metrics = cluster.run(scenario)
         times[enabled] = (
@@ -115,12 +114,8 @@ def run_control_overhead(seed: int = 13) -> ControlOverheadResult:
     updating of the session vector at that site".
     """
     # Type 1: fail a site, run some transactions, recover it.
-    config = SystemConfig.paper_experiment1(seed=seed)
-    scenario = Scenario(
-        workload=UniformWorkload(config.item_ids, config.max_txn_size),
-        txn_count=40,
-        policy=FixedSite(0),
-    )
+    config = SystemConfig(seed=seed)
+    scenario = Scenario(txn_count=40, policy=FixedSite(0))
     scenario.add_action(5, FailSite(3))
     scenario.add_action(35, RecoverSite(3))
     with Cluster(config) as cluster:
@@ -135,20 +130,8 @@ def run_control_overhead(seed: int = 13) -> ControlOverheadResult:
     # coordinator's receipt of the surviving participant's VOTE_ACK, so
     # the row is the paper's 68 ms plus one queued receive (72.5 ms; see
     # tests/test_experiments.py::test_e1t2_rows_are_closed_forms_over_the_table).
-    from repro.system.config import FailureDetection
-
-    config2 = SystemConfig(
-        db_size=50,
-        num_sites=3,
-        max_txn_size=10,
-        seed=seed,
-        detection=FailureDetection.TIMEOUT,
-    )
-    scenario2 = Scenario(
-        workload=UniformWorkload(config2.item_ids, config2.max_txn_size),
-        txn_count=20,
-        policy=FixedSite(0),
-    )
+    config2 = SystemConfig(num_sites=3, seed=seed, detection=FailureDetection.TIMEOUT)
+    scenario2 = Scenario(txn_count=20, policy=FixedSite(0))
     scenario2.add_action(10, FailSite(2))
     with Cluster(config2) as cluster2:
         metrics2 = cluster2.run(scenario2)
@@ -200,13 +183,12 @@ class CopierOverheadResult:
         ]
 
 
-def run_copier_scenario(config: SystemConfig, warm_txns: int) -> MetricsCollector:
-    """The recovering-coordinator scenario: on 4 sites, site 0 fails, misses
-    updates and recovers at transaction ``warm_txns``; the 200 transactions
-    after it are submitted *to site 0*, so reads of its fail-locked copies
-    generate copiers."""
+def copier_scenario(warm_txns: int) -> Scenario:
+    """E1-T3's recovering-coordinator script: on 4 sites, site 0 fails,
+    misses updates and recovers at transaction ``warm_txns``; the 200
+    transactions after it are submitted *to site 0*, so reads of its
+    fail-locked copies generate copiers."""
     scenario = Scenario(
-        workload=UniformWorkload(config.item_ids, config.max_txn_size),
         txn_count=warm_txns + 200,
         # Site 0 coordinates whenever it is up; while it is down, the
         # weights renormalize over the survivors, so the warm-up
@@ -215,15 +197,22 @@ def run_copier_scenario(config: SystemConfig, warm_txns: int) -> MetricsCollecto
     )
     scenario.add_action(3, FailSite(0))
     scenario.add_action(warm_txns, RecoverSite(0))
+    return scenario
+
+
+def run_copier_scenario(config: SystemConfig, warm_txns: int) -> MetricsCollector:
+    """Run :func:`copier_scenario` on ``config``."""
     with Cluster(config) as cluster:
-        return cluster.run(scenario)
+        return cluster.run(copier_scenario(warm_txns))
 
 
-def run_copier_overhead(seed: int = 17, warm_txns: int = 60) -> CopierOverheadResult:
+def run_copier_overhead(
+    seed: int = 17, warm_txns: int = WARM_TXNS
+) -> CopierOverheadResult:
     """Measure transactions that generate exactly one copier transaction,
-    in :func:`run_copier_scenario`.  The baseline is the same run's
+    in :func:`copier_scenario`.  The baseline is the same run's
     copier-free transactions after the warm-up, size-matched."""
-    config = SystemConfig.paper_experiment1(seed=seed)
+    config = SystemConfig(seed=seed)
     metrics = run_copier_scenario(config, warm_txns)
 
     # Transactions that needed a copier skew large (more operations means

@@ -27,7 +27,13 @@ from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, RecoverSite, Scenario, Weighted
 from repro.viz.ascii_chart import render_series, site_series
 from repro.workload.base import WorkloadGenerator
-from repro.workload.uniform import UniformWorkload
+
+# Figure 1's script: site 0 is down for transactions 1..DOWN_TXNS, then
+# coordinates RECOVERING_SHARE of the transactions while it recovers;
+# MAX_TXNS ends a run whose recovery never completes.
+DOWN_TXNS = 100
+RECOVERING_SHARE = 0.05
+MAX_TXNS = 2000
 
 
 @dataclass(slots=True)
@@ -56,32 +62,42 @@ class Figure1Result:
         )
 
 
-def run_figure1(
-    seed: int = 42,
-    recovering_share: float = 0.05,
+def figure1_scenario(
+    recovering_share: float = RECOVERING_SHARE,
+    down_txns: int = DOWN_TXNS,
+    max_txns: int = MAX_TXNS,
     workload: WorkloadGenerator | None = None,
-    down_txns: int = 100,
-    max_txns: int = 2000,
-    config: SystemConfig | None = None,
-) -> Figure1Result:
-    """Run the §3.1 scenario and return the Figure 1 series.
-
-    ``config`` replaces the paper's Experiment 2 configuration (and then
-    carries the seed itself) — the ablations vary one field of it at a time.
-    """
-    if config is None:
-        config = SystemConfig.paper_experiment2(seed=seed)
-    if workload is None:
-        workload = UniformWorkload(config.item_ids, config.max_txn_size)
+) -> Scenario:
+    """The §3.1 script: site 0 fails before transaction 1 and recovers
+    after ``down_txns``; the run goes on until it has no fail-locks."""
     scenario = Scenario(
-        workload=workload,
         txn_count=down_txns,
+        workload=workload,
         policy=Weighted({0: recovering_share, 1: 1.0 - recovering_share}),
         until_recovered=(0,),
         max_txns=max_txns,
     )
     scenario.add_action(1, FailSite(0))
     scenario.add_action(down_txns + 1, RecoverSite(0))
+    return scenario
+
+
+def run_figure1(
+    seed: int = 42,
+    recovering_share: float = RECOVERING_SHARE,
+    workload: WorkloadGenerator | None = None,
+    down_txns: int = DOWN_TXNS,
+    max_txns: int = MAX_TXNS,
+    config: SystemConfig | None = None,
+) -> Figure1Result:
+    """Run :func:`figure1_scenario` and return the Figure 1 series.
+
+    ``config`` replaces the paper's Experiment 2 configuration (and then
+    carries the seed itself) — the ablations vary one field of it at a time.
+    """
+    if config is None:
+        config = SystemConfig.paper_experiment2(seed=seed)
+    scenario = figure1_scenario(recovering_share, down_txns, max_txns, workload)
     with Cluster(config) as cluster:
         metrics = cluster.run(scenario)
     series = {site: metrics.faillock_series(site) for site in config.site_ids}

@@ -23,7 +23,6 @@ from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, RecoverSite, Scenario
 from repro.viz.ascii_chart import render_series, site_series
-from repro.workload.uniform import UniformWorkload
 
 
 @dataclass(slots=True)
@@ -65,15 +64,13 @@ def _run(config: SystemConfig, scenario: Scenario, name: str) -> ScenarioResult:
     )
 
 
-def run_scenario1(seed: int = 42, settle: bool = True) -> ScenarioResult:
-    """Figure 2: two sites with alternating failures.
+def scenario1(settle: bool) -> Scenario:
+    """Figure 2's script: two sites with alternating failures.
 
     ``settle`` extends the run past transaction 120 until both sites are
     fully recovered (the paper's graph tails off to zero around there).
     """
-    config = SystemConfig.paper_experiment2(seed=seed)
     scenario = Scenario(
-        workload=UniformWorkload(config.item_ids, config.max_txn_size),
         txn_count=120,
         until_recovered=(0, 1) if settle else (),
         max_txns=1000,
@@ -82,21 +79,13 @@ def run_scenario1(seed: int = 42, settle: bool = True) -> ScenarioResult:
     scenario.add_action(26, RecoverSite(0))
     scenario.add_action(26, FailSite(1))
     scenario.add_action(51, RecoverSite(1))
-    return _run(config, scenario, "Figure 2: database inconsistency (scenario 1)")
+    return scenario
 
 
-def run_scenario2(
-    seed: int = 42, settle: bool = True, config: SystemConfig | None = None
-) -> ScenarioResult:
-    """Figure 3: four sites failing singly in succession.
-
-    ``config`` replaces the paper's configuration (and then carries the
-    seed itself) — the ablations vary its strategy and detection mode.
-    """
-    if config is None:
-        config = SystemConfig.paper_experiment3_scenario2(seed=seed)
+def scenario2(settle: bool = True) -> Scenario:
+    """Figure 3's script: four sites failing singly in succession, 25
+    transactions apart; ``settle`` as for :func:`scenario1`."""
     scenario = Scenario(
-        workload=UniformWorkload(config.item_ids, config.max_txn_size),
         txn_count=160,
         until_recovered=(0, 1, 2, 3) if settle else (),
         max_txns=1000,
@@ -104,4 +93,25 @@ def run_scenario2(
     for site in range(4):
         scenario.add_action(25 * site + 1, FailSite(site))
         scenario.add_action(25 * (site + 1) + 1, RecoverSite(site))
-    return _run(config, scenario, "Figure 3: database inconsistency (scenario 2)")
+    return scenario
+
+
+def run_scenario1(seed: int = 42, settle: bool = True) -> ScenarioResult:
+    """Figure 2: :func:`scenario1` on the Experiment 2 configuration."""
+    config = SystemConfig.paper_experiment2(seed=seed)
+    name = "Figure 2: database inconsistency (scenario 1)"
+    return _run(config, scenario1(settle), name)
+
+
+def run_scenario2(
+    seed: int = 42, settle: bool = True, config: SystemConfig | None = None
+) -> ScenarioResult:
+    """Figure 3: :func:`scenario2`.
+
+    ``config`` replaces the paper's configuration (and then carries the
+    seed itself) — the ablations vary its strategy and detection mode.
+    """
+    if config is None:
+        config = SystemConfig.paper_experiment3_scenario2(seed=seed)
+    name = "Figure 3: database inconsistency (scenario 2)"
+    return _run(config, scenario2(settle), name)

@@ -1,20 +1,22 @@
 """Recording presets: trace a canned experiment or a chaos seed.
 
 ``repro trace record`` calls into here.  Each preset builds a fresh
-cluster, enables its :class:`~repro.obs.sink.TraceSink`, runs a scenario
-shaped like one of the paper's experiments (shrunk enough that recording
-is fast but every interesting path — failure, recovery, copiers,
-fail-lock clearing — still fires), and exports the run directory via
-:func:`repro.obs.export.export_run`.
+cluster, enables its :class:`~repro.obs.sink.TraceSink`, runs an
+experiment's own script on its own configuration, and exports the run
+directory via :func:`repro.obs.export.export_run`.
 
-Presets:
+Presets (:data:`EXPERIMENT_PRESETS`):
 
-* ``1`` — Experiment 1's copier scenario: 4 sites, site 0 fails, misses
-  updates, recovers, then coordinates; its reads of fail-locked copies
-  generate copier transactions (the paper's §2.2.3 measurement).
-* ``2`` — Experiment 2's recovery-tail shape: 2 sites, site 0 down for a
-  block of transactions, then recovering until its fail-locks drain.
-* ``3`` — Experiment 3 scenario 2: 4 sites failing singly in succession.
+* ``1`` — Experiment 1's copier scenario (E1-T3,
+  :func:`repro.experiments.exp1.copier_scenario`): 4 sites, site 0 fails,
+  misses updates, recovers, then coordinates; its reads of fail-locked
+  copies generate copier transactions (the paper's §2.2.3 measurement).
+* ``2`` — Experiment 2's Figure 1 run
+  (:func:`repro.experiments.exp2.figure1_scenario`): 2 sites, site 0 down
+  for 100 transactions, then recovering until its fail-locks drain.
+* ``3`` — Experiment 3's scenario 2, Figure 3
+  (:func:`repro.experiments.exp3.scenario2`): 4 sites failing singly in
+  succession.
 * ``smoke`` — a tiny 3-site fail/recover run for CI.
 
 ``record_chaos`` instead traces one :func:`repro.chaos.runner.run_chaos_seed`
@@ -28,7 +30,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import ConfigurationError, lookup
+from repro.errors import lookup
 from repro.obs.export import export_run
 from repro.obs.sink import TraceSink
 
@@ -36,63 +38,49 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.system.config import SystemConfig
     from repro.system.scenario import Scenario
 
-EXPERIMENT_PRESETS = ("1", "2", "3", "smoke")
+# Each preset imports what it runs when called, not at module top:
+# repro.net imports repro.obs.events during its own init, which
+# initializes this package — a top-level import of repro.system here
+# would close that cycle.
+
+
+def _exp1(seed: int) -> "tuple[SystemConfig, Scenario]":
+    from repro.experiments.exp1 import WARM_TXNS, copier_scenario
+    from repro.system.config import SystemConfig
+
+    return SystemConfig(seed=seed), copier_scenario(WARM_TXNS)
+
+
+def _exp2(seed: int) -> "tuple[SystemConfig, Scenario]":
+    from repro.experiments.exp2 import figure1_scenario
+    from repro.system.config import SystemConfig
+
+    return SystemConfig.paper_experiment2(seed=seed), figure1_scenario()
+
+
+def _exp3(seed: int) -> "tuple[SystemConfig, Scenario]":
+    from repro.experiments.exp3 import scenario2
+    from repro.system.config import SystemConfig
+
+    return SystemConfig.paper_experiment3_scenario2(seed=seed), scenario2()
+
+
+def _smoke(seed: int) -> "tuple[SystemConfig, Scenario]":
+    from repro.system.config import SystemConfig
+    from repro.system.scenario import FailSite, RecoverSite, Scenario
+
+    config = SystemConfig(db_size=12, num_sites=3, max_txn_size=4, seed=seed)
+    scenario = Scenario(txn_count=12, until_recovered=(0,), max_txns=500)
+    scenario.add_action(2, FailSite(0))
+    scenario.add_action(8, RecoverSite(0))
+    return config, scenario
+
+
+EXPERIMENT_PRESETS = {"1": _exp1, "2": _exp2, "3": _exp3, "smoke": _smoke}
 
 
 def _scenario_for(exp: str, seed: int) -> "tuple[SystemConfig, Scenario]":
-    # Imported here, not at module top: repro.net imports repro.obs.events
-    # during its own init, which initializes this package — a top-level
-    # import of repro.system here would close that cycle.
-    from repro.system.config import SystemConfig
-    from repro.system.scenario import FailSite, RecoverSite, Scenario, Weighted
-    from repro.workload.uniform import UniformWorkload
-    if exp == "1":
-        config = SystemConfig.paper_experiment1(seed=seed)
-        scenario = Scenario(
-            workload=UniformWorkload(config.item_ids, config.max_txn_size),
-            txn_count=80,
-            policy=Weighted({0: 1.0, 1: 0.001, 2: 0.001, 3: 0.001}),
-            until_recovered=(0,),
-            max_txns=1000,
-        )
-        scenario.add_action(3, FailSite(0))
-        scenario.add_action(20, RecoverSite(0))
-    elif exp == "2":
-        config = SystemConfig.paper_experiment2(seed=seed)
-        scenario = Scenario(
-            workload=UniformWorkload(config.item_ids, config.max_txn_size),
-            txn_count=60,
-            until_recovered=(0,),
-            max_txns=1000,
-        )
-        scenario.add_action(1, FailSite(0))
-        scenario.add_action(31, RecoverSite(0))
-    elif exp == "3":
-        config = SystemConfig.paper_experiment3_scenario2(seed=seed)
-        scenario = Scenario(
-            workload=UniformWorkload(config.item_ids, config.max_txn_size),
-            txn_count=60,
-            until_recovered=(0, 1, 2, 3),
-            max_txns=1000,
-        )
-        for site in range(4):
-            scenario.add_action(10 * site + 1, FailSite(site))
-            scenario.add_action(10 * (site + 1) + 1, RecoverSite(site))
-    elif exp == "smoke":
-        config = SystemConfig(db_size=12, num_sites=3, max_txn_size=4, seed=seed)
-        scenario = Scenario(
-            workload=UniformWorkload(config.item_ids, config.max_txn_size),
-            txn_count=12,
-            until_recovered=(0,),
-            max_txns=500,
-        )
-        scenario.add_action(2, FailSite(0))
-        scenario.add_action(8, RecoverSite(0))
-    else:
-        raise ConfigurationError(
-            f"unknown experiment preset {exp!r} (choose from {EXPERIMENT_PRESETS})"
-        )
-    return config, scenario
+    return lookup(EXPERIMENT_PRESETS, exp, "experiment preset")(seed)
 
 
 def record_experiment(

@@ -29,7 +29,6 @@ from repro.perf.pool import run_chunked
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 from repro.system.scenario import FailSite, RecoverSite, Scenario, Weighted
-from repro.workload.uniform import UniformWorkload
 
 __all__ = ["RecoveryCell", "run_recovery_cell", "run_recovery_matrix"]
 
@@ -95,7 +94,6 @@ def run_recovery_cell(
     weights = {0: 0.0}
     weights.update({s: 1.0 for s in range(1, donors + 1)})
     scenario = Scenario(
-        workload=UniformWorkload(config.item_ids, config.max_txn_size),
         txn_count=2,
         policy=Weighted(weights),
         until_recovered=(0,),

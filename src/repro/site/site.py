@@ -88,14 +88,14 @@ class DatabaseSite(Endpoint):
         config: SystemConfig,
         catalog: ReplicationCatalog,
         metrics: MetricsCollector,
-        version_clock: Optional["LogicalClock"] = None,
+        version_clock: LogicalClock,
     ) -> None:
         super().__init__(site_id)
         self.config = config
         self.costs = config.costs
         self.catalog = catalog
         self.metrics = metrics
-        self.version_clock = version_clock if version_clock is not None else LogicalClock()
+        self.version_clock = version_clock
         self.db = SiteDatabase(site_id, catalog.items_on(site_id))
         self.nsv = NominalSessionVector(site_id, config.site_ids)
         self.faillocks = FailLockTable(config.site_ids, catalog.item_ids)

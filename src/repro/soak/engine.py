@@ -407,7 +407,7 @@ class SoakManager(ControlPlane):
             self.recover(ctx, site_id)
 
 
-def run_soak(config: Optional[SoakConfig] = None, trace=None) -> SoakResult:
+def run_soak(config: SoakConfig, trace=None) -> SoakResult:
     """Run one soak and return its streaming aggregates.
 
     Pass an enabled :class:`~repro.obs.sink.TraceSink` as ``trace`` to
@@ -415,8 +415,6 @@ def run_soak(config: Optional[SoakConfig] = None, trace=None) -> SoakResult:
     does not perturb the simulation (same discipline as
     :func:`repro.chaos.runner.run_chaos_seed`).
     """
-    if config is None:
-        config = SoakConfig()
     config.validate()
     system = config.system_config()
     cluster_metrics = MetricsCollector()

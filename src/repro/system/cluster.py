@@ -30,11 +30,11 @@ class Cluster:
 
     def __init__(
         self,
-        config: Optional[SystemConfig] = None,
+        config: SystemConfig,
         catalog: Optional[ReplicationCatalog] = None,
         metrics: Optional[MetricsCollector] = None,
     ) -> None:
-        self.config = config if config is not None else SystemConfig()
+        self.config = config
         self.config.validate()
         self.scheduler = EventScheduler()
         self.cpu = CpuResource(self.scheduler, cores=self.config.cores)

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.core.recovery import RecoveryPolicy
 from repro.core.strategy import CopyControlStrategy
 from repro.system.costs import CostModel
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.workload.uniform import UniformWorkload
 
 
 class FailureDetection(enum.Enum):
@@ -179,10 +183,15 @@ class SystemConfig:
                 f"commit_max_retries must be >= 1: {self.commit_max_retries}"
             )
 
-    @classmethod
-    def paper_experiment1(cls, **overrides) -> "SystemConfig":
-        """The §2.2 configuration: db=50, sites=4, max txn size=10."""
-        return cls(db_size=50, num_sites=4, max_txn_size=10, **overrides)
+    def paper_workload(self) -> "UniformWorkload":
+        """The managing site's random transactions over this configuration
+        (§1.2): what every run submits unless it brings its own workload."""
+        # Imported when called, not at module top: loading the workload
+        # package while repro.system is still loading raised the peak RSS
+        # of every benchmark workload.
+        from repro.workload.uniform import UniformWorkload
+
+        return UniformWorkload(self.item_ids, self.max_txn_size, self.write_probability)
 
     @classmethod
     def paper_experiment2(cls, **overrides) -> "SystemConfig":

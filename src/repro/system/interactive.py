@@ -17,9 +17,7 @@ from repro.metrics.records import TxnRecord
 from repro.net.endpoint import HandlerContext
 from repro.net.message import Message, MessageType
 from repro.system.cluster import Cluster
-from repro.system.config import SystemConfig
 from repro.system.managing import ControlPlane
-from repro.workload.uniform import UniformWorkload
 
 
 class InteractiveDriver(ControlPlane):
@@ -27,30 +25,11 @@ class InteractiveDriver(ControlPlane):
 
     def __init__(self, cluster: Cluster):
         super().__init__(cluster, "interactive")
-        self.workload = UniformWorkload(
-            cluster.config.item_ids, cluster.config.max_txn_size
-        )
+        self.workload = cluster.config.paper_workload()
         self._next_txn_id = 0
         self._seq = 0
         self._last_outcome: Optional[TxnRecord] = None
         cluster.network.replace_endpoint(self)
-
-    @classmethod
-    def build(
-        cls,
-        db_size: int = 50,
-        num_sites: int = 4,
-        max_txn_size: int = 10,
-        seed: int = 42,
-    ) -> "InteractiveDriver":
-        """Convenience: a fresh cluster with the given shape."""
-        config = SystemConfig(
-            db_size=db_size, num_sites=num_sites, max_txn_size=max_txn_size, seed=seed
-        )
-        # Not ``with Cluster(...)``: the driver *is* the live cluster's
-        # managing site, stepped one command at a time for as long as the
-        # console runs, so nothing here knows when its run is over.
-        return cls(Cluster(config))
 
     # -- endpoint ------------------------------------------------------------
 

@@ -37,6 +37,7 @@ from repro.system.scenario import (
     RecoverSite,
     Scenario,
 )
+from repro.workload.base import WorkloadGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.system.cluster import Cluster
@@ -152,6 +153,7 @@ class ManagingSite(ControlPlane):
     def __init__(self, cluster: "Cluster") -> None:
         super().__init__(cluster, "manager")
         self._scenario: Optional[Scenario] = None
+        self._workload: Optional[WorkloadGenerator] = None
         self._seq = 0               # 1-based sequence of the *next* txn
         self._next_txn_id = 0
         self._pending_actions: list[Action] = []
@@ -167,6 +169,11 @@ class ManagingSite(ControlPlane):
         if self._scenario is not None and not self.finished:
             raise ConfigurationError("a scenario is already running")
         self._scenario = scenario
+        self._workload = (
+            scenario.workload
+            if scenario.workload is not None
+            else self.config.paper_workload()
+        )
         self._seq = 1
         self.finished = False
         self.cluster.network.spawn(self, self._start_next_txn)
@@ -232,7 +239,7 @@ class ManagingSite(ControlPlane):
             raise ConfigurationError(
                 f"policy chose down site {coordinator} for txn {self._seq}"
             )
-        ops = scenario.workload.generate(self._seq, self._rng)
+        ops = self._workload.generate(self._seq, self._rng)
         self._next_txn_id += 1
         txn_id = self._next_txn_id
         self._in_flight_txn = txn_id

@@ -149,7 +149,7 @@ class OpenLoopManager(ControlPlane):
 
 
 def run_open_loop(
-    config: Optional[SystemConfig] = None,
+    config: SystemConfig,
     workload: Optional[WorkloadGenerator] = None,
     txn_count: int = 200,
     arrival_rate_tps: float = 20.0,
@@ -170,8 +170,6 @@ def run_open_loop(
     grows with ``txn_count``: every arrival (time, operations,
     coordinator) is drawn and scheduled up front.
     """
-    if config is None:
-        config = SystemConfig()
     sink: Optional[StreamingTxnSink] = None
     metrics: Optional[MetricsCollector] = None
     if not keep_records:
@@ -185,9 +183,7 @@ def run_open_loop(
         cluster.network.replace_endpoint(manager)
 
         if workload is None:
-            from repro.workload.uniform import UniformWorkload
-
-            workload = UniformWorkload(config.item_ids, config.max_txn_size)
+            workload = config.paper_workload()
         manager.launch(workload, txn_count, arrival_rate_tps)
         cluster.scheduler.run()
         if not manager.finished:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.sim.rng import RandomStream
@@ -129,11 +130,13 @@ class Scenario:
     """A complete experiment script.
 
     ``actions[n]`` runs *before* transaction ``n`` (1-based), matching the
-    paper's "Before transaction 101, site 0 was brought up".
+    paper's "Before transaction 101, site 0 was brought up".  Without a
+    ``workload`` the run submits its configuration's
+    :meth:`~repro.system.config.SystemConfig.paper_workload`.
     """
 
-    workload: WorkloadGenerator
     txn_count: int
+    workload: Optional[WorkloadGenerator] = None
     policy: SubmissionPolicy = field(default_factory=UniformRandom)
     actions: dict[int, list[Action]] = field(default_factory=dict)
     # After txn_count, keep going until these sites have no fail-locks

@@ -159,6 +159,19 @@ def test_auditor_flags_commit_after_abort() -> None:
     assert any(v.invariant == "atomicity" for v in auditor.violations)
 
 
+def test_auditor_flags_abort_after_commit() -> None:
+    """Atomicity the other way round: a site applied the updates first,
+    then the coordinator aborts the same transaction."""
+    cluster = _bare_cluster()
+    auditor = InvariantAuditor(cluster)
+    auditor.on_commit_applied(cluster.site(1), 9, [0], None)
+    assert auditor.violations == []
+    auditor.on_coordinator_abort(0, txn_id=9, reason="vote_nack")
+    assert [(v.invariant, v.txn_id, v.site_id) for v in auditor.violations] == [
+        ("atomicity", 9, 0)
+    ]
+
+
 def test_auditor_flags_missing_faillock_coverage() -> None:
     cluster = _bare_cluster()
     auditor = InvariantAuditor(cluster)
@@ -185,6 +198,22 @@ def test_auditor_quiescence_flags_unlocked_stale_copy() -> None:
     cluster.site(0).faillocks.set_lock(0, 1)
     clean = InvariantAuditor(cluster)
     assert clean.check_quiescence() == []
+
+
+def test_auditor_quiescence_flags_current_copies_that_disagree() -> None:
+    """Both copies are at the newest version and neither is fail-locked,
+    but they hold different values: one finding for the item, no site."""
+    cluster = _bare_cluster()
+    cluster.site(0).db.apply_writes(1, [(0, 10, 1)], 0.0)
+    cluster.site(1).db.apply_writes(2, [(0, 20, 1)], 0.0)
+    findings = InvariantAuditor(cluster).check_quiescence()
+    assert [(v.invariant, v.item_id, v.site_id) for v in findings] == [
+        ("convergence", 0, -1)
+    ]
+    assert "disagree on value (site 0=10, site 1=20)" in findings[0].description
+    # The same values make the same state consistent.
+    cluster.site(1).db.apply_writes(3, [(0, 10, 1)], 0.0)
+    assert InvariantAuditor(cluster).check_quiescence() == []
 
 
 def test_auditor_flags_unfinished_transactions() -> None:

@@ -1,5 +1,8 @@
 """repro.check shrinking: delta-debugging decision vectors."""
 
+import importlib
+from types import SimpleNamespace
+
 import pytest
 
 from repro.check import CheckConfig, run_schedule, shrink
@@ -85,3 +88,33 @@ def test_recovery_masks_the_mutation():
     crash_then_recover = run_schedule(with_recovery, vector)
     assert crash_then_recover.chosen.count(1) == 2
     assert not crash_then_recover.violations
+
+
+def test_shrink_takes_complements_doubles_granularity_and_lowers_values(
+    monkeypatch,
+) -> None:
+    """ddmin against a bug that needs two separated deviations, one of
+    them at least 2: no half of the noisy vector keeps it, so ddmin must
+    refine (granularity doubling) and keep complements of chunks, and the
+    value-lowering pass must bring 3 down to 2 and 2 down to 1."""
+    runs = []
+
+    def fake_run_schedule(config, vector):
+        runs.append(list(vector))
+        violating = len(vector) > 5 and vector[1] >= 2 and vector[5] >= 1
+        return SimpleNamespace(
+            violations=[SimpleNamespace(invariant="planted")] if violating else [],
+            decisions=[SimpleNamespace(chosen=v) for v in vector],
+        )
+
+    # ``repro.check.shrink`` the attribute is the function; this is its module.
+    module = importlib.import_module("repro.check.shrink")
+    monkeypatch.setattr(module, "run_schedule", fake_run_schedule)
+    result = shrink(CheckConfig(), [1, 3, 1, 1, 1, 2, 1, 1])
+    assert result.vector == [0, 2, 0, 0, 0, 1]
+    assert result.invariant == "planted"
+    assert result.removed == 6
+    assert result.tests_run == len(runs)
+    # Complements were kept: a candidate that zeroes one chunk of two
+    # positions and keeps the other six did reproduce the bug.
+    assert [1, 3, 0, 0, 1, 2, 1, 1] in runs

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import run_figure1, run_scenario1
+from repro.system.config import SystemConfig
 from repro.workload.et1 import Et1Workload
 from repro.workload.uniform import UniformWorkload
 
@@ -47,3 +48,17 @@ def test_figure1_read_heavy_workload_needs_more_copiers():
     )
     # The §5 prediction again, through the figure-1 runner.
     assert read_heavy.copiers >= balanced.copiers
+
+
+@pytest.mark.parametrize(
+    "write_probability, peak", [(0.1, 19), (0.5, 48), (0.9, 50)]
+)
+def test_figure1_reads_the_configured_write_probability(write_probability, peak):
+    """The configuration's read/write ratio reaches the paper's workload:
+    fewer writes leave fewer of site 0's copies fail-locked, and even odds
+    are the paper's run (EXPERIMENTS.md's peak of 48)."""
+    config = SystemConfig.paper_experiment2(
+        seed=42, write_probability=write_probability
+    )
+    assert run_figure1(config=config).report.peak_locks == peak
+

@@ -86,7 +86,7 @@ def test_e1t2_rows_are_closed_forms_over_the_table(control_result):
     """Each §2.2.2 row is the table's charges along the control
     transaction's path, plus what queues ahead of it on the serial CPU."""
     c = CostModel()
-    config = SystemConfig.paper_experiment1()
+    config = SystemConfig()
     sites, db = config.num_sites, config.db_size
     # The responder's activation: receive the announcement, update the
     # vector, format the state reply, send it.

@@ -6,13 +6,16 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.console import MiniRaidConsole
+from repro.system.cluster import Cluster
+from repro.system.config import SystemConfig
 from repro.system.interactive import InteractiveDriver
 from repro.txn.operations import OpKind, Operation
 
 
 @pytest.fixture
 def driver() -> InteractiveDriver:
-    return InteractiveDriver.build(db_size=8, num_sites=3, max_txn_size=3, seed=5)
+    config = SystemConfig(db_size=8, num_sites=3, max_txn_size=3, seed=5)
+    return InteractiveDriver(Cluster(config))
 
 
 def test_submit_single_txn(driver):

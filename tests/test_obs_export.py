@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.cli import main
+from repro.experiments import exp1, exp2, exp3
 from repro.obs import (
     load_events,
     load_manifest,
@@ -15,6 +17,7 @@ from repro.obs import (
 from repro.obs.record import _scenario_for
 from repro.obs.schema import RUN_SCHEMA_ID, validate_event
 from repro.system.cluster import Cluster
+from repro.system.config import SystemConfig
 
 ARTIFACTS = ("run.json", "events.jsonl", "trace.json")
 
@@ -44,6 +47,22 @@ def test_different_seed_diverges(tmp_path, smoke_run) -> None:
     assert (first / "events.jsonl").read_bytes() != (
         other / "events.jsonl"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("exp", ["1", "2", "3"])
+def test_experiment_presets_trace_their_runners_runs(exp, tmp_path) -> None:
+    """``trace record --exp N`` records the experiment's own run: a valid
+    run directory with as many transactions as its runner runs."""
+    runners = {
+        "1": lambda: exp1.run_copier_scenario(SystemConfig(seed=42), exp1.WARM_TXNS),
+        "2": lambda: exp2.run_figure1(seed=42).metrics,
+        "3": lambda: exp3.run_scenario2(seed=42).metrics,
+    }
+    out = tmp_path / "run"
+    assert main(["trace", "record", "--exp", exp, "--out", str(out)]) == 0
+    assert validate_run_dir(out) == []
+    manifest = load_manifest(out)
+    assert len(manifest["transactions"]) == len(runners[exp]().txns)
 
 
 # -- zero interference --------------------------------------------------------
